@@ -61,6 +61,18 @@ impl VisitedSet {
         }
     }
 
+    /// Unmarks a vertex; returns `true` if it was marked.
+    pub fn remove(&mut self, v: VectorId) -> bool {
+        match self.marks.get_mut(v as usize) {
+            Some(slot) if *slot == self.epoch => {
+                // Epochs start at 1, so 0 never reads as marked.
+                *slot = 0;
+                true
+            }
+            _ => false,
+        }
+    }
+
     /// Whether a vertex is marked (vertices beyond the allocated range are
     /// unmarked by definition).
     pub fn contains(&self, v: VectorId) -> bool {
@@ -85,8 +97,9 @@ enum Expansion {
     /// A candidate was expanded but every neighbor was already visited, so
     /// no feature vector was fetched (no trace iteration).
     Empty,
-    /// A candidate was expanded and at least one new vector was fetched.
-    Hop(IterationTrace),
+    /// A candidate (the carried id) was expanded and at least one new
+    /// vector was fetched; the fetched ids are in the caller's buffer.
+    Hop(VectorId),
 }
 
 /// Mutable view over one search's candidate list, result list and visited
@@ -101,9 +114,10 @@ struct Lists<'a> {
 }
 
 impl Lists<'_> {
-    /// Seeds the candidate/result lists with the entry vertices and
-    /// returns iteration 0 of the trace (the entries count as
-    /// visited/computed), or `None` if no entry was new.
+    /// Seeds the candidate/result lists with the entry vertices, leaving
+    /// the newly visited ones in `fetched` (cleared first): iteration 0 of
+    /// the trace, whose synthetic entry is `fetched[0]` (the entries count
+    /// as visited/computed). Returns `false` if no entry was new.
     fn seed<S: ScoreSource + ?Sized>(
         &mut self,
         source: &S,
@@ -111,33 +125,32 @@ impl Lists<'_> {
         entries: &[VectorId],
         beam_width: usize,
         distance: DistanceKind,
-    ) -> Option<IterationTrace> {
+        fetched: &mut Vec<VectorId>,
+    ) -> bool {
         // Mark first, then score the new entries in one batched kernel
         // call. Marking never depends on distances, so this is
         // bit-identical to the per-entry eval loop it replaces.
-        let mut init_visited = Vec::with_capacity(entries.len());
+        fetched.clear();
         for &e in entries {
             if self.visited.insert(e) {
-                init_visited.push(e);
+                fetched.push(e);
             }
         }
-        source.score_batch(distance, query, &init_visited, self.scratch);
-        for (&e, &d) in init_visited.iter().zip(self.scratch.iter()) {
+        source.score_batch(distance, query, fetched, self.scratch);
+        for (&e, &d) in fetched.iter().zip(self.scratch.iter()) {
             self.candidates.push(Reverse(Neighbor::new(d, e)));
             self.results.push(Neighbor::new(d, e));
         }
         while self.results.len() > beam_width {
             self.results.pop();
         }
-        (!init_visited.is_empty()).then(|| IterationTrace {
-            entry: init_visited[0],
-            visited: init_visited,
-        })
+        !fetched.is_empty()
     }
 
     /// Pops the closest candidate and expands its neighbor list — the loop
     /// body of §II-A, shared by the run-to-completion [`beam_search`] and
-    /// the per-hop [`BeamSearcher`].
+    /// the per-hop [`BeamSearcher`]. The never-visited neighbors it
+    /// fetched are left in `fetched` (cleared first).
     fn expand_next<S: ScoreSource + ?Sized>(
         &mut self,
         source: &S,
@@ -145,7 +158,9 @@ impl Lists<'_> {
         query: &[f32],
         beam_width: usize,
         distance: DistanceKind,
+        fetched: &mut Vec<VectorId>,
     ) -> Expansion {
+        fetched.clear();
         let Some(Reverse(current)) = self.candidates.pop() else {
             return Expansion::Finished;
         };
@@ -164,14 +179,13 @@ impl Lists<'_> {
         // edge order. Visited-marking and scoring don't interact, and the
         // batch reuses the per-pair kernel, so results are bit-identical
         // to the interleaved per-edge loop this replaces.
-        let mut iter_visited = Vec::new();
         for &nb in graph.neighbors(current.id) {
             if self.visited.insert(nb) {
-                iter_visited.push(nb);
+                fetched.push(nb);
             }
         }
-        source.score_batch(distance, query, &iter_visited, self.scratch);
-        for (&nb, &d) in iter_visited.iter().zip(self.scratch.iter()) {
+        source.score_batch(distance, query, fetched, self.scratch);
+        for (&nb, &d) in fetched.iter().zip(self.scratch.iter()) {
             let worst = self
                 .results
                 .peek()
@@ -185,13 +199,10 @@ impl Lists<'_> {
                 }
             }
         }
-        if iter_visited.is_empty() {
+        if fetched.is_empty() {
             Expansion::Empty
         } else {
-            Expansion::Hop(IterationTrace {
-                entry: current.id,
-                visited: iter_visited,
-            })
+            Expansion::Hop(current.id)
         }
     }
 }
@@ -234,19 +245,27 @@ pub fn beam_search<S: ScoreSource + ?Sized>(
 
     // The initial entry vertices count as visited/computed: record them as
     // iteration 0 with a synthetic entry (the first entry vertex).
-    let Some(seed) = lists.seed(source, query, entries, beam_width, distance) else {
+    let mut fetched = Vec::with_capacity(entries.len());
+    if !lists.seed(source, query, entries, beam_width, distance, &mut fetched) {
         return BeamResult {
             found: Vec::new(),
             trace,
         };
-    };
-    trace.iterations.push(seed);
+    }
+    trace.iterations.push(IterationTrace {
+        entry: fetched[0],
+        visited: std::mem::take(&mut fetched),
+    });
 
     loop {
-        match lists.expand_next(source, graph, query, beam_width, distance) {
+        // The trace keeps every hop's list, so each hop fills a fresh one.
+        match lists.expand_next(source, graph, query, beam_width, distance, &mut fetched) {
             Expansion::Finished => break,
             Expansion::Empty => {}
-            Expansion::Hop(it) => trace.iterations.push(it),
+            Expansion::Hop(entry) => trace.iterations.push(IterationTrace {
+                entry,
+                visited: std::mem::take(&mut fetched),
+            }),
         }
     }
 
@@ -298,13 +317,37 @@ impl BeamSearcher {
         beam_width: usize,
         distance: DistanceKind,
     ) -> Self {
+        Self::with_visited(
+            VisitedSet::new(num_vertices),
+            query,
+            entries,
+            beam_width,
+            distance,
+        )
+    }
+
+    /// [`new`](Self::new) over a recycled visited set (cleared here, O(1)),
+    /// so a scheduler admitting query after query does not allocate and
+    /// zero a dataset-sized set each time. Reclaim it from a finished
+    /// searcher with [`into_visited`](Self::into_visited).
+    ///
+    /// # Panics
+    /// Panics if `beam_width == 0`.
+    pub fn with_visited(
+        mut visited: VisitedSet,
+        query: Vec<f32>,
+        entries: Vec<VectorId>,
+        beam_width: usize,
+        distance: DistanceKind,
+    ) -> Self {
         assert!(beam_width > 0, "beam width must be positive");
+        visited.clear();
         Self {
             query,
             entries,
             beam_width,
             distance,
-            visited: VisitedSet::new(num_vertices),
+            visited,
             candidates: BinaryHeap::new(),
             results: BinaryHeap::new(),
             scratch: Vec::new(),
@@ -330,8 +373,22 @@ impl BeamSearcher {
         source: &S,
         graph: &Csr,
     ) -> Option<IterationTrace> {
+        let mut hop = IterationTrace::default();
+        self.step_into(source, graph, &mut hop).then_some(hop)
+    }
+
+    /// [`step`](Self::step) writing the hop into a caller-owned record
+    /// (its `visited` buffer is cleared and refilled, so a scheduler that
+    /// keeps one record per slot allocates nothing per hop). Returns
+    /// `false` — leaving `hop` unspecified — if the search has terminated.
+    pub fn step_into<S: ScoreSource + ?Sized>(
+        &mut self,
+        source: &S,
+        graph: &Csr,
+        hop: &mut IterationTrace,
+    ) -> bool {
         if self.finished {
-            return None;
+            return false;
         }
         let mut lists = Lists {
             visited: &mut self.visited,
@@ -341,36 +398,42 @@ impl BeamSearcher {
         };
         if !self.seeded {
             self.seeded = true;
-            let seed = lists.seed(
+            let seeded = lists.seed(
                 source,
                 &self.query,
                 &self.entries,
                 self.beam_width,
                 self.distance,
+                &mut hop.visited,
             );
-            return match seed {
-                None => {
-                    self.finished = true;
-                    None
-                }
-                Some(it) => {
-                    self.hops += 1;
-                    self.update_finished();
-                    Some(it)
-                }
-            };
+            if seeded {
+                hop.entry = hop.visited[0];
+                self.hops += 1;
+                self.update_finished();
+            } else {
+                self.finished = true;
+            }
+            return seeded;
         }
         loop {
-            match lists.expand_next(source, graph, &self.query, self.beam_width, self.distance) {
+            match lists.expand_next(
+                source,
+                graph,
+                &self.query,
+                self.beam_width,
+                self.distance,
+                &mut hop.visited,
+            ) {
                 Expansion::Finished => {
                     self.finished = true;
-                    return None;
+                    return false;
                 }
                 Expansion::Empty => {}
-                Expansion::Hop(it) => {
+                Expansion::Hop(entry) => {
+                    hop.entry = entry;
                     self.hops += 1;
                     self.update_finished();
-                    return Some(it);
+                    return true;
                 }
             }
         }
@@ -401,6 +464,12 @@ impl BeamSearcher {
     /// Hops (productive trace iterations) executed so far.
     pub fn hops(&self) -> usize {
         self.hops
+    }
+
+    /// Consumes the searcher, handing its visited set back for
+    /// [`with_visited`](Self::with_visited).
+    pub fn into_visited(self) -> VisitedSet {
+        self.visited
     }
 
     /// Rescores the best `depth` approximate candidates against `exact`
@@ -501,6 +570,8 @@ mod tests {
         vs.clear();
         assert!(!vs.contains(3));
         assert!(vs.insert(3));
+        assert!(vs.remove(3));
+        assert!(!vs.contains(3) && !vs.remove(3) && !vs.remove(99));
     }
 
     /// A single-cluster spec so the exact-KNN graph stays connected (the
@@ -597,6 +668,30 @@ mod tests {
             assert_eq!(iterations, whole.trace.iterations, "trace must match");
             assert_eq!(stepper.found(), whole.found, "results must match");
             assert_eq!(stepper.hops(), whole.trace.iterations.len());
+        }
+    }
+
+    #[test]
+    fn recycled_visited_set_and_hop_record_change_nothing() {
+        // One visited set and one hop record reused across queries (what
+        // the serving scheduler does) against a fresh searcher per query.
+        let (base, queries) = unimodal(400, 6).build_pair();
+        let graph = grid_graph(&base, 8);
+        let mut visited = VisitedSet::new(base.len());
+        let mut hop = IterationTrace::default();
+        for (_, q) in queries.iter() {
+            let mut fresh =
+                BeamSearcher::new(base.len(), q.to_vec(), vec![0, 9], 16, DistanceKind::L2);
+            let mut reused =
+                BeamSearcher::with_visited(visited, q.to_vec(), vec![0, 9], 16, DistanceKind::L2);
+            while let Some(want) = fresh.step(&base, &graph) {
+                assert!(reused.step_into(&base, &graph, &mut hop));
+                assert_eq!(hop, want);
+                assert_eq!(reused.is_finished(), fresh.is_finished());
+            }
+            assert!(!reused.step_into(&base, &graph, &mut hop));
+            assert_eq!(reused.found(), fresh.found());
+            visited = reused.into_visited();
         }
     }
 

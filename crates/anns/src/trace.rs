@@ -10,7 +10,7 @@ use ndsearch_graph::reorder::Permutation;
 use ndsearch_vector::VectorId;
 
 /// One search iteration: the loop body of §II-A's search phase.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IterationTrace {
     /// The entry vertex of this iteration (the closest unexpanded
     /// candidate, whose neighbor list is read).

@@ -141,8 +141,8 @@ use crate::deploy::{Deployment, UpdateTotals};
 use crate::report::LatencySummary;
 use crate::serve::{
     run_serve_job, QueryId, QueryOutcome, QueryRequest, RoundPrep, ServeConfig, ServeEngine,
-    ServeJob, ServeOut, ServeReport, SessionState, UpdateId, UpdateOp, UpdateOutcome,
-    UpdateRequest, HOP_PARALLEL_MIN,
+    ServeJob, ServeReport, SessionState, UpdateId, UpdateOp, UpdateOutcome, UpdateRequest,
+    HOP_PARALLEL_MIN,
 };
 
 /// Identifier of a cluster query session (dense, submission order).
@@ -1159,21 +1159,27 @@ impl<'a> ClusterEngine<'a> {
                 let mut more = self.fire_due_failures();
 
                 // Phase 1: begin every alive replica's round in step
-                // order, concatenating the per-engine hop batches.
-                let mut pending: Vec<(usize, usize, RoundPrep)> = Vec::new();
+                // order. On an inline pool each engine steps its hops in
+                // place right away; on a parallel one the per-engine hop
+                // batches are concatenated instead.
+                let parallel = pool.is_parallel();
+                // (shard, replica, round, hop jobs contributed)
+                let mut pending: Vec<(usize, usize, RoundPrep, usize)> = Vec::new();
                 let mut all_jobs: Vec<ServeJob> = Vec::new();
-                let mut counts: Vec<usize> = Vec::new();
                 for &s in order {
                     if let Some(shard) = self.shards[s].as_mut() {
                         for (ri, rep) in shard.replicas.iter_mut().enumerate() {
                             if !rep.alive {
                                 continue;
                             }
-                            if let Some(mut prep) = rep.engine.begin_round() {
-                                let jobs = std::mem::take(&mut prep.jobs);
-                                counts.push(jobs.len());
-                                all_jobs.extend(jobs);
-                                pending.push((s, ri, prep));
+                            if let Some(prep) = rep.engine.begin_round() {
+                                let before = all_jobs.len();
+                                if parallel {
+                                    all_jobs.extend(rep.engine.hop_jobs(&prep));
+                                } else {
+                                    rep.engine.step_hops_in_place(&prep);
+                                }
+                                pending.push((s, ri, prep, all_jobs.len() - before));
                             }
                         }
                     }
@@ -1190,13 +1196,11 @@ impl<'a> ClusterEngine<'a> {
                 // every engine its slice of the merged outputs (LUN
                 // stages stay per-engine: their jobs derive from these
                 // hop outputs, so they cannot legally merge with them).
-                for ((s, ri, prep), count) in pending.into_iter().zip(counts) {
-                    let engine_outs: Vec<ServeOut> = outs.by_ref().take(count).collect();
+                for (s, ri, prep, jobs) in pending {
                     let shard = self.shards[s].as_mut().expect("round began on this shard");
-                    more |=
-                        shard.replicas[ri]
-                            .engine
-                            .finish_round(prep, engine_outs, Some(&mut *pool));
+                    let engine = &mut shard.replicas[ri].engine;
+                    engine.take_hop_outs(outs.by_ref().take(jobs));
+                    more |= engine.finish_round(prep, Some(&mut *pool));
                 }
 
                 more |= self.fire_hedges();

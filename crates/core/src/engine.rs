@@ -22,94 +22,159 @@
 //!    the private PCIe ×4 link to the FPGA bitonic sorter and top-k goes
 //!    back to the host.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
+use ndsearch_anns::beam::VisitedSet;
 use ndsearch_anns::bitonic::BitonicStats;
 use ndsearch_anns::trace::QueryTrace;
 use ndsearch_flash::ecc::EccEngine;
+use ndsearch_flash::geometry::LunId;
 use ndsearch_flash::stats::FlashStats;
 use ndsearch_flash::timing::Nanos;
 use ndsearch_graph::luncsr::LunCsr;
 use ndsearch_vector::VectorId;
 
-use crate::alloc::{Allocator, LunWork};
+use crate::alloc::{Allocator, RoundArena};
 use crate::config::NdsConfig;
 use crate::exec::Pool;
 use crate::pipeline::Prepared;
 use crate::qpt::QueryPropertyTable;
 use crate::report::{LatencyBreakdown, NdsReport};
-use crate::sin::{process_lun_work, LunJob, LunOutcome};
-use crate::speculative::{select_prefetch, SpeculationStats};
+use crate::sin::{process_lun_tasks, LunOutcome, LunRangeJob, SinReport};
+use crate::speculative::{select_prefetch, PrefetchScratch, SpeculationStats};
 use crate::vgen::Vgenerator;
 
-/// The batch engine's pool type: per-LUN jobs in, outcome deltas out.
-pub(crate) type LunPool<'f> = Pool<'f, LunJob, LunOutcome>;
+/// The batch engine's pool type: arena-range jobs in, outcome deltas out.
+pub(crate) type LunPool<'f> = Pool<'f, LunRangeJob, Vec<LunOutcome>>;
 
-/// Abstraction over a worker pool that can evaluate a round's per-LUN
-/// work units. The batch engine's [`LunPool`] implements it directly;
-/// the serving engine's pool (whose job type also carries beam-search
-/// hops) implements it by wrapping the jobs.
+/// Abstraction over a worker pool that can evaluate a round's LUN units.
+/// The batch engine's [`LunPool`] implements it directly; the serving
+/// engine's pool (whose job type also carries beam-search hops)
+/// implements it by wrapping the jobs.
 pub(crate) trait LunExecutor {
-    /// Whether `units` work units would actually fan out over workers.
-    fn parallel_for(&self, units: usize) -> bool;
-    /// Evaluates the jobs, returning outcomes **in job order**.
-    fn run_luns(&mut self, jobs: Vec<LunJob>) -> Vec<LunOutcome>;
+    /// Worker threads behind the pool (0: everything runs inline).
+    fn workers(&self) -> usize;
+    /// Evaluates the jobs — at most one per worker — returning each job's
+    /// outcomes **in job order**.
+    fn run_ranges(&mut self, jobs: Vec<LunRangeJob>) -> Vec<Vec<LunOutcome>>;
 }
 
 impl LunExecutor for LunPool<'_> {
-    fn parallel_for(&self, units: usize) -> bool {
-        self.is_parallel() && units >= crate::exec::PARALLEL_THRESHOLD
+    fn workers(&self) -> usize {
+        Pool::workers(self)
     }
 
-    fn run_luns(&mut self, jobs: Vec<LunJob>) -> Vec<LunOutcome> {
-        self.run(jobs)
+    fn run_ranges(&mut self, jobs: Vec<LunRangeJob>) -> Vec<Vec<LunOutcome>> {
+        self.run_with_min(jobs, 2)
+    }
+}
+
+/// Distinct LUNs touched so far (LUN-coverage reporting): a flag per LUN
+/// and a running count.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LunCoverage {
+    touched: Vec<bool>,
+    count: usize,
+}
+
+impl LunCoverage {
+    fn touch(&mut self, lun: LunId) {
+        let lun = lun as usize;
+        if lun >= self.touched.len() {
+            self.touched.resize(lun + 1, false);
+        }
+        if !std::mem::replace(&mut self.touched[lun], true) {
+            self.count += 1;
+        }
+    }
+
+    /// The touched share of a device with `total_luns` LUNs.
+    pub fn ratio(&self, total_luns: u32) -> f64 {
+        self.count as f64 / f64::from(total_luns)
     }
 }
 
 /// The engine-wide mutable accumulators one round commits into — per-LUN
-/// outcome deltas merge into these, in stable LUN order, after the fan-out.
+/// outcome deltas merge into these, in stable LUN order.
 pub(crate) struct RoundSinks<'a> {
     /// Engine-wide ECC state (failure-stream cursors advance per round).
     pub ecc: &'a mut EccEngine,
     /// Engine-wide flash statistics.
     pub stats: &'a mut FlashStats,
-    /// Distinct LUNs touched so far (LUN-coverage reporting).
-    pub luns_touched: &'a mut HashSet<u32>,
+    /// Distinct LUNs touched so far.
+    pub luns_touched: &'a mut LunCoverage,
 }
 
-/// Evaluates a round's per-LUN work units — on the worker pool when one
-/// is attached and the round is large enough to amortize the hand-off,
-/// inline otherwise — returning outcomes in stable LUN order.
+/// Buffers an engine keeps across rounds so the round data path
+/// allocates nothing in steady state: the task arena and the per-channel
+/// data-out accumulator.
+#[derive(Debug, Default)]
+pub(crate) struct RoundScratch {
+    /// Behind an `Arc` so pooled rounds hand workers a shared view; it is
+    /// unique again by the time the next round refills it.
+    arena: Arc<RoundArena>,
+    channel_out: Vec<Nanos>,
+}
+
+impl RoundScratch {
+    /// The arena, emptied for a new round over `luncsr`'s device.
+    fn begin(&mut self, luncsr: &LunCsr) -> &mut RoundArena {
+        let arena = Arc::make_mut(&mut self.arena);
+        arena.begin(luncsr.mapping().geometry().total_luns());
+        arena
+    }
+}
+
+/// Evaluates every LUN unit of a sealed arena — one contiguous range of
+/// units per worker when a pool is attached and the round is large enough
+/// to amortize the hand-off, inline otherwise — committing each outcome's
+/// ECC delta and handing it to `merge`, in stable (ascending) LUN order.
+///
+/// A LUN owns its planes and appears once per arena, so committing one
+/// unit's delta before evaluating the next (the inline path) reads the
+/// same per-plane cursors as evaluating all of them against a round-start
+/// snapshot (the pooled path).
 ///
 /// Invariant: a parallel pool's job function must close over the *same*
 /// `luncsr`/`config` passed here (both engines build their pool over
 /// `Prepared::luncsr`; the refresh path, which mutates a private LUNCSR
-/// copy, always runs with an inline pool). The ECC snapshot travels in
-/// the jobs, so it is consistent either way.
+/// copy, always runs with an inline pool).
 fn run_lun_units(
     config: &NdsConfig,
     luncsr: &LunCsr,
-    ecc: &EccEngine,
-    work: Vec<LunWork>,
+    ecc: &mut EccEngine,
+    arena: &Arc<RoundArena>,
     pool: Option<&mut dyn LunExecutor>,
-) -> Vec<LunOutcome> {
+    mut merge: impl FnMut(&LunOutcome),
+) {
+    let units = arena.units();
     match pool {
-        Some(pool) if pool.parallel_for(work.len()) => {
+        Some(pool) if pool.workers() > 1 && units >= crate::exec::PARALLEL_THRESHOLD => {
             let snapshot = Arc::new(ecc.clone());
-            let jobs: Vec<LunJob> = work
-                .into_iter()
-                .map(|work| LunJob {
-                    work,
+            // Balanced contiguous ranges: the first `units % k` get one
+            // extra unit.
+            let k = pool.workers().min(units);
+            let cut = |i: usize| i * (units / k) + i.min(units % k);
+            let jobs = (0..k)
+                .map(|i| LunRangeJob {
+                    arena: Arc::clone(arena),
+                    units: cut(i)..cut(i + 1),
                     ecc: Arc::clone(&snapshot),
                 })
                 .collect();
-            pool.run_luns(jobs)
+            for out in pool.run_ranges(jobs).iter().flatten() {
+                ecc.apply(&out.ecc);
+                merge(out);
+            }
         }
-        _ => work
-            .iter()
-            .map(|w| process_lun_work(w, luncsr, config, ecc))
-            .collect(),
+        _ => {
+            for unit in 0..units {
+                let (lun, tasks) = arena.unit(unit);
+                let out = process_lun_tasks(lun, tasks, luncsr, config, ecc);
+                ecc.apply(&out.ecc);
+                merge(&out);
+            }
+        }
     }
 }
 
@@ -176,63 +241,75 @@ impl RoundOutcome {
 }
 
 /// Executes one engine round — the Allocating, Searching and Gathering
-/// stages of Algorithm 1 — for `entries` = (query slot, entry vertex,
-/// unvisited neighbors), against the staged LUNCSR.
+/// stages of Algorithm 1 — for `entries` = (query slot, unvisited
+/// neighbors of the slot's entry vertex), against the staged LUNCSR.
 ///
 /// This is the hot path shared by the run-to-completion batch engine
 /// ([`NdsEngine`]) and the interleaved multi-query scheduler
-/// ([`crate::serve::ServeEngine`]). The Searching stage fans the per-LUN
-/// work units over the persistent worker pool ([`crate::exec`]) — each
-/// unit is a pure function of the round's snapshots — then folds the
-/// outcomes back in stable LUN order, so the round is bit-identical at
-/// any [`NdsConfig::exec_threads`] (`pool = None` is the inline path).
-pub(crate) fn execute_round(
+/// ([`crate::serve::ServeEngine`]). The Vgenerator and Allocator passes
+/// fuse into one fill of the engine-owned task arena; the Searching stage
+/// evaluates its per-LUN slices — fanned over the persistent worker pool
+/// ([`crate::exec`]) when one is attached, each unit being a pure function
+/// of the round's snapshots — and folds the outcomes in stable LUN order,
+/// so the round is bit-identical at any [`NdsConfig::exec_threads`]
+/// (`pool = None` is the inline path).
+pub(crate) fn execute_round<'e>(
     config: &NdsConfig,
     luncsr: &LunCsr,
     qpt: &QueryPropertyTable,
-    entries: &[(u32, VectorId, &[VectorId])],
+    entries: impl Iterator<Item = (u32, &'e [VectorId])>,
     sinks: RoundSinks<'_>,
+    scratch: &mut RoundScratch,
     pool: Option<&mut dyn LunExecutor>,
 ) -> RoundOutcome {
     let timing = &config.timing;
 
-    // ---- Allocating stage. ----
-    let vgen_out = Vgenerator.run(luncsr, timing, entries);
-    let alloc_out = Allocator.dispatch(luncsr, timing, &vgen_out.triples, false);
-    let allocating_ns = vgen_out.latency_ns + alloc_out.latency_ns;
+    // ---- Allocating stage: the Vgenerator's (query, neighbor) stream
+    // goes straight into the arena, each task resolved to its physical
+    // address; sealing orders it by LUN, dispatch order kept inside a LUN.
+    let arena = scratch.begin(luncsr);
+    let mut active = 0usize;
+    for (query, neighbors) in entries {
+        active += 1;
+        for &nb in neighbors {
+            arena.push(luncsr, query, nb, false);
+        }
+    }
+    arena.seal();
+    let new_distances = arena.len() as u64;
+    let allocating_ns = Vgenerator::latency_ns(timing, active, new_distances)
+        + Allocator::latency_ns(timing, arena.len());
 
     // ---- Searching stage: all LUN accelerators in parallel — on worker
     // threads too, since each work unit only reads this round's immutable
-    // snapshots. ----
-    let outcomes = run_lun_units(config, luncsr, sinks.ecc, alloc_out.work, pool);
-
-    // ---- Merge in stable LUN order (determinism: every reduction sees
-    // the same operand sequence at any thread count). ----
-    let channels = config.geometry.channels as usize;
-    let mut channel_out: Vec<Nanos> = vec![0; channels];
-    let mut max_busy: Nanos = 0;
-    let mut max_busy_rep = crate::sin::SinReport::default();
+    // snapshots — merged in stable LUN order (determinism: every reduction
+    // sees the same operand sequence at any thread count). ----
+    let RoundSinks {
+        ecc,
+        stats,
+        luns_touched,
+    } = sinks;
+    let channel_out = &mut scratch.channel_out;
+    channel_out.clear();
+    channel_out.resize(config.geometry.channels as usize, 0);
+    let mut max_busy_rep = SinReport::default();
     let mut touched_planes = Vec::new();
-    for out in outcomes {
-        sinks.luns_touched.insert(out.lun);
-        sinks.ecc.apply(&out.ecc);
-        sinks.stats.merge(&out.stats);
+    run_lun_units(config, luncsr, ecc, &scratch.arena, pool, |out| {
+        luns_touched.touch(out.lun);
+        stats.merge(&out.stats);
         touched_planes.extend_from_slice(&out.touched_planes);
-        let rep = out.report;
+        let rep = &out.report;
         let ch = config.geometry.lun_channel(out.lun) as usize;
         channel_out[ch] +=
             timing.channel_transfer_ns(rep.result_bytes) + rep.sense_ops * timing.t_command_ns;
-        if rep.busy_ns > max_busy {
-            max_busy = rep.busy_ns;
-            max_busy_rep = rep;
+        if rep.busy_ns > max_busy_rep.busy_ns {
+            max_busy_rep = *rep;
         }
-    }
+    });
     let max_channel = channel_out.iter().copied().max().unwrap_or(0);
-    let searching_ns = max_busy + max_channel;
+    let searching_ns = max_busy_rep.busy_ns + max_channel;
 
     // ---- Gathering stage. ----
-    let active = entries.len();
-    let new_distances: u64 = entries.iter().map(|(_, _, v)| v.len() as u64).sum();
     let g_dram = timing.dram_transfer_ns(qpt.gather_traffic_bytes(active, new_distances));
     let g_emb = active as u64 * timing.t_embedded_op_ns;
 
@@ -320,7 +397,7 @@ impl<'a> NdsEngine<'a> {
         let threads = if refresh_on { 1 } else { config.exec_threads };
         crate::exec::with_pool(
             threads,
-            |job: LunJob| process_lun_work(&job.work, &prepared.luncsr, config, &job.ecc),
+            |job: LunRangeJob| job.run(&prepared.luncsr, config),
             |pool| self.run_with_pool(prepared, pool),
         )
     }
@@ -334,7 +411,7 @@ impl<'a> NdsEngine<'a> {
             queries: queries.len(),
             ..NdsReport::default()
         };
-        let mut luns_touched: HashSet<u32> = HashSet::new();
+        let mut luns_touched = LunCoverage::default();
         let mut sub_batches = 0;
         for chunk in queries.chunks(cap) {
             sub_batches += 1;
@@ -352,8 +429,7 @@ impl<'a> NdsEngine<'a> {
             sub_batches = 0;
         }
         merged.sub_batches = sub_batches;
-        merged.lun_coverage =
-            luns_touched.len() as f64 / f64::from(self.config.geometry.total_luns());
+        merged.lun_coverage = luns_touched.ratio(self.config.geometry.total_luns());
         merged
     }
 
@@ -361,7 +437,7 @@ impl<'a> NdsEngine<'a> {
         &self,
         prepared: &Prepared,
         traces: &[QueryTrace],
-        luns_touched: &mut HashSet<u32>,
+        luns_touched: &mut LunCoverage,
         pool: &mut LunPool<'_>,
     ) -> NdsReport {
         let config = self.config;
@@ -392,10 +468,13 @@ impl<'a> NdsEngine<'a> {
         total += t_in;
 
         let qpt = QueryPropertyTable::new(nq, prepared.vector_bytes, config.result_list_entries);
-        let mut prefetched: Vec<HashSet<VectorId>> = vec![HashSet::new(); nq];
-        // Per-query visited sets, as the query property table tracks them;
-        // the Pref Unit consults these to avoid guaranteed-miss prefetches.
-        let mut seen: Vec<HashSet<VectorId>> = vec![HashSet::new(); nq];
+        // Per query: last round's prefetch picks. Membership tests go
+        // through one dense stamped set shared by all queries.
+        let speculative = config.scheduling.speculative;
+        let mut prefetched: Vec<Vec<VectorId>> = vec![Vec::new(); nq];
+        let mut prefetch_marks = VisitedSet::new(0);
+        let mut prefetch_scratch = PrefetchScratch::default();
+        let mut scratch = RoundScratch::default();
         let mut prev_shadow: Nanos = 0; // searching+gathering of previous round
 
         let mut refreshes = 0u64;
@@ -405,33 +484,34 @@ impl<'a> NdsEngine<'a> {
             // refresh runs against the privately mutated copy the rounds
             // must stay inline (enforced structurally here, not just by
             // `run` clamping the thread count).
-            let round_pool: Option<&mut dyn LunExecutor> = if luncsr_owned.is_some() {
-                None
-            } else {
-                Some(&mut *pool)
-            };
+            let inline_only = luncsr_owned.is_some();
             // ---- Collect this round's work from the traces. ----
-            let mut filtered: Vec<(u32, VectorId, Vec<VectorId>)> = Vec::new();
+            let mut filtered: Vec<(u32, Vec<VectorId>)> = Vec::new();
             for (qi, t) in traces.iter().enumerate() {
                 let Some(it) = t.iterations.get(r) else {
                     continue;
                 };
                 let mut visited = Vec::with_capacity(it.visited.len());
+                if speculative {
+                    prefetch_marks.clear();
+                    for &v in &prefetched[qi] {
+                        prefetch_marks.insert(v);
+                    }
+                }
                 for &v in &it.visited {
-                    if config.scheduling.speculative && prefetched[qi].remove(&v) {
+                    if speculative && prefetch_marks.remove(v) {
                         speculation.hits += 1; // distance already computed
                     } else {
                         visited.push(v);
                     }
                 }
                 // Anything left prefetched from last round was wasted.
-                if config.scheduling.speculative {
-                    speculation.misses += prefetched[qi].len() as u64;
+                if speculative {
+                    let hits = (it.visited.len() - visited.len()) as u64;
+                    speculation.misses += prefetched[qi].len() as u64 - hits;
                     prefetched[qi].clear();
-                    seen[qi].insert(it.entry);
-                    seen[qi].extend(it.visited.iter().copied());
                 }
-                filtered.push((qi as u32, it.entry, visited));
+                filtered.push((qi as u32, visited));
             }
             if filtered.is_empty() {
                 continue;
@@ -439,14 +519,27 @@ impl<'a> NdsEngine<'a> {
 
             // ---- Allocating + Searching + Gathering (the shared round
             // executor, also driven per-hop by `crate::serve`). ----
-            let entries: Vec<(u32, VectorId, &[VectorId])> = filtered
-                .iter()
-                .map(|(q, e, v)| (*q, *e, v.as_slice()))
-                .collect();
+            let round = execute_round(
+                config,
+                luncsr,
+                &qpt,
+                filtered.iter().map(|(q, v)| (*q, v.as_slice())),
+                RoundSinks {
+                    ecc: &mut ecc,
+                    stats: &mut stats,
+                    luns_touched,
+                },
+                &mut scratch,
+                (!inline_only).then_some(&mut *pool as &mut dyn LunExecutor),
+            );
 
-            // ---- Speculative prefetch for the next round (overlapped). ----
-            let mut spec_triples: Vec<(u32, VectorId, u32)> = Vec::new();
-            if config.scheduling.speculative && r + 1 < max_iters {
+            // ---- Speculative prefetch for the next round. The picks go
+            // straight into the task arena the main round is done with.
+            // What a query has visited so far — which the Pref Unit reads
+            // from the query property table to avoid guaranteed-miss
+            // prefetches — is its trace up to this round. ----
+            let spec_arena = scratch.begin(luncsr);
+            if speculative && r + 1 < max_iters {
                 for (qi, t) in traces.iter().enumerate() {
                     if t.iterations.get(r).is_none() || t.iterations.get(r + 1).is_none() {
                         continue;
@@ -454,45 +547,33 @@ impl<'a> NdsEngine<'a> {
                     let entry = t.iterations[r].entry;
                     let budget = (luncsr.neighbors(entry).len() as f64 * config.spec_budget_factor)
                         .round() as usize;
-                    let picks = select_prefetch(luncsr, entry, budget, &seen[qi]);
-                    for v in picks {
-                        prefetched[qi].insert(v);
-                        spec_triples.push((qi as u32, v, luncsr.lun_of(v)));
+                    let seen = t.iterations[..=r]
+                        .iter()
+                        .flat_map(|it| std::iter::once(it.entry).chain(it.visited.iter().copied()));
+                    let picks = select_prefetch(luncsr, entry, budget, seen, &mut prefetch_scratch);
+                    for &v in picks {
+                        spec_arena.push(luncsr, qi as u32, v, true);
                     }
+                    prefetched[qi].extend_from_slice(picks);
                 }
             }
-
-            let round = execute_round(
-                config,
-                luncsr,
-                &qpt,
-                &entries,
-                RoundSinks {
-                    ecc: &mut ecc,
-                    stats: &mut stats,
-                    luns_touched,
-                },
-                round_pool,
-            );
+            spec_arena.seal();
 
             // Speculative work executes off the critical path but consumes
             // pages and MACs (visible in the statistics). It fans over the
             // same pool; its deltas commit after the main round's, so the
             // per-plane ECC streams stay in program order.
-            if !spec_triples.is_empty() {
-                let spec_alloc = Allocator.dispatch(luncsr, timing, &spec_triples, true);
-                let spec_pool: Option<&mut dyn LunExecutor> = if luncsr_owned.is_some() {
-                    None
-                } else {
-                    Some(&mut *pool)
-                };
-                let spec_outcomes = run_lun_units(config, luncsr, &ecc, spec_alloc.work, spec_pool);
-                for out in spec_outcomes {
-                    luns_touched.insert(out.lun);
-                    ecc.apply(&out.ecc);
+            run_lun_units(
+                config,
+                luncsr,
+                &mut ecc,
+                &scratch.arena,
+                (!inline_only).then_some(&mut *pool as &mut dyn LunExecutor),
+                |out| {
+                    luns_touched.touch(out.lun);
                     stats.merge(&out.stats);
-                }
-            }
+                },
+            );
 
             // ---- Compose the round's critical path and attribute it to
             // the breakdown buckets. ----

@@ -25,9 +25,10 @@
 //!    which thread runs it and when;
 //! 3. [`Pool::run`] returns results **in job order** (workers tag their
 //!    contiguous chunk with its base index and the coordinator
-//!    reassembles), so every reduction — sums, maxima with first-wins
-//!    tie-breaking, delta application — sees the same operand sequence
-//!    at any thread count.
+//!    reassembles) — and a round's LUN stage is cut into one job per
+//!    worker, each a contiguous range of the LUN-ordered task arena — so
+//!    every reduction — sums, maxima with first-wins tie-breaking, delta
+//!    application — sees the same operand sequence at any thread count.
 //!
 //! Hence reports are bit-identical for
 //! [`NdsConfig::exec_threads`](crate::config::NdsConfig::exec_threads)
@@ -106,6 +107,13 @@ impl<J: Send, R: Send> Pool<'_, J, R> {
     /// Whether `run` may actually fan out over worker threads.
     pub fn is_parallel(&self) -> bool {
         !self.workers.is_empty()
+    }
+
+    /// Worker threads behind the pool (0 for an inline pool). A caller
+    /// that cuts a round into one coarse job per worker sizes the cut
+    /// with this.
+    pub fn workers(&self) -> usize {
+        self.workers.len()
     }
 
     /// [`run_with_min`](Self::run_with_min) with the default fan-out

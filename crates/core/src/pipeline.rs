@@ -67,9 +67,16 @@ impl Prepared {
     /// the construction-order graph and relabels each hop as it is
     /// scheduled onto the hardware model.
     pub fn relabel_hop(&self, hop: &IterationTrace) -> IterationTrace {
-        IterationTrace {
-            entry: self.perm.new_of(hop.entry),
-            visited: hop.visited.iter().map(|&v| self.perm.new_of(v)).collect(),
+        let mut hop = hop.clone();
+        self.relabel_hop_in_place(&mut hop);
+        hop
+    }
+
+    /// [`relabel_hop`](Self::relabel_hop) rewriting the hop's own buffers.
+    pub fn relabel_hop_in_place(&self, hop: &mut IterationTrace) {
+        hop.entry = self.perm.new_of(hop.entry);
+        for v in &mut hop.visited {
+            *v = self.perm.new_of(*v);
         }
     }
 

@@ -12,7 +12,7 @@
 //! * [`ServeEngine`] — submit / poll / step / complete. Each scheduling
 //!   round takes **one beam-search hop from every in-flight query** (a
 //!   live [`BeamSearcher`] per session, relabeled into the reordered id
-//!   space via [`Prepared::relabel_hop`]) and executes the merged work on
+//!   space via [`Prepared::relabel_hop_in_place`]) and executes the merged work on
 //!   the SearSSD model through the same round executor as the batch
 //!   engine, so static scheduling (reorder + multi-plane placement, baked
 //!   into [`Prepared`]) and dynamic allocating (alloc-stage overlap) apply
@@ -44,17 +44,19 @@
 //!
 //! Each scheduling round drives the merged work through the same
 //! data-parallel round executor as the batch engine ([`crate::exec`]):
-//! per-LUN work units run on [`NdsConfig::exec_threads`] worker threads
-//! and merge in stable LUN order, so multi-query serving throughput
-//! scales with host cores while every report stays bit-identical to the
-//! `exec_threads = 1` legacy path.
+//! the round's LUN units run on [`NdsConfig::exec_threads`] worker
+//! threads (one range of the task arena each) and merge in stable LUN
+//! order, so every report stays bit-identical to the `exec_threads = 1`
+//! path, where hops are stepped in place and the arena is walked inline.
 //!
 //! Because every hop is produced by the same expansion kernel as
 //! [`beam_search`](ndsearch_anns::beam::beam_search), a query served
 //! concurrently returns exactly the result list it would get from a
 //! sequential run — concurrency changes *when* work happens, never *what*
-//! is computed. Speculative searching is not modeled here: it keys off the
-//! recorded next-iteration entry, which a live search does not know.
+//! is computed. Speculative searching is not modeled here. Nothing in it
+//! needs a recorded trace — [`crate::speculative::select_prefetch`] reads
+//! only the current entry's two-hop neighbourhood and the query's visited
+//! set — this scheduler just does not run the prefetch pass.
 //!
 //! # Example
 //!
@@ -87,10 +89,10 @@
 //! ```
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
-use ndsearch_anns::beam::BeamSearcher;
+use ndsearch_anns::beam::{BeamSearcher, VisitedSet};
 use ndsearch_anns::trace::IterationTrace;
 use ndsearch_flash::ecc::EccEngine;
 use ndsearch_flash::stats::FlashStats;
@@ -103,12 +105,14 @@ use ndsearch_vector::{DistanceKind, VectorId};
 
 use crate::config::NdsConfig;
 use crate::deploy::{Deployment, UpdateTotals};
-use crate::engine::{execute_round, sorting_tail, LunExecutor, RoundSinks};
+use crate::engine::{
+    execute_round, sorting_tail, LunCoverage, LunExecutor, RoundScratch, RoundSinks,
+};
 use crate::exec::Pool;
 use crate::pipeline::Prepared;
 use crate::qpt::QueryPropertyTable;
 use crate::report::{LatencyBreakdown, LatencySummary};
-use crate::sin::{process_lun_work, LunJob, LunOutcome};
+use crate::sin::{LunOutcome, LunRangeJob};
 
 /// Minimum in-flight hops before the hop stage fans out over workers
 /// (hop jobs — one beam expansion plus relabeling — are much heavier
@@ -118,9 +122,11 @@ pub(crate) const HOP_PARALLEL_MIN: usize = 8;
 /// Job type of the serving pool: one scheduling round first advances
 /// every in-flight session's beam search (`Hop` jobs — independent per
 /// session, the searcher travels to the worker and back), then evaluates
-/// the merged round's per-LUN work units (`Lun` jobs, via
-/// [`LunExecutor`]). Both stages merge in job order, so serving is
-/// bit-identical at any thread count.
+/// the merged round's LUN units (`Luns` jobs — one range of the round's
+/// task arena per worker, via [`LunExecutor`]). Both stages merge in job
+/// order, so serving is bit-identical at any thread count. On an inline
+/// pool neither exists: the scheduler steps searchers in place and walks
+/// the arena itself.
 ///
 /// Each job carries `Arc` snapshots of the world it reads (dataset, live
 /// graph, staged overlay), taken at its round's boundary: online updates
@@ -143,11 +149,11 @@ pub(crate) enum ServeJob {
         /// DRAM-resident codes instead of full-precision rows.
         codes: Option<Arc<QuantCodes>>,
     },
-    /// One per-LUN work unit of the merged round.
-    Lun {
-        /// The work unit.
-        job: LunJob,
-        /// Staged overlay snapshot the unit reads addresses from.
+    /// One worker's range of the merged round's LUN units.
+    Luns {
+        /// The arena range.
+        job: LunRangeJob,
+        /// Staged overlay snapshot the units read addresses from.
         prepared: Arc<Prepared>,
     },
 }
@@ -164,22 +170,22 @@ pub(crate) enum ServeOut {
         /// Whether the session terminated this round.
         finished: bool,
     },
-    /// A per-LUN outcome delta.
-    Lun(LunOutcome),
+    /// The outcome deltas of one arena range, in unit order.
+    Luns(Vec<LunOutcome>),
 }
 
 /// The serving pool: hop and LUN jobs in, outcomes out. The cluster tier
 /// ([`crate::cluster`]) shares one pool across every shard's engine.
 pub(crate) type ServePool<'f> = Pool<'f, ServeJob, ServeOut>;
 
-/// The prepared first half of one engine's scheduling round: the hop jobs
-/// (one per in-flight session, slot order) plus the round-boundary
-/// snapshots `finish_round` needs. Produced by `ServeEngine::begin_round`;
-/// the cluster tier takes the jobs, merges them across replicas into one
-/// pool round, and hands each engine its slice of the outputs back.
+/// The prepared first half of one engine's scheduling round: the
+/// round-boundary snapshots the hop stage and `finish_round` read.
+/// Produced by `ServeEngine::begin_round`. The hop stage follows — in
+/// place (`step_hops_in_place`) or as pool jobs (`hop_jobs` /
+/// `take_hop_outs`; the cluster tier merges the jobs of every replica
+/// into one pool round and hands each engine its slice of the outputs
+/// back) — then `finish_round`.
 pub(crate) struct RoundPrep {
-    /// Hop jobs in admission (slot) order; taken by the dispatcher.
-    pub(crate) jobs: Vec<ServeJob>,
     /// PCIe transfer-in time charged by this round's admissions.
     t_in: Nanos,
     /// Round-boundary dataset snapshot.
@@ -218,12 +224,7 @@ pub(crate) fn run_serve_job(job: ServeJob, config: &NdsConfig) -> ServeOut {
                 finished,
             }
         }
-        ServeJob::Lun { job, prepared } => ServeOut::Lun(process_lun_work(
-            &job.work,
-            &prepared.luncsr,
-            config,
-            &job.ecc,
-        )),
+        ServeJob::Luns { job, prepared } => ServeOut::Luns(job.run(&prepared.luncsr, config)),
     }
 }
 
@@ -236,24 +237,25 @@ struct RoundExecutor<'p, 'f> {
 }
 
 impl LunExecutor for RoundExecutor<'_, '_> {
-    fn parallel_for(&self, units: usize) -> bool {
-        self.pool.is_parallel() && units >= crate::exec::PARALLEL_THRESHOLD
+    fn workers(&self) -> usize {
+        self.pool.workers()
     }
 
-    fn run_luns(&mut self, jobs: Vec<LunJob>) -> Vec<LunOutcome> {
+    fn run_ranges(&mut self, jobs: Vec<LunRangeJob>) -> Vec<Vec<LunOutcome>> {
         let prepared = &self.prepared;
         self.pool
-            .run(
+            .run_with_min(
                 jobs.into_iter()
-                    .map(|job| ServeJob::Lun {
+                    .map(|job| ServeJob::Luns {
                         job,
                         prepared: Arc::clone(prepared),
                     })
                     .collect(),
+                2,
             )
             .into_iter()
             .map(|out| match out {
-                ServeOut::Lun(out) => out,
+                ServeOut::Luns(outcomes) => outcomes,
                 ServeOut::Hop { .. } => unreachable!("a LUN batch returned a hop"),
             })
             .collect()
@@ -771,9 +773,10 @@ fn outcome_sample(o: &QueryOutcome) -> (u32, SessionState, bool, Option<Nanos>, 
 
 /// Internal per-session state. The searcher (which owns a dataset-sized
 /// visited set) exists only while the session is `Running`: it is built at
-/// admission from the stored request and dropped at completion/expiry, so
-/// resident search memory is bounded by the in-flight cap, not by the
-/// total number of submissions.
+/// admission from the stored request and torn down at completion/expiry
+/// (its visited set going back to the engine's free list), so resident
+/// search memory is bounded by the in-flight cap, not by the total number
+/// of submissions.
 #[derive(Debug, Clone)]
 struct Session {
     arrival_ns: Nanos,
@@ -801,21 +804,22 @@ impl Session {
     /// Tears down the searcher, snapshotting its hop count and best-`k`
     /// results into the session record. Tombstoned vertices are filtered
     /// out of the reported list: a deleted vector may still have routed
-    /// the search, but it must never be returned to a client.
+    /// the search, but it must never be returned to a client. Returns the
+    /// searcher's visited set for reuse.
     fn finish(
         &mut self,
         state: SessionState,
         completed_ns: Nanos,
         deleted: &dyn Fn(VectorId) -> bool,
-    ) {
+    ) -> Option<VisitedSet> {
         self.state = state;
         self.completed_ns = completed_ns;
-        if let Some(searcher) = self.searcher.take() {
-            self.hops = searcher.hops();
-            self.results = searcher.found();
-            self.results.retain(|n| !deleted(n.id));
-            self.results.truncate(self.k);
-        }
+        let searcher = self.searcher.take()?;
+        self.hops = searcher.hops();
+        self.results = searcher.found();
+        self.results.retain(|n| !deleted(n.id));
+        self.results.truncate(self.k);
+        Some(searcher.into_visited())
     }
 }
 
@@ -876,7 +880,22 @@ pub struct ServeEngine<'a> {
     ecc: EccEngine,
     stats: FlashStats,
     breakdown: LatencyBreakdown,
-    luns_touched: HashSet<u32>,
+    luns_touched: LunCoverage,
+    /// Visited sets of finished sessions, reused at admission instead of
+    /// allocating (and zeroing) a dataset-sized set per query. A set is
+    /// either here or in a running searcher — never more of them than
+    /// the in-flight cap — and each round trims this list to the number
+    /// of sessions still in flight.
+    spare_visited: Vec<VisitedSet>,
+    /// The current round's executed hops as (slot, hop relabeled into the
+    /// physical id space): the first `live_hops` records. The rest are
+    /// spare records whose buffers the next rounds refill.
+    hops: Vec<(u32, IterationTrace)>,
+    live_hops: usize,
+    /// Sessions whose search terminated in the current round, slot order.
+    finished: Vec<QueryId>,
+    /// Task arena and merge buffers of the round data path.
+    round: RoundScratch,
     /// Host time spent inside [`step_round`](Self::step_round).
     wall: std::time::Duration,
 }
@@ -962,7 +981,12 @@ impl<'a> ServeEngine<'a> {
             ecc: EccEngine::new(&config.geometry, config.ecc),
             stats: FlashStats::new(),
             breakdown: LatencyBreakdown::default(),
-            luns_touched: HashSet::new(),
+            luns_touched: LunCoverage::default(),
+            spare_visited: Vec::new(),
+            hops: Vec::new(),
+            live_hops: 0,
+            finished: Vec::new(),
+            round: RoundScratch::default(),
             wall: std::time::Duration::ZERO,
         }
     }
@@ -1127,6 +1151,15 @@ impl<'a> ServeEngine<'a> {
         }
     }
 
+    /// Moves a running session to a terminal state at `completed_ns`:
+    /// results snapshotted (tombstones filtered), visited set recycled.
+    fn finish_session(&mut self, id: QueryId, state: SessionState, completed_ns: Nanos) {
+        let deploy = &self.deploy;
+        let visited = self.sessions[id].finish(state, completed_ns, &|v| deploy.is_deleted(v));
+        self.spare_visited.extend(visited);
+        self.last_completion_ns = self.last_completion_ns.max(completed_ns);
+    }
+
     /// Terminates queued and in-flight sessions whose deadline the clock
     /// has reached (`now >= deadline` — see [`QueryRequest::deadline_ns`]
     /// for the pinned boundary semantic), returning their best-so-far
@@ -1144,9 +1177,7 @@ impl<'a> ServeEngine<'a> {
         for id in expired_inflight {
             // Partial results still travel the full Sorting-stage path.
             let tail = self.completion_tail_ns();
-            let deploy = &self.deploy;
-            self.sessions[id].finish(SessionState::Expired, now + tail, &|v| deploy.is_deleted(v));
-            self.last_completion_ns = self.last_completion_ns.max(now + tail);
+            self.finish_session(id, SessionState::Expired, now + tail);
         }
         let sessions = &mut self.sessions;
         let mut newly_expired = Vec::new();
@@ -1214,10 +1245,8 @@ impl<'a> ServeEngine<'a> {
         self.inflight.retain(|&id| !doomed_inflight.contains(&id));
         for id in doomed_inflight {
             let tail = self.completion_tail_ns();
-            let deploy = &self.deploy;
-            self.sessions[id].finish(SessionState::Expired, now + tail, &|v| deploy.is_deleted(v));
+            self.finish_session(id, SessionState::Expired, now + tail);
             self.sessions[id].shed = true;
-            self.last_completion_ns = self.last_completion_ns.max(now + tail);
         }
         let queued_estimate = self.estimated_finish_ns(0);
         let sessions = &mut self.sessions;
@@ -1332,31 +1361,30 @@ impl<'a> ServeEngine<'a> {
     }
 
     fn step_round_inner(&mut self, mut pool: Option<&mut ServePool<'_>>) -> bool {
-        let Some(mut prep) = self.begin_round() else {
+        let Some(prep) = self.begin_round() else {
             return false;
         };
-        // ---- Ship the round's hop stage as one pre-chunked batch. The
-        // cluster tier calls `begin_round`/`finish_round` directly instead
-        // and merges many engines' hop batches into a single pool round.
-        let config = self.config;
-        let jobs = std::mem::take(&mut prep.jobs);
-        let outs: Vec<ServeOut> = match pool.as_deref_mut() {
-            Some(pool) => pool.run_with_min(jobs, HOP_PARALLEL_MIN),
-            None => jobs.into_iter().map(|j| run_serve_job(j, config)).collect(),
-        };
-        self.finish_round(prep, outs, pool)
+        // The cluster tier drives the same three steps itself, merging
+        // many engines' hop jobs into a single pool round.
+        match pool.as_deref_mut() {
+            Some(pool) if pool.is_parallel() && self.inflight.len() >= HOP_PARALLEL_MIN => {
+                let jobs = self.hop_jobs(&prep);
+                self.take_hop_outs(pool.run_with_min(jobs, HOP_PARALLEL_MIN));
+            }
+            _ => self.step_hops_in_place(&prep),
+        }
+        self.finish_round(prep, pool)
     }
 
     /// First half of a scheduling round: arrivals, expiry, SLO shedding,
-    /// round-boundary snapshots and admission, ending with the round's hop
-    /// jobs built but not yet executed. Returns `None` when the engine is
-    /// fully drained (no work now or ever — the old `false` return).
+    /// round-boundary snapshots and admission. Returns `None` when the
+    /// engine is fully drained (no work now or ever).
     ///
-    /// Splitting the round here lets [`crate::cluster`] collect every
-    /// replica's hop jobs and run them as **one** pool round: hop jobs are
-    /// pure functions of their round-boundary snapshots, so merging
-    /// batches across engines changes where they run, never what they
-    /// return.
+    /// The hop stage comes next and is the caller's to place: hops are
+    /// pure functions of these round-boundary snapshots, so stepping them
+    /// here, on a pool, or merged with other engines' hops into **one**
+    /// pool round ([`crate::cluster`]) changes where they run, never what
+    /// they return.
     pub(crate) fn begin_round(&mut self) -> Option<RoundPrep> {
         // Updates applied at the end of the previous round become visible
         // here — one graph re-snapshot per round, not per update (and the
@@ -1378,7 +1406,7 @@ impl<'a> ServeEngine<'a> {
         self.expire_due();
         self.shed_doomed();
 
-        // ---- Snapshot the world at the round boundary: jobs dispatched
+        // ---- Snapshot the world at the round boundary: hops stepped
         // below can never observe a mid-round mutation. ----
         let dataset = Arc::clone(self.deploy.dataset());
         let graph = Arc::clone(self.deploy.graph());
@@ -1386,8 +1414,9 @@ impl<'a> ServeEngine<'a> {
         let codes = self.deploy.codes().cloned();
 
         // ---- Admission: PCIe-in DMA overlaps the round's search. The
-        // searcher (and its dataset-sized visited set) is built here, not
-        // at submit, so resident memory tracks the in-flight cap. ----
+        // searcher is built here, not at submit, around a visited set
+        // recycled from a finished session when one is spare, so resident
+        // memory tracks the in-flight cap. ----
         let mut t_in: Nanos = 0;
         let (num_vertices, beam_width, distance) =
             (dataset.len(), self.serve.beam_width, self.serve.distance);
@@ -1418,11 +1447,15 @@ impl<'a> ServeEngine<'a> {
                 continue;
             }
             *held += 1;
+            let visited = self
+                .spare_visited
+                .pop()
+                .unwrap_or_else(|| VisitedSet::new(num_vertices));
             let s = &mut self.sessions[id];
             s.state = SessionState::Running;
             s.admitted_ns = self.now_ns;
-            s.searcher = Some(BeamSearcher::new(
-                num_vertices,
+            s.searcher = Some(BeamSearcher::with_visited(
+                visited,
                 std::mem::take(&mut s.query),
                 std::mem::take(&mut s.entries),
                 beam_width,
@@ -1445,26 +1478,13 @@ impl<'a> ServeEngine<'a> {
         }
         self.breakdown.pcie_ns += t_in;
 
-        // ---- One hop per in-flight session, in admission order. Hop
-        // steps are independent per session, so they fan out over the
-        // worker pool; results come back in slot order, keeping the
-        // round bit-identical to the sequential path. ----
-        let mut jobs: Vec<ServeJob> = Vec::with_capacity(self.inflight.len());
-        for (slot, &id) in self.inflight.iter().enumerate() {
-            let s = &mut self.sessions[id];
-            s.rounds_inflight += 1;
-            let searcher = s.searcher.take().expect("running session has a searcher");
-            jobs.push(ServeJob::Hop {
-                slot: slot as u32,
-                searcher,
-                dataset: Arc::clone(&dataset),
-                graph: Arc::clone(&graph),
-                prepared: Arc::clone(&prepared),
-                codes: codes.clone(),
-            });
+        // Every in-flight session takes one hop this round.
+        for &id in &self.inflight {
+            self.sessions[id].rounds_inflight += 1;
         }
+        self.live_hops = 0;
+        self.finished.clear();
         Some(RoundPrep {
-            jobs,
             t_in,
             dataset,
             graph,
@@ -1473,45 +1493,107 @@ impl<'a> ServeEngine<'a> {
         })
     }
 
-    /// Second half of a scheduling round: consumes the hop-stage outputs
-    /// (in job order), executes the merged round's LUN stage (on `pool`
-    /// when provided), advances the clock, completes sessions and applies
-    /// queued updates. Returns whether any work remains.
-    pub(crate) fn finish_round(
-        &mut self,
-        prep: RoundPrep,
-        outs: Vec<ServeOut>,
-        pool: Option<&mut ServePool<'_>>,
-    ) -> bool {
-        let RoundPrep {
-            jobs: _,
-            t_in,
-            dataset,
-            graph,
-            prepared,
-            codes,
-        } = prep;
-        let mut hops: Vec<(u32, IterationTrace)> = Vec::new();
-        let mut finished: Vec<QueryId> = Vec::new();
+    /// Hop stage, inline: one hop per in-flight session in admission
+    /// (slot) order, each searcher stepped where it lives and each hop
+    /// written — and relabeled into the physical id space — in a record
+    /// the engine keeps across rounds. No job, no snapshot clone, no
+    /// allocation per hop; the outcome equals the pooled path's.
+    pub(crate) fn step_hops_in_place(&mut self, prep: &RoundPrep) {
+        for (slot, &id) in self.inflight.iter().enumerate() {
+            let searcher = self.sessions[id]
+                .searcher
+                .as_mut()
+                .expect("running session has a searcher");
+            if self.hops.len() == self.live_hops {
+                self.hops.push((0, IterationTrace::default()));
+            }
+            let (hop_slot, hop) = &mut self.hops[self.live_hops];
+            let stepped = match prep.codes.as_deref() {
+                Some(codes) => searcher.step_into(codes, &prep.graph, hop),
+                None => searcher.step_into(prep.dataset.as_ref(), &prep.graph, hop),
+            };
+            if stepped {
+                *hop_slot = slot as u32;
+                prep.prepared.relabel_hop_in_place(hop);
+                self.live_hops += 1;
+            }
+            if !stepped || searcher.is_finished() {
+                self.finished.push(id);
+            }
+        }
+    }
+
+    /// Hop stage, pooled: one job per in-flight session in admission
+    /// (slot) order. The searcher travels inside its job; hand the pool's
+    /// outputs to [`take_hop_outs`](Self::take_hop_outs) to get it back.
+    pub(crate) fn hop_jobs(&mut self, prep: &RoundPrep) -> Vec<ServeJob> {
+        let mut jobs: Vec<ServeJob> = Vec::with_capacity(self.inflight.len());
+        for (slot, &id) in self.inflight.iter().enumerate() {
+            let searcher = self.sessions[id]
+                .searcher
+                .take()
+                .expect("running session has a searcher");
+            jobs.push(ServeJob::Hop {
+                slot: slot as u32,
+                searcher,
+                dataset: Arc::clone(&prep.dataset),
+                graph: Arc::clone(&prep.graph),
+                prepared: Arc::clone(&prep.prepared),
+                codes: prep.codes.clone(),
+            });
+        }
+        jobs
+    }
+
+    /// Reclaims the searchers and records the hops of this engine's
+    /// [`hop_jobs`](Self::hop_jobs) outputs (in job order).
+    pub(crate) fn take_hop_outs(&mut self, outs: impl IntoIterator<Item = ServeOut>) {
         for out in outs {
             let ServeOut::Hop {
                 slot,
                 searcher,
                 hop,
-                finished: done,
+                finished,
             } = out
             else {
                 unreachable!("a hop batch returned a LUN outcome");
             };
             let id = self.inflight[slot as usize];
             self.sessions[id].searcher = Some(searcher);
-            if done {
-                finished.push(id);
+            if finished {
+                self.finished.push(id);
             }
             if let Some(hop) = hop {
-                hops.push((slot, hop));
+                if self.hops.len() == self.live_hops {
+                    self.hops.push((slot, hop));
+                } else {
+                    self.hops[self.live_hops] = (slot, hop);
+                }
+                self.live_hops += 1;
             }
         }
+    }
+
+    /// Second half of a scheduling round, after the hop stage: executes
+    /// the merged round's LUN stage (on `pool` when provided), advances
+    /// the clock, completes sessions and applies queued updates. Returns
+    /// whether any work remains.
+    pub(crate) fn finish_round(
+        &mut self,
+        prep: RoundPrep,
+        pool: Option<&mut ServePool<'_>>,
+    ) -> bool {
+        let RoundPrep {
+            t_in,
+            dataset,
+            graph,
+            prepared,
+            codes,
+        } = prep;
+        // Borrowed out of `self` for the round; handed back below so the
+        // records' buffers serve the next round.
+        let hop_records = std::mem::take(&mut self.hops);
+        let hops = &hop_records[..self.live_hops];
 
         // ---- Execute the merged round on the hardware model. Quantized
         // rounds never touch flash: every distance comes from the
@@ -1521,13 +1603,9 @@ impl<'a> ServeEngine<'a> {
         let mut round_exec: Nanos = 0;
         if !hops.is_empty() {
             if let Some(codes) = codes.as_deref() {
-                round_exec = self.quantized_round_ns(codes, &hops);
+                round_exec = self.quantized_round_ns(codes, hops);
                 self.rounds += 1;
             } else {
-                let entries: Vec<(u32, VectorId, &[VectorId])> = hops
-                    .iter()
-                    .map(|(q, it)| (*q, it.entry, it.visited.as_slice()))
-                    .collect();
                 let mut executor = pool.map(|p| RoundExecutor {
                     pool: p,
                     prepared: Arc::clone(&prepared),
@@ -1536,12 +1614,14 @@ impl<'a> ServeEngine<'a> {
                     self.config,
                     &prepared.luncsr,
                     &self.qpt,
-                    &entries,
+                    hops.iter()
+                        .map(|(slot, hop)| (*slot, hop.visited.as_slice())),
                     RoundSinks {
                         ecc: &mut self.ecc,
                         stats: &mut self.stats,
                         luns_touched: &mut self.luns_touched,
                     },
+                    &mut self.round,
                     executor.as_mut().map(|e| e as &mut dyn LunExecutor),
                 );
                 let overlap = self.config.scheduling.dynamic_allocating && self.rounds > 0;
@@ -1558,14 +1638,20 @@ impl<'a> ServeEngine<'a> {
             self.hop_round_ns_total += advance;
             self.hop_rounds += 1;
         }
+        self.hops = hop_records;
 
         // ---- Complete sessions that terminated this round. A session
         // whose results land past its deadline — it finished its search in
         // the very round the deadline passed — is `Expired`, not
         // `Completed`: the deadline check at the round *start* cannot see
         // this round's clock advance, so completion re-checks it. ----
-        for id in finished {
-            self.inflight.retain(|&x| x != id);
+        let finished = std::mem::take(&mut self.finished);
+        // Both lists are in slot order: one order-preserving pass drops
+        // every finished session from the in-flight list.
+        let mut done = finished.iter().peekable();
+        self.inflight.retain(|id| done.next_if_eq(&id).is_none());
+        debug_assert!(done.peek().is_none(), "finished sessions were in flight");
+        for &id in &finished {
             let mut tail = self.completion_tail_ns();
             if codes.is_some() {
                 // Exact rerank: the final candidates' full-precision rows
@@ -1580,14 +1666,17 @@ impl<'a> ServeEngine<'a> {
                 Some(d) if done_ns > d => SessionState::Expired,
                 _ => SessionState::Completed,
             };
-            let deploy = &self.deploy;
-            self.sessions[id].finish(state, done_ns, &|v| deploy.is_deleted(v));
+            self.finish_session(id, state, done_ns);
             // Feed the shed estimator's expected-hops prior: this session
             // ran its search to the end (even if it expired at the tail).
             self.finished_hops_total += self.sessions[id].hops as u64;
             self.finished_searches += 1;
-            self.last_completion_ns = self.last_completion_ns.max(done_ns);
         }
+        self.finished = finished;
+        // Keep no more spare sets than sessions still in flight: the free
+        // list follows the current load down, and a drained engine (a
+        // maintenance window, a compaction) holds none.
+        self.spare_visited.truncate(self.inflight.len());
 
         // ---- Apply admitted updates, in admission order, on the
         // scheduler thread (the write path mutates the deployment, so it
@@ -1734,8 +1823,7 @@ impl<'a> ServeEngine<'a> {
                 .collect(),
             breakdown: self.breakdown,
             stats: self.stats,
-            lun_coverage: self.luns_touched.len() as f64
-                / f64::from(self.config.geometry.total_luns()),
+            lun_coverage: self.luns_touched.ratio(self.config.geometry.total_luns()),
             wall_s: self.wall.as_secs_f64(),
         }
     }

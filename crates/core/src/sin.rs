@@ -16,7 +16,8 @@
 //!   internal bandwidth and compute `dim` MACs per vector across the
 //!   configured lanes.
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::Arc;
 
 use ndsearch_flash::ecc::{EccDelta, EccEngine};
@@ -25,7 +26,7 @@ use ndsearch_flash::stats::FlashStats;
 use ndsearch_flash::timing::Nanos;
 use ndsearch_graph::luncsr::LunCsr;
 
-use crate::alloc::LunWork;
+use crate::alloc::{LunWork, RoundArena, VertexTask};
 use crate::config::NdsConfig;
 
 /// Result of one LUN accelerator processing one iteration's work.
@@ -77,14 +78,30 @@ pub struct LunOutcome {
 }
 
 /// One pooled work unit for the round executor ([`crate::exec::Pool`]):
-/// an owned [`LunWork`] plus the round's engine-wide ECC snapshot
-/// (shared by every job of the round).
+/// a contiguous range of a round arena's LUN units — one job per worker,
+/// not one per LUN — plus the round's engine-wide ECC snapshot (shared by
+/// every job of the round).
 #[derive(Debug, Clone)]
-pub struct LunJob {
-    /// The per-LUN work to process.
-    pub work: LunWork,
+pub(crate) struct LunRangeJob {
+    /// The round's sealed arena.
+    pub arena: Arc<RoundArena>,
+    /// The units of it this job evaluates.
+    pub units: Range<usize>,
     /// Engine-wide ECC state snapshotted at round start.
     pub ecc: Arc<EccEngine>,
+}
+
+impl LunRangeJob {
+    /// Evaluates the job's units, in unit (ascending LUN) order.
+    pub fn run(&self, luncsr: &LunCsr, config: &NdsConfig) -> Vec<LunOutcome> {
+        self.units
+            .clone()
+            .map(|unit| {
+                let (lun, tasks) = self.arena.unit(unit);
+                process_lun_tasks(lun, tasks, luncsr, config, &self.ecc)
+            })
+            .collect()
+    }
 }
 
 /// Executes one iteration's work on one LUN accelerator.
@@ -93,8 +110,66 @@ pub struct LunJob {
 /// engine's counter cursors) and returns every effect as a mergeable
 /// [`LunOutcome`], so independent LUNs can run on worker threads with
 /// bit-identical results at any thread count (see [`crate::exec`]).
+///
+/// The engines evaluate slices of their round arena through the same
+/// body; this is that body applied to an owned [`LunWork`].
 pub fn process_lun_work(
     work: &LunWork,
+    luncsr: &LunCsr,
+    config: &NdsConfig,
+    ecc: &EccEngine,
+) -> LunOutcome {
+    process_lun_tasks(work.lun, &work.tasks, luncsr, config, ecc)
+}
+
+/// Per-plane accumulator of one unit (a LUN has `planes_per_lun` of them,
+/// so the list is scanned linearly).
+#[derive(Debug, Clone, Copy)]
+struct PlaneAcc {
+    plane: PlaneId,
+    /// The row (block, page) the plane's buffer holds in task order (only
+    /// tracked without dynamic allocating).
+    buffered: u64,
+    loads: u64,
+    distances: u64,
+    unique_vertices: u64,
+}
+
+/// Reused working memory of [`process_lun_tasks`]. A unit is typically
+/// two tasks, so fresh vectors per unit would cost more than the model
+/// itself; one set per thread makes the steady state allocation-free on
+/// the inline path, on pool workers and through [`process_lun_work`]
+/// alike. Every call clears it first: nothing carries over between units.
+#[derive(Debug, Default)]
+struct SinScratch {
+    /// One `(row within the plane, plane)` key per page load.
+    loads: Vec<(u64, PlaneId)>,
+    /// `(plane, vertex)` of every task, deduplicated after sorting.
+    vertices: Vec<(PlaneId, u32)>,
+    planes: Vec<PlaneAcc>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<SinScratch> = RefCell::new(SinScratch::default());
+}
+
+/// The SiN model over one LUN's task slice — linear scans over small
+/// sorted scratch vectors. `tasks` must be in dispatch order: without
+/// dynamic allocating the page-buffer model depends on it.
+pub(crate) fn process_lun_tasks(
+    lun: LunId,
+    tasks: &[VertexTask],
+    luncsr: &LunCsr,
+    config: &NdsConfig,
+    ecc: &EccEngine,
+) -> LunOutcome {
+    SCRATCH.with_borrow_mut(|scratch| process_with(scratch, lun, tasks, luncsr, config, ecc))
+}
+
+fn process_with(
+    scratch: &mut SinScratch,
+    lun: LunId,
+    tasks: &[VertexTask],
     luncsr: &LunCsr,
     config: &NdsConfig,
     ecc: &EccEngine,
@@ -103,8 +178,16 @@ pub fn process_lun_work(
     let timing = &config.timing;
     let dim_bytes = u64::from(luncsr.mapping().slot_bytes());
     let dynamic = config.scheduling.dynamic_allocating;
+    let SinScratch {
+        loads,
+        vertices,
+        planes,
+    } = scratch;
+    loads.clear();
+    vertices.clear();
+    planes.clear();
 
-    // 1. Page-load accounting.
+    // 1. Page-load accounting, one pass over the tasks.
     //    With dynamic allocating the Dispatcher groups all tasks of a page
     //    together, so each needed page is sensed once per iteration. Without
     //    it, tasks arrive in query order and a plane's single page buffer
@@ -112,37 +195,43 @@ pub fn process_lun_work(
     //    flushes the buffer, and a later query needing the old page pays a
     //    fresh sense (§VI-B1's "may be flushed and need to be read from the
     //    NAND arrays again by another query later").
-    let accesses = work.tasks.len() as u64;
-    let pages_per_plane = u64::from(geom.blocks_per_plane) * u64::from(geom.pages_per_block);
-    let decompose = |page_key: u64| {
-        let plane = (page_key / pages_per_plane) as u32;
-        let within = page_key % pages_per_plane;
-        let block = (within / u64::from(geom.pages_per_block)) as u32;
-        let page = (within % u64::from(geom.pages_per_block)) as u32;
-        (plane, block, page)
-    };
-    // Load events: (plane, block, page) with a multiplicity.
-    let mut load_events: BTreeMap<(u32, u32, u32), u64> = BTreeMap::new();
-    if dynamic {
-        let mut distinct: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-        for t in &work.tasks {
-            distinct.insert(t.addr.page_key(geom));
+    let mut non_speculative = 0u64;
+    for t in tasks {
+        let plane = t.addr.global_plane(geom);
+        let row =
+            u64::from(t.addr.block) * u64::from(geom.pages_per_block) + u64::from(t.addr.page);
+        debug_assert!(plane < geom.total_planes());
+        debug_assert!(t.addr.block < geom.blocks_per_plane && t.addr.page < geom.pages_per_block);
+        let at = planes
+            .iter()
+            .position(|p| p.plane == plane)
+            .unwrap_or_else(|| {
+                planes.push(PlaneAcc {
+                    plane,
+                    buffered: u64::MAX,
+                    loads: 0,
+                    distances: 0,
+                    unique_vertices: 0,
+                });
+                planes.len() - 1
+            });
+        let acc = &mut planes[at];
+        acc.distances += 1;
+        if dynamic {
+            loads.push((row, plane));
+        } else if acc.buffered != row {
+            acc.buffered = row;
+            loads.push((row, plane));
         }
-        for page_key in distinct {
-            *load_events.entry(decompose(page_key)).or_default() += 1;
-        }
-    } else {
-        let mut buffered: BTreeMap<u32, u64> = BTreeMap::new(); // plane → page
-        for t in &work.tasks {
-            let page_key = t.addr.page_key(geom);
-            let (plane, _, _) = decompose(page_key);
-            if buffered.get(&plane) != Some(&page_key) {
-                buffered.insert(plane, page_key);
-                *load_events.entry(decompose(page_key)).or_default() += 1;
-            }
-        }
+        vertices.push((plane, t.vertex));
+        non_speculative += u64::from(!t.speculative);
     }
-    let page_loads: u64 = load_events.values().sum();
+    loads.sort_unstable();
+    if dynamic {
+        loads.dedup();
+    }
+    let accesses = tasks.len() as u64;
+    let page_loads = loads.len() as u64;
     let page_hits = accesses.saturating_sub(page_loads);
 
     // 2. Multi-plane sense merging: load events whose (block, page) row
@@ -150,73 +239,72 @@ pub fn process_lun_work(
     //    multi-plane sequence — a hardware capability independent of the
     //    scheduling. Repeated loads of the same plane serialize, so the
     //    sense rounds for one (block, page) address equal the busiest
-    //    plane's load count.
-    let mut plane_loads: BTreeMap<(u32, u32), BTreeMap<u32, u64>> = BTreeMap::new();
-    for (&(plane, block, page), &count) in &load_events {
-        *plane_loads
-            .entry((block, page))
-            .or_default()
-            .entry(plane)
-            .or_default() += count;
-    }
+    //    plane's load count. `loads` is sorted by (row, plane): each row is
+    //    a run, each plane a sub-run of it.
     let mut sense_ops = 0u64;
     let mut merged_multi_plane = 0u64;
-    for per_plane in plane_loads.values() {
-        sense_ops += per_plane.values().copied().max().unwrap_or(0);
-        if per_plane.len() > 1 {
-            merged_multi_plane += 1;
+    let mut rest = loads.as_slice();
+    while let Some(&(row, _)) = rest.first() {
+        let row_len = rest.iter().take_while(|l| l.0 == row).count();
+        let (mut run, tail) = rest.split_at(row_len);
+        rest = tail;
+        let (mut busiest, mut row_planes) = (0u64, 0u32);
+        while let Some(&(_, plane)) = run.first() {
+            let count = run.iter().take_while(|l| l.1 == plane).count();
+            run = &run[count..];
+            busiest = busiest.max(count as u64);
+            row_planes += 1;
+            planes
+                .iter_mut()
+                .find(|p| p.plane == plane)
+                .expect("every load came from a task of the plane")
+                .loads += count as u64;
         }
-        debug_assert!(per_plane.len() <= geom.planes_per_lun as usize);
+        sense_ops += busiest;
+        merged_multi_plane += u64::from(row_planes > 1);
+        debug_assert!(row_planes <= geom.planes_per_lun);
+    }
+
+    // Per plane: *unique* vectors streamed out of the page buffer — a
+    // vector crosses the buffer once and the switch feeds it to the MAC
+    // groups serving all queued queries (Fig. 8).
+    vertices.sort_unstable();
+    vertices.dedup();
+    for &(plane, _) in vertices.iter() {
+        planes
+            .iter_mut()
+            .find(|p| p.plane == plane)
+            .expect("every vertex came from a task of the plane")
+            .unique_vertices += 1;
     }
 
     // 3. Timing. The per-plane LDPC decoders, page-buffer read paths and
     //    MAC groups operate in parallel (Fig. 8: one hard-decision decoder
     //    and one MAC group pipeline per plane), so the LUN's ECC/compute
     //    time is the *busiest plane's*, while array senses serialize at the
-    //    die (one multi-plane command sequence at a time).
+    //    die (one multi-plane command sequence at a time). Each plane owns
+    //    its counter-indexed failure stream, so a plane's decodes draw the
+    //    same decisions whichever order the planes are visited in.
     let sense_ns = sense_ops * timing.t_read_page_ns;
-    let mut ecc_pass = ecc.begin_lun_pass();
-    let mut plane_ecc: BTreeMap<u32, Nanos> = BTreeMap::new();
-    let mut soft_fallbacks = 0u64;
-    for (&(plane, _, _), &count) in &load_events {
-        let before = ecc_pass.hard_failures();
-        let mut t = 0;
-        for _ in 0..count {
-            debug_assert!(plane < geom.total_planes());
-            t += ecc_pass.decode_page(plane);
-        }
-        soft_fallbacks += ecc_pass.hard_failures() - before;
-        *plane_ecc.entry(plane).or_default() += t;
-    }
-    let ecc_ns = plane_ecc.values().copied().max().unwrap_or(0);
-    // Per plane: distance computations (one per task) and *unique* vectors
-    // streamed out of the page buffer — a vector crosses the buffer once
-    // and the switch feeds it to the MAC groups serving all queued queries
-    // (Fig. 8).
-    let mut plane_distances: BTreeMap<u32, u64> = BTreeMap::new();
-    let mut plane_vertices: BTreeMap<u32, std::collections::BTreeSet<u32>> = BTreeMap::new();
-    for t in &work.tasks {
-        let (plane, _, _) = decompose(t.addr.page_key(geom));
-        *plane_distances.entry(plane).or_default() += 1;
-        plane_vertices.entry(plane).or_default().insert(t.vertex);
-    }
-    let distances = work.tasks.len() as u64;
     let lanes_per_plane = (u64::from(config.mac_lanes()) / u64::from(geom.planes_per_lun)).max(1);
-    let compute_ns = plane_distances
-        .iter()
-        .map(|(plane, &d)| {
-            let unique = plane_vertices.get(plane).map_or(0, |s| s.len() as u64);
-            let stream = timing.page_buffer_stream_ns(unique * dim_bytes);
-            let mac = timing.accel_cycles_ns(d * dim_bytes.max(1) / lanes_per_plane);
-            stream.max(mac)
-        })
-        .max()
-        .unwrap_or(0);
+    let mut ecc_pass = ecc.begin_lun_pass();
+    let (mut ecc_ns, mut compute_ns): (Nanos, Nanos) = (0, 0);
+    for acc in planes.iter() {
+        let mut plane_ecc: Nanos = 0;
+        for _ in 0..acc.loads {
+            plane_ecc += ecc_pass.decode_page(acc.plane);
+        }
+        ecc_ns = ecc_ns.max(plane_ecc);
+        let stream = timing.page_buffer_stream_ns(acc.unique_vertices * dim_bytes);
+        let mac = timing.accel_cycles_ns(acc.distances * dim_bytes.max(1) / lanes_per_plane);
+        compute_ns = compute_ns.max(stream.max(mac));
+    }
+    let soft_fallbacks = ecc_pass.hard_failures();
+    let distances = accesses;
     let busy_ns = sense_ns + ecc_ns + compute_ns;
 
     // 4. Stats — accumulated into a fresh delta, not engine-wide state.
-    let non_spec = work.tasks.iter().filter(|t| !t.speculative).count() as u64;
-    let result_bytes = non_spec * u64::from(config.result_entry_bytes);
+    let result_bytes = non_speculative * u64::from(config.result_entry_bytes);
     let stats_delta = FlashStats {
         page_reads: page_loads,
         search_ops: sense_ops,
@@ -229,7 +317,7 @@ pub fn process_lun_work(
     };
 
     LunOutcome {
-        lun: work.lun,
+        lun,
         report: SinReport {
             sense_ops,
             page_loads,
@@ -245,10 +333,7 @@ pub fn process_lun_work(
         stats: stats_delta,
         ecc: ecc_pass.into_delta(),
         touched_planes: if config.refresh_read_threshold > 0 {
-            work.tasks
-                .iter()
-                .map(|t| t.addr.global_plane(geom))
-                .collect()
+            tasks.iter().map(|t| t.addr.global_plane(geom)).collect()
         } else {
             Vec::new()
         },

@@ -38,24 +38,27 @@ impl Vgenerator {
         timing: &FlashTiming,
         entries: &[(u32, VectorId, &[VectorId])],
     ) -> VgenOutput {
-        let mut triples = Vec::new();
-        let mut neighbor_entries = 0u64;
+        let neighbor_entries: usize = entries.iter().map(|e| e.2.len()).sum();
+        let mut triples = Vec::with_capacity(neighbor_entries);
         for &(q, _entry, visited) in entries {
             for &nb in visited {
                 triples.push((q, nb, luncsr.lun_of(nb)));
             }
-            neighbor_entries += visited.len() as u64;
         }
+        VgenOutput {
+            triples,
+            latency_ns: Self::latency_ns(timing, entries.len(), neighbor_entries as u64),
+        }
+    }
+
+    /// Latency of one pass over `queries` active queries fetching
+    /// `neighbor_entries` neighbor ids in total.
+    pub(crate) fn latency_ns(timing: &FlashTiming, queries: usize, neighbor_entries: u64) -> Nanos {
         // Three pipeline stages, one DRAM access each, overlapped across
         // queries: fill (3 stages) + one beat per query, plus streaming the
         // neighbor+LUN arrays (8 B per entry) from DRAM.
-        let beats = entries.len() as u64 + 2;
-        let latency_ns =
-            beats * timing.t_dram_access_ns + timing.dram_transfer_ns(neighbor_entries * 8);
-        VgenOutput {
-            triples,
-            latency_ns,
-        }
+        let beats = queries as u64 + 2;
+        beats * timing.t_dram_access_ns + timing.dram_transfer_ns(neighbor_entries * 8)
     }
 }
 

@@ -11,8 +11,6 @@
 //! hard-decision failure probabilities of {1, 5, 10, 30} % are injected to
 //! evaluate worst-case slowdown (1.23×–1.66× at 30 %).
 
-use std::collections::BTreeMap;
-
 use crate::geometry::{FlashGeometry, PlaneId};
 use crate::timing::Nanos;
 use ndsearch_vector::rng::{Pcg32, SplitMix64};
@@ -58,6 +56,70 @@ impl EccConfig {
     }
 }
 
+/// Entries a [`PlaneCounts`] holds without touching the heap. A LUN pass
+/// decodes on its own planes only, and no NAND part groups more than four
+/// planes into a LUN, so the per-LUN hot path never spills.
+const INLINE_PLANES: usize = 4;
+
+/// `(plane, decode count)` pairs sorted by plane id: a fixed inline array
+/// for up to [`INLINE_PLANES`] planes, a sorted heap vector beyond that
+/// (a pass driven over many planes — tests, the ECC microbenchmark).
+#[derive(Debug, Clone, Default)]
+struct PlaneCounts {
+    /// Live prefix of `inline`; unused once `spill` is non-empty.
+    len: usize,
+    inline: [(PlaneId, u64); INLINE_PLANES],
+    spill: Vec<(PlaneId, u64)>,
+}
+
+impl PlaneCounts {
+    fn as_slice(&self) -> &[(PlaneId, u64)] {
+        if self.spill.is_empty() {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
+    }
+
+    /// The counter of `plane`, inserted at zero (in plane order) when the
+    /// plane is new.
+    fn slot(&mut self, plane: PlaneId) -> &mut u64 {
+        if self.spill.is_empty() {
+            // Linear scan: at most INLINE_PLANES entries.
+            let at = self.inline[..self.len]
+                .iter()
+                .position(|e| e.0 >= plane)
+                .unwrap_or(self.len);
+            if at < self.len && self.inline[at].0 == plane {
+                return &mut self.inline[at].1;
+            }
+            if self.len < INLINE_PLANES {
+                self.inline.copy_within(at..self.len, at + 1);
+                self.inline[at] = (plane, 0);
+                self.len += 1;
+                return &mut self.inline[at].1;
+            }
+            self.spill.extend_from_slice(&self.inline);
+        }
+        let at = match self.spill.binary_search_by_key(&plane, |e| e.0) {
+            Ok(at) => at,
+            Err(at) => {
+                self.spill.insert(at, (plane, 0));
+                at
+            }
+        };
+        &mut self.spill[at].1
+    }
+}
+
+impl PartialEq for PlaneCounts {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for PlaneCounts {}
+
 /// Mergeable result of a [decoding pass](EccLunPass): per-plane decode
 /// counts plus failure totals, produced *without* mutating the engine.
 ///
@@ -67,7 +129,7 @@ impl EccConfig {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EccDelta {
     /// `(plane, decode count)` pairs, sorted by plane id.
-    plane_decodes: Vec<(PlaneId, u64)>,
+    plane_decodes: PlaneCounts,
     /// Total pages decoded in the pass.
     pub decodes: u64,
     /// Hard-decision failures (soft-decision fallbacks) in the pass.
@@ -77,11 +139,8 @@ pub struct EccDelta {
 impl EccDelta {
     /// Folds `other` into `self` (associative, commutative).
     pub fn merge(&mut self, other: &EccDelta) {
-        for &(plane, count) in &other.plane_decodes {
-            match self.plane_decodes.binary_search_by_key(&plane, |e| e.0) {
-                Ok(i) => self.plane_decodes[i].1 += count,
-                Err(i) => self.plane_decodes.insert(i, (plane, count)),
-            }
+        for &(plane, count) in other.plane_decodes.as_slice() {
+            *self.plane_decodes.slot(plane) += count;
         }
         self.decodes += other.decodes;
         self.hard_failures += other.hard_failures;
@@ -99,7 +158,7 @@ impl EccDelta {
 #[derive(Debug, Clone)]
 pub struct EccLunPass<'a> {
     engine: &'a EccEngine,
-    counts: BTreeMap<PlaneId, u64>,
+    counts: PlaneCounts,
     decodes: u64,
     hard_failures: u64,
 }
@@ -113,7 +172,7 @@ impl EccLunPass<'_> {
     /// Panics if the plane index is out of range for the engine's geometry.
     pub fn decode_page(&mut self, plane: PlaneId) -> Nanos {
         let base = self.engine.plane_decodes[plane as usize];
-        let local = self.counts.entry(plane).or_insert(0);
+        let local = self.counts.slot(plane);
         let index = base + *local;
         *local += 1;
         self.decodes += 1;
@@ -133,7 +192,7 @@ impl EccLunPass<'_> {
     /// Finishes the pass, yielding its mergeable delta.
     pub fn into_delta(self) -> EccDelta {
         EccDelta {
-            plane_decodes: self.counts.into_iter().collect(),
+            plane_decodes: self.counts,
             decodes: self.decodes,
             hard_failures: self.hard_failures,
         }
@@ -231,7 +290,7 @@ impl EccEngine {
     pub fn begin_lun_pass(&self) -> EccLunPass<'_> {
         EccLunPass {
             engine: self,
-            counts: BTreeMap::new(),
+            counts: PlaneCounts::default(),
             decodes: 0,
             hard_failures: 0,
         }
@@ -244,7 +303,7 @@ impl EccEngine {
     /// # Panics
     /// Panics if the delta names a plane outside the engine's geometry.
     pub fn apply(&mut self, delta: &EccDelta) {
-        for &(plane, count) in &delta.plane_decodes {
+        for &(plane, count) in delta.plane_decodes.as_slice() {
             self.plane_decodes[plane as usize] += count;
         }
         self.decodes += delta.decodes;
@@ -415,6 +474,49 @@ mod tests {
         };
         assert_eq!(run(true, false), run(false, false));
         assert_eq!(run(true, false), run(true, true));
+    }
+
+    #[test]
+    fn plane_counts_match_a_map_inline_and_spilled() {
+        // The inline/spilled counter table against the `BTreeMap` it
+        // replaced: random plane sequences over 2 planes (inline), 4
+        // (inline, full) and 16 (spilled), checked through the delta the
+        // engine commits and through the failure stream each decode draws.
+        let geom = FlashGeometry::tiny();
+        let cfg = EccConfig {
+            hard_decision_failure_prob: 0.3,
+            ..EccConfig::default()
+        };
+        let mut rng = Pcg32::seed_from_u64(11);
+        for span in [2u32, 4, 16] {
+            let mut engine = EccEngine::new(&geom, cfg);
+            for _ in 0..8 {
+                let mut pass = engine.begin_lun_pass();
+                let mut model = std::collections::BTreeMap::<PlaneId, u64>::new();
+                let mut failures = 0u64;
+                for _ in 0..rng.next_u32() % 40 {
+                    let plane = geom.total_planes() - 1 - rng.next_u32() % span;
+                    let local = model.entry(plane).or_insert(0);
+                    let index = engine.plane_decodes[plane as usize] + *local;
+                    *local += 1;
+                    let fired = engine.fault_fires(plane, index);
+                    failures += u64::from(fired);
+                    let want = cfg.t_hard_decode_ns + u64::from(fired) * cfg.t_soft_decode_ns;
+                    assert_eq!(pass.decode_page(plane), want);
+                }
+                assert_eq!(pass.hard_failures(), failures);
+                let delta = pass.into_delta();
+                let want: Vec<(PlaneId, u64)> = model.into_iter().collect();
+                assert_eq!(delta.plane_decodes.as_slice(), want.as_slice());
+                assert_eq!(delta.decodes, want.iter().map(|e| e.1).sum::<u64>());
+                // Merging into an empty delta reproduces it, whichever
+                // representation either side is in.
+                let mut merged = EccDelta::default();
+                merged.merge(&delta);
+                assert_eq!(merged, delta);
+                engine.apply(&delta);
+            }
+        }
     }
 
     #[test]

@@ -618,3 +618,71 @@ fn serving_report_bit_identical_across_thread_counts() {
         },
     );
 }
+
+/// The pooled LUN stage ships one contiguous range of the round's task
+/// arena per worker; the inline path walks the same arena unit by unit,
+/// committing each ECC delta as it goes. Wide rounds (32 sessions in
+/// flight, so both the hop stage and the LUN stage clear their fan-out
+/// thresholds) under a mid-run ECC storm must give the inline report at
+/// `exec_threads` ∈ {1, 2, 4}: uneven range cuts, per-plane failure
+/// streams and the stable-LUN merge all included.
+#[test]
+fn arena_ranges_per_worker_match_the_inline_path_under_an_ecc_storm() {
+    proptest::test_runner::run(
+        Config { cases: 3 },
+        "arena_ranges_per_worker_match_the_inline_path_under_an_ecc_storm",
+        |rng| {
+            let n = (350usize..500).generate(rng);
+            let (base, queries) = DatasetSpec::sift_scaled(n, 48).build_pair();
+            let index = Vamana::build(&base, VamanaParams::default());
+            let mut config = random_config(rng, base.len(), base.stored_vector_bytes());
+            config.ecc.hard_decision_failure_prob = 0.01;
+            let storm_prob = (0.3f64..0.95).generate(rng);
+            let calm_rounds = (1usize..6).generate(rng);
+            let serve = ServeConfig {
+                max_inflight: 32,
+                beam_width: (24usize..48).generate(rng),
+                ..ServeConfig::default()
+            };
+            let prepared =
+                Prepared::stage(&config, index.base_graph(), &base, &BatchTrace::default());
+            let reports: Vec<_> = [1usize, 2, 4]
+                .iter()
+                .map(|&threads| {
+                    let mut c = config.clone();
+                    c.exec_threads = threads;
+                    let mut engine =
+                        ServeEngine::new(&c, serve.clone(), &prepared, &base, index.base_graph());
+                    for (_, qv) in queries.iter() {
+                        engine.submit(QueryRequest::at(0, qv.to_vec(), vec![index.medoid()]));
+                    }
+                    // A few calm rounds (single-stepping is always
+                    // inline), then the storm hits and the pool takes over.
+                    for _ in 0..calm_rounds {
+                        engine.step_round();
+                    }
+                    engine.inject_ecc_failure_prob(storm_prob);
+                    engine.run_to_completion()
+                })
+                .collect();
+            prop_assert_eq!(reports[0].completed(), 48);
+            prop_assert_eq!(reports[0].peak_inflight, 32);
+            prop_assert!(
+                reports[0].stats.ecc_soft_fallbacks > 100,
+                "the storm must bite: {} soft fallbacks",
+                reports[0].stats.ecc_soft_fallbacks
+            );
+            prop_assert_eq!(
+                &reports[0],
+                &reports[1],
+                "pooled ranges diverged from inline at 2 threads"
+            );
+            prop_assert_eq!(
+                &reports[0],
+                &reports[2],
+                "pooled ranges diverged from inline at 4 threads"
+            );
+            Ok(())
+        },
+    );
+}

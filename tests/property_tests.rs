@@ -3,13 +3,20 @@
 
 use proptest::prelude::*;
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use ndsearch::anns::beam::BeamSearcher;
 use ndsearch::anns::bitonic::bitonic_sort;
+use ndsearch::core::alloc::{LunWork, VertexTask};
+use ndsearch::core::config::NdsConfig;
+use ndsearch::core::sin::{process_lun_work, LunOutcome, SinReport};
 use ndsearch::core::traffic::{
     ArrivalModel, EventKind, QueryMix, Scenario, TenantProfile, ZipfSampler,
 };
+use ndsearch::flash::ecc::{EccConfig, EccEngine};
 use ndsearch::flash::ftl::Ftl;
-use ndsearch::flash::geometry::FlashGeometry;
+use ndsearch::flash::geometry::{FlashGeometry, PhysAddr};
+use ndsearch::flash::stats::FlashStats;
 use ndsearch::graph::csr::Csr;
 use ndsearch::graph::luncsr::LunCsr;
 use ndsearch::graph::mapping::{PlacementPolicy, VertexMapping};
@@ -39,7 +46,198 @@ fn ulp_diff(a: f32, b: f32) -> u64 {
     (ma - mb).unsigned_abs()
 }
 
+/// `core::sin::process_lun_work` as it was written before the round data
+/// path went map-free: a `BTreeMap`/`BTreeSet` per question asked of the
+/// unit. Kept here, test-only, as the oracle the flat implementation must
+/// equal field for field.
+fn process_lun_work_with_maps(
+    work: &LunWork,
+    luncsr: &LunCsr,
+    config: &NdsConfig,
+    ecc: &EccEngine,
+) -> LunOutcome {
+    let geom = &config.geometry;
+    let timing = &config.timing;
+    let dim_bytes = u64::from(luncsr.mapping().slot_bytes());
+    let pages_per_plane = u64::from(geom.blocks_per_plane) * u64::from(geom.pages_per_block);
+    let decompose = |page_key: u64| {
+        let plane = (page_key / pages_per_plane) as u32;
+        let within = page_key % pages_per_plane;
+        let block = (within / u64::from(geom.pages_per_block)) as u32;
+        let page = (within % u64::from(geom.pages_per_block)) as u32;
+        (plane, block, page)
+    };
+    // Load events: (plane, block, page) with a multiplicity.
+    let mut load_events: BTreeMap<(u32, u32, u32), u64> = BTreeMap::new();
+    if config.scheduling.dynamic_allocating {
+        let distinct: BTreeSet<u64> = work.tasks.iter().map(|t| t.addr.page_key(geom)).collect();
+        for page_key in distinct {
+            *load_events.entry(decompose(page_key)).or_default() += 1;
+        }
+    } else {
+        let mut buffered: BTreeMap<u32, u64> = BTreeMap::new(); // plane → page
+        for t in &work.tasks {
+            let page_key = t.addr.page_key(geom);
+            let (plane, _, _) = decompose(page_key);
+            if buffered.get(&plane) != Some(&page_key) {
+                buffered.insert(plane, page_key);
+                *load_events.entry(decompose(page_key)).or_default() += 1;
+            }
+        }
+    }
+    let accesses = work.tasks.len() as u64;
+    let page_loads: u64 = load_events.values().sum();
+    let page_hits = accesses.saturating_sub(page_loads);
+
+    let mut plane_loads: BTreeMap<(u32, u32), BTreeMap<u32, u64>> = BTreeMap::new();
+    for (&(plane, block, page), &count) in &load_events {
+        *plane_loads
+            .entry((block, page))
+            .or_default()
+            .entry(plane)
+            .or_default() += count;
+    }
+    let mut sense_ops = 0u64;
+    let mut merged_multi_plane = 0u64;
+    for per_plane in plane_loads.values() {
+        sense_ops += per_plane.values().copied().max().unwrap_or(0);
+        if per_plane.len() > 1 {
+            merged_multi_plane += 1;
+        }
+    }
+
+    let sense_ns = sense_ops * timing.t_read_page_ns;
+    let mut ecc_pass = ecc.begin_lun_pass();
+    let mut plane_ecc: BTreeMap<u32, u64> = BTreeMap::new();
+    let mut soft_fallbacks = 0u64;
+    for (&(plane, _, _), &count) in &load_events {
+        let before = ecc_pass.hard_failures();
+        let mut t = 0;
+        for _ in 0..count {
+            t += ecc_pass.decode_page(plane);
+        }
+        soft_fallbacks += ecc_pass.hard_failures() - before;
+        *plane_ecc.entry(plane).or_default() += t;
+    }
+    let ecc_ns = plane_ecc.values().copied().max().unwrap_or(0);
+    let mut plane_distances: BTreeMap<u32, u64> = BTreeMap::new();
+    let mut plane_vertices: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
+    for t in &work.tasks {
+        let (plane, _, _) = decompose(t.addr.page_key(geom));
+        *plane_distances.entry(plane).or_default() += 1;
+        plane_vertices.entry(plane).or_default().insert(t.vertex);
+    }
+    let distances = work.tasks.len() as u64;
+    let lanes_per_plane = (u64::from(config.mac_lanes()) / u64::from(geom.planes_per_lun)).max(1);
+    let compute_ns = plane_distances
+        .iter()
+        .map(|(plane, &d)| {
+            let unique = plane_vertices.get(plane).map_or(0, |s| s.len() as u64);
+            let stream = timing.page_buffer_stream_ns(unique * dim_bytes);
+            let mac = timing.accel_cycles_ns(d * dim_bytes.max(1) / lanes_per_plane);
+            stream.max(mac)
+        })
+        .max()
+        .unwrap_or(0);
+
+    let non_spec = work.tasks.iter().filter(|t| !t.speculative).count() as u64;
+    let result_bytes = non_spec * u64::from(config.result_entry_bytes);
+    LunOutcome {
+        lun: work.lun,
+        report: SinReport {
+            sense_ops,
+            page_loads,
+            page_hits,
+            distances,
+            busy_ns: sense_ns + ecc_ns + compute_ns,
+            sense_ns,
+            ecc_ns,
+            compute_ns,
+            result_bytes,
+            soft_fallbacks,
+        },
+        stats: FlashStats {
+            page_reads: page_loads,
+            search_ops: sense_ops,
+            page_buffer_hits: page_hits,
+            distance_evals: distances,
+            multi_plane_ops: merged_multi_plane,
+            ecc_soft_fallbacks: soft_fallbacks,
+            bus_bytes: result_bytes,
+            ..FlashStats::new()
+        },
+        ecc: ecc_pass.into_delta(),
+        touched_planes: if config.refresh_read_threshold > 0 {
+            work.tasks
+                .iter()
+                .map(|t| t.addr.global_plane(geom))
+                .collect()
+        } else {
+            Vec::new()
+        },
+    }
+}
+
 proptest! {
+    // Random units against the map-based oracle. The small ranges make
+    // the interesting shapes common: several queries on one vertex, the
+    // same (block, page) row on both planes (a multi-plane sense),
+    // repeated loads of one plane, speculative tasks mixed in — under both
+    // page-buffer models, with and without the refresh plane list, and at
+    // ECC failure probabilities 0 / 0.3 / 1 over failure streams whose
+    // cursors a warm-up pass has already moved.
+    #[test]
+    fn flat_lun_unit_equals_the_map_based_oracle(
+        raw in proptest::collection::vec((0u32..6, 0u32..2, 0u32..6, 0u32..2), 0..48),
+        speculative in proptest::collection::vec(any::<bool>(), 48),
+        knobs in (any::<bool>(), any::<bool>(), 0u32..3, 0u32..8),
+        warmup in proptest::collection::vec(0u32..16, 0..40),
+    ) {
+        let (dynamic, refresh, prob, lun) = knobs;
+        let geom = FlashGeometry::tiny();
+        let mut config = NdsConfig {
+            geometry: geom,
+            ..NdsConfig::default()
+        };
+        config.scheduling.dynamic_allocating = dynamic;
+        config.refresh_read_threshold = u64::from(refresh);
+        config.ecc = EccConfig {
+            hard_decision_failure_prob: [0.0, 0.3, 1.0][prob as usize],
+            ..EccConfig::default()
+        };
+        let n = 64usize;
+        let csr = Csr::from_adjacency(&vec![Vec::new(); n]).unwrap();
+        let mapping = VertexMapping::place(geom, n, 128, PlacementPolicy::MultiPlaneAware);
+        let luncsr = LunCsr::new(csr, mapping);
+
+        let mut ecc = EccEngine::new(&geom, config.ecc);
+        let mut pass = ecc.begin_lun_pass();
+        for &plane in &warmup {
+            pass.decode_page(plane);
+        }
+        ecc.apply(&pass.into_delta());
+
+        let tasks: Vec<VertexTask> = raw
+            .iter()
+            .zip(&speculative)
+            .map(|(&(query, plane_in_lun, row, slot), &speculative)| VertexTask {
+                query,
+                // Two vertices per page, so queries often share one.
+                vertex: (plane_in_lun * 6 + row) * 2 + slot,
+                addr: PhysAddr::checked(&geom, lun, plane_in_lun, row / 3, row % 3, slot * 128)
+                    .unwrap(),
+                speculative,
+            })
+            .collect();
+        let work = LunWork { lun, tasks };
+        let flat = process_lun_work(&work, &luncsr, &config, &ecc);
+        let oracle = process_lun_work_with_maps(&work, &luncsr, &config, &ecc);
+        prop_assert_eq!(&flat, &oracle);
+        // A second evaluation on the same thread reuses the unit scratch:
+        // nothing may carry over.
+        prop_assert_eq!(process_lun_work(&work, &luncsr, &config, &ecc), oracle);
+    }
+
     #[test]
     fn bitonic_sorts_anything(mut v in proptest::collection::vec(any::<i32>(), 0..300)) {
         let mut expected = v.clone();

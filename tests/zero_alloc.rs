@@ -1,0 +1,102 @@
+//! The LUN unit of the round data path allocates nothing in steady state.
+//!
+//! A counting global allocator (per-thread counter, so the harness's other
+//! threads do not interfere) wraps the system one for this test binary
+//! only. After one warm-up pass — the per-thread unit scratch grows to the
+//! largest unit once — evaluating every unit of a round again must not
+//! touch the heap: page loads, multi-plane rows and per-plane maxima live
+//! in the reused scratch, and the ECC pass and its delta hold their
+//! per-plane counters inline.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use ndsearch::core::alloc::Allocator;
+use ndsearch::core::config::NdsConfig;
+use ndsearch::core::sin::process_lun_work;
+use ndsearch::flash::ecc::EccEngine;
+use ndsearch::flash::geometry::FlashGeometry;
+use ndsearch::graph::csr::Csr;
+use ndsearch::graph::luncsr::LunCsr;
+use ndsearch::graph::mapping::{PlacementPolicy, VertexMapping};
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the only addition is a thread-local counter with
+// a `const` initializer and no destructor, so touching it never allocates
+// and `try_with` tolerates thread teardown.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are passed through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are passed through unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+#[test]
+fn lun_units_allocate_nothing_once_the_scratch_is_warm() {
+    let geom = FlashGeometry::tiny();
+    let n = 1024usize;
+    let csr = Csr::from_adjacency(&vec![Vec::new(); n]).unwrap();
+    let mapping = VertexMapping::place(geom, n, 128, PlacementPolicy::MultiPlaneAware);
+    let luncsr = LunCsr::new(csr, mapping);
+    // A serving-sized round: 64 queries, ~6 neighbors each, spread over
+    // every LUN, several queries landing on the same pages.
+    let triples: Vec<(u32, u32, u32)> = (0..400u32)
+        .map(|i| {
+            let v = (i * 37) % n as u32;
+            (i % 64, v, luncsr.lun_of(v))
+        })
+        .collect();
+    for dynamic in [true, false] {
+        for prob in [0.0, 0.3] {
+            let mut config = NdsConfig {
+                geometry: geom,
+                ..NdsConfig::default()
+            };
+            config.scheduling.dynamic_allocating = dynamic;
+            config.ecc.hard_decision_failure_prob = prob;
+            assert_eq!(config.refresh_read_threshold, 0);
+            let ecc = EccEngine::new(&geom, config.ecc);
+            let work = Allocator
+                .dispatch(&luncsr, &config.timing, &triples, false)
+                .work;
+            assert_eq!(work.len(), geom.total_luns() as usize);
+            let pass = || -> u64 {
+                work.iter()
+                    .map(|w| process_lun_work(w, &luncsr, &config, &ecc).report.busy_ns)
+                    .sum()
+            };
+            let warm = pass();
+            let before = ALLOCATIONS.with(Cell::get);
+            let again = pass();
+            let allocations = ALLOCATIONS.with(Cell::get) - before;
+            assert_eq!(warm, again);
+            assert_eq!(
+                allocations,
+                0,
+                "{} units allocated (dynamic {dynamic}, ECC p {prob})",
+                work.len()
+            );
+        }
+    }
+}
