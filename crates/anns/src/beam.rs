@@ -26,12 +26,27 @@ pub struct VisitedSet {
     marks: Vec<u32>,
 }
 
+/// An empty set; it grows as vertices are marked.
+impl Default for VisitedSet {
+    fn default() -> Self {
+        Self::new(0)
+    }
+}
+
 impl VisitedSet {
     /// Creates a set covering `n` vertices.
     pub fn new(n: usize) -> Self {
         Self {
             epoch: 1,
             marks: vec![0; n],
+        }
+    }
+
+    /// Grows the set to cover `n` vertices (a no-op if it already does),
+    /// so marking does not regrow it one vertex at a time.
+    pub fn reserve(&mut self, n: usize) {
+        if n > self.marks.len() {
+            self.marks.resize(n, 0);
         }
     }
 

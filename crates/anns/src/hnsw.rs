@@ -17,6 +17,7 @@ use ndsearch_vector::topk::Neighbor;
 use ndsearch_vector::{DistanceKind, VectorId};
 
 use crate::beam::{beam_search, VisitedSet};
+use crate::build::GreedySearch;
 use crate::index::{
     AnnsAlgorithm, GraphAnnsIndex, InsertReport, MutableIndex, SearchOutput, SearchParams,
 };
@@ -85,6 +86,8 @@ pub struct Hnsw {
     /// Whether `base` lags `layer0` (set by online inserts, cleared by
     /// [`MutableIndex::sync_base_graph`]).
     base_dirty: bool,
+    /// The construction-time search, reused by every link.
+    search: GreedySearch,
 }
 
 impl Hnsw {
@@ -106,6 +109,7 @@ impl Hnsw {
             level_mult: 1.0 / (params.m as f64).ln().max(0.5),
             deleted: Vec::new(),
             base_dirty: false,
+            search: GreedySearch::default(),
         };
         for v in 0..n as u32 {
             index.link_next(base, v);
@@ -153,7 +157,7 @@ impl Hnsw {
         }
 
         let params = self.params;
-        let dist = params.distance;
+        let (dist, ef) = (params.distance, params.ef_construction);
         let q = base.vector(v).to_vec();
         let mut cur = self.entry;
         let mut repaired = Vec::new();
@@ -172,32 +176,20 @@ impl Hnsw {
         let mut layer = top_insert;
         loop {
             let max_links = if layer == 0 { params.m * 2 } else { params.m };
-            let candidates = if layer == 0 {
+            if layer == 0 {
                 let layer0 = &self.layer0;
-                search_adj(
-                    base,
-                    |u| layer0[u as usize].as_slice(),
-                    &q,
-                    cur,
-                    params.ef_construction,
-                    dist,
-                )
+                self.search
+                    .run(base, |u| layer0[u as usize].as_slice(), &q, cur, ef, dist);
             } else {
                 let adj = &self.upper[layer - 1];
-                search_adj(
-                    base,
-                    |u| adj.lists.get(&u).map(Vec::as_slice).unwrap_or(&[]),
-                    &q,
-                    cur,
-                    params.ef_construction,
-                    dist,
-                )
-            };
+                let neighbors_of = |u| adj.lists.get(&u).map_or(&[][..], Vec::as_slice);
+                self.search.run(base, neighbors_of, &q, cur, ef, dist);
+            }
             // Tombstoned vertices may route the descent but never earn
             // new links (a no-op during build, where nothing is deleted).
-            let live: Vec<Neighbor> = candidates
-                .iter()
-                .copied()
+            let live: Vec<Neighbor> = self
+                .search
+                .top()
                 .filter(|c| !self.deleted[c.id as usize])
                 .collect();
             let selected = select_neighbors(base, &q, &live, params.m, dist);
@@ -422,59 +414,6 @@ fn greedy_upper_inner(
         }
         cur = best;
     }
-}
-
-/// Beam search over any adjacency view (construction only; no trace).
-fn search_adj<'a, F>(
-    base: &Dataset,
-    neighbors_of: F,
-    query: &[f32],
-    entry: VectorId,
-    ef: usize,
-    dist: DistanceKind,
-) -> Vec<Neighbor>
-where
-    F: Fn(VectorId) -> &'a [VectorId],
-{
-    use std::cmp::Reverse;
-    use std::collections::{BinaryHeap, HashSet};
-    let mut visited: HashSet<VectorId> = HashSet::new();
-    let mut candidates = BinaryHeap::new();
-    let mut results: BinaryHeap<Neighbor> = BinaryHeap::new();
-    let d0 = dist.eval(query, base.vector(entry));
-    visited.insert(entry);
-    candidates.push(Reverse(Neighbor::new(d0, entry)));
-    results.push(Neighbor::new(d0, entry));
-    let mut fresh: Vec<VectorId> = Vec::new();
-    let mut scratch: Vec<f32> = Vec::new();
-    while let Some(Reverse(cur)) = candidates.pop() {
-        let worst = results.peek().map(|n| n.distance).unwrap_or(f32::INFINITY);
-        if results.len() >= ef && cur.distance > worst {
-            break;
-        }
-        // Mark, batch-score, then replay insertions in edge order
-        // (bit-identical to the per-edge eval loop; see anns::beam).
-        fresh.clear();
-        for &nb in neighbors_of(cur.id) {
-            if visited.insert(nb) {
-                fresh.push(nb);
-            }
-        }
-        dist.eval_batch_ids(query, base, &fresh, &mut scratch);
-        for (&nb, &d) in fresh.iter().zip(&scratch) {
-            let worst = results.peek().map(|n| n.distance).unwrap_or(f32::INFINITY);
-            if results.len() < ef || d < worst {
-                candidates.push(Reverse(Neighbor::new(d, nb)));
-                results.push(Neighbor::new(d, nb));
-                if results.len() > ef {
-                    results.pop();
-                }
-            }
-        }
-    }
-    let mut v = results.into_vec();
-    v.sort_unstable();
-    v
 }
 
 /// The HNSW select-neighbors heuristic: scan candidates in ascending

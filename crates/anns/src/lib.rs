@@ -41,6 +41,7 @@
 pub mod beam;
 pub mod bitonic;
 pub mod bruteforce;
+mod build;
 pub mod hcnng;
 pub mod hnsw;
 pub mod index;

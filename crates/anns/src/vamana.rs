@@ -8,6 +8,11 @@
 //! α = 1 and the second with the target α. Search is a plain beam search
 //! from the medoid — identical to HNSW's layer-0 search, which is why both
 //! share [`crate::beam::beam_search`].
+//!
+//! Construction and the online insert run on one reusable scratch over a
+//! flat adjacency, and re-prune an overflowing row incrementally; the
+//! "Index construction" section of `docs/ARCHITECTURE.md` has the layout
+//! and the argument for why that is exact.
 
 use ndsearch_graph::csr::Csr;
 use ndsearch_vector::dataset::Dataset;
@@ -16,6 +21,7 @@ use ndsearch_vector::topk::Neighbor;
 use ndsearch_vector::{DistanceKind, VectorId};
 
 use crate::beam::{beam_search, VisitedSet};
+use crate::build::{GreedySearch, Scored};
 use crate::index::{
     AnnsAlgorithm, GraphAnnsIndex, InsertReport, MutableIndex, SearchOutput, SearchParams,
 };
@@ -50,7 +56,7 @@ impl Default for VamanaParams {
 
 /// A built Vamana/DiskANN index.
 ///
-/// The adjacency lists are retained after construction so online inserts
+/// The adjacency rows are retained after construction so online inserts
 /// can run the same greedy-search + RobustPrune kernel the build passes
 /// use, repairing backlinks of affected vertices
 /// ([`MutableIndex::insert`]); the CSR snapshot lags mutations until
@@ -59,16 +65,102 @@ impl Default for VamanaParams {
 #[derive(Debug, Clone)]
 pub struct Vamana {
     params: VamanaParams,
-    /// CSR snapshot of `adj`.
+    /// CSR snapshot of `rows`.
     graph: Csr,
     /// Mutable adjacency — the source of truth.
-    adj: Vec<Vec<VectorId>>,
+    rows: Rows,
     medoid: VectorId,
     /// Tombstones for online deletes.
     deleted: Vec<bool>,
-    /// Whether `graph` lags `adj` (set by online inserts, cleared by
+    /// Whether `graph` lags `rows` (set by online inserts, cleared by
     /// [`MutableIndex::sync_base_graph`]).
     graph_dirty: bool,
+    scratch: Scratch,
+}
+
+/// Flat mutable adjacency: vertex `v`'s out-list is the first `degree[v]`
+/// ids of the `R + 1`-id row at `v * (R + 1)`. A row holds at most R ids
+/// between operations; the spare slot takes the backlink that overflows it
+/// until the re-prune that follows at once.
+///
+/// `clean[v]` is the length of the row prefix that is, in order, the
+/// output of one RobustPrune of `v` under the α now in force: a prune sets
+/// it to the row length, a pushed backlink leaves it, and a change of α
+/// zeroes it. Every pair inside that prefix has already been tested "not
+/// dominated", which is what lets [`link`] re-prune an overflowing row
+/// without re-testing them.
+#[derive(Debug, Clone)]
+struct Rows {
+    stride: usize,
+    ids: Vec<VectorId>,
+    degree: Vec<u32>,
+    clean: Vec<u32>,
+}
+
+impl Rows {
+    fn new(r: usize, n: usize) -> Self {
+        let stride = r + 1;
+        Self {
+            stride,
+            ids: vec![0; n * stride],
+            degree: vec![0; n],
+            clean: vec![0; n],
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.degree.len()
+    }
+
+    fn push_vertex(&mut self) {
+        self.ids.resize(self.ids.len() + self.stride, 0);
+        self.degree.push(0);
+        self.clean.push(0);
+    }
+
+    fn row(&self, v: VectorId) -> &[VectorId] {
+        let start = v as usize * self.stride;
+        &self.ids[start..start + self.degree[v as usize] as usize]
+    }
+
+    /// The prefix of `v`'s row a RobustPrune wrote (see the type docs).
+    fn clean_prefix(&self, v: VectorId) -> &[VectorId] {
+        &self.row(v)[..self.clean[v as usize] as usize]
+    }
+
+    fn push(&mut self, v: VectorId, nb: VectorId) {
+        let degree = self.degree[v as usize] as usize;
+        debug_assert!(degree < self.stride, "row {v} is full before a push");
+        debug_assert!(!self.row(v).contains(&nb), "row {v} already holds {nb}");
+        self.ids[v as usize * self.stride + degree] = nb;
+        self.degree[v as usize] += 1;
+    }
+
+    /// Replaces `v`'s row with the output of a RobustPrune.
+    fn set_pruned(&mut self, v: VectorId, kept: &[VectorId]) {
+        debug_assert!(kept.len() < self.stride, "a prune keeps at most R");
+        let start = v as usize * self.stride;
+        self.ids[start..start + kept.len()].copy_from_slice(kept);
+        self.degree[v as usize] = kept.len() as u32;
+        self.clean[v as usize] = kept.len() as u32;
+    }
+
+    fn to_csr(&self) -> Csr {
+        Csr::from_rows((0..self.len() as VectorId).map(|v| self.row(v)))
+            .expect("ids validated when linked")
+    }
+}
+
+/// Buffers one build or one run of inserts reuses for every vertex.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// The greedy search; its pool doubles as every prune's candidate list.
+    search: GreedySearch,
+    dists: Vec<f32>,
+    /// The last prune's survivors, nearest first, and those of them that
+    /// were not `settled` (see [`robust_prune`]).
+    kept: Vec<VectorId>,
+    kept_fresh: Vec<VectorId>,
 }
 
 impl Vamana {
@@ -83,65 +175,53 @@ impl Vamana {
         let mut rng = Pcg32::seed_from_u64(params.seed);
 
         // Random R-regular initial graph.
-        let mut adj: Vec<Vec<VectorId>> = (0..n)
-            .map(|v| {
-                let mut list = Vec::with_capacity(params.r.min(n - 1));
-                while list.len() < params.r.min(n.saturating_sub(1)) {
-                    let c = rng.index(n) as VectorId;
-                    if c != v as VectorId && !list.contains(&c) {
-                        list.push(c);
-                    }
-                }
-                list
-            })
-            .collect();
-
-        let medoid = approximate_medoid(base, dist);
-        let mut order: Vec<VectorId> = (0..n as u32).collect();
-
-        // Two passes: α = 1.0 then the target α.
-        for &alpha in &[1.0f32, params.alpha] {
-            rng.shuffle(&mut order);
-            for &v in &order {
-                let q = base.vector(v);
-                // Greedy search the current graph for v's neighborhood.
-                let visited = search_collect(base, &adj, q, medoid, params.l_build, dist);
-                let mut pool: Vec<Neighbor> = visited.into_iter().filter(|nb| nb.id != v).collect();
-                // Include current neighbors in the pool.
-                for &nb in &adj[v as usize] {
-                    if nb != v && !pool.iter().any(|p| p.id == nb) {
-                        pool.push(Neighbor::new(dist.eval(q, base.vector(nb)), nb));
-                    }
-                }
-                let pruned = robust_prune(base, v, pool, alpha, params.r, dist);
-                adj[v as usize] = pruned.clone();
-                // Add reverse edges, pruning overfull lists.
-                for nb in pruned {
-                    if !adj[nb as usize].contains(&v) {
-                        adj[nb as usize].push(v);
-                        if adj[nb as usize].len() > params.r {
-                            let pool: Vec<Neighbor> = adj[nb as usize]
-                                .iter()
-                                .map(|&u| {
-                                    Neighbor::new(dist.eval(base.vector(nb), base.vector(u)), u)
-                                })
-                                .collect();
-                            adj[nb as usize] = robust_prune(base, nb, pool, alpha, params.r, dist);
-                        }
-                    }
+        let mut rows = Rows::new(params.r, n);
+        for v in 0..n as VectorId {
+            while rows.row(v).len() < params.r.min(n - 1) {
+                let c = rng.index(n) as VectorId;
+                if c != v && !rows.row(v).contains(&c) {
+                    rows.push(v, c);
                 }
             }
         }
 
-        let graph = Csr::from_adjacency(&adj).expect("ids validated during build");
+        let medoid = approximate_medoid(base, dist);
+        let mut order: Vec<VectorId> = (0..n as u32).collect();
+        let mut scratch = Scratch::default();
+
+        // Two passes: α = 1.0 then the target α.
+        for alpha in [1.0f32, params.alpha] {
+            // Prefixes pruned under the previous α prove nothing under
+            // this one.
+            rows.clean.fill(0);
+            rng.shuffle(&mut order);
+            for &v in &order {
+                let q = base.vector(v);
+                // Greedy search the current graph for v's neighborhood.
+                let search = &mut scratch.search;
+                search.run(base, |u| rows.row(u), q, medoid, params.l_build, dist);
+                search.pool.retain(|nb| nb.id() != v);
+                // Include current neighbors the search did not reach.
+                for &nb in rows.row(v) {
+                    if !search.seen.contains(nb) {
+                        let d = dist.eval(q, base.vector(nb));
+                        search.pool.push(Scored::new(d, nb));
+                    }
+                }
+                link(base, &mut rows, v, alpha, &params, &mut scratch, |_| {});
+            }
+        }
+
+        let graph = rows.to_csr();
         let deleted = vec![false; n];
         Self {
             params,
             graph,
-            adj,
+            rows,
             medoid,
             deleted,
             graph_dirty: false,
+            scratch,
         }
     }
 
@@ -158,56 +238,55 @@ impl Vamana {
 
 impl MutableIndex for Vamana {
     fn insert(&mut self, base: &Dataset, id: VectorId) -> InsertReport {
-        assert_eq!(id as usize, self.adj.len(), "insert must link the next id");
+        assert_eq!(id as usize, self.rows.len(), "insert must link the next id");
         assert_eq!(
             base.len(),
-            self.adj.len() + 1,
+            self.rows.len() + 1,
             "the vector must already be appended to the dataset"
         );
         let params = self.params;
-        let dist = params.distance;
-        self.adj.push(Vec::new());
+        self.rows.push_vertex();
         self.deleted.push(false);
-        let q = base.vector(id);
         // Greedy-search the live graph from the medoid with the new vector
         // as the query — exactly the build pass — then RobustPrune the
         // visited pool into the vertex's out-list. Tombstoned vertices stay
         // routable mid-search but are not linked to.
-        let visited = search_collect(base, &self.adj, q, self.medoid, params.l_build, dist);
-        let pool: Vec<Neighbor> = visited
-            .into_iter()
-            .filter(|nb| nb.id != id && !self.deleted[nb.id as usize])
-            .collect();
-        let pruned = robust_prune(base, id, pool, params.alpha, params.r, dist);
-        self.adj[id as usize] = pruned.clone();
+        let (rows, deleted) = (&self.rows, &self.deleted);
+        let search = &mut self.scratch.search;
+        search.run(
+            base,
+            |u| rows.row(u),
+            base.vector(id),
+            self.medoid,
+            params.l_build,
+            params.distance,
+        );
+        search
+            .pool
+            .retain(|nb| nb.id() != id && !deleted[nb.id() as usize]);
         // Backlink repair: every selected neighbor gains an edge to `id`,
         // re-pruned when its list overflows R.
-        let mut repaired = Vec::new();
-        for nb in pruned {
-            if !self.adj[nb as usize].contains(&id) {
-                self.adj[nb as usize].push(id);
-                if self.adj[nb as usize].len() > params.r {
-                    let pool: Vec<Neighbor> = self.adj[nb as usize]
-                        .iter()
-                        .map(|&u| Neighbor::new(dist.eval(base.vector(nb), base.vector(u)), u))
-                        .collect();
-                    self.adj[nb as usize] =
-                        robust_prune(base, nb, pool, params.alpha, params.r, dist);
-                }
-                repaired.push(nb);
-            }
-        }
+        let mut repaired = Vec::with_capacity(params.r);
+        link(
+            base,
+            &mut self.rows,
+            id,
+            params.alpha,
+            &params,
+            &mut self.scratch,
+            |nb| repaired.push(nb),
+        );
         self.graph_dirty = true;
         InsertReport { id, repaired }
     }
 
     fn live_neighbors(&self, id: VectorId) -> &[VectorId] {
-        &self.adj[id as usize]
+        self.rows.row(id)
     }
 
     fn sync_base_graph(&mut self) {
         if self.graph_dirty {
-            self.graph = Csr::from_adjacency(&self.adj).expect("ids validated during insert");
+            self.graph = self.rows.to_csr();
             self.graph_dirty = false;
         }
     }
@@ -288,86 +367,97 @@ pub fn approximate_medoid(base: &Dataset, dist: DistanceKind) -> VectorId {
     best.id
 }
 
-/// Greedy search over a mutable adjacency returning the *visited* pool
-/// (ids + distances), as Vamana's build needs.
-fn search_collect(
+/// The linking step shared by the build passes and the online insert:
+/// RobustPrunes the candidate pool (`scratch.search.pool`, distances from
+/// `v`) into `v`'s row, then gives every kept neighbor the reverse edge,
+/// re-pruning a row the moment it exceeds R. `backlinked` hears each
+/// neighbor that gained the edge.
+fn link(
     base: &Dataset,
-    adj: &[Vec<VectorId>],
-    query: &[f32],
-    entry: VectorId,
-    l: usize,
-    dist: DistanceKind,
-) -> Vec<Neighbor> {
-    use std::cmp::Reverse;
-    use std::collections::{BinaryHeap, HashSet};
-    let mut seen: HashSet<VectorId> = HashSet::new();
-    let mut frontier = BinaryHeap::new();
-    let mut results: BinaryHeap<Neighbor> = BinaryHeap::new();
-    let mut pool = Vec::new();
-    let d0 = dist.eval(query, base.vector(entry));
-    seen.insert(entry);
-    frontier.push(Reverse(Neighbor::new(d0, entry)));
-    results.push(Neighbor::new(d0, entry));
-    pool.push(Neighbor::new(d0, entry));
-    let mut fresh: Vec<VectorId> = Vec::new();
-    let mut scratch: Vec<f32> = Vec::new();
-    while let Some(Reverse(cur)) = frontier.pop() {
-        let worst = results.peek().map(|x| x.distance).unwrap_or(f32::INFINITY);
-        if results.len() >= l && cur.distance > worst {
-            break;
+    rows: &mut Rows,
+    v: VectorId,
+    alpha: f32,
+    params: &VamanaParams,
+    scratch: &mut Scratch,
+    mut backlinked: impl FnMut(VectorId),
+) {
+    let Scratch {
+        search,
+        dists,
+        kept,
+        kept_fresh,
+    } = scratch;
+    let pool = &mut search.pool;
+    robust_prune(base, pool, &[], alpha, params, kept, kept_fresh);
+    rows.set_pruned(v, kept);
+    // `v`'s own row is not touched below, so it can be walked in place.
+    for i in 0..rows.row(v).len() {
+        let nb = rows.row(v)[i];
+        if rows.row(nb).contains(&v) {
+            continue;
         }
-        // Mark, batch-score, then replay insertions in edge order
-        // (bit-identical to the per-edge eval loop; see anns::beam).
-        fresh.clear();
-        for &nb in &adj[cur.id as usize] {
-            if seen.insert(nb) {
-                fresh.push(nb);
-            }
+        rows.push(nb, v);
+        if rows.row(nb).len() > params.r {
+            let row = rows.row(nb);
+            let from = base.vector(nb);
+            params.distance.eval_batch_ids(from, base, row, dists);
+            pool.clear();
+            pool.extend(row.iter().zip(&*dists).map(|(&u, &d)| Scored::new(d, u)));
+            let settled = rows.clean_prefix(nb);
+            robust_prune(base, pool, settled, alpha, params, kept, kept_fresh);
+            rows.set_pruned(nb, kept);
         }
-        dist.eval_batch_ids(query, base, &fresh, &mut scratch);
-        for (&nb, &d) in fresh.iter().zip(&scratch) {
-            pool.push(Neighbor::new(d, nb));
-            let worst = results.peek().map(|x| x.distance).unwrap_or(f32::INFINITY);
-            if results.len() < l || d < worst {
-                frontier.push(Reverse(Neighbor::new(d, nb)));
-                results.push(Neighbor::new(d, nb));
-                if results.len() > l {
-                    results.pop();
-                }
-            }
-        }
+        backlinked(nb);
     }
-    pool
 }
 
 /// DiskANN's RobustPrune: scan candidates nearest-first; keep `c` unless an
-/// already kept neighbor `s` satisfies α · d(s, c) ≤ d(v, c).
+/// already kept neighbor `s` satisfies α · d(s, c) ≤ d(v, c). Leaves at
+/// most `r` survivors in `kept`, ascending.
+///
+/// `settled` names candidates that an earlier prune of the same vertex,
+/// under the same α, kept together. Such a pair needs no second test: the
+/// earlier prune scanned them in this same order and found the later one
+/// not dominated by the earlier, `any` does not care how many other
+/// keepers stand between them, and dropping a keeper cannot make another
+/// candidate dominated. So a settled candidate is tested only against the
+/// keepers that are not settled (`kept_fresh`), everything else against
+/// all of them — the decisions of the full pairwise scan at a fraction of
+/// its distance evaluations when one backlink overflows a row.
 fn robust_prune(
     base: &Dataset,
-    v: VectorId,
-    mut pool: Vec<Neighbor>,
+    pool: &mut [Scored],
+    settled: &[VectorId],
     alpha: f32,
-    r: usize,
-    dist: DistanceKind,
-) -> Vec<VectorId> {
+    params: &VamanaParams,
+    kept: &mut Vec<VectorId>,
+    kept_fresh: &mut Vec<VectorId>,
+) {
     pool.sort_unstable();
-    pool.dedup_by_key(|n| n.id);
-    let mut kept: Vec<Neighbor> = Vec::with_capacity(r);
-    for c in pool {
-        if c.id == v {
-            continue;
-        }
-        if kept.len() >= r {
+    kept.clear();
+    kept_fresh.clear();
+    for c in pool.iter() {
+        if kept.len() >= params.r {
             break;
         }
-        let dominated = kept
+        let is_settled = settled.contains(&c.id());
+        let rivals = if is_settled { &*kept_fresh } else { &*kept };
+        let (cv, from_v) = (base.vector(c.id()), c.distance());
+        // Latest keeper first: it is the nearest in rank to `c` and the
+        // likeliest to dominate it, so `any` stops about a third sooner
+        // than scanning from the front (1 100 vs 1 700 evaluations per
+        // vertex at n = 8 000); the answer does not depend on the order.
+        let dominated = rivals
             .iter()
-            .any(|s| alpha * dist.eval(base.vector(s.id), base.vector(c.id)) <= c.distance);
+            .rev()
+            .any(|&s| alpha * params.distance.eval(base.vector(s), cv) <= from_v);
         if !dominated {
-            kept.push(c);
+            kept.push(c.id());
+            if !is_settled {
+                kept_fresh.push(c.id());
+            }
         }
     }
-    kept.into_iter().map(|n| n.id).collect()
 }
 
 #[cfg(test)]
@@ -376,11 +466,36 @@ mod tests {
     use ndsearch_vector::recall::{ground_truth, recall_at_k};
     use ndsearch_vector::synthetic::DatasetSpec;
 
+    /// RobustPrune with nothing settled, as the main prune of a vertex.
+    fn prune_from_scratch(
+        ds: &Dataset,
+        pool: Vec<Neighbor>,
+        alpha: f32,
+        r: usize,
+    ) -> Vec<VectorId> {
+        let mut pool: Vec<Scored> = pool.iter().map(|n| Scored::new(n.distance, n.id)).collect();
+        let params = VamanaParams {
+            r,
+            ..VamanaParams::default()
+        };
+        let (mut kept, mut kept_fresh) = (Vec::new(), Vec::new());
+        robust_prune(
+            ds,
+            &mut pool,
+            &[],
+            alpha,
+            &params,
+            &mut kept,
+            &mut kept_fresh,
+        );
+        kept
+    }
+
     #[test]
     fn degrees_are_bounded_by_r() {
         let ds = DatasetSpec::sift_scaled(400, 1).build();
         let index = Vamana::build(&ds, VamanaParams::default());
-        assert!(index.base_graph().max_degree() <= index.params().r + 1);
+        assert!(index.base_graph().max_degree() <= index.params().r);
     }
 
     #[test]
@@ -417,7 +532,7 @@ mod tests {
         let pool: Vec<Neighbor> = (1..100u32)
             .map(|i| Neighbor::new(DistanceKind::L2.eval_ids(&ds, 0, i), i))
             .collect();
-        let kept = robust_prune(&ds, 0, pool, 1.2, 8, DistanceKind::L2);
+        let kept = prune_from_scratch(&ds, pool, 1.2, 8);
         assert!(kept.len() <= 8);
         assert!(!kept.contains(&0));
     }
@@ -442,7 +557,7 @@ mod tests {
         }
         live.sync_base_graph();
         assert_eq!(live.base_graph().num_vertices(), full.len());
-        assert!(live.base_graph().max_degree() <= live.params().r + 1);
+        assert!(live.base_graph().max_degree() <= live.params().r);
 
         let rebuilt = Vamana::build(&full, VamanaParams::default());
         let params = SearchParams::new(10, 80, DistanceKind::L2);
@@ -461,6 +576,45 @@ mod tests {
             r_live >= r_rebuilt - 0.02,
             "live overlay recall {r_live} trails rebuild {r_rebuilt} by more than 0.02"
         );
+    }
+
+    #[test]
+    fn clean_prefix_stays_a_sorted_prefix_of_the_row() {
+        // Small R so nearly every backlink overflows a row, and inserted
+        // vectors that duplicate base rows so distances tie.
+        let mut ds = DatasetSpec::sift_scaled(300, 1).build();
+        let params = VamanaParams {
+            r: 6,
+            ..VamanaParams::default()
+        };
+        let mut index = Vamana::build(&ds, params);
+        let mut rng = Pcg32::seed_from_u64(9);
+        for step in 0..=150 {
+            for u in 0..ds.len() as VectorId {
+                // Slicing panics if `clean` exceeds the degree.
+                let prefix: Vec<Neighbor> = index
+                    .rows
+                    .clean_prefix(u)
+                    .iter()
+                    .map(|&e| Neighbor::new(params.distance.eval_ids(&ds, u, e), e))
+                    .collect();
+                assert!(
+                    prefix.windows(2).all(|w| w[0] < w[1]),
+                    "row {u} after {step} operations: {prefix:?}"
+                );
+                assert!(index.rows.row(u).len() <= params.r);
+            }
+            if rng.chance(0.3) {
+                index.delete(rng.index(ds.len()) as VectorId);
+            } else {
+                let mut row = ds.vector(rng.index(ds.len()) as VectorId).to_vec();
+                if rng.chance(0.5) {
+                    row[0] += 1.0;
+                }
+                let id = ds.try_push(&row).unwrap();
+                index.insert(&ds, id);
+            }
+        }
     }
 
     #[test]
@@ -503,8 +657,8 @@ mod tests {
         let pool: Vec<Neighbor> = (1..200u32)
             .map(|i| Neighbor::new(DistanceKind::L2.eval_ids(&ds, 0, i), i))
             .collect();
-        let tight = robust_prune(&ds, 0, pool.clone(), 1.0, 32, DistanceKind::L2);
-        let slack = robust_prune(&ds, 0, pool, 1.5, 32, DistanceKind::L2);
+        let tight = prune_from_scratch(&ds, pool.clone(), 1.0, 32);
+        let slack = prune_from_scratch(&ds, pool, 1.5, 32);
         assert!(
             slack.len() >= tight.len(),
             "α>1 keeps at least as many edges ({} vs {})",

@@ -55,24 +55,35 @@ impl Csr {
     /// Returns [`CsrError::NeighborOutOfRange`] if a list references a
     /// vertex ≥ `lists.len()`.
     pub fn from_adjacency(lists: &[Vec<VectorId>]) -> Result<Self, CsrError> {
-        let n = lists.len();
-        let total: usize = lists.iter().map(Vec::len).sum();
+        Self::from_rows(lists.iter().map(Vec::as_slice))
+    }
+
+    /// Builds a CSR from one neighbor slice per vertex, in vertex order —
+    /// [`Csr::from_adjacency`] for adjacency that is not stored as a
+    /// `Vec` per vertex.
+    ///
+    /// # Errors
+    /// Returns [`CsrError::NeighborOutOfRange`] if a row references a
+    /// vertex ≥ the number of rows.
+    pub fn from_rows<'a>(
+        rows: impl ExactSizeIterator<Item = &'a [VectorId]> + Clone,
+    ) -> Result<Self, CsrError> {
+        let n = rows.len();
+        let total: usize = rows.clone().map(<[VectorId]>::len).sum();
         if total > u32::MAX as usize {
             return Err(CsrError::TooManyEdges);
         }
         let mut offsets = Vec::with_capacity(n + 1);
         let mut neighbors = Vec::with_capacity(total);
         offsets.push(0u32);
-        for (v, list) in lists.iter().enumerate() {
-            for &nb in list {
-                if (nb as usize) >= n {
-                    return Err(CsrError::NeighborOutOfRange {
-                        vertex: v as VectorId,
-                        neighbor: nb,
-                    });
-                }
-                neighbors.push(nb);
+        for (v, row) in rows.enumerate() {
+            if let Some(&neighbor) = row.iter().find(|&&nb| nb as usize >= n) {
+                return Err(CsrError::NeighborOutOfRange {
+                    vertex: v as VectorId,
+                    neighbor,
+                });
             }
+            neighbors.extend_from_slice(row);
             offsets.push(neighbors.len() as u32);
         }
         Ok(Self { offsets, neighbors })

@@ -804,3 +804,154 @@ proptest! {
         }
     }
 }
+
+// ---- Construction fast paths against the pre-fast-path bodies --------
+//
+// `Vamana::{build, insert}` and `Hnsw::{build, insert}` must produce the
+// graphs, medoid/entry point and `repaired` lists of the bodies kept in
+// `tests/oracle`, edge for edge. The datasets are built to tie: a quarter
+// of the rows duplicate an earlier row and half the cases draw coordinates
+// from a five-value grid, so equal distances with different ids — where a
+// queue or a prune that orders or tests slightly differently shows — are
+// everywhere. Running here puts both kernel tiers under the check (the
+// `NDSEARCH_NO_SIMD` CI steps run this file).
+
+mod oracle;
+
+use oracle::{Oracle, OracleHnsw, OracleVamana};
+
+use ndsearch::anns::hnsw::{Hnsw, HnswParams};
+use ndsearch::anns::index::MutableIndex;
+use ndsearch::anns::vamana::{Vamana, VamanaParams};
+use ndsearch::vector::rng::Pcg32;
+
+fn tie_heavy_row(rng: &mut Pcg32, earlier: &Dataset, grid: bool) -> Vec<f32> {
+    if !earlier.is_empty() && rng.chance(0.25) {
+        return earlier.vector(rng.index(earlier.len()) as u32).to_vec();
+    }
+    (0..earlier.dim())
+        .map(|_| {
+            if grid {
+                rng.index(5) as f32 - 2.0
+            } else {
+                rng.next_gaussian() as f32
+            }
+        })
+        .collect()
+}
+
+fn tie_heavy_dataset(rng: &mut Pcg32, n: usize, dim: usize, grid: bool) -> Dataset {
+    let mut ds = Dataset::new(dim);
+    for _ in 0..n {
+        let row = tie_heavy_row(rng, &ds, grid);
+        ds.try_push(&row).unwrap();
+    }
+    ds
+}
+
+/// One (R-or-M, n, distance) cell of the oracle grids; `salt` rotates the
+/// remaining knobs so every (distance, α) pair and both coordinate styles
+/// occur.
+fn oracle_grid(sizes: [usize; 2]) -> Vec<(usize, usize, DistanceKind, usize)> {
+    let mut cells = Vec::new();
+    for r in sizes {
+        for n in [1, 2, r, r + 1, 300, 1000] {
+            for (k, kind) in DistanceKind::ALL.into_iter().enumerate() {
+                cells.push((r, n, kind, cells.len() / 3 + k));
+            }
+        }
+    }
+    cells
+}
+
+/// ≥ 200 interleaved inserts (70 %) and deletes on `fast` and `oracle`,
+/// comparing every live row, the `repaired` list and the synced CSR after
+/// every step (the first comparison checks the build).
+fn churn_both(
+    rng: &mut Pcg32,
+    base: &mut Dataset,
+    grid: bool,
+    fast: &mut impl MutableIndex,
+    oracle: &mut impl Oracle,
+    label: &str,
+) {
+    for step in 0..=200 {
+        for (v, row) in oracle.rows().iter().enumerate() {
+            assert_eq!(
+                fast.live_neighbors(v as u32),
+                row.as_slice(),
+                "{label}: live row {v} after {step} updates"
+            );
+        }
+        fast.sync_base_graph();
+        assert_eq!(
+            fast.base_graph(),
+            &Csr::from_adjacency(oracle.rows()).unwrap(),
+            "{label}: synced CSR after {step} updates"
+        );
+        if rng.chance(0.7) {
+            let row = tie_heavy_row(rng, base, grid);
+            let id = base.try_push(&row).unwrap();
+            let report = fast.insert(base, id);
+            assert_eq!(report.id, id);
+            assert_eq!(
+                report.repaired,
+                oracle.insert(base, id),
+                "{label}: repaired list of insert {id} (update {step})"
+            );
+        } else {
+            let id = rng.index(base.len()) as u32;
+            assert_eq!(fast.delete(id), oracle.delete(id), "{label}: delete {id}");
+        }
+    }
+}
+
+#[test]
+fn vamana_build_and_updates_equal_the_oracle() {
+    let mut rng = Pcg32::seed_from_u64(0x5EED_0014);
+    for (r, n, distance, salt) in oracle_grid([4, 32]) {
+        let alpha = [1.0f32, 1.2, 2.0][salt % 3];
+        let grid = salt % 2 == 0;
+        let label = format!("R {r}, n {n}, {distance}, alpha {alpha}, grid {grid}");
+        let mut base = tie_heavy_dataset(&mut rng, n, 6, grid);
+        let params = VamanaParams {
+            r,
+            l_build: if n > 300 { 40 } else { 75 },
+            alpha,
+            distance,
+            seed: rng.next_u64(),
+        };
+        let mut fast = Vamana::build(&base, params);
+        let mut oracle = OracleVamana::build(&base, params);
+        assert_eq!(fast.medoid(), oracle.medoid, "{label}: medoid");
+        churn_both(&mut rng, &mut base, grid, &mut fast, &mut oracle, &label);
+    }
+}
+
+#[test]
+fn hnsw_build_and_updates_equal_the_oracle() {
+    let mut rng = Pcg32::seed_from_u64(0x5EED_0015);
+    for (m, n, distance, salt) in oracle_grid([2, 16]) {
+        let grid = salt % 2 == 0;
+        let label = format!("M {m}, n {n}, {distance}, grid {grid}");
+        let mut base = tie_heavy_dataset(&mut rng, n, 6, grid);
+        let params = HnswParams {
+            m,
+            ef_construction: if n > 300 { 40 } else { 100 },
+            distance,
+            seed: rng.next_u64(),
+        };
+        let mut fast = Hnsw::build(&base, params);
+        let mut oracle = OracleHnsw::build(&base, params);
+        let same_hierarchy = |fast: &Hnsw, oracle: &OracleHnsw| {
+            (fast.entry_point(), fast.num_upper_layers())
+                == (oracle.entry, oracle.num_upper_layers())
+        };
+        assert!(same_hierarchy(&fast, &oracle), "{label}: built hierarchy");
+        churn_both(&mut rng, &mut base, grid, &mut fast, &mut oracle, &label);
+        assert!(
+            same_hierarchy(&fast, &oracle),
+            "{label}: hierarchy after churn"
+        );
+    }
+}

@@ -1,4 +1,6 @@
-//! The LUN unit of the round data path allocates nothing in steady state.
+//! The hot loops that promise not to allocate, held to it: the LUN unit of
+//! the round data path (nothing in steady state) and Vamana construction
+//! (a count that does not grow with the dataset; O(1) per online insert).
 //!
 //! A counting global allocator (per-thread counter, so the harness's other
 //! threads do not interfere) wraps the system one for this test binary
@@ -11,6 +13,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use ndsearch::anns::index::MutableIndex;
+use ndsearch::anns::vamana::{Vamana, VamanaParams};
 use ndsearch::core::alloc::Allocator;
 use ndsearch::core::config::NdsConfig;
 use ndsearch::core::sin::process_lun_work;
@@ -19,6 +23,8 @@ use ndsearch::flash::geometry::FlashGeometry;
 use ndsearch::graph::csr::Csr;
 use ndsearch::graph::luncsr::LunCsr;
 use ndsearch::graph::mapping::{PlacementPolicy, VertexMapping};
+use ndsearch::vector::synthetic::DatasetSpec;
+use ndsearch::vector::Dataset;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -51,6 +57,13 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
+
+/// Heap allocations made by `f` on this thread.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
 
 #[test]
 fn lun_units_allocate_nothing_once_the_scratch_is_warm() {
@@ -87,9 +100,7 @@ fn lun_units_allocate_nothing_once_the_scratch_is_warm() {
                     .sum()
             };
             let warm = pass();
-            let before = ALLOCATIONS.with(Cell::get);
-            let again = pass();
-            let allocations = ALLOCATIONS.with(Cell::get) - before;
+            let (again, allocations) = allocations_in(pass);
             assert_eq!(warm, again);
             assert_eq!(
                 allocations,
@@ -99,4 +110,48 @@ fn lun_units_allocate_nothing_once_the_scratch_is_warm() {
             );
         }
     }
+}
+
+#[test]
+fn vamana_build_allocations_do_not_grow_with_the_dataset() {
+    // The build owns one scratch (visited set, queues, pool, prune lists)
+    // and one flat adjacency, so what it allocates is a handful of arrays
+    // plus the doublings of the scratch — not several vectors per
+    // vertex-pass, which at n = 2 000 was more than ten thousand.
+    let count = |n: usize| {
+        let ds = DatasetSpec::sift_scaled(n, 1).build();
+        allocations_in(|| Vamana::build(&ds, VamanaParams::default())).1
+    };
+    let (small, large) = (count(500), count(2_000));
+    assert!(small <= 64, "build at n = 500 allocated {small} times");
+    assert!(
+        large <= small + 8,
+        "build allocations grew with n: {small} at 500, {large} at 2 000"
+    );
+}
+
+#[test]
+fn vamana_insert_allocates_o1_once_warm() {
+    let all = DatasetSpec::sift_scaled(900, 1).build();
+    let mut base = Dataset::new(all.dim());
+    for (_, v) in all.iter().take(600) {
+        base.try_push(v).unwrap();
+    }
+    let mut index = Vamana::build(&base, VamanaParams::default());
+    let mut insert_next = |base: &mut Dataset| {
+        let id = base.try_push(all.vector(base.len() as u32)).unwrap();
+        allocations_in(|| index.insert(base, id)).1
+    };
+    // Warm-up: the scratch grows to the largest pool it will see.
+    for _ in 0..100 {
+        insert_next(&mut base);
+    }
+    // Then each insert allocates its `repaired` list, and now and then a
+    // per-vertex array doubles.
+    let counted = 200;
+    let allocations: u64 = (0..counted).map(|_| insert_next(&mut base)).sum();
+    assert!(
+        allocations <= counted + 8,
+        "{counted} warm inserts allocated {allocations} times"
+    );
 }
