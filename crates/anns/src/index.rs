@@ -135,7 +135,10 @@ pub struct InsertReport {
 /// Deletes only tombstone: the vertex stays routable (searches may pass
 /// through it) until a compaction drops it, so recall on the live set
 /// degrades gracefully under churn.
-pub trait MutableIndex: GraphAnnsIndex {
+///
+/// `Send`: a deployment owns its index, and a cluster run steps whole
+/// replica deployments on several host threads.
+pub trait MutableIndex: GraphAnnsIndex + Send {
     /// Links vertex `id` — which must already be the last vector of
     /// `base` — into the live graph and returns which existing vertices'
     /// adjacency was repaired.

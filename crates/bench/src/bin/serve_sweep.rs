@@ -5,15 +5,13 @@
 //! reports QPS plus p50/p99 latency. Part 2 sweeps offered load (Poisson
 //! arrivals at fractions/multiples of the saturated throughput) against a
 //! bounded admission queue, showing queueing delay and backpressure.
-//! Part 3 sweeps the host-side round executor (`NdsConfig::exec_threads`)
-//! on the N = 64 closed-load workload: wall-clock simulation time per
-//! thread count, speedup vs the sequential path, and a bit-identity check
-//! of the reports. Part 4 serves mixed query+update traffic over a
-//! *mutable* deployment (online inserts and tombstone deletes as update
-//! sessions), reporting update throughput, flash pages programmed and
-//! write amplification. A machine-readable `BENCH_serving.json` snapshot
-//! (QPS, p50/p99, wall-clock sim throughput, update-throughput fields)
-//! seeds the perf trajectory across PRs.
+//! Part 3 serves mixed query+update traffic over a *mutable* deployment
+//! (online inserts and tombstone deletes as update sessions), reporting
+//! update throughput, flash pages programmed and write amplification. A
+//! machine-readable `BENCH_serving.json` snapshot (QPS, p50/p99,
+//! update-throughput fields) seeds the perf trajectory across PRs. (A
+//! single engine runs on the calling thread; host threads are measured on
+//! the cluster tier, by `perf_ledger`'s `core.exec.*` rows.)
 //!
 //! Scale knobs: `NDS_N` (base vectors), `NDS_K` (top-k), `NDS_BENCH_JSON`
 //! (snapshot path, default `BENCH_serving.json`).
@@ -178,70 +176,7 @@ fn main() {
     println!("\nBelow saturation the tail tracks the service time; past it,");
     println!("queueing dominates p99 and the bounded queue sheds load.");
 
-    // ---- Part 3: host-parallel executor sweep (wall clock, N = 64). ----
-    // Per-LUN work units are pure and merge in stable LUN order, so the
-    // reports must be bit-identical at every thread count while the wall
-    // clock drops. Best-of-3 runs smooth scheduler noise.
-    let mut rows = Vec::new();
-    let mut snapshot_threads: Vec<String> = Vec::new();
-    let mut reference: Option<ServeReport> = None;
-    let mut wall_1t = 0.0f64;
-    let mut speedup_4t = 0.0f64;
-    for threads in [1usize, 2, 4, 8] {
-        let mut cfg = config.clone();
-        cfg.exec_threads = threads;
-        let mut best: Option<ServeReport> = None;
-        for _ in 0..3 {
-            let serve = ServeConfig {
-                max_inflight: MAX_CONCURRENT,
-                ..serve_base.clone()
-            };
-            let mut engine = ServeEngine::new(&cfg, serve, &prepared, &base, index.base_graph());
-            for (_, q) in queries.iter() {
-                engine.submit(QueryRequest::at(0, q.to_vec(), vec![index.medoid()]));
-            }
-            let report = engine.run_to_completion();
-            if best.as_ref().is_none_or(|b| report.wall_s < b.wall_s) {
-                best = Some(report);
-            }
-        }
-        let report = best.expect("three runs happened");
-        match &reference {
-            None => {
-                wall_1t = report.wall_s;
-                reference = Some(report.clone());
-            }
-            Some(r) => assert_eq!(
-                r, &report,
-                "report diverged at exec_threads={threads} (PartialEq ignores wall_s)"
-            ),
-        }
-        let speedup = wall_1t / report.wall_s.max(1e-12);
-        if threads == 4 {
-            speedup_4t = speedup;
-        }
-        snapshot_threads.push(format!(
-            "{{\"threads\": {}, \"wall_ms\": {:.3}, \"speedup_vs_1t\": {:.2}, \"sim_ns_per_wall_s\": {:.0}}}",
-            threads,
-            report.wall_s * 1e3,
-            speedup,
-            report.sim_ns_per_wall_s()
-        ));
-        rows.push(vec![
-            threads.to_string(),
-            f(report.wall_s * 1e3, 2),
-            f(speedup, 2),
-            f(report.sim_ns_per_wall_s() / 1e6, 1),
-            "== 1 thread".to_string(),
-        ]);
-    }
-    print_table(
-        "Executor sweep (N=64 closed load, best of 3, bit-identical reports)",
-        &["threads", "wall ms", "speedup", "sim ms/s", "parity"],
-        &rows,
-    );
-
-    // ---- Part 4: mixed query+update serving (mutable deployment). ----
+    // ---- Part 3: mixed query+update serving (mutable deployment). ----
     // Inserts append through the FTL's page-program path and deletes
     // tombstone; update throughput and write amplification come out of
     // the same report as query QPS.
@@ -321,15 +256,11 @@ fn main() {
     let path = std::env::var("NDS_BENCH_JSON").unwrap_or_else(|_| "BENCH_serving.json".to_string());
     let json = format!(
         "{{\n  \"bench\": \"serving\",\n  \"n_base\": {n},\n  \"k\": {k},\n  \
-         \"host_threads_available\": {avail},\n  \"closed_load\": [\n    {closed}\n  ],\n  \
-         \"exec_threads_sweep\": [\n    {threads}\n  ],\n  \"speedup_4t_vs_1t\": {speedup:.2},\n  \
+         \"closed_load\": [\n    {closed}\n  ],\n  \
          \"mixed_serving\": [\n    {mixed}\n  ]\n}}\n",
         n = n,
         k = k,
-        avail = std::thread::available_parallelism().map_or(1, |p| p.get()),
         closed = snapshot_closed.join(",\n    "),
-        threads = snapshot_threads.join(",\n    "),
-        speedup = speedup_4t,
         mixed = snapshot_mixed.join(",\n    "),
     );
     match std::fs::write(&path, &json) {

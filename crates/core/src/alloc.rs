@@ -51,7 +51,7 @@ pub struct AllocOutput {
 /// a contiguous slice whose internal order is still dispatch order (which
 /// the page-buffer model without dynamic allocating depends on). An engine
 /// owns one arena and refills it every round.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct RoundArena {
     /// Sealed tasks, ordered by (LUN, dispatch order).
     tasks: Vec<VertexTask>,

@@ -15,7 +15,10 @@
 //! * [`ClusterEngine`] **scatters** every query session to all shards
 //!   (one [`ServeEngine`] session on one replica per shard, seeded at
 //!   that shard's entry vertex) and drives all replica engines
-//!   round-by-round on **one shared worker pool** ([`crate::exec`]);
+//!   round-by-round: each round, every alive replica device takes one
+//!   `step_round()`, the devices spread over
+//!   [`exec_threads`](crate::config::NdsConfig::exec_threads) host
+//!   threads ([`crate::exec`] — the repo's one host-side fan-out);
 //! * per-shard top-k lists come back in shard-local ids, are translated
 //!   to global ids through the plan, and are **gathered** by a
 //!   deterministic stable merge — ascending `(distance, global id)`,
@@ -40,7 +43,7 @@
 //!
 //! * `RoundRobin` — cycle through alive replicas per shard;
 //! * `LeastLoaded` — the alive replica with the fewest outstanding
-//!   routed sessions at submission time (ties → lowest index);
+//!   sessions at submission time (ties → lowest index);
 //! * `Hedged { delay_ns }` — round-robin primary, plus a backup copy of
 //!   the session fired on the *next* alive replica once the primary has
 //!   been outstanding for `delay_ns` without finishing; the first
@@ -61,15 +64,16 @@
 //! # Determinism and parity
 //!
 //! Replicas share **no** mutable state: each replica engine owns its
-//! deployment, device model and simulated clock, and every per-replica
-//! report is bit-identical at any
-//! [`exec_threads`](crate::config::NdsConfig::exec_threads) (see
-//! [`crate::serve`]). Failure events and hedges fire at round
-//! boundaries, in schedule/submission order, from simulated clocks only
-//! — never from host time. The gather step is a pure sort by
+//! deployment, device model and simulated clock, so a round's
+//! `step_round()` calls are independent — which thread takes which
+//! device, and in what order, cannot change what any device computes.
+//! Failure events and hedges fire at round boundaries on the calling
+//! thread, in schedule/submission order, from simulated clocks only —
+//! never from host time. The gather step is a pure sort by
 //! `(distance, global id)`. Hence the cluster report is bit-identical at
-//! any thread count *and* invariant under the order shards are stepped
-//! in ([`ClusterEngine::run_to_completion_ordered`]) — pinned by
+//! any [`exec_threads`](crate::config::NdsConfig::exec_threads) *and*
+//! invariant under the order shards are stepped in
+//! ([`ClusterEngine::run_to_completion_ordered`]) — pinned by
 //! `tests/exec_determinism.rs`, failure schedules included.
 //!
 //! Because replicas of a shard are identical deterministic devices, a
@@ -140,9 +144,8 @@ use crate::config::NdsConfig;
 use crate::deploy::{Deployment, UpdateTotals};
 use crate::report::LatencySummary;
 use crate::serve::{
-    run_serve_job, QueryId, QueryOutcome, QueryRequest, RoundPrep, ServeConfig, ServeEngine,
-    ServeJob, ServeReport, SessionState, UpdateId, UpdateOp, UpdateOutcome, UpdateRequest,
-    HOP_PARALLEL_MIN,
+    QueryId, QueryOutcome, QueryRequest, ServeConfig, ServeEngine, ServeReport, SessionState,
+    UpdateId, UpdateOp, UpdateOutcome, UpdateRequest,
 };
 
 /// Identifier of a cluster query session (dense, submission order).
@@ -159,10 +162,10 @@ pub enum ReplicaPolicy {
     /// session.
     RoundRobin,
     /// The alive replica with the fewest outstanding (non-terminal)
-    /// routed sessions at submission time; ties break to the lowest
-    /// index. With submit-then-run usage this balances outstanding
-    /// counts; it diverges from round-robin once failovers or
-    /// interleaved submission skew the queues.
+    /// sessions at submission time ([`ServeEngine::outstanding`]); ties
+    /// break to the lowest index. With submit-then-run usage this
+    /// balances outstanding counts; it diverges from round-robin once
+    /// failovers or interleaved submission skew the queues.
     LeastLoaded,
     /// Round-robin primary plus a *hedge*: if the primary session is
     /// still unfinished `delay_ns` after its arrival, an identical
@@ -436,9 +439,9 @@ pub struct ReplicaBreakdown {
     /// Beam-search hops this device executed.
     pub hops: usize,
     /// The replica engine's full device report. Its `wall_s` is zeroed:
-    /// all replicas share one worker pool, so per-device host wall-clock
-    /// is meaningless — the cluster-level measurement lives in
-    /// [`ClusterReport::wall_s`].
+    /// replicas step side by side on the run's threads, so per-device
+    /// host times do not add up to the run's — the cluster-level
+    /// measurement lives in [`ClusterReport::wall_s`].
     pub report: ServeReport,
 }
 
@@ -484,10 +487,10 @@ pub struct ClusterReport {
     /// Earliest arrival → latest completion across the whole cluster.
     pub makespan_ns: Nanos,
     /// Host wall-clock seconds spent inside scheduling rounds, measured
-    /// **once across the whole cluster**: every replica engine steps on
-    /// one shared worker pool, so per-shard wall-clock attribution would
-    /// be fiction (the per-replica `wall_s` fields are zeroed). Excluded
-    /// from equality.
+    /// **once across the whole cluster**: replica engines step side by
+    /// side on the run's threads, so per-shard wall-clock attribution
+    /// would be fiction (the per-replica `wall_s` fields are zeroed).
+    /// Excluded from equality.
     pub wall_s: f64,
 }
 
@@ -682,9 +685,6 @@ struct Replica<'a> {
     entry: VectorId,
     alive: bool,
     killed_ns: Option<Nanos>,
-    /// Every query session ever routed here (primaries, hedges and
-    /// failover re-seeds) — the load signal for `LeastLoaded`.
-    routed: Vec<QueryId>,
 }
 
 /// One staged shard: its replica set plus routing state.
@@ -724,15 +724,11 @@ impl Shard<'_> {
                 self.cursor += 1;
                 Some(pick)
             }
-            ReplicaPolicy::LeastLoaded => alive.into_iter().min_by_key(|&r| {
-                let rep = &self.replicas[r];
-                let outstanding = rep
-                    .routed
-                    .iter()
-                    .filter(|&&q| !is_terminal(rep.engine.poll(q)))
-                    .count();
-                (outstanding, r)
-            }),
+            // Every session on a replica engine was routed to it
+            // (primaries, hedges and failover re-seeds alike).
+            ReplicaPolicy::LeastLoaded => alive
+                .into_iter()
+                .min_by_key(|&r| (self.replicas[r].engine.outstanding(), r)),
         }
     }
 }
@@ -890,7 +886,6 @@ impl<'a> ClusterEngine<'a> {
                             entry,
                             alive: true,
                             killed_ns: None,
-                            routed: Vec::new(),
                         }
                     })
                     .collect();
@@ -976,7 +971,6 @@ impl<'a> ClusterEngine<'a> {
                     tenant: req.tenant,
                     k: req.k,
                 });
-                rep.routed.push(query);
                 Some(ScatterShard {
                     primary: ShardSession { replica, query },
                     hedge: None,
@@ -1114,7 +1108,7 @@ impl<'a> ClusterEngine<'a> {
                     let any = locals
                         .iter()
                         .map(|(ri, l)| shard.replicas[*ri].engine.poll_update(*l))
-                        .find(is_terminal_ref);
+                        .find(|state| state.is_terminal());
                     return any.unwrap_or(SessionState::Rejected);
                 }
                 merge_states(&alive)
@@ -1123,8 +1117,7 @@ impl<'a> ClusterEngine<'a> {
     }
 
     /// Drives every shard to completion, stepping shards in index order
-    /// each round on one shared worker pool, and returns the gathered
-    /// report.
+    /// each round, and returns the gathered report.
     pub fn run_to_completion(&mut self) -> ClusterReport {
         let order: Vec<usize> = (0..self.shards.len()).collect();
         self.run_to_completion_ordered(&order)
@@ -1137,6 +1130,13 @@ impl<'a> ClusterEngine<'a> {
     /// the order (pinned by `tests/exec_determinism.rs`); the knob
     /// exists to prove exactly that.
     ///
+    /// Each round, every alive replica engine takes one
+    /// [`step_round`](ServeEngine::step_round). This is the repo's one
+    /// host-side fan-out: the replica devices travel by value through a
+    /// [`crate::exec::Pool`] of
+    /// [`exec_threads`](NdsConfig::exec_threads) threads (the calling
+    /// thread included) and come back in step order.
+    ///
     /// # Panics
     /// Panics if `order` is not a permutation of `0..num_shards()`.
     pub fn run_to_completion_ordered(&mut self, order: &[usize]) -> ClusterReport {
@@ -1148,59 +1148,34 @@ impl<'a> ClusterEngine<'a> {
         assert!(seen.iter().all(|&s| s), "order must cover every shard");
 
         let wall_start = std::time::Instant::now();
-        let config = self.config;
         crate::exec::with_pool(
-            config.exec_threads,
-            move |job: ServeJob| run_serve_job(job, config),
+            self.config.exec_threads,
+            |mut rep: Replica<'a>| {
+                let more = rep.alive && rep.engine.step_round();
+                (rep, more)
+            },
             |pool| loop {
                 // Failure events fire at the round boundary, before the
                 // round they degrade (an event at t=0 hits a device that
                 // has served nothing).
                 let mut more = self.fire_due_failures();
 
-                // Phase 1: begin every alive replica's round in step
-                // order. On an inline pool each engine steps its hops in
-                // place right away; on a parallel one the per-engine hop
-                // batches are concatenated instead.
-                let parallel = pool.is_parallel();
-                // (shard, replica, round, hop jobs contributed)
-                let mut pending: Vec<(usize, usize, RoundPrep, usize)> = Vec::new();
-                let mut all_jobs: Vec<ServeJob> = Vec::new();
+                // Every shard lends the pool its replica devices, in step
+                // order, and takes them back in the same order.
+                let mut devices = Vec::new();
                 for &s in order {
                     if let Some(shard) = self.shards[s].as_mut() {
-                        for (ri, rep) in shard.replicas.iter_mut().enumerate() {
-                            if !rep.alive {
-                                continue;
-                            }
-                            if let Some(prep) = rep.engine.begin_round() {
-                                let before = all_jobs.len();
-                                if parallel {
-                                    all_jobs.extend(rep.engine.hop_jobs(&prep));
-                                } else {
-                                    rep.engine.step_hops_in_place(&prep);
-                                }
-                                pending.push((s, ri, prep, all_jobs.len() - before));
-                            }
-                        }
+                        devices.append(&mut shard.replicas);
                     }
                 }
-
-                // Phase 2: every replica's hop stage as ONE pool round.
-                // Hop jobs are pure functions of the round-boundary
-                // snapshots they carry and come back in job order, so
-                // merging batches across engines changes where the work
-                // runs, never what any engine observes.
-                let mut outs = pool.run_with_min(all_jobs, HOP_PARALLEL_MIN).into_iter();
-
-                // Phase 3: finish each round in the same order, handing
-                // every engine its slice of the merged outputs (LUN
-                // stages stay per-engine: their jobs derive from these
-                // hop outputs, so they cannot legally merge with them).
-                for (s, ri, prep, jobs) in pending {
-                    let shard = self.shards[s].as_mut().expect("round began on this shard");
-                    let engine = &mut shard.replicas[ri].engine;
-                    engine.take_hop_outs(outs.by_ref().take(jobs));
-                    more |= engine.finish_round(prep, Some(&mut *pool));
+                let mut stepped = pool.run(devices).into_iter();
+                for &s in order {
+                    if let Some(shard) = self.shards[s].as_mut() {
+                        for (rep, rep_more) in stepped.by_ref().take(self.replication.replicas) {
+                            shard.replicas.push(rep);
+                            more |= rep_more;
+                        }
+                    }
                 }
 
                 more |= self.fire_hedges();
@@ -1314,7 +1289,7 @@ impl<'a> ClusterEngine<'a> {
                 continue;
             };
             if let Some(h) = sc.hedge {
-                if h.replica == r && !is_terminal(shard.replicas[r].engine.poll(h.query)) {
+                if h.replica == r && !shard.replicas[r].engine.poll(h.query).is_terminal() {
                     // The backup died mid-race: drop it and re-arm so a
                     // fresh hedge may fire on a survivor later.
                     sc.abandoned.push(h);
@@ -1323,7 +1298,10 @@ impl<'a> ClusterEngine<'a> {
                 }
             }
             if sc.primary.replica == r
-                && !is_terminal(shard.replicas[r].engine.poll(sc.primary.query))
+                && !shard.replicas[r]
+                    .engine
+                    .poll(sc.primary.query)
+                    .is_terminal()
             {
                 let Some(surv) = survivor else { continue };
                 let rep = &mut shard.replicas[surv];
@@ -1337,7 +1315,6 @@ impl<'a> ClusterEngine<'a> {
                     tenant: scatter.tenant,
                     k: scatter.k,
                 });
-                rep.routed.push(query);
                 let old = std::mem::replace(
                     &mut sc.primary,
                     ShardSession {
@@ -1375,7 +1352,7 @@ impl<'a> ClusterEngine<'a> {
                 if !primary.alive || primary.engine.now_ns() < fire_at {
                     continue;
                 }
-                if is_terminal(primary.engine.poll(sc.primary.query)) {
+                if primary.engine.poll(sc.primary.query).is_terminal() {
                     // Finished inside the delay: no hedge ever needed.
                     sc.hedge_spent = true;
                     continue;
@@ -1393,7 +1370,6 @@ impl<'a> ClusterEngine<'a> {
                     tenant: scatter.tenant,
                     k: scatter.k,
                 });
-                rep.routed.push(query);
                 sc.hedge = Some(ShardSession {
                     replica: backup,
                     query,
@@ -1453,11 +1429,11 @@ impl<'a> ClusterEngine<'a> {
                         locals
                             .iter()
                             .copied()
-                            .find(|&(ri, l)| is_terminal(outcome_of(ri, l).state))
+                            .find(|&(ri, l)| outcome_of(ri, l).state.is_terminal())
                     } else {
                         if !alive
                             .iter()
-                            .all(|&(ri, l)| is_terminal(outcome_of(ri, l).state))
+                            .all(|&(ri, l)| outcome_of(ri, l).state.is_terminal())
                         {
                             break; // still pending on an alive replica
                         }
@@ -1676,18 +1652,6 @@ impl<'a> ClusterEngine<'a> {
             wall_s: self.wall.as_secs_f64(),
         }
     }
-}
-
-/// Whether a session state is final.
-fn is_terminal(state: SessionState) -> bool {
-    matches!(
-        state,
-        SessionState::Completed | SessionState::Rejected | SessionState::Expired
-    )
-}
-
-fn is_terminal_ref(state: &SessionState) -> bool {
-    is_terminal(*state)
 }
 
 /// Picks the copy of a shard session that answers for its shard: a
@@ -2115,13 +2079,13 @@ mod tests {
         let report = cluster.run_to_completion();
         assert_eq!(report.completed(), 0);
         for o in &report.outcomes {
-            assert!(!is_terminal(o.state), "outage must leave queries pending");
+            assert!(!o.state.is_terminal(), "outage must leave queries pending");
         }
         assert!(report.shards[0].availability < 1.0);
         // New submissions skip the dead shard entirely (and keep the
         // cluster outcome non-terminal rather than panicking).
         let id = cluster.submit(ClusterQueryRequest::at(0, queries.vector(0).to_vec()));
-        assert!(!is_terminal(cluster.poll(id)));
+        assert!(!cluster.poll(id).is_terminal());
     }
 
     #[test]

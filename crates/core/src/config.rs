@@ -135,11 +135,12 @@ pub struct NdsConfig {
     /// at deployment staging (same parsing rule as `NDSEARCH_NO_SIMD`;
     /// see `ndsearch_vector::env`).
     pub quantization: QuantSpec,
-    /// Host worker threads the round executor ([`crate::exec`]) fans
-    /// per-LUN work units over. Reports are bit-identical at any value;
-    /// `1` runs the exact legacy inline loop. Defaults to the host's
-    /// available parallelism (overridable via the `NDSEARCH_EXEC_THREADS`
-    /// environment variable).
+    /// Threads a [`ClusterEngine`](crate::cluster::ClusterEngine) run
+    /// steps its replica devices on, the calling thread included
+    /// ([`crate::exec`]); `ServeEngine` and `NdsEngine` do not read it.
+    /// Reports are bit-identical at any value; `1` spawns nothing.
+    /// Defaults to the host's available parallelism (overridable via the
+    /// `NDSEARCH_EXEC_THREADS` environment variable).
     pub exec_threads: usize,
     /// Seed for placement/refresh/ECC determinism.
     pub seed: u64,

@@ -21,11 +21,9 @@
 //!   blocks and rewrites a fresh base.
 //!
 //! The dataset/graph/prepared views are held in [`Arc`]s: each scheduling
-//! round of the serving engine snapshots them into its worker jobs, so
-//! updates applied between rounds never race a search — and because the
-//! snapshots are taken at deterministic round boundaries, mixed
-//! query+update serving stays bit-identical at any
-//! [`crate::config::NdsConfig::exec_threads`].
+//! round of the serving engine takes handles to them at the round
+//! boundary and applies updates only after the round's hops have run, so
+//! a search never reads a half-applied update.
 
 use std::sync::Arc;
 

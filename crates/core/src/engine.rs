@@ -22,8 +22,6 @@
 //!    the private PCIe ×4 link to the FPGA bitonic sorter and top-k goes
 //!    back to the host.
 
-use std::sync::Arc;
-
 use ndsearch_anns::beam::VisitedSet;
 use ndsearch_anns::bitonic::BitonicStats;
 use ndsearch_anns::trace::QueryTrace;
@@ -36,38 +34,12 @@ use ndsearch_vector::VectorId;
 
 use crate::alloc::{Allocator, RoundArena};
 use crate::config::NdsConfig;
-use crate::exec::Pool;
 use crate::pipeline::Prepared;
 use crate::qpt::QueryPropertyTable;
 use crate::report::{LatencyBreakdown, NdsReport};
-use crate::sin::{process_lun_tasks, LunOutcome, LunRangeJob, SinReport};
+use crate::sin::{process_lun_tasks, LunOutcome, SinReport};
 use crate::speculative::{select_prefetch, PrefetchScratch, SpeculationStats};
 use crate::vgen::Vgenerator;
-
-/// The batch engine's pool type: arena-range jobs in, outcome deltas out.
-pub(crate) type LunPool<'f> = Pool<'f, LunRangeJob, Vec<LunOutcome>>;
-
-/// Abstraction over a worker pool that can evaluate a round's LUN units.
-/// The batch engine's [`LunPool`] implements it directly; the serving
-/// engine's pool (whose job type also carries beam-search hops)
-/// implements it by wrapping the jobs.
-pub(crate) trait LunExecutor {
-    /// Worker threads behind the pool (0: everything runs inline).
-    fn workers(&self) -> usize;
-    /// Evaluates the jobs — at most one per worker — returning each job's
-    /// outcomes **in job order**.
-    fn run_ranges(&mut self, jobs: Vec<LunRangeJob>) -> Vec<Vec<LunOutcome>>;
-}
-
-impl LunExecutor for LunPool<'_> {
-    fn workers(&self) -> usize {
-        Pool::workers(self)
-    }
-
-    fn run_ranges(&mut self, jobs: Vec<LunRangeJob>) -> Vec<Vec<LunOutcome>> {
-        self.run_with_min(jobs, 2)
-    }
-}
 
 /// Distinct LUNs touched so far (LUN-coverage reporting): a flag per LUN
 /// and a running count.
@@ -110,71 +82,35 @@ pub(crate) struct RoundSinks<'a> {
 /// data-out accumulator.
 #[derive(Debug, Default)]
 pub(crate) struct RoundScratch {
-    /// Behind an `Arc` so pooled rounds hand workers a shared view; it is
-    /// unique again by the time the next round refills it.
-    arena: Arc<RoundArena>,
+    arena: RoundArena,
     channel_out: Vec<Nanos>,
 }
 
 impl RoundScratch {
     /// The arena, emptied for a new round over `luncsr`'s device.
     fn begin(&mut self, luncsr: &LunCsr) -> &mut RoundArena {
-        let arena = Arc::make_mut(&mut self.arena);
-        arena.begin(luncsr.mapping().geometry().total_luns());
-        arena
+        self.arena.begin(luncsr.mapping().geometry().total_luns());
+        &mut self.arena
     }
 }
 
-/// Evaluates every LUN unit of a sealed arena — one contiguous range of
-/// units per worker when a pool is attached and the round is large enough
-/// to amortize the hand-off, inline otherwise — committing each outcome's
+/// Evaluates every LUN unit of a sealed arena, committing each outcome's
 /// ECC delta and handing it to `merge`, in stable (ascending) LUN order.
 ///
-/// A LUN owns its planes and appears once per arena, so committing one
-/// unit's delta before evaluating the next (the inline path) reads the
-/// same per-plane cursors as evaluating all of them against a round-start
-/// snapshot (the pooled path).
-///
-/// Invariant: a parallel pool's job function must close over the *same*
-/// `luncsr`/`config` passed here (both engines build their pool over
-/// `Prepared::luncsr`; the refresh path, which mutates a private LUNCSR
-/// copy, always runs with an inline pool).
+/// A LUN owns its planes and appears once per arena, so no unit reads a
+/// per-plane cursor an earlier unit of the round advanced.
 fn run_lun_units(
     config: &NdsConfig,
     luncsr: &LunCsr,
     ecc: &mut EccEngine,
-    arena: &Arc<RoundArena>,
-    pool: Option<&mut dyn LunExecutor>,
+    arena: &RoundArena,
     mut merge: impl FnMut(&LunOutcome),
 ) {
-    let units = arena.units();
-    match pool {
-        Some(pool) if pool.workers() > 1 && units >= crate::exec::PARALLEL_THRESHOLD => {
-            let snapshot = Arc::new(ecc.clone());
-            // Balanced contiguous ranges: the first `units % k` get one
-            // extra unit.
-            let k = pool.workers().min(units);
-            let cut = |i: usize| i * (units / k) + i.min(units % k);
-            let jobs = (0..k)
-                .map(|i| LunRangeJob {
-                    arena: Arc::clone(arena),
-                    units: cut(i)..cut(i + 1),
-                    ecc: Arc::clone(&snapshot),
-                })
-                .collect();
-            for out in pool.run_ranges(jobs).iter().flatten() {
-                ecc.apply(&out.ecc);
-                merge(out);
-            }
-        }
-        _ => {
-            for unit in 0..units {
-                let (lun, tasks) = arena.unit(unit);
-                let out = process_lun_tasks(lun, tasks, luncsr, config, ecc);
-                ecc.apply(&out.ecc);
-                merge(&out);
-            }
-        }
+    for unit in 0..arena.units() {
+        let (lun, tasks) = arena.unit(unit);
+        let out = process_lun_tasks(lun, tasks, luncsr, config, ecc);
+        ecc.apply(&out.ecc);
+        merge(&out);
     }
 }
 
@@ -248,11 +184,8 @@ impl RoundOutcome {
 /// ([`NdsEngine`]) and the interleaved multi-query scheduler
 /// ([`crate::serve::ServeEngine`]). The Vgenerator and Allocator passes
 /// fuse into one fill of the engine-owned task arena; the Searching stage
-/// evaluates its per-LUN slices — fanned over the persistent worker pool
-/// ([`crate::exec`]) when one is attached, each unit being a pure function
-/// of the round's snapshots — and folds the outcomes in stable LUN order,
-/// so the round is bit-identical at any [`NdsConfig::exec_threads`]
-/// (`pool = None` is the inline path).
+/// evaluates its per-LUN slices in place and folds the outcomes in stable
+/// LUN order.
 pub(crate) fn execute_round<'e>(
     config: &NdsConfig,
     luncsr: &LunCsr,
@@ -260,7 +193,6 @@ pub(crate) fn execute_round<'e>(
     entries: impl Iterator<Item = (u32, &'e [VectorId])>,
     sinks: RoundSinks<'_>,
     scratch: &mut RoundScratch,
-    pool: Option<&mut dyn LunExecutor>,
 ) -> RoundOutcome {
     let timing = &config.timing;
 
@@ -280,10 +212,9 @@ pub(crate) fn execute_round<'e>(
     let allocating_ns = Vgenerator::latency_ns(timing, active, new_distances)
         + Allocator::latency_ns(timing, arena.len());
 
-    // ---- Searching stage: all LUN accelerators in parallel — on worker
-    // threads too, since each work unit only reads this round's immutable
-    // snapshots — merged in stable LUN order (determinism: every reduction
-    // sees the same operand sequence at any thread count). ----
+    // ---- Searching stage: all LUN accelerators in parallel on the
+    // simulated clock (the round charges the slowest), merged in stable
+    // LUN order. ----
     let RoundSinks {
         ecc,
         stats,
@@ -294,7 +225,7 @@ pub(crate) fn execute_round<'e>(
     channel_out.resize(config.geometry.channels as usize, 0);
     let mut max_busy_rep = SinReport::default();
     let mut touched_planes = Vec::new();
-    run_lun_units(config, luncsr, ecc, &scratch.arena, pool, |out| {
+    run_lun_units(config, luncsr, ecc, &scratch.arena, |out| {
         luns_touched.touch(out.lun);
         stats.merge(&out.stats);
         touched_planes.extend_from_slice(&out.touched_planes);
@@ -385,24 +316,7 @@ impl<'a> NdsEngine<'a> {
     /// Simulates a full batch (splitting into sub-batches when it exceeds
     /// the resource cap, §VII-B "Batch size") and returns the merged
     /// report.
-    ///
-    /// The run spawns the round executor's worker pool once
-    /// ([`crate::exec::with_pool`], [`NdsConfig::exec_threads`] threads)
-    /// and drives every round through it; online refresh mutates a
-    /// private LUNCSR copy mid-run, so refresh-enabled runs use the
-    /// inline executor (results are identical either way).
     pub fn run(&self, prepared: &Prepared) -> NdsReport {
-        let config = self.config;
-        let refresh_on = config.refresh_read_threshold > 0;
-        let threads = if refresh_on { 1 } else { config.exec_threads };
-        crate::exec::with_pool(
-            threads,
-            |job: LunRangeJob| job.run(&prepared.luncsr, config),
-            |pool| self.run_with_pool(prepared, pool),
-        )
-    }
-
-    fn run_with_pool(&self, prepared: &Prepared, pool: &mut LunPool<'_>) -> NdsReport {
         // A zero cap means "no batching resources": clamp once, here, to
         // the smallest legal sub-batch.
         let cap = self.config.max_batch_inflight.max(1);
@@ -415,7 +329,7 @@ impl<'a> NdsEngine<'a> {
         let mut sub_batches = 0;
         for chunk in queries.chunks(cap) {
             sub_batches += 1;
-            let sub = self.run_sub(prepared, chunk, &mut luns_touched, pool);
+            let sub = self.run_sub(prepared, chunk, &mut luns_touched);
             merged.total_ns += sub.total_ns;
             merged.trace_len += sub.trace_len;
             merged.breakdown.merge(&sub.breakdown);
@@ -438,7 +352,6 @@ impl<'a> NdsEngine<'a> {
         prepared: &Prepared,
         traces: &[QueryTrace],
         luns_touched: &mut LunCoverage,
-        pool: &mut LunPool<'_>,
     ) -> NdsReport {
         let config = self.config;
         // Online block-level refresh needs a mutable LUNCSR (the FTL
@@ -480,11 +393,6 @@ impl<'a> NdsEngine<'a> {
         let mut refreshes = 0u64;
         for r in 0..max_iters {
             let luncsr = luncsr_owned.as_ref().unwrap_or(&prepared.luncsr);
-            // The pool's job closure is bound to `prepared.luncsr`; when
-            // refresh runs against the privately mutated copy the rounds
-            // must stay inline (enforced structurally here, not just by
-            // `run` clamping the thread count).
-            let inline_only = luncsr_owned.is_some();
             // ---- Collect this round's work from the traces. ----
             let mut filtered: Vec<(u32, Vec<VectorId>)> = Vec::new();
             for (qi, t) in traces.iter().enumerate() {
@@ -530,7 +438,6 @@ impl<'a> NdsEngine<'a> {
                     luns_touched,
                 },
                 &mut scratch,
-                (!inline_only).then_some(&mut *pool as &mut dyn LunExecutor),
             );
 
             // ---- Speculative prefetch for the next round. The picks go
@@ -560,20 +467,13 @@ impl<'a> NdsEngine<'a> {
             spec_arena.seal();
 
             // Speculative work executes off the critical path but consumes
-            // pages and MACs (visible in the statistics). It fans over the
-            // same pool; its deltas commit after the main round's, so the
-            // per-plane ECC streams stay in program order.
-            run_lun_units(
-                config,
-                luncsr,
-                &mut ecc,
-                &scratch.arena,
-                (!inline_only).then_some(&mut *pool as &mut dyn LunExecutor),
-                |out| {
-                    luns_touched.touch(out.lun);
-                    stats.merge(&out.stats);
-                },
-            );
+            // pages and MACs (visible in the statistics). Its deltas
+            // commit after the main round's, so the per-plane ECC streams
+            // stay in program order.
+            run_lun_units(config, luncsr, &mut ecc, &scratch.arena, |out| {
+                luns_touched.touch(out.lun);
+                stats.merge(&out.stats);
+            });
 
             // ---- Compose the round's critical path and attribute it to
             // the breakdown buckets. ----
@@ -737,6 +637,18 @@ mod tests {
         let a = run_with(SchedulingConfig::full(), &base, &graph, &trace);
         let b = run_with(SchedulingConfig::full(), &base, &graph, &trace);
         assert_eq!(a, b);
+        // With fault injection on too: the counter-indexed ECC streams
+        // draw the same decisions on every run.
+        let faulty = || {
+            let mut config = NdsConfig::scaled_for(base.len(), base.stored_vector_bytes());
+            config.scheduling = SchedulingConfig::full();
+            config.ecc.hard_decision_failure_prob = 0.05;
+            let prepared = Prepared::stage(&config, &graph, &base, &trace);
+            NdsEngine::new(&config).run(&prepared)
+        };
+        let a = faulty();
+        assert_eq!(a, faulty());
+        assert!(a.stats.ecc_soft_fallbacks > 0);
     }
 
     #[test]
@@ -755,30 +667,6 @@ mod tests {
         config.max_batch_inflight = 1;
         let one = NdsEngine::new(&config).run(&prepared);
         assert_eq!(r, one);
-    }
-
-    #[test]
-    fn reports_bit_identical_across_thread_counts() {
-        let (base, graph, trace) = fixture();
-        let run_threads = |threads: usize| {
-            let mut config = NdsConfig::scaled_for(base.len(), base.stored_vector_bytes());
-            config.scheduling = SchedulingConfig::full();
-            config.exec_threads = threads;
-            // Keep fault injection on: the counter-indexed ECC streams are
-            // exactly what must not depend on the schedule.
-            config.ecc.hard_decision_failure_prob = 0.05;
-            let prepared = Prepared::stage(&config, &graph, &base, &trace);
-            NdsEngine::new(&config).run(&prepared)
-        };
-        let sequential = run_threads(1);
-        for threads in [2usize, 8] {
-            assert_eq!(
-                sequential,
-                run_threads(threads),
-                "report diverged at exec_threads = {threads}"
-            );
-        }
-        assert!(sequential.stats.ecc_soft_fallbacks > 0);
     }
 
     #[test]

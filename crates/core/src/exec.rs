@@ -1,51 +1,48 @@
-//! Deterministic data-parallel executor for per-LUN work units.
+//! The one host-side fan-out: whole replica devices stepped on threads.
 //!
-//! The paper's premise is hardware concurrency — a SiN accelerator in
-//! every LUN working simultaneously (§V, Fig. 8) — and the simulator
-//! exploits the matching *host* concurrency: each round's per-LUN work
-//! units are pure functions ([`crate::sin::process_lun_work`] takes no
-//! `&mut` state and returns a [`crate::sin::LunOutcome`] delta), so they
-//! can be evaluated on a worker pool and merged afterwards.
+//! The paper's parallelism is LUN-level and lives on the *simulated*
+//! clock (§V, Fig. 8): a round charges the slowest LUN, whichever host
+//! thread evaluated it. On the host, a single device's round — one beam
+//! hop per in-flight session, then the per-LUN units of the merged work —
+//! is tens to hundreds of microseconds, and every attempt to cut it into
+//! per-hop or per-LUN jobs cost more in hand-off than it saved. So a
+//! single-device engine ([`crate::serve::ServeEngine`],
+//! [`crate::engine::NdsEngine`]) runs its rounds inline on the calling
+//! thread and never touches this module.
 //!
-//! An engine run executes thousands of rounds of ~10–500 µs each, so the
-//! pool is *persistent*: [`with_pool`] spawns the scoped workers once
-//! (`std::thread::scope` — no added dependencies), the engine loop runs
-//! inside the closure, and every round ships its work units to the
-//! already-running workers over channels ([`Pool::run`]). Spawning
-//! threads per round would cost more than the round itself.
+//! The one unit of host work coarse enough to ship to a thread is the one
+//! sharded deployments already treat as independent: a whole replica
+//! device. [`crate::cluster::ClusterEngine`] runs inside [`with_pool`] and
+//! hands every alive replica engine to [`Pool::run`] once per round; each
+//! engine takes one `step_round()` wherever it lands and comes back in
+//! job order.
+//!
+//! The pool is *persistent*: [`with_pool`] spawns the scoped workers once
+//! (`std::thread::scope` — no added dependencies) and every
+//! [`Pool::run`] ships chunks to the already-running workers over
+//! channels; spawning threads per round would cost more than the round.
+//! `threads = N` means N threads **including the caller**: N − 1 workers
+//! are spawned and the calling thread evaluates the first chunk itself
+//! instead of blocking on the others.
 //!
 //! Determinism argument:
 //!
-//! 1. every work unit reads only immutable snapshots (LUNCSR, config,
-//!    the ECC engine's counter cursors) — no unit observes another
-//!    unit's effects within a round;
-//! 2. ECC fault injection is counter-indexed per plane
-//!    ([`ndsearch_flash::ecc::EccEngine`]), and each plane belongs to
-//!    exactly one LUN, so the decisions a unit draws are independent of
-//!    which thread runs it and when;
-//! 3. [`Pool::run`] returns results **in job order** (workers tag their
-//!    contiguous chunk with its base index and the coordinator
-//!    reassembles) — and a round's LUN stage is cut into one job per
-//!    worker, each a contiguous range of the LUN-ordered task arena — so
-//!    every reduction — sums, maxima with first-wins tie-breaking, delta
-//!    application — sees the same operand sequence at any thread count.
+//! 1. a job owns everything it mutates (an engine travels into the job by
+//!    value and back out in the result) and replica engines share no
+//!    mutable state, so no job observes another job's effects;
+//! 2. [`Pool::run`] returns results **in job order** (contiguous chunks,
+//!    the caller's first, then each worker's in worker order), so whatever
+//!    the caller folds over the results sees the same operand sequence at
+//!    any thread count.
 //!
-//! Hence reports are bit-identical for
+//! Hence cluster reports are bit-identical for
 //! [`NdsConfig::exec_threads`](crate::config::NdsConfig::exec_threads)
-//! ∈ {1, 2, …}, and `exec_threads = 1` short-circuits to the exact
-//! legacy inline loop (no pool, no snapshots).
+//! ∈ {1, 2, …}; `exec_threads = 1` spawns nothing and evaluates every job
+//! on the caller.
 
-use std::panic::AssertUnwindSafe;
 use std::sync::mpsc::{channel, Receiver, Sender};
 
-/// Below this many jobs a round is executed inline even when workers are
-/// available: waking the pool costs a few microseconds per worker, which
-/// only pays off once a round fans out over enough units. (Callers that
-/// must build jobs before calling [`Pool::run`] check it first to skip
-/// the construction cost too.)
-pub(crate) const PARALLEL_THRESHOLD: usize = 16;
-
-/// Default worker-thread count for
+/// Default thread count for
 /// [`NdsConfig::exec_threads`](crate::config::NdsConfig::exec_threads):
 /// the `NDSEARCH_EXEC_THREADS` environment variable when set to a
 /// positive integer, otherwise the host's available parallelism.
@@ -66,121 +63,90 @@ pub fn default_threads() -> usize {
 /// a blocking receive. Rounds are tens-to-hundreds of microseconds apart,
 /// so a short spin catches the next dispatch without paying the futex
 /// wake-up (~5–20 µs) that would otherwise dominate small rounds.
-/// Spinning is only enabled when the host has a spare core for every
-/// worker *and* the coordinator ([`spin_allowed`]) — on an oversubscribed
-/// machine a spinning worker steals the exact cycles the coordinator
-/// needs to produce the next round.
+/// Spinning is only enabled when the host has a core for every worker
+/// *and* the caller ([`spin_allowed`]) — on an oversubscribed machine a
+/// spinning worker steals the exact cycles the caller needs to produce
+/// the next round.
 const SPIN_POLLS: u32 = 20_000;
 
-/// Whether `workers` spin-polling threads plus the coordinator fit the
-/// host without oversubscription.
+/// Whether `workers` spin-polling threads plus the caller fit the host
+/// without oversubscription.
 fn spin_allowed(workers: usize) -> bool {
     std::thread::available_parallelism().is_ok_and(|n| workers < n.get())
 }
 
-/// One worker's reply: the chunk's base index and its results, or `Err`
-/// if the job function panicked (the worker re-raises the payload, which
-/// `std::thread::scope` propagates at join).
-type Reply<R> = (usize, Result<Vec<R>, ()>);
+/// One worker's end of the pool, seen from the caller: chunks of jobs go
+/// in and, for each chunk, its results come back. The worker owns the
+/// other two ends, so if the job function panics on it they drop as it
+/// unwinds and the caller's `recv` fails instead of waiting forever.
+struct Worker<J, R> {
+    jobs: Sender<Vec<J>>,
+    results: Receiver<Vec<R>>,
+}
 
-/// A persistent pool of scoped worker threads evaluating `fn(J) -> R`
-/// jobs by value. Created by [`with_pool`]; one [`run`](Self::run) call
-/// per round. Jobs travel into workers and results travel back, so a job
-/// may carry owned state (e.g. a live beam searcher) that the caller
-/// reclaims from the result.
+/// A persistent pool of scoped threads evaluating `fn(J) -> R` jobs by
+/// value. Created by [`with_pool`]; one [`run`](Self::run) call per
+/// round. Jobs travel into threads and results travel back, so a job may
+/// carry owned state (a whole replica engine) that the caller reclaims
+/// from the result.
 ///
-/// With zero workers (`threads <= 1`) every `run` evaluates inline on
-/// the caller thread — the exact legacy sequential path.
+/// With no workers (`threads <= 1`) every `run` evaluates on the caller
+/// thread.
 pub struct Pool<'f, J: Send, R: Send> {
     f: &'f (dyn Fn(J) -> R + Sync),
-    /// Per-worker job channels; empty in inline mode.
-    workers: Vec<Sender<(usize, Vec<J>)>>,
-    /// Shared reply channel; `None` in inline mode.
-    back: Option<Receiver<Reply<R>>>,
-    /// Reused reply-reassembly buffer (one entry per worker chunk), so a
-    /// round's reassembly allocates only the output vector instead of an
-    /// `n`-slot `Option` table per run.
-    replies: Vec<(usize, Vec<R>)>,
+    /// The `threads − 1` spawned workers; empty for `threads <= 1`.
+    workers: Vec<Worker<J, R>>,
 }
 
 impl<J: Send, R: Send> Pool<'_, J, R> {
-    /// Whether `run` may actually fan out over worker threads.
-    pub fn is_parallel(&self) -> bool {
-        !self.workers.is_empty()
-    }
-
-    /// Worker threads behind the pool (0 for an inline pool). A caller
-    /// that cuts a round into one coarse job per worker sizes the cut
-    /// with this.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// [`run_with_min`](Self::run_with_min) with the default fan-out
-    /// threshold (16 jobs).
-    pub fn run(&mut self, jobs: Vec<J>) -> Vec<R> {
-        self.run_with_min(jobs, PARALLEL_THRESHOLD)
-    }
-
     /// Evaluates every job and returns the results **in job order**.
-    /// Batches smaller than `min_jobs` (and inline pools) are evaluated
-    /// on the caller thread; otherwise the jobs are split into balanced
-    /// contiguous chunks, one per worker, and reassembled by base index.
-    /// Pick `min_jobs` by job weight: heavier jobs amortize the hand-off
-    /// sooner.
+    /// With workers and at least two jobs, the jobs are split into
+    /// balanced contiguous chunks, one per thread: the caller evaluates
+    /// the first while the workers evaluate the rest.
     ///
     /// # Panics
-    /// Panics if a worker died or the job function panicked on a worker
-    /// (the original payload is re-raised when the pool's scope joins).
-    pub fn run_with_min(&mut self, jobs: Vec<J>, min_jobs: usize) -> Vec<R> {
+    /// Panics if the job function panicked, on this thread or on a
+    /// worker.
+    pub fn run(&mut self, mut jobs: Vec<J>) -> Vec<R> {
         let n = jobs.len();
-        if self.workers.is_empty() || n < min_jobs.max(2) {
+        let k = (self.workers.len() + 1).min(n);
+        if k < 2 {
             return jobs.into_iter().map(self.f).collect();
         }
-        let k = self.workers.len().min(n);
-        // Balanced contiguous chunks: the first `n % k` chunks get one
-        // extra job. Split from the tail so each split is O(chunk).
-        let mut jobs = jobs;
-        for i in (0..k).rev() {
+        // Balanced contiguous chunks: the first `n % k` get one extra
+        // job. Split from the tail so each split is O(chunk); chunk `i`
+        // (1-based) goes to worker `i − 1`, chunk 0 stays here.
+        for i in (1..k).rev() {
             let start = i * (n / k) + i.min(n % k);
-            let chunk = jobs.split_off(start);
-            self.workers[i]
-                .send((start, chunk))
+            self.workers[i - 1]
+                .jobs
+                .send(jobs.split_off(start))
                 .expect("exec pool worker died");
         }
-        let back = self
-            .back
-            .as_ref()
-            .expect("parallel pool has a reply channel");
-        // Inline reply aggregation: collect the k chunk replies into the
-        // reused buffer, restore job order by base index (chunks are
-        // contiguous and disjoint, so a k-entry sort suffices), and move
-        // the chunks into the output.
-        self.replies.clear();
-        for _ in 0..k {
-            let (base, reply) = back.recv().expect("exec pool worker died");
-            let results = reply.expect("exec pool job panicked on a worker");
-            self.replies.push((base, results));
-        }
-        self.replies.sort_unstable_by_key(|&(base, _)| base);
         let mut out: Vec<R> = Vec::with_capacity(n);
-        for (_, chunk) in self.replies.drain(..) {
-            out.extend(chunk);
+        out.extend(jobs.into_iter().map(self.f));
+        for worker in &self.workers[..k - 1] {
+            out.extend(
+                worker
+                    .results
+                    .recv()
+                    .expect("exec pool job panicked on a worker"),
+            );
         }
         debug_assert_eq!(out.len(), n, "every chunk was reassembled");
         out
     }
 }
 
-/// Receives the next job batch: optionally spin-poll first (the next
-/// round usually arrives within microseconds), then block. Returns
-/// `None` when the pool has been dropped.
-fn next_batch<J>(rx: &Receiver<(usize, Vec<J>)>, spin: bool) -> Option<(usize, Vec<J>)> {
+/// Receives the next chunk: optionally spin-poll first (the next round
+/// usually arrives within microseconds), then block. Returns `None` when
+/// the pool has been dropped.
+fn next_chunk<J>(rx: &Receiver<Vec<J>>, spin: bool) -> Option<Vec<J>> {
     use std::sync::mpsc::TryRecvError;
     if spin {
         for _ in 0..SPIN_POLLS {
             match rx.try_recv() {
-                Ok(batch) => return Some(batch),
+                Ok(chunk) => return Some(chunk),
                 Err(TryRecvError::Empty) => std::hint::spin_loop(),
                 Err(TryRecvError::Disconnected) => return None,
             }
@@ -189,14 +155,13 @@ fn next_batch<J>(rx: &Receiver<(usize, Vec<J>)>, spin: bool) -> Option<(usize, V
     rx.recv().ok()
 }
 
-/// Runs `body` with a [`Pool`] of up to `threads` scoped worker threads
-/// evaluating `f`. Workers are spawned once, serve every
-/// [`Pool::run`] call made inside `body`, and join when `body` returns
-/// (or unwinds). `threads <= 1` skips spawning entirely and yields an
-/// inline pool.
+/// Runs `body` with a [`Pool`] of `threads` threads evaluating `f` — the
+/// calling thread plus `threads − 1` scoped workers. Workers are spawned
+/// once, serve every [`Pool::run`] call made inside `body`, and join when
+/// `body` returns (or unwinds). `threads <= 1` spawns nothing.
 ///
 /// # Panics
-/// Propagates panics from `body` and from `f` on worker threads.
+/// Propagates panics from `body` and from `f` on any thread.
 pub fn with_pool<J, R, T>(
     threads: usize,
     f: impl Fn(J) -> R + Sync,
@@ -206,156 +171,163 @@ where
     J: Send,
     R: Send,
 {
-    if threads <= 1 {
-        return body(&mut Pool {
-            f: &f,
-            workers: Vec::new(),
-            back: None,
-            replies: Vec::new(),
-        });
-    }
+    let spawned = threads.saturating_sub(1);
     std::thread::scope(|scope| {
-        let (back_tx, back_rx) = channel::<Reply<R>>();
-        let spin = spin_allowed(threads);
-        let mut workers = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let (tx, rx) = channel::<(usize, Vec<J>)>();
-            workers.push(tx);
-            let back_tx = back_tx.clone();
-            let f = &f;
-            scope.spawn(move || {
-                while let Some((base, jobs)) = next_batch(&rx, spin) {
-                    // Catch panics so the coordinator never deadlocks
-                    // waiting for a chunk that will not arrive; the
-                    // payload is re-raised and propagated by the scope.
-                    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        jobs.into_iter().map(f).collect::<Vec<R>>()
-                    }));
-                    match result {
-                        Ok(results) => {
-                            if back_tx.send((base, Ok(results))).is_err() {
-                                break;
-                            }
-                        }
-                        Err(payload) => {
-                            let _ = back_tx.send((base, Err(())));
-                            std::panic::resume_unwind(payload);
+        let spin = spin_allowed(spawned);
+        let f = &f;
+        let workers = (0..spawned)
+            .map(|_| {
+                let (jobs_tx, jobs_rx) = channel::<Vec<J>>();
+                let (results_tx, results_rx) = channel();
+                scope.spawn(move || {
+                    while let Some(jobs) = next_chunk(&jobs_rx, spin) {
+                        let results: Vec<R> = jobs.into_iter().map(f).collect();
+                        if results_tx.send(results).is_err() {
+                            break;
                         }
                     }
+                });
+                Worker {
+                    jobs: jobs_tx,
+                    results: results_rx,
                 }
-            });
-        }
-        let mut pool = Pool {
-            f: &f,
-            workers,
-            back: Some(back_rx),
-            replies: Vec::with_capacity(threads),
-        };
-        let out = body(&mut pool);
-        // Dropping the pool closes the job channels; workers drain and
-        // exit, and the scope joins them.
-        drop(pool);
-        out
+            })
+            .collect();
+        // `body` owns the pool through this frame: when it returns — or
+        // unwinds, e.g. from a panic in the caller's own chunk — the pool
+        // drops, the job channels close, the workers drain and exit, and
+        // the scope joins them.
+        body(&mut Pool { f, workers })
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::thread::{current, ThreadId};
 
     #[test]
     fn preserves_job_order() {
-        let jobs: Vec<u64> = (0..257).collect();
-        let want: Vec<u64> = jobs.iter().map(|&u| u * 3 + 1).collect();
-        for threads in [1usize, 2, 3, 8, 64] {
-            let got = with_pool(threads, |u: u64| u * 3 + 1, |pool| pool.run(jobs.clone()));
-            assert_eq!(got, want, "threads = {threads}");
+        // n = 0, 1, fewer jobs than threads, an uneven cut, a large batch.
+        for n in [0u64, 1, 2, 5, 7, 257] {
+            let jobs: Vec<u64> = (0..n).collect();
+            let want: Vec<u64> = jobs.iter().map(|&u| u * 3 + 1).collect();
+            for threads in [1usize, 2, 3, 8, 64] {
+                let got = with_pool(threads, |u: u64| u * 3 + 1, |pool| pool.run(jobs.clone()));
+                assert_eq!(got, want, "n = {n}, threads = {threads}");
+            }
         }
     }
 
     #[test]
     fn pool_survives_many_rounds() {
-        // The whole point: one spawn, many `run` calls.
+        // The whole point: one spawn, many `run` calls — of varying size,
+        // so consecutive rounds cut differently and use different subsets
+        // of the workers.
         with_pool(
             4,
             |u: u32| u + 1,
             |pool| {
-                assert!(pool.is_parallel());
                 for round in 0..200u32 {
-                    let jobs: Vec<u32> = (0..64).map(|i| round * 64 + i).collect();
+                    let n = [64u32, 3, 257, 1, 5, 16, 0, 33][round as usize % 8];
+                    let jobs: Vec<u32> = (0..n).map(|i| round * 257 + i).collect();
                     let want: Vec<u32> = jobs.iter().map(|&u| u + 1).collect();
-                    assert_eq!(pool.run(jobs), want);
+                    assert_eq!(pool.run(jobs), want, "round {round}");
                 }
             },
         );
     }
 
+    /// Runs `n <= threads` jobs that all wait at one barrier, and returns
+    /// the thread each ran on, in job order. Returning at all proves every
+    /// job had a thread of its own.
+    fn one_job_per_thread(threads: usize, n: usize) -> Vec<ThreadId> {
+        let gate = std::sync::Barrier::new(n);
+        with_pool(
+            threads,
+            |()| {
+                gate.wait();
+                current().id()
+            },
+            |pool| pool.run(vec![(); n]),
+        )
+    }
+
+    #[test]
+    fn two_threads_are_the_caller_and_one_worker() {
+        let ids = one_job_per_thread(2, 2);
+        assert_eq!(ids[0], current().id(), "the caller takes the first chunk");
+        assert_ne!(ids[1], current().id());
+        // Also with three and eight threads, and with fewer jobs than
+        // threads.
+        for (threads, n) in [(3usize, 3usize), (8, 8), (8, 3)] {
+            let ids = one_job_per_thread(threads, n);
+            let distinct: HashSet<ThreadId> = ids.iter().copied().collect();
+            assert_eq!(distinct.len(), n, "{threads} threads, {n} jobs");
+            assert_eq!(ids[0], current().id());
+        }
+    }
+
     #[test]
     fn small_batches_run_inline() {
+        // A single job has nothing to run beside: nothing crosses a
+        // channel, whatever the thread count.
         with_pool(
             16,
-            |u: u32| u + 1,
+            |u: u32| (u + 1, current().id()),
             |pool| {
-                // Below the threshold nothing crosses a channel.
-                assert_eq!(pool.run(vec![10, 20]), vec![11, 21]);
-                assert!(pool.run(Vec::<u32>::new()).is_empty());
+                assert_eq!(pool.run(vec![10]), vec![(11, current().id())]);
+                assert!(pool.run(Vec::new()).is_empty());
             },
         );
     }
 
     #[test]
     fn inline_pool_has_no_workers() {
-        with_pool(
-            1,
-            |u: u32| u * 2,
-            |pool| {
-                assert!(!pool.is_parallel());
-                let jobs: Vec<u32> = (0..100).collect();
-                let want: Vec<u32> = jobs.iter().map(|&u| u * 2).collect();
-                assert_eq!(pool.run(jobs), want);
-            },
-        );
+        for threads in [0usize, 1] {
+            let ids = with_pool(
+                threads,
+                |_: u32| current().id(),
+                |pool| pool.run((0..100).collect()),
+            );
+            assert!(ids.iter().all(|&id| id == current().id()));
+        }
     }
 
     #[test]
     fn uneven_chunks_reassemble() {
-        // 257 jobs over 7 workers: chunk sizes differ by one.
+        // 257 jobs over 7 threads: chunk sizes differ by one.
         let jobs: Vec<usize> = (0..257).collect();
         let got = with_pool(7, |u: usize| u, |pool| pool.run(jobs.clone()));
         assert_eq!(got, jobs);
     }
 
-    #[test]
-    fn reply_buffer_reuse_keeps_job_order_across_rounds() {
-        // The reply buffer persists across `run` calls; rounds of varying
-        // size (different k, different chunkings, inline small rounds in
-        // between) must each reassemble in job order.
-        with_pool(
-            5,
-            |u: usize| u.wrapping_mul(7),
-            |pool| {
-                for n in [257usize, 16, 3, 100, 5, 64, 1, 33] {
-                    let jobs: Vec<usize> = (0..n).collect();
-                    let want: Vec<usize> = jobs.iter().map(|&u| u.wrapping_mul(7)).collect();
-                    assert_eq!(pool.run_with_min(jobs, 4), want, "n = {n}");
-                }
-            },
-        );
-    }
-
-    #[test]
-    fn worker_panic_propagates_without_deadlock() {
-        let res = std::panic::catch_unwind(|| {
+    /// Runs 256 jobs on 4 threads (chunks of 64) with job `bad` panicking.
+    fn run_with_a_panicking_job(bad: u32) -> std::thread::Result<Vec<u32>> {
+        std::panic::catch_unwind(|| {
             with_pool(
                 4,
                 |u: u32| {
-                    assert!(u != 170, "boom");
+                    assert!(u != bad, "boom");
                     u
                 },
                 |pool| pool.run((0..256).collect::<Vec<u32>>()),
             )
-        });
-        assert!(res.is_err());
+        })
+    }
+
+    #[test]
+    fn worker_panic_propagates_without_deadlock() {
+        assert!(run_with_a_panicking_job(170).is_err());
+    }
+
+    #[test]
+    fn caller_chunk_panic_propagates_without_deadlock() {
+        // Job 10 is in the first chunk — the caller's own. The unwind
+        // must drop the pool (closing the job channels) so the scope can
+        // join the workers, which are mid-chunk or about to reply.
+        assert!(run_with_a_panicking_job(10).is_err());
     }
 
     #[test]

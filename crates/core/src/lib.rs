@@ -19,10 +19,11 @@
 //! * [`engine::NdsEngine`] — the NDP processing model of Algorithm 1
 //!   (Allocating → Searching → Gathering → Sorting with stage overlap),
 //!   including the speculative searching of §VI-B2 ([`speculative`]);
-//! * [`exec`] — the deterministic data-parallel round executor: pure
-//!   per-LUN work units fanned over scoped worker threads
-//!   ([`config::NdsConfig::exec_threads`]) and merged in stable LUN
-//!   order, bit-identical at any thread count;
+//! * [`exec`] — the one host-side fan-out: a cluster run steps whole
+//!   replica devices on [`config::NdsConfig::exec_threads`] scoped
+//!   threads (the caller included) and takes them back in job order,
+//!   bit-identical at any thread count; single-device engines run
+//!   inline;
 //! * [`energy`] / [`area`] — the Table I power/area models and the
 //!   storage-density arithmetic of §VII-B;
 //! * [`pipeline`] — the end-to-end static-scheduling pipeline: reorder →

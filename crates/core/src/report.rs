@@ -29,9 +29,9 @@ pub struct LatencySummary {
     /// [`crate::cluster::ClusterReport::latency`]). Wall-clock time is a
     /// host measurement, not a simulation result: it varies run to run,
     /// so every report type excludes it from equality, and in a cluster
-    /// it is meaningful only at the *cluster* level — all replica
-    /// engines share one host worker pool, so per-replica wall time is
-    /// not attributable and per-replica reports carry 0 here.
+    /// it is meaningful only at the *cluster* level — replica engines
+    /// step side by side on the run's threads, so per-replica wall times
+    /// do not add up to the run's and per-replica reports carry 0 here.
     pub wall_s: f64,
     /// Wall-clock simulation throughput: simulated nanoseconds advanced
     /// per host second (0 when not measured; same host-measurement

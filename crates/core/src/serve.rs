@@ -33,21 +33,22 @@
 //!   order between search rounds, capped per round
 //!   ([`ServeConfig::max_updates_per_round`]). Inserts link through the
 //!   index's construction kernel, extend the LUNCSR delta segment and
-//!   charge the flash program path; each round's jobs read round-boundary
-//!   `Arc` snapshots, so mixed query+update serving stays bit-identical
-//!   at any [`NdsConfig::exec_threads`];
+//!   charge the flash program path; a round's hops read the deployment
+//!   as it stood at the round boundary, never a half-applied update;
 //! * [`ServeReport`] — QPS over the makespan, per-query latency order
 //!   statistics ([`LatencySummary`]), wall-clock simulation
 //!   throughput (`wall_s` / [`ServeReport::sim_ns_per_wall_s`]), and the
 //!   update stream's outcomes, throughput
 //!   ([`ServeReport::update_qps`]) and write amplification.
 //!
-//! Each scheduling round drives the merged work through the same
-//! data-parallel round executor as the batch engine ([`crate::exec`]):
-//! the round's LUN units run on [`NdsConfig::exec_threads`] worker
-//! threads (one range of the task arena each) and merge in stable LUN
-//! order, so every report stays bit-identical to the `exec_threads = 1`
-//! path, where hops are stepped in place and the arena is walked inline.
+//! There is one round path, and it runs on the calling thread:
+//! [`ServeEngine::step_round`] steps every in-flight searcher where it
+//! lives, walks the merged round's task arena through the same round
+//! executor as the batch engine, and completes what finished;
+//! [`ServeEngine::run_to_completion`] is that in a loop. The engine never
+//! reads [`NdsConfig::exec_threads`] — the host-side fan-out is one level
+//! up, where [`crate::cluster`] steps whole replica engines on threads
+//! ([`crate::exec`]).
 //!
 //! Because every hop is produced by the same expansion kernel as
 //! [`beam_search`](ndsearch_anns::beam::beam_search), a query served
@@ -105,161 +106,27 @@ use ndsearch_vector::{DistanceKind, VectorId};
 
 use crate::config::NdsConfig;
 use crate::deploy::{Deployment, UpdateTotals};
-use crate::engine::{
-    execute_round, sorting_tail, LunCoverage, LunExecutor, RoundScratch, RoundSinks,
-};
-use crate::exec::Pool;
+use crate::engine::{execute_round, sorting_tail, LunCoverage, RoundScratch, RoundSinks};
 use crate::pipeline::Prepared;
 use crate::qpt::QueryPropertyTable;
 use crate::report::{LatencyBreakdown, LatencySummary};
-use crate::sin::{LunOutcome, LunRangeJob};
 
-/// Minimum in-flight hops before the hop stage fans out over workers
-/// (hop jobs — one beam expansion plus relabeling — are much heavier
-/// than per-LUN units, so they amortize the hand-off sooner).
-pub(crate) const HOP_PARALLEL_MIN: usize = 8;
-
-/// Job type of the serving pool: one scheduling round first advances
-/// every in-flight session's beam search (`Hop` jobs — independent per
-/// session, the searcher travels to the worker and back), then evaluates
-/// the merged round's LUN units (`Luns` jobs — one range of the round's
-/// task arena per worker, via [`LunExecutor`]). Both stages merge in job
-/// order, so serving is bit-identical at any thread count. On an inline
-/// pool neither exists: the scheduler steps searchers in place and walks
-/// the arena itself.
-///
-/// Each job carries `Arc` snapshots of the world it reads (dataset, live
-/// graph, staged overlay), taken at its round's boundary: online updates
-/// mutate the deployment *between* rounds on the scheduler thread, so a
-/// job never observes a torn state and never needs a lock.
-pub(crate) enum ServeJob {
-    /// Advance one session's beam searcher by one hop.
-    Hop {
-        /// Slot in the in-flight list (admission order).
-        slot: u32,
-        /// The session's live searcher (returned in the result).
-        searcher: BeamSearcher,
-        /// Construction-order dataset snapshot.
-        dataset: Arc<Dataset>,
-        /// Live graph snapshot.
-        graph: Arc<Csr>,
-        /// Staged overlay snapshot (relabeling).
-        prepared: Arc<Prepared>,
-        /// Compressed-code snapshot; when present the hop scores
-        /// DRAM-resident codes instead of full-precision rows.
-        codes: Option<Arc<QuantCodes>>,
-    },
-    /// One worker's range of the merged round's LUN units.
-    Luns {
-        /// The arena range.
-        job: LunRangeJob,
-        /// Staged overlay snapshot the units read addresses from.
-        prepared: Arc<Prepared>,
-    },
-}
-
-/// Result of one [`ServeJob`].
-pub(crate) enum ServeOut {
-    /// A hop step's outcome.
-    Hop {
-        slot: u32,
-        searcher: BeamSearcher,
-        /// The executed hop, relabeled into the physical id space
-        /// (`None` when the candidate list was exhausted).
-        hop: Option<IterationTrace>,
-        /// Whether the session terminated this round.
-        finished: bool,
-    },
-    /// The outcome deltas of one arena range, in unit order.
-    Luns(Vec<LunOutcome>),
-}
-
-/// The serving pool: hop and LUN jobs in, outcomes out. The cluster tier
-/// ([`crate::cluster`]) shares one pool across every shard's engine.
-pub(crate) type ServePool<'f> = Pool<'f, ServeJob, ServeOut>;
-
-/// The prepared first half of one engine's scheduling round: the
-/// round-boundary snapshots the hop stage and `finish_round` read.
-/// Produced by `ServeEngine::begin_round`. The hop stage follows — in
-/// place (`step_hops_in_place`) or as pool jobs (`hop_jobs` /
-/// `take_hop_outs`; the cluster tier merges the jobs of every replica
-/// into one pool round and hands each engine its slice of the outputs
-/// back) — then `finish_round`.
-pub(crate) struct RoundPrep {
+/// The prepared first half of one scheduling round: what admission
+/// charged, and the deployment as it stands at the round boundary (shared
+/// handles, so the hop stage and `finish_round` read it while the engine's
+/// own state is being updated).
+struct RoundPrep {
     /// PCIe transfer-in time charged by this round's admissions.
     t_in: Nanos,
-    /// Round-boundary dataset snapshot.
+    /// Construction-order dataset.
     dataset: Arc<Dataset>,
-    /// Round-boundary live-graph snapshot.
+    /// Live graph.
     graph: Arc<Csr>,
-    /// Round-boundary staged-overlay snapshot.
+    /// Staged overlay (relabeling, physical addresses).
     prepared: Arc<Prepared>,
-    /// Round-boundary compressed-code snapshot (when quantization is on).
+    /// Compressed codes (when quantization is on); hops then score these
+    /// DRAM-resident codes instead of full-precision rows.
     codes: Option<Arc<QuantCodes>>,
-}
-
-/// Evaluates one serving job (worker threads and the inline path share
-/// this function, so both produce identical results). All world state
-/// arrives inside the job as round-boundary snapshots.
-pub(crate) fn run_serve_job(job: ServeJob, config: &NdsConfig) -> ServeOut {
-    match job {
-        ServeJob::Hop {
-            slot,
-            mut searcher,
-            dataset,
-            graph,
-            prepared,
-            codes,
-        } => {
-            let hop = match codes.as_deref() {
-                Some(codes) => searcher.step(codes, &graph),
-                None => searcher.step(dataset.as_ref(), &graph),
-            }
-            .map(|h| prepared.relabel_hop(&h));
-            let finished = hop.is_none() || searcher.is_finished();
-            ServeOut::Hop {
-                slot,
-                searcher,
-                hop,
-                finished,
-            }
-        }
-        ServeJob::Luns { job, prepared } => ServeOut::Luns(job.run(&prepared.luncsr, config)),
-    }
-}
-
-/// One round's view of the pool: wraps the worker pool together with the
-/// round's overlay snapshot, so per-LUN work units fanned out by
-/// [`execute_round`] read the same `Prepared` the round's hops did.
-struct RoundExecutor<'p, 'f> {
-    pool: &'p mut ServePool<'f>,
-    prepared: Arc<Prepared>,
-}
-
-impl LunExecutor for RoundExecutor<'_, '_> {
-    fn workers(&self) -> usize {
-        self.pool.workers()
-    }
-
-    fn run_ranges(&mut self, jobs: Vec<LunRangeJob>) -> Vec<Vec<LunOutcome>> {
-        let prepared = &self.prepared;
-        self.pool
-            .run_with_min(
-                jobs.into_iter()
-                    .map(|job| ServeJob::Luns {
-                        job,
-                        prepared: Arc::clone(prepared),
-                    })
-                    .collect(),
-                2,
-            )
-            .into_iter()
-            .map(|out| match out {
-                ServeOut::Luns(outcomes) => outcomes,
-                ServeOut::Hop { .. } => unreachable!("a LUN batch returned a hop"),
-            })
-            .collect()
-    }
 }
 
 /// Identifier of a submitted query session (dense, in submission order).
@@ -322,8 +189,7 @@ impl Default for ServeConfig {
 /// Deadline-aware scheduling policy of the serving layer.
 ///
 /// All decisions run on the simulated clock and on counters derived from
-/// the simulation alone, so every policy keeps reports bit-identical at
-/// any [`NdsConfig::exec_threads`].
+/// the simulation alone — host time never enters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SloPolicy {
     /// Pure FIFO admission (the legacy behavior): nothing is shed, no
@@ -514,6 +380,13 @@ pub enum SessionState {
     Expired,
 }
 
+impl SessionState {
+    /// Whether the state is final (`Completed`, `Rejected` or `Expired`).
+    pub fn is_terminal(self) -> bool {
+        matches!(self, Self::Completed | Self::Rejected | Self::Expired)
+    }
+}
+
 /// Final record of one session, reported by [`ServeReport`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryOutcome {
@@ -600,7 +473,6 @@ pub struct ServeReport {
     pub lun_coverage: f64,
     /// Host wall-clock seconds spent inside scheduling rounds — how long
     /// the *simulator* took, as opposed to the simulated `makespan_ns`.
-    /// Scales down with [`crate::config::NdsConfig::exec_threads`].
     pub wall_s: f64,
 }
 
@@ -1079,17 +951,18 @@ impl<'a> ServeEngine<'a> {
     /// Final (or partial, if expired) results of a terminal session;
     /// `None` while it is still pending/queued/running.
     pub fn results(&self, id: QueryId) -> Option<&[Neighbor]> {
-        match self.sessions[id].state {
-            SessionState::Completed | SessionState::Expired | SessionState::Rejected => {
-                Some(&self.sessions[id].results)
-            }
-            _ => None,
-        }
+        let session = &self.sessions[id];
+        session.state.is_terminal().then_some(&session.results[..])
     }
 
     /// Current simulated time.
     pub fn now_ns(&self) -> Nanos {
         self.now_ns
+    }
+
+    /// Query sessions not yet terminal: pending, queued and running.
+    pub fn outstanding(&self) -> usize {
+        self.arrivals.len() + self.queue.len() + self.inflight.len()
     }
 
     /// The ECC hard-decision failure probability currently in force.
@@ -1100,10 +973,9 @@ impl<'a> ServeEngine<'a> {
     /// Degradation trigger: changes the device's injected ECC
     /// hard-decision failure probability mid-run (an *ECC storm* — every
     /// failed hard decode falls back to a ~10 µs soft decode on the FTL,
-    /// slowing each subsequent round). Deterministic at any
-    /// `exec_threads`: fault injection stays counter-indexed per plane,
-    /// so the decisions drawn after the ramp depend only on the decode
-    /// counters, never on worker scheduling.
+    /// slowing each subsequent round). Deterministic: fault injection
+    /// stays counter-indexed per plane, so the decisions drawn after the
+    /// ramp depend only on the decode counters.
     pub fn inject_ecc_failure_prob(&mut self, p: f64) {
         self.ecc.set_hard_decision_failure_prob(p);
     }
@@ -1272,8 +1144,7 @@ impl<'a> ServeEngine<'a> {
     /// Simulated duration of one quantized scheduling round: the hops'
     /// distance evaluations read codes from internal DRAM and run on the
     /// embedded cores/accelerator — no NAND access. Derived from the
-    /// hop traces alone (slot order), so it is bit-identical at any
-    /// `exec_threads`.
+    /// hop traces alone (slot order).
     fn quantized_round_ns(&mut self, codes: &QuantCodes, hops: &[(u32, IterationTrace)]) -> Nanos {
         let timing = &self.config.timing;
         let active = hops.len();
@@ -1346,46 +1217,25 @@ impl<'a> ServeEngine<'a> {
     /// run the merged work on the SearSSD model, and complete finished
     /// sessions. Returns `false` once every submitted session is terminal.
     ///
-    /// Single-stepping always uses the inline round executor;
-    /// [`run_to_completion`](Self::run_to_completion) attaches the worker
-    /// pool (results are bit-identical either way).
+    /// This is the only round path: everything runs on the calling
+    /// thread.
     pub fn step_round(&mut self) -> bool {
-        self.step_with(None)
-    }
-
-    pub(crate) fn step_with(&mut self, pool: Option<&mut ServePool<'_>>) -> bool {
         let wall_start = std::time::Instant::now();
-        let more = self.step_round_inner(pool);
+        let more = match self.begin_round() {
+            Some(prep) => {
+                self.step_hops(&prep);
+                self.finish_round(prep)
+            }
+            None => false,
+        };
         self.wall += wall_start.elapsed();
         more
     }
 
-    fn step_round_inner(&mut self, mut pool: Option<&mut ServePool<'_>>) -> bool {
-        let Some(prep) = self.begin_round() else {
-            return false;
-        };
-        // The cluster tier drives the same three steps itself, merging
-        // many engines' hop jobs into a single pool round.
-        match pool.as_deref_mut() {
-            Some(pool) if pool.is_parallel() && self.inflight.len() >= HOP_PARALLEL_MIN => {
-                let jobs = self.hop_jobs(&prep);
-                self.take_hop_outs(pool.run_with_min(jobs, HOP_PARALLEL_MIN));
-            }
-            _ => self.step_hops_in_place(&prep),
-        }
-        self.finish_round(prep, pool)
-    }
-
     /// First half of a scheduling round: arrivals, expiry, SLO shedding,
-    /// round-boundary snapshots and admission. Returns `None` when the
+    /// round-boundary handles and admission. Returns `None` when the
     /// engine is fully drained (no work now or ever).
-    ///
-    /// The hop stage comes next and is the caller's to place: hops are
-    /// pure functions of these round-boundary snapshots, so stepping them
-    /// here, on a pool, or merged with other engines' hops into **one**
-    /// pool round ([`crate::cluster`]) changes where they run, never what
-    /// they return.
-    pub(crate) fn begin_round(&mut self) -> Option<RoundPrep> {
+    fn begin_round(&mut self) -> Option<RoundPrep> {
         // Updates applied at the end of the previous round become visible
         // here — one graph re-snapshot per round, not per update (and the
         // snapshot is fresh even when this call ends up idle-returning).
@@ -1406,8 +1256,8 @@ impl<'a> ServeEngine<'a> {
         self.expire_due();
         self.shed_doomed();
 
-        // ---- Snapshot the world at the round boundary: hops stepped
-        // below can never observe a mid-round mutation. ----
+        // ---- The deployment at the round boundary: updates are only
+        // applied at the end of a round, after the hops have read it. ----
         let dataset = Arc::clone(self.deploy.dataset());
         let graph = Arc::clone(self.deploy.graph());
         let prepared = Arc::clone(self.deploy.prepared());
@@ -1493,12 +1343,11 @@ impl<'a> ServeEngine<'a> {
         })
     }
 
-    /// Hop stage, inline: one hop per in-flight session in admission
-    /// (slot) order, each searcher stepped where it lives and each hop
-    /// written — and relabeled into the physical id space — in a record
-    /// the engine keeps across rounds. No job, no snapshot clone, no
-    /// allocation per hop; the outcome equals the pooled path's.
-    pub(crate) fn step_hops_in_place(&mut self, prep: &RoundPrep) {
+    /// Hop stage: one hop per in-flight session in admission (slot)
+    /// order, each searcher stepped where it lives and each hop written —
+    /// and relabeled into the physical id space — in a record the engine
+    /// keeps across rounds, so a hop allocates nothing.
+    fn step_hops(&mut self, prep: &RoundPrep) {
         for (slot, &id) in self.inflight.iter().enumerate() {
             let searcher = self.sessions[id]
                 .searcher
@@ -1523,66 +1372,11 @@ impl<'a> ServeEngine<'a> {
         }
     }
 
-    /// Hop stage, pooled: one job per in-flight session in admission
-    /// (slot) order. The searcher travels inside its job; hand the pool's
-    /// outputs to [`take_hop_outs`](Self::take_hop_outs) to get it back.
-    pub(crate) fn hop_jobs(&mut self, prep: &RoundPrep) -> Vec<ServeJob> {
-        let mut jobs: Vec<ServeJob> = Vec::with_capacity(self.inflight.len());
-        for (slot, &id) in self.inflight.iter().enumerate() {
-            let searcher = self.sessions[id]
-                .searcher
-                .take()
-                .expect("running session has a searcher");
-            jobs.push(ServeJob::Hop {
-                slot: slot as u32,
-                searcher,
-                dataset: Arc::clone(&prep.dataset),
-                graph: Arc::clone(&prep.graph),
-                prepared: Arc::clone(&prep.prepared),
-                codes: prep.codes.clone(),
-            });
-        }
-        jobs
-    }
-
-    /// Reclaims the searchers and records the hops of this engine's
-    /// [`hop_jobs`](Self::hop_jobs) outputs (in job order).
-    pub(crate) fn take_hop_outs(&mut self, outs: impl IntoIterator<Item = ServeOut>) {
-        for out in outs {
-            let ServeOut::Hop {
-                slot,
-                searcher,
-                hop,
-                finished,
-            } = out
-            else {
-                unreachable!("a hop batch returned a LUN outcome");
-            };
-            let id = self.inflight[slot as usize];
-            self.sessions[id].searcher = Some(searcher);
-            if finished {
-                self.finished.push(id);
-            }
-            if let Some(hop) = hop {
-                if self.hops.len() == self.live_hops {
-                    self.hops.push((slot, hop));
-                } else {
-                    self.hops[self.live_hops] = (slot, hop);
-                }
-                self.live_hops += 1;
-            }
-        }
-    }
-
     /// Second half of a scheduling round, after the hop stage: executes
-    /// the merged round's LUN stage (on `pool` when provided), advances
-    /// the clock, completes sessions and applies queued updates. Returns
-    /// whether any work remains.
-    pub(crate) fn finish_round(
-        &mut self,
-        prep: RoundPrep,
-        pool: Option<&mut ServePool<'_>>,
-    ) -> bool {
+    /// the merged round's LUN stage, advances the clock, completes
+    /// sessions and applies queued updates. Returns whether any work
+    /// remains.
+    fn finish_round(&mut self, prep: RoundPrep) -> bool {
         let RoundPrep {
             t_in,
             dataset,
@@ -1606,10 +1400,6 @@ impl<'a> ServeEngine<'a> {
                 round_exec = self.quantized_round_ns(codes, hops);
                 self.rounds += 1;
             } else {
-                let mut executor = pool.map(|p| RoundExecutor {
-                    pool: p,
-                    prepared: Arc::clone(&prepared),
-                });
                 let round = execute_round(
                     self.config,
                     &prepared.luncsr,
@@ -1622,7 +1412,6 @@ impl<'a> ServeEngine<'a> {
                         luns_touched: &mut self.luns_touched,
                     },
                     &mut self.round,
-                    executor.as_mut().map(|e| e as &mut dyn LunExecutor),
                 );
                 let overlap = self.config.scheduling.dynamic_allocating && self.rounds > 0;
                 round_exec = round.apply(&mut self.breakdown, &mut self.prev_shadow, overlap);
@@ -1633,8 +1422,7 @@ impl<'a> ServeEngine<'a> {
         self.now_ns += advance;
         if !hops.is_empty() {
             // Feed the shed estimator: mean duration of hop-executing
-            // rounds (simulated values only — bit-identical at any
-            // thread count).
+            // rounds (simulated values only).
             self.hop_round_ns_total += advance;
             self.hop_rounds += 1;
         }
@@ -1678,11 +1466,8 @@ impl<'a> ServeEngine<'a> {
         // maintenance window, a compaction) holds none.
         self.spare_visited.truncate(self.inflight.len());
 
-        // ---- Apply admitted updates, in admission order, on the
-        // scheduler thread (the write path mutates the deployment, so it
-        // never fans out — which also makes mixed query+update rounds
-        // trivially bit-identical at any thread count). The next round's
-        // snapshots pick the mutations up. The round's own snapshots are
+        // ---- Apply admitted updates, in admission order. The next
+        // round picks the mutations up. The round's own handles are
         // released first so `Arc::make_mut` inside the deployment mutates
         // in place instead of deep-cloning the dataset and overlay. ----
         drop(dataset);
@@ -1736,21 +1521,9 @@ impl<'a> ServeEngine<'a> {
 
     /// Drives the scheduler until every session is terminal and returns
     /// the report.
-    ///
-    /// Spawns the round executor's worker pool once
-    /// ([`NdsConfig::exec_threads`] threads) and drives every scheduling
-    /// round through it, so serving throughput scales with host cores
-    /// while the report stays bit-identical to single-stepping.
     pub fn run_to_completion(&mut self) -> ServeReport {
-        let config = self.config;
-        crate::exec::with_pool(
-            config.exec_threads,
-            move |job: ServeJob| run_serve_job(job, config),
-            |pool| {
-                while self.step_with(Some(&mut *pool)) {}
-                self.report()
-            },
-        )
+        while self.step_round() {}
+        self.report()
     }
 
     /// Compacts the deployment in place, charging the rewrite's
@@ -1903,7 +1676,10 @@ mod tests {
 
     #[test]
     fn serving_is_deterministic() {
-        let fx = fixture(400, 16);
+        let mut fx = fixture(400, 16);
+        // Keep ECC fault injection on: its counter-indexed streams must
+        // draw the same decisions on every run.
+        fx.config.ecc.hard_decision_failure_prob = 0.05;
         let prepared = stage(&fx);
         let run = || {
             let serve = ServeConfig {
@@ -1914,37 +1690,11 @@ mod tests {
             submit_all(&mut engine, &fx, |i| i as Nanos * 1_000);
             engine.run_to_completion()
         };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn serving_reports_bit_identical_across_thread_counts() {
-        let mut fx = fixture(400, 16);
-        // Keep ECC fault injection on — its counter-indexed streams are
-        // what must not depend on worker scheduling.
-        fx.config.ecc.hard_decision_failure_prob = 0.05;
-        let prepared = stage(&fx);
-        let run = |threads: usize| {
-            let mut config = fx.config.clone();
-            config.exec_threads = threads;
-            let serve = ServeConfig {
-                max_inflight: 8,
-                ..ServeConfig::default()
-            };
-            let mut engine = ServeEngine::new(&config, serve, &prepared, &fx.base, &fx.graph);
-            submit_all(&mut engine, &fx, |i| i as Nanos * 500);
-            engine.run_to_completion()
-        };
-        let sequential = run(1);
-        assert!(sequential.wall_s > 0.0, "wall clock must be measured");
-        assert!(sequential.sim_ns_per_wall_s() > 0.0);
-        for threads in [2usize, 8] {
-            assert_eq!(
-                sequential,
-                run(threads),
-                "serve report diverged at exec_threads = {threads}"
-            );
-        }
+        let first = run();
+        assert!(first.wall_s > 0.0, "wall clock must be measured");
+        assert!(first.sim_ns_per_wall_s() > 0.0);
+        assert!(first.stats.ecc_soft_fallbacks > 0);
+        assert_eq!(first, run());
     }
 
     #[test]

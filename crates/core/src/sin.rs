@@ -17,8 +17,6 @@
 //!   configured lanes.
 
 use std::cell::RefCell;
-use std::ops::Range;
-use std::sync::Arc;
 
 use ndsearch_flash::ecc::{EccDelta, EccEngine};
 use ndsearch_flash::geometry::{LunId, PlaneId};
@@ -26,7 +24,7 @@ use ndsearch_flash::stats::FlashStats;
 use ndsearch_flash::timing::Nanos;
 use ndsearch_graph::luncsr::LunCsr;
 
-use crate::alloc::{LunWork, RoundArena, VertexTask};
+use crate::alloc::{LunWork, VertexTask};
 use crate::config::NdsConfig;
 
 /// Result of one LUN accelerator processing one iteration's work.
@@ -58,7 +56,7 @@ pub struct SinReport {
 /// against engine-wide state: the timing report, flash-statistics and ECC
 /// increments, and the planes the work touched (for the FTL's read-disturb
 /// replay). Pure data — the caller merges outcomes in stable LUN order
-/// ([`crate::exec`]) and commits the deltas.
+/// and commits the deltas.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LunOutcome {
     /// The LUN that executed the work.
@@ -77,39 +75,11 @@ pub struct LunOutcome {
     pub touched_planes: Vec<PlaneId>,
 }
 
-/// One pooled work unit for the round executor ([`crate::exec::Pool`]):
-/// a contiguous range of a round arena's LUN units — one job per worker,
-/// not one per LUN — plus the round's engine-wide ECC snapshot (shared by
-/// every job of the round).
-#[derive(Debug, Clone)]
-pub(crate) struct LunRangeJob {
-    /// The round's sealed arena.
-    pub arena: Arc<RoundArena>,
-    /// The units of it this job evaluates.
-    pub units: Range<usize>,
-    /// Engine-wide ECC state snapshotted at round start.
-    pub ecc: Arc<EccEngine>,
-}
-
-impl LunRangeJob {
-    /// Evaluates the job's units, in unit (ascending LUN) order.
-    pub fn run(&self, luncsr: &LunCsr, config: &NdsConfig) -> Vec<LunOutcome> {
-        self.units
-            .clone()
-            .map(|unit| {
-                let (lun, tasks) = self.arena.unit(unit);
-                process_lun_tasks(lun, tasks, luncsr, config, &self.ecc)
-            })
-            .collect()
-    }
-}
-
 /// Executes one iteration's work on one LUN accelerator.
 ///
-/// Pure: reads only immutable snapshots (`luncsr`, `config`, the ECC
+/// Pure: reads only immutable state (`luncsr`, `config`, the ECC
 /// engine's counter cursors) and returns every effect as a mergeable
-/// [`LunOutcome`], so independent LUNs can run on worker threads with
-/// bit-identical results at any thread count (see [`crate::exec`]).
+/// [`LunOutcome`]; the caller commits it.
 ///
 /// The engines evaluate slices of their round arena through the same
 /// body; this is that body applied to an owned [`LunWork`].
@@ -137,9 +107,10 @@ struct PlaneAcc {
 
 /// Reused working memory of [`process_lun_tasks`]. A unit is typically
 /// two tasks, so fresh vectors per unit would cost more than the model
-/// itself; one set per thread makes the steady state allocation-free on
-/// the inline path, on pool workers and through [`process_lun_work`]
-/// alike. Every call clears it first: nothing carries over between units.
+/// itself; one set per thread makes the steady state allocation-free
+/// wherever an engine is stepped (a cluster run steps replica engines on
+/// several threads) and through [`process_lun_work`] alike. Every call
+/// clears it first: nothing carries over between units.
 #[derive(Debug, Default)]
 struct SinScratch {
     /// One `(row within the plane, plane)` key per page load.
