@@ -6,10 +6,21 @@
 //! closest candidate, compute distances to its never-visited neighbors, and
 //! stop when the closest candidate is farther than the worst retained
 //! result. This module implements that loop once, records the per-iteration
-//! memory trace, and is reused by HNSW (per layer), Vamana, HCNNG and TOGG.
+//! memory trace, and is reused by HNSW (per layer), Vamana, HCNNG and TOGG —
+//! at query time through [`beam_search`] / [`BeamSearcher`], at construction
+//! time through `build::GreedySearch`.
+//!
+//! Both lists live in one `Frontier`: the `ef` best vertices seen, kept
+//! ascending under packed integer keys (`Scored`), each flagged once it
+//! has been expanded — DiskANN's single search list. A candidate that drops
+//! out of the best `ef` is strictly farther than all of them and can never
+//! be expanded, *except* when it ties the worst of them: the termination
+//! test is "strictly farther", so the textbook two-queue formulation (which
+//! this kernel must equal hop for hop — `tests/oracle` keeps it) still
+//! expands such a candidate. Those evictees, and only those, wait in the
+//! frontier's tie stash.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::cmp::Ordering;
 
 use ndsearch_graph::csr::Csr;
 use ndsearch_vector::quant::ScoreSource;
@@ -19,11 +30,13 @@ use ndsearch_vector::{DistanceKind, VectorId};
 use crate::trace::{IterationTrace, QueryTrace};
 
 /// Reusable visited-set with O(1) epoch-based reset, so batch search does
-/// not reallocate per query.
+/// not reallocate per query. One byte per vertex — 64 in-flight sessions
+/// probe ~30 marks per hop each, and at four bytes their sets did not fit
+/// the cache the rows also want; the price is a refill every 255 resets.
 #[derive(Debug, Clone)]
 pub struct VisitedSet {
-    epoch: u32,
-    marks: Vec<u32>,
+    epoch: u8,
+    marks: Vec<u8>,
 }
 
 /// An empty set; it grows as vertices are marked.
@@ -50,7 +63,7 @@ impl VisitedSet {
         }
     }
 
-    /// Clears the set in O(1).
+    /// Clears the set in O(1) amortized.
     pub fn clear(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
@@ -95,6 +108,269 @@ impl VisitedSet {
     }
 }
 
+/// A `(distance, id)` pair packed into one integer that orders exactly as
+/// [`Neighbor`] does — by distance, ties by id, NaN last — so the search
+/// list and the sorts of construction compare integers instead of running
+/// `Neighbor`'s branchy float comparison (it was a third of a serving hop
+/// and a quarter of a Vamana vertex-pass). The distance half is the float's
+/// bit pattern with the sign bit flipped (all bits, for negatives), which
+/// is monotone; `-0.0` and NaN payloads are folded first because `Neighbor`
+/// ties them. [`distance`](Self::distance) returns the folded value, which
+/// no comparison can tell from the original.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct Scored(u64);
+
+impl Scored {
+    pub(crate) fn new(distance: f32, id: VectorId) -> Self {
+        let folded = if distance.is_nan() {
+            f32::NAN
+        } else {
+            distance + 0.0 // -0.0 + 0.0 = +0.0; every other value is kept
+        };
+        let bits = folded.to_bits();
+        let ordered = if bits >> 31 == 1 {
+            !bits
+        } else {
+            bits | (1 << 31)
+        };
+        Self((u64::from(ordered) << 32) | u64::from(id))
+    }
+
+    pub(crate) fn id(self) -> VectorId {
+        self.0 as VectorId
+    }
+
+    pub(crate) fn distance(self) -> f32 {
+        let ordered = (self.0 >> 32) as u32;
+        let bits = if ordered >> 31 == 1 {
+            ordered ^ (1 << 31)
+        } else {
+            !ordered
+        };
+        f32::from_bits(bits)
+    }
+}
+
+/// One retained vertex of a [`Frontier`].
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    key: Scored,
+    /// The distance as scored (`key` folds `-0.0` and NaN payloads), so
+    /// results come back bit for bit.
+    distance: f32,
+    expanded: bool,
+}
+
+/// What expanding the next candidate produced.
+pub(crate) enum Expansion {
+    /// Termination condition reached (or the candidate list ran dry).
+    Finished,
+    /// A candidate was expanded but every neighbor was already visited, so
+    /// no feature vector was fetched (no trace iteration).
+    Empty,
+    /// A candidate (the carried id) was expanded and at least one new
+    /// vector was fetched; the fetched ids are in the caller's buffer and
+    /// their distances in [`Frontier::scores`].
+    Hop(VectorId),
+}
+
+/// §II-A's candidate and result lists as one sorted array: the best `cap`
+/// vertices seen, ascending, each a candidate until
+/// [`expand_next`](Self::expand_next) expands it — a local of
+/// [`beam_search`], a field of [`BeamSearcher`] and of the builders'
+/// `GreedySearch`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Frontier {
+    cap: usize,
+    /// Ascending by key, at most `cap` long between calls.
+    slots: Vec<Slot>,
+    /// Every slot before it is expanded.
+    cursor: usize,
+    /// Unexpanded vertices that fell out of `slots` while not strictly
+    /// farther than its worst: the two-queue formulation still expands
+    /// them for as long as they tie it (module docs).
+    stash: Vec<Slot>,
+    /// The closest unexpanded evictee that *was* strictly farther and so
+    /// was forgotten. The worst only improves, so it stays unexpandable —
+    /// and so does whatever in the stash sorts after it (only a NaN can).
+    forgotten: Option<Scored>,
+    /// Distances of the last batch scored, aligned with the fetched ids.
+    pub(crate) scores: Vec<f32>,
+}
+
+impl Frontier {
+    pub(crate) fn new(cap: usize) -> Self {
+        let mut frontier = Self::default();
+        frontier.reset(cap);
+        frontier
+    }
+
+    /// Empties the lists for a new search retaining the best `cap` (at
+    /// least one: the closest vertex seen is always retained).
+    pub(crate) fn reset(&mut self, cap: usize) {
+        self.cap = cap.max(1);
+        self.slots.clear();
+        self.slots.reserve(self.cap + 1);
+        self.cursor = 0;
+        self.stash.clear();
+        self.forgotten = None;
+    }
+
+    /// Distance of the worst retained vertex (the list must not be empty).
+    fn worst(&self) -> f32 {
+        self.slots[self.slots.len() - 1].distance
+    }
+
+    /// A vertex left `slots`: if unexpanded it is still a candidate.
+    fn retire(&mut self, out: Slot) {
+        if out.expanded {
+            return;
+        }
+        if out.distance > self.worst() {
+            self.forgotten = Some(self.forgotten.map_or(out.key, |f| f.min(out.key)));
+        } else {
+            self.stash.push(out);
+        }
+    }
+
+    /// Offers a newly scored vertex to both lists: it is retained (and
+    /// becomes a candidate) if the list has room or it is strictly closer
+    /// than the worst retained one, which it then evicts.
+    fn offer(&mut self, distance: f32, id: VectorId) {
+        let full = self.slots.len() >= self.cap;
+        // A NaN on either side compares false: never strictly closer.
+        if full && self.worst().partial_cmp(&distance) != Some(Ordering::Greater) {
+            return;
+        }
+        let key = Scored::new(distance, id);
+        let at = self.slots.partition_point(|s| s.key < key);
+        self.slots.insert(
+            at,
+            Slot {
+                key,
+                distance,
+                expanded: false,
+            },
+        );
+        self.cursor = self.cursor.min(at);
+        if full {
+            let out = self.slots.pop().expect("a full list is not empty");
+            self.retire(out);
+        }
+    }
+
+    /// Where the closest unexpanded candidate is, if §II-A's termination
+    /// condition lets it be expanded.
+    fn next(&mut self) -> Option<Next> {
+        while let Some(slot) = self.slots.get(self.cursor) {
+            // A retained candidate is never farther than the worst.
+            if !slot.expanded {
+                return Some(Next::Slot(self.cursor));
+            }
+            self.cursor += 1;
+        }
+        // Every retained vertex is expanded; what is left is the closest
+        // evictee, expanded unless strictly farther than the worst.
+        let (at, tie) = (self.stash.iter().enumerate()).min_by_key(|(_, s)| s.key)?;
+        let reachable = self.forgotten.is_none_or(|f| tie.key < f);
+        // A NaN on either side compares false: not strictly farther.
+        let farther = tie.distance > self.worst();
+        (reachable && !farther).then_some(Next::Stash(at))
+    }
+
+    /// Seeds the lists with the entry vertices, leaving the newly visited
+    /// ones in `fetched` (cleared first): iteration 0 of the trace, whose
+    /// synthetic entry is `fetched[0]` (the entries count as
+    /// visited/computed). Returns `false` if no entry was new.
+    pub(crate) fn seed<S: ScoreSource + ?Sized>(
+        &mut self,
+        visited: &mut VisitedSet,
+        source: &S,
+        query: &[f32],
+        entries: &[VectorId],
+        distance: DistanceKind,
+        fetched: &mut Vec<VectorId>,
+    ) -> bool {
+        // Mark first, then score the new entries in one batched kernel
+        // call. Marking never depends on distances, so this is
+        // bit-identical to a per-entry eval loop.
+        fetched.clear();
+        fetched.extend(entries.iter().filter(|&&e| visited.insert(e)));
+        source.score_batch(distance, query, fetched, &mut self.scores);
+        // Every entry is a candidate; the `cap` closest are retained.
+        for (&e, &d) in fetched.iter().zip(&self.scores) {
+            self.slots.push(Slot {
+                key: Scored::new(d, e),
+                distance: d,
+                expanded: false,
+            });
+        }
+        self.slots.sort_unstable_by_key(|s| s.key);
+        while self.slots.len() > self.cap {
+            let out = self.slots.pop().expect("longer than cap");
+            self.retire(out);
+        }
+        !fetched.is_empty()
+    }
+
+    /// Expands the closest candidate's neighbor list — the loop body of
+    /// §II-A, shared by the run-to-completion [`beam_search`], the per-hop
+    /// [`BeamSearcher`] and construction. The never-visited neighbors it
+    /// fetched are left in `fetched` (cleared first).
+    pub(crate) fn expand_next<'a, S: ScoreSource + ?Sized>(
+        &mut self,
+        visited: &mut VisitedSet,
+        source: &S,
+        neighbors_of: impl FnOnce(VectorId) -> &'a [VectorId],
+        query: &[f32],
+        distance: DistanceKind,
+        fetched: &mut Vec<VectorId>,
+    ) -> Expansion {
+        fetched.clear();
+        let current = match self.next() {
+            None => return Expansion::Finished,
+            Some(Next::Slot(at)) => {
+                self.slots[at].expanded = true;
+                self.cursor = at + 1;
+                self.slots[at].key.id()
+            }
+            Some(Next::Stash(at)) => self.stash.swap_remove(at).key.id(),
+        };
+        // Score the whole unvisited slice of the neighbor list in one
+        // kernel call, then replay the insertion decisions in the original
+        // edge order. Visited-marking and scoring don't interact, and the
+        // batch reuses the per-pair kernel, so results are bit-identical
+        // to an interleaved per-edge loop.
+        fetched.extend(
+            neighbors_of(current)
+                .iter()
+                .filter(|&&nb| visited.insert(nb)),
+        );
+        source.score_batch(distance, query, fetched, &mut self.scores);
+        for (i, &nb) in fetched.iter().enumerate() {
+            self.offer(self.scores[i], nb);
+        }
+        if fetched.is_empty() {
+            Expansion::Empty
+        } else {
+            Expansion::Hop(current)
+        }
+    }
+
+    /// The retained vertices, ascending by distance.
+    pub(crate) fn found(&self) -> impl Iterator<Item = Neighbor> + '_ {
+        self.slots
+            .iter()
+            .map(|s| Neighbor::new(s.distance, s.key.id()))
+    }
+}
+
+/// Where [`Frontier::next`] found the candidate to expand.
+enum Next {
+    Slot(usize),
+    Stash(usize),
+}
+
 /// Result of one beam search: the `ef` best neighbors found (ascending
 /// distance) and the per-iteration trace.
 #[derive(Debug, Clone)]
@@ -103,123 +379,6 @@ pub struct BeamResult {
     pub found: Vec<Neighbor>,
     /// Memory trace of the search.
     pub trace: QueryTrace,
-}
-
-/// What expanding the next candidate produced.
-enum Expansion {
-    /// Termination condition reached (or the candidate list ran dry).
-    Finished,
-    /// A candidate was expanded but every neighbor was already visited, so
-    /// no feature vector was fetched (no trace iteration).
-    Empty,
-    /// A candidate (the carried id) was expanded and at least one new
-    /// vector was fetched; the fetched ids are in the caller's buffer.
-    Hop(VectorId),
-}
-
-/// Mutable view over one search's candidate list, result list and visited
-/// set — borrowed by [`beam_search`] from its locals, and by
-/// [`BeamSearcher::step`] from its fields.
-struct Lists<'a> {
-    visited: &'a mut VisitedSet,
-    candidates: &'a mut BinaryHeap<Reverse<Neighbor>>,
-    results: &'a mut BinaryHeap<Neighbor>,
-    /// Reused distance buffer for batched neighbor scoring.
-    scratch: &'a mut Vec<f32>,
-}
-
-impl Lists<'_> {
-    /// Seeds the candidate/result lists with the entry vertices, leaving
-    /// the newly visited ones in `fetched` (cleared first): iteration 0 of
-    /// the trace, whose synthetic entry is `fetched[0]` (the entries count
-    /// as visited/computed). Returns `false` if no entry was new.
-    fn seed<S: ScoreSource + ?Sized>(
-        &mut self,
-        source: &S,
-        query: &[f32],
-        entries: &[VectorId],
-        beam_width: usize,
-        distance: DistanceKind,
-        fetched: &mut Vec<VectorId>,
-    ) -> bool {
-        // Mark first, then score the new entries in one batched kernel
-        // call. Marking never depends on distances, so this is
-        // bit-identical to the per-entry eval loop it replaces.
-        fetched.clear();
-        for &e in entries {
-            if self.visited.insert(e) {
-                fetched.push(e);
-            }
-        }
-        source.score_batch(distance, query, fetched, self.scratch);
-        for (&e, &d) in fetched.iter().zip(self.scratch.iter()) {
-            self.candidates.push(Reverse(Neighbor::new(d, e)));
-            self.results.push(Neighbor::new(d, e));
-        }
-        while self.results.len() > beam_width {
-            self.results.pop();
-        }
-        !fetched.is_empty()
-    }
-
-    /// Pops the closest candidate and expands its neighbor list — the loop
-    /// body of §II-A, shared by the run-to-completion [`beam_search`] and
-    /// the per-hop [`BeamSearcher`]. The never-visited neighbors it
-    /// fetched are left in `fetched` (cleared first).
-    fn expand_next<S: ScoreSource + ?Sized>(
-        &mut self,
-        source: &S,
-        graph: &Csr,
-        query: &[f32],
-        beam_width: usize,
-        distance: DistanceKind,
-        fetched: &mut Vec<VectorId>,
-    ) -> Expansion {
-        fetched.clear();
-        let Some(Reverse(current)) = self.candidates.pop() else {
-            return Expansion::Finished;
-        };
-        // Termination: closest candidate is farther than the worst result
-        // while the result list is full (§II-A's pre-defined condition).
-        let worst = self
-            .results
-            .peek()
-            .map(|n| n.distance)
-            .unwrap_or(f32::INFINITY);
-        if self.results.len() >= beam_width && current.distance > worst {
-            return Expansion::Finished;
-        }
-        // Score the whole unvisited slice of the neighbor list in one
-        // kernel call, then replay the insertion decisions in the original
-        // edge order. Visited-marking and scoring don't interact, and the
-        // batch reuses the per-pair kernel, so results are bit-identical
-        // to the interleaved per-edge loop this replaces.
-        for &nb in graph.neighbors(current.id) {
-            if self.visited.insert(nb) {
-                fetched.push(nb);
-            }
-        }
-        source.score_batch(distance, query, fetched, self.scratch);
-        for (&nb, &d) in fetched.iter().zip(self.scratch.iter()) {
-            let worst = self
-                .results
-                .peek()
-                .map(|n| n.distance)
-                .unwrap_or(f32::INFINITY);
-            if self.results.len() < beam_width || d < worst {
-                self.candidates.push(Reverse(Neighbor::new(d, nb)));
-                self.results.push(Neighbor::new(d, nb));
-                if self.results.len() > beam_width {
-                    self.results.pop();
-                }
-            }
-        }
-        if fetched.is_empty() {
-            Expansion::Empty
-        } else {
-            Expansion::Hop(current.id)
-        }
-    }
 }
 
 /// Greedy beam search over `graph` from `entries`, retaining the best
@@ -244,37 +403,23 @@ pub fn beam_search<S: ScoreSource + ?Sized>(
     assert!(beam_width > 0, "beam width must be positive");
     visited.clear();
     let mut trace = QueryTrace::default();
-
-    // Candidate list: min-heap by distance. Result list: max-heap bounded
-    // by beam_width (ef).
-    let mut candidates: BinaryHeap<Reverse<Neighbor>> = BinaryHeap::new();
-    let mut results: BinaryHeap<Neighbor> = BinaryHeap::new();
-    let mut scratch: Vec<f32> = Vec::new();
-
-    let mut lists = Lists {
-        visited,
-        candidates: &mut candidates,
-        results: &mut results,
-        scratch: &mut scratch,
-    };
+    let mut frontier = Frontier::new(beam_width);
 
     // The initial entry vertices count as visited/computed: record them as
     // iteration 0 with a synthetic entry (the first entry vertex).
     let mut fetched = Vec::with_capacity(entries.len());
-    if !lists.seed(source, query, entries, beam_width, distance, &mut fetched) {
-        return BeamResult {
-            found: Vec::new(),
-            trace,
-        };
+    if frontier.seed(visited, source, query, entries, distance, &mut fetched) {
+        trace.iterations.push(IterationTrace {
+            entry: fetched[0],
+            visited: std::mem::take(&mut fetched),
+        });
     }
-    trace.iterations.push(IterationTrace {
-        entry: fetched[0],
-        visited: std::mem::take(&mut fetched),
-    });
 
+    // With no entry seeded there is no candidate and this ends at once.
     loop {
         // The trace keeps every hop's list, so each hop fills a fresh one.
-        match lists.expand_next(source, graph, query, beam_width, distance, &mut fetched) {
+        let neighbors_of = |v| graph.neighbors(v);
+        match frontier.expand_next(visited, source, neighbors_of, query, distance, &mut fetched) {
             Expansion::Finished => break,
             Expansion::Empty => {}
             Expansion::Hop(entry) => trace.iterations.push(IterationTrace {
@@ -284,9 +429,10 @@ pub fn beam_search<S: ScoreSource + ?Sized>(
         }
     }
 
-    let mut found = results.into_vec();
-    found.sort_unstable();
-    BeamResult { found, trace }
+    BeamResult {
+        found: frontier.found().collect(),
+        trace,
+    }
 }
 
 /// A beam search that yields one *hop* (one trace iteration: an entry
@@ -308,13 +454,9 @@ pub fn beam_search<S: ScoreSource + ?Sized>(
 pub struct BeamSearcher {
     query: Vec<f32>,
     entries: Vec<VectorId>,
-    beam_width: usize,
     distance: DistanceKind,
     visited: VisitedSet,
-    candidates: BinaryHeap<Reverse<Neighbor>>,
-    results: BinaryHeap<Neighbor>,
-    scratch: Vec<f32>,
-    seeded: bool,
+    frontier: Frontier,
     finished: bool,
     hops: usize,
 }
@@ -360,13 +502,9 @@ impl BeamSearcher {
         Self {
             query,
             entries,
-            beam_width,
             distance,
             visited,
-            candidates: BinaryHeap::new(),
-            results: BinaryHeap::new(),
-            scratch: Vec::new(),
-            seeded: false,
+            frontier: Frontier::new(beam_width),
             finished: false,
             hops: 0,
         }
@@ -405,70 +543,43 @@ impl BeamSearcher {
         if self.finished {
             return false;
         }
-        let mut lists = Lists {
-            visited: &mut self.visited,
-            candidates: &mut self.candidates,
-            results: &mut self.results,
-            scratch: &mut self.scratch,
-        };
-        if !self.seeded {
-            self.seeded = true;
-            let seeded = lists.seed(
-                source,
-                &self.query,
-                &self.entries,
-                self.beam_width,
-                self.distance,
-                &mut hop.visited,
-            );
-            if seeded {
+        let (frontier, visited) = (&mut self.frontier, &mut self.visited);
+        let (query, distance) = (&self.query[..], self.distance);
+        if self.hops == 0 {
+            // A set recycled from before an online insert grows once here,
+            // not id by id mid-hop.
+            visited.reserve(graph.num_vertices());
+            let entries = &self.entries;
+            if frontier.seed(visited, source, query, entries, distance, &mut hop.visited) {
                 hop.entry = hop.visited[0];
-                self.hops += 1;
-                self.update_finished();
             } else {
                 self.finished = true;
+                return false;
             }
-            return seeded;
-        }
-        loop {
-            match lists.expand_next(
-                source,
-                graph,
-                &self.query,
-                self.beam_width,
-                self.distance,
-                &mut hop.visited,
-            ) {
-                Expansion::Finished => {
-                    self.finished = true;
-                    return false;
-                }
-                Expansion::Empty => {}
-                Expansion::Hop(entry) => {
-                    hop.entry = entry;
-                    self.hops += 1;
-                    self.update_finished();
-                    return true;
+        } else {
+            loop {
+                let neighbors_of = |v| graph.neighbors(v);
+                let fetched = &mut hop.visited;
+                match frontier.expand_next(visited, source, neighbors_of, query, distance, fetched)
+                {
+                    Expansion::Finished => {
+                        self.finished = true;
+                        return false;
+                    }
+                    Expansion::Empty => {}
+                    Expansion::Hop(entry) => {
+                        hop.entry = entry;
+                        break;
+                    }
                 }
             }
         }
-    }
-
-    /// Checks §II-A's termination condition without popping, so a query is
-    /// known-finished in the same scheduling round as its last hop.
-    fn update_finished(&mut self) {
-        let worst = self
-            .results
-            .peek()
-            .map(|n| n.distance)
-            .unwrap_or(f32::INFINITY);
-        match self.candidates.peek() {
-            None => self.finished = true,
-            Some(Reverse(c)) if self.results.len() >= self.beam_width && c.distance > worst => {
-                self.finished = true;
-            }
-            _ => {}
-        }
+        self.hops += 1;
+        // §II-A's termination condition, checked without expanding, so a
+        // query is known-finished in the same scheduling round as its last
+        // hop.
+        self.finished = frontier.next().is_none();
+        true
     }
 
     /// Whether the search has terminated.
@@ -496,14 +607,16 @@ impl BeamSearcher {
     /// approximate-distance order so the caller can charge the flash
     /// reads they imply.
     pub fn rerank<S: ScoreSource + ?Sized>(&mut self, exact: &S, depth: usize) -> Vec<VectorId> {
-        let mut approx = self.found();
-        approx.truncate(depth);
-        let ids: Vec<VectorId> = approx.iter().map(|n| n.id).collect();
-        exact.score_batch(self.distance, &self.query, &ids, &mut self.scratch);
-        self.results.clear();
-        for (&id, &d) in ids.iter().zip(self.scratch.iter()) {
-            self.results.push(Neighbor::new(d, id));
+        let frontier = &mut self.frontier;
+        frontier.slots.truncate(depth);
+        frontier.stash.clear(); // ties of a worst that no longer exists
+        let ids: Vec<VectorId> = frontier.slots.iter().map(|s| s.key.id()).collect();
+        exact.score_batch(self.distance, &self.query, &ids, &mut frontier.scores);
+        for (slot, &d) in frontier.slots.iter_mut().zip(&frontier.scores) {
+            slot.key = Scored::new(d, slot.key.id());
+            slot.distance = d;
         }
+        frontier.slots.sort_unstable_by_key(|s| s.key);
         ids
     }
 
@@ -511,46 +624,7 @@ impl BeamSearcher {
     /// once [`is_finished`](Self::is_finished); a partial best-so-far view
     /// before that, e.g. for deadline-expired queries).
     pub fn found(&self) -> Vec<Neighbor> {
-        let mut v: Vec<Neighbor> = self.results.iter().cloned().collect();
-        v.sort_unstable();
-        v
-    }
-}
-
-/// Pure greedy descent (beam width 1) used by HNSW's upper layers: walks to
-/// the locally nearest vertex and returns it. Generic over the
-/// [`ScoreSource`] like [`beam_search`].
-pub fn greedy_descent<S: ScoreSource + ?Sized>(
-    source: &S,
-    graph: &Csr,
-    query: &[f32],
-    entry: VectorId,
-    distance: DistanceKind,
-    trace: &mut QueryTrace,
-) -> Neighbor {
-    let mut current = Neighbor::new(source.score_one(distance, query, entry), entry);
-    let mut scratch: Vec<f32> = Vec::new();
-    loop {
-        let mut best = current;
-        // One batched kernel call per expansion instead of per-edge eval.
-        let iter_visited: Vec<VectorId> = graph.neighbors(current.id).to_vec();
-        source.score_batch(distance, query, &iter_visited, &mut scratch);
-        for (&nb, &d) in iter_visited.iter().zip(&scratch) {
-            let cand = Neighbor::new(d, nb);
-            if cand < best {
-                best = cand;
-            }
-        }
-        if !iter_visited.is_empty() {
-            trace.iterations.push(IterationTrace {
-                entry: current.id,
-                visited: iter_visited,
-            });
-        }
-        if best.id == current.id {
-            return current;
-        }
-        current = best;
+        self.frontier.found().collect()
     }
 }
 
@@ -650,20 +724,6 @@ mod tests {
         let seq: Vec<_> = out.trace.queries_flat();
         let set: std::collections::HashSet<_> = seq.iter().copied().collect();
         assert_eq!(seq.len(), set.len(), "no vertex visited twice");
-    }
-
-    #[test]
-    fn greedy_descent_reaches_local_minimum() {
-        let ds = DatasetSpec::deep_scaled(200, 1).build();
-        let graph = grid_graph(&ds, 8);
-        let q = ds.vector(50).to_vec();
-        let mut trace = QueryTrace::default();
-        let end = greedy_descent(&ds, &graph, &q, 0, DistanceKind::L2, &mut trace);
-        // The endpoint must be no worse than any of its graph neighbors.
-        for &nb in graph.neighbors(end.id) {
-            let d = DistanceKind::L2.eval(&q, ds.vector(nb));
-            assert!(d >= end.distance);
-        }
     }
 
     #[test]

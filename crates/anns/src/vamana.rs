@@ -20,8 +20,8 @@ use ndsearch_vector::rng::Pcg32;
 use ndsearch_vector::topk::Neighbor;
 use ndsearch_vector::{DistanceKind, VectorId};
 
-use crate::beam::{beam_search, VisitedSet};
-use crate::build::{GreedySearch, Scored};
+use crate::beam::{beam_search, Scored, VisitedSet};
+use crate::build::GreedySearch;
 use crate::index::{
     AnnsAlgorithm, GraphAnnsIndex, InsertReport, MutableIndex, SearchOutput, SearchParams,
 };

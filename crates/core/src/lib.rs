@@ -34,7 +34,7 @@
 //!   query sessions (submit/poll/complete, deadlines, admission and
 //!   backpressure) whose live beam-search hops are interleaved across the
 //!   flash channels each scheduling round, with per-query p50/p99 latency
-//!   reporting; [`stream`] is the coarser closed-batch throughput model;
+//!   reporting;
 //! * [`deploy::Deployment`] — versioned mutable deployments: online
 //!   insert/delete as update sessions served alongside queries, the
 //!   LUNCSR base+delta overlay kept in lock-step with the live index,
@@ -87,7 +87,6 @@ pub mod report;
 pub mod serve;
 pub mod sin;
 pub mod speculative;
-pub mod stream;
 pub mod traffic;
 pub mod vgen;
 

@@ -21,6 +21,13 @@
 //!   `is_x86_feature_detected!`, same four-accumulator shape with
 //!   `_mm256_fmadd_ps`.
 //!
+//! The unrolled and the avx2 tier are each *one* reduction (a private
+//! `reduce_unrolled` / `x86::reduce`) instantiated per kernel and per
+//! operand: a plain f32 row, or an [`AffineRow`] — an int8 code decoded
+//! lane by lane as it is loaded. The `*_affine` kernels therefore share
+//! every accumulator and every rounding with the plain ones and return
+//! the bits of decode-then-score without the decoded row ever existing.
+//!
 //! The public entry points ([`l2_squared`], [`dot`], [`angular`],
 //! [`neg_inner_product`], [`DistanceKind::eval`], the batched variants)
 //! dispatch **once per process**: the first call probes the CPU and the
@@ -164,6 +171,38 @@ impl DistanceKind {
         }
     }
 
+    /// [`eval_batch_ids`](Self::eval_batch_ids) against rows held as affine
+    /// int8 codes: clears `out` and appends the distance from `query` to
+    /// each row, in order, decoding in registers. Every distance has the
+    /// bits of [`DistanceKind::eval`] against the decoded row.
+    ///
+    /// # Panics
+    /// Panics if a row's length differs from `query.len()`.
+    pub fn eval_batch_affine<'a>(
+        self,
+        query: &[f32],
+        rows: impl ExactSizeIterator<Item = AffineRow<'a>>,
+        out: &mut Vec<f32>,
+    ) {
+        out.clear();
+        out.reserve(rows.len());
+        let nq = match self {
+            DistanceKind::Angular => dot(query, query).sqrt(),
+            _ => 0.0,
+        };
+        for row in rows {
+            assert_eq!(row.len(), query.len(), "dimension mismatch");
+            out.push(match self {
+                DistanceKind::L2 => l2_squared_affine(query, row),
+                DistanceKind::Angular => {
+                    let d = dot_affine(query, row);
+                    angular_from_parts(nq, d, norm_squared_affine(row).sqrt())
+                }
+                DistanceKind::InnerProduct => -dot_affine(query, row),
+            });
+        }
+    }
+
     /// Encodes into the 2-bit "Distance" field of `<SearchPage>`.
     pub fn encode(self) -> u8 {
         match self {
@@ -266,8 +305,12 @@ pub fn angular(a: &[f32], b: &[f32]) -> f32 {
 /// reduction on the same data).
 #[inline]
 fn angular_prenormed(na: f32, a: &[f32], b: &[f32]) -> f32 {
-    let d = dot(a, b);
-    let nb = dot(b, b).sqrt();
+    angular_from_parts(na, dot(a, b), dot(b, b).sqrt())
+}
+
+/// Angular distance from `|a|`, `a·b` and `|b|`.
+#[inline]
+fn angular_from_parts(na: f32, d: f32, nb: f32) -> f32 {
     if na == 0.0 || nb == 0.0 {
         return 1.0;
     }
@@ -302,6 +345,94 @@ pub fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
 }
 
+/// A row held as per-dimension affine int8 codes (`quant::Int8Quantizer`):
+/// lane `i` decodes to `min[i] + scale[i] * code[i]` — a multiply, then an
+/// add, each rounded, exactly what `Int8Quantizer::decode_into` stores.
+/// The `*_affine` kernels decode in registers and feed the lanes into the
+/// *same* reductions as the plain kernels, so scoring a code returns the
+/// bits decode-then-score would, without the decoded row ever existing.
+#[derive(Debug, Clone, Copy)]
+pub struct AffineRow<'a> {
+    min: &'a [f32],
+    scale: &'a [f32],
+    code: &'a [u8],
+}
+
+impl<'a> AffineRow<'a> {
+    /// A code under its quantizer's per-dimension `min` and `scale`.
+    ///
+    /// # Panics
+    /// Panics if the three slices differ in length.
+    pub fn new(min: &'a [f32], scale: &'a [f32], code: &'a [u8]) -> Self {
+        assert!(
+            min.len() == code.len() && scale.len() == code.len(),
+            "dimension mismatch"
+        );
+        Self { min, scale, code }
+    }
+}
+
+/// What a reduction reads an operand through: a plain row, or a code
+/// decoded on the fly.
+trait Lanes: Copy {
+    fn len(self) -> usize;
+    fn lane(self, i: usize) -> f32;
+    /// Lanes `i..i + 8`.
+    fn lanes(self, i: usize) -> [f32; 8];
+}
+
+impl Lanes for &[f32] {
+    #[inline]
+    fn len(self) -> usize {
+        <[f32]>::len(self)
+    }
+
+    #[inline]
+    fn lane(self, i: usize) -> f32 {
+        self[i]
+    }
+
+    #[inline]
+    fn lanes(self, i: usize) -> [f32; 8] {
+        self[i..i + 8].try_into().expect("eight lanes")
+    }
+}
+
+impl Lanes for AffineRow<'_> {
+    #[inline]
+    fn len(self) -> usize {
+        self.code.len()
+    }
+
+    #[inline]
+    fn lane(self, i: usize) -> f32 {
+        self.min[i] + self.scale[i] * f32::from(self.code[i])
+    }
+
+    #[inline]
+    fn lanes(self, i: usize) -> [f32; 8] {
+        let (min, scale, code) = (
+            &self.min[i..i + 8],
+            &self.scale[i..i + 8],
+            &self.code[i..i + 8],
+        );
+        std::array::from_fn(|l| min[l] + scale[l] * f32::from(code[l]))
+    }
+}
+
+/// One MAC of squared-L2: `(x - y)²`, to be added to an accumulator.
+#[inline]
+fn squared_difference(x: f32, y: f32) -> f32 {
+    let d = x - y;
+    d * d
+}
+
+/// One MAC of a dot product.
+#[inline]
+fn product(x: f32, y: f32) -> f32 {
+    x * y
+}
+
 /// Folds the four 8-lane accumulator groups down to one f32 with a fixed
 /// pairwise tree, so the reduction order is identical on every host.
 #[inline]
@@ -315,6 +446,40 @@ fn reduce_groups(g0: [f32; 8], g1: [f32; 8], g2: [f32; 8], g3: [f32; 8]) -> f32 
     lo + hi
 }
 
+/// The portable reduction every unrolled kernel is an instance of: the sum
+/// of `mac(a[i], b[i])` over the common prefix, 8 lanes × 4 independent
+/// accumulator groups; no `unsafe`, no target features, no fused
+/// multiply-add.
+#[inline]
+fn reduce_unrolled<A: Lanes, B: Lanes>(a: A, b: B, mac: impl Fn(f32, f32) -> f32) -> f32 {
+    let n = a.len().min(b.len());
+    let mut groups = [[0.0f32; 8]; 4];
+    let mut i = 0;
+    while i + 32 <= n {
+        for (k, group) in groups.iter_mut().enumerate() {
+            let (x, y) = (a.lanes(i + 8 * k), b.lanes(i + 8 * k));
+            for l in 0..8 {
+                group[l] += mac(x[l], y[l]);
+            }
+        }
+        i += 32;
+    }
+    while i + 8 <= n {
+        let (x, y) = (a.lanes(i), b.lanes(i));
+        for l in 0..8 {
+            groups[0][l] += mac(x[l], y[l]);
+        }
+        i += 8;
+    }
+    let mut tail = 0.0f32;
+    while i < n {
+        tail += mac(a.lane(i), b.lane(i));
+        i += 1;
+    }
+    let [g0, g1, g2, g3] = groups;
+    reduce_groups(g0, g1, g2, g3) + tail
+}
+
 /// Portable unrolled squared-L2: 8 lanes × 4 independent accumulator
 /// groups (32 floats per iteration), auto-vectorizable on stable Rust.
 ///
@@ -323,74 +488,52 @@ fn reduce_groups(g0: [f32; 8], g1: [f32; 8], g2: [f32; 8], g3: [f32; 8]) -> f32 
 #[inline]
 pub fn l2_squared_unrolled(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
-    let n = a.len().min(b.len());
-    let (a, b) = (&a[..n], &b[..n]);
-    let mut g0 = [0.0f32; 8];
-    let mut g1 = [0.0f32; 8];
-    let mut g2 = [0.0f32; 8];
-    let mut g3 = [0.0f32; 8];
-    let mut ca = a.chunks_exact(32);
-    let mut cb = b.chunks_exact(32);
-    for (ka, kb) in ca.by_ref().zip(cb.by_ref()) {
-        for l in 0..8 {
-            let d0 = ka[l] - kb[l];
-            let d1 = ka[l + 8] - kb[l + 8];
-            let d2 = ka[l + 16] - kb[l + 16];
-            let d3 = ka[l + 24] - kb[l + 24];
-            g0[l] += d0 * d0;
-            g1[l] += d1 * d1;
-            g2[l] += d2 * d2;
-            g3[l] += d3 * d3;
-        }
-    }
-    let mut ha = ca.remainder().chunks_exact(8);
-    let mut hb = cb.remainder().chunks_exact(8);
-    for (ka, kb) in ha.by_ref().zip(hb.by_ref()) {
-        for l in 0..8 {
-            let d = ka[l] - kb[l];
-            g0[l] += d * d;
-        }
-    }
-    let mut tail = 0.0f32;
-    for (x, y) in ha.remainder().iter().zip(hb.remainder()) {
-        let d = x - y;
-        tail += d * d;
-    }
-    reduce_groups(g0, g1, g2, g3) + tail
+    reduce_unrolled(a, b, squared_difference)
 }
 
 /// Portable unrolled dot product (see [`l2_squared_unrolled`]).
 #[inline]
 pub fn dot_unrolled(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
-    let n = a.len().min(b.len());
-    let (a, b) = (&a[..n], &b[..n]);
-    let mut g0 = [0.0f32; 8];
-    let mut g1 = [0.0f32; 8];
-    let mut g2 = [0.0f32; 8];
-    let mut g3 = [0.0f32; 8];
-    let mut ca = a.chunks_exact(32);
-    let mut cb = b.chunks_exact(32);
-    for (ka, kb) in ca.by_ref().zip(cb.by_ref()) {
-        for l in 0..8 {
-            g0[l] += ka[l] * kb[l];
-            g1[l] += ka[l + 8] * kb[l + 8];
-            g2[l] += ka[l + 16] * kb[l + 16];
-            g3[l] += ka[l + 24] * kb[l + 24];
-        }
+    reduce_unrolled(a, b, product)
+}
+
+/// Squared Euclidean distance to a row held as codes (dispatched kernel):
+/// the bits of [`l2_squared`] against the decoded row.
+#[inline]
+fn l2_squared_affine(a: &[f32], b: AffineRow<'_>) -> f32 {
+    debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if simd_enabled() {
+        // SAFETY: simd_enabled() verified avx2+fma via is_x86_feature_detected!.
+        return unsafe { x86::l2_squared_avx2(a, b) };
     }
-    let mut ha = ca.remainder().chunks_exact(8);
-    let mut hb = cb.remainder().chunks_exact(8);
-    for (ka, kb) in ha.by_ref().zip(hb.by_ref()) {
-        for l in 0..8 {
-            g0[l] += ka[l] * kb[l];
-        }
+    reduce_unrolled(a, b, squared_difference)
+}
+
+/// Dot product with a row held as codes (dispatched kernel): the bits of
+/// [`dot`] against the decoded row.
+#[inline]
+fn dot_affine(a: &[f32], b: AffineRow<'_>) -> f32 {
+    debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if simd_enabled() {
+        // SAFETY: simd_enabled() verified avx2+fma via is_x86_feature_detected!.
+        return unsafe { x86::dot_avx2(a, b) };
     }
-    let mut tail = 0.0f32;
-    for (x, y) in ha.remainder().iter().zip(hb.remainder()) {
-        tail += x * y;
+    reduce_unrolled(a, b, product)
+}
+
+/// Squared norm of a row held as codes (dispatched kernel): the bits of
+/// [`dot`] of the decoded row with itself.
+#[inline]
+fn norm_squared_affine(b: AffineRow<'_>) -> f32 {
+    #[cfg(target_arch = "x86_64")]
+    if simd_enabled() {
+        // SAFETY: simd_enabled() verified avx2+fma via is_x86_feature_detected!.
+        return unsafe { x86::dot_avx2(b, b) };
     }
-    reduce_groups(g0, g1, g2, g3) + tail
+    reduce_unrolled(b, b, product)
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -401,7 +544,44 @@ mod x86 {
     //! the portable path).
     #![deny(unsafe_op_in_unsafe_fn)]
 
+    use super::{product, squared_difference, AffineRow, Lanes};
     use std::arch::x86_64::*;
+
+    /// An operand the AVX2 reductions can load eight lanes of.
+    pub trait Load8: Lanes {
+        /// Lanes `i..i + 8`.
+        ///
+        /// # Safety
+        /// The CPU must support AVX2 and `i + 8 <= self.len()`.
+        unsafe fn load8(self, i: usize) -> __m256;
+    }
+
+    impl Load8 for &[f32] {
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn load8(self, i: usize) -> __m256 {
+            // SAFETY: the caller keeps `i + 8` within the slice.
+            unsafe { _mm256_loadu_ps(self.as_ptr().add(i)) }
+        }
+    }
+
+    impl Load8 for AffineRow<'_> {
+        /// `min + scale * code` as a separate multiply and add, the two
+        /// roundings of the scalar decode.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn load8(self, i: usize) -> __m256 {
+            // SAFETY: `new` made the three slices equally long and the
+            // caller keeps `i + 8` within them; the 8-byte load reads
+            // exactly codes `i..i + 8`.
+            unsafe {
+                let bytes = _mm_loadl_epi64(self.code.as_ptr().add(i).cast());
+                let code = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(bytes));
+                let scaled = _mm256_mul_ps(_mm256_loadu_ps(self.scale.as_ptr().add(i)), code);
+                _mm256_add_ps(_mm256_loadu_ps(self.min.as_ptr().add(i)), scaled)
+            }
+        }
+    }
 
     /// Horizontal sum of four 8-lane accumulators (fixed tree order).
     #[inline]
@@ -416,97 +596,66 @@ mod x86 {
         _mm_cvtss_f32(r)
     }
 
+    /// The reduction every AVX2 kernel is an instance of: `mac8` folds
+    /// eight lanes of each operand into an accumulator (four accumulators
+    /// over 32-lane blocks, the first alone over the 8-lane remainder),
+    /// `mac` adds the scalar tail onto the reduced sum.
+    ///
     /// # Safety
-    /// The CPU must support AVX2 and FMA (checked by `simd_enabled`).
+    /// The CPU must support AVX2 and FMA.
+    #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn l2_squared_avx2(a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
+    unsafe fn reduce<A: Load8, B: Load8>(
+        a: A,
+        b: B,
+        mac8: impl Fn(__m256, __m256, __m256) -> __m256,
+        mac: impl Fn(f32, f32) -> f32,
+    ) -> f32 {
         let n = a.len().min(b.len());
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
+        let mut acc = [_mm256_setzero_ps(); 4];
+        let mut i = 0usize;
+        // SAFETY: every load is of lanes `j..j + 8` with `j + 8 <= n`, and
+        // `n` is within both operands.
         unsafe {
-            let mut a0 = _mm256_setzero_ps();
-            let mut a1 = _mm256_setzero_ps();
-            let mut a2 = _mm256_setzero_ps();
-            let mut a3 = _mm256_setzero_ps();
-            let mut i = 0usize;
             while i + 32 <= n {
-                let d0 = _mm256_sub_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)));
-                let d1 = _mm256_sub_ps(
-                    _mm256_loadu_ps(pa.add(i + 8)),
-                    _mm256_loadu_ps(pb.add(i + 8)),
-                );
-                let d2 = _mm256_sub_ps(
-                    _mm256_loadu_ps(pa.add(i + 16)),
-                    _mm256_loadu_ps(pb.add(i + 16)),
-                );
-                let d3 = _mm256_sub_ps(
-                    _mm256_loadu_ps(pa.add(i + 24)),
-                    _mm256_loadu_ps(pb.add(i + 24)),
-                );
-                a0 = _mm256_fmadd_ps(d0, d0, a0);
-                a1 = _mm256_fmadd_ps(d1, d1, a1);
-                a2 = _mm256_fmadd_ps(d2, d2, a2);
-                a3 = _mm256_fmadd_ps(d3, d3, a3);
+                for (k, acc) in acc.iter_mut().enumerate() {
+                    let j = i + 8 * k;
+                    *acc = mac8(*acc, a.load8(j), b.load8(j));
+                }
                 i += 32;
             }
             while i + 8 <= n {
-                let d = _mm256_sub_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)));
-                a0 = _mm256_fmadd_ps(d, d, a0);
+                acc[0] = mac8(acc[0], a.load8(i), b.load8(i));
                 i += 8;
             }
-            let mut sum = reduce4(a0, a1, a2, a3);
-            while i < n {
-                let d = *pa.add(i) - *pb.add(i);
-                sum += d * d;
-                i += 1;
-            }
-            sum
         }
+        let mut sum = reduce4(acc[0], acc[1], acc[2], acc[3]);
+        while i < n {
+            sum += mac(a.lane(i), b.lane(i));
+            i += 1;
+        }
+        sum
     }
 
     /// # Safety
     /// The CPU must support AVX2 and FMA (checked by `simd_enabled`).
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
-        let n = a.len().min(b.len());
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        unsafe {
-            let mut a0 = _mm256_setzero_ps();
-            let mut a1 = _mm256_setzero_ps();
-            let mut a2 = _mm256_setzero_ps();
-            let mut a3 = _mm256_setzero_ps();
-            let mut i = 0usize;
-            while i + 32 <= n {
-                a0 = _mm256_fmadd_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)), a0);
-                a1 = _mm256_fmadd_ps(
-                    _mm256_loadu_ps(pa.add(i + 8)),
-                    _mm256_loadu_ps(pb.add(i + 8)),
-                    a1,
-                );
-                a2 = _mm256_fmadd_ps(
-                    _mm256_loadu_ps(pa.add(i + 16)),
-                    _mm256_loadu_ps(pb.add(i + 16)),
-                    a2,
-                );
-                a3 = _mm256_fmadd_ps(
-                    _mm256_loadu_ps(pa.add(i + 24)),
-                    _mm256_loadu_ps(pb.add(i + 24)),
-                    a3,
-                );
-                i += 32;
-            }
-            while i + 8 <= n {
-                a0 = _mm256_fmadd_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)), a0);
-                i += 8;
-            }
-            let mut sum = reduce4(a0, a1, a2, a3);
-            while i < n {
-                sum += *pa.add(i) * *pb.add(i);
-                i += 1;
-            }
-            sum
-        }
+    pub unsafe fn l2_squared_avx2<B: Load8>(a: &[f32], b: B) -> f32 {
+        let mac8 = |acc, x, y| {
+            let d = _mm256_sub_ps(x, y);
+            _mm256_fmadd_ps(d, d, acc)
+        };
+        // SAFETY: the caller checked the CPU.
+        unsafe { reduce(a, b, mac8, squared_difference) }
+    }
+
+    /// # Safety
+    /// The CPU must support AVX2 and FMA (checked by `simd_enabled`).
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn dot_avx2<A: Load8, B: Load8>(a: A, b: B) -> f32 {
+        let mac8 = |acc, x, y| _mm256_fmadd_ps(x, y, acc);
+        // SAFETY: the caller checked the CPU.
+        unsafe { reduce(a, b, mac8, product) }
     }
 }
 
@@ -644,6 +793,46 @@ mod tests {
             kind.eval_batch(&q, &refs, &mut out);
             for (p, got) in refs.iter().zip(&out) {
                 assert_eq!(got.to_bits(), kind.eval(&q, p).to_bits(), "{kind}");
+            }
+        }
+    }
+
+    #[test]
+    fn affine_kernels_match_the_plain_kernels_on_the_decoded_row_bitwise() {
+        // Both tiers, whichever one this process dispatches to.
+        for dim in [1usize, 7, 8, 9, 31, 32, 33, 40, 64, 96, 128, 257] {
+            let (q, min, scale) = (sample(dim, 3), sample(dim, 4), sample(dim, 5));
+            let code: Vec<u8> = (sample(dim, 6).iter())
+                .map(|x| ((x + 1.0) * 127.5) as u8)
+                .collect();
+            let row = AffineRow::new(&min, &scale, &code);
+            let decoded: Vec<f32> = (0..dim).map(|i| row.lane(i)).collect();
+            let same = |got: f32, want: f32, what: &str| {
+                assert_eq!(got.to_bits(), want.to_bits(), "{what}, dim {dim}");
+            };
+            same(
+                reduce_unrolled(&q[..], row, squared_difference),
+                l2_squared_unrolled(&q, &decoded),
+                "unrolled l2",
+            );
+            same(
+                reduce_unrolled(&q[..], row, product),
+                dot_unrolled(&q, &decoded),
+                "unrolled dot",
+            );
+            same(
+                reduce_unrolled(row, row, product),
+                dot_unrolled(&decoded, &decoded),
+                "unrolled norm",
+            );
+            same(l2_squared_affine(&q, row), l2_squared(&q, &decoded), "l2");
+            same(dot_affine(&q, row), dot(&q, &decoded), "dot");
+            same(norm_squared_affine(row), dot(&decoded, &decoded), "norm");
+            for kind in DistanceKind::ALL {
+                let mut out = Vec::new();
+                kind.eval_batch_affine(&q, [row, row].into_iter(), &mut out);
+                assert_eq!(out.len(), 2);
+                same(out[1], kind.eval(&q, &decoded), "eval_batch_affine");
             }
         }
     }

@@ -12,16 +12,20 @@
 //!   `2^bits`-entry codebooks trained by seeded k-means, 1 byte per
 //!   subspace (up to `dim`x smaller).
 //!
-//! Both decode to an f32 reconstruction and score it through the *same*
-//! dispatched distance kernels as full-precision rows, so quantized
+//! Both score a code as the f32 reconstruction it decodes to, through the
+//! *same* dispatched distance kernels as full-precision rows, so quantized
 //! traversal is bit-identical across thread counts, shard step orders
-//! and regeneration for free. The [`ScoreSource`] trait is the seam the
-//! beam searcher is generic over: `Dataset` implements it with the
-//! existing batched hot path, [`QuantCodes`] implements it with
-//! decode-and-score, and traversal code cannot tell them apart.
+//! and regeneration for free. Int8 codes never materialize that
+//! reconstruction: the kernels decode them lane by lane in registers
+//! ([`crate::distance::AffineRow`]) and return the bits decode-then-score
+//! would, at about the cost of scoring a full-precision row. The
+//! [`ScoreSource`] trait is the seam the beam searcher is generic over:
+//! `Dataset` implements it with the existing batched hot path,
+//! [`QuantCodes`] implements it with decode-and-score, and traversal code
+//! cannot tell them apart.
 
 use crate::dataset::{Dataset, VectorId};
-use crate::distance::DistanceKind;
+use crate::distance::{AffineRow, DistanceKind};
 use crate::rng::Pcg32;
 
 /// Cap on rows examined while training a quantizer. Datasets at or below
@@ -87,9 +91,6 @@ pub trait ScoreSource {
         ids: &[VectorId],
         out: &mut Vec<f32>,
     );
-
-    /// Scores a single row.
-    fn score_one(&self, distance: DistanceKind, query: &[f32], id: VectorId) -> f32;
 }
 
 impl ScoreSource for Dataset {
@@ -105,10 +106,6 @@ impl ScoreSource for Dataset {
         out: &mut Vec<f32>,
     ) {
         distance.eval_batch_ids(query, self, ids, out);
-    }
-
-    fn score_one(&self, distance: DistanceKind, query: &[f32], id: VectorId) -> f32 {
-        distance.eval(query, self.vector(id))
     }
 }
 
@@ -184,6 +181,12 @@ impl Int8Quantizer {
         for (d, &q) in code.iter().enumerate() {
             out[d] = self.min[d] + self.scale[d] * f32::from(q);
         }
+    }
+
+    /// `code` as the row the fused decode-and-score kernels read: what
+    /// [`decode_into`](Self::decode_into) would write, never materialized.
+    pub fn row<'a>(&'a self, code: &'a [u8]) -> AffineRow<'a> {
+        AffineRow::new(&self.min, &self.scale, code)
     }
 }
 
@@ -469,9 +472,10 @@ impl QuantCodes {
     }
 
     /// `eval_batch`-shaped scoring against codes: clears `out` and pushes
-    /// one distance per id. Each code is decoded to its reconstruction
-    /// and scored through the same dispatched kernels as full-precision
-    /// rows.
+    /// one distance per id, each the bits of [`DistanceKind::eval`] against
+    /// the code's reconstruction. Int8 codes are decoded in registers
+    /// inside the distance kernel (no buffer, no allocation); PQ codes are
+    /// decoded to a scratch row first.
     pub fn eval_batch_ids(
         &self,
         distance: DistanceKind,
@@ -479,12 +483,20 @@ impl QuantCodes {
         ids: &[VectorId],
         out: &mut Vec<f32>,
     ) {
-        out.clear();
-        out.reserve(ids.len());
-        let mut scratch = vec![0.0f32; self.quantizer.dim()];
-        for &id in ids {
-            self.decode_into(id, &mut scratch);
-            out.push(distance.eval(query, &scratch));
+        match &self.quantizer {
+            Quantizer::Int8(q) => {
+                let rows = ids.iter().map(|&id| q.row(self.code(id)));
+                distance.eval_batch_affine(query, rows, out);
+            }
+            Quantizer::Pq(q) => {
+                out.clear();
+                out.reserve(ids.len());
+                let mut scratch = vec![0.0f32; q.dim()];
+                for &id in ids {
+                    q.decode_into(self.code(id), &mut scratch);
+                    out.push(distance.eval(query, &scratch));
+                }
+            }
         }
     }
 }
@@ -502,12 +514,6 @@ impl ScoreSource for QuantCodes {
         out: &mut Vec<f32>,
     ) {
         self.eval_batch_ids(distance, query, ids, out);
-    }
-
-    fn score_one(&self, distance: DistanceKind, query: &[f32], id: VectorId) -> f32 {
-        let mut scratch = vec![0.0f32; self.quantizer.dim()];
-        self.decode_into(id, &mut scratch);
-        distance.eval(query, &scratch)
     }
 }
 
@@ -618,17 +624,46 @@ mod tests {
             codes.score_batch(kind, q, &ids, &mut approx);
             assert_eq!(exact.len(), approx.len());
             for (i, (&e, &a)) in exact.iter().zip(&approx).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    codes.score_one(kind, q, ids[i]).to_bits(),
-                    "batch vs single divergence"
-                );
                 // Approximate but close on int8 codes.
                 assert!(
                     (e - a).abs() <= e.abs().max(1.0) * 0.05,
                     "{kind:?} id {}: exact {e} vs code {a}",
                     ids[i]
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn fused_scoring_has_the_bits_of_decode_then_eval() {
+        // Every dimension class of the kernels (32-lane blocks, the 8-lane
+        // remainder, the scalar tail), both code families, every kind —
+        // on whichever kernel tier this process dispatched to (CI runs the
+        // suite under NDSEARCH_NO_SIMD=1 too).
+        for dim in [1usize, 7, 8, 31, 32, 33, 64, 96, 128, 257] {
+            let spec = DatasetSpec {
+                dim,
+                ..DatasetSpec::deep_scaled(60, 1)
+            };
+            let ds = spec.build();
+            let ids: Vec<VectorId> = (0..ds.len() as VectorId).rev().collect();
+            let mut rec = vec![0.0f32; dim];
+            let mut scores = Vec::new();
+            for spec in [QuantSpec::Int8, QuantSpec::Pq { m: 4, bits: 4 }] {
+                let codes = QuantCodes::train(spec, &ds, dim as u64).unwrap();
+                for kind in DistanceKind::ALL {
+                    let q = ds.vector(5);
+                    codes.score_batch(kind, q, &ids, &mut scores);
+                    assert_eq!(scores.len(), ids.len());
+                    for (&id, &got) in ids.iter().zip(&scores) {
+                        codes.decode_into(id, &mut rec);
+                        assert_eq!(
+                            got.to_bits(),
+                            kind.eval(q, &rec).to_bits(),
+                            "{spec:?}, {kind}, dim {dim}, id {id}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -6,6 +6,8 @@
 //! Kept here, test-only, as the reference the fast paths must equal edge
 //! for edge (`tests/property_tests.rs`).
 
+pub mod beam;
+
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 

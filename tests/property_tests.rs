@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ndsearch::anns::beam::BeamSearcher;
+use ndsearch::anns::beam::{beam_search, BeamSearcher, VisitedSet};
 use ndsearch::anns::bitonic::bitonic_sort;
 use ndsearch::core::alloc::{LunWork, VertexTask};
 use ndsearch::core::config::NdsConfig;
@@ -954,4 +954,159 @@ fn hnsw_build_and_updates_equal_the_oracle() {
             "{label}: hierarchy after churn"
         );
     }
+}
+
+// ---- Search kernel against the two-heap body -------------------------
+//
+// `anns::beam`'s sorted frontier must equal the two-heap formulation kept
+// in `tests/oracle/beam.rs` hop for hop: same trace iterations, same
+// `is_finished()` after every hop, same best-so-far list bit for bit —
+// over random digraphs, every distance kind, rows and codes, beam widths
+// 1..=80 and entry lists longer than the beam. Half the datasets repeat
+// each row six times, so the full list's worst distance is shared by
+// vertices inside and outside it: the case the frontier's tie stash
+// exists for (without the stash this test fails on the first such
+// dataset).
+
+fn random_digraph(rng: &mut Pcg32, n: usize, max_degree: usize) -> Csr {
+    let lists: Vec<Vec<u32>> = (0..n)
+        .map(|_| {
+            (0..rng.index(max_degree + 1))
+                .map(|_| rng.index(n) as u32)
+                .collect()
+        })
+        .collect();
+    Csr::from_adjacency(&lists).unwrap()
+}
+
+fn bits(found: &[Neighbor]) -> Vec<(u32, u32)> {
+    found.iter().map(|n| (n.id, n.distance.to_bits())).collect()
+}
+
+/// Steps both kernels through one query side by side, then runs both to
+/// completion in one call; returns the hops taken.
+fn kernels_agree<S: ScoreSource + ?Sized>(
+    source: &S,
+    graph: &Csr,
+    query: &[f32],
+    entries: &[u32],
+    beam: usize,
+    kind: DistanceKind,
+    label: &str,
+) -> usize {
+    let n = graph.num_vertices();
+    let mut new = BeamSearcher::new(n, query.to_vec(), entries.to_vec(), beam, kind);
+    let mut old = oracle::beam::BeamSearcher::new(n, query.to_vec(), entries.to_vec(), beam, kind);
+    loop {
+        let (got, want) = (new.step(source, graph), old.step(source, graph));
+        let hop = old.hops();
+        assert_eq!(got, want, "{label}: hop {hop}");
+        assert_eq!(new.is_finished(), old.is_finished(), "{label}: hop {hop}");
+        assert_eq!(bits(&new.found()), bits(&old.found()), "{label}: hop {hop}");
+        if want.is_none() {
+            break;
+        }
+    }
+    assert_eq!(new.hops(), old.hops(), "{label}");
+
+    // The rerank tail of compressed-vector search, at a depth inside and
+    // one beyond the list.
+    for depth in [beam / 2, beam + 3] {
+        let (mut new, mut old) = (new.clone(), old.clone());
+        assert_eq!(
+            new.rerank(source, depth),
+            old.rerank(source, depth),
+            "{label}"
+        );
+        assert_eq!(bits(&new.found()), bits(&old.found()), "{label}: reranked");
+    }
+
+    let whole = beam_search(
+        source,
+        graph,
+        query,
+        entries,
+        beam,
+        kind,
+        &mut VisitedSet::new(0),
+    );
+    let mut visited = old.into_visited();
+    let want = oracle::beam::beam_search(source, graph, query, entries, beam, kind, &mut visited);
+    assert_eq!(whole.trace, want.trace, "{label}: beam_search trace");
+    assert_eq!(
+        bits(&whole.found),
+        bits(&want.found),
+        "{label}: beam_search"
+    );
+    whole.trace.iterations.len()
+}
+
+#[test]
+fn search_kernel_equals_the_two_heap_oracle_hop_by_hop() {
+    let mut rng = Pcg32::seed_from_u64(0x5EED_0016);
+    let mut hops = 0;
+    for case in 0..240 {
+        let kind = DistanceKind::ALL[case % 3];
+        let grid = case % 2 == 0;
+        let sixfold = case % 4 < 2;
+        let n: usize = [1, 2, 7, 60, 400][case % 5];
+        // Six copies of each row (ids interleaved), or a quarter
+        // duplicates.
+        let mut base =
+            tie_heavy_dataset(&mut rng, if sixfold { n.div_ceil(6) } else { n }, 6, grid);
+        if sixfold {
+            let distinct = base.len();
+            for i in distinct..n {
+                let row = base.vector((i % distinct) as u32).to_vec();
+                base.try_push(&row).unwrap();
+            }
+        }
+        // A row no distance to which is a number; entered first in some
+        // cases, so it is also met as an entry beyond the beam.
+        let nan_row = (case % 6 == 5).then(|| {
+            let id = rng.index(n);
+            let mut flat = base.as_flat().to_vec();
+            flat[id * 6 + rng.index(6)] = f32::NAN;
+            base = Dataset::from_flat(6, flat);
+            id as u32
+        });
+        let graph = random_digraph(&mut rng, n, 9);
+        let int8 = QuantCodes::train(QuantSpec::Int8, &base, case as u64).unwrap();
+        let pq = QuantCodes::train(QuantSpec::Pq { m: 3, bits: 4 }, &base, case as u64).unwrap();
+        for _ in 0..6 {
+            let widest = if rng.chance(0.5) { 6 } else { 80 };
+            let beam = 1 + rng.index(widest);
+            let mut entries: Vec<u32> =
+                (0..1 + rng.index(5)).map(|_| rng.index(n) as u32).collect();
+            if let Some(id) = nan_row.filter(|_| rng.chance(0.5)) {
+                entries.insert(0, id);
+            }
+            let query = tie_heavy_row(&mut rng, &base, grid);
+            let label = format!(
+                "case {case}: n {n}, {kind}, grid {grid}, sixfold {sixfold}, beam {beam}, entries {entries:?}"
+            );
+            hops += kernels_agree(&base, &graph, &query, &entries, beam, kind, &label);
+            if nan_row.is_none() {
+                kernels_agree(
+                    &int8,
+                    &graph,
+                    &query,
+                    &entries,
+                    beam,
+                    kind,
+                    &format!("{label}, int8"),
+                );
+                kernels_agree(
+                    &pq,
+                    &graph,
+                    &query,
+                    &entries,
+                    beam,
+                    kind,
+                    &format!("{label}, pq"),
+                );
+            }
+        }
+    }
+    assert!(hops > 10_000, "only {hops} hops compared");
 }

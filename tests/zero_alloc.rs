@@ -1,6 +1,8 @@
 //! The hot loops that promise not to allocate, held to it: the LUN unit of
-//! the round data path (nothing in steady state) and Vamana construction
-//! (a count that does not grow with the dataset; O(1) per online insert).
+//! the round data path (nothing in steady state), a beam hop of the serving
+//! searcher over rows and over int8 codes (nothing once the hop record is
+//! warm) and Vamana construction (a count that does not grow with the
+//! dataset; O(1) per online insert).
 //!
 //! A counting global allocator (per-thread counter, so the harness's other
 //! threads do not interfere) wraps the system one for this test binary
@@ -13,7 +15,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use ndsearch::anns::index::MutableIndex;
+use ndsearch::anns::beam::BeamSearcher;
+use ndsearch::anns::index::{GraphAnnsIndex, MutableIndex};
+use ndsearch::anns::trace::IterationTrace;
 use ndsearch::anns::vamana::{Vamana, VamanaParams};
 use ndsearch::core::alloc::Allocator;
 use ndsearch::core::config::NdsConfig;
@@ -23,8 +27,9 @@ use ndsearch::flash::geometry::FlashGeometry;
 use ndsearch::graph::csr::Csr;
 use ndsearch::graph::luncsr::LunCsr;
 use ndsearch::graph::mapping::{PlacementPolicy, VertexMapping};
+use ndsearch::vector::quant::{QuantCodes, QuantSpec, ScoreSource};
 use ndsearch::vector::synthetic::DatasetSpec;
-use ndsearch::vector::Dataset;
+use ndsearch::vector::{Dataset, DistanceKind};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -108,6 +113,44 @@ fn lun_units_allocate_nothing_once_the_scratch_is_warm() {
                 "{} units allocated (dynamic {dynamic}, ECC p {prob})",
                 work.len()
             );
+        }
+    }
+}
+
+#[test]
+fn a_warm_beam_hop_allocates_nothing() {
+    // The serving scheduler's hop: `step_into` a record it keeps. Scoring
+    // rows reads them in place; scoring int8 codes decodes in registers.
+    let (base, queries) = DatasetSpec::deep_scaled(2_000, 8).build_pair();
+    let index = Vamana::build(&base, VamanaParams::default());
+    let (graph, entry) = (index.base_graph(), index.medoid());
+    let codes = QuantCodes::train(QuantSpec::Int8, &base, 1).unwrap();
+    let sources: [(&str, &dyn ScoreSource); 2] = [("rows", &base), ("int8 codes", &codes)];
+    let mut hop = IterationTrace::default();
+    for (label, source) in sources {
+        for (_, query) in queries.iter() {
+            let mut searcher = BeamSearcher::new(
+                base.len(),
+                query.to_vec(),
+                vec![entry],
+                64,
+                DistanceKind::L2,
+            );
+            // Warm-up: the seed hop and the entry's expansion (every
+            // neighbor is new) grow the record and the score buffer to the
+            // graph's degree.
+            for _ in 0..2 {
+                assert!(searcher.step_into(source, graph, &mut hop));
+            }
+            let (hops, allocations) = allocations_in(|| {
+                let mut hops = 0;
+                while searcher.step_into(source, graph, &mut hop) {
+                    hops += 1;
+                }
+                hops
+            });
+            assert!(hops >= 10, "{label}: only {hops} warm hops");
+            assert_eq!(allocations, 0, "{label}: {hops} warm hops allocated");
         }
     }
 }
