@@ -29,6 +29,32 @@ use ndsearch_vector::{DistanceKind, VectorId};
 
 use crate::trace::{IterationTrace, QueryTrace};
 
+/// The graph as a search reads it: how many vertices there are and each
+/// one's out-neighbors, in edge order. A static [`Csr`] is one; so is a
+/// mutable index's live adjacency (`impl Adjacency for dyn MutableIndex` in
+/// [`crate::index`]), which is how a mutable deployment serves the rows an
+/// insert just repaired without re-snapshotting the graph.
+pub trait Adjacency {
+    /// Number of vertices (ids are `0..num_vertices`).
+    fn num_vertices(&self) -> usize;
+
+    /// Out-neighbors of `v`.
+    ///
+    /// # Panics
+    /// Panics if `v` is out of range.
+    fn neighbors(&self, v: VectorId) -> &[VectorId];
+}
+
+impl Adjacency for Csr {
+    fn num_vertices(&self) -> usize {
+        Csr::num_vertices(self)
+    }
+
+    fn neighbors(&self, v: VectorId) -> &[VectorId] {
+        Csr::neighbors(self, v)
+    }
+}
+
 /// Reusable visited-set with O(1) epoch-based reset, so batch search does
 /// not reallocate per query. One byte per vertex — 64 in-flight sessions
 /// probe ~30 marks per hop each, and at four bytes their sets did not fit
@@ -387,13 +413,14 @@ pub struct BeamResult {
 /// Generic over the [`ScoreSource`] candidates are scored against: the
 /// full-precision `Dataset` (the classic path) or a DRAM-resident
 /// `QuantCodes` table (compressed-vector traversal; the serving layer
-/// reranks the final candidates against the dataset afterwards).
+/// reranks the final candidates against the dataset afterwards) — and
+/// over the [`Adjacency`] it walks (a `Csr`, or an index's live rows).
 ///
 /// # Panics
 /// Panics if `beam_width == 0` or an entry id is out of range.
-pub fn beam_search<S: ScoreSource + ?Sized>(
+pub fn beam_search<S: ScoreSource + ?Sized, G: Adjacency + ?Sized>(
     source: &S,
-    graph: &Csr,
+    graph: &G,
     query: &[f32],
     entries: &[VectorId],
     beam_width: usize,
@@ -519,12 +546,14 @@ impl BeamSearcher {
     /// `true`.
     ///
     /// Generic over the [`ScoreSource`] (full-precision rows or a
-    /// compressed code table); a searcher must be driven against the same
-    /// source for its whole lifetime.
-    pub fn step<S: ScoreSource + ?Sized>(
+    /// compressed code table) and the [`Adjacency`]; a searcher must be
+    /// driven against the same source for its whole lifetime. The graph
+    /// may gain vertices and have rows rewritten between calls (online
+    /// inserts): each hop reads the rows as they are when it runs.
+    pub fn step<S: ScoreSource + ?Sized, G: Adjacency + ?Sized>(
         &mut self,
         source: &S,
-        graph: &Csr,
+        graph: &G,
     ) -> Option<IterationTrace> {
         let mut hop = IterationTrace::default();
         self.step_into(source, graph, &mut hop).then_some(hop)
@@ -534,10 +563,10 @@ impl BeamSearcher {
     /// (its `visited` buffer is cleared and refilled, so a scheduler that
     /// keeps one record per slot allocates nothing per hop). Returns
     /// `false` — leaving `hop` unspecified — if the search has terminated.
-    pub fn step_into<S: ScoreSource + ?Sized>(
+    pub fn step_into<S: ScoreSource + ?Sized, G: Adjacency + ?Sized>(
         &mut self,
         source: &S,
-        graph: &Csr,
+        graph: &G,
         hop: &mut IterationTrace,
     ) -> bool {
         if self.finished {

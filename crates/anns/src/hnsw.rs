@@ -60,10 +60,10 @@ struct LayerAdj {
 ///
 /// The mutable adjacency (layer-0 lists and the upper hierarchy) is
 /// retained after construction, so online inserts run the *same* linking
-/// kernel the build loop uses ([`MutableIndex::insert`]); the layer-0 CSR
-/// snapshot lags mutations until [`MutableIndex::sync_base_graph`] folds
-/// them in (one O(V+E) rebuild per batch of inserts, not one per
-/// insert).
+/// kernel the build loop uses ([`MutableIndex::insert`]). The layer-0
+/// lists are what a mutable deployment searches; the layer-0 CSR lags
+/// them until [`MutableIndex::sync_base_graph`] (an O(V+E) rebuild, for
+/// staging and compaction only).
 #[derive(Debug, Clone)]
 pub struct Hnsw {
     params: HnswParams,
@@ -331,6 +331,10 @@ impl MutableIndex for Hnsw {
         let repaired = self.link_next(base, id);
         self.base_dirty = true;
         InsertReport { id, repaired }
+    }
+
+    fn num_vertices(&self) -> usize {
+        self.layer0.len()
     }
 
     fn live_neighbors(&self, id: VectorId) -> &[VectorId] {

@@ -5,6 +5,7 @@ use ndsearch_vector::dataset::Dataset;
 use ndsearch_vector::topk::Neighbor;
 use ndsearch_vector::{DistanceKind, VectorId};
 
+use crate::beam::Adjacency;
 use crate::trace::BatchTrace;
 
 /// Search-phase parameters shared by all algorithms.
@@ -100,7 +101,11 @@ pub trait GraphAnnsIndex {
     fn algorithm(&self) -> AnnsAlgorithm;
 
     /// The base proximity graph that gets placed on flash (for HNSW this
-    /// is layer 0, which holds every vertex).
+    /// is layer 0, which holds every vertex), as a CSR. Whoever needs the
+    /// whole graph in one array reads it: staging and compaction (reorder
+    /// and placement run over it), and the recorded batch traces of
+    /// [`search_batch`](Self::search_batch). Serving a [`MutableIndex`]
+    /// does not — it walks the live rows, and this snapshot lags them.
     fn base_graph(&self) -> &Csr;
 
     /// Runs the search phase for a batch of queries, recording traces.
@@ -136,6 +141,12 @@ pub struct InsertReport {
 /// through it) until a compaction drops it, so recall on the live set
 /// degrades gracefully under churn.
 ///
+/// The live adjacency — [`num_vertices`](Self::num_vertices) rows read
+/// through [`live_neighbors`](Self::live_neighbors) — *is* the search
+/// graph of a mutable deployment: `dyn MutableIndex` implements
+/// [`Adjacency`], so a beam search walks it in place and sees an insert's
+/// O(R) repaired rows without anything being rebuilt.
+///
 /// `Send`: a deployment owns its index, and a cluster run steps whole
 /// replica deployments on several host threads.
 pub trait MutableIndex: GraphAnnsIndex + Send {
@@ -143,28 +154,37 @@ pub trait MutableIndex: GraphAnnsIndex + Send {
     /// `base` — into the live graph and returns which existing vertices'
     /// adjacency was repaired.
     ///
-    /// Inserts mutate the live adjacency lists only; the
-    /// [`base_graph`](GraphAnnsIndex::base_graph) CSR snapshot lags until
-    /// [`sync_base_graph`](Self::sync_base_graph) is called, so a burst
-    /// of inserts pays one O(V+E) rebuild, not one per insert. Read
-    /// current adjacency through
-    /// [`live_neighbors`](Self::live_neighbors) in the meantime.
+    /// Inserts touch the live rows only — the new vertex's and the
+    /// `repaired` ones', O(R) of them — and searches over the live view
+    /// see them at once. The [`base_graph`](GraphAnnsIndex::base_graph)
+    /// CSR lags until [`sync_base_graph`](Self::sync_base_graph) is
+    /// called; nothing on the per-update path needs it.
     ///
     /// # Panics
     /// Panics if `id` is not the next id (`base.len() - 1` and one past
     /// the current graph).
     fn insert(&mut self, base: &Dataset, id: VectorId) -> InsertReport;
 
+    /// Vertices linked into the live graph, tombstoned ones included (the
+    /// id the next [`insert`](Self::insert) must link).
+    fn num_vertices(&self) -> usize;
+
     /// Neighbor list of a vertex read from the live mutable adjacency —
-    /// always current, even while the CSR snapshot is stale.
+    /// always current: after every update it equals the row a
+    /// [`sync_base_graph`](Self::sync_base_graph) would write
+    /// (`tests/property_tests.rs` holds both indexes to that). This is
+    /// the row serving searches expand and the flash overlay is patched
+    /// from.
     ///
     /// # Panics
     /// Panics if `id` is out of range.
     fn live_neighbors(&self, id: VectorId) -> &[VectorId];
 
-    /// Rebuilds the [`base_graph`](GraphAnnsIndex::base_graph) CSR
-    /// snapshot if inserts are pending (a no-op otherwise). The serving
-    /// layer calls this once per scheduling round.
+    /// Rebuilds the [`base_graph`](GraphAnnsIndex::base_graph) CSR from
+    /// the live rows if inserts are pending (a no-op otherwise) — O(V+E),
+    /// so only for callers that are about to do O(V+E) work anyway: a
+    /// compaction restaging the layout, or staging a deployment from an
+    /// index that took inserts first. Serving never calls it.
     fn sync_base_graph(&mut self);
 
     /// Tombstones a vertex. Returns `false` if it was already deleted.
@@ -178,6 +198,16 @@ pub trait MutableIndex: GraphAnnsIndex + Send {
 
     /// Vertices that are present and not tombstoned.
     fn live_count(&self) -> usize;
+}
+
+impl Adjacency for dyn MutableIndex + '_ {
+    fn num_vertices(&self) -> usize {
+        MutableIndex::num_vertices(self)
+    }
+
+    fn neighbors(&self, v: VectorId) -> &[VectorId] {
+        self.live_neighbors(v)
+    }
 }
 
 #[cfg(test)]

@@ -59,9 +59,9 @@ impl Default for VamanaParams {
 /// The adjacency rows are retained after construction so online inserts
 /// can run the same greedy-search + RobustPrune kernel the build passes
 /// use, repairing backlinks of affected vertices
-/// ([`MutableIndex::insert`]); the CSR snapshot lags mutations until
-/// [`MutableIndex::sync_base_graph`] folds them in (one O(V+E) rebuild
-/// per batch of inserts, not one per insert).
+/// ([`MutableIndex::insert`]). The rows are what a mutable deployment
+/// searches; the CSR lags them until [`MutableIndex::sync_base_graph`]
+/// (an O(V+E) rebuild, for staging and compaction only).
 #[derive(Debug, Clone)]
 pub struct Vamana {
     params: VamanaParams,
@@ -278,6 +278,10 @@ impl MutableIndex for Vamana {
         );
         self.graph_dirty = true;
         InsertReport { id, repaired }
+    }
+
+    fn num_vertices(&self) -> usize {
+        self.rows.len()
     }
 
     fn live_neighbors(&self, id: VectorId) -> &[VectorId] {

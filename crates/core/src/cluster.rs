@@ -133,6 +133,9 @@
 //! assert!(report.availability() > 0.0 && report.availability() <= 1.0);
 //! ```
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use ndsearch_anns::index::MutableIndex;
 use ndsearch_flash::timing::Nanos;
 use ndsearch_vector::dataset::Dataset;
@@ -797,6 +800,14 @@ pub struct ClusterEngine<'a> {
     resolved: Vec<UpdateOutcome>,
     /// Which failure-schedule events already fired.
     fired: Vec<bool>,
+    /// [`ReplicaPolicy::Hedged`] only: scatters whose hedge fire time
+    /// (arrival + delay) no alive replica clock has reached yet, soonest
+    /// first — every one of their sessions would be skipped, so
+    /// [`fire_hedges`](Self::fire_hedges) does not visit them.
+    hedge_due: BinaryHeap<Reverse<(Nanos, ClusterQueryId)>>,
+    /// Scatters past their fire time that still have a session neither
+    /// hedged nor spent, ascending by id (the order hedges fire in).
+    hedge_armed: Vec<ClusterQueryId>,
     /// Host wall-clock spent inside `run_to_completion*`.
     wall: std::time::Duration,
 }
@@ -909,6 +920,8 @@ impl<'a> ClusterEngine<'a> {
             inflight_inserts: vec![0; num_shards],
             resolved: Vec::new(),
             fired,
+            hedge_due: BinaryHeap::new(),
+            hedge_armed: Vec::new(),
             wall: std::time::Duration::ZERO,
         }
     }
@@ -979,6 +992,10 @@ impl<'a> ClusterEngine<'a> {
                 })
             })
             .collect();
+        if let ReplicaPolicy::Hedged { delay_ns } = policy {
+            let fire_at = req.arrival_ns.saturating_add(delay_ns);
+            self.hedge_due.push(Reverse((fire_at, id)));
+        }
         self.queries.push(Scatter {
             query: req.query,
             arrival_ns: req.arrival_ns,
@@ -1284,7 +1301,7 @@ impl<'a> ClusterEngine<'a> {
         shard.replicas[r].killed_ns = Some(at_ns);
         let survivor = shard.next_alive_after(r);
         let mut new_work = false;
-        for scatter in &mut self.queries {
+        for (id, scatter) in self.queries.iter_mut().enumerate() {
             let Some(sc) = scatter.sessions[s].as_mut() else {
                 continue;
             };
@@ -1295,6 +1312,7 @@ impl<'a> ClusterEngine<'a> {
                     sc.abandoned.push(h);
                     sc.hedge = None;
                     sc.hedge_spent = false;
+                    arm_hedge(&mut self.hedge_armed, id);
                 }
             }
             if sc.primary.replica == r
@@ -1334,31 +1352,55 @@ impl<'a> ClusterEngine<'a> {
     /// scattered session whose primary has been outstanding for the
     /// hedge delay, submit an identical backup on the next alive
     /// replica. Runs after the round's stepping, in submission order, so
-    /// the decision depends only on simulated clocks.
+    /// the decision depends only on simulated clocks. Only scatters whose
+    /// fire time some alive replica's clock has reached are visited, and
+    /// only until each of their sessions is hedged or spent.
     fn fire_hedges(&mut self) -> bool {
         let ReplicaPolicy::Hedged { delay_ns } = self.replication.policy else {
             return false;
         };
+        let latest_clock = self
+            .shards
+            .iter()
+            .flatten()
+            .flat_map(|shard| &shard.replicas)
+            .filter(|rep| rep.alive)
+            .map(|rep| rep.engine.now_ns())
+            .max()
+            .unwrap_or(0);
+        while let Some(&Reverse((fire_at, id))) = self.hedge_due.peek() {
+            if fire_at > latest_clock {
+                break;
+            }
+            self.hedge_due.pop();
+            arm_hedge(&mut self.hedge_armed, id);
+        }
+
         let mut new_work = false;
-        for scatter in &mut self.queries {
+        let (queries, shards) = (&mut self.queries, &mut self.shards);
+        self.hedge_armed.retain(|&id| {
+            let scatter = &mut queries[id];
             let fire_at = scatter.arrival_ns.saturating_add(delay_ns);
+            let mut armed = false;
             for (s, session) in scatter.sessions.iter_mut().enumerate() {
                 let Some(sc) = session else { continue };
                 if sc.hedge.is_some() || sc.hedge_spent {
                     continue;
                 }
-                let shard = self.shards[s].as_mut().expect("session on staged shard");
+                let shard = shards[s].as_mut().expect("session on staged shard");
                 let primary = &shard.replicas[sc.primary.replica];
                 if !primary.alive || primary.engine.now_ns() < fire_at {
+                    armed = true;
                     continue;
                 }
+                // Whatever happens below, this session's one hedge
+                // decision is made.
+                sc.hedge_spent = true;
                 if primary.engine.poll(sc.primary.query).is_terminal() {
                     // Finished inside the delay: no hedge ever needed.
-                    sc.hedge_spent = true;
                     continue;
                 }
                 let Some(backup) = shard.next_alive_after(sc.primary.replica) else {
-                    sc.hedge_spent = true;
                     continue;
                 };
                 let rep = &mut shard.replicas[backup];
@@ -1374,11 +1416,11 @@ impl<'a> ClusterEngine<'a> {
                     replica: backup,
                     query,
                 });
-                sc.hedge_spent = true;
                 shard.hedges += 1;
                 new_work = true;
             }
-        }
+            armed
+        });
         new_work
     }
 
@@ -1651,6 +1693,15 @@ impl<'a> ClusterEngine<'a> {
             makespan_ns: last_completion.saturating_sub(first_arrival.unwrap_or(0)),
             wall_s: self.wall.as_secs_f64(),
         }
+    }
+}
+
+/// Enters scatter `id` in the id-ordered list of scatters
+/// [`ClusterEngine::fire_hedges`] visits (a no-op if it is on it). Ids
+/// come due in roughly ascending order, so this is nearly always a push.
+fn arm_hedge(armed: &mut Vec<ClusterQueryId>, id: ClusterQueryId) {
+    if let Err(at) = armed.binary_search(&id) {
+        armed.insert(at, id);
     }
 }
 

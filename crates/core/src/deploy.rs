@@ -6,8 +6,11 @@
 //! continuously. A [`Deployment`] bundles everything that must evolve
 //! together when it does:
 //!
-//! * the **live index** — any [`MutableIndex`] (HNSW, Vamana) whose
-//!   construction kernels also drive incremental inserts;
+//! * the **search graph** — for a mutable deployment the live index
+//!   itself (any [`MutableIndex`]: HNSW, Vamana), whose construction
+//!   kernels also drive incremental inserts and whose live rows the
+//!   serving beam walks in place ([`Deployment::graph`]); for a query-only
+//!   one a static [`Csr`];
 //! * the **dataset** — construction-order vectors, appended by
 //!   [`Dataset::try_push`];
 //! * the **staged overlay** — the flash-resident LUNCSR as a read-mostly
@@ -20,13 +23,16 @@
 //!   ([`ndsearch_flash::wear::WearModel`]); compaction erases the old
 //!   blocks and rewrites a fresh base.
 //!
-//! The dataset/graph/prepared views are held in [`Arc`]s: each scheduling
-//! round of the serving engine takes handles to them at the round
-//! boundary and applies updates only after the round's hops have run, so
-//! a search never reads a half-applied update.
+//! An update costs what it touches — one dataset row, one code, the O(R)
+//! adjacency rows RobustPrune rewrote and their overlay entries — never
+//! the whole graph (the FreshDiskANN regime): there is no second copy of
+//! anything to refresh, and the one O(V+E) pass left on the write path is
+//! [`Deployment::compact`], beside the full rewrite it models. The
+//! deployment has one owner and hands out plain borrows; the serving
+//! engine applies updates only after a round's hops have run, so a search
+//! never reads a half-applied update.
 
-use std::sync::Arc;
-
+use ndsearch_anns::beam::Adjacency;
 use ndsearch_anns::index::MutableIndex;
 use ndsearch_anns::trace::BatchTrace;
 use ndsearch_flash::ftl::Ftl;
@@ -149,23 +155,41 @@ pub struct CompactionReport {
     pub duration_ns: Nanos,
 }
 
+/// The graph a deployment's searches walk, fixed by how it was staged.
+enum SearchGraph {
+    /// [`Deployment::from_parts`]: a static CSR; updates are rejected.
+    Static(Csr),
+    /// [`Deployment::stage`]: the live index, whose rows are the graph.
+    Live(Box<dyn MutableIndex>),
+}
+
+impl Adjacency for SearchGraph {
+    fn num_vertices(&self) -> usize {
+        match self {
+            SearchGraph::Static(csr) => csr.num_vertices(),
+            SearchGraph::Live(index) => index.num_vertices(),
+        }
+    }
+
+    fn neighbors(&self, v: VectorId) -> &[VectorId] {
+        match self {
+            SearchGraph::Static(csr) => csr.neighbors(v),
+            SearchGraph::Live(index) => index.live_neighbors(v),
+        }
+    }
+}
+
 /// A versioned, mutable deployment (see the [module docs](self)).
 pub struct Deployment {
-    /// The live index; `None` for query-only deployments staged from
-    /// borrowed parts (updates are rejected).
-    index: Option<Box<dyn MutableIndex>>,
-    dataset: Arc<Dataset>,
-    graph: Arc<Csr>,
-    /// Whether `graph` lags the index (inserts mark it dirty; the
-    /// snapshot is refreshed once per round, not once per update).
-    graph_dirty: bool,
-    prepared: Arc<Prepared>,
+    graph: SearchGraph,
+    dataset: Dataset,
+    prepared: Prepared,
     /// DRAM-resident compressed codes for traversal, trained once at
     /// staging from [`NdsConfig::quantization`] (`None` when
     /// quantization is off or the `NDSEARCH_NO_QUANT` override is set).
     /// Inserts encode through the same trained quantizer; compaction
     /// re-packs the table.
-    codes: Option<Arc<QuantCodes>>,
+    codes: Option<QuantCodes>,
     ftl: Ftl,
     wear: WearModel,
     totals: UpdateTotals,
@@ -177,7 +201,7 @@ pub struct Deployment {
 impl std::fmt::Debug for Deployment {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Deployment")
-            .field("mutable", &self.index.is_some())
+            .field("mutable", &self.is_mutable())
             .field("vertices", &self.dataset.len())
             .field("delta", &self.prepared.luncsr.delta_vertices())
             .field("tombstones", &self.prepared.luncsr.tombstone_count())
@@ -190,39 +214,27 @@ impl std::fmt::Debug for Deployment {
 /// the `NDSEARCH_NO_QUANT` environment flag (same parsing rule as
 /// `NDSEARCH_NO_SIMD`; see `ndsearch_vector::env`) forces compressed
 /// search off for an A/B run.
-fn train_codes(config: &NdsConfig, dataset: &Dataset) -> Option<Arc<QuantCodes>> {
+fn train_codes(config: &NdsConfig, dataset: &Dataset) -> Option<QuantCodes> {
     if ndsearch_vector::env::env_flag("NDSEARCH_NO_QUANT") {
         return None;
     }
-    QuantCodes::train(config.quantization, dataset, config.seed ^ 0xC0DE).map(Arc::new)
+    QuantCodes::train(config.quantization, dataset, config.seed ^ 0xC0DE)
 }
 
 impl Deployment {
     /// Stages a mutable deployment: runs the offline pipeline over the
-    /// index's current base graph and takes ownership of index + dataset.
+    /// index's base graph (synced first, in case the index took inserts
+    /// before being staged) and takes ownership of index + dataset. From
+    /// here on the index's live rows are the graph searches walk.
     ///
     /// # Panics
     /// Panics if the dataset and index disagree on vertex count or the
     /// dataset does not fit the configured geometry.
-    pub fn stage(config: &NdsConfig, index: Box<dyn MutableIndex>, dataset: Dataset) -> Self {
+    pub fn stage(config: &NdsConfig, mut index: Box<dyn MutableIndex>, dataset: Dataset) -> Self {
+        index.sync_base_graph();
         let prepared =
             Prepared::stage(config, index.base_graph(), &dataset, &BatchTrace::default());
-        let graph = Arc::new(index.base_graph().clone());
-        let open_slots =
-            (prepared.luncsr.num_vertices() as u32) % prepared.luncsr.mapping().slots_per_page();
-        let codes = train_codes(config, &dataset);
-        Self {
-            index: Some(index),
-            graph,
-            graph_dirty: false,
-            prepared: Arc::new(prepared),
-            dataset: Arc::new(dataset),
-            codes,
-            ftl: Ftl::new(config.geometry, config.seed ^ 0x5EED),
-            wear: WearModel::new(config.geometry),
-            totals: UpdateTotals::default(),
-            open_slots,
-        }
+        Self::assemble(config, SearchGraph::Live(index), prepared, dataset)
     }
 
     /// Wraps already-staged parts into a query-only deployment (the
@@ -233,15 +245,22 @@ impl Deployment {
         dataset: Dataset,
         graph: Csr,
     ) -> Self {
+        Self::assemble(config, SearchGraph::Static(graph), prepared, dataset)
+    }
+
+    fn assemble(
+        config: &NdsConfig,
+        graph: SearchGraph,
+        prepared: Prepared,
+        dataset: Dataset,
+    ) -> Self {
         let open_slots =
             (prepared.luncsr.num_vertices() as u32) % prepared.luncsr.mapping().slots_per_page();
         let codes = train_codes(config, &dataset);
         Self {
-            index: None,
-            graph: Arc::new(graph),
-            graph_dirty: false,
-            prepared: Arc::new(prepared),
-            dataset: Arc::new(dataset),
+            graph,
+            prepared,
+            dataset,
             codes,
             ftl: Ftl::new(config.geometry, config.seed ^ 0x5EED),
             wear: WearModel::new(config.geometry),
@@ -252,37 +271,23 @@ impl Deployment {
 
     /// Whether this deployment accepts updates.
     pub fn is_mutable(&self) -> bool {
-        self.index.is_some()
+        self.index().is_some()
     }
 
-    /// The construction-order dataset snapshot.
-    pub fn dataset(&self) -> &Arc<Dataset> {
+    /// The construction-order dataset.
+    pub fn dataset(&self) -> &Dataset {
         &self.dataset
     }
 
-    /// The live construction-order graph snapshot. May lag the index by
-    /// the updates applied since the last
-    /// [`refresh_graph`](Self::refresh_graph) — the serving engine
-    /// refreshes once per round boundary.
-    pub fn graph(&self) -> &Arc<Csr> {
+    /// The construction-order graph searches walk: the live index's rows
+    /// for a mutable deployment — always current, every applied update
+    /// included — or the static CSR of a query-only one.
+    pub fn graph(&self) -> &impl Adjacency {
         &self.graph
     }
 
-    /// Re-snapshots the graph from the live index if any insert has been
-    /// applied since the last refresh (one O(V+E) copy per *round* with
-    /// updates, instead of one per update).
-    pub fn refresh_graph(&mut self) {
-        if self.graph_dirty {
-            if let Some(index) = self.index.as_mut() {
-                index.sync_base_graph();
-                self.graph = Arc::new(index.base_graph().clone());
-            }
-            self.graph_dirty = false;
-        }
-    }
-
-    /// The staged physical overlay snapshot.
-    pub fn prepared(&self) -> &Arc<Prepared> {
+    /// The staged physical overlay.
+    pub fn prepared(&self) -> &Prepared {
         &self.prepared
     }
 
@@ -290,13 +295,16 @@ impl Deployment {
     /// [`NdsConfig::quantization`] staged one. Kept in lock-step with
     /// the dataset: inserts append through the same trained quantizer
     /// and compaction re-packs it.
-    pub fn codes(&self) -> Option<&Arc<QuantCodes>> {
+    pub fn codes(&self) -> Option<&QuantCodes> {
         self.codes.as_ref()
     }
 
     /// The live index, if this deployment is mutable.
     pub fn index(&self) -> Option<&dyn MutableIndex> {
-        self.index.as_deref()
+        match &self.graph {
+            SearchGraph::Static(_) => None,
+            SearchGraph::Live(index) => Some(&**index),
+        }
     }
 
     /// Update write-path totals so far.
@@ -318,15 +326,13 @@ impl Deployment {
 
     /// Whether a construction-order vertex has been tombstoned.
     pub fn is_deleted(&self, id: VectorId) -> bool {
-        self.index
-            .as_deref()
+        self.index()
             .is_some_and(|ix| (id as usize) < self.dataset.len() && ix.is_deleted(id))
     }
 
     /// Vertices present and not tombstoned.
     pub fn live_count(&self) -> usize {
-        self.index
-            .as_deref()
+        self.index()
             .map_or(self.dataset.len(), MutableIndex::live_count)
     }
 
@@ -337,41 +343,41 @@ impl Deployment {
     /// fills, and one block P/E cycle when the append opens a fresh
     /// (erased) block.
     ///
-    /// The [`graph`](Self::graph) snapshot is *not* refreshed here — the
-    /// serving engine calls [`refresh_graph`](Self::refresh_graph) once
-    /// per round boundary, so a burst of updates pays one graph copy, not
-    /// one per update.
+    /// Searches over [`graph`](Self::graph) see the new vertex and the
+    /// repaired rows as soon as this returns; nothing is re-snapshotted.
     ///
     /// # Errors
     /// Returns [`InsertError::Shape`] on a dimensionality mismatch and
     /// [`InsertError::DeviceFull`] when the geometry has no free slot —
     /// both surface as rejected update sessions, not panics.
+    ///
+    /// # Panics
+    /// Panics on a query-only deployment.
     pub fn insert(
         &mut self,
         config: &NdsConfig,
         vector: &[f32],
     ) -> Result<AppliedUpdate, InsertError> {
-        assert!(self.index.is_some(), "insert on an immutable deployment");
+        let SearchGraph::Live(index) = &mut self.graph else {
+            panic!("insert on an immutable deployment");
+        };
         {
             let mapping = self.prepared.luncsr.mapping();
             if mapping.len() as u64 >= mapping.capacity_slots() {
                 return Err(InsertError::DeviceFull);
             }
         }
-        let id = Arc::make_mut(&mut self.dataset).try_push(vector)?;
+        let id = self.dataset.try_push(vector)?;
         if let Some(codes) = self.codes.as_mut() {
             // Same trained quantizer as staging: the new row's code is
             // identical to what a fresh repack would produce.
-            Arc::make_mut(codes).push(self.dataset.vector(id));
+            codes.push(self.dataset.vector(id));
         }
-        let index = self.index.as_mut().expect("checked above");
         let report = index.insert(&self.dataset, id);
-        self.graph_dirty = true;
 
-        // ---- Extend the staged overlay in lock-step, reading the live
-        // adjacency lists (the CSR snapshot lags until the next round
-        // boundary — no O(V+E) rebuild per update). ----
-        let prepared = Arc::make_mut(&mut self.prepared);
+        // ---- Extend the staged overlay in lock-step: the new vertex's
+        // row and the repaired ones, read from the live adjacency. ----
+        let prepared = &mut self.prepared;
         let adj_phys: Vec<VectorId> = index
             .live_neighbors(id)
             .iter()
@@ -434,14 +440,17 @@ impl Deployment {
 
     /// Applies one online delete (tombstone). Returns `None` when the id
     /// is out of range or already tombstoned.
+    ///
+    /// # Panics
+    /// Panics on a query-only deployment.
     pub fn delete(&mut self, config: &NdsConfig, id: VectorId) -> Option<AppliedUpdate> {
-        assert!(self.index.is_some(), "delete on an immutable deployment");
-        let bound = self.dataset.len();
-        let index = self.index.as_mut().expect("checked above");
-        if (id as usize) >= bound || !index.delete(id) {
+        let SearchGraph::Live(index) = &mut self.graph else {
+            panic!("delete on an immutable deployment");
+        };
+        if (id as usize) >= self.dataset.len() || !index.delete(id) {
             return None;
         }
-        let prepared = Arc::make_mut(&mut self.prepared);
+        let prepared = &mut self.prepared;
         prepared.luncsr.tombstone(prepared.perm.new_of(id));
         self.totals.deletes += 1;
         Some(AppliedUpdate {
@@ -461,7 +470,6 @@ impl Deployment {
     /// rebuild), so query results over the compacted deployment match the
     /// overlay's exactly.
     pub fn compact(&mut self, config: &NdsConfig) -> CompactionReport {
-        self.refresh_graph();
         let timing = &config.timing;
         // Erase the old footprint: every distinct (plane, logical block)
         // the overlay occupies goes through the FTL as an erase; wear is
@@ -488,16 +496,24 @@ impl Deployment {
         let erase_rounds = per_plane.values().copied().max().unwrap_or(0);
 
         // Re-stage from the live construction graph (same id space; the
-        // search graph is unchanged, so results are too).
-        let restaged = Prepared::stage(config, &self.graph, &self.dataset, &BatchTrace::default());
-        let tombstoned: Vec<VectorId> = (0..self.graph.num_vertices() as u32)
-            .filter(|&v| self.is_deleted(v))
-            .collect();
-        self.prepared = Arc::new(restaged);
-        let prepared = Arc::make_mut(&mut self.prepared);
-        for v in tombstoned {
-            prepared.luncsr.tombstone(prepared.perm.new_of(v));
+        // search graph is unchanged, so results are too). Reorder and
+        // placement want the whole graph as one CSR: the write path's one
+        // O(V+E) sync, beside a rewrite of every page.
+        let csr = match &mut self.graph {
+            SearchGraph::Static(csr) => &*csr,
+            SearchGraph::Live(index) => {
+                index.sync_base_graph();
+                index.base_graph()
+            }
+        };
+        self.prepared = Prepared::stage(config, csr, &self.dataset, &BatchTrace::default());
+        for v in 0..self.dataset.len() as VectorId {
+            if self.is_deleted(v) {
+                let phys = self.prepared.perm.new_of(v);
+                self.prepared.luncsr.tombstone(phys);
+            }
         }
+        let prepared = &self.prepared;
 
         // Program the fresh base: every page rewritten. Wear for the
         // rewrite was already charged with the erases above (erase +
@@ -518,8 +534,7 @@ impl Deployment {
             // Compaction rewrote the physical layout; re-pack the code
             // table over the (unchanged) construction-order rows —
             // bit-identical codes, fresh contiguous storage.
-            let repacked = codes.repack(&self.dataset);
-            *Arc::make_mut(codes) = repacked;
+            *codes = codes.repack(&self.dataset);
         }
 
         self.totals.blocks_erased += occupied.len() as u64;
@@ -562,9 +577,7 @@ mod tests {
             programmed += applied.pages_programmed;
         }
         assert_eq!(deploy.dataset().len(), 464);
-        // The graph snapshot refreshes at round boundaries, not per update.
-        assert_eq!(deploy.graph().num_vertices(), 400);
-        deploy.refresh_graph();
+        // The search graph is the live index: current after every update.
         assert_eq!(deploy.graph().num_vertices(), 464);
         assert_eq!(deploy.prepared().luncsr.delta_vertices(), 64);
         let totals = deploy.totals();

@@ -33,8 +33,12 @@
 //!   order between search rounds, capped per round
 //!   ([`ServeConfig::max_updates_per_round`]). Inserts link through the
 //!   index's construction kernel, extend the LUNCSR delta segment and
-//!   charge the flash program path; a round's hops read the deployment
-//!   as it stood at the round boundary, never a half-applied update;
+//!   charge the flash program path. The hops read the deployment in
+//!   place — a mutable one's live index rows, no per-round snapshot —
+//!   and updates are applied only after a round's hops have run, so
+//!   every hop of a round sees the deployment as the round boundary
+//!   left it, never a half-applied update, and an update round costs
+//!   the O(R) rows it rewrote, not O(V+E);
 //! * [`ServeReport`] — QPS over the makespan, per-query latency order
 //!   statistics ([`LatencySummary`]), wall-clock simulation
 //!   throughput (`wall_s` / [`ServeReport::sim_ns_per_wall_s`]), and the
@@ -91,16 +95,14 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::Arc;
 
-use ndsearch_anns::beam::{BeamSearcher, VisitedSet};
+use ndsearch_anns::beam::{Adjacency, BeamSearcher, VisitedSet};
 use ndsearch_anns::trace::IterationTrace;
 use ndsearch_flash::ecc::EccEngine;
 use ndsearch_flash::stats::FlashStats;
 use ndsearch_flash::timing::Nanos;
 use ndsearch_graph::csr::Csr;
 use ndsearch_vector::dataset::Dataset;
-use ndsearch_vector::quant::QuantCodes;
 use ndsearch_vector::topk::Neighbor;
 use ndsearch_vector::{DistanceKind, VectorId};
 
@@ -110,24 +112,6 @@ use crate::engine::{execute_round, sorting_tail, LunCoverage, RoundScratch, Roun
 use crate::pipeline::Prepared;
 use crate::qpt::QueryPropertyTable;
 use crate::report::{LatencyBreakdown, LatencySummary};
-
-/// The prepared first half of one scheduling round: what admission
-/// charged, and the deployment as it stands at the round boundary (shared
-/// handles, so the hop stage and `finish_round` read it while the engine's
-/// own state is being updated).
-struct RoundPrep {
-    /// PCIe transfer-in time charged by this round's admissions.
-    t_in: Nanos,
-    /// Construction-order dataset.
-    dataset: Arc<Dataset>,
-    /// Live graph.
-    graph: Arc<Csr>,
-    /// Staged overlay (relabeling, physical addresses).
-    prepared: Arc<Prepared>,
-    /// Compressed codes (when quantization is on); hops then score these
-    /// DRAM-resident codes instead of full-precision rows.
-    codes: Option<Arc<QuantCodes>>,
-}
 
 /// Identifier of a submitted query session (dense, in submission order).
 pub type QueryId = usize;
@@ -643,6 +627,18 @@ fn outcome_sample(o: &QueryOutcome) -> (u32, SessionState, bool, Option<Nanos>, 
     (o.tenant, o.state, o.shed, o.deadline_ns, o.latency_ns())
 }
 
+/// The count kept for `tenant` in a list ascending by tenant, entered at
+/// zero on first sight (a handful of tenants; no map node per round).
+fn tenant_slot(counts: &mut Vec<(u32, usize)>, tenant: u32) -> &mut usize {
+    let at = counts
+        .binary_search_by_key(&tenant, |&(t, _)| t)
+        .unwrap_or_else(|at| {
+            counts.insert(at, (tenant, 0));
+            at
+        });
+    &mut counts[at].1
+}
+
 /// Internal per-session state. The searcher (which owns a dataset-sized
 /// visited set) exists only while the session is `Running`: it is built at
 /// admission from the stored request and torn down at completion/expiry
@@ -737,8 +733,11 @@ pub struct ServeEngine<'a> {
     prev_shadow: Nanos,
     rounds: u64,
     peak_inflight: usize,
-    /// Peak concurrent in-flight sessions per tenant.
-    peak_tenant_inflight: std::collections::BTreeMap<u32, usize>,
+    /// Peak concurrent in-flight sessions per tenant, ascending by tenant.
+    peak_tenant_inflight: Vec<(u32, usize)>,
+    /// In-flight sessions per tenant in the round being admitted,
+    /// ascending by tenant; recounted in place every round.
+    tenant_inflight: Vec<(u32, usize)>,
     /// Simulated time spent in rounds that executed at least one hop
     /// (numerator of the shed estimator's per-hop cost).
     hop_round_ns_total: Nanos,
@@ -845,7 +844,8 @@ impl<'a> ServeEngine<'a> {
             prev_shadow: 0,
             rounds: 0,
             peak_inflight: 0,
-            peak_tenant_inflight: std::collections::BTreeMap::new(),
+            peak_tenant_inflight: Vec::new(),
+            tenant_inflight: Vec::new(),
             hop_round_ns_total: 0,
             hop_rounds: 0,
             finished_hops_total: 0,
@@ -1145,7 +1145,8 @@ impl<'a> ServeEngine<'a> {
     /// distance evaluations read codes from internal DRAM and run on the
     /// embedded cores/accelerator — no NAND access. Derived from the
     /// hop traces alone (slot order).
-    fn quantized_round_ns(&mut self, codes: &QuantCodes, hops: &[(u32, IterationTrace)]) -> Nanos {
+    fn quantized_round_ns(&mut self, hops: &[(u32, IterationTrace)]) -> Nanos {
+        let codes = self.deploy.codes().expect("a quantized deployment");
         let timing = &self.config.timing;
         let active = hops.len();
         let new_distances: u64 = hops.iter().map(|(_, it)| it.visited.len() as u64).sum();
@@ -1172,12 +1173,13 @@ impl<'a> ServeEngine<'a> {
     /// against the full-precision dataset, charging one NAND page read
     /// per distinct page the candidates occupy plus the channel
     /// transfer of their rows.
-    fn rerank_tail_ns(&mut self, id: QueryId, dataset: &Dataset, prepared: &Prepared) -> Nanos {
+    fn rerank_tail_ns(&mut self, id: QueryId) -> Nanos {
+        let prepared = self.deploy.prepared();
         let depth = self.serve.rerank_depth.max(self.sessions[id].k);
         let Some(searcher) = self.sessions[id].searcher.as_mut() else {
             return 0;
         };
-        let ids = searcher.rerank(dataset, depth);
+        let ids = searcher.rerank(self.deploy.dataset(), depth);
         if ids.is_empty() {
             return 0;
         }
@@ -1222,9 +1224,9 @@ impl<'a> ServeEngine<'a> {
     pub fn step_round(&mut self) -> bool {
         let wall_start = std::time::Instant::now();
         let more = match self.begin_round() {
-            Some(prep) => {
-                self.step_hops(&prep);
-                self.finish_round(prep)
+            Some(t_in) => {
+                self.step_hops();
+                self.finish_round(t_in)
             }
             None => false,
         };
@@ -1232,14 +1234,11 @@ impl<'a> ServeEngine<'a> {
         more
     }
 
-    /// First half of a scheduling round: arrivals, expiry, SLO shedding,
-    /// round-boundary handles and admission. Returns `None` when the
-    /// engine is fully drained (no work now or ever).
-    fn begin_round(&mut self) -> Option<RoundPrep> {
-        // Updates applied at the end of the previous round become visible
-        // here — one graph re-snapshot per round, not per update (and the
-        // snapshot is fresh even when this call ends up idle-returning).
-        self.deploy.refresh_graph();
+    /// First half of a scheduling round: arrivals, expiry, SLO shedding
+    /// and admission. Returns the PCIe transfer-in time the admissions
+    /// charged, or `None` when the engine is fully drained (no work now
+    /// or ever).
+    fn begin_round(&mut self) -> Option<Nanos> {
         self.process_arrivals();
         if self.inflight.is_empty() && self.queue.is_empty() && self.update_queue.is_empty() {
             // Idle: fast-forward to the next arrival (query or update).
@@ -1256,20 +1255,17 @@ impl<'a> ServeEngine<'a> {
         self.expire_due();
         self.shed_doomed();
 
-        // ---- The deployment at the round boundary: updates are only
-        // applied at the end of a round, after the hops have read it. ----
-        let dataset = Arc::clone(self.deploy.dataset());
-        let graph = Arc::clone(self.deploy.graph());
-        let prepared = Arc::clone(self.deploy.prepared());
-        let codes = self.deploy.codes().cloned();
-
         // ---- Admission: PCIe-in DMA overlaps the round's search. The
         // searcher is built here, not at submit, around a visited set
         // recycled from a finished session when one is spare, so resident
         // memory tracks the in-flight cap. ----
         let mut t_in: Nanos = 0;
-        let (num_vertices, beam_width, distance) =
-            (dataset.len(), self.serve.beam_width, self.serve.distance);
+        let (num_vertices, beam_width, distance) = (
+            self.deploy.dataset().len(),
+            self.serve.beam_width,
+            self.serve.distance,
+        );
+        let admit_bytes = self.deploy.prepared().vector_bytes as u64 + 16;
         // Per-tenant cap: unbounded unless `TenantFair` is in force, so
         // every other policy admits exactly as the legacy FIFO loop did.
         let tenant_cap = match self.serve.slo {
@@ -1278,10 +1274,9 @@ impl<'a> ServeEngine<'a> {
             } => max_inflight_per_tenant.max(1),
             _ => usize::MAX,
         };
-        let mut tenant_inflight: std::collections::BTreeMap<u32, usize> =
-            std::collections::BTreeMap::new();
+        self.tenant_inflight.clear();
         for &id in &self.inflight {
-            *tenant_inflight.entry(self.sessions[id].tenant).or_default() += 1;
+            *tenant_slot(&mut self.tenant_inflight, self.sessions[id].tenant) += 1;
         }
         // Capped-out requests are skipped, not rejected: they go back to
         // the queue front afterwards, preserving FIFO within each tenant.
@@ -1290,8 +1285,7 @@ impl<'a> ServeEngine<'a> {
             let Some(id) = self.queue.pop_front() else {
                 break;
             };
-            let tenant = self.sessions[id].tenant;
-            let held = tenant_inflight.entry(tenant).or_default();
+            let held = tenant_slot(&mut self.tenant_inflight, self.sessions[id].tenant);
             if *held >= tenant_cap {
                 skipped.push(id);
                 continue;
@@ -1311,18 +1305,17 @@ impl<'a> ServeEngine<'a> {
                 beam_width,
                 distance,
             ));
-            let bytes = prepared.vector_bytes as u64 + 16;
-            t_in += self.config.host_link.transfer_ns(bytes);
-            self.stats.pcie_bytes += bytes;
+            t_in += self.config.host_link.transfer_ns(admit_bytes);
+            self.stats.pcie_bytes += admit_bytes;
             self.inflight.push(id);
         }
         for id in skipped.into_iter().rev() {
             self.queue.push_front(id);
         }
         self.peak_inflight = self.peak_inflight.max(self.inflight.len());
-        for (tenant, held) in tenant_inflight {
+        for &(tenant, held) in &self.tenant_inflight {
             if held > 0 {
-                let peak = self.peak_tenant_inflight.entry(tenant).or_default();
+                let peak = tenant_slot(&mut self.peak_tenant_inflight, tenant);
                 *peak = (*peak).max(held);
             }
         }
@@ -1334,20 +1327,20 @@ impl<'a> ServeEngine<'a> {
         }
         self.live_hops = 0;
         self.finished.clear();
-        Some(RoundPrep {
-            t_in,
-            dataset,
-            graph,
-            prepared,
-            codes,
-        })
+        Some(t_in)
     }
 
     /// Hop stage: one hop per in-flight session in admission (slot)
     /// order, each searcher stepped where it lives and each hop written —
     /// and relabeled into the physical id space — in a record the engine
-    /// keeps across rounds, so a hop allocates nothing.
-    fn step_hops(&mut self, prep: &RoundPrep) {
+    /// keeps across rounds, so a hop allocates nothing. The hops read the
+    /// deployment in place (a mutable one's live index rows): updates are
+    /// applied only at the end of [`finish_round`](Self::finish_round),
+    /// so every hop of a round sees the deployment exactly as the round
+    /// boundary left it.
+    fn step_hops(&mut self) {
+        let deploy = &self.deploy;
+        let graph = deploy.graph();
         for (slot, &id) in self.inflight.iter().enumerate() {
             let searcher = self.sessions[id]
                 .searcher
@@ -1357,13 +1350,15 @@ impl<'a> ServeEngine<'a> {
                 self.hops.push((0, IterationTrace::default()));
             }
             let (hop_slot, hop) = &mut self.hops[self.live_hops];
-            let stepped = match prep.codes.as_deref() {
-                Some(codes) => searcher.step_into(codes, &prep.graph, hop),
-                None => searcher.step_into(prep.dataset.as_ref(), &prep.graph, hop),
+            // Quantized deployments score DRAM-resident codes instead of
+            // full-precision rows.
+            let stepped = match deploy.codes() {
+                Some(codes) => searcher.step_into(codes, graph, hop),
+                None => searcher.step_into(deploy.dataset(), graph, hop),
             };
             if stepped {
                 *hop_slot = slot as u32;
-                prep.prepared.relabel_hop_in_place(hop);
+                deploy.prepared().relabel_hop_in_place(hop);
                 self.live_hops += 1;
             }
             if !stepped || searcher.is_finished() {
@@ -1373,21 +1368,15 @@ impl<'a> ServeEngine<'a> {
     }
 
     /// Second half of a scheduling round, after the hop stage: executes
-    /// the merged round's LUN stage, advances the clock, completes
-    /// sessions and applies queued updates. Returns whether any work
-    /// remains.
-    fn finish_round(&mut self, prep: RoundPrep) -> bool {
-        let RoundPrep {
-            t_in,
-            dataset,
-            graph,
-            prepared,
-            codes,
-        } = prep;
+    /// the merged round's LUN stage, advances the clock (`t_in` is what
+    /// admission charged), completes sessions and applies queued updates.
+    /// Returns whether any work remains.
+    fn finish_round(&mut self, t_in: Nanos) -> bool {
         // Borrowed out of `self` for the round; handed back below so the
         // records' buffers serve the next round.
         let hop_records = std::mem::take(&mut self.hops);
         let hops = &hop_records[..self.live_hops];
+        let quantized = self.deploy.codes().is_some();
 
         // ---- Execute the merged round on the hardware model. Quantized
         // rounds never touch flash: every distance comes from the
@@ -1396,13 +1385,13 @@ impl<'a> ServeEngine<'a> {
         // only by the exact rerank at completion. ----
         let mut round_exec: Nanos = 0;
         if !hops.is_empty() {
-            if let Some(codes) = codes.as_deref() {
-                round_exec = self.quantized_round_ns(codes, hops);
+            if quantized {
+                round_exec = self.quantized_round_ns(hops);
                 self.rounds += 1;
             } else {
                 let round = execute_round(
                     self.config,
-                    &prepared.luncsr,
+                    &self.deploy.prepared().luncsr,
                     &self.qpt,
                     hops.iter()
                         .map(|(slot, hop)| (*slot, hop.visited.as_slice())),
@@ -1441,13 +1430,13 @@ impl<'a> ServeEngine<'a> {
         debug_assert!(done.peek().is_none(), "finished sessions were in flight");
         for &id in &finished {
             let mut tail = self.completion_tail_ns();
-            if codes.is_some() {
+            if quantized {
                 // Exact rerank: the final candidates' full-precision rows
                 // are read from flash and rescored before sorting. The
                 // read extends this query's completion tail (overlapping
                 // subsequent rounds, like the sorting tail), and counts
                 // against its deadline below.
-                tail += self.rerank_tail_ns(id, &dataset, &prepared);
+                tail += self.rerank_tail_ns(id);
             }
             let done_ns = self.now_ns + tail;
             let state = match self.sessions[id].deadline_ns {
@@ -1466,13 +1455,9 @@ impl<'a> ServeEngine<'a> {
         // maintenance window, a compaction) holds none.
         self.spare_visited.truncate(self.inflight.len());
 
-        // ---- Apply admitted updates, in admission order. The next
-        // round picks the mutations up. The round's own handles are
-        // released first so `Arc::make_mut` inside the deployment mutates
-        // in place instead of deep-cloning the dataset and overlay. ----
-        drop(dataset);
-        drop(graph);
-        drop(prepared);
+        // ---- Apply admitted updates, in admission order — last, so no
+        // hop of this round saw any of them and the next round's hops see
+        // all of them. ----
         for _ in 0..self.serve.max_updates_per_round {
             let Some(uid) = self.update_queue.pop_front() else {
                 break;
@@ -1589,11 +1574,7 @@ impl<'a> ServeEngine<'a> {
                 .saturating_sub(self.first_arrival_ns.unwrap_or(0)),
             rounds: self.rounds,
             peak_inflight: self.peak_inflight,
-            peak_tenant_inflight: self
-                .peak_tenant_inflight
-                .iter()
-                .map(|(&t, &p)| (t, p))
-                .collect(),
+            peak_tenant_inflight: self.peak_tenant_inflight.clone(),
             breakdown: self.breakdown,
             stats: self.stats,
             lun_coverage: self.luns_touched.ratio(self.config.geometry.total_luns()),
@@ -1982,7 +1963,7 @@ mod tests {
         let mut vs = VisitedSet::new(engine.deployment().dataset().len());
         for (i, (_, q)) in fx.queries.iter().enumerate() {
             let mut want = beam_search(
-                engine.deployment().dataset().as_ref(),
+                engine.deployment().dataset(),
                 engine.deployment().graph(),
                 q,
                 &[fx.medoid],

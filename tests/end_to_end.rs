@@ -215,7 +215,7 @@ fn churned_quantized_deployment_keeps_code_byte_qpt_accounting() {
 
     // The churned deployment still carries one code per (grown) row...
     let deploy = engine.into_deployment();
-    let codes = deploy.codes().expect("codes survive churn").clone();
+    let codes = deploy.codes().expect("codes survive churn");
     assert_eq!(codes.len(), deploy.dataset().len());
     assert_eq!(codes.code_bytes(), code_bytes);
 

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ndsearch::anns::beam::{beam_search, BeamSearcher, VisitedSet};
+use ndsearch::anns::beam::{beam_search, Adjacency, BeamSearcher, VisitedSet};
 use ndsearch::anns::bitonic::bitonic_sort;
 use ndsearch::core::alloc::{LunWork, VertexTask};
 use ndsearch::core::config::NdsConfig;
@@ -864,13 +864,55 @@ fn oracle_grid(sizes: [usize; 2]) -> Vec<(usize, usize, DistanceKind, usize)> {
     cells
 }
 
+/// A searcher over `index`'s live rows — the graph a mutable deployment
+/// serves — and one over its just-synced CSR, stepped side by side: the
+/// same hop, the same `is_finished()` and the same best-so-far list bit
+/// for bit after every step.
+fn live_view_searches_as_the_synced_csr<S: ScoreSource + ?Sized>(
+    source: &S,
+    index: &dyn MutableIndex,
+    query: &[f32],
+    entries: &[u32],
+    beam: usize,
+    kind: DistanceKind,
+    label: &str,
+) {
+    let csr = index.base_graph();
+    let n = csr.num_vertices();
+    assert_eq!(Adjacency::num_vertices(index), n, "{label}");
+    let mut live = BeamSearcher::new(n, query.to_vec(), entries.to_vec(), beam, kind);
+    let mut synced = live.clone();
+    loop {
+        let (got, want) = (live.step(source, index), synced.step(source, csr));
+        let hop = synced.hops();
+        assert_eq!(got, want, "{label}: hop {hop}");
+        assert_eq!(
+            live.is_finished(),
+            synced.is_finished(),
+            "{label}: hop {hop}"
+        );
+        assert_eq!(
+            bits(&live.found()),
+            bits(&synced.found()),
+            "{label}: hop {hop}"
+        );
+        if want.is_none() {
+            break;
+        }
+    }
+}
+
 /// ≥ 200 interleaved inserts (70 %) and deletes on `fast` and `oracle`,
 /// comparing every live row, the `repaired` list and the synced CSR after
-/// every step (the first comparison checks the build).
+/// every step (the first comparison checks the build), and every fifth
+/// step a search over the live view against one over that CSR — from the
+/// row inserted last, so it runs through the rows just repaired — scoring
+/// rows and int8 codes.
 fn churn_both(
     rng: &mut Pcg32,
     base: &mut Dataset,
     grid: bool,
+    kind: DistanceKind,
     fast: &mut impl MutableIndex,
     oracle: &mut impl Oracle,
     label: &str,
@@ -889,6 +931,21 @@ fn churn_both(
             &Csr::from_adjacency(oracle.rows()).unwrap(),
             "{label}: synced CSR after {step} updates"
         );
+        if step % 5 == 0 {
+            // Its own stream: the update sequence stays what it was.
+            let mut pick = Pcg32::seed_from_u64(step as u64);
+            let query = base.vector(base.len() as u32 - 1).to_vec();
+            let entries = [0, pick.index(base.len()) as u32];
+            let beam = 1 + pick.index(40);
+            let int8 = QuantCodes::train(QuantSpec::Int8, base, step as u64).unwrap();
+            let sources: [(&str, &dyn ScoreSource); 2] = [("rows", &*base), ("int8", &int8)];
+            for (name, source) in sources {
+                let label = format!("{label}: {name}, beam {beam}, after {step} updates");
+                live_view_searches_as_the_synced_csr(
+                    source, &*fast, &query, &entries, beam, kind, &label,
+                );
+            }
+        }
         if rng.chance(0.7) {
             let row = tie_heavy_row(rng, base, grid);
             let id = base.try_push(&row).unwrap();
@@ -924,7 +981,15 @@ fn vamana_build_and_updates_equal_the_oracle() {
         let mut fast = Vamana::build(&base, params);
         let mut oracle = OracleVamana::build(&base, params);
         assert_eq!(fast.medoid(), oracle.medoid, "{label}: medoid");
-        churn_both(&mut rng, &mut base, grid, &mut fast, &mut oracle, &label);
+        churn_both(
+            &mut rng,
+            &mut base,
+            grid,
+            distance,
+            &mut fast,
+            &mut oracle,
+            &label,
+        );
     }
 }
 
@@ -948,7 +1013,15 @@ fn hnsw_build_and_updates_equal_the_oracle() {
                 == (oracle.entry, oracle.num_upper_layers())
         };
         assert!(same_hierarchy(&fast, &oracle), "{label}: built hierarchy");
-        churn_both(&mut rng, &mut base, grid, &mut fast, &mut oracle, &label);
+        churn_both(
+            &mut rng,
+            &mut base,
+            grid,
+            distance,
+            &mut fast,
+            &mut oracle,
+            &label,
+        );
         assert!(
             same_hierarchy(&fast, &oracle),
             "{label}: hierarchy after churn"

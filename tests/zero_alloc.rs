@@ -1,12 +1,15 @@
 //! The hot loops that promise not to allocate, held to it: the LUN unit of
 //! the round data path (nothing in steady state), a beam hop of the serving
 //! searcher over rows and over int8 codes (nothing once the hop record is
-//! warm) and Vamana construction (a count that does not grow with the
-//! dataset; O(1) per online insert).
+//! warm), a whole serving round that admits, completes and updates nothing
+//! (nothing), a serving round after an online insert (bytes that do not
+//! grow with the dataset — the graph is not re-snapshotted) and Vamana
+//! construction (a count that does not grow with the dataset; O(1) per
+//! online insert).
 //!
-//! A counting global allocator (per-thread counter, so the harness's other
-//! threads do not interfere) wraps the system one for this test binary
-//! only. After one warm-up pass — the per-thread unit scratch grows to the
+//! A counting global allocator (per-thread counters of calls and of bytes
+//! requested, so the harness's other threads do not interfere) wraps the
+//! system one for this test binary only. After one warm-up pass — the per-thread unit scratch grows to the
 //! largest unit once — evaluating every unit of a round again must not
 //! touch the heap: page loads, multi-plane rows and per-plane maxima live
 //! in the reused scratch, and the ECC pass and its delta hold their
@@ -21,6 +24,8 @@ use ndsearch::anns::trace::IterationTrace;
 use ndsearch::anns::vamana::{Vamana, VamanaParams};
 use ndsearch::core::alloc::Allocator;
 use ndsearch::core::config::NdsConfig;
+use ndsearch::core::deploy::Deployment;
+use ndsearch::core::serve::{QueryRequest, ServeConfig, ServeEngine, UpdateRequest};
 use ndsearch::core::sin::process_lun_work;
 use ndsearch::flash::ecc::EccEngine;
 use ndsearch::flash::geometry::FlashGeometry;
@@ -33,17 +38,24 @@ use ndsearch::vector::{Dataset, DistanceKind};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// One more allocator call on this thread, asking for `bytes`.
+fn count(bytes: usize) {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the only addition is a thread-local counter with
-// a `const` initializer and no destructor, so touching it never allocates
-// and `try_with` tolerates thread teardown.
+// `GlobalAlloc` contract; the only addition is two thread-local counters
+// with `const` initializers and no destructor, so touching them never
+// allocates and `try_with` tolerates thread teardown.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        count(layout.size());
         // SAFETY: the caller's obligations are passed through unchanged.
         unsafe { System.alloc(layout) }
     }
@@ -54,7 +66,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        count(new_size);
         // SAFETY: the caller's obligations are passed through unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -68,6 +80,13 @@ fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// Bytes `f` asked the allocator for on this thread.
+fn bytes_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (out, BYTES.with(Cell::get) - before)
 }
 
 #[test]
@@ -153,6 +172,97 @@ fn a_warm_beam_hop_allocates_nothing() {
             assert_eq!(allocations, 0, "{label}: {hops} warm hops allocated");
         }
     }
+}
+
+#[test]
+fn a_warm_serving_round_allocates_nothing() {
+    // A round that only hops — nothing admitted, completed or updated —
+    // over a mutable deployment (live index rows, flash rounds) and over
+    // one searching int8 codes. The same batch is served twice: the first
+    // pass grows every engine buffer to what these queries need, the
+    // second repeats its rounds exactly.
+    let (base, queries) = DatasetSpec::sift_scaled(1_500, 16).build_pair();
+    let index = Vamana::build(&base, VamanaParams::default());
+    let entry = index.medoid();
+    for quantization in [QuantSpec::None, QuantSpec::Int8] {
+        let mut config = NdsConfig::scaled_for(base.len(), base.stored_vector_bytes());
+        config.ecc.hard_decision_failure_prob = 0.0;
+        config.quantization = quantization;
+        let deploy = Deployment::stage(&config, Box::new(index.clone()), base.clone());
+        let mut engine = ServeEngine::with_deployment(&config, ServeConfig::default(), deploy);
+        let mut quiet_rounds = 0;
+        for pass in 0..2 {
+            let now = engine.now_ns();
+            for (_, q) in queries.iter() {
+                engine.submit(QueryRequest::at(now, q.to_vec(), vec![entry]));
+            }
+            // The admitting round seeds every searcher and the next one
+            // expands the entry (every neighbor is new), which grows a new
+            // searcher's score buffer to the graph's degree.
+            for _ in 0..2 {
+                assert!(engine.step_round());
+            }
+            loop {
+                let outstanding = engine.outstanding();
+                let (more, allocations) = allocations_in(|| engine.step_round());
+                if pass == 1 && engine.outstanding() == outstanding {
+                    quiet_rounds += 1;
+                    assert_eq!(
+                        allocations, 0,
+                        "{quantization:?}: a hop-only round allocated"
+                    );
+                }
+                if !more {
+                    break;
+                }
+            }
+        }
+        assert!(
+            quiet_rounds >= 10,
+            "{quantization:?}: only {quiet_rounds} hop-only rounds"
+        );
+    }
+}
+
+#[test]
+fn a_round_after_an_insert_allocates_the_same_at_any_dataset_size() {
+    // One insert is applied per round, so every round but the first
+    // follows one. What such a round asks the allocator for is the next
+    // insert's O(R) lists; the graph the hops read is the index's live
+    // rows, so nothing dataset-sized is rebuilt (a CSR re-snapshot per
+    // update round was 2 x 132 B x n: 1 MB more at the larger size here).
+    let median_bytes = |n: usize| {
+        let (base, extra) = DatasetSpec::sift_scaled(n, 48).build_pair();
+        let index = Vamana::build(&base, VamanaParams::default());
+        let mut config = NdsConfig::scaled_for(2 * n, base.stored_vector_bytes());
+        config.ecc.hard_decision_failure_prob = 0.0;
+        let serve = ServeConfig {
+            max_updates_per_round: 1,
+            ..ServeConfig::default()
+        };
+        let deploy = Deployment::stage(&config, Box::new(index), base);
+        let mut engine = ServeEngine::with_deployment(&config, serve, deploy);
+        for (_, v) in extra.iter() {
+            engine.submit_update(UpdateRequest::insert_at(0, v.to_vec()));
+        }
+        assert!(engine.step_round(), "applies the first insert");
+        let mut bytes = Vec::new();
+        loop {
+            let (more, round_bytes) = bytes_in(|| engine.step_round());
+            bytes.push(round_bytes);
+            if !more {
+                break;
+            }
+        }
+        assert_eq!(engine.deployment().dataset().len(), n + 48);
+        bytes.sort_unstable();
+        bytes[bytes.len() / 2]
+    };
+    let (small, large) = (median_bytes(500), median_bytes(4_000));
+    assert!(
+        small.abs_diff(large) <= 4096,
+        "bytes per update round grew with n: {small} at 500, {large} at 4 000"
+    );
 }
 
 #[test]
