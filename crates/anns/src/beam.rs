@@ -240,6 +240,10 @@ impl Frontier {
         self.cursor = 0;
         self.stash.clear();
         self.forgotten = None;
+        // Room to rescore every retained vertex in one batch
+        // ([`BeamSearcher::rerank`]) without growing at the finish.
+        self.scores.clear();
+        self.scores.reserve(self.cap);
     }
 
     /// Distance of the worst retained vertex (the list must not be empty).
@@ -632,21 +636,26 @@ impl BeamSearcher {
     /// exact distances — the rerank step of compressed-vector search
     /// (traversal scored DRAM-resident codes; the survivors pay flash
     /// reads for exact distances). Candidates beyond `depth` are
-    /// dropped. Returns the rescored ids in ascending
-    /// approximate-distance order so the caller can charge the flash
-    /// reads they imply.
-    pub fn rerank<S: ScoreSource + ?Sized>(&mut self, exact: &S, depth: usize) -> Vec<VectorId> {
+    /// dropped. Leaves the rescored ids in `ids` (cleared first), in
+    /// ascending approximate-distance order, so the caller can issue the
+    /// flash reads they imply from a buffer it keeps.
+    pub fn rerank<S: ScoreSource + ?Sized>(
+        &mut self,
+        exact: &S,
+        depth: usize,
+        ids: &mut Vec<VectorId>,
+    ) {
         let frontier = &mut self.frontier;
         frontier.slots.truncate(depth);
         frontier.stash.clear(); // ties of a worst that no longer exists
-        let ids: Vec<VectorId> = frontier.slots.iter().map(|s| s.key.id()).collect();
-        exact.score_batch(self.distance, &self.query, &ids, &mut frontier.scores);
+        ids.clear();
+        ids.extend(frontier.slots.iter().map(|s| s.key.id()));
+        exact.score_batch(self.distance, &self.query, ids, &mut frontier.scores);
         for (slot, &d) in frontier.slots.iter_mut().zip(&frontier.scores) {
             slot.key = Scored::new(d, slot.key.id());
             slot.distance = d;
         }
         frontier.slots.sort_unstable_by_key(|s| s.key);
-        ids
     }
 
     /// The current result list, ascending by distance (the final top-`ef`

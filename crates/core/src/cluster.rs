@@ -715,23 +715,19 @@ impl Shard<'_> {
     /// Picks the replica a new primary session routes to, or `None` when
     /// every replica is dead.
     fn route_query(&mut self, policy: ReplicaPolicy) -> Option<usize> {
-        let alive: Vec<usize> = (0..self.replicas.len())
-            .filter(|&r| self.replicas[r].alive)
-            .collect();
-        if alive.is_empty() {
-            return None;
-        }
+        let replicas = &self.replicas;
+        let mut alive = (0..replicas.len()).filter(|&r| replicas[r].alive);
         match policy {
             ReplicaPolicy::RoundRobin | ReplicaPolicy::Hedged { .. } => {
-                let pick = alive[self.cursor % alive.len()];
+                let turn = self.cursor.checked_rem(alive.clone().count())?;
                 self.cursor += 1;
-                Some(pick)
+                alive.nth(turn)
             }
             // Every session on a replica engine was routed to it
             // (primaries, hedges and failover re-seeds alike).
-            ReplicaPolicy::LeastLoaded => alive
-                .into_iter()
-                .min_by_key(|&r| (self.replicas[r].engine.outstanding(), r)),
+            ReplicaPolicy::LeastLoaded => {
+                alive.min_by_key(|&r| (replicas[r].engine.outstanding(), r))
+            }
         }
     }
 }

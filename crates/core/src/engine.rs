@@ -28,11 +28,11 @@ use ndsearch_anns::trace::QueryTrace;
 use ndsearch_flash::ecc::EccEngine;
 use ndsearch_flash::geometry::LunId;
 use ndsearch_flash::stats::FlashStats;
-use ndsearch_flash::timing::Nanos;
+use ndsearch_flash::timing::{FlashTiming, Nanos};
 use ndsearch_graph::luncsr::LunCsr;
 use ndsearch_vector::VectorId;
 
-use crate::alloc::{Allocator, RoundArena};
+use crate::alloc::{Allocator, RoundArena, VertexTask};
 use crate::config::NdsConfig;
 use crate::pipeline::Prepared;
 use crate::qpt::QueryPropertyTable;
@@ -50,7 +50,7 @@ pub(crate) struct LunCoverage {
 }
 
 impl LunCoverage {
-    fn touch(&mut self, lun: LunId) {
+    pub fn touch(&mut self, lun: LunId) {
         let lun = lun as usize;
         if lun >= self.touched.len() {
             self.touched.resize(lun + 1, false);
@@ -88,30 +88,42 @@ pub(crate) struct RoundScratch {
 
 impl RoundScratch {
     /// The arena, emptied for a new round over `luncsr`'s device.
-    fn begin(&mut self, luncsr: &LunCsr) -> &mut RoundArena {
+    pub fn begin(&mut self, luncsr: &LunCsr) -> &mut RoundArena {
         self.arena.begin(luncsr.mapping().geometry().total_luns());
         &mut self.arena
+    }
+
+    /// The arena as last filled and sealed.
+    pub fn arena(&self) -> &RoundArena {
+        &self.arena
     }
 }
 
 /// Evaluates every LUN unit of a sealed arena, committing each outcome's
-/// ECC delta and handing it to `merge`, in stable (ascending) LUN order.
+/// ECC delta and handing it to `merge` with the unit's task slice, in
+/// stable (ascending) LUN order. Every flash page an engine reads is
+/// issued here.
 ///
 /// A LUN owns its planes and appears once per arena, so no unit reads a
 /// per-plane cursor an earlier unit of the round advanced.
-fn run_lun_units(
+pub(crate) fn run_lun_units(
     config: &NdsConfig,
     luncsr: &LunCsr,
     ecc: &mut EccEngine,
     arena: &RoundArena,
-    mut merge: impl FnMut(&LunOutcome),
+    mut merge: impl FnMut(&LunOutcome, &[VertexTask]),
 ) {
     for unit in 0..arena.units() {
         let (lun, tasks) = arena.unit(unit);
         let out = process_lun_tasks(lun, tasks, luncsr, config, ecc);
         ecc.apply(&out.ecc);
-        merge(&out);
+        merge(&out, tasks);
     }
+}
+
+/// Channel time of one LUN unit: its sense commands in, its results out.
+pub(crate) fn unit_channel_ns(timing: &FlashTiming, report: &SinReport) -> Nanos {
+    timing.channel_transfer_ns(report.result_bytes) + report.sense_ops * timing.t_command_ns
 }
 
 /// Latency contributions of one Allocating → Searching → Gathering round.
@@ -225,14 +237,13 @@ pub(crate) fn execute_round<'e>(
     channel_out.resize(config.geometry.channels as usize, 0);
     let mut max_busy_rep = SinReport::default();
     let mut touched_planes = Vec::new();
-    run_lun_units(config, luncsr, ecc, &scratch.arena, |out| {
+    run_lun_units(config, luncsr, ecc, &scratch.arena, |out, _| {
         luns_touched.touch(out.lun);
         stats.merge(&out.stats);
         touched_planes.extend_from_slice(&out.touched_planes);
         let rep = &out.report;
         let ch = config.geometry.lun_channel(out.lun) as usize;
-        channel_out[ch] +=
-            timing.channel_transfer_ns(rep.result_bytes) + rep.sense_ops * timing.t_command_ns;
+        channel_out[ch] += unit_channel_ns(timing, rep);
         if rep.busy_ns > max_busy_rep.busy_ns {
             max_busy_rep = *rep;
         }
@@ -470,7 +481,7 @@ impl<'a> NdsEngine<'a> {
             // pages and MACs (visible in the statistics). Its deltas
             // commit after the main round's, so the per-plane ECC streams
             // stay in program order.
-            run_lun_units(config, luncsr, &mut ecc, &scratch.arena, |out| {
+            run_lun_units(config, luncsr, &mut ecc, &scratch.arena, |out, _| {
                 luns_touched.touch(out.lun);
                 stats.merge(&out.stats);
             });

@@ -204,9 +204,12 @@ pub struct LatencyBreakdown {
     /// Flash program/erase time charged by the online-update write path
     /// (page programs for inserts, block erases for compaction).
     pub program_ns: Nanos,
-    /// Exact-rerank flash reads of compressed-vector search: the final
-    /// candidates' full-precision page reads + channel transfer (zero
-    /// unless [`crate::config::NdsConfig::quantization`] is enabled).
+    /// Exact rerank of compressed-vector search: summed over sessions,
+    /// the time from the end of a session's traversal to the moment the
+    /// last LUN unit holding one of its rerank candidates has shipped its
+    /// results. The units' sensing, decoding and compute are not also
+    /// added to the buckets above (zero unless
+    /// [`crate::config::NdsConfig::quantization`] is enabled).
     pub rerank_ns: Nanos,
 }
 

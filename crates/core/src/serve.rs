@@ -108,7 +108,10 @@ use ndsearch_vector::{DistanceKind, VectorId};
 
 use crate::config::NdsConfig;
 use crate::deploy::{Deployment, UpdateTotals};
-use crate::engine::{execute_round, sorting_tail, LunCoverage, RoundScratch, RoundSinks};
+use crate::engine::{
+    execute_round, run_lun_units, sorting_tail, unit_channel_ns, LunCoverage, RoundScratch,
+    RoundSinks,
+};
 use crate::pipeline::Prepared;
 use crate::qpt::QueryPropertyTable;
 use crate::report::{LatencyBreakdown, LatencySummary};
@@ -146,8 +149,9 @@ pub struct ServeConfig {
     /// legacy FIFO behavior bit-for-bit.
     pub slo: SloPolicy,
     /// Compressed-vector search only: how many of the best approximate
-    /// candidates are rescored with exact distances at completion, each
-    /// paying a modeled flash read ([`LatencyBreakdown::rerank_ns`]).
+    /// candidates are rescored with exact distances once the traversal
+    /// ends, their rows read through the device's SiN + ECC path
+    /// ([`LatencyBreakdown::rerank_ns`] sums the wait).
     /// Clamped up to the session's top-k; ignored when
     /// [`NdsConfig::quantization`] is off.
     pub rerank_depth: usize,
@@ -767,6 +771,15 @@ pub struct ServeEngine<'a> {
     finished: Vec<QueryId>,
     /// Task arena and merge buffers of the round data path.
     round: RoundScratch,
+    /// Per LUN: when its accelerator is done with the rerank units issued
+    /// to it so far. The rerank stage overlaps the following rounds, so
+    /// it occupies LUNs on these clocks instead of advancing `now_ns`.
+    lun_free_at: Vec<Nanos>,
+    /// The rerank candidates of the session being staged.
+    rerank_ids: Vec<VectorId>,
+    /// Every rerank unit issued, as (LUN, issue time, start, busy time).
+    #[cfg(test)]
+    rerank_units: Vec<(u32, Nanos, Nanos, Nanos)>,
     /// Host time spent inside [`step_round`](Self::step_round).
     wall: std::time::Duration,
 }
@@ -859,6 +872,10 @@ impl<'a> ServeEngine<'a> {
             live_hops: 0,
             finished: Vec::new(),
             round: RoundScratch::default(),
+            lun_free_at: vec![0; config.geometry.total_luns() as usize],
+            rerank_ids: Vec::new(),
+            #[cfg(test)]
+            rerank_units: Vec::new(),
             wall: std::time::Duration::ZERO,
         }
     }
@@ -1168,37 +1185,59 @@ impl<'a> ServeEngine<'a> {
         dram_ns + compute_ns + embedded_ns
     }
 
-    /// Exact-rerank tail of one completing quantized session: rescores
-    /// the best [`ServeConfig::rerank_depth`] approximate candidates
-    /// against the full-precision dataset, charging one NAND page read
-    /// per distinct page the candidates occupy plus the channel
-    /// transfer of their rows.
-    fn rerank_tail_ns(&mut self, id: QueryId) -> Nanos {
+    /// Exact-rerank stage of the quantized sessions that ended their
+    /// traversal this round (`self.finished`): each rescores
+    /// its best [`ServeConfig::rerank_depth`] approximate candidates
+    /// against the full-precision rows, and the reads those imply are
+    /// issued as one batch through the device path of a traversal round —
+    /// the task arena, a SiN unit per LUN, an LDPC decode per page load —
+    /// so sessions finishing together share sensed pages, multi-plane
+    /// senses merge and an ECC storm slows the rerank.
+    ///
+    /// The stage overlaps the following code-scoring rounds, as the
+    /// Sorting-stage tail does (§V), so the scheduler clock stands still:
+    /// a unit starts once its LUN is free of earlier rerank units
+    /// (`lun_free_at`), and a session's rerank is over when the last unit
+    /// holding one of its candidates has shipped its results — left in
+    /// the session's `completed_ns` (the round boundary if it had no
+    /// candidate).
+    fn rerank_finished(&mut self) {
         let prepared = self.deploy.prepared();
-        let depth = self.serve.rerank_depth.max(self.sessions[id].k);
-        let Some(searcher) = self.sessions[id].searcher.as_mut() else {
-            return 0;
-        };
-        let ids = searcher.rerank(self.deploy.dataset(), depth);
-        if ids.is_empty() {
-            return 0;
+        let luncsr = &prepared.luncsr;
+        let now = self.now_ns;
+        let arena = self.round.begin(luncsr);
+        for (slot, &id) in self.finished.iter().enumerate() {
+            let s = &mut self.sessions[id];
+            s.completed_ns = now;
+            let depth = self.serve.rerank_depth.max(s.k);
+            let searcher = s.searcher.as_mut().expect("running session has a searcher");
+            searcher.rerank(self.deploy.dataset(), depth, &mut self.rerank_ids);
+            for &v in &self.rerank_ids {
+                arena.push(luncsr, slot as u32, prepared.perm.new_of(v), false);
+            }
         }
-        let pages: std::collections::BTreeSet<u64> = ids
-            .iter()
-            .map(|&v| {
-                prepared
-                    .luncsr
-                    .physical_addr(prepared.perm.new_of(v))
-                    .page_key(&self.config.geometry)
-            })
-            .collect();
+        arena.seal();
         let timing = &self.config.timing;
-        let read_ns = pages.len() as u64 * timing.t_read_page_ns
-            + timing.channel_transfer_ns(ids.len() as u64 * prepared.vector_bytes as u64);
-        self.stats.page_reads += pages.len() as u64;
-        self.stats.distance_evals += ids.len() as u64;
-        self.breakdown.rerank_ns += read_ns;
-        read_ns
+        let (sessions, finished) = (&mut self.sessions, &self.finished);
+        let (stats, luns_touched) = (&mut self.stats, &mut self.luns_touched);
+        let free_at = &mut self.lun_free_at;
+        #[cfg(test)]
+        let log = &mut self.rerank_units;
+        let arena = self.round.arena();
+        run_lun_units(self.config, luncsr, &mut self.ecc, arena, |out, tasks| {
+            luns_touched.touch(out.lun);
+            stats.merge(&out.stats);
+            let free = &mut free_at[out.lun as usize];
+            let start = now.max(*free);
+            *free = start + out.report.busy_ns;
+            #[cfg(test)]
+            log.push((out.lun, now, start, out.report.busy_ns));
+            let shipped = *free + unit_channel_ns(timing, &out.report);
+            for task in tasks {
+                let s = &mut sessions[finished[task.query as usize]];
+                s.completed_ns = s.completed_ns.max(shipped);
+            }
+        });
     }
 
     /// Per-query Sorting-stage tail: result list over the private FPGA
@@ -1369,7 +1408,8 @@ impl<'a> ServeEngine<'a> {
 
     /// Second half of a scheduling round, after the hop stage: executes
     /// the merged round's LUN stage, advances the clock (`t_in` is what
-    /// admission charged), completes sessions and applies queued updates.
+    /// admission charged), issues the finishing quantized sessions' exact
+    /// rerank, completes sessions and applies queued updates.
     /// Returns whether any work remains.
     fn finish_round(&mut self, t_in: Nanos) -> bool {
         // Borrowed out of `self` for the round; handed back below so the
@@ -1382,7 +1422,7 @@ impl<'a> ServeEngine<'a> {
         // rounds never touch flash: every distance comes from the
         // DRAM-resident code table, so the round costs DRAM traffic and
         // embedded-core compute instead of NAND sensing — flash is paid
-        // only by the exact rerank at completion. ----
+        // only by the exact rerank of the sessions that finish. ----
         let mut round_exec: Nanos = 0;
         if !hops.is_empty() {
             if quantized {
@@ -1417,6 +1457,12 @@ impl<'a> ServeEngine<'a> {
         }
         self.hops = hop_records;
 
+        // ---- The exact rerank of the quantized sessions whose traversal
+        // ended: the round's only flash work, off the scheduler clock. ----
+        if quantized && !self.finished.is_empty() {
+            self.rerank_finished();
+        }
+
         // ---- Complete sessions that terminated this round. A session
         // whose results land past its deadline — it finished its search in
         // the very round the deadline passed — is `Expired`, not
@@ -1429,16 +1475,17 @@ impl<'a> ServeEngine<'a> {
         self.inflight.retain(|id| done.next_if_eq(&id).is_none());
         debug_assert!(done.peek().is_none(), "finished sessions were in flight");
         for &id in &finished {
-            let mut tail = self.completion_tail_ns();
-            if quantized {
-                // Exact rerank: the final candidates' full-precision rows
-                // are read from flash and rescored before sorting. The
-                // read extends this query's completion tail (overlapping
-                // subsequent rounds, like the sorting tail), and counts
-                // against its deadline below.
-                tail += self.rerank_tail_ns(id);
-            }
-            let done_ns = self.now_ns + tail;
+            // A quantized session's results leave the flash when its
+            // exact rerank is over; the wait extends its completion tail
+            // (overlapping subsequent rounds, like the sorting tail) and
+            // counts against its deadline below.
+            let ready_ns = if quantized {
+                self.sessions[id].completed_ns
+            } else {
+                self.now_ns
+            };
+            self.breakdown.rerank_ns += ready_ns - self.now_ns;
+            let done_ns = ready_ns + self.completion_tail_ns();
             let state = match self.sessions[id].deadline_ns {
                 Some(d) if done_ns > d => SessionState::Expired,
                 _ => SessionState::Completed,
@@ -1975,6 +2022,203 @@ mod tests {
             want.truncate(ServeConfig::default().k);
             assert_eq!(report.outcomes[i].results, want, "query {i} diverged");
         }
+    }
+
+    // ---- Compressed-vector serving: the exact rerank on the device path.
+
+    fn quantized_fixture(n: usize, q: usize) -> Fixture {
+        let mut fx = fixture(n, q);
+        fx.config.quantization = ndsearch_vector::quant::QuantSpec::Int8;
+        fx
+    }
+
+    /// What a quantized session must return, computed with no engine: the
+    /// beam over the code table run to exhaustion, then the exact rerank
+    /// at `depth`. Returns the rerank candidates and the reranked list.
+    fn sequential_rerank(
+        engine: &ServeEngine<'_>,
+        fx: &Fixture,
+        query: &[f32],
+        depth: usize,
+    ) -> (Vec<VectorId>, Vec<Neighbor>) {
+        let codes = engine.deployment().codes().expect("a quantized deployment");
+        let mut searcher = BeamSearcher::new(
+            fx.base.len(),
+            query.to_vec(),
+            vec![fx.medoid],
+            engine.serve.beam_width,
+            engine.serve.distance,
+        );
+        while searcher.step(codes, &fx.graph).is_some() {}
+        let mut ids = Vec::new();
+        searcher.rerank(&fx.base, depth, &mut ids);
+        (ids, searcher.found())
+    }
+
+    #[test]
+    fn quantized_results_match_sequential_search_and_rerank() {
+        let fx = quantized_fixture(500, 24);
+        let prepared = stage(&fx);
+        let serve = ServeConfig {
+            max_inflight: 8,
+            rerank_depth: 20,
+            ..ServeConfig::default()
+        };
+        let mut engine =
+            ServeEngine::new(&fx.config, serve.clone(), &prepared, &fx.base, &fx.graph);
+        submit_all(&mut engine, &fx, |i| i as Nanos * 700);
+        let report = engine.run_to_completion();
+        assert_eq!(report.completed(), fx.queries.len());
+        for (i, (_, q)) in fx.queries.iter().enumerate() {
+            let (_, mut want) = sequential_rerank(&engine, &fx, q, serve.rerank_depth);
+            want.truncate(serve.k);
+            assert_eq!(report.outcomes[i].results, want, "query {i} diverged");
+        }
+        // Hops stayed in DRAM; the reranks went through SiN and ECC.
+        assert_eq!(report.breakdown.nand_read_ns, 0);
+        assert!(report.breakdown.rerank_ns > 0);
+        assert!(report.stats.page_reads > 0 && report.stats.search_ops > 0);
+        assert!(report.lun_coverage > 0.0);
+    }
+
+    #[test]
+    fn sessions_finishing_together_share_their_rerank_pages() {
+        let fx = quantized_fixture(500, 1);
+        let prepared = stage(&fx);
+        let run = |copies: usize| {
+            let mut engine = ServeEngine::new(
+                &fx.config,
+                ServeConfig::default(),
+                &prepared,
+                &fx.base,
+                &fx.graph,
+            );
+            for _ in 0..copies {
+                engine.submit(QueryRequest::at(
+                    0,
+                    fx.queries.vector(0).to_vec(),
+                    vec![fx.medoid],
+                ));
+            }
+            let report = engine.run_to_completion();
+            (engine, report)
+        };
+        let (engine, one) = run(1);
+        let depth = ServeConfig::default().rerank_depth;
+        let (ids, _) = sequential_rerank(&engine, &fx, fx.queries.vector(0), depth);
+        let mut pages: Vec<u64> = ids
+            .iter()
+            .map(|&v| {
+                prepared
+                    .luncsr
+                    .physical_addr(prepared.perm.new_of(v))
+                    .page_key(&fx.config.geometry)
+            })
+            .collect();
+        pages.sort_unstable();
+        pages.dedup();
+        assert_eq!(one.stats.page_reads, pages.len() as u64);
+
+        // The same query twice, finishing in the same round: every page is
+        // still sensed once, and the second session's candidates hit it.
+        let (_, two) = run(2);
+        assert_eq!(two.outcomes[0].results, two.outcomes[1].results);
+        assert_eq!(two.stats.page_reads, one.stats.page_reads);
+        assert!(two.stats.page_buffer_hits >= ids.len() as u64);
+    }
+
+    #[test]
+    fn rerank_units_never_overlap_on_a_lun() {
+        let mut fx = quantized_fixture(400, 24);
+        let prepared = stage(&fx);
+        let (base, graph) = (fx.base.clone(), fx.graph.clone());
+        proptest::test_runner::run(
+            proptest::test_runner::Config { cases: 12 },
+            "rerank_units_never_overlap_on_a_lun",
+            |rng| {
+                use proptest::prelude::*;
+                // Random finish schedules: arrival gaps from "all at once"
+                // to "one at a time", few or many slots, shallow or deep
+                // reranks, decodes that fail or not.
+                fx.config.ecc.hard_decision_failure_prob = [0.0, 0.3][(0usize..2).generate(rng)];
+                let serve = ServeConfig {
+                    max_inflight: (1usize..24).generate(rng),
+                    beam_width: (16usize..64).generate(rng),
+                    rerank_depth: (1usize..48).generate(rng),
+                    ..ServeConfig::default()
+                };
+                let gap = (0u64..40_000).generate(rng);
+                let mut engine = ServeEngine::new(&fx.config, serve, &prepared, &base, &graph);
+                for (i, (_, q)) in fx.queries.iter().enumerate() {
+                    let at = i as Nanos * gap + (0u64..=gap).generate(rng);
+                    engine.submit(QueryRequest::at(at, q.to_vec(), vec![fx.medoid]));
+                }
+                let report = engine.run_to_completion();
+                prop_assert_eq!(report.completed(), fx.queries.len());
+
+                // Per LUN, in issue order: a unit starts when its LUN is
+                // free of the one before it and not before it was issued.
+                let mut free_at = vec![0; fx.config.geometry.total_luns() as usize];
+                let mut last_issue = 0;
+                prop_assert!(!engine.rerank_units.is_empty());
+                for &(lun, issued, start, busy) in &engine.rerank_units {
+                    prop_assert!(issued >= last_issue, "units are logged in issue order");
+                    last_issue = issued;
+                    let free = &mut free_at[lun as usize];
+                    prop_assert_eq!(start, issued.max(*free), "LUN {} idled or overlapped", lun);
+                    prop_assert!(busy > 0);
+                    *free = start + busy;
+                }
+                prop_assert_eq!(&free_at, &engine.lun_free_at);
+                // No session completes before its LUNs let it.
+                let waited: Nanos = report.breakdown.rerank_ns;
+                prop_assert!(waited >= engine.rerank_units.iter().map(|u| u.3).max().unwrap());
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn a_cut_off_quantized_session_skips_the_rerank() {
+        let fx = quantized_fixture(400, 2);
+        let prepared = stage(&fx);
+        let untouched = |engine: &ServeEngine<'_>, report: &ServeReport| {
+            assert!(engine.rerank_units.is_empty());
+            assert_eq!(report.stats.page_reads, 0);
+            assert_eq!(report.breakdown.rerank_ns, 0);
+            assert_eq!(report.lun_coverage, 0.0);
+        };
+        let request = |deadline| {
+            QueryRequest::at(0, fx.queries.vector(0).to_vec(), vec![fx.medoid]).deadline(deadline)
+        };
+
+        // Expired mid-flight (the whole traversal is ~50 hops of ~0.3 µs):
+        // best-so-far approximate results, no flash.
+        let mut engine = ServeEngine::new(
+            &fx.config,
+            ServeConfig::default(),
+            &prepared,
+            &fx.base,
+            &fx.graph,
+        );
+        engine.submit(request(5_000));
+        let report = engine.run_to_completion();
+        assert_eq!(report.outcomes[0].state, SessionState::Expired);
+        assert!(report.outcomes[0].hops > 0 && !report.outcomes[0].results.is_empty());
+        untouched(&engine, &report);
+
+        // Shed in flight: after the first hop round the estimator sees
+        // beam-width hops ahead and a deadline that cannot hold them.
+        let serve = ServeConfig {
+            slo: SloPolicy::ShedDoomed { min_slack_ns: 0 },
+            ..ServeConfig::default()
+        };
+        let mut engine = ServeEngine::new(&fx.config, serve, &prepared, &fx.base, &fx.graph);
+        engine.submit(request(8_000));
+        let report = engine.run_to_completion();
+        let o = &report.outcomes[0];
+        assert!(o.shed && o.state == SessionState::Expired && o.hops > 0);
+        untouched(&engine, &report);
     }
 
     #[test]

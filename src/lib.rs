@@ -50,9 +50,11 @@
 //! [`vector::quant::QuantCodes`] table at staging, beam traversal
 //! scores the DRAM-resident codes through the [`vector::quant::ScoreSource`]
 //! seam (no NAND access per hop), and only the final
-//! `ServeConfig::rerank_depth` candidates pay modeled flash page reads
-//! for exact full-precision distances, charged to the dedicated
-//! `rerank_ns` latency bucket. Inserts encode through the same trained
+//! `ServeConfig::rerank_depth` candidates are read from flash for exact
+//! full-precision distances — as one batch per round through the same
+//! LUN-parallel SiN + ECC path a full-precision hop takes, under
+//! per-LUN occupancy; the latency it adds per query is summed in the
+//! dedicated `rerank_ns` bucket. Inserts encode through the same trained
 //! quantizer, compaction re-packs the table, the QPT DRAM budget admits
 //! more residents (records shrink to code bytes), and quantized runs
 //! stay bit-identical across `exec_threads` and shard orders. Opt out

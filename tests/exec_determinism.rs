@@ -115,10 +115,12 @@ fn same_at_every_thread_count_and_shard_order(
 
 /// Quantized cluster serving: each device trains its own code table at
 /// staging, quantized round costs are derived from hop traces in slot
-/// order and the rerank tail rescores through the same dispatched
-/// kernels, so the merged report — rerank latency bucket and page-read
-/// stats included — is the same on any number of threads, inserts
-/// (encoded through each device's trained quantizer) in flight.
+/// order, and the sessions finishing in a round rerank as one batch on
+/// their device's own path — its arena, SiN units in LUN order, its ECC
+/// failure streams and per-LUN occupancy clocks — so the merged report
+/// (rerank latency bucket, page-read, page-hit and soft-decode stats
+/// included) is the same on any number of threads, inserts (encoded
+/// through each device's trained quantizer) in flight.
 #[test]
 fn quantized_cluster_bit_identical_across_thread_counts_and_shard_order() {
     proptest::test_runner::run(

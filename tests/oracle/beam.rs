@@ -452,19 +452,24 @@ impl BeamSearcher {
     /// exact distances — the rerank step of compressed-vector search
     /// (traversal scored DRAM-resident codes; the survivors pay flash
     /// reads for exact distances). Candidates beyond `depth` are
-    /// dropped. Returns the rescored ids in ascending
-    /// approximate-distance order so the caller can charge the flash
-    /// reads they imply.
-    pub fn rerank<S: ScoreSource + ?Sized>(&mut self, exact: &S, depth: usize) -> Vec<VectorId> {
+    /// dropped. Leaves the rescored ids in `ids` (cleared first), in
+    /// ascending approximate-distance order, so the caller can issue the
+    /// flash reads they imply from a buffer it keeps.
+    pub fn rerank<S: ScoreSource + ?Sized>(
+        &mut self,
+        exact: &S,
+        depth: usize,
+        ids: &mut Vec<VectorId>,
+    ) {
         let mut approx = self.found();
         approx.truncate(depth);
-        let ids: Vec<VectorId> = approx.iter().map(|n| n.id).collect();
-        exact.score_batch(self.distance, &self.query, &ids, &mut self.scratch);
+        ids.clear();
+        ids.extend(approx.iter().map(|n| n.id));
+        exact.score_batch(self.distance, &self.query, ids, &mut self.scratch);
         self.results.clear();
         for (&id, &d) in ids.iter().zip(self.scratch.iter()) {
             self.results.push(Neighbor::new(d, id));
         }
-        ids
     }
 
     /// The current result list, ascending by distance (the final top-`ef`

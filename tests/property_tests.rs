@@ -771,7 +771,8 @@ proptest! {
         let mut searcher = BeamSearcher::new(n, qv.clone(), vec![0], n, DistanceKind::L2);
         while searcher.step(&codes, &graph).is_some() {}
         prop_assert!(searcher.is_finished());
-        let ids = searcher.rerank(&ds, n);
+        let mut ids = Vec::new();
+        searcher.rerank(&ds, n, &mut ids);
         prop_assert_eq!(ids.len(), n, "exhaustive beam must retain every vertex");
         let got = searcher.found();
         // Brute force through the same kernels and the same total order.
@@ -1082,15 +1083,14 @@ fn kernels_agree<S: ScoreSource + ?Sized>(
     }
     assert_eq!(new.hops(), old.hops(), "{label}");
 
-    // The rerank tail of compressed-vector search, at a depth inside and
-    // one beyond the list.
+    // The rerank step of compressed-vector search, at a depth inside and
+    // one beyond the list; `rerank` refills the id buffer it is handed.
+    let (mut new_ids, mut old_ids) = (Vec::new(), Vec::new());
     for depth in [beam / 2, beam + 3] {
         let (mut new, mut old) = (new.clone(), old.clone());
-        assert_eq!(
-            new.rerank(source, depth),
-            old.rerank(source, depth),
-            "{label}"
-        );
+        new.rerank(source, depth, &mut new_ids);
+        old.rerank(source, depth, &mut old_ids);
+        assert_eq!(new_ids, old_ids, "{label}");
         assert_eq!(bits(&new.found()), bits(&old.found()), "{label}: reranked");
     }
 

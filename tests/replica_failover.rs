@@ -129,3 +129,60 @@ fn hedged_cluster_rides_out_an_ecc_storm() {
     assert_eq!(report.availability(), 1.0, "a storm degrades, not kills");
     assert_recall(&base, &queries, &report);
 }
+
+/// A storm must reach a quantized replica: its hops score DRAM-resident
+/// codes, so the exact rerank's page loads are the only reads there are to
+/// slow — each draws its LDPC decode from the device's failure stream.
+#[test]
+fn an_ecc_storm_slows_a_quantized_replica() {
+    let (mut config, base, queries) = fixture();
+    config.quantization = ndsearch::vector::QuantSpec::Int8;
+    config.ecc.t_soft_decode_ns = 200_000;
+    let run = |failures: FailureSchedule| {
+        let plan = ShardPlan::partition(base.len(), 2, ShardPolicy::BalancedSize, 0x5A);
+        let replication = ReplicationConfig::replicated(2).with_failures(failures);
+        let mut cluster = ClusterEngine::stage_replicated(
+            &config,
+            serve(),
+            plan,
+            replication,
+            &base,
+            vamana_builder,
+        );
+        // Round-robin routing: both runs send each replica the same sessions.
+        for round in 0..4 {
+            for (i, (_, q)) in queries.iter().enumerate() {
+                let at = (round * queries.len() + i) as Nanos * 20_000;
+                cluster.submit(ClusterQueryRequest::at(at, q.to_vec()));
+            }
+        }
+        cluster.run_to_completion()
+    };
+    let calm = run(FailureSchedule::new());
+    let stormy = run(FailureSchedule::new().ecc_storm(0, 0, 0, 0.9));
+    assert_eq!(stormy.completed(), 4 * queries.len());
+
+    let device = |report: &ndsearch::core::ClusterReport, replica: usize| {
+        report.shards[0].replicas[replica].report.clone()
+    };
+    let (hit, twin) = (device(&stormy, 0), device(&calm, 0));
+    assert!(hit.stats.ecc_soft_fallbacks > 0, "the storm drew no decode");
+    assert_eq!(twin.stats.ecc_soft_fallbacks, 0);
+    assert!(
+        hit.latency().p99_ns > twin.latency().p99_ns + config.ecc.t_soft_decode_ns,
+        "storm p99 {} against {} without it",
+        hit.latency().p99_ns,
+        twin.latency().p99_ns
+    );
+    // Same candidates, same pages, same answers: only the decodes moved.
+    assert_eq!(hit.stats.page_reads, twin.stats.page_reads);
+    let ids = |r: &ndsearch::serve::ServeReport| -> Vec<Vec<VectorId>> {
+        r.outcomes
+            .iter()
+            .map(|o| o.results.iter().map(|n| n.id).collect())
+            .collect()
+    };
+    assert_eq!(ids(&hit), ids(&twin));
+    // And the replica beside it never notices.
+    assert_eq!(device(&stormy, 1), device(&calm, 1));
+}

@@ -2,10 +2,11 @@
 //! the round data path (nothing in steady state), a beam hop of the serving
 //! searcher over rows and over int8 codes (nothing once the hop record is
 //! warm), a whole serving round that admits, completes and updates nothing
-//! (nothing), a serving round after an online insert (bytes that do not
-//! grow with the dataset — the graph is not re-snapshotted) and Vamana
-//! construction (a count that does not grow with the dataset; O(1) per
-//! online insert).
+//! (nothing), one that completes sessions — the exact rerank of the int8
+//! ones included — (their result lists), a serving round after an online
+//! insert (bytes that do not grow with the dataset — the graph is not
+//! re-snapshotted) and Vamana construction (a count that does not grow
+//! with the dataset; O(1) per online insert).
 //!
 //! A counting global allocator (per-thread counters of calls and of bytes
 //! requested, so the harness's other threads do not interfere) wraps the
@@ -177,7 +178,8 @@ fn a_warm_beam_hop_allocates_nothing() {
 #[test]
 fn a_warm_serving_round_allocates_nothing() {
     // A round that only hops — nothing admitted, completed or updated —
-    // over a mutable deployment (live index rows, flash rounds) and over
+    // and one in which sessions finish (an int8 one reranks first), over a
+    // mutable deployment (live index rows, flash rounds) and over
     // one searching int8 codes. The same batch is served twice: the first
     // pass grows every engine buffer to what these queries need, the
     // second repeats its rounds exactly.
@@ -190,7 +192,7 @@ fn a_warm_serving_round_allocates_nothing() {
         config.quantization = quantization;
         let deploy = Deployment::stage(&config, Box::new(index.clone()), base.clone());
         let mut engine = ServeEngine::with_deployment(&config, ServeConfig::default(), deploy);
-        let mut quiet_rounds = 0;
+        let (mut quiet_rounds, mut finishing_rounds) = (0, 0);
         for pass in 0..2 {
             let now = engine.now_ns();
             for (_, q) in queries.iter() {
@@ -205,11 +207,21 @@ fn a_warm_serving_round_allocates_nothing() {
             loop {
                 let outstanding = engine.outstanding();
                 let (more, allocations) = allocations_in(|| engine.step_round());
-                if pass == 1 && engine.outstanding() == outstanding {
+                let finished = (outstanding - engine.outstanding()) as u64;
+                if pass == 1 && finished == 0 {
                     quiet_rounds += 1;
                     assert_eq!(
                         allocations, 0,
                         "{quantization:?}: a hop-only round allocated"
+                    );
+                } else if pass == 1 {
+                    // A finishing session takes its result list with it and
+                    // nothing else: an int8 one's rerank stages its
+                    // candidates in the engine's own buffers.
+                    finishing_rounds += 1;
+                    assert_eq!(
+                        allocations, finished,
+                        "{quantization:?}: a round finishing {finished} sessions"
                     );
                 }
                 if !more {
@@ -220,6 +232,10 @@ fn a_warm_serving_round_allocates_nothing() {
         assert!(
             quiet_rounds >= 10,
             "{quantization:?}: only {quiet_rounds} hop-only rounds"
+        );
+        assert!(
+            finishing_rounds >= 2,
+            "{quantization:?}: {finishing_rounds}"
         );
     }
 }
