@@ -1,9 +1,10 @@
-//! The paper's evaluation (Figs. 1–2, 4, 6, 13–21, Table I, plus the
-//! speculation-budget ablation) as one registry: each entry is an id, a
-//! title, the one-line description README prints, and a body that draws
-//! its workloads from the shared [`Workloads`] cache and returns tables.
-//! What the paper itself reports for a figure lives in
-//! [`PAPER_REFS`](crate::refs::PAPER_REFS), not here.
+//! The paper's evaluation (Figs. 1–2, 4, 6, 13–21, Table I) and what this
+//! repository measures beyond it (the speculation-budget ablation and the
+//! six [`sweeps`] of the serving stack) as one registry: each entry is an
+//! id, a title, the one-line description README prints, and a body that
+//! returns tables — a paper figure draws its workloads from the shared
+//! [`Workloads`] cache. What the paper itself reports for a figure lives
+//! in [`PAPER_REFS`](crate::refs::PAPER_REFS), not here.
 
 use std::collections::HashSet;
 
@@ -26,7 +27,7 @@ use ndsearch_graph::reorder::{Permutation, ReorderMethod};
 use ndsearch_vector::synthetic::BenchmarkId;
 
 use crate::refs::scoreboard;
-use crate::{f, Col, Scale, Table, Workload, Workloads};
+use crate::{f, sweeps, Col, Scale, Table, Workload, Workloads};
 
 /// One figure or table of the evaluation.
 pub struct Figure {
@@ -65,9 +66,10 @@ const fn figure(
     }
 }
 
-/// Every figure `paper_figs` can render, in the paper's order.
+/// Every entry `paper_figs` can render: the paper's, in its order, then
+/// ours.
 #[rustfmt::skip]
-pub const FIGURES: [Figure; 15] = [
+pub const FIGURES: [Figure; 21] = [
     figure("fig01", "Fig. 1", "SSD I/O read share of CPU time on the billion-scale sets", fig01),
     figure("fig02", "Fig. 2", "PCIe utilization against batch; the bandwidth roofline", fig02),
     figure("fig04", "Fig. 4", "page and LUN access pattern before any scheduling", fig04),
@@ -83,6 +85,12 @@ pub const FIGURES: [Figure; 15] = [
     figure("fig21", "Fig. 21", "HCNNG and TOGG on sift-1b, with the terabyte-DRAM CPU-T", fig21),
     figure("table1", "Table I", "SearSSD logic power and area; budget; storage density", table1),
     figure("ablation_speculation", "beyond the paper", "speculation budget: hits against wasted page reads", ablation_speculation),
+    figure("serving", "beyond the paper", "concurrent queries against sequential search; offered load; mixed updates", sweeps::serving),
+    figure("cluster", "beyond the paper", "1 to 8 shards under both partition policies; churn on 4 shards", sweeps::cluster),
+    figure("replica", "beyond the paper", "routing under an ECC-storm straggler; a mid-run device loss", sweeps::replica),
+    figure("scenarios", "beyond the paper", "ShedDoomed under overload; TenantFair against a hog; bursty and diurnal days", sweeps::scenarios),
+    figure("quant", "beyond the paper", "int8 and PQ codes x rerank depth against full precision", sweeps::quant),
+    figure("kernels", "beyond the paper", "L2 kernel tiers x dims, host ns per scored point", sweeps::kernels),
 ];
 
 /// The two algorithms every headline figure runs.
@@ -622,11 +630,7 @@ fn fig21(ws: &mut Workloads, scale: Scale) -> Vec<Table> {
         ]
         .map(|(name, qps)| (name.to_string(), qps));
         let title = format!("Fig. 21 ({algo} on sift-1b): throughput & speedup");
-        let mut table = bars(title, "platform", &platforms);
-        table
-            .notes
-            .push(format!("recall@10 = {:.3}", w.recall_at_10));
-        table
+        bars(title, "platform", &platforms).lines([format!("recall@10 = {:.3}", w.recall_at_10)])
     };
     [AnnsAlgorithm::Hcnng, AnnsAlgorithm::Togg]
         .map(&mut table_of)
@@ -794,7 +798,7 @@ mod tests {
     fn every_registry_entry_renders() {
         let readme = include_str!("../../../README.md");
         let ids: BTreeSet<&str> = FIGURES.iter().map(|fig| fig.id).collect();
-        assert_eq!(ids.len(), 15, "figure ids must be unique");
+        assert_eq!(ids.len(), FIGURES.len(), "figure ids must be unique");
         for (fig, tables) in FIGURES.iter().zip(&rendered().0) {
             assert!(tables.iter().any(|t| !t.rows.is_empty()), "{}", fig.id);
             let line = format!("| `{}` | {} | {} |", fig.id, fig.title, fig.about);

@@ -1,20 +1,23 @@
-//! Shared experiment harness for the bench binaries.
+//! The experiment harness behind `paper_figs`.
 //!
-//! `paper_figs` follows the paper's methodology (§VII-A): build the
+//! The paper figures follow the paper's methodology (§VII-A): build the
 //! dataset, construct the graph with the *real* algorithm, run the real
 //! search to record memory traces, then replay the traces on each platform
 //! model. [`Workloads`] is that pipeline, run once per (benchmark,
-//! algorithm) and process; [`figures::FIGURES`] is the registry of figure
-//! bodies drawing from it; [`refs::PAPER_REFS`] holds the paper's own
-//! numbers as data each figure is scored against; [`Table`] is what a
-//! figure returns and what gets printed.
+//! algorithm) and process; [`figures::FIGURES`] is the one registry of
+//! bodies — the paper's figures drawing from that cache, and the
+//! beyond-the-paper [`sweeps`] of the serving stack building their own
+//! corpora; [`refs::PAPER_REFS`] holds the paper's own numbers as data
+//! each figure is scored against; [`Table`] is what a body returns and
+//! what gets printed.
 //!
-//! [`Scale`] is the only knob. The library never reads the environment: a
-//! binary's `main` fills a `Scale` from `NDS_N` / `NDS_BATCH` / `NDS_K`
-//! through [`env_usize`], tests construct one directly.
+//! [`Scale`] is the only knob. The library never reads the environment:
+//! `paper_figs`'s `main` fills a `Scale` from `NDS_N` / `NDS_BATCH` /
+//! `NDS_K` through [`env_usize`], tests construct one directly.
 
 pub mod figures;
 pub mod refs;
+pub mod sweeps;
 
 use std::collections::HashMap;
 
@@ -38,12 +41,26 @@ use ndsearch_vector::recall::{ground_truth, recall_at_k};
 use ndsearch_vector::synthetic::{BenchmarkId, DatasetSpec};
 use ndsearch_vector::{DistanceKind, VectorId};
 
-/// Reads an env-var scale knob. Call it from a `main` only.
+/// Reads an env-var scale knob: `default` when unset; a value that is
+/// not a non-negative integer exits the process with status 2, naming the
+/// variable and the value. Call it from a `main` only.
 pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    let value = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_knob(name, value.as_deref(), default).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
+}
+
+/// [`env_usize`] without the environment: `value` is the variable's
+/// contents, `None` when it is unset.
+fn parse_knob(name: &str, value: Option<&str>, default: usize) -> Result<usize, String> {
+    match value {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("{name}={v:?} is not a non-negative integer")),
+    }
 }
 
 /// How large an experiment runs. Figures with a batch axis express it in
@@ -343,49 +360,47 @@ impl Table {
         self
     }
 
-    /// Prints the table, then its notes.
+    /// Adds lines under the table, printed verbatim.
+    pub fn lines<S: Into<String>>(mut self, lines: impl IntoIterator<Item = S>) -> Self {
+        self.notes.extend(lines.into_iter().map(Into::into));
+        self
+    }
+
+    /// Prints the table, then its notes. Panics on a row whose length
+    /// differs from the header's: [`Table::new`] refuses one, but the
+    /// fields are public and a struct literal does not go through it.
     pub fn print(&self) {
-        if self.headers.is_empty() {
-            println!("\n== {} ==", self.title);
-        } else {
-            let headers: Vec<&str> = self.headers.iter().map(String::as_str).collect();
-            print_table(&self.title, &headers, &self.rows);
+        println!("\n== {} ==", self.title);
+        if !self.headers.is_empty() {
+            let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
+            for row in &self.rows {
+                assert_eq!(
+                    row.len(),
+                    self.headers.len(),
+                    "table `{}`: row {row:?} does not match headers {:?}",
+                    self.title,
+                    self.headers
+                );
+                for (w, cell) in widths.iter_mut().zip(row) {
+                    *w = (*w).max(cell.len());
+                }
+            }
+            let fmt_row = |cells: &[String]| {
+                let cells: Vec<String> = cells
+                    .iter()
+                    .zip(&widths)
+                    .map(|(c, w)| format!("{c:>w$}"))
+                    .collect();
+                cells.join("  ")
+            };
+            println!("{}", fmt_row(&self.headers));
+            for row in &self.rows {
+                println!("{}", fmt_row(row));
+            }
         }
         for line in &self.notes {
             println!("{line}");
         }
-    }
-}
-
-/// Prints an aligned table. Panics on a row whose length differs from the
-/// header's: a ragged row is a bug in the caller, not something to pad.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        assert_eq!(
-            row.len(),
-            headers.len(),
-            "table `{title}`: row {row:?} does not match headers {headers:?}"
-        );
-        for (w, cell) in widths.iter_mut().zip(row) {
-            *w = (*w).max(cell.len());
-        }
-    }
-    let fmt_row = |cells: &[String]| {
-        cells
-            .iter()
-            .zip(&widths)
-            .map(|(c, w)| format!("{c:>w$}"))
-            .collect::<Vec<_>>()
-            .join("  ")
-    };
-    println!("\n== {title} ==");
-    println!(
-        "{}",
-        fmt_row(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>())
-    );
-    for row in rows {
-        println!("{}", fmt_row(row));
     }
 }
 
@@ -437,8 +452,23 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not match headers")]
     fn print_table_refuses_a_ragged_row() {
-        let row = vec!["1".to_string(), "2".to_string(), "3".to_string()];
-        print_table("ragged", &["a", "b"], &[row]);
+        let table = Table {
+            title: "ragged".into(),
+            headers: vec!["a".into(), "b".into()],
+            rows: vec![vec!["1".into(), "2".into(), "3".into()]],
+            notes: Vec::new(),
+        };
+        table.print();
+    }
+
+    #[test]
+    fn a_scale_knob_is_its_value_or_the_default_and_garbage_is_an_error() {
+        assert_eq!(parse_knob("NDS_N", None, 6000), Ok(6000));
+        assert_eq!(parse_knob("NDS_N", Some("1500"), 6000), Ok(1500));
+        for bad in ["6k", "-1", "", " 1500", "1e3"] {
+            let err = parse_knob("NDS_N", Some(bad), 6000).unwrap_err();
+            assert_eq!(err, format!("NDS_N={bad:?} is not a non-negative integer"));
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! per-query deadlines, admission and backpressure — and interleaves one
 //! beam-search hop from every in-flight query across the flash channels
 //! each scheduling round, reporting QPS and p50/p99 latency. See
-//! `examples/serving_concurrent.rs` and the `serve_sweep` bench binary.
+//! `examples/serving_concurrent.rs` and `paper_figs serving`.
 //!
 //! ## Compressed-vector search (codes in DRAM + exact flash rerank)
 //!
@@ -59,8 +59,8 @@
 //! more residents (records shrink to code bytes), and quantized runs
 //! stay bit-identical across `exec_threads` and shard orders. Opt out
 //! at runtime with `NDSEARCH_NO_QUANT=1`. See the "Compressed-vector
-//! search & exact rerank" section of `docs/ARCHITECTURE.md` and the
-//! `quant_sweep` bench binary.
+//! search & exact rerank" section of `docs/ARCHITECTURE.md` and
+//! `paper_figs quant`.
 //!
 //! ```
 //! use ndsearch::anns::index::GraphAnnsIndex;
@@ -97,7 +97,7 @@
 //! shared worker pool, per-shard top-k gathered by a deterministic
 //! `(distance, global id)` merge, and updates routed to their owning
 //! shard. See the "Sharded serving" section of `docs/ARCHITECTURE.md`
-//! and the `cluster_sweep` bench binary.
+//! and `paper_figs cluster`.
 //!
 //! ## Replication & failover
 //!
@@ -108,8 +108,8 @@
 //! wears out replicas mid-run from their *simulated* clocks, in-flight
 //! sessions fail over to the surviving twin, and updates fan out to all
 //! alive replicas. Degraded runs replay bit-identically. See the
-//! "Replication & failover" section of `docs/ARCHITECTURE.md` and the
-//! `replica_sweep` bench binary.
+//! "Replication & failover" section of `docs/ARCHITECTURE.md` and
+//! `paper_figs replica`.
 //!
 //! ## Traffic scenarios & SLO scheduling
 //!
@@ -126,8 +126,8 @@
 //! attainment, shed counts and a max/mean p99 fairness ratio. The same
 //! seed replays a whole day — churn, compaction, a load spike, a replica
 //! kill — bit-identically at any `exec_threads`. See the "Traffic
-//! scenarios & SLO scheduling" section of `docs/ARCHITECTURE.md` and the
-//! `scenario_sweep` bench binary.
+//! scenarios & SLO scheduling" section of `docs/ARCHITECTURE.md` and
+//! `paper_figs scenarios`.
 //!
 //! ```
 //! use ndsearch::core::traffic::{ArrivalModel, QueryMix, Scenario, TenantProfile};

@@ -151,6 +151,73 @@ fn vamana_quantized_end_to_end() {
     let index = Vamana::build(&base, VamanaParams::default());
     let entry = index.medoid();
     quantized_pipeline(index.base_graph(), entry, &base, 0.85, "Vamana");
+    quantized_beats_full_precision(DatasetSpec::deep_scaled(700, 32));
+}
+
+/// The `quant` sweep's gate at its CI smoke scale, on a deep-1b-like
+/// corpus (f32 rows, so int8 is a 4× DRAM saving and PQ far more): every
+/// spec × rerank depth keeps its codes under half the full-precision
+/// bytes, and the fastest configuration clearing recall 0.85 out-serves
+/// the full-precision engine.
+fn quantized_beats_full_precision(corpus: DatasetSpec) {
+    let (base, queries) = corpus.build_pair();
+    let index = Vamana::build(&base, VamanaParams::default());
+    let (graph, medoid) = (index.base_graph(), index.medoid());
+    let mut config = NdsConfig::scaled_for(base.len(), base.stored_vector_bytes());
+    config.ecc.hard_decision_failure_prob = 0.0;
+    let prepared = Prepared::stage(&config, graph, &base, &BatchTrace::default());
+    let gt = ground_truth(&base, &queries, 10, DistanceKind::L2);
+    let full_bytes = (base.stored_vector_bytes() * base.len()) as f64;
+    // Sim-QPS, recall and code DRAM as a share of full precision.
+    let run = |quantization, rerank_depth| {
+        let config = NdsConfig {
+            quantization,
+            ..config.clone()
+        };
+        let serve = ServeConfig {
+            k: 10,
+            beam_width: 80,
+            max_inflight: 16,
+            rerank_depth,
+            ..ServeConfig::default()
+        };
+        let mut engine = ServeEngine::new(&config, serve, &prepared, &base, graph);
+        let dram = engine
+            .deployment()
+            .codes()
+            .map_or(1.0, |c| c.total_bytes() as f64 / full_bytes);
+        for (_, q) in queries.iter() {
+            engine.submit(QueryRequest::at(0, q.to_vec(), vec![medoid]));
+        }
+        let report = engine.run_to_completion();
+        assert_eq!(report.completed(), queries.len());
+        let ids: Vec<Vec<VectorId>> = report
+            .outcomes
+            .iter()
+            .map(|o| o.results.iter().map(|n| n.id).collect())
+            .collect();
+        (report.qps(), recall_at_k(&gt, &ids, 10), dram)
+    };
+    let (full_qps, ..) = run(QuantSpec::None, 32);
+    let mut best_gated_qps = 0.0f64;
+    for spec in [
+        QuantSpec::Int8,
+        QuantSpec::Pq { m: 24, bits: 8 },
+        QuantSpec::Pq { m: 24, bits: 4 },
+        QuantSpec::Pq { m: 12, bits: 8 },
+    ] {
+        for depth in [10, 32, 64] {
+            let (qps, recall, dram) = run(spec, depth);
+            assert!(dram < 0.5, "{spec:?} @ {depth}: code DRAM {dram:.2}x");
+            if recall >= 0.85 {
+                best_gated_qps = best_gated_qps.max(qps);
+            }
+        }
+    }
+    assert!(
+        best_gated_qps > full_qps,
+        "best config at recall >= 0.85 serves {best_gated_qps:.0} QPS vs full precision {full_qps:.0}"
+    );
 }
 
 /// Regression: QPT DRAM accounting must not silently revert to

@@ -128,6 +128,46 @@ fn hedged_cluster_rides_out_an_ecc_storm() {
     assert!(rate > 0.0 && rate <= 1.0, "hedge win rate {rate}");
     assert_eq!(report.availability(), 1.0, "a storm degrades, not kills");
     assert_recall(&base, &queries, &report);
+
+    // The `replica` sweep's storm at its CI smoke scale: 32 queries a
+    // millisecond apart on 2 shards × 2 replicas, replica 0 of each walking
+    // a 40 µs read-retry ladder on 90 % of its reads. Hedging at half the
+    // healthy median must cut the tail its round-robin twin leaves.
+    let (base, queries) = DatasetSpec::sift_scaled(600, 32).build_pair();
+    let mut config = NdsConfig::scaled_for(2 * base.len(), base.stored_vector_bytes());
+    config.ecc.hard_decision_failure_prob = 0.0;
+    config.ecc.t_soft_decode_ns = 40_000;
+    let run = |replication| {
+        let plan = ShardPlan::partition(base.len(), 2, ShardPolicy::BalancedSize, 0x5A4D);
+        let serve = ServeConfig::default();
+        let mut cluster = ClusterEngine::stage_replicated(
+            &config,
+            serve,
+            plan,
+            replication,
+            &base,
+            vamana_builder,
+        );
+        for (i, (_, q)) in queries.iter().enumerate() {
+            cluster.submit(ClusterQueryRequest::at(i as Nanos * 1_000_000, q.to_vec()));
+        }
+        let report = cluster.run_to_completion();
+        assert_eq!(report.completed(), queries.len());
+        report.latency()
+    };
+    let delay_ns = run(ReplicationConfig::replicated(2)).p50_ns / 2;
+    let storm = (0..2).fold(FailureSchedule::new(), |f, s| f.ecc_storm(0, s, 0, 0.9));
+    let stormed = |policy| {
+        ReplicationConfig::replicated(2)
+            .with_policy(policy)
+            .with_failures(storm.clone())
+    };
+    let round_robin = run(stormed(ReplicaPolicy::RoundRobin)).p99_ns;
+    let hedged = run(stormed(ReplicaPolicy::Hedged { delay_ns })).p99_ns;
+    assert!(
+        hedged < round_robin,
+        "hedged p99 {hedged} ns must beat round-robin p99 {round_robin} ns"
+    );
 }
 
 /// A storm must reach a quantized replica: its hops score DRAM-resident

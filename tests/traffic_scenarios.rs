@@ -323,8 +323,8 @@ struct Overload {
     medoid: VectorId,
 }
 
-fn overload_fixture() -> Overload {
-    let (base, queries) = DatasetSpec::sift_scaled(500, 16).build_pair();
+fn overload_fixture(n: usize, distinct_queries: usize) -> Overload {
+    let (base, queries) = DatasetSpec::sift_scaled(n, distinct_queries).build_pair();
     let index = Vamana::build(&base, VamanaParams::default());
     let mut config = NdsConfig::scaled_for(base.len(), base.stored_vector_bytes());
     config.ecc.hard_decision_failure_prob = 0.0;
@@ -337,7 +337,13 @@ fn overload_fixture() -> Overload {
     }
 }
 
-fn overload_run(fx: &Overload, slo: SloPolicy, gap_ns: Nanos, deadline_ns: Nanos) -> ServeReport {
+fn overload_run(
+    fx: &Overload,
+    slo: SloPolicy,
+    arrivals: usize,
+    gap_ns: Nanos,
+    deadline_ns: Nanos,
+) -> ServeReport {
     let prepared = Prepared::stage(
         &fx.config,
         &fx.graph,
@@ -350,7 +356,7 @@ fn overload_run(fx: &Overload, slo: SloPolicy, gap_ns: Nanos, deadline_ns: Nanos
         ..ServeConfig::default()
     };
     let mut engine = ServeEngine::new(&fx.config, serve, &prepared, &fx.base, &fx.graph);
-    for i in 0..60 {
+    for i in 0..arrivals {
         let q = fx
             .queries
             .vector((i % fx.queries.len()) as VectorId)
@@ -365,48 +371,67 @@ fn overload_run(fx: &Overload, slo: SloPolicy, gap_ns: Nanos, deadline_ns: Nanos
 
 #[test]
 fn shed_doomed_saves_survivors_under_overload() {
-    let fx = overload_fixture();
-    // Calibrate: one query alone, no deadline.
-    let solo = overload_run(&fx, SloPolicy::None, Nanos::MAX / 128, Nanos::MAX / 2);
-    let l = solo.outcomes[0].latency_ns();
-    assert!(l > 0);
-    // 60 queries at 8 arrivals per unloaded-latency against 4 slots is a
-    // sustained ~2× overload; deadlines at 4× the unloaded latency.
-    let off = overload_run(&fx, SloPolicy::None, l / 8, 4 * l);
-    let on = overload_run(&fx, SloPolicy::ShedDoomed { min_slack_ns: 0 }, l / 8, 4 * l);
+    // (base vectors, distinct queries, arrivals, shed slack in unloaded
+    // latencies): a slack-free burst, then the `scenarios` sweep's own
+    // overload at its CI smoke scale.
+    for (n, distinct, arrivals, slack) in [(500, 16, 60, 0), (600, 24, 80, 1)] {
+        let fx = overload_fixture(n, distinct);
+        // Calibrate: one query alone, no deadline.
+        let solo = overload_run(&fx, SloPolicy::None, 1, 0, Nanos::MAX / 2);
+        let l = solo.outcomes[0].latency_ns();
+        assert!(l > 0);
+        // 8 arrivals per unloaded latency against 4 slots is a sustained
+        // ~2× overload; deadlines at 4× the unloaded latency.
+        let run = |slo| overload_run(&fx, slo, arrivals, l / 8, 4 * l);
+        let off = run(SloPolicy::None);
+        let on = run(SloPolicy::ShedDoomed {
+            min_slack_ns: slack * l,
+        });
 
-    // Shedding really triggered, and nothing was silently dropped: every
-    // shed query is reported Rejected (from the queue) or Expired (from
-    // flight), and every submitted query reached a terminal state.
-    assert!(on.sheds() > 0, "2x overload must shed");
-    assert_eq!(on.outcomes.len(), 60);
-    assert_eq!(off.outcomes.len(), 60);
-    for o in &on.outcomes {
-        assert!(o.state.is_terminal(), "query {} not terminal", o.id);
-        if o.shed {
+        // Shedding really triggered, and nothing was silently dropped:
+        // every shed query is reported Rejected (from the queue) or
+        // Expired (from flight), and every submitted query reached a
+        // terminal state.
+        assert!(on.sheds() > 0, "2x overload must shed");
+        assert_eq!(on.outcomes.len(), arrivals);
+        assert_eq!(off.outcomes.len(), arrivals);
+        for o in &on.outcomes {
+            assert!(o.state.is_terminal(), "query {} not terminal", o.id);
+            if o.shed {
+                assert!(
+                    o.state == SessionState::Rejected || o.state == SessionState::Expired,
+                    "shed query {} reported {:?}",
+                    o.id,
+                    o.state
+                );
+            }
+        }
+        assert_eq!(off.sheds(), 0, "SloPolicy::None must never shed");
+
+        // The point of shedding: capacity stops being burned on doomed
+        // sessions, so more of the survivors complete on time...
+        let on_time_on = on.outcomes.iter().filter(|o| o.on_time()).count();
+        let on_time_off = off.outcomes.iter().filter(|o| o.on_time()).count();
+        assert!(
+            on_time_on > on_time_off,
+            "shedding must improve on-time completions: {on_time_on} vs {on_time_off}"
+        );
+        // ...and the overall SLO attainment improves with it.
+        assert!(
+            on.slo_attainment() > off.slo_attainment(),
+            "attainment: shed {} vs unshed {}",
+            on.slo_attainment(),
+            off.slo_attainment()
+        );
+        // With no slack the marginal survivor of both runs completes right
+        // at the deadline wall; one unloaded latency of it moves the
+        // on-time p99 too.
+        if slack > 0 {
+            let (p99_on, p99_off) = (on.latency().p99_ns, off.latency().p99_ns);
             assert!(
-                o.state == SessionState::Rejected || o.state == SessionState::Expired,
-                "shed query {} reported {:?}",
-                o.id,
-                o.state
+                p99_on < p99_off,
+                "shedding must improve on-time p99: {p99_on} ns vs {p99_off} ns"
             );
         }
     }
-    assert_eq!(off.sheds(), 0, "SloPolicy::None must never shed");
-
-    // The point of shedding: capacity stops being burned on doomed
-    // sessions, so more of the survivors complete on time...
-    let on_time_on = on.outcomes.iter().filter(|o| o.on_time()).count();
-    let on_time_off = off.outcomes.iter().filter(|o| o.on_time()).count();
-    assert!(
-        on_time_on > on_time_off,
-        "shedding must improve on-time completions: {on_time_on} vs {on_time_off}"
-    );
-    // ...and the overall SLO attainment improves with it.
-    assert!(
-        on.slo_attainment() > off.slo_attainment(),
-        "attainment: shed {} vs unshed {}",
-        on.slo_attainment(),
-        off.slo_attainment()
-    );
 }
