@@ -358,6 +358,10 @@ impl MutableIndex for Hnsw {
     fn live_count(&self) -> usize {
         self.deleted.iter().filter(|&&d| !d).count()
     }
+
+    fn boxed_clone(&self) -> Box<dyn MutableIndex> {
+        Box::new(self.clone())
+    }
 }
 
 /// Greedy walk on a sparse upper layer (no trace).

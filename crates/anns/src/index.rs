@@ -198,6 +198,10 @@ pub trait MutableIndex: GraphAnnsIndex + Send {
 
     /// Vertices that are present and not tombstoned.
     fn live_count(&self) -> usize;
+
+    /// A deep copy behind a fresh box: what replicated staging hands each
+    /// twin of a shard instead of building the same index again.
+    fn boxed_clone(&self) -> Box<dyn MutableIndex>;
 }
 
 impl Adjacency for dyn MutableIndex + '_ {

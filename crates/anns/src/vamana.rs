@@ -306,6 +306,10 @@ impl MutableIndex for Vamana {
     fn live_count(&self) -> usize {
         self.deleted.iter().filter(|&&d| !d).count()
     }
+
+    fn boxed_clone(&self) -> Box<dyn MutableIndex> {
+        Box::new(self.clone())
+    }
 }
 
 impl GraphAnnsIndex for Vamana {

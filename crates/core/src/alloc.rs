@@ -51,6 +51,11 @@ pub struct AllocOutput {
 /// a contiguous slice whose internal order is still dispatch order (which
 /// the page-buffer model without dynamic allocating depends on). An engine
 /// owns one arena and refills it every round.
+///
+/// A round touches a few dozen of a device's hundreds of LUNs, so the
+/// arena keeps a bitmap of the LUNs staged into: [`begin`](Self::begin)
+/// re-zeroes only their cursors and [`seal`](Self::seal) walks only their
+/// bits, in ascending LUN order.
 #[derive(Debug, Default)]
 pub(crate) struct RoundArena {
     /// Sealed tasks, ordered by (LUN, dispatch order).
@@ -58,7 +63,10 @@ pub(crate) struct RoundArena {
     /// Tasks in dispatch order, before sealing.
     staged: Vec<VertexTask>,
     /// Per-LUN task counts while staging; scatter cursors while sealing.
+    /// Zero for every LUN whose bit is clear.
     cursors: Vec<u32>,
+    /// One bit per LUN staged into since the last `begin`.
+    live: Vec<u64>,
     /// `(lun, end of its slice in tasks)` per non-empty LUN, ascending.
     units: Vec<(LunId, u32)>,
 }
@@ -67,8 +75,15 @@ impl RoundArena {
     /// Empties the arena for a new round on a device of `total_luns` LUNs.
     pub fn begin(&mut self, total_luns: u32) {
         self.staged.clear();
-        self.cursors.clear();
+        for (w, word) in self.live.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                self.cursors[w * 64 + bits.trailing_zeros() as usize] = 0;
+                bits &= bits - 1;
+            }
+        }
         self.cursors.resize(total_luns as usize, 0);
+        self.live.resize((total_luns as usize).div_ceil(64), 0);
     }
 
     /// Stages one task: `query` needs the vector of `vertex`, whose
@@ -76,7 +91,9 @@ impl RoundArena {
     pub fn push(&mut self, luncsr: &LunCsr, query: u32, vertex: VectorId, speculative: bool) {
         let addr = luncsr.physical_addr(vertex);
         debug_assert_eq!(addr.lun, luncsr.lun_of(vertex));
-        self.cursors[addr.lun as usize] += 1;
+        let lun = addr.lun as usize;
+        self.cursors[lun] += 1;
+        self.live[lun / 64] |= 1 << (lun % 64);
         self.staged.push(VertexTask {
             query,
             vertex,
@@ -93,10 +110,13 @@ impl RoundArena {
             return;
         };
         let mut start = 0u32;
-        for (lun, cursor) in self.cursors.iter_mut().enumerate() {
-            let count = std::mem::replace(cursor, start);
-            start += count;
-            if count > 0 {
+        for (w, &word) in self.live.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let lun = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let count = std::mem::replace(&mut self.cursors[lun], start);
+                start += count;
                 self.units.push((lun as LunId, start));
             }
         }
@@ -183,14 +203,13 @@ mod tests {
     use ndsearch_graph::mapping::{PlacementPolicy, VertexMapping};
 
     fn luncsr(n: usize) -> LunCsr {
+        luncsr_on(FlashGeometry::tiny(), n)
+    }
+
+    fn luncsr_on(geometry: FlashGeometry, n: usize) -> LunCsr {
         let lists: Vec<Vec<VectorId>> = (0..n as u32).map(|_| Vec::new()).collect();
         let csr = Csr::from_adjacency(&lists).unwrap();
-        let mapping = VertexMapping::place(
-            FlashGeometry::tiny(),
-            n,
-            128,
-            PlacementPolicy::MultiPlaneAware,
-        );
+        let mapping = VertexMapping::place(geometry, n, 128, PlacementPolicy::MultiPlaneAware);
         LunCsr::new(csr, mapping)
     }
 
@@ -255,6 +274,86 @@ mod tests {
         arena.begin(total_luns);
         arena.seal();
         assert_eq!((arena.len(), arena.units()), (0, 0));
+    }
+
+    #[test]
+    fn a_reused_arena_seals_what_a_fresh_one_seals() {
+        // One arena carried across random rounds must cut exactly the
+        // units and task order of a fresh arena (`Allocator::dispatch`).
+        // Sparse rounds (1–3 LUNs), dense ones (every LUN), repeated LUNs
+        // and empty rounds follow each other, so a cursor or live bit an
+        // earlier round left behind shows. 130 LUNs span three bitmap
+        // words, the last one partial.
+        let geometry = FlashGeometry {
+            channels: 5,
+            chips_per_channel: 13,
+            blocks_per_plane: 1,
+            pages_per_block: 2,
+            ..FlashGeometry::tiny()
+        };
+        // One multi-plane stripe is 32 vertices per LUN: 4 200 cover all.
+        let n = 4_200;
+        let lc = luncsr_on(geometry, n);
+        let timing = FlashTiming::default();
+        let total_luns = geometry.total_luns();
+        let mut by_lun = vec![Vec::new(); total_luns as usize];
+        for v in 0..n as VectorId {
+            by_lun[lc.lun_of(v) as usize].push(v);
+        }
+        let luns: Vec<usize> = (0..by_lun.len())
+            .filter(|&l| !by_lun[l].is_empty())
+            .collect();
+        assert_eq!(luns.len(), 130, "placement must fill all three words");
+
+        let mut arena = RoundArena::default();
+        let mut kinds = [0usize; 3];
+        proptest::test_runner::run(
+            proptest::test_runner::Config { cases: 48 },
+            "a_reused_arena_seals_what_a_fresh_one_seals",
+            |rng| {
+                use proptest::prelude::*;
+                let kind = (0usize..3).generate(rng);
+                kinds[kind] += 1;
+                let targets: Vec<usize> = match kind {
+                    0 => Vec::new(),
+                    1 => (0..(1usize..=3).generate(rng))
+                        .map(|_| luns[(0..luns.len()).generate(rng)])
+                        .collect(),
+                    _ => luns.clone(),
+                };
+                let mut triples = Vec::new();
+                for &lun in &targets {
+                    for _ in 0..(1usize..6).generate(rng) {
+                        let v = by_lun[lun][(0..by_lun[lun].len()).generate(rng)];
+                        triples.push(((0u32..64).generate(rng), v, lun as u32));
+                    }
+                }
+                // Interleave the LUNs, as a round's hops do.
+                for i in (1..triples.len()).rev() {
+                    triples.swap(i, (0..=i).generate(rng));
+                }
+
+                arena.begin(total_luns);
+                for &(query, vertex, _) in &triples {
+                    arena.push(&lc, query, vertex, false);
+                }
+                arena.seal();
+                let fresh = Allocator.dispatch(&lc, &timing, &triples, false);
+                prop_assert_eq!(arena.units(), fresh.work.len());
+                let mut sealed = Vec::new();
+                for (unit, want) in fresh.work.iter().enumerate() {
+                    let (lun, tasks) = arena.unit(unit);
+                    prop_assert_eq!(lun, want.lun);
+                    prop_assert_eq!(tasks, &want.tasks[..]);
+                    sealed.extend(tasks.iter().map(|t| (t.query, t.vertex, lun)));
+                }
+                // Both are the triples stably sorted by LUN.
+                triples.sort_by_key(|t| t.2);
+                prop_assert_eq!(sealed, triples);
+                Ok(())
+            },
+        );
+        assert!(kinds.iter().all(|&k| k > 0), "every kind of round ran");
     }
 
     #[test]

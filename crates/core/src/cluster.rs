@@ -10,8 +10,9 @@
 //! * a [`ShardPlan`] (hash or
 //!   balanced-size policy) splits the dataset into per-shard
 //!   sub-datasets, each staged as one or more replica [`Deployment`]s —
-//!   each replica its own index build, LUNCSR staging, FTL, ECC engine
-//!   and wear model, i.e. its own simulated device;
+//!   each replica its own copy of the shard's one index build, its own
+//!   LUNCSR staging, FTL, ECC engine and wear model, i.e. its own
+//!   simulated device, reading the shard's rows from one shared copy;
 //! * [`ClusterEngine`] **scatters** every query session to all shards
 //!   (one [`ServeEngine`] session on one replica per shard, seeded at
 //!   that shard's entry vertex) and drives all replica engines
@@ -36,8 +37,8 @@
 //! # Replication & failover
 //!
 //! [`ReplicationConfig`] stages `replicas` copies of every shard. Each
-//! replica is a full independent device (same sub-dataset, same
-//! deterministic index build, its own flash stack), so any replica can
+//! replica is a full independent device (same sub-dataset, a clone of
+//! the shard's one index build, its own flash stack), so any replica can
 //! answer any query for its shard. Queries route to one replica per
 //! shard by [`ReplicaPolicy`]:
 //!
@@ -64,7 +65,9 @@
 //! # Determinism and parity
 //!
 //! Replicas share **no** mutable state: each replica engine owns its
-//! deployment, device model and simulated clock, so a round's
+//! deployment, device model and simulated clock (twins read one shared
+//! copy of their shard's rows, which an insert copies before writing),
+//! so a round's
 //! `step_round()` calls are independent — which thread takes which
 //! device, and in what order, cannot change what any device computes.
 //! Failure events and hedges fire at round boundaries on the calling
@@ -135,6 +138,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 use ndsearch_anns::index::MutableIndex;
 use ndsearch_flash::timing::Nanos;
@@ -682,12 +686,17 @@ impl ClusterReport {
 }
 
 /// One replica device of a shard: a full single-device serving stack
-/// plus its local entry vertex and liveness.
+/// plus its local entry vertex and liveness. The engine is boxed so the
+/// per-round hand-off to the [`crate::exec`] pool moves a pointer.
 struct Replica<'a> {
-    engine: ServeEngine<'a>,
+    engine: Box<ServeEngine<'a>>,
     entry: VectorId,
     alive: bool,
     killed_ns: Option<Nanos>,
+    /// [`ReplicaPolicy::Hedged`] only: `(fire time, scatter)` of every
+    /// session whose primary copy runs here and whose hedge decision is
+    /// pending, soonest first.
+    hedges_due: BinaryHeap<Reverse<(Nanos, ClusterQueryId)>>,
 }
 
 /// One staged shard: its replica set plus routing state.
@@ -759,8 +768,9 @@ struct ShardSession {
 struct ScatterShard {
     primary: ShardSession,
     hedge: Option<ShardSession>,
-    /// A hedge was already fired (or deliberately skipped); never fire
-    /// another — unless the hedge itself died, which re-arms this.
+    /// The hedge decision was made: a hedge fired (or was deliberately
+    /// skipped); never fire another — unless the hedge itself died, which
+    /// clears this and re-arms the decision on the primary's replica.
     hedge_spent: bool,
     /// Copies left frozen on killed replicas (their partial hop work
     /// still counts toward the outcome).
@@ -796,16 +806,38 @@ pub struct ClusterEngine<'a> {
     resolved: Vec<UpdateOutcome>,
     /// Which failure-schedule events already fired.
     fired: Vec<bool>,
-    /// [`ReplicaPolicy::Hedged`] only: scatters whose hedge fire time
-    /// (arrival + delay) no alive replica clock has reached yet, soonest
-    /// first — every one of their sessions would be skipped, so
-    /// [`fire_hedges`](Self::fire_hedges) does not visit them.
-    hedge_due: BinaryHeap<Reverse<(Nanos, ClusterQueryId)>>,
-    /// Scatters past their fire time that still have a session neither
-    /// hedged nor spent, ascending by id (the order hedges fire in).
-    hedge_armed: Vec<ClusterQueryId>,
+    /// Every hedge decision pending, made and visited.
+    #[cfg(test)]
+    hedge_log: HedgeLog,
     /// Host wall-clock spent inside `run_to_completion*`.
     wall: std::time::Duration,
+}
+
+/// What the hedged routing did, for the tests to hold against the
+/// replica clocks. A round is the index of a hedge pass; an event logged
+/// with round `k` happened before pass `k`.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct HedgeLog {
+    /// `(round, scatter, shard, replica)` per primary assignment: at
+    /// submission and at every failover.
+    primaries: Vec<(usize, ClusterQueryId, usize, usize)>,
+    /// `(round, scatter, shard)` per hedge that died with its replica.
+    dead_hedges: Vec<(usize, ClusterQueryId, usize)>,
+    /// One record per hedge pass.
+    rounds: Vec<HedgeRound>,
+}
+
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct HedgeRound {
+    /// `(shard, replica, clock)` of every alive replica.
+    clocks: Vec<(usize, usize, Nanos)>,
+    /// `(scatter, shard, replica)` of every heap entry looked at.
+    visited: Vec<(ClusterQueryId, usize, usize)>,
+    /// `(scatter, shard, primary replica, fired)` per decision, in
+    /// decision order.
+    decided: Vec<(ClusterQueryId, usize, usize, bool)>,
 }
 
 impl<'a> ClusterEngine<'a> {
@@ -829,12 +861,14 @@ impl<'a> ClusterEngine<'a> {
     }
 
     /// Stages a replicated cluster: splits `dataset` per the plan and,
-    /// for every non-empty shard, builds `replication.replicas` replica
-    /// devices — each its own index build and [`Deployment`] (own flash
-    /// stack) via `build`, which returns the shard's index and its entry
-    /// vertex in shard-local ids (e.g. the Vamana medoid or HNSW entry
-    /// point). `build` is deterministic per sub-dataset, so replicas of
-    /// a shard start as bit-identical copies.
+    /// for every non-empty shard, builds the shard's index once via
+    /// `build` — which returns it and its entry vertex in shard-local ids
+    /// (e.g. the Vamana medoid or HNSW entry point) — and stages
+    /// `replication.replicas` replica devices from it, each its own
+    /// [`Deployment`] (own flash stack) over a clone of the index
+    /// ([`MutableIndex::boxed_clone`]). Replicas of a shard thus start as
+    /// bit-identical copies, and share one copy of the shard's rows until
+    /// an insert writes to them.
     ///
     /// Every replica serves with the same `config` (homogeneous devices)
     /// and the same `serve` admission/search knobs.
@@ -884,15 +918,26 @@ impl<'a> ClusterEngine<'a> {
                 if shard_ds.is_empty() {
                     return None;
                 }
-                let replicas = (0..replication.replicas)
-                    .map(|_| {
-                        let (index, entry) = build(&shard_ds);
-                        let deploy = Deployment::stage(config, index, shard_ds.clone());
+                let (index, entry) = build(&shard_ds);
+                let shard_ds = Arc::new(shard_ds);
+                let mut indexes: Vec<Box<dyn MutableIndex>> = (1..replication.replicas)
+                    .map(|_| index.boxed_clone())
+                    .collect();
+                indexes.insert(0, index);
+                let replicas = indexes
+                    .into_iter()
+                    .map(|index| {
+                        let deploy = Deployment::stage(config, index, Arc::clone(&shard_ds));
                         Replica {
-                            engine: ServeEngine::with_deployment(config, serve.clone(), deploy),
+                            engine: Box::new(ServeEngine::with_deployment(
+                                config,
+                                serve.clone(),
+                                deploy,
+                            )),
                             entry,
                             alive: true,
                             killed_ns: None,
+                            hedges_due: BinaryHeap::new(),
                         }
                     })
                     .collect();
@@ -916,8 +961,8 @@ impl<'a> ClusterEngine<'a> {
             inflight_inserts: vec![0; num_shards],
             resolved: Vec::new(),
             fired,
-            hedge_due: BinaryHeap::new(),
-            hedge_armed: Vec::new(),
+            #[cfg(test)]
+            hedge_log: HedgeLog::default(),
             wall: std::time::Duration::ZERO,
         }
     }
@@ -945,7 +990,7 @@ impl<'a> ClusterEngine<'a> {
     pub fn shard_engine(&self, shard: usize) -> Option<&ServeEngine<'a>> {
         self.shards[shard].as_ref().map(|s| {
             let r = s.replicas.iter().position(|r| r.alive).unwrap_or(0);
-            &s.replicas[r].engine
+            &*s.replicas[r].engine
         })
     }
 
@@ -955,7 +1000,7 @@ impl<'a> ClusterEngine<'a> {
         self.shards[shard]
             .as_ref()
             .and_then(|s| s.replicas.get(replica))
-            .map(|r| &r.engine)
+            .map(|r| &*r.engine)
     }
 
     /// Scatters one query session to every staged shard — on the replica
@@ -965,7 +1010,7 @@ impl<'a> ClusterEngine<'a> {
     pub fn submit(&mut self, req: ClusterQueryRequest) -> ClusterQueryId {
         let id = self.queries.len();
         let policy = self.replication.policy;
-        let sessions = self
+        let sessions: Vec<Option<ScatterShard>> = self
             .shards
             .iter_mut()
             .map(|slot| {
@@ -990,7 +1035,16 @@ impl<'a> ClusterEngine<'a> {
             .collect();
         if let ReplicaPolicy::Hedged { delay_ns } = policy {
             let fire_at = req.arrival_ns.saturating_add(delay_ns);
-            self.hedge_due.push(Reverse((fire_at, id)));
+            for (s, session) in sessions.iter().enumerate() {
+                let Some(sc) = session else { continue };
+                let shard = self.shards[s].as_mut().expect("session on staged shard");
+                let r = sc.primary.replica;
+                shard.replicas[r].hedges_due.push(Reverse((fire_at, id)));
+                #[cfg(test)]
+                self.hedge_log
+                    .primaries
+                    .push((self.hedge_log.rounds.len(), id, s, r));
+            }
         }
         self.queries.push(Scatter {
             query: req.query,
@@ -1290,25 +1344,36 @@ impl<'a> ClusterEngine<'a> {
     /// and every unfinished session routed to it is re-seeded on the
     /// next alive replica (arriving at the kill time — the failover
     /// detection latency is the round granularity). With no survivor the
-    /// sessions stay frozen on the dead device.
+    /// sessions stay frozen on the dead device. A session whose hedge
+    /// decision is pending after this — its primary moved, or its hedge
+    /// died with the device — is re-armed on its primary's replica.
     fn kill_replica(&mut self, s: usize, r: usize, at_ns: Nanos) -> bool {
         let shard = self.shards[s].as_mut().expect("kill on staged shard");
         shard.replicas[r].alive = false;
         shard.replicas[r].killed_ns = Some(at_ns);
         let survivor = shard.next_alive_after(r);
+        let hedge_delay = match self.replication.policy {
+            ReplicaPolicy::Hedged { delay_ns } => Some(delay_ns),
+            _ => None,
+        };
         let mut new_work = false;
         for (id, scatter) in self.queries.iter_mut().enumerate() {
             let Some(sc) = scatter.sessions[s].as_mut() else {
                 continue;
             };
+            let mut rearm = false;
             if let Some(h) = sc.hedge {
                 if h.replica == r && !shard.replicas[r].engine.poll(h.query).is_terminal() {
-                    // The backup died mid-race: drop it and re-arm so a
-                    // fresh hedge may fire on a survivor later.
+                    // The backup died mid-race: drop it, so a fresh hedge
+                    // may fire on a survivor later.
                     sc.abandoned.push(h);
                     sc.hedge = None;
                     sc.hedge_spent = false;
-                    arm_hedge(&mut self.hedge_armed, id);
+                    rearm = true;
+                    #[cfg(test)]
+                    self.hedge_log
+                        .dead_hedges
+                        .push((self.hedge_log.rounds.len(), id, s));
                 }
             }
             if sc.primary.replica == r
@@ -1339,84 +1404,128 @@ impl<'a> ClusterEngine<'a> {
                 sc.abandoned.push(old);
                 shard.failovers += 1;
                 new_work = true;
+                rearm = true;
+                #[cfg(test)]
+                self.hedge_log
+                    .primaries
+                    .push((self.hedge_log.rounds.len(), id, s, surv));
+            }
+            if let Some(delay_ns) = hedge_delay.filter(|_| rearm && !sc.hedge_spent) {
+                let fire_at = scatter.arrival_ns.saturating_add(delay_ns);
+                let p = sc.primary.replica;
+                shard.replicas[p].hedges_due.push(Reverse((fire_at, id)));
             }
         }
         new_work
     }
 
-    /// Fires due hedges (policy [`ReplicaPolicy::Hedged`]): for every
+    /// Fires due hedges (policy [`ReplicaPolicy::Hedged`]): every
     /// scattered session whose primary has been outstanding for the
-    /// hedge delay, submit an identical backup on the next alive
-    /// replica. Runs after the round's stepping, in submission order, so
-    /// the decision depends only on simulated clocks. Only scatters whose
-    /// fire time some alive replica's clock has reached are visited, and
-    /// only until each of their sessions is hedged or spent.
+    /// hedge delay gets its one hedge decision — an identical backup on
+    /// the next alive replica, unless the primary already finished or
+    /// has no alive twin. Runs after the round's stepping, so a decision
+    /// depends only on simulated clocks.
+    ///
+    /// Each alive replica pops the entries of its heap whose fire time
+    /// its own clock has reached. The due `(scatter, shard)` pairs are
+    /// decided in ascending order — submission order, shards in index
+    /// order — so a backup engine sees its hedges in the same order
+    /// whichever heap they came from. A dead replica's heap is never
+    /// visited: its sessions either failed over (and were re-armed on the
+    /// survivor) or are frozen with the whole shard. So an alive heap
+    /// holds exactly the pending decisions of the primaries on its
+    /// replica: an entry is pushed when a decision becomes pending and
+    /// popped when it is made, and a primary leaves a replica only when
+    /// the replica dies.
     fn fire_hedges(&mut self) -> bool {
         let ReplicaPolicy::Hedged { delay_ns } = self.replication.policy else {
             return false;
         };
-        let latest_clock = self
-            .shards
-            .iter()
-            .flatten()
-            .flat_map(|shard| &shard.replicas)
-            .filter(|rep| rep.alive)
-            .map(|rep| rep.engine.now_ns())
-            .max()
-            .unwrap_or(0);
-        while let Some(&Reverse((fire_at, id))) = self.hedge_due.peek() {
-            if fire_at > latest_clock {
-                break;
+        #[cfg(test)]
+        {
+            let mut round = HedgeRound::default();
+            for (s, slot) in self.shards.iter().enumerate() {
+                let replicas = slot.iter().flat_map(|shard| &shard.replicas);
+                for (r, rep) in replicas.enumerate().filter(|(_, rep)| rep.alive) {
+                    round.clocks.push((s, r, rep.engine.now_ns()));
+                }
             }
-            self.hedge_due.pop();
-            arm_hedge(&mut self.hedge_armed, id);
+            self.hedge_log.rounds.push(round);
         }
+        let mut due = Vec::new();
+        for (s, slot) in self.shards.iter_mut().enumerate() {
+            let Some(shard) = slot else { continue };
+            for (r, rep) in shard.replicas.iter_mut().enumerate() {
+                if !rep.alive {
+                    continue;
+                }
+                let now = rep.engine.now_ns();
+                while let Some(&Reverse((fire_at, id))) = rep.hedges_due.peek() {
+                    #[cfg(test)]
+                    self.hedge_log
+                        .rounds
+                        .last_mut()
+                        .expect("pushed above")
+                        .visited
+                        .push((id, s, r));
+                    if fire_at > now {
+                        break;
+                    }
+                    rep.hedges_due.pop();
+                    debug_assert!(
+                        self.queries[id].sessions[s]
+                            .as_ref()
+                            .is_some_and(|sc| sc.primary.replica == r && !sc.hedge_spent),
+                        "scatter {id}'s entry on replica {r} of shard {s} is no pending decision"
+                    );
+                    due.push((id, s));
+                }
+            }
+        }
+        due.sort_unstable();
 
         let mut new_work = false;
-        let (queries, shards) = (&mut self.queries, &mut self.shards);
-        self.hedge_armed.retain(|&id| {
-            let scatter = &mut queries[id];
-            let fire_at = scatter.arrival_ns.saturating_add(delay_ns);
-            let mut armed = false;
-            for (s, session) in scatter.sessions.iter_mut().enumerate() {
-                let Some(sc) = session else { continue };
-                if sc.hedge.is_some() || sc.hedge_spent {
-                    continue;
-                }
-                let shard = shards[s].as_mut().expect("session on staged shard");
-                let primary = &shard.replicas[sc.primary.replica];
-                if !primary.alive || primary.engine.now_ns() < fire_at {
-                    armed = true;
-                    continue;
-                }
-                // Whatever happens below, this session's one hedge
-                // decision is made.
-                sc.hedge_spent = true;
-                if primary.engine.poll(sc.primary.query).is_terminal() {
-                    // Finished inside the delay: no hedge ever needed.
-                    continue;
-                }
-                let Some(backup) = shard.next_alive_after(sc.primary.replica) else {
-                    continue;
-                };
-                let rep = &mut shard.replicas[backup];
-                let query = rep.engine.submit(QueryRequest {
-                    query: scatter.query.clone(),
-                    entries: vec![rep.entry],
-                    arrival_ns: fire_at,
-                    deadline_ns: scatter.deadline_ns,
-                    tenant: scatter.tenant,
-                    k: scatter.k,
-                });
-                sc.hedge = Some(ShardSession {
-                    replica: backup,
-                    query,
-                });
-                shard.hedges += 1;
-                new_work = true;
-            }
-            armed
-        });
+        for (id, s) in due {
+            let scatter = &mut self.queries[id];
+            let sc = scatter.sessions[s].as_mut().expect("due session exists");
+            let shard = self.shards[s].as_mut().expect("session on staged shard");
+            // Whatever happens below, this session's one hedge decision
+            // is made.
+            sc.hedge_spent = true;
+            let backup = if shard.replicas[sc.primary.replica]
+                .engine
+                .poll(sc.primary.query)
+                .is_terminal()
+            {
+                // Finished inside the delay: no hedge ever needed.
+                None
+            } else {
+                shard.next_alive_after(sc.primary.replica)
+            };
+            #[cfg(test)]
+            self.hedge_log
+                .rounds
+                .last_mut()
+                .expect("pushed above")
+                .decided
+                .push((id, s, sc.primary.replica, backup.is_some()));
+            let Some(backup) = backup else { continue };
+            let rep = &mut shard.replicas[backup];
+            let query = rep.engine.submit(QueryRequest {
+                query: scatter.query.clone(),
+                entries: vec![rep.entry],
+                arrival_ns: scatter.arrival_ns.saturating_add(delay_ns),
+                deadline_ns: scatter.deadline_ns,
+                tenant: scatter.tenant,
+                k: scatter.k,
+            });
+            sc.hedge = Some(ShardSession {
+                replica: backup,
+                query,
+            });
+            shard.hedges += 1;
+            new_work = true;
+        }
         new_work
     }
 
@@ -1689,15 +1798,6 @@ impl<'a> ClusterEngine<'a> {
             makespan_ns: last_completion.saturating_sub(first_arrival.unwrap_or(0)),
             wall_s: self.wall.as_secs_f64(),
         }
-    }
-}
-
-/// Enters scatter `id` in the id-ordered list of scatters
-/// [`ClusterEngine::fire_hedges`] visits (a no-op if it is on it). Ids
-/// come due in roughly ascending order, so this is nearly always a push.
-fn arm_hedge(armed: &mut Vec<ClusterQueryId>, id: ClusterQueryId) {
-    if let Err(at) = armed.binary_search(&id) {
-        armed.insert(at, id);
     }
 }
 
@@ -2165,6 +2265,191 @@ mod tests {
         // The storm replica actually paid soft-decode penalties.
         let stormed = &report.shards[0].replicas[0].report;
         assert!(stormed.stats.ecc_soft_fallbacks > 0);
+    }
+
+    #[test]
+    fn hedge_decisions_come_when_their_primary_is_due() {
+        // Three replicas a shard. Shard 0: replica 0 is stormed from the
+        // start, so its primaries straggle and get hedged; replica 1 dies
+        // mid-run, taking hedges (re-armed on their primaries) and
+        // primaries (failed over to replica 2) with it. Shard 1 loses
+        // replica 0, then the rest of its set: its sessions freeze with
+        // their decisions pending.
+        let (config, base, queries) = fixture(300, 24);
+        let delay_ns = 100_000;
+        let plan = ShardPlan::partition(base.len(), 2, ShardPolicy::BalancedSize, 0);
+        let replication = ReplicationConfig::replicated(3)
+            .with_policy(ReplicaPolicy::Hedged { delay_ns })
+            .with_failures(
+                FailureSchedule::new()
+                    .ecc_storm(0, 0, 0, 0.95)
+                    .kill(300_000, 0, 1)
+                    .kill(200_000, 1, 0)
+                    .kill(600_000, 1, 1)
+                    .kill(600_000, 1, 2),
+            );
+        let mut cluster = ClusterEngine::stage_replicated(
+            &config,
+            ServeConfig::default(),
+            plan,
+            replication,
+            &base,
+            vamana_builder,
+        );
+        let arrival = |id: usize| id as Nanos * 20_000;
+        for (i, (_, q)) in queries.iter().enumerate() {
+            cluster.submit(ClusterQueryRequest::at(arrival(i), q.to_vec()));
+        }
+        let report = cluster.run_to_completion();
+        let log = &cluster.hedge_log;
+        let alive_clock = |round: usize, s: usize, r: usize| {
+            log.rounds[round]
+                .clocks
+                .iter()
+                .find(|c| (c.0, c.1) == (s, r))
+                .map(|c| c.2)
+        };
+
+        // The hedge rule as a reference model over the logged primary
+        // assignments and dead hedges: a session's decision is pending
+        // from its submission until it is made, and again once its hedge
+        // dies; it is made at the first pass where the session's current
+        // primary is alive and its clock has reached arrival + delay —
+        // never earlier or later — in ascending (scatter, shard) order.
+        let mut pending: std::collections::BTreeMap<(usize, usize), (usize, bool)> =
+            std::collections::BTreeMap::new();
+        let mut primaries = log.primaries.iter().peekable();
+        let mut dead_hedges = log.dead_hedges.iter().peekable();
+        let mut decisions = std::collections::BTreeMap::<(usize, usize), Vec<usize>>::new();
+        for (round, rec) in log.rounds.iter().enumerate() {
+            while let Some(&(_, id, s, r)) = primaries.next_if(|p| p.0 == round) {
+                pending.entry((id, s)).or_insert((r, true)).0 = r;
+            }
+            while let Some(&(_, id, s)) = dead_hedges.next_if(|d| d.0 == round) {
+                pending.get_mut(&(id, s)).expect("hedged session").1 = true;
+            }
+            let want: Vec<(usize, usize, usize)> = pending
+                .iter()
+                .filter(|&(&(id, s), &(r, due))| {
+                    due && alive_clock(round, s, r).is_some_and(|c| c >= arrival(id) + delay_ns)
+                })
+                .map(|(&(id, s), &(r, _))| (id, s, r))
+                .collect();
+            let got: Vec<(usize, usize, usize)> =
+                rec.decided.iter().map(|d| (d.0, d.1, d.2)).collect();
+            assert_eq!(got, want, "hedge pass {round}");
+            for &(id, s, r) in &want {
+                pending.get_mut(&(id, s)).expect("modelled").1 = false;
+                decisions.entry((id, s)).or_default().push(r);
+            }
+            // No session whose primary is dead is ever looked at.
+            for &(id, s, r) in &rec.visited {
+                assert!(
+                    alive_clock(round, s, r).is_some(),
+                    "pass {round} looked at scatter {id} on dead replica {r} of shard {s}"
+                );
+            }
+        }
+        assert!(primaries.next().is_none() && dead_hedges.next().is_none());
+        assert_eq!(
+            pending.len(),
+            2 * queries.len(),
+            "every session was submitted"
+        );
+        let fired = log.rounds.iter().flat_map(|r| &r.decided).filter(|d| d.3);
+        assert_eq!(fired.count(), report.hedges());
+
+        // The scenario reached every path: hedges fired and skipped, a
+        // failover moved a pending decision, a dead hedge re-armed one,
+        // and shard 1's dead replicas strand theirs.
+        assert!(report.hedges() > 0 && report.failovers() > 0);
+        let made: usize = decisions.values().map(Vec::len).sum();
+        assert!(made > report.hedges(), "no decision was skipped");
+        let first_primary = |id, s| {
+            log.primaries
+                .iter()
+                .find(|p| (p.1, p.2) == (id, s))
+                .unwrap()
+                .3
+        };
+        assert!(
+            decisions
+                .iter()
+                .any(|(&(id, s), rs)| rs[0] != first_primary(id, s)),
+            "no decision moved with a failover"
+        );
+        assert!(
+            decisions.values().any(|rs| rs.len() > 1),
+            "no dead hedge re-armed"
+        );
+        assert!(
+            pending.values().any(|&(_, due)| due),
+            "no decision stranded"
+        );
+        let shard1 = cluster.shards[1].as_ref().unwrap();
+        assert!(shard1.replicas.iter().all(|r| !r.alive));
+        assert!(shard1.replicas.iter().any(|r| !r.hedges_due.is_empty()));
+    }
+
+    #[test]
+    fn twins_share_rows_until_an_insert_copies_them() {
+        let (config, base, extra) = fixture(300, 12);
+        let stage = || {
+            let plan = ShardPlan::partition(base.len(), 2, ShardPolicy::BalancedSize, 0);
+            let replication = ReplicationConfig::replicated(2);
+            ClusterEngine::stage_replicated(
+                &config,
+                ServeConfig::default(),
+                plan,
+                replication,
+                &base,
+                vamana_builder,
+            )
+        };
+        let rows = |cluster: &ClusterEngine<'_>, s: usize, r: usize| {
+            let engine = cluster.replica_engine(s, r).unwrap();
+            std::ptr::from_ref(engine.deployment().dataset())
+        };
+
+        // Queries only: each shard's twins read one allocation.
+        let mut cluster = stage();
+        for (_, q) in extra.iter() {
+            cluster.submit(ClusterQueryRequest::at(0, q.to_vec()));
+        }
+        assert_eq!(cluster.run_to_completion().completed(), extra.len());
+        for s in 0..2 {
+            assert_eq!(rows(&cluster, s, 0), rows(&cluster, s, 1));
+        }
+
+        // Inserts: a write to shared rows copies them first, so each twin
+        // ends with every insert exactly once and the twins stay equal.
+        let mut cluster = stage();
+        let ids: Vec<ClusterUpdateId> = extra
+            .iter()
+            .map(|(_, v)| cluster.submit_update(UpdateRequest::insert_at(0, v.to_vec())))
+            .collect();
+        let report = cluster.run_to_completion();
+        assert_eq!(report.updates_completed(), extra.len());
+        for s in 0..2 {
+            assert_ne!(rows(&cluster, s, 0), rows(&cluster, s, 1));
+            let twin = |r| cluster.replica_engine(s, r).unwrap().deployment().dataset();
+            assert_eq!(twin(0), twin(1));
+            assert_eq!(twin(0).len(), cluster.plan().shard_len(s));
+        }
+        for (i, &u) in ids.iter().enumerate() {
+            let g = report.update_outcomes[u].assigned.unwrap();
+            let s = cluster.plan().shard_of(g);
+            let local = cluster.plan().local_of(g);
+            for r in 0..2 {
+                let dataset = cluster.replica_engine(s, r).unwrap().deployment().dataset();
+                let copies = dataset
+                    .iter()
+                    .filter(|(_, row)| *row == extra.vector(i as VectorId))
+                    .map(|(id, _)| id)
+                    .collect::<Vec<_>>();
+                assert_eq!(copies, vec![local], "insert {i} on replica {r}");
+            }
+        }
     }
 
     #[test]

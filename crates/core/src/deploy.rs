@@ -12,7 +12,9 @@
 //!   serving beam walks in place ([`Deployment::graph`]); for a query-only
 //!   one a static [`Csr`];
 //! * the **dataset** — construction-order vectors, appended by
-//!   [`Dataset::try_push`];
+//!   [`Dataset::try_push`]. It is held behind an [`Arc`]: replicas of
+//!   one shard stage from one shared copy of its rows, and the first
+//!   insert a deployment applies copies them for it alone;
 //! * the **staged overlay** — the flash-resident LUNCSR as a read-mostly
 //!   base plus append-only delta ([`ndsearch_graph::luncsr::LunCsr`]),
 //!   kept in lock-step with the index through adjacency patches and an
@@ -31,6 +33,8 @@
 //! deployment has one owner and hands out plain borrows; the serving
 //! engine applies updates only after a round's hops have run, so a search
 //! never reads a half-applied update.
+
+use std::sync::Arc;
 
 use ndsearch_anns::beam::Adjacency;
 use ndsearch_anns::index::MutableIndex;
@@ -182,7 +186,9 @@ impl Adjacency for SearchGraph {
 /// A versioned, mutable deployment (see the [module docs](self)).
 pub struct Deployment {
     graph: SearchGraph,
-    dataset: Dataset,
+    /// Shared with twin deployments until one of them takes an insert
+    /// (copy on write).
+    dataset: Arc<Dataset>,
     prepared: Prepared,
     /// DRAM-resident compressed codes for traversal, trained once at
     /// staging from [`NdsConfig::quantization`] (`None` when
@@ -224,13 +230,20 @@ fn train_codes(config: &NdsConfig, dataset: &Dataset) -> Option<QuantCodes> {
 impl Deployment {
     /// Stages a mutable deployment: runs the offline pipeline over the
     /// index's base graph (synced first, in case the index took inserts
-    /// before being staged) and takes ownership of index + dataset. From
-    /// here on the index's live rows are the graph searches walk.
+    /// before being staged) and takes ownership of the index and a share
+    /// of the dataset (an owned [`Dataset`] or an [`Arc`] other
+    /// deployments also hold). From here on the index's live rows are the
+    /// graph searches walk.
     ///
     /// # Panics
     /// Panics if the dataset and index disagree on vertex count or the
     /// dataset does not fit the configured geometry.
-    pub fn stage(config: &NdsConfig, mut index: Box<dyn MutableIndex>, dataset: Dataset) -> Self {
+    pub fn stage(
+        config: &NdsConfig,
+        mut index: Box<dyn MutableIndex>,
+        dataset: impl Into<Arc<Dataset>>,
+    ) -> Self {
+        let dataset = dataset.into();
         index.sync_base_graph();
         let prepared =
             Prepared::stage(config, index.base_graph(), &dataset, &BatchTrace::default());
@@ -245,14 +258,14 @@ impl Deployment {
         dataset: Dataset,
         graph: Csr,
     ) -> Self {
-        Self::assemble(config, SearchGraph::Static(graph), prepared, dataset)
+        Self::assemble(config, SearchGraph::Static(graph), prepared, dataset.into())
     }
 
     fn assemble(
         config: &NdsConfig,
         graph: SearchGraph,
         prepared: Prepared,
-        dataset: Dataset,
+        dataset: Arc<Dataset>,
     ) -> Self {
         let open_slots =
             (prepared.luncsr.num_vertices() as u32) % prepared.luncsr.mapping().slots_per_page();
@@ -367,7 +380,7 @@ impl Deployment {
                 return Err(InsertError::DeviceFull);
             }
         }
-        let id = self.dataset.try_push(vector)?;
+        let id = Arc::make_mut(&mut self.dataset).try_push(vector)?;
         if let Some(codes) = self.codes.as_mut() {
             // Same trained quantizer as staging: the new row's code is
             // identical to what a fresh repack would produce.
