@@ -29,10 +29,14 @@
 //!   out to **every alive replica** of that shard, so replicas stay
 //!   bit-identical copies and online insert/delete keeps working under
 //!   sharding and replication;
-//! * [`ClusterReport`] carries the merged per-query outcomes plus
+//! * [`ClusterReport`] carries one gathered [`QueryOutcome`] per query —
+//!   the single-device record, filled from the copy of the session that
+//!   answered for each shard (see its field docs for what admission,
+//!   completion, rounds and hops mean for a gathered query) — plus
 //!   per-shard breakdowns ([`ShardBreakdown`]: per-replica device
 //!   reports, availability, failover and hedge counters) and the
-//!   cluster's load-imbalance factor.
+//!   cluster's load-imbalance factor. Its roll-ups are the
+//!   [`ServeReport`]'s, one body each in [`crate::report`].
 //!
 //! # Replication & failover
 //!
@@ -149,7 +153,6 @@ use ndsearch_vector::VectorId;
 
 use crate::config::NdsConfig;
 use crate::deploy::{Deployment, UpdateTotals};
-use crate::report::LatencySummary;
 use crate::serve::{
     QueryId, QueryOutcome, QueryRequest, ServeConfig, ServeEngine, ServeReport, SessionState,
     UpdateId, UpdateOp, UpdateOutcome, UpdateRequest,
@@ -395,42 +398,17 @@ impl ClusterQueryRequest {
         self.k = Some(k);
         self
     }
-}
 
-/// Final record of one cluster query: the gather of its per-shard
-/// sessions (per shard, the winning copy — see
-/// [`ReplicaPolicy::Hedged`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterQueryOutcome {
-    /// Cluster query id (submission order).
-    pub id: ClusterQueryId,
-    /// Merged terminal state: `Completed` only if every shard session
-    /// completed; `Rejected` if any shard rejected the session;
-    /// otherwise `Expired` if any shard cut it off at the deadline.
-    pub state: SessionState,
-    /// The submitted arrival time.
-    pub arrival_ns: Nanos,
-    /// Latest winning per-shard completion — the gather cannot merge
-    /// before the slowest shard has answered.
-    pub completed_ns: Nanos,
-    /// Beam-search hops executed across all shards, **including** work
-    /// spent on hedges and on sessions abandoned by a failover.
-    pub hops: usize,
-    /// Merged top-k in **global** ids, ascending `(distance, id)`.
-    pub results: Vec<Neighbor>,
-    /// Tenant the query belonged to.
-    pub tenant: u32,
-    /// The deadline it carried, if any.
-    pub deadline_ns: Option<Nanos>,
-    /// Whether any winning shard session was terminated by a
-    /// [`crate::serve::SloPolicy::ShedDoomed`] decision.
-    pub shed: bool,
-}
-
-impl ClusterQueryOutcome {
-    /// End-to-end latency the client observed (arrival → merged top-k).
-    pub fn latency_ns(&self) -> Nanos {
-        self.completed_ns.saturating_sub(self.arrival_ns)
+    /// The single-device request for this query, seeded at `entries`.
+    pub(crate) fn seeded(self, entries: Vec<VectorId>) -> QueryRequest {
+        QueryRequest {
+            query: self.query,
+            entries,
+            arrival_ns: self.arrival_ns,
+            deadline_ns: self.deadline_ns,
+            tenant: self.tenant,
+            k: self.k,
+        }
     }
 }
 
@@ -484,8 +462,9 @@ pub struct ShardBreakdown {
 /// bit-for-bit for two reports to compare equal.
 #[derive(Debug, Clone)]
 pub struct ClusterReport {
-    /// One record per submitted cluster query, in submission order.
-    pub outcomes: Vec<ClusterQueryOutcome>,
+    /// One gathered record per submitted cluster query, in submission
+    /// order (results in global ids).
+    pub outcomes: Vec<QueryOutcome>,
     /// One record per submitted cluster update, in submission order
     /// (`assigned` ids are global).
     pub update_outcomes: Vec<UpdateOutcome>,
@@ -513,43 +492,7 @@ impl PartialEq for ClusterReport {
 }
 
 impl ClusterReport {
-    /// Cluster queries that completed on every shard.
-    pub fn completed(&self) -> usize {
-        self.count(SessionState::Completed)
-    }
-
-    /// Cluster queries rejected by at least one shard's backpressure.
-    pub fn rejected(&self) -> usize {
-        self.count(SessionState::Rejected)
-    }
-
-    /// Cluster queries cut off at their deadline on at least one shard.
-    pub fn expired(&self) -> usize {
-        self.count(SessionState::Expired)
-    }
-
-    fn count(&self, s: SessionState) -> usize {
-        self.outcomes.iter().filter(|o| o.state == s).count()
-    }
-
-    /// Goodput: fully completed queries per second of cluster makespan.
-    pub fn qps(&self) -> f64 {
-        if self.makespan_ns == 0 {
-            0.0
-        } else {
-            self.completed() as f64 / (self.makespan_ns as f64 / 1e9)
-        }
-    }
-
-    /// Wall-clock simulation throughput: simulated nanoseconds advanced
-    /// per host second spent simulating (0 when nothing was measured).
-    pub fn sim_ns_per_wall_s(&self) -> f64 {
-        if self.wall_s > 0.0 {
-            self.makespan_ns as f64 / self.wall_s
-        } else {
-            0.0
-        }
-    }
+    crate::report::rollups!();
 
     /// Sessions re-seeded on a survivor after a kill, cluster-wide.
     pub fn failovers(&self) -> usize {
@@ -583,66 +526,6 @@ impl ClusterReport {
             return 1.0;
         }
         self.shards.iter().map(|s| s.availability).sum::<f64>() / self.shards.len() as f64
-    }
-
-    /// Updates applied to completion.
-    pub fn updates_completed(&self) -> usize {
-        self.update_outcomes
-            .iter()
-            .filter(|o| o.state == SessionState::Completed)
-            .count()
-    }
-
-    /// Updates rejected (routing, backpressure or shard-level rejection).
-    pub fn updates_rejected(&self) -> usize {
-        self.update_outcomes
-            .iter()
-            .filter(|o| o.state == SessionState::Rejected)
-            .count()
-    }
-
-    /// Latency order statistics over fully completed cluster queries,
-    /// plus the wall-clock simulation-throughput fields.
-    pub fn latency(&self) -> LatencySummary {
-        let samples: Vec<Nanos> = self
-            .outcomes
-            .iter()
-            .filter(|o| o.state == SessionState::Completed)
-            .map(|o| o.latency_ns())
-            .collect();
-        let mut summary = LatencySummary::from_samples(&samples);
-        summary.wall_s = self.wall_s;
-        summary.sim_ns_per_wall_s = self.sim_ns_per_wall_s();
-        summary
-    }
-
-    /// Cluster queries whose winning session on some shard was shed by a
-    /// [`crate::serve::SloPolicy::ShedDoomed`] decision.
-    pub fn sheds(&self) -> usize {
-        self.outcomes.iter().filter(|o| o.shed).count()
-    }
-
-    /// SLO attainment: the fraction of deadline-carrying cluster queries
-    /// that completed on time on every shard; `1.0` when none carried a
-    /// deadline.
-    pub fn slo_attainment(&self) -> f64 {
-        crate::serve::slo_attainment_of(self.outcomes.iter().map(|o| (o.deadline_ns, o.state)))
-    }
-
-    /// Per-tenant roll-ups over the merged cluster outcomes, ascending by
-    /// tenant id.
-    pub fn tenant_summaries(&self) -> Vec<crate::report::TenantSummary> {
-        crate::report::summarize_tenants(&crate::serve::tenant_samples(
-            self.outcomes
-                .iter()
-                .map(|o| (o.tenant, o.state, o.shed, o.deadline_ns, o.latency_ns())),
-        ))
-    }
-
-    /// Fairness metric: max over mean of the per-tenant p99 latencies
-    /// (see [`crate::report::tenant_p99_fairness`]).
-    pub fn tenant_p99_fairness(&self) -> f64 {
-        crate::report::tenant_p99_fairness(&self.tenant_summaries())
     }
 
     /// Write-path totals summed across **every replica device** of every
@@ -697,6 +580,19 @@ struct Replica<'a> {
     /// session whose primary copy runs here and whose hedge decision is
     /// pending, soonest first.
     hedges_due: BinaryHeap<Reverse<(Nanos, ClusterQueryId)>>,
+}
+
+impl Replica<'_> {
+    /// Submits a copy of `req` arriving at `arrival_ns`, seeded at this
+    /// replica's entry vertex — a scatter, a failover re-seed and a hedge
+    /// all reach a device this way.
+    fn submit(&mut self, req: &ClusterQueryRequest, arrival_ns: Nanos) -> QueryId {
+        let copy = ClusterQueryRequest {
+            arrival_ns,
+            ..req.clone()
+        };
+        self.engine.submit(copy.seeded(vec![self.entry]))
+    }
 }
 
 /// One staged shard: its replica set plus routing state.
@@ -777,15 +673,10 @@ struct ScatterShard {
     abandoned: Vec<ShardSession>,
 }
 
-/// One scattered query: the request (kept for re-seeding) plus the
-/// per-shard session state.
+/// One scattered query: the request (kept for re-seeding and hedging)
+/// plus the per-shard session state.
 struct Scatter {
-    query: Vec<f32>,
-    arrival_ns: Nanos,
-    deadline_ns: Option<Nanos>,
-    tenant: u32,
-    /// Per-query top-k override for the gather.
-    k: Option<usize>,
+    req: ClusterQueryRequest,
     sessions: Vec<Option<ScatterShard>>,
 }
 
@@ -1016,15 +907,7 @@ impl<'a> ClusterEngine<'a> {
             .map(|slot| {
                 let shard = slot.as_mut()?;
                 let replica = shard.route_query(policy)?;
-                let rep = &mut shard.replicas[replica];
-                let query = rep.engine.submit(QueryRequest {
-                    query: req.query.clone(),
-                    entries: vec![rep.entry],
-                    arrival_ns: req.arrival_ns,
-                    deadline_ns: req.deadline_ns,
-                    tenant: req.tenant,
-                    k: req.k,
-                });
+                let query = shard.replicas[replica].submit(&req, req.arrival_ns);
                 Some(ScatterShard {
                     primary: ShardSession { replica, query },
                     hedge: None,
@@ -1046,14 +929,7 @@ impl<'a> ClusterEngine<'a> {
                     .push((self.hedge_log.rounds.len(), id, s, r));
             }
         }
-        self.queries.push(Scatter {
-            query: req.query,
-            arrival_ns: req.arrival_ns,
-            deadline_ns: req.deadline_ns,
-            tenant: req.tenant,
-            k: req.k,
-            sessions,
-        });
+        self.queries.push(Scatter { req, sessions });
         id
     }
 
@@ -1383,17 +1259,10 @@ impl<'a> ClusterEngine<'a> {
                     .is_terminal()
             {
                 let Some(surv) = survivor else { continue };
-                let rep = &mut shard.replicas[surv];
-                let query = rep.engine.submit(QueryRequest {
-                    query: scatter.query.clone(),
-                    entries: vec![rep.entry],
-                    // A session that had not even arrived yet keeps its
-                    // original arrival time on the survivor.
-                    arrival_ns: at_ns.max(scatter.arrival_ns),
-                    deadline_ns: scatter.deadline_ns,
-                    tenant: scatter.tenant,
-                    k: scatter.k,
-                });
+                // A session that had not even arrived yet keeps its
+                // original arrival time on the survivor.
+                let arrival_ns = at_ns.max(scatter.req.arrival_ns);
+                let query = shard.replicas[surv].submit(&scatter.req, arrival_ns);
                 let old = std::mem::replace(
                     &mut sc.primary,
                     ShardSession {
@@ -1411,7 +1280,7 @@ impl<'a> ClusterEngine<'a> {
                     .push((self.hedge_log.rounds.len(), id, s, surv));
             }
             if let Some(delay_ns) = hedge_delay.filter(|_| rearm && !sc.hedge_spent) {
-                let fire_at = scatter.arrival_ns.saturating_add(delay_ns);
+                let fire_at = scatter.req.arrival_ns.saturating_add(delay_ns);
                 let p = sc.primary.replica;
                 shard.replicas[p].hedges_due.push(Reverse((fire_at, id)));
             }
@@ -1510,15 +1379,8 @@ impl<'a> ClusterEngine<'a> {
                 .decided
                 .push((id, s, sc.primary.replica, backup.is_some()));
             let Some(backup) = backup else { continue };
-            let rep = &mut shard.replicas[backup];
-            let query = rep.engine.submit(QueryRequest {
-                query: scatter.query.clone(),
-                entries: vec![rep.entry],
-                arrival_ns: scatter.arrival_ns.saturating_add(delay_ns),
-                deadline_ns: scatter.deadline_ns,
-                tenant: scatter.tenant,
-                k: scatter.k,
-            });
+            let arrival_ns = scatter.req.arrival_ns.saturating_add(delay_ns);
+            let query = shard.replicas[backup].submit(&scatter.req, arrival_ns);
             sc.hedge = Some(ShardSession {
                 replica: backup,
                 query,
@@ -1545,16 +1407,7 @@ impl<'a> ClusterEngine<'a> {
         while self.resolved.len() < self.routes.len() {
             let id = self.resolved.len();
             let outcome = match &self.routes[id] {
-                Route::Cluster { arrival_ns } => UpdateOutcome {
-                    id,
-                    state: SessionState::Rejected,
-                    arrival_ns: *arrival_ns,
-                    admitted_ns: *arrival_ns,
-                    completed_ns: *arrival_ns,
-                    assigned: None,
-                    repaired: 0,
-                    pages_programmed: 0,
-                },
+                Route::Cluster { arrival_ns } => UpdateOutcome::rejected(id, *arrival_ns),
                 Route::Shard {
                     shard,
                     locals,
@@ -1600,16 +1453,8 @@ impl<'a> ClusterEngine<'a> {
                         if delete.is_none() {
                             self.inflight_inserts[*shard] -= 1;
                         }
-                        self.resolved.push(UpdateOutcome {
-                            id,
-                            state: SessionState::Rejected,
-                            arrival_ns: o.arrival_ns,
-                            admitted_ns: o.arrival_ns,
-                            completed_ns: o.arrival_ns,
-                            assigned: None,
-                            repaired: 0,
-                            pages_programmed: 0,
-                        });
+                        self.resolved
+                            .push(UpdateOutcome::rejected(id, o.arrival_ns));
                         continue;
                     };
                     let o = outcome_of(ri, l);
@@ -1632,13 +1477,8 @@ impl<'a> ClusterEngine<'a> {
                     };
                     UpdateOutcome {
                         id,
-                        state: o.state,
-                        arrival_ns: o.arrival_ns,
-                        admitted_ns: o.admitted_ns,
-                        completed_ns: o.completed_ns,
                         assigned,
-                        repaired: o.repaired,
-                        pages_programmed: o.pages_programmed,
+                        ..o.clone()
                     }
                 }
             };
@@ -1682,17 +1522,26 @@ impl<'a> ClusterEngine<'a> {
 
         let default_k = self.serve.k;
         let mut hedge_wins = vec![0usize; self.shards.len()];
-        let outcomes: Vec<ClusterQueryOutcome> = self
+        let outcomes: Vec<QueryOutcome> = self
             .queries
             .iter()
             .enumerate()
             .map(|(id, scatter)| {
-                let k = scatter.k.unwrap_or(default_k);
+                let req = &scatter.req;
+                let mut gathered = QueryOutcome {
+                    id,
+                    state: SessionState::Pending,
+                    arrival_ns: req.arrival_ns,
+                    admitted_ns: 0,
+                    completed_ns: 0,
+                    hops: 0,
+                    rounds_inflight: 0,
+                    results: Vec::new(),
+                    tenant: req.tenant,
+                    deadline_ns: req.deadline_ns,
+                    shed: false,
+                };
                 let mut states = Vec::new();
-                let mut merged: Vec<Neighbor> = Vec::new();
-                let mut completed = 0;
-                let mut hops = 0;
-                let mut shed = false;
                 for (s, session) in scatter.sessions.iter().enumerate() {
                     let Some(sc) = session else { continue };
                     let reps = reports[s].as_ref().expect("session on staged shard");
@@ -1704,36 +1553,29 @@ impl<'a> ClusterEngine<'a> {
                         hedge_wins[s] += 1;
                     }
                     states.push(winner.state);
-                    shed |= winner.shed;
-                    completed = completed.max(winner.completed_ns);
-                    hops += primary.hops
+                    gathered.admitted_ns = gathered.admitted_ns.max(winner.admitted_ns);
+                    gathered.completed_ns = gathered.completed_ns.max(winner.completed_ns);
+                    gathered.rounds_inflight = gathered.rounds_inflight.max(winner.rounds_inflight);
+                    gathered.shed |= winner.shed;
+                    gathered.hops += primary.hops
                         + hedge.map_or(0, |o| o.hops)
                         + sc.abandoned
                             .iter()
                             .map(|a| outcome_of(a).hops)
                             .sum::<usize>();
-                    merged.extend(
+                    gathered.results.extend(
                         winner
                             .results
                             .iter()
                             .map(|n| Neighbor::new(n.distance, self.plan.global_of(s, n.id))),
                     );
                 }
+                gathered.state = merge_states(&states);
                 // The gather: a deterministic stable merge — Neighbor's
                 // total order is (distance, id), ties broken by global id.
-                merged.sort_unstable();
-                merged.truncate(k);
-                ClusterQueryOutcome {
-                    id,
-                    state: merge_states(&states),
-                    arrival_ns: scatter.arrival_ns,
-                    completed_ns: completed,
-                    hops,
-                    results: merged,
-                    tenant: scatter.tenant,
-                    deadline_ns: scatter.deadline_ns,
-                    shed,
-                }
+                gathered.results.sort_unstable();
+                gathered.results.truncate(req.k.unwrap_or(default_k));
+                gathered
             })
             .collect();
 
@@ -1955,31 +1797,101 @@ mod tests {
     #[test]
     fn single_shard_cluster_matches_unsharded_engine() {
         let (config, base, queries) = fixture(300, 6);
+        // Two tenants, and one deadline that cuts its query off after the
+        // first round, so no roll-up below is 1.0 for want of data.
+        let request = |i: usize| {
+            let at = i as Nanos * 1_000;
+            let req = ClusterQueryRequest::at(at, queries.vector(i as VectorId).to_vec());
+            let req = req.tenant(i as u32 % 2);
+            if i == 2 {
+                req.deadline(at + 1)
+            } else {
+                req
+            }
+        };
         // Unsharded reference.
         let index = Vamana::build(&base, VamanaParams::default());
         let deploy = Deployment::stage(&config, Box::new(index.clone()), base.clone());
         let mut flat = ServeEngine::with_deployment(&config, ServeConfig::default(), deploy);
-        for (i, (_, q)) in queries.iter().enumerate() {
-            flat.submit(QueryRequest::at(
-                i as Nanos * 1_000,
-                q.to_vec(),
-                vec![index.medoid()],
-            ));
+        for i in 0..queries.len() {
+            flat.submit(request(i).seeded(vec![index.medoid()]));
         }
         let flat_report = flat.run_to_completion();
 
         let plan = ShardPlan::partition(base.len(), 1, ShardPolicy::BalancedSize, 0);
         let mut cluster =
             ClusterEngine::stage(&config, ServeConfig::default(), plan, &base, vamana_builder);
-        for (i, (_, q)) in queries.iter().enumerate() {
-            cluster.submit(ClusterQueryRequest::at(i as Nanos * 1_000, q.to_vec()));
+        for i in 0..queries.len() {
+            cluster.submit(request(i));
         }
         let report = cluster.run_to_completion();
-        // One shard holding everything is the unsharded engine: same
-        // results, same timing.
-        for (c, f) in report.outcomes.iter().zip(&flat_report.outcomes) {
-            assert_eq!(c.results, f.results);
-            assert_eq!(c.completed_ns, f.completed_ns);
+        // One shard holding everything is the unsharded engine, outcome
+        // for outcome: same results, same admission, rounds and timing.
+        assert_eq!(report.outcomes, flat_report.outcomes);
+        assert_eq!(report.expired(), 1);
+        assert_eq!(
+            (report.completed(), report.rejected(), report.sheds()),
+            (
+                flat_report.completed(),
+                flat_report.rejected(),
+                flat_report.sheds()
+            )
+        );
+        assert_eq!(report.expired(), flat_report.expired());
+        assert_eq!(report.slo_attainment(), 0.0);
+        assert_eq!(report.slo_attainment(), flat_report.slo_attainment());
+        assert_eq!(report.tenant_summaries().len(), 2);
+        assert_eq!(report.tenant_summaries(), flat_report.tenant_summaries());
+        let (c, f) = (report.latency(), flat_report.latency());
+        assert_eq!((c.p50_ns, c.p99_ns), (f.p50_ns, f.p99_ns));
+    }
+
+    #[test]
+    fn malformed_queries_are_rejected_beside_valid_ones() {
+        // A query one dimension short or long, or with a NaN or infinite
+        // component, is rejected by every shard and gathered `Rejected`;
+        // the run drains and the valid queries are untouched.
+        let (config, base, queries) = fixture(300, 6);
+        let q = queries.vector(0);
+        let bad = [
+            q[1..].to_vec(),
+            [q, &[0.5]].concat(),
+            [&q[..3], &[f32::NAN], &q[4..]].concat(),
+            [&q[1..], &[f32::NEG_INFINITY]].concat(),
+        ];
+        let run = |with_bad: bool| {
+            let plan = ShardPlan::partition(base.len(), 2, ShardPolicy::BalancedSize, 0);
+            let mut cluster =
+                ClusterEngine::stage(&config, ServeConfig::default(), plan, &base, vamana_builder);
+            let (mut valid, mut rejected) = (Vec::new(), Vec::new());
+            for (i, (_, v)) in queries.iter().enumerate() {
+                let at = i as Nanos * 1_000;
+                if let Some(query) = bad.get(i).filter(|_| with_bad) {
+                    rejected.push(cluster.submit(ClusterQueryRequest::at(at, query.clone())));
+                }
+                valid.push(cluster.submit(ClusterQueryRequest::at(at, v.to_vec())));
+            }
+            (cluster.run_to_completion(), valid, rejected)
+        };
+        let (clean, clean_ids, _) = run(false);
+        let (mixed, ids, rejected) = run(true);
+        assert_eq!(rejected.len(), bad.len());
+        for &id in &rejected {
+            let o = &mixed.outcomes[id];
+            assert_eq!(o.state, SessionState::Rejected, "malformed query {id}");
+            assert!(o.results.is_empty() && o.hops == 0);
+            assert_eq!(
+                (o.admitted_ns, o.completed_ns),
+                (o.arrival_ns, o.arrival_ns)
+            );
+        }
+        assert_eq!(mixed.completed(), queries.len());
+        for (&c, &m) in clean_ids.iter().zip(&ids) {
+            assert_eq!(mixed.outcomes[m].results, clean.outcomes[c].results);
+            assert_eq!(
+                mixed.outcomes[m].completed_ns,
+                clean.outcomes[c].completed_ns
+            );
         }
     }
 

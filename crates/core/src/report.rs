@@ -1,9 +1,19 @@
 //! Simulation reports: latency breakdown, statistics, throughput, and the
 //! order statistics (p50/p99) the serving layer reports per query.
+//!
+//! Both serving reports — [`ServeReport`](crate::serve::ServeReport) for
+//! one device and [`ClusterReport`](crate::cluster::ClusterReport) for a
+//! scatter–gather cluster — hold one [`QueryOutcome`] per query and one
+//! [`UpdateOutcome`] per update, and derive their roll-ups (counts, QPS,
+//! latency order statistics, SLO attainment, per-tenant summaries) from
+//! those records with the one set of bodies in this module.
+
+use std::collections::BTreeMap;
 
 use ndsearch_flash::stats::FlashStats;
 use ndsearch_flash::timing::Nanos;
 
+use crate::serve::{QueryOutcome, SessionState, UpdateOutcome};
 use crate::speculative::SpeculationStats;
 
 /// Order statistics over a set of latency samples — the shape a serving
@@ -66,28 +76,6 @@ impl LatencySummary {
     }
 }
 
-/// One query's contribution to the per-tenant roll-up — the neutral shape
-/// both [`crate::serve::ServeReport`] and [`crate::cluster::ClusterReport`]
-/// lower their outcomes into before calling [`summarize_tenants`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TenantSample {
-    /// Tenant id of the query.
-    pub tenant: u32,
-    /// Whether the query completed on time.
-    pub completed: bool,
-    /// Whether it expired (deadline passed mid-flight or in queue).
-    pub expired: bool,
-    /// Whether it was rejected (queue overflow or shed at admission).
-    pub rejected: bool,
-    /// Whether an [`crate::serve::SloPolicy::ShedDoomed`] decision caused
-    /// the terminal state.
-    pub shed: bool,
-    /// Whether the query carried a deadline (counts toward attainment).
-    pub has_deadline: bool,
-    /// End-to-end latency; meaningful only when `completed`.
-    pub latency_ns: Nanos,
-}
-
 /// Per-tenant serving roll-up: outcome counts, SLO attainment and the
 /// completed-query [`LatencySummary`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -125,30 +113,92 @@ impl TenantSummary {
     }
 }
 
-/// Groups `samples` by tenant id (ascending) and rolls each group up into
-/// a [`TenantSummary`].
-pub fn summarize_tenants(samples: &[TenantSample]) -> Vec<TenantSummary> {
-    let mut by_tenant: std::collections::BTreeMap<u32, (TenantSummary, Vec<Nanos>)> =
-        std::collections::BTreeMap::new();
-    for s in samples {
-        let (summary, lats) = by_tenant.entry(s.tenant).or_insert_with(|| {
-            (
-                TenantSummary {
-                    tenant: s.tenant,
-                    ..TenantSummary::default()
-                },
-                Vec::new(),
-            )
+/// How many of the query `outcomes` are in `state`.
+pub(crate) fn queries_in(outcomes: &[QueryOutcome], state: SessionState) -> usize {
+    outcomes.iter().filter(|o| o.state == state).count()
+}
+
+/// How many of the update `outcomes` are in `state`.
+pub(crate) fn updates_in(outcomes: &[UpdateOutcome], state: SessionState) -> usize {
+    outcomes.iter().filter(|o| o.state == state).count()
+}
+
+/// `count` per second of `makespan_ns` (0 over an empty makespan).
+pub(crate) fn per_second(count: usize, makespan_ns: Nanos) -> f64 {
+    if makespan_ns == 0 {
+        0.0
+    } else {
+        count as f64 / (makespan_ns as f64 / 1e9)
+    }
+}
+
+/// Simulated nanoseconds advanced per host second spent simulating (0
+/// when nothing was measured).
+pub(crate) fn sim_ns_per_wall_s(makespan_ns: Nanos, wall_s: f64) -> f64 {
+    if wall_s > 0.0 {
+        makespan_ns as f64 / wall_s
+    } else {
+        0.0
+    }
+}
+
+/// Latency order statistics over the completed `outcomes` of a run that
+/// spanned `makespan_ns` and took `wall_s` host seconds to simulate.
+pub(crate) fn latency(
+    outcomes: &[QueryOutcome],
+    makespan_ns: Nanos,
+    wall_s: f64,
+) -> LatencySummary {
+    let samples: Vec<Nanos> = outcomes
+        .iter()
+        .filter(|o| o.state == SessionState::Completed)
+        .map(QueryOutcome::latency_ns)
+        .collect();
+    LatencySummary {
+        wall_s,
+        sim_ns_per_wall_s: sim_ns_per_wall_s(makespan_ns, wall_s),
+        ..LatencySummary::from_samples(&samples)
+    }
+}
+
+/// The fraction of the deadline-carrying `outcomes` that completed on
+/// time; `1.0` when none carried a deadline. Best-effort queries count
+/// neither way.
+pub(crate) fn slo_attainment(outcomes: &[QueryOutcome]) -> f64 {
+    let with_deadline = outcomes.iter().filter(|o| o.deadline_ns.is_some());
+    let (total, met) = with_deadline.fold((0usize, 0usize), |(total, met), o| {
+        (total + 1, met + usize::from(o.on_time()))
+    });
+    if total == 0 {
+        1.0
+    } else {
+        met as f64 / total as f64
+    }
+}
+
+/// Groups `outcomes` by tenant id (ascending) and rolls each group up
+/// into a [`TenantSummary`].
+pub fn summarize_tenants(outcomes: &[QueryOutcome]) -> Vec<TenantSummary> {
+    let mut by_tenant: BTreeMap<u32, (TenantSummary, Vec<Nanos>)> = BTreeMap::new();
+    for o in outcomes {
+        let (summary, lats) = by_tenant.entry(o.tenant).or_insert_with(|| {
+            let summary = TenantSummary {
+                tenant: o.tenant,
+                ..TenantSummary::default()
+            };
+            (summary, Vec::new())
         });
+        let completed = o.state == SessionState::Completed;
+        let has_deadline = o.deadline_ns.is_some();
         summary.submitted += 1;
-        summary.completed += usize::from(s.completed);
-        summary.expired += usize::from(s.expired);
-        summary.rejected += usize::from(s.rejected);
-        summary.shed += usize::from(s.shed);
-        summary.deadline_total += usize::from(s.has_deadline);
-        summary.deadline_met += usize::from(s.has_deadline && s.completed);
-        if s.completed {
-            lats.push(s.latency_ns);
+        summary.completed += usize::from(completed);
+        summary.expired += usize::from(o.state == SessionState::Expired);
+        summary.rejected += usize::from(o.state == SessionState::Rejected);
+        summary.shed += usize::from(o.shed);
+        summary.deadline_total += usize::from(has_deadline);
+        summary.deadline_met += usize::from(has_deadline && completed);
+        if completed {
+            lats.push(o.latency_ns());
         }
     }
     by_tenant
@@ -159,6 +209,88 @@ pub fn summarize_tenants(samples: &[TenantSample]) -> Vec<TenantSummary> {
         })
         .collect()
 }
+
+/// Expands, inside the `impl` of a report with `outcomes`,
+/// `update_outcomes`, `makespan_ns` and `wall_s` fields, to the roll-ups
+/// over those records: inherent methods, so a caller needs no trait in
+/// scope, each a call to its one body in this module.
+macro_rules! rollups {
+    () => {
+        /// Queries that completed (a gathered query: on every shard).
+        pub fn completed(&self) -> usize {
+            crate::report::queries_in(&self.outcomes, crate::serve::SessionState::Completed)
+        }
+
+        /// Queries rejected: queue overflow, a malformed request or a
+        /// shed before admission (a gathered query: on any shard).
+        pub fn rejected(&self) -> usize {
+            crate::report::queries_in(&self.outcomes, crate::serve::SessionState::Rejected)
+        }
+
+        /// Queries cut off at their deadline or shed in flight (a
+        /// gathered query: on any shard).
+        pub fn expired(&self) -> usize {
+            crate::report::queries_in(&self.outcomes, crate::serve::SessionState::Expired)
+        }
+
+        /// Goodput: completed queries per second of makespan.
+        pub fn qps(&self) -> f64 {
+            crate::report::per_second(self.completed(), self.makespan_ns)
+        }
+
+        /// Wall-clock simulation throughput: simulated nanoseconds
+        /// advanced per host second spent simulating (0 when nothing was
+        /// measured).
+        pub fn sim_ns_per_wall_s(&self) -> f64 {
+            crate::report::sim_ns_per_wall_s(self.makespan_ns, self.wall_s)
+        }
+
+        /// Latency order statistics over completed queries, plus the
+        /// wall-clock simulation-throughput fields.
+        pub fn latency(&self) -> crate::report::LatencySummary {
+            crate::report::latency(&self.outcomes, self.makespan_ns, self.wall_s)
+        }
+
+        /// Updates applied to completion.
+        pub fn updates_completed(&self) -> usize {
+            let completed = crate::serve::SessionState::Completed;
+            crate::report::updates_in(&self.update_outcomes, completed)
+        }
+
+        /// Updates rejected (routing, backpressure, shape mismatch, a
+        /// missing vertex or an immutable deployment).
+        pub fn updates_rejected(&self) -> usize {
+            let rejected = crate::serve::SessionState::Rejected;
+            crate::report::updates_in(&self.update_outcomes, rejected)
+        }
+
+        /// Queries terminated by a
+        /// [`SloPolicy::ShedDoomed`](crate::serve::SloPolicy::ShedDoomed)
+        /// decision.
+        pub fn sheds(&self) -> usize {
+            self.outcomes.iter().filter(|o| o.shed).count()
+        }
+
+        /// SLO attainment: the fraction of deadline-carrying queries
+        /// that completed on time; `1.0` when none carried a deadline.
+        pub fn slo_attainment(&self) -> f64 {
+            crate::report::slo_attainment(&self.outcomes)
+        }
+
+        /// Per-tenant roll-ups (counts, attainment, latency), ascending
+        /// by tenant id.
+        pub fn tenant_summaries(&self) -> Vec<crate::report::TenantSummary> {
+            crate::report::summarize_tenants(&self.outcomes)
+        }
+
+        /// Fairness metric: max over mean of the per-tenant p99 latencies
+        /// (see [`tenant_p99_fairness`](crate::report::tenant_p99_fairness)).
+        pub fn tenant_p99_fairness(&self) -> f64 {
+            crate::report::tenant_p99_fairness(&self.tenant_summaries())
+        }
+    };
+}
+pub(crate) use rollups;
 
 /// Fairness of a per-tenant roll-up: max over mean of the per-tenant p99
 /// latencies, over tenants with at least one completion. `1.0` is perfectly
@@ -362,31 +494,57 @@ mod tests {
 
     #[test]
     fn tenant_rollup_counts_and_fairness() {
-        let mk = |tenant: u32, completed: bool, latency_ns: Nanos, shed: bool| TenantSample {
-            tenant,
-            completed,
-            expired: !completed && !shed,
-            rejected: shed,
-            shed,
-            has_deadline: true,
-            latency_ns,
+        let mk =
+            |tenant: u32, state: SessionState, latency_ns: Nanos, deadline: bool| QueryOutcome {
+                id: 0,
+                state,
+                arrival_ns: 1_000,
+                admitted_ns: 1_000,
+                completed_ns: 1_000 + latency_ns,
+                hops: 0,
+                rounds_inflight: 0,
+                results: Vec::new(),
+                tenant,
+                deadline_ns: deadline.then_some(5_000),
+                shed: false,
+            };
+        let shed = QueryOutcome {
+            shed: true,
+            ..mk(1, SessionState::Rejected, 0, true)
         };
-        let samples = vec![
-            mk(1, true, 100, false),
-            mk(1, true, 300, false),
-            mk(1, false, 0, true),
-            mk(0, true, 100, false),
+        let outcomes = vec![
+            mk(1, SessionState::Completed, 100, true),
+            mk(1, SessionState::Completed, 300, true),
+            shed,
+            mk(0, SessionState::Completed, 100, true),
+            // Best effort: its expiry is no SLO miss.
+            mk(0, SessionState::Expired, 9_000, false),
         ];
-        let ts = summarize_tenants(&samples);
+        let count = |state| queries_in(&outcomes, state);
+        assert_eq!(count(SessionState::Completed), 3);
+        assert_eq!(
+            (count(SessionState::Rejected), count(SessionState::Expired)),
+            (1, 1)
+        );
+        assert!((slo_attainment(&outcomes) - 3.0 / 4.0).abs() < 1e-12);
+        assert_eq!(slo_attainment(&outcomes[4..]), 1.0);
+        assert!((per_second(3, 2_000_000_000) - 1.5).abs() < 1e-12);
+        assert_eq!(per_second(3, 0), 0.0);
+        assert_eq!(latency(&outcomes, 0, 0.0).p99_ns, 300);
+        let ts = summarize_tenants(&outcomes);
         assert_eq!(ts.len(), 2);
         assert_eq!((ts[0].tenant, ts[1].tenant), (0, 1), "ascending tenant id");
         assert_eq!(ts[1].submitted, 3);
         assert_eq!(ts[1].completed, 2);
-        assert_eq!(ts[1].shed, 1);
+        assert_eq!((ts[1].shed, ts[1].rejected), (1, 1));
         assert_eq!(ts[1].deadline_total, 3);
         assert_eq!(ts[1].deadline_met, 2);
         assert!((ts[1].slo_attainment() - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(ts[1].latency.count, 2);
+        assert_eq!(
+            (ts[0].submitted, ts[0].expired, ts[0].deadline_total),
+            (2, 1, 1)
+        );
         assert_eq!(ts[0].slo_attainment(), 1.0);
         // p99s are 100 (tenant 0) and 300 (tenant 1): max/mean = 1.5.
         assert!((tenant_p99_fairness(&ts) - 1.5).abs() < 1e-12);

@@ -8,7 +8,12 @@
 //! from many in-flight searches. This module provides that layer:
 //!
 //! * [`QueryRequest`] / [`QueryOutcome`] — a query session with arrival
-//!   time, optional absolute deadline, and per-query top-k state;
+//!   time, optional absolute deadline, and per-query top-k state. The
+//!   outcome is the query's one record from submission to report: the
+//!   engine fills it in beside the session's live search state, and
+//!   [`crate::cluster`] gathers a sharded query into the same type. A
+//!   malformed request (wrong dimension, a non-finite component, no or
+//!   an out-of-range entry vertex) is `Rejected` on submission;
 //! * [`ServeEngine`] — submit / poll / step / complete. Each scheduling
 //!   round takes **one beam-search hop from every in-flight query** (a
 //!   live [`BeamSearcher`] per session, relabeled into the reordered id
@@ -39,11 +44,14 @@
 //!   every hop of a round sees the deployment as the round boundary
 //!   left it, never a half-applied update, and an update round costs
 //!   the O(R) rows it rewrote, not O(V+E);
-//! * [`ServeReport`] — QPS over the makespan, per-query latency order
-//!   statistics ([`LatencySummary`]), wall-clock simulation
-//!   throughput (`wall_s` / [`ServeReport::sim_ns_per_wall_s`]), and the
-//!   update stream's outcomes, throughput
-//!   ([`ServeReport::update_qps`]) and write amplification.
+//! * [`ServeReport`] — the outcome records, QPS over the makespan,
+//!   per-query latency order statistics
+//!   ([`LatencySummary`](crate::report::LatencySummary)), wall-clock
+//!   simulation throughput (`wall_s` / [`ServeReport::sim_ns_per_wall_s`]),
+//!   and the update stream's outcomes, throughput
+//!   ([`ServeReport::update_qps`]) and write amplification. The roll-ups
+//!   over the records have one body each, in [`crate::report`], shared
+//!   with [`crate::cluster::ClusterReport`].
 //!
 //! There is one round path, and it runs on the calling thread:
 //! [`ServeEngine::step_round`] steps every in-flight searcher where it
@@ -114,7 +122,7 @@ use crate::engine::{
 };
 use crate::pipeline::Prepared;
 use crate::qpt::QueryPropertyTable;
-use crate::report::{LatencyBreakdown, LatencySummary};
+use crate::report::LatencyBreakdown;
 
 /// Identifier of a submitted query session (dense, in submission order).
 pub type QueryId = usize;
@@ -345,6 +353,20 @@ pub struct UpdateOutcome {
 }
 
 impl UpdateOutcome {
+    /// An update `Rejected` at its arrival, having applied nothing.
+    pub(crate) fn rejected(id: UpdateId, arrival_ns: Nanos) -> Self {
+        Self {
+            id,
+            state: SessionState::Rejected,
+            arrival_ns,
+            admitted_ns: arrival_ns,
+            completed_ns: arrival_ns,
+            assigned: None,
+            repaired: 0,
+            pages_programmed: 0,
+        }
+    }
+
     /// End-to-end latency the ingesting client observed.
     pub fn latency_ns(&self) -> Nanos {
         self.completed_ns.saturating_sub(self.arrival_ns)
@@ -362,7 +384,8 @@ pub enum SessionState {
     Running,
     /// Finished; final top-k available.
     Completed,
-    /// Dropped at arrival because the admission queue was full.
+    /// Dropped without running: the admission queue was full, the
+    /// request was malformed, or a shed decision came before admission.
     Rejected,
     /// Terminated at its deadline with partial (best-so-far) results.
     Expired,
@@ -375,31 +398,44 @@ impl SessionState {
     }
 }
 
-/// Final record of one session, reported by [`ServeReport`].
+/// The record of one query, reported by [`ServeReport`] — and, gathered
+/// over the shards, by [`ClusterReport`](crate::cluster::ClusterReport).
+///
+/// A gathered query's record is built from the copy of its session that
+/// answered for each shard (the primary, or a hedge that beat it): its
+/// state is `Completed` only if every shard completed, otherwise
+/// `Rejected` if any shard rejected and else `Expired` if any expired.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryOutcome {
-    /// Session id (submission order).
+    /// Query id (submission order).
     pub id: QueryId,
     /// Terminal state ([`SessionState::Completed`], `Rejected` or
-    /// `Expired`).
+    /// `Expired`); a non-terminal state while the query is still in
+    /// the system.
     pub state: SessionState,
     /// When the query arrived.
     pub arrival_ns: Nanos,
     /// When it was admitted into execution (equals `completed_ns` for
-    /// rejected sessions, which never ran).
+    /// rejected sessions, which never ran). Gathered: the latest
+    /// admission among the answering copies.
     pub admitted_ns: Nanos,
-    /// When its results were back at the host.
+    /// When its results were back at the host. Gathered: the latest
+    /// completion among the answering copies — the merge cannot run
+    /// before the slowest shard has answered.
     pub completed_ns: Nanos,
-    /// Beam-search hops it executed.
+    /// Beam-search hops it executed. Gathered: summed over every copy on
+    /// every shard, hedges and copies abandoned by a failover included.
     pub hops: usize,
     /// Scheduling rounds it spent in flight. Fairness: the round-robin
     /// scheduler advances every in-flight session once per round, so for a
     /// session that ran to completion this exceeds `hops` by at most one
     /// (a final drain round, when the remaining candidates turn out to be
-    /// fully visited) — a session never starves in flight.
+    /// fully visited) — a session never starves in flight. Gathered: the
+    /// most among the answering copies.
     pub rounds_inflight: usize,
     /// Top-k neighbors, ascending by distance (partial if `Expired`,
-    /// empty if `Rejected`).
+    /// empty if `Rejected`). Gathered: the merged top-k in global ids,
+    /// ascending `(distance, id)`.
     pub results: Vec<Neighbor>,
     /// Tenant the query belonged to.
     pub tenant: u32,
@@ -407,7 +443,8 @@ pub struct QueryOutcome {
     pub deadline_ns: Option<Nanos>,
     /// Whether a [`SloPolicy::ShedDoomed`] decision produced the terminal
     /// state (a shed session is `Rejected` from the queue or `Expired`
-    /// from flight — never silently dropped).
+    /// from flight — never silently dropped). Gathered: on any answering
+    /// copy.
     pub shed: bool,
 }
 
@@ -427,6 +464,14 @@ impl QueryOutcome {
     /// Time spent waiting for admission.
     pub fn queue_wait_ns(&self) -> Nanos {
         self.admitted_ns.saturating_sub(self.arrival_ns)
+    }
+
+    /// Ends a session that never ran: `state` at `at_ns`, which stands
+    /// for both its admission and its completion.
+    fn end_unrun(&mut self, state: SessionState, at_ns: Nanos) {
+        self.state = state;
+        self.admitted_ns = at_ns;
+        self.completed_ns = at_ns;
     }
 }
 
@@ -482,67 +527,11 @@ impl PartialEq for ServeReport {
 }
 
 impl ServeReport {
-    /// Wall-clock simulation throughput: simulated nanoseconds advanced
-    /// per host second spent simulating (0 when nothing was measured).
-    pub fn sim_ns_per_wall_s(&self) -> f64 {
-        if self.wall_s > 0.0 {
-            self.makespan_ns as f64 / self.wall_s
-        } else {
-            0.0
-        }
-    }
-
-    /// Sessions that ran to normal completion.
-    pub fn completed(&self) -> usize {
-        self.count(SessionState::Completed)
-    }
-
-    /// Sessions rejected by backpressure.
-    pub fn rejected(&self) -> usize {
-        self.count(SessionState::Rejected)
-    }
-
-    /// Sessions cut off at their deadline.
-    pub fn expired(&self) -> usize {
-        self.count(SessionState::Expired)
-    }
-
-    fn count(&self, s: SessionState) -> usize {
-        self.outcomes.iter().filter(|o| o.state == s).count()
-    }
-
-    /// Goodput: normally completed queries per second of makespan.
-    pub fn qps(&self) -> f64 {
-        if self.makespan_ns == 0 {
-            0.0
-        } else {
-            self.completed() as f64 / (self.makespan_ns as f64 / 1e9)
-        }
-    }
-
-    /// Updates applied to completion.
-    pub fn updates_completed(&self) -> usize {
-        self.update_outcomes
-            .iter()
-            .filter(|o| o.state == SessionState::Completed)
-            .count()
-    }
-
-    /// Updates rejected (backpressure, shape mismatch, missing vertex).
-    pub fn updates_rejected(&self) -> usize {
-        self.update_outcomes
-            .iter()
-            .filter(|o| o.state == SessionState::Rejected)
-            .count()
-    }
+    crate::report::rollups!();
 
     /// Update throughput: completed updates per second of makespan.
     pub fn update_qps(&self) -> f64 {
-        if self.makespan_ns == 0 {
-            0.0
-        } else {
-            self.updates_completed() as f64 / (self.makespan_ns as f64 / 1e9)
-        }
+        crate::report::per_second(self.updates_completed(), self.makespan_ns)
     }
 
     /// Write amplification of the update stream (flash bytes programmed
@@ -550,85 +539,6 @@ impl ServeReport {
     pub fn write_amplification(&self) -> f64 {
         self.updates.write_amplification()
     }
-
-    /// Latency order statistics over normally completed sessions, plus
-    /// the wall-clock simulation-throughput fields.
-    pub fn latency(&self) -> LatencySummary {
-        let samples: Vec<Nanos> = self
-            .outcomes
-            .iter()
-            .filter(|o| o.state == SessionState::Completed)
-            .map(|o| o.latency_ns())
-            .collect();
-        let mut summary = LatencySummary::from_samples(&samples);
-        summary.wall_s = self.wall_s;
-        summary.sim_ns_per_wall_s = self.sim_ns_per_wall_s();
-        summary
-    }
-
-    /// Sessions terminated by a [`SloPolicy::ShedDoomed`] decision.
-    pub fn sheds(&self) -> usize {
-        self.outcomes.iter().filter(|o| o.shed).count()
-    }
-
-    /// SLO attainment: the fraction of deadline-carrying sessions that
-    /// completed on time; `1.0` when no session carried a deadline.
-    pub fn slo_attainment(&self) -> f64 {
-        slo_attainment_of(self.outcomes.iter().map(|o| (o.deadline_ns, o.state)))
-    }
-
-    /// Per-tenant roll-ups (counts, attainment, latency), ascending by
-    /// tenant id.
-    pub fn tenant_summaries(&self) -> Vec<crate::report::TenantSummary> {
-        crate::report::summarize_tenants(&tenant_samples(self.outcomes.iter().map(outcome_sample)))
-    }
-
-    /// Fairness metric: max over mean of the per-tenant p99 latencies
-    /// (see [`crate::report::tenant_p99_fairness`]).
-    pub fn tenant_p99_fairness(&self) -> f64 {
-        crate::report::tenant_p99_fairness(&self.tenant_summaries())
-    }
-}
-
-/// Shared attainment arithmetic for serve and cluster reports.
-pub(crate) fn slo_attainment_of(
-    outcomes: impl Iterator<Item = (Option<Nanos>, SessionState)>,
-) -> f64 {
-    let (mut with_deadline, mut met) = (0usize, 0usize);
-    for (deadline, state) in outcomes {
-        if deadline.is_some() {
-            with_deadline += 1;
-            met += usize::from(state == SessionState::Completed);
-        }
-    }
-    if with_deadline == 0 {
-        1.0
-    } else {
-        met as f64 / with_deadline as f64
-    }
-}
-
-/// Lowers `(tenant, state, shed, deadline, latency)` tuples into
-/// [`crate::report::TenantSample`]s.
-pub(crate) fn tenant_samples(
-    rows: impl Iterator<Item = (u32, SessionState, bool, Option<Nanos>, Nanos)>,
-) -> Vec<crate::report::TenantSample> {
-    rows.map(
-        |(tenant, state, shed, deadline_ns, latency_ns)| crate::report::TenantSample {
-            tenant,
-            completed: state == SessionState::Completed,
-            expired: state == SessionState::Expired,
-            rejected: state == SessionState::Rejected,
-            shed,
-            has_deadline: deadline_ns.is_some(),
-            latency_ns,
-        },
-    )
-    .collect()
-}
-
-fn outcome_sample(o: &QueryOutcome) -> (u32, SessionState, bool, Option<Nanos>, Nanos) {
-    (o.tenant, o.state, o.shed, o.deadline_ns, o.latency_ns())
 }
 
 /// The count kept for `tenant` in a list ascending by tenant, entered at
@@ -643,69 +553,56 @@ fn tenant_slot(counts: &mut Vec<(u32, usize)>, tenant: u32) -> &mut usize {
     &mut counts[at].1
 }
 
-/// Internal per-session state. The searcher (which owns a dataset-sized
-/// visited set) exists only while the session is `Running`: it is built at
-/// admission from the stored request and torn down at completion/expiry
-/// (its visited set going back to the engine's free list), so resident
-/// search memory is bounded by the in-flight cap, not by the total number
-/// of submissions.
+/// Internal per-session state: the outcome the report will carry, and
+/// the live state that exists only until the session is terminal. The
+/// searcher (which owns a dataset-sized visited set) exists only while
+/// the session is `Running`: it is built at admission from the stored
+/// request and torn down at completion/expiry (its visited set going back
+/// to the engine's free list), so resident search memory is bounded by
+/// the in-flight cap, not by the total number of submissions.
 #[derive(Debug, Clone)]
 struct Session {
-    arrival_ns: Nanos,
-    deadline_ns: Option<Nanos>,
+    /// Kept current as the session runs (`hops` counts every hop the
+    /// searcher takes), so a report mid-run reads the live counts.
+    outcome: QueryOutcome,
     /// Query vector; moved into the searcher at admission.
     query: Vec<f32>,
     /// Entry vertices; moved into the searcher at admission.
     entries: Vec<VectorId>,
     searcher: Option<BeamSearcher>,
-    state: SessionState,
-    admitted_ns: Nanos,
-    completed_ns: Nanos,
-    /// Hop count, snapshotted when the searcher is dropped.
-    hops: usize,
-    rounds_inflight: usize,
-    results: Vec<Neighbor>,
-    tenant: u32,
     /// Resolved top-k (the per-query override or the engine default).
     k: usize,
-    /// Set when a shed decision produced the terminal state.
-    shed: bool,
 }
 
 impl Session {
-    /// Tears down the searcher, snapshotting its hop count and best-`k`
-    /// results into the session record. Tombstoned vertices are filtered
-    /// out of the reported list: a deleted vector may still have routed
-    /// the search, but it must never be returned to a client. Returns the
-    /// searcher's visited set for reuse.
+    /// Tears down the searcher, snapshotting its best-`k` results into
+    /// the outcome. Tombstoned vertices are filtered out of the reported
+    /// list: a deleted vector may still have routed the search, but it
+    /// must never be returned to a client. Returns the searcher's visited
+    /// set for reuse.
     fn finish(
         &mut self,
         state: SessionState,
         completed_ns: Nanos,
         deleted: &dyn Fn(VectorId) -> bool,
     ) -> Option<VisitedSet> {
-        self.state = state;
-        self.completed_ns = completed_ns;
+        self.outcome.state = state;
+        self.outcome.completed_ns = completed_ns;
         let searcher = self.searcher.take()?;
-        self.hops = searcher.hops();
-        self.results = searcher.found();
-        self.results.retain(|n| !deleted(n.id));
-        self.results.truncate(self.k);
+        let results = &mut self.outcome.results;
+        *results = searcher.found();
+        results.retain(|n| !deleted(n.id));
+        results.truncate(self.k);
         Some(searcher.into_visited())
     }
 }
 
-/// Internal per-update state (the op is taken when applied).
+/// Internal per-update state: the outcome the report will carry, and the
+/// op until it is applied.
 #[derive(Debug, Clone)]
 struct UpdateSession {
-    arrival_ns: Nanos,
+    outcome: UpdateOutcome,
     op: Option<UpdateOp>,
-    state: SessionState,
-    admitted_ns: Nanos,
-    completed_ns: Nanos,
-    assigned: Option<VectorId>,
-    repaired: usize,
-    pages_programmed: u64,
 }
 
 /// The concurrent serving engine: an event-synchronous scheduler that
@@ -902,28 +799,44 @@ impl<'a> ServeEngine<'a> {
     }
 
     /// Registers a query session and returns its id. Arrival times in the
-    /// past are clamped to the current simulated time.
+    /// past are clamped to the current simulated time. A malformed
+    /// request — a dimension other than the deployment's, a non-finite
+    /// component, no entry vertex or one outside the dataset — is
+    /// `Rejected` at once, stamped at its arrival, and never queues.
     pub fn submit(&mut self, req: QueryRequest) -> QueryId {
         let id = self.sessions.len();
         let arrival = req.arrival_ns.max(self.now_ns);
-        self.sessions.push(Session {
-            arrival_ns: arrival,
-            deadline_ns: req.deadline_ns,
-            query: req.query,
-            entries: req.entries,
-            searcher: None,
+        let dataset = self.deploy.dataset();
+        let malformed = req.query.len() != dataset.dim()
+            || req.query.iter().any(|x| !x.is_finite())
+            || req.entries.is_empty()
+            || req.entries.iter().any(|&v| v as usize >= dataset.len());
+        let mut outcome = QueryOutcome {
+            id,
             state: SessionState::Pending,
+            arrival_ns: arrival,
             admitted_ns: 0,
             completed_ns: 0,
             hops: 0,
             rounds_inflight: 0,
             results: Vec::new(),
             tenant: req.tenant,
-            k: req.k.unwrap_or(self.serve.k),
+            deadline_ns: req.deadline_ns,
             shed: false,
+        };
+        if malformed {
+            outcome.end_unrun(SessionState::Rejected, arrival);
+        } else {
+            self.arrivals.push(Reverse((arrival, id)));
+            self.first_arrival_ns = Some(self.first_arrival_ns.map_or(arrival, |f| f.min(arrival)));
+        }
+        self.sessions.push(Session {
+            outcome,
+            query: req.query,
+            entries: req.entries,
+            searcher: None,
+            k: req.k.unwrap_or(self.serve.k),
         });
-        self.arrivals.push(Reverse((arrival, id)));
-        self.first_arrival_ns = Some(self.first_arrival_ns.map_or(arrival, |f| f.min(arrival)));
         id
     }
 
@@ -933,43 +846,34 @@ impl<'a> ServeEngine<'a> {
     pub fn submit_update(&mut self, req: UpdateRequest) -> UpdateId {
         let id = self.update_sessions.len();
         let arrival = req.arrival_ns.max(self.now_ns);
-        let state = if self.deploy.is_mutable() {
-            SessionState::Pending
-        } else {
-            SessionState::Rejected
-        };
-        self.update_sessions.push(UpdateSession {
-            arrival_ns: arrival,
-            op: Some(req.op),
-            state,
-            admitted_ns: arrival,
-            completed_ns: arrival,
-            assigned: None,
-            repaired: 0,
-            pages_programmed: 0,
-        });
-        if state == SessionState::Pending {
+        let mut outcome = UpdateOutcome::rejected(id, arrival);
+        if self.deploy.is_mutable() {
+            outcome.state = SessionState::Pending;
             self.update_arrivals.push(Reverse((arrival, id)));
             self.first_arrival_ns = Some(self.first_arrival_ns.map_or(arrival, |f| f.min(arrival)));
         }
+        self.update_sessions.push(UpdateSession {
+            outcome,
+            op: Some(req.op),
+        });
         id
     }
 
     /// Current state of a session.
     pub fn poll(&self, id: QueryId) -> SessionState {
-        self.sessions[id].state
+        self.sessions[id].outcome.state
     }
 
     /// Current state of an update session.
     pub fn poll_update(&self, id: UpdateId) -> SessionState {
-        self.update_sessions[id].state
+        self.update_sessions[id].outcome.state
     }
 
     /// Final (or partial, if expired) results of a terminal session;
     /// `None` while it is still pending/queued/running.
     pub fn results(&self, id: QueryId) -> Option<&[Neighbor]> {
-        let session = &self.sessions[id];
-        session.state.is_terminal().then_some(&session.results[..])
+        let o = &self.sessions[id].outcome;
+        o.state.is_terminal().then_some(&o.results[..])
     }
 
     /// Current simulated time.
@@ -1013,13 +917,11 @@ impl<'a> ServeEngine<'a> {
                 break;
             }
             self.arrivals.pop();
-            let s = &mut self.sessions[id];
+            let o = &mut self.sessions[id].outcome;
             if self.queue.len() >= self.serve.queue_capacity {
-                s.state = SessionState::Rejected;
-                s.admitted_ns = t;
-                s.completed_ns = t;
+                o.end_unrun(SessionState::Rejected, t);
             } else {
-                s.state = SessionState::Queued;
+                o.state = SessionState::Queued;
                 self.queue.push_back(id);
             }
         }
@@ -1028,13 +930,12 @@ impl<'a> ServeEngine<'a> {
                 break;
             }
             self.update_arrivals.pop();
-            let s = &mut self.update_sessions[id];
+            let o = &mut self.update_sessions[id].outcome;
             if self.update_queue.len() >= self.serve.update_queue_capacity {
-                s.state = SessionState::Rejected;
-                s.admitted_ns = t;
-                s.completed_ns = t;
+                // Its admission and completion times already read `t`.
+                o.state = SessionState::Rejected;
             } else {
-                s.state = SessionState::Queued;
+                o.state = SessionState::Queued;
                 self.update_queue.push_back(id);
             }
         }
@@ -1051,49 +952,20 @@ impl<'a> ServeEngine<'a> {
 
     /// Terminates queued and in-flight sessions whose deadline the clock
     /// has reached (`now >= deadline` — see [`QueryRequest::deadline_ns`]
-    /// for the pinned boundary semantic), returning their best-so-far
-    /// top-k.
+    /// for the pinned boundary semantic).
     fn expire_due(&mut self) {
         let now = self.now_ns;
-        let due = |s: &Session| s.deadline_ns.is_some_and(|d| d <= now);
-        let expired_inflight: Vec<QueryId> = self
-            .inflight
-            .iter()
-            .copied()
-            .filter(|&id| due(&self.sessions[id]))
-            .collect();
-        self.inflight.retain(|&id| !due(&self.sessions[id]));
-        for id in expired_inflight {
-            // Partial results still travel the full Sorting-stage path.
-            let tail = self.completion_tail_ns();
-            self.finish_session(id, SessionState::Expired, now + tail);
-        }
-        let sessions = &mut self.sessions;
-        let mut newly_expired = Vec::new();
-        self.queue.retain(|&id| {
-            if sessions[id].deadline_ns.is_some_and(|d| d <= now) {
-                newly_expired.push(id);
-                false
-            } else {
-                true
-            }
-        });
-        for id in newly_expired {
-            let s = &mut self.sessions[id];
-            s.state = SessionState::Expired;
-            s.admitted_ns = now;
-            s.completed_ns = now;
-        }
-        self.last_completion_ns = self.last_completion_ns.max(now);
+        self.cut_off(false, |deadline, _| deadline <= now);
     }
 
-    /// The [`SloPolicy::ShedDoomed`] estimator: when a session with
-    /// `hops_done` hops behind it is expected to finish, from the observed
-    /// mean duration of hop-executing rounds and the observed mean hop
-    /// count of finished searches ([`ServeConfig::beam_width`] before any
-    /// search finishes). Returns `now` until the first hop round has been
-    /// observed — the engine starts optimistic and sheds nothing.
-    fn estimated_finish_ns(&self, hops_done: usize) -> Nanos {
+    /// The [`SloPolicy::ShedDoomed`] estimator: when a session with a
+    /// given number of hops behind it is expected to finish, from the
+    /// observed mean duration of hop-executing rounds and the observed
+    /// mean hop count of finished searches ([`ServeConfig::beam_width`]
+    /// before any search finishes). It answers `now` until the first hop
+    /// round has been observed — the engine starts optimistic and sheds
+    /// nothing.
+    fn finish_estimate(&self) -> impl Fn(usize) -> Nanos {
         let per_hop_ns = self
             .hop_round_ns_total
             .checked_div(self.hop_rounds)
@@ -1102,58 +974,63 @@ impl<'a> ServeEngine<'a> {
             .finished_hops_total
             .checked_div(self.finished_searches)
             .map_or(self.serve.beam_width as u64, |h| h.max(1));
-        let remaining = expected_hops.saturating_sub(hops_done as u64).max(1);
-        self.now_ns
-            .saturating_add(remaining.saturating_mul(per_hop_ns))
+        let now = self.now_ns;
+        move |hops_done| {
+            let remaining = expected_hops.saturating_sub(hops_done as u64).max(1);
+            now.saturating_add(remaining.saturating_mul(per_hop_ns))
+        }
     }
 
     /// [`SloPolicy::ShedDoomed`]: terminates deadline-carrying sessions
     /// whose estimated finish (plus the configured slack) misses their
     /// deadline. Queued sessions are `Rejected` before paying transfer-in;
-    /// in-flight sessions are cut off `Expired` with best-so-far results
-    /// through the same Sorting-stage tail as a deadline expiry. Every
-    /// decision sets [`QueryOutcome::shed`].
+    /// in-flight sessions are cut off `Expired` as a deadline expiry
+    /// would. Every decision sets [`QueryOutcome::shed`].
     fn shed_doomed(&mut self) {
         let SloPolicy::ShedDoomed { min_slack_ns } = self.serve.slo else {
             return;
         };
+        let finish = self.finish_estimate();
+        self.cut_off(true, |deadline, hops_done| {
+            finish(hops_done).saturating_add(min_slack_ns) > deadline
+        });
+    }
+
+    /// The one cut-off pass of deadline expiry and shedding: ends every
+    /// deadline-carrying session for which `misses(deadline, hops done)`
+    /// holds. An in-flight one is `Expired` with its best-so-far top-k,
+    /// which still travels the Sorting-stage tail; a queued one ends at
+    /// `now` without running — `Rejected` when `shed`, else `Expired`.
+    fn cut_off(&mut self, shed: bool, misses: impl Fn(Nanos, usize) -> bool) {
         let now = self.now_ns;
-        let doomed = |est: Nanos, deadline: Option<Nanos>| {
-            deadline.is_some_and(|d| est.saturating_add(min_slack_ns) > d)
+        let sessions = &self.sessions;
+        let cut = |id: QueryId| {
+            let o = &sessions[id].outcome;
+            o.deadline_ns.is_some_and(|d| misses(d, o.hops))
         };
-        let doomed_inflight: Vec<QueryId> = self
-            .inflight
-            .iter()
-            .copied()
-            .filter(|&id| {
-                let s = &self.sessions[id];
-                let hops_done = s.searcher.as_ref().map_or(s.hops, |b| b.hops());
-                doomed(self.estimated_finish_ns(hops_done), s.deadline_ns)
-            })
-            .collect();
-        self.inflight.retain(|&id| !doomed_inflight.contains(&id));
-        for id in doomed_inflight {
+        let inflight: Vec<QueryId> = self.inflight.extract_if(.., |id| cut(*id)).collect();
+        let mut queued = Vec::new();
+        self.queue.retain(|&id| {
+            let ends = cut(id);
+            if ends {
+                queued.push(id);
+            }
+            !ends
+        });
+        for id in inflight {
             let tail = self.completion_tail_ns();
             self.finish_session(id, SessionState::Expired, now + tail);
-            self.sessions[id].shed = true;
+            self.sessions[id].outcome.shed = shed;
         }
-        let queued_estimate = self.estimated_finish_ns(0);
-        let sessions = &mut self.sessions;
-        let mut shed_queued = Vec::new();
-        self.queue.retain(|&id| {
-            if doomed(queued_estimate, sessions[id].deadline_ns) {
-                shed_queued.push(id);
-                false
-            } else {
-                true
-            }
-        });
-        for id in shed_queued {
-            let s = &mut self.sessions[id];
-            s.state = SessionState::Rejected;
-            s.admitted_ns = now;
-            s.completed_ns = now;
-            s.shed = true;
+        let unrun = if shed {
+            SessionState::Rejected
+        } else {
+            SessionState::Expired
+        };
+        for id in queued {
+            let o = &mut self.sessions[id].outcome;
+            o.end_unrun(unrun, now);
+            o.shed = shed;
         }
         self.last_completion_ns = self.last_completion_ns.max(now);
     }
@@ -1208,7 +1085,7 @@ impl<'a> ServeEngine<'a> {
         let arena = self.round.begin(luncsr);
         for (slot, &id) in self.finished.iter().enumerate() {
             let s = &mut self.sessions[id];
-            s.completed_ns = now;
+            s.outcome.completed_ns = now;
             let depth = self.serve.rerank_depth.max(s.k);
             let searcher = s.searcher.as_mut().expect("running session has a searcher");
             searcher.rerank(self.deploy.dataset(), depth, &mut self.rerank_ids);
@@ -1234,8 +1111,8 @@ impl<'a> ServeEngine<'a> {
             log.push((out.lun, now, start, out.report.busy_ns));
             let shipped = *free + unit_channel_ns(timing, &out.report);
             for task in tasks {
-                let s = &mut sessions[finished[task.query as usize]];
-                s.completed_ns = s.completed_ns.max(shipped);
+                let o = &mut sessions[finished[task.query as usize]].outcome;
+                o.completed_ns = o.completed_ns.max(shipped);
             }
         });
     }
@@ -1315,7 +1192,7 @@ impl<'a> ServeEngine<'a> {
         };
         self.tenant_inflight.clear();
         for &id in &self.inflight {
-            *tenant_slot(&mut self.tenant_inflight, self.sessions[id].tenant) += 1;
+            *tenant_slot(&mut self.tenant_inflight, self.sessions[id].outcome.tenant) += 1;
         }
         // Capped-out requests are skipped, not rejected: they go back to
         // the queue front afterwards, preserving FIFO within each tenant.
@@ -1324,7 +1201,7 @@ impl<'a> ServeEngine<'a> {
             let Some(id) = self.queue.pop_front() else {
                 break;
             };
-            let held = tenant_slot(&mut self.tenant_inflight, self.sessions[id].tenant);
+            let held = tenant_slot(&mut self.tenant_inflight, self.sessions[id].outcome.tenant);
             if *held >= tenant_cap {
                 skipped.push(id);
                 continue;
@@ -1335,8 +1212,8 @@ impl<'a> ServeEngine<'a> {
                 .pop()
                 .unwrap_or_else(|| VisitedSet::new(num_vertices));
             let s = &mut self.sessions[id];
-            s.state = SessionState::Running;
-            s.admitted_ns = self.now_ns;
+            s.outcome.state = SessionState::Running;
+            s.outcome.admitted_ns = self.now_ns;
             s.searcher = Some(BeamSearcher::with_visited(
                 visited,
                 std::mem::take(&mut s.query),
@@ -1362,7 +1239,7 @@ impl<'a> ServeEngine<'a> {
 
         // Every in-flight session takes one hop this round.
         for &id in &self.inflight {
-            self.sessions[id].rounds_inflight += 1;
+            self.sessions[id].outcome.rounds_inflight += 1;
         }
         self.live_hops = 0;
         self.finished.clear();
@@ -1381,7 +1258,8 @@ impl<'a> ServeEngine<'a> {
         let deploy = &self.deploy;
         let graph = deploy.graph();
         for (slot, &id) in self.inflight.iter().enumerate() {
-            let searcher = self.sessions[id]
+            let session = &mut self.sessions[id];
+            let searcher = session
                 .searcher
                 .as_mut()
                 .expect("running session has a searcher");
@@ -1396,6 +1274,7 @@ impl<'a> ServeEngine<'a> {
                 None => searcher.step_into(deploy.dataset(), graph, hop),
             };
             if stepped {
+                session.outcome.hops += 1;
                 *hop_slot = slot as u32;
                 deploy.prepared().relabel_hop_in_place(hop);
                 self.live_hops += 1;
@@ -1480,20 +1359,20 @@ impl<'a> ServeEngine<'a> {
             // (overlapping subsequent rounds, like the sorting tail) and
             // counts against its deadline below.
             let ready_ns = if quantized {
-                self.sessions[id].completed_ns
+                self.sessions[id].outcome.completed_ns
             } else {
                 self.now_ns
             };
             self.breakdown.rerank_ns += ready_ns - self.now_ns;
             let done_ns = ready_ns + self.completion_tail_ns();
-            let state = match self.sessions[id].deadline_ns {
+            let state = match self.sessions[id].outcome.deadline_ns {
                 Some(d) if done_ns > d => SessionState::Expired,
                 _ => SessionState::Completed,
             };
             self.finish_session(id, state, done_ns);
             // Feed the shed estimator's expected-hops prior: this session
             // ran its search to the end (even if it expired at the tail).
-            self.finished_hops_total += self.sessions[id].hops as u64;
+            self.finished_hops_total += self.sessions[id].outcome.hops as u64;
             self.finished_searches += 1;
         }
         self.finished = finished;
@@ -1524,13 +1403,13 @@ impl<'a> ServeEngine<'a> {
     /// clock by the update's device occupancy.
     fn apply_update(&mut self, uid: UpdateId) {
         let s = &mut self.update_sessions[uid];
-        s.admitted_ns = self.now_ns;
+        s.outcome.admitted_ns = self.now_ns;
         let op = s.op.take().expect("queued update still has its op");
         let applied = match op {
             UpdateOp::Insert(vector) => self.deploy.insert(self.config, &vector).ok(),
             UpdateOp::Delete(id) => self.deploy.delete(self.config, id),
         };
-        let s = &mut self.update_sessions[uid];
+        let o = &mut self.update_sessions[uid].outcome;
         match applied {
             Some(applied) => {
                 self.now_ns += applied.duration_ns;
@@ -1538,16 +1417,16 @@ impl<'a> ServeEngine<'a> {
                 self.breakdown.embedded_ns +=
                     applied.duration_ns.saturating_sub(applied.program_ns);
                 self.stats.page_programs += applied.pages_programmed;
-                s.state = SessionState::Completed;
-                s.assigned = Some(applied.id);
-                s.repaired = applied.repaired;
-                s.pages_programmed = applied.pages_programmed;
+                o.state = SessionState::Completed;
+                o.assigned = Some(applied.id);
+                o.repaired = applied.repaired;
+                o.pages_programmed = applied.pages_programmed;
             }
             None => {
-                s.state = SessionState::Rejected;
+                o.state = SessionState::Rejected;
             }
         }
-        s.completed_ns = self.now_ns;
+        o.completed_ns = self.now_ns;
         self.last_completion_ns = self.last_completion_ns.max(self.now_ns);
     }
 
@@ -1578,38 +1457,11 @@ impl<'a> ServeEngine<'a> {
     /// [`run_to_completion`](Self::run_to_completion) or repeated
     /// [`step_round`](Self::step_round) calls have drained every session).
     pub fn report(&self) -> ServeReport {
-        let outcomes = self
-            .sessions
-            .iter()
-            .enumerate()
-            .map(|(id, s)| QueryOutcome {
-                id,
-                state: s.state,
-                arrival_ns: s.arrival_ns,
-                admitted_ns: s.admitted_ns,
-                completed_ns: s.completed_ns,
-                hops: s.searcher.as_ref().map_or(s.hops, |b| b.hops()),
-                rounds_inflight: s.rounds_inflight,
-                results: s.results.clone(),
-                tenant: s.tenant,
-                deadline_ns: s.deadline_ns,
-                shed: s.shed,
-            })
-            .collect();
+        let outcomes = self.sessions.iter().map(|s| s.outcome.clone()).collect();
         let update_outcomes = self
             .update_sessions
             .iter()
-            .enumerate()
-            .map(|(id, s)| UpdateOutcome {
-                id,
-                state: s.state,
-                arrival_ns: s.arrival_ns,
-                admitted_ns: s.admitted_ns,
-                completed_ns: s.completed_ns,
-                assigned: s.assigned,
-                repaired: s.repaired,
-                pages_programmed: s.pages_programmed,
-            })
+            .map(|s| s.outcome.clone())
             .collect();
         ServeReport {
             outcomes,

@@ -71,7 +71,7 @@ use ndsearch_vector::rng::Pcg32;
 use ndsearch_vector::VectorId;
 
 use crate::cluster::{ClusterEngine, ClusterQueryRequest};
-use crate::serve::{QueryId, QueryRequest, ServeEngine, UpdateId, UpdateRequest};
+use crate::serve::{QueryId, ServeEngine, UpdateId, UpdateRequest};
 
 /// When events happen: the arrival process of a [`Scenario`].
 ///
@@ -527,32 +527,13 @@ impl TrafficTrace {
         ingest_pool: &Dataset,
         entries: &[VectorId],
     ) -> Vec<Submitted> {
-        self.events
-            .iter()
-            .map(|e| match &e.kind {
-                EventKind::Query {
-                    pool_id,
-                    k,
-                    deadline_ns,
-                } => {
-                    let mut req = QueryRequest::at(
-                        e.arrival_ns,
-                        query_pool.vector(*pool_id).to_vec(),
-                        entries.to_vec(),
-                    );
-                    req.tenant = e.tenant;
-                    req.k = *k;
-                    req.deadline_ns = *deadline_ns;
-                    Submitted::Query(engine.submit(req))
-                }
-                EventKind::Insert { pool_id } => Submitted::Update(engine.submit_update(
-                    UpdateRequest::insert_at(e.arrival_ns, ingest_pool.vector(*pool_id).to_vec()),
-                )),
-                EventKind::Delete { id } => Submitted::Update(
-                    engine.submit_update(UpdateRequest::delete_at(e.arrival_ns, *id)),
-                ),
-            })
-            .collect()
+        self.replay(
+            engine,
+            query_pool,
+            ingest_pool,
+            |engine, req| engine.submit(req.seeded(entries.to_vec())),
+            |engine, req| engine.submit_update(req),
+        )
     }
 
     /// Replay the trace into a (possibly replicated) [`ClusterEngine`].
@@ -565,6 +546,26 @@ impl TrafficTrace {
         query_pool: &Dataset,
         ingest_pool: &Dataset,
     ) -> Vec<Submitted> {
+        self.replay(
+            cluster,
+            query_pool,
+            ingest_pool,
+            |cluster, req| cluster.submit(req),
+            |cluster, req| cluster.submit_update(req),
+        )
+    }
+
+    /// The one event → request lowering both replays share: a query
+    /// event becomes an entry-less [`ClusterQueryRequest`] for `query` to
+    /// submit, an insert or delete an [`UpdateRequest`] for `update`.
+    fn replay<E: ?Sized>(
+        &self,
+        engine: &mut E,
+        query_pool: &Dataset,
+        ingest_pool: &Dataset,
+        mut query: impl FnMut(&mut E, ClusterQueryRequest) -> QueryId,
+        mut update: impl FnMut(&mut E, UpdateRequest) -> UpdateId,
+    ) -> Vec<Submitted> {
         self.events
             .iter()
             .map(|e| match &e.kind {
@@ -572,20 +573,23 @@ impl TrafficTrace {
                     pool_id,
                     k,
                     deadline_ns,
-                } => {
-                    let mut req =
-                        ClusterQueryRequest::at(e.arrival_ns, query_pool.vector(*pool_id).to_vec());
-                    req.tenant = e.tenant;
-                    req.k = *k;
-                    req.deadline_ns = *deadline_ns;
-                    Submitted::Query(cluster.submit(req))
-                }
-                EventKind::Insert { pool_id } => Submitted::Update(cluster.submit_update(
+                } => Submitted::Query(query(
+                    engine,
+                    ClusterQueryRequest {
+                        query: query_pool.vector(*pool_id).to_vec(),
+                        arrival_ns: e.arrival_ns,
+                        deadline_ns: *deadline_ns,
+                        tenant: e.tenant,
+                        k: *k,
+                    },
+                )),
+                EventKind::Insert { pool_id } => Submitted::Update(update(
+                    engine,
                     UpdateRequest::insert_at(e.arrival_ns, ingest_pool.vector(*pool_id).to_vec()),
                 )),
-                EventKind::Delete { id } => Submitted::Update(
-                    cluster.submit_update(UpdateRequest::delete_at(e.arrival_ns, *id)),
-                ),
+                EventKind::Delete { id } => {
+                    Submitted::Update(update(engine, UpdateRequest::delete_at(e.arrival_ns, *id)))
+                }
             })
             .collect()
     }

@@ -302,6 +302,69 @@ fn deadline_boundary_is_exact_at_completion_and_expiry() {
     );
 }
 
+#[test]
+fn malformed_queries_are_rejected_beside_valid_ones() {
+    // Every kind of malformed request — a dimension one short or one
+    // long, a NaN or infinite component, no entry vertex, an entry at or
+    // past the dataset's end — is `Rejected` at its arrival, the run
+    // drains, and the valid queries come back exactly as in a run
+    // without the bad requests.
+    let (fx, queries, medoid) = serve_setup();
+    let prepared = Prepared::stage(
+        &fx.config,
+        &fx.graph,
+        &fx.base,
+        &ndsearch::anns::trace::BatchTrace::default(),
+    );
+    let q = queries.vector(0);
+    let bad = [
+        (q[1..].to_vec(), vec![medoid]),
+        ([q, &[0.5]].concat(), vec![medoid]),
+        ([&q[..3], &[f32::NAN], &q[4..]].concat(), vec![medoid]),
+        ([&q[1..], &[f32::INFINITY]].concat(), vec![medoid]),
+        (q.to_vec(), vec![]),
+        (q.to_vec(), vec![1_000_000]),
+        (q.to_vec(), vec![medoid, fx.base.len() as u32]),
+    ];
+    let run = |with_bad: bool| {
+        let serve = ServeConfig {
+            max_inflight: 4,
+            ..ServeConfig::default()
+        };
+        let mut engine = ServeEngine::new(&fx.config, serve, &prepared, &fx.base, &fx.graph);
+        let (mut valid, mut rejected) = (Vec::new(), Vec::new());
+        for (i, (_, v)) in queries.iter().enumerate() {
+            let at = i as u64 * 2_000;
+            if let Some((query, entries)) = bad.get(i).filter(|_| with_bad) {
+                rejected.push(engine.submit(QueryRequest::at(at, query.clone(), entries.clone())));
+            }
+            valid.push(engine.submit(QueryRequest::at(at, v.to_vec(), vec![medoid])));
+        }
+        (engine.run_to_completion(), valid, rejected)
+    };
+    let (clean, clean_ids, _) = run(false);
+    let (mixed, ids, rejected) = run(true);
+    assert_eq!(rejected.len(), bad.len());
+    for &id in &rejected {
+        let o = &mixed.outcomes[id];
+        assert_eq!(o.state, SessionState::Rejected, "malformed query {id}");
+        assert!(o.results.is_empty() && o.hops == 0);
+        assert_eq!(
+            (o.admitted_ns, o.completed_ns),
+            (o.arrival_ns, o.arrival_ns)
+        );
+    }
+    assert_eq!(mixed.rejected(), bad.len());
+    assert_eq!(mixed.completed(), queries.len());
+    for (&c, &m) in clean_ids.iter().zip(&ids) {
+        assert_eq!(mixed.outcomes[m].results, clean.outcomes[c].results);
+        assert_eq!(
+            mixed.outcomes[m].completed_ns,
+            clean.outcomes[c].completed_ns
+        );
+    }
+}
+
 /// Builds a serving engine with the given SLO policy and submits every
 /// query with a per-query tenant and deadline.
 fn serve_slo_run(
