@@ -47,7 +47,6 @@ pub mod hnsw;
 pub mod index;
 pub mod togg;
 pub mod trace;
-pub mod tuning;
 pub mod vamana;
 
 pub use index::{AnnsAlgorithm, GraphAnnsIndex, SearchOutput, SearchParams};

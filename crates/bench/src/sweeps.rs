@@ -13,8 +13,7 @@ use ndsearch_anns::index::{GraphAnnsIndex, MutableIndex};
 use ndsearch_anns::trace::BatchTrace;
 use ndsearch_anns::vamana::{Vamana, VamanaParams};
 use ndsearch_core::cluster::{
-    ClusterEngine, ClusterQueryRequest, ClusterReport, FailureSchedule, ReplicaPolicy,
-    ReplicationConfig,
+    ClusterEngine, ClusterReport, FailureSchedule, ReplicaPolicy, ReplicationConfig,
 };
 use ndsearch_core::config::NdsConfig;
 use ndsearch_core::deploy::Deployment;
@@ -254,7 +253,8 @@ pub(crate) fn cluster(_: &mut Workloads, scale: Scale) -> Vec<Table> {
     let gt = ground_truth(&base, &queries, k, DistanceKind::L2);
     let stage = |shards, policy| {
         let plan = ShardPlan::partition(n, shards, policy, PLAN_SEED);
-        ClusterEngine::stage(&config, serve.clone(), plan, &base, shard)
+        let replication = ReplicationConfig::default();
+        ClusterEngine::stage_replicated(&config, serve.clone(), plan, replication, &base, shard)
     };
     let policies = [ShardPolicy::BalancedSize, ShardPolicy::Hash];
 
@@ -274,7 +274,7 @@ pub(crate) fn cluster(_: &mut Workloads, scale: Scale) -> Vec<Table> {
         for shards in [1, 2, 4, 8] {
             let mut cluster = stage(shards, policy);
             for (_, q) in queries.iter() {
-                cluster.submit(ClusterQueryRequest::at(0, q.to_vec()));
+                cluster.submit(QueryRequest::at(0, q.to_vec(), Vec::new()));
             }
             let report = cluster.run_to_completion();
             let found = ids(report.outcomes.iter().map(|o| &o.results));
@@ -319,7 +319,7 @@ pub(crate) fn cluster(_: &mut Workloads, scale: Scale) -> Vec<Table> {
     let churn = policies.map(|policy| {
         let mut cluster = stage(4, policy);
         for (i, (_, q)) in queries.iter().take(nq).enumerate() {
-            cluster.submit(ClusterQueryRequest::at(i as Nanos * 1_000, q.to_vec()));
+            cluster.submit(QueryRequest::at(i as Nanos * 1_000, q.to_vec(), Vec::new()));
         }
         for i in 0..nu {
             let at = i as Nanos * 1_500;
@@ -390,7 +390,11 @@ pub(crate) fn replica(_: &mut Workloads, scale: Scale) -> Vec<Table> {
             shard,
         );
         for (i, (_, q)) in queries.iter().enumerate() {
-            cluster.submit(ClusterQueryRequest::at(i as Nanos * GAP_NS, q.to_vec()));
+            cluster.submit(QueryRequest::at(
+                i as Nanos * GAP_NS,
+                q.to_vec(),
+                Vec::new(),
+            ));
         }
         cluster.run_to_completion()
     };

@@ -13,9 +13,10 @@
 //!   each replica its own copy of the shard's one index build, its own
 //!   LUNCSR staging, FTL, ECC engine and wear model, i.e. its own
 //!   simulated device, reading the shard's rows from one shared copy;
-//! * [`ClusterEngine`] **scatters** every query session to all shards
+//! * [`ClusterEngine`] **scatters** every [`QueryRequest`] to all shards
 //!   (one [`ServeEngine`] session on one replica per shard, seeded at
-//!   that shard's entry vertex) and drives all replica engines
+//!   that shard's own entry vertex in place of the request's `entries`)
+//!   and drives all replica engines
 //!   round-by-round: each round, every alive replica device takes one
 //!   `step_round()`, the devices spread over
 //!   [`exec_threads`](crate::config::NdsConfig::exec_threads) host
@@ -103,11 +104,10 @@
 //!
 //! ```
 //! use ndsearch_core::cluster::{
-//!     ClusterEngine, ClusterQueryRequest, FailureSchedule, ReplicaPolicy,
-//!     ReplicationConfig,
+//!     ClusterEngine, FailureSchedule, ReplicaPolicy, ReplicationConfig,
 //! };
 //! use ndsearch_core::config::NdsConfig;
-//! use ndsearch_core::serve::ServeConfig;
+//! use ndsearch_core::serve::{QueryRequest, ServeConfig};
 //! use ndsearch_anns::index::MutableIndex;
 //! use ndsearch_anns::vamana::{Vamana, VamanaParams};
 //! use ndsearch_vector::shard::{ShardPlan, ShardPolicy};
@@ -132,8 +132,9 @@
 //!         (Box::new(index) as Box<dyn MutableIndex>, entry)
 //!     },
 //! );
+//! // No entries: each shard seeds the query at its own entry vertex.
 //! for (_, q) in queries.iter() {
-//!     cluster.submit(ClusterQueryRequest::at(0, q.to_vec()));
+//!     cluster.submit(QueryRequest::at(0, q.to_vec(), Vec::new()));
 //! }
 //! let report = cluster.run_to_completion();
 //! assert_eq!(report.completed(), 4);
@@ -346,72 +347,6 @@ impl ReplicationConfig {
     }
 }
 
-/// One query submitted to the cluster. Unlike the single-device
-/// [`QueryRequest`] it carries no entry vertices: the scatter seeds each
-/// shard's session at that shard's own entry point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterQueryRequest {
-    /// The query feature vector.
-    pub query: Vec<f32>,
-    /// Simulated arrival time.
-    pub arrival_ns: Nanos,
-    /// Optional absolute deadline, applied on every shard (and on every
-    /// hedge/failover copy of the session).
-    pub deadline_ns: Option<Nanos>,
-    /// Tenant the query belongs to (0 = the default tenant); carried to
-    /// every per-shard session, so [`crate::serve::SloPolicy::TenantFair`]
-    /// and the per-tenant roll-ups apply cluster-wide.
-    pub tenant: u32,
-    /// Per-query top-k override for the gather; `None` uses the cluster's
-    /// [`ServeConfig::k`]. Each shard still returns its own full top-k;
-    /// the override bounds the merged list.
-    pub k: Option<usize>,
-}
-
-impl ClusterQueryRequest {
-    /// A request arriving at `arrival_ns` with no deadline, tenant 0 and
-    /// the cluster's default top-k.
-    pub fn at(arrival_ns: Nanos, query: Vec<f32>) -> Self {
-        Self {
-            query,
-            arrival_ns,
-            deadline_ns: None,
-            tenant: 0,
-            k: None,
-        }
-    }
-
-    /// Set the tenant id.
-    pub fn tenant(mut self, tenant: u32) -> Self {
-        self.tenant = tenant;
-        self
-    }
-
-    /// Set the absolute deadline.
-    pub fn deadline(mut self, deadline_ns: Nanos) -> Self {
-        self.deadline_ns = Some(deadline_ns);
-        self
-    }
-
-    /// Set the per-query top-k.
-    pub fn top_k(mut self, k: usize) -> Self {
-        self.k = Some(k);
-        self
-    }
-
-    /// The single-device request for this query, seeded at `entries`.
-    pub(crate) fn seeded(self, entries: Vec<VectorId>) -> QueryRequest {
-        QueryRequest {
-            query: self.query,
-            entries,
-            arrival_ns: self.arrival_ns,
-            deadline_ns: self.deadline_ns,
-            tenant: self.tenant,
-            k: self.k,
-        }
-    }
-}
-
 /// One replica's slice of a [`ShardBreakdown`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplicaBreakdown {
@@ -586,12 +521,12 @@ impl Replica<'_> {
     /// Submits a copy of `req` arriving at `arrival_ns`, seeded at this
     /// replica's entry vertex — a scatter, a failover re-seed and a hedge
     /// all reach a device this way.
-    fn submit(&mut self, req: &ClusterQueryRequest, arrival_ns: Nanos) -> QueryId {
-        let copy = ClusterQueryRequest {
+    fn submit(&mut self, req: &QueryRequest, arrival_ns: Nanos) -> QueryId {
+        self.engine.submit(QueryRequest {
+            entries: vec![self.entry],
             arrival_ns,
             ..req.clone()
-        };
-        self.engine.submit(copy.seeded(vec![self.entry]))
+        })
     }
 }
 
@@ -676,7 +611,7 @@ struct ScatterShard {
 /// One scattered query: the request (kept for re-seeding and hedging)
 /// plus the per-shard session state.
 struct Scatter {
-    req: ClusterQueryRequest,
+    req: QueryRequest,
     sessions: Vec<Option<ScatterShard>>,
 }
 
@@ -732,34 +667,16 @@ struct HedgeRound {
 }
 
 impl<'a> ClusterEngine<'a> {
-    /// Stages an unreplicated cluster (one replica per shard, no
-    /// failures) — see [`stage_replicated`](Self::stage_replicated).
-    pub fn stage(
-        config: &'a NdsConfig,
-        serve: ServeConfig,
-        plan: ShardPlan,
-        dataset: &Dataset,
-        build: impl Fn(&Dataset) -> (Box<dyn MutableIndex>, VectorId),
-    ) -> Self {
-        Self::stage_replicated(
-            config,
-            serve,
-            plan,
-            ReplicationConfig::default(),
-            dataset,
-            build,
-        )
-    }
-
-    /// Stages a replicated cluster: splits `dataset` per the plan and,
-    /// for every non-empty shard, builds the shard's index once via
-    /// `build` — which returns it and its entry vertex in shard-local ids
-    /// (e.g. the Vamana medoid or HNSW entry point) — and stages
+    /// Stages a cluster: splits `dataset` per the plan and, for every
+    /// non-empty shard, builds the shard's index once via `build` — which
+    /// returns it and its entry vertex in shard-local ids (e.g. the
+    /// Vamana medoid or HNSW entry point) — and stages
     /// `replication.replicas` replica devices from it, each its own
     /// [`Deployment`] (own flash stack) over a clone of the index
     /// ([`MutableIndex::boxed_clone`]). Replicas of a shard thus start as
     /// bit-identical copies, and share one copy of the shard's rows until
-    /// an insert writes to them.
+    /// an insert writes to them. [`ReplicationConfig::default`] stages one
+    /// replica per shard and no failures.
     ///
     /// Every replica serves with the same `config` (homogeneous devices)
     /// and the same `serve` admission/search knobs.
@@ -869,23 +786,7 @@ impl<'a> ClusterEngine<'a> {
         self.shards.len()
     }
 
-    /// Replicas staged per shard.
-    pub fn num_replicas(&self) -> usize {
-        self.replication.replicas
-    }
-
-    /// A staged shard's serving engine — the lowest-index alive replica
-    /// (or replica 0 if the whole shard is down); `None` for empty
-    /// shards. With the default single-replica staging this is *the*
-    /// shard engine.
-    pub fn shard_engine(&self, shard: usize) -> Option<&ServeEngine<'a>> {
-        self.shards[shard].as_ref().map(|s| {
-            let r = s.replicas.iter().position(|r| r.alive).unwrap_or(0);
-            &*s.replicas[r].engine
-        })
-    }
-
-    /// A specific replica's serving engine; `None` for empty shards or
+    /// A replica's serving engine; `None` for empty shards or
     /// out-of-range replica indices.
     pub fn replica_engine(&self, shard: usize, replica: usize) -> Option<&ServeEngine<'a>> {
         self.shards[shard]
@@ -895,10 +796,13 @@ impl<'a> ClusterEngine<'a> {
     }
 
     /// Scatters one query session to every staged shard — on the replica
-    /// the policy picks — and returns the cluster id. Shards whose
+    /// the policy picks — and returns the cluster id. Each shard's copy
+    /// (and every hedge or failover copy) is seeded at that shard's own
+    /// entry vertex, overwriting `req.entries`, and keeps the request's
+    /// deadline and tenant; `req.k` bounds the merged list. Shards whose
     /// replicas are all dead are skipped (the cluster outcome then never
     /// completes, mirroring a real partial outage).
-    pub fn submit(&mut self, req: ClusterQueryRequest) -> ClusterQueryId {
+    pub fn submit(&mut self, req: QueryRequest) -> ClusterQueryId {
         let id = self.queries.len();
         let policy = self.replication.policy;
         let sessions: Vec<Option<ScatterShard>> = self
@@ -999,64 +903,6 @@ impl<'a> ClusterEngine<'a> {
         };
         self.routes.push(route);
         id
-    }
-
-    /// Merged state of a cluster query: `Completed` only once every
-    /// shard delivered an answer (on any replica — a completed hedge
-    /// counts for its shard).
-    pub fn poll(&self, id: ClusterQueryId) -> SessionState {
-        let states: Vec<SessionState> = self.queries[id]
-            .sessions
-            .iter()
-            .enumerate()
-            .filter_map(|(s, session)| {
-                session.as_ref().map(|sc| {
-                    let shard = self.shards[s].as_ref().expect("session on staged shard");
-                    let primary = shard.replicas[sc.primary.replica]
-                        .engine
-                        .poll(sc.primary.query);
-                    let hedge = sc
-                        .hedge
-                        .map(|h| shard.replicas[h.replica].engine.poll(h.query));
-                    if primary == SessionState::Completed || hedge == Some(SessionState::Completed)
-                    {
-                        SessionState::Completed
-                    } else {
-                        primary
-                    }
-                })
-            })
-            .collect();
-        merge_states(&states)
-    }
-
-    /// State of a cluster update: `Completed` once applied on every
-    /// replica that is still alive (cluster-rejected updates report
-    /// `Rejected` immediately).
-    pub fn poll_update(&self, id: ClusterUpdateId) -> SessionState {
-        match &self.routes[id] {
-            Route::Cluster { .. } => SessionState::Rejected,
-            Route::Shard { shard, locals, .. } => {
-                let shard = self.shards[*shard]
-                    .as_ref()
-                    .expect("routed to staged shard");
-                let alive: Vec<SessionState> = locals
-                    .iter()
-                    .filter(|(ri, _)| shard.replicas[*ri].alive)
-                    .map(|(ri, l)| shard.replicas[*ri].engine.poll_update(*l))
-                    .collect();
-                if alive.is_empty() {
-                    // Every replica that received it died: surface the
-                    // most advanced state any copy reached.
-                    let any = locals
-                        .iter()
-                        .map(|(ri, l)| shard.replicas[*ri].engine.poll_update(*l))
-                        .find(|state| state.is_terminal());
-                    return any.unwrap_or(SessionState::Rejected);
-                }
-                merge_states(&alive)
-            }
-        }
     }
 
     /// Drives every shard to completion, stepping shards in index order
@@ -1704,6 +1550,17 @@ mod tests {
         (Box::new(index), entry)
     }
 
+    /// A cluster of Vamana shards with the default serving knobs.
+    fn stage_vamana<'a>(
+        config: &'a NdsConfig,
+        plan: ShardPlan,
+        replication: ReplicationConfig,
+        base: &Dataset,
+    ) -> ClusterEngine<'a> {
+        let serve = ServeConfig::default();
+        ClusterEngine::stage_replicated(config, serve, plan, replication, base, vamana_builder)
+    }
+
     fn fixture(n: usize, q: usize) -> (NdsConfig, Dataset, Dataset) {
         let (base, queries) = DatasetSpec::sift_scaled(n, q).build_pair();
         let mut config = NdsConfig::scaled_for(n * 2, base.stored_vector_bytes());
@@ -1715,10 +1572,9 @@ mod tests {
     fn cluster_serves_and_merges_globally() {
         let (config, base, queries) = fixture(400, 8);
         let plan = ShardPlan::partition(base.len(), 4, ShardPolicy::Hash, 11);
-        let mut cluster =
-            ClusterEngine::stage(&config, ServeConfig::default(), plan, &base, vamana_builder);
+        let mut cluster = stage_vamana(&config, plan, ReplicationConfig::default(), &base);
         for (i, (_, q)) in queries.iter().enumerate() {
-            cluster.submit(ClusterQueryRequest::at(i as Nanos * 500, q.to_vec()));
+            cluster.submit(QueryRequest::at(i as Nanos * 500, q.to_vec(), Vec::new()));
         }
         let report = cluster.run_to_completion();
         assert_eq!(report.completed(), 8);
@@ -1749,8 +1605,7 @@ mod tests {
     fn updates_route_to_owning_shards() {
         let (config, base, extra) = fixture(300, 30);
         let plan = ShardPlan::partition(base.len(), 3, ShardPolicy::BalancedSize, 0);
-        let mut cluster =
-            ClusterEngine::stage(&config, ServeConfig::default(), plan, &base, vamana_builder);
+        let mut cluster = stage_vamana(&config, plan, ReplicationConfig::default(), &base);
         // Deletes by global id; inserts routed by the balanced policy.
         let d0 = cluster.submit_update(UpdateRequest::delete_at(0, 5));
         let d1 = cluster.submit_update(UpdateRequest::delete_at(0, 250));
@@ -1760,9 +1615,10 @@ mod tests {
             ins.push(cluster.submit_update(UpdateRequest::insert_at(10, v.to_vec())));
         }
         let report = cluster.run_to_completion();
-        assert_eq!(cluster.poll_update(d0), SessionState::Completed);
-        assert_eq!(cluster.poll_update(d1), SessionState::Completed);
-        assert_eq!(cluster.poll_update(bad), SessionState::Rejected);
+        let state = |u: ClusterUpdateId| report.update_outcomes[u].state;
+        assert_eq!(state(d0), SessionState::Completed);
+        assert_eq!(state(d1), SessionState::Completed);
+        assert_eq!(state(bad), SessionState::Rejected);
         assert_eq!(report.updates_completed(), 2 + extra.len());
         assert_eq!(report.updates_rejected(), 1);
         // Completed inserts got consecutive global ids in submission
@@ -1775,7 +1631,7 @@ mod tests {
             let s = cluster.plan().shard_of(g);
             assert_eq!(cluster.plan().global_of(s, cluster.plan().local_of(g)), g);
             // The owning shard's deployment actually grew.
-            let deploy = cluster.shard_engine(s).unwrap().deployment();
+            let deploy = cluster.replica_engine(s, 0).unwrap().deployment();
             assert!(deploy.dataset().len() > 100);
         }
         // Balanced routing kept shard sizes within one of each other.
@@ -1785,7 +1641,7 @@ mod tests {
         // Deletes tombstoned on the owning shard.
         let s5 = cluster.plan().shard_of(5);
         assert!(cluster
-            .shard_engine(s5)
+            .replica_engine(s5, 0)
             .unwrap()
             .deployment()
             .is_deleted(cluster.plan().local_of(5)));
@@ -1797,11 +1653,14 @@ mod tests {
     #[test]
     fn single_shard_cluster_matches_unsharded_engine() {
         let (config, base, queries) = fixture(300, 6);
+        let index = Vamana::build(&base, VamanaParams::default());
+        let medoid = index.medoid();
         // Two tenants, and one deadline that cuts its query off after the
-        // first round, so no roll-up below is 1.0 for want of data.
+        // first round, so no roll-up below is 1.0 for want of data. Both
+        // engines take the same requests.
         let request = |i: usize| {
             let at = i as Nanos * 1_000;
-            let req = ClusterQueryRequest::at(at, queries.vector(i as VectorId).to_vec());
+            let req = QueryRequest::at(at, queries.vector(i as VectorId).to_vec(), vec![medoid]);
             let req = req.tenant(i as u32 % 2);
             if i == 2 {
                 req.deadline(at + 1)
@@ -1810,17 +1669,15 @@ mod tests {
             }
         };
         // Unsharded reference.
-        let index = Vamana::build(&base, VamanaParams::default());
-        let deploy = Deployment::stage(&config, Box::new(index.clone()), base.clone());
+        let deploy = Deployment::stage(&config, Box::new(index), base.clone());
         let mut flat = ServeEngine::with_deployment(&config, ServeConfig::default(), deploy);
         for i in 0..queries.len() {
-            flat.submit(request(i).seeded(vec![index.medoid()]));
+            flat.submit(request(i));
         }
         let flat_report = flat.run_to_completion();
 
         let plan = ShardPlan::partition(base.len(), 1, ShardPolicy::BalancedSize, 0);
-        let mut cluster =
-            ClusterEngine::stage(&config, ServeConfig::default(), plan, &base, vamana_builder);
+        let mut cluster = stage_vamana(&config, plan, ReplicationConfig::default(), &base);
         for i in 0..queries.len() {
             cluster.submit(request(i));
         }
@@ -1848,28 +1705,34 @@ mod tests {
 
     #[test]
     fn malformed_queries_are_rejected_beside_valid_ones() {
-        // A query one dimension short or long, or with a NaN or infinite
-        // component, is rejected by every shard and gathered `Rejected`;
-        // the run drains and the valid queries are untouched.
+        // A query one dimension short or long, with a NaN or infinite
+        // component, or asking for the top 0 is rejected by every shard
+        // and gathered `Rejected`; the run drains and the valid queries
+        // are untouched.
         let (config, base, queries) = fixture(300, 6);
         let q = queries.vector(0);
+        let request = |query: Vec<f32>| QueryRequest::at(0, query, Vec::new());
         let bad = [
-            q[1..].to_vec(),
-            [q, &[0.5]].concat(),
-            [&q[..3], &[f32::NAN], &q[4..]].concat(),
-            [&q[1..], &[f32::NEG_INFINITY]].concat(),
+            request(q[1..].to_vec()),
+            request([q, &[0.5]].concat()),
+            request([&q[..3], &[f32::NAN], &q[4..]].concat()),
+            request([&q[1..], &[f32::NEG_INFINITY]].concat()),
+            request(q.to_vec()).top_k(0),
         ];
         let run = |with_bad: bool| {
             let plan = ShardPlan::partition(base.len(), 2, ShardPolicy::BalancedSize, 0);
-            let mut cluster =
-                ClusterEngine::stage(&config, ServeConfig::default(), plan, &base, vamana_builder);
+            let mut cluster = stage_vamana(&config, plan, ReplicationConfig::default(), &base);
             let (mut valid, mut rejected) = (Vec::new(), Vec::new());
             for (i, (_, v)) in queries.iter().enumerate() {
                 let at = i as Nanos * 1_000;
-                if let Some(query) = bad.get(i).filter(|_| with_bad) {
-                    rejected.push(cluster.submit(ClusterQueryRequest::at(at, query.clone())));
+                if let Some(req) = bad.get(i).filter(|_| with_bad) {
+                    let req = QueryRequest {
+                        arrival_ns: at,
+                        ..req.clone()
+                    };
+                    rejected.push(cluster.submit(req));
                 }
-                valid.push(cluster.submit(ClusterQueryRequest::at(at, v.to_vec())));
+                valid.push(cluster.submit(QueryRequest::at(at, v.to_vec(), Vec::new())));
             }
             (cluster.run_to_completion(), valid, rejected)
         };
@@ -1896,6 +1759,26 @@ mod tests {
     }
 
     #[test]
+    fn cluster_seeds_every_shard_at_its_own_entry() {
+        // The caller's entries never reach a shard: with none, or with an
+        // id past every shard's end, each shard starts at its own entry
+        // vertex and the two runs are one run.
+        let (config, base, queries) = fixture(300, 6);
+        let run = |entries: Vec<VectorId>| {
+            let plan = ShardPlan::partition(base.len(), 2, ShardPolicy::BalancedSize, 0);
+            let mut cluster = stage_vamana(&config, plan, ReplicationConfig::default(), &base);
+            for (i, (_, q)) in queries.iter().enumerate() {
+                let at = i as Nanos * 1_000;
+                cluster.submit(QueryRequest::at(at, q.to_vec(), entries.clone()));
+            }
+            cluster.run_to_completion()
+        };
+        let bare = run(Vec::new());
+        assert_eq!(bare.completed(), queries.len());
+        assert_eq!(bare, run(vec![base.len() as VectorId]));
+    }
+
+    #[test]
     fn out_of_order_arrivals_keep_global_ids_consistent() {
         // Shards apply updates in *arrival* order; the cluster assigns
         // global ids in *submission* order. A later-submitted insert
@@ -1904,8 +1787,7 @@ mod tests {
         // actually holds that insert's vector.
         let (config, base, extra) = fixture(200, 4);
         let plan = ShardPlan::partition(base.len(), 1, ShardPolicy::BalancedSize, 0);
-        let mut cluster =
-            ClusterEngine::stage(&config, ServeConfig::default(), plan, &base, vamana_builder);
+        let mut cluster = stage_vamana(&config, plan, ReplicationConfig::default(), &base);
         let va = extra.vector(0).to_vec();
         let vb = extra.vector(1).to_vec();
         let a = cluster.submit_update(UpdateRequest::insert_at(1_000_000, va.clone()));
@@ -1917,7 +1799,7 @@ mod tests {
             report.update_outcomes[b].assigned.unwrap(),
         );
         assert_eq!((ga, gb), (200, 201), "dense global ids, submission order");
-        let dataset = cluster.shard_engine(0).unwrap().deployment().dataset();
+        let dataset = cluster.replica_engine(0, 0).unwrap().deployment().dataset();
         let plan = cluster.plan();
         assert_eq!(
             dataset.vector(plan.local_of(ga)),
@@ -1945,13 +1827,7 @@ mod tests {
             (0..8).any(|s| plan.shard_len(s) == 0),
             "fixture should leave at least one shard empty"
         );
-        let mut cluster = ClusterEngine::stage(
-            &config,
-            ServeConfig::default(),
-            plan,
-            &small,
-            vamana_builder,
-        );
+        let mut cluster = stage_vamana(&config, plan, ReplicationConfig::default(), &small);
         for (_, v) in extra.iter() {
             cluster.submit_update(UpdateRequest::insert_at(0, v.to_vec()));
         }
@@ -1965,9 +1841,8 @@ mod tests {
     fn deadline_expiry_and_mixed_states_merge() {
         let (config, base, queries) = fixture(250, 1);
         let plan = ShardPlan::partition(base.len(), 2, ShardPolicy::BalancedSize, 0);
-        let mut cluster =
-            ClusterEngine::stage(&config, ServeConfig::default(), plan, &base, vamana_builder);
-        let mut req = ClusterQueryRequest::at(0, queries.vector(0).to_vec());
+        let mut cluster = stage_vamana(&config, plan, ReplicationConfig::default(), &base);
+        let mut req = QueryRequest::at(0, queries.vector(0).to_vec(), Vec::new());
         req.deadline_ns = Some(1);
         let id = cluster.submit(req);
         let report = cluster.run_to_completion();
@@ -1983,10 +1858,9 @@ mod tests {
         let (config, base, queries) = fixture(300, 8);
         let reference = {
             let plan = ShardPlan::partition(base.len(), 2, ShardPolicy::BalancedSize, 0);
-            let mut cluster =
-                ClusterEngine::stage(&config, ServeConfig::default(), plan, &base, vamana_builder);
+            let mut cluster = stage_vamana(&config, plan, ReplicationConfig::default(), &base);
             for (i, (_, q)) in queries.iter().enumerate() {
-                cluster.submit(ClusterQueryRequest::at(i as Nanos * 2_000, q.to_vec()));
+                cluster.submit(QueryRequest::at(i as Nanos * 2_000, q.to_vec(), Vec::new()));
             }
             cluster.run_to_completion()
         };
@@ -1997,16 +1871,9 @@ mod tests {
         ] {
             let plan = ShardPlan::partition(base.len(), 2, ShardPolicy::BalancedSize, 0);
             let replication = ReplicationConfig::replicated(2).with_policy(policy);
-            let mut cluster = ClusterEngine::stage_replicated(
-                &config,
-                ServeConfig::default(),
-                plan,
-                replication,
-                &base,
-                vamana_builder,
-            );
+            let mut cluster = stage_vamana(&config, plan, replication, &base);
             for (i, (_, q)) in queries.iter().enumerate() {
-                cluster.submit(ClusterQueryRequest::at(i as Nanos * 2_000, q.to_vec()));
+                cluster.submit(QueryRequest::at(i as Nanos * 2_000, q.to_vec(), Vec::new()));
             }
             let report = cluster.run_to_completion();
             assert_eq!(report.completed(), 8, "{policy:?}");
@@ -2022,16 +1889,9 @@ mod tests {
     fn round_robin_spreads_sessions_across_replicas() {
         let (config, base, queries) = fixture(250, 8);
         let plan = ShardPlan::partition(base.len(), 1, ShardPolicy::BalancedSize, 0);
-        let mut cluster = ClusterEngine::stage_replicated(
-            &config,
-            ServeConfig::default(),
-            plan,
-            ReplicationConfig::replicated(2),
-            &base,
-            vamana_builder,
-        );
+        let mut cluster = stage_vamana(&config, plan, ReplicationConfig::replicated(2), &base);
         for (i, (_, q)) in queries.iter().enumerate() {
-            cluster.submit(ClusterQueryRequest::at(i as Nanos * 2_000, q.to_vec()));
+            cluster.submit(QueryRequest::at(i as Nanos * 2_000, q.to_vec(), Vec::new()));
         }
         let report = cluster.run_to_completion();
         assert_eq!(report.completed(), 8);
@@ -2052,16 +1912,9 @@ mod tests {
         let (config, base, queries) = fixture(250, 9);
         let plan = ShardPlan::partition(base.len(), 1, ShardPolicy::BalancedSize, 0);
         let replication = ReplicationConfig::replicated(3).with_policy(ReplicaPolicy::LeastLoaded);
-        let mut cluster = ClusterEngine::stage_replicated(
-            &config,
-            ServeConfig::default(),
-            plan,
-            replication,
-            &base,
-            vamana_builder,
-        );
+        let mut cluster = stage_vamana(&config, plan, replication, &base);
         for (_, q) in queries.iter() {
-            cluster.submit(ClusterQueryRequest::at(0, q.to_vec()));
+            cluster.submit(QueryRequest::at(0, q.to_vec(), Vec::new()));
         }
         let report = cluster.run_to_completion();
         assert_eq!(report.completed(), 9);
@@ -2081,18 +1934,11 @@ mod tests {
             let plan = ShardPlan::partition(base.len(), 2, ShardPolicy::BalancedSize, 0);
             let replication = ReplicationConfig::replicated(2)
                 .with_failures(FailureSchedule::new().kill(1, 0, 0));
-            ClusterEngine::stage_replicated(
-                &config,
-                ServeConfig::default(),
-                plan,
-                replication,
-                base,
-                vamana_builder,
-            )
+            stage_vamana(&config, plan, replication, base)
         };
         let run = |mut cluster: ClusterEngine| {
             for (i, (_, q)) in queries.iter().enumerate() {
-                cluster.submit(ClusterQueryRequest::at(i as Nanos * 1_000, q.to_vec()));
+                cluster.submit(QueryRequest::at(i as Nanos * 1_000, q.to_vec(), Vec::new()));
             }
             cluster.run_to_completion()
         };
@@ -2122,16 +1968,9 @@ mod tests {
         let plan = ShardPlan::partition(base.len(), 2, ShardPolicy::BalancedSize, 0);
         let replication = ReplicationConfig::replicated(2)
             .with_failures(FailureSchedule::new().kill(1, 0, 0).kill(1, 0, 1));
-        let mut cluster = ClusterEngine::stage_replicated(
-            &config,
-            ServeConfig::default(),
-            plan,
-            replication,
-            &base,
-            vamana_builder,
-        );
+        let mut cluster = stage_vamana(&config, plan, replication, &base);
         for (_, q) in queries.iter() {
-            cluster.submit(ClusterQueryRequest::at(0, q.to_vec()));
+            cluster.submit(QueryRequest::at(0, q.to_vec(), Vec::new()));
         }
         // Must terminate (dead devices stop stepping) without completing
         // any cluster query: shard 0 can never answer.
@@ -2143,8 +1982,8 @@ mod tests {
         assert!(report.shards[0].availability < 1.0);
         // New submissions skip the dead shard entirely (and keep the
         // cluster outcome non-terminal rather than panicking).
-        let id = cluster.submit(ClusterQueryRequest::at(0, queries.vector(0).to_vec()));
-        assert!(!cluster.poll(id).is_terminal());
+        let id = cluster.submit(QueryRequest::at(0, queries.vector(0).to_vec(), Vec::new()));
+        assert!(!cluster.report().outcomes[id].state.is_terminal());
     }
 
     #[test]
@@ -2157,16 +1996,9 @@ mod tests {
         let replication = ReplicationConfig::replicated(2)
             .with_policy(ReplicaPolicy::Hedged { delay_ns: 100_000 })
             .with_failures(FailureSchedule::new().ecc_storm(0, 0, 0, 0.95));
-        let mut cluster = ClusterEngine::stage_replicated(
-            &config,
-            ServeConfig::default(),
-            plan,
-            replication,
-            &base,
-            vamana_builder,
-        );
+        let mut cluster = stage_vamana(&config, plan, replication, &base);
         for (i, (_, q)) in queries.iter().enumerate() {
-            cluster.submit(ClusterQueryRequest::at(i as Nanos * 1_000, q.to_vec()));
+            cluster.submit(QueryRequest::at(i as Nanos * 1_000, q.to_vec(), Vec::new()));
         }
         let report = cluster.run_to_completion();
         assert_eq!(report.completed(), 10);
@@ -2200,17 +2032,10 @@ mod tests {
                     .kill(600_000, 1, 1)
                     .kill(600_000, 1, 2),
             );
-        let mut cluster = ClusterEngine::stage_replicated(
-            &config,
-            ServeConfig::default(),
-            plan,
-            replication,
-            &base,
-            vamana_builder,
-        );
+        let mut cluster = stage_vamana(&config, plan, replication, &base);
         let arrival = |id: usize| id as Nanos * 20_000;
         for (i, (_, q)) in queries.iter().enumerate() {
-            cluster.submit(ClusterQueryRequest::at(arrival(i), q.to_vec()));
+            cluster.submit(QueryRequest::at(arrival(i), q.to_vec(), Vec::new()));
         }
         let report = cluster.run_to_completion();
         let log = &cluster.hedge_log;
@@ -2309,14 +2134,7 @@ mod tests {
         let stage = || {
             let plan = ShardPlan::partition(base.len(), 2, ShardPolicy::BalancedSize, 0);
             let replication = ReplicationConfig::replicated(2);
-            ClusterEngine::stage_replicated(
-                &config,
-                ServeConfig::default(),
-                plan,
-                replication,
-                &base,
-                vamana_builder,
-            )
+            stage_vamana(&config, plan, replication, &base)
         };
         let rows = |cluster: &ClusterEngine<'_>, s: usize, r: usize| {
             let engine = cluster.replica_engine(s, r).unwrap();
@@ -2326,7 +2144,7 @@ mod tests {
         // Queries only: each shard's twins read one allocation.
         let mut cluster = stage();
         for (_, q) in extra.iter() {
-            cluster.submit(ClusterQueryRequest::at(0, q.to_vec()));
+            cluster.submit(QueryRequest::at(0, q.to_vec(), Vec::new()));
         }
         assert_eq!(cluster.run_to_completion().completed(), extra.len());
         for s in 0..2 {
@@ -2370,16 +2188,9 @@ mod tests {
         let plan = ShardPlan::partition(base.len(), 1, ShardPolicy::BalancedSize, 0);
         let replication = ReplicationConfig::replicated(2)
             .with_failures(FailureSchedule::new().wear_out(0, 0, 0, 20_000));
-        let mut cluster = ClusterEngine::stage_replicated(
-            &config,
-            ServeConfig::default(),
-            plan,
-            replication,
-            &base,
-            vamana_builder,
-        );
+        let mut cluster = stage_vamana(&config, plan, replication, &base);
         for (i, (_, q)) in queries.iter().enumerate() {
-            cluster.submit(ClusterQueryRequest::at(i as Nanos * 1_000, q.to_vec()));
+            cluster.submit(QueryRequest::at(i as Nanos * 1_000, q.to_vec(), Vec::new()));
         }
         let report = cluster.run_to_completion();
         assert_eq!(report.completed(), 6);

@@ -130,10 +130,7 @@ pub struct NdsConfig {
     /// scores full-precision rows from flash as before. When enabled,
     /// beam traversal scores DRAM-resident codes and only the final
     /// rerank candidates pay flash page reads (see
-    /// [`crate::serve::ServeConfig::rerank_depth`]). The
-    /// `NDSEARCH_NO_QUANT` environment flag forces this back to `None`
-    /// at deployment staging (same parsing rule as `NDSEARCH_NO_SIMD`;
-    /// see `ndsearch_vector::env`).
+    /// [`crate::serve::ServeConfig::rerank_depth`]).
     pub quantization: QuantSpec,
     /// Threads a [`ClusterEngine`](crate::cluster::ClusterEngine) run
     /// steps its replica devices on, the calling thread included

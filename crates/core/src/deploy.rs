@@ -192,7 +192,7 @@ pub struct Deployment {
     prepared: Prepared,
     /// DRAM-resident compressed codes for traversal, trained once at
     /// staging from [`NdsConfig::quantization`] (`None` when
-    /// quantization is off or the `NDSEARCH_NO_QUANT` override is set).
+    /// quantization is off).
     /// Inserts encode through the same trained quantizer; compaction
     /// re-packs the table.
     codes: Option<QuantCodes>,
@@ -214,17 +214,6 @@ impl std::fmt::Debug for Deployment {
             .field("totals", &self.totals)
             .finish()
     }
-}
-
-/// Trains the deployment's code table per `config.quantization`, unless
-/// the `NDSEARCH_NO_QUANT` environment flag (same parsing rule as
-/// `NDSEARCH_NO_SIMD`; see `ndsearch_vector::env`) forces compressed
-/// search off for an A/B run.
-fn train_codes(config: &NdsConfig, dataset: &Dataset) -> Option<QuantCodes> {
-    if ndsearch_vector::env::env_flag("NDSEARCH_NO_QUANT") {
-        return None;
-    }
-    QuantCodes::train(config.quantization, dataset, config.seed ^ 0xC0DE)
 }
 
 impl Deployment {
@@ -269,7 +258,7 @@ impl Deployment {
     ) -> Self {
         let open_slots =
             (prepared.luncsr.num_vertices() as u32) % prepared.luncsr.mapping().slots_per_page();
-        let codes = train_codes(config, &dataset);
+        let codes = QuantCodes::train(config.quantization, &dataset, config.seed ^ 0xC0DE);
         Self {
             graph,
             prepared,

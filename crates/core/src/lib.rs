@@ -42,8 +42,9 @@
 //!   and deterministic compaction;
 //! * [`cluster::ClusterEngine`] — the scale-out tier: a
 //!   [`ShardPlan`](ndsearch_vector::shard::ShardPlan)-partitioned
-//!   cluster of per-shard deployments, queries scattered to every shard
-//!   and gathered by a deterministic `(distance, global id)` merge,
+//!   cluster of per-shard deployments; the same [`serve::QueryRequest`]
+//!   is scattered to every shard, each seeding it at its own entry
+//!   vertex, and gathered by a deterministic `(distance, global id)` merge,
 //!   updates routed to their owning shard, per-shard breakdowns and
 //!   load-imbalance reporting;
 //! * [`traffic::Scenario`] — deterministic production-traffic generation:
@@ -91,8 +92,8 @@ pub mod traffic;
 pub mod vgen;
 
 pub use cluster::{
-    ClusterEngine, ClusterQueryRequest, ClusterReport, FailureEvent, FailureKind, FailureSchedule,
-    ReplicaBreakdown, ReplicaPolicy, ReplicationConfig, ShardBreakdown,
+    ClusterEngine, ClusterReport, FailureEvent, FailureKind, FailureSchedule, ReplicaBreakdown,
+    ReplicaPolicy, ReplicationConfig, ShardBreakdown,
 };
 pub use config::{NdsConfig, SchedulingConfig};
 pub use deploy::{CompactionReport, Deployment, InsertError, UpdateTotals};

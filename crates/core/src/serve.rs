@@ -10,10 +10,12 @@
 //! * [`QueryRequest`] / [`QueryOutcome`] — a query session with arrival
 //!   time, optional absolute deadline, and per-query top-k state. The
 //!   outcome is the query's one record from submission to report: the
-//!   engine fills it in beside the session's live search state, and
-//!   [`crate::cluster`] gathers a sharded query into the same type. A
-//!   malformed request (wrong dimension, a non-finite component, no or
-//!   an out-of-range entry vertex) is `Rejected` on submission;
+//!   engine fills it in beside the session's live search state.
+//!   [`crate::cluster`] takes the same request, seeding each shard at its
+//!   own entry vertex, and gathers a sharded query into the same outcome
+//!   type. A malformed request (wrong dimension, a non-finite
+//!   component, no or an out-of-range entry vertex, a top-k of 0) is
+//!   `Rejected` on submission;
 //! * [`ServeEngine`] — submit / poll / step / complete. Each scheduling
 //!   round takes **one beam-search hop from every in-flight query** (a
 //!   live [`BeamSearcher`] per session, relabeled into the reordered id
@@ -232,6 +234,9 @@ pub struct QueryRequest {
     pub query: Vec<f32>,
     /// Entry vertices to seed the beam search from (construction-order
     /// ids, e.g. the index medoid or entry point).
+    /// [`ClusterEngine::submit`](crate::cluster::ClusterEngine::submit)
+    /// overwrites them: each shard's copy starts at that shard's own
+    /// entry vertex, so a cluster request may leave them empty.
     pub entries: Vec<VectorId>,
     /// Simulated arrival time.
     pub arrival_ns: Nanos,
@@ -249,7 +254,9 @@ pub struct QueryRequest {
     /// the outcome, rolled up by [`ServeReport::tenant_summaries`] and
     /// enforced by [`SloPolicy::TenantFair`].
     pub tenant: u32,
-    /// Per-query top-k override; `None` uses [`ServeConfig::k`].
+    /// Per-query top-k override; `None` uses [`ServeConfig::k`]. A
+    /// resolved k of 0 is malformed. In a cluster every shard returns its
+    /// own top-k and the gather keeps the best k of their union.
     pub k: Option<usize>,
 }
 
@@ -801,16 +808,19 @@ impl<'a> ServeEngine<'a> {
     /// Registers a query session and returns its id. Arrival times in the
     /// past are clamped to the current simulated time. A malformed
     /// request — a dimension other than the deployment's, a non-finite
-    /// component, no entry vertex or one outside the dataset — is
-    /// `Rejected` at once, stamped at its arrival, and never queues.
+    /// component, no entry vertex or one outside the dataset, a top-k
+    /// of 0 — is `Rejected` at once, stamped at its arrival, and never
+    /// queues.
     pub fn submit(&mut self, req: QueryRequest) -> QueryId {
         let id = self.sessions.len();
         let arrival = req.arrival_ns.max(self.now_ns);
         let dataset = self.deploy.dataset();
+        let k = req.k.unwrap_or(self.serve.k);
         let malformed = req.query.len() != dataset.dim()
             || req.query.iter().any(|x| !x.is_finite())
             || req.entries.is_empty()
-            || req.entries.iter().any(|&v| v as usize >= dataset.len());
+            || req.entries.iter().any(|&v| v as usize >= dataset.len())
+            || k == 0;
         let mut outcome = QueryOutcome {
             id,
             state: SessionState::Pending,
@@ -835,7 +845,7 @@ impl<'a> ServeEngine<'a> {
             query: req.query,
             entries: req.entries,
             searcher: None,
-            k: req.k.unwrap_or(self.serve.k),
+            k,
         });
         id
     }

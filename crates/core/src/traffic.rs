@@ -70,8 +70,8 @@ use ndsearch_vector::dataset::Dataset;
 use ndsearch_vector::rng::Pcg32;
 use ndsearch_vector::VectorId;
 
-use crate::cluster::{ClusterEngine, ClusterQueryRequest};
-use crate::serve::{QueryId, ServeEngine, UpdateId, UpdateRequest};
+use crate::cluster::ClusterEngine;
+use crate::serve::{QueryId, QueryRequest, ServeEngine, UpdateId, UpdateRequest};
 
 /// When events happen: the arrival process of a [`Scenario`].
 ///
@@ -531,7 +531,12 @@ impl TrafficTrace {
             engine,
             query_pool,
             ingest_pool,
-            |engine, req| engine.submit(req.seeded(entries.to_vec())),
+            |engine, req| {
+                engine.submit(QueryRequest {
+                    entries: entries.to_vec(),
+                    ..req
+                })
+            },
             |engine, req| engine.submit_update(req),
         )
     }
@@ -556,14 +561,14 @@ impl TrafficTrace {
     }
 
     /// The one event → request lowering both replays share: a query
-    /// event becomes an entry-less [`ClusterQueryRequest`] for `query` to
+    /// event becomes an entry-less [`QueryRequest`] for `query` to
     /// submit, an insert or delete an [`UpdateRequest`] for `update`.
     fn replay<E: ?Sized>(
         &self,
         engine: &mut E,
         query_pool: &Dataset,
         ingest_pool: &Dataset,
-        mut query: impl FnMut(&mut E, ClusterQueryRequest) -> QueryId,
+        mut query: impl FnMut(&mut E, QueryRequest) -> QueryId,
         mut update: impl FnMut(&mut E, UpdateRequest) -> UpdateId,
     ) -> Vec<Submitted> {
         self.events
@@ -575,8 +580,9 @@ impl TrafficTrace {
                     deadline_ns,
                 } => Submitted::Query(query(
                     engine,
-                    ClusterQueryRequest {
+                    QueryRequest {
                         query: query_pool.vector(*pool_id).to_vec(),
+                        entries: Vec::new(),
                         arrival_ns: e.arrival_ns,
                         deadline_ns: *deadline_ns,
                         tenant: e.tenant,

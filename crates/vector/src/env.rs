@@ -2,7 +2,7 @@
 //! override.
 //!
 //! The workspace's runtime switches (`NDSEARCH_NO_SIMD`,
-//! `NDSEARCH_EXEC_THREADS`, `NDSEARCH_NO_QUANT`, ...) historically grew
+//! `NDSEARCH_EXEC_THREADS`, ...) historically grew
 //! ad-hoc parsers with diverging whitespace and `"0"` semantics. Every
 //! switch now goes through the two helpers here:
 //!

@@ -57,10 +57,9 @@
 //! dedicated `rerank_ns` bucket. Inserts encode through the same trained
 //! quantizer, compaction re-packs the table, the QPT DRAM budget admits
 //! more residents (records shrink to code bytes), and quantized runs
-//! stay bit-identical across `exec_threads` and shard orders. Opt out
-//! at runtime with `NDSEARCH_NO_QUANT=1`. See the "Compressed-vector
-//! search & exact rerank" section of `docs/ARCHITECTURE.md` and
-//! `paper_figs quant`.
+//! stay bit-identical across `exec_threads` and shard orders. See the
+//! "Compressed-vector search & exact rerank" section of
+//! `docs/ARCHITECTURE.md` and `paper_figs quant`.
 //!
 //! ```
 //! use ndsearch::anns::index::GraphAnnsIndex;
@@ -93,8 +92,9 @@
 //! The cluster tier (`core::cluster`, with the
 //! [`vector::shard::ShardPlan`] partitioner) scales serving out across
 //! many simulated devices: per-shard deployments (own index, LUNCSR
-//! staging and flash device), queries scattered to every shard on one
-//! shared worker pool, per-shard top-k gathered by a deterministic
+//! staging and flash device), the single device's `QueryRequest`
+//! scattered to every shard on one shared worker pool (each shard seeds
+//! it at its own entry vertex), per-shard top-k gathered by a deterministic
 //! `(distance, global id)` merge, and updates routed to their owning
 //! shard. See the "Sharded serving" section of `docs/ARCHITECTURE.md`
 //! and `paper_figs cluster`.

@@ -18,9 +18,7 @@ use proptest::test_runner::{Config, TestRng};
 
 use ndsearch::anns::index::MutableIndex;
 use ndsearch::anns::vamana::{Vamana, VamanaParams};
-use ndsearch::core::cluster::{
-    ClusterEngine, ClusterQueryRequest, ReplicaPolicy, ReplicationConfig,
-};
+use ndsearch::core::cluster::{ClusterEngine, ReplicaPolicy, ReplicationConfig};
 use ndsearch::core::config::NdsConfig;
 use ndsearch::core::deploy::Deployment;
 use ndsearch::core::serve::{QueryRequest, ServeConfig, ServeEngine, UpdateRequest};
@@ -86,14 +84,20 @@ fn sharded_topk_is_element_identical_to_unsharded() {
             for shards in SHARD_COUNTS {
                 for policy in POLICIES {
                     let plan = ShardPlan::partition(n, shards, policy, plan_seed);
-                    let mut cluster =
-                        ClusterEngine::stage(&config, serve.clone(), plan, &base, vamana_builder);
+                    let mut cluster = ClusterEngine::stage_replicated(
+                        &config,
+                        serve.clone(),
+                        plan,
+                        ReplicationConfig::default(),
+                        &base,
+                        vamana_builder,
+                    );
                     for &t in &tombstones {
                         cluster.submit_update(UpdateRequest::delete_at(0, t));
                     }
                     cluster.run_to_completion();
                     for (_, qv) in queries.iter() {
-                        cluster.submit(ClusterQueryRequest::at(0, qv.to_vec()));
+                        cluster.submit(QueryRequest::at(0, qv.to_vec(), Vec::new()));
                     }
                     let report = cluster.run_to_completion();
                     prop_assert_eq!(report.updates_completed(), tombstones.len());
@@ -172,7 +176,7 @@ fn replicated_topk_is_element_identical_to_single_replica() {
                 }
                 cluster.run_to_completion();
                 for (_, qv) in queries.iter() {
-                    cluster.submit(ClusterQueryRequest::at(0, qv.to_vec()));
+                    cluster.submit(QueryRequest::at(0, qv.to_vec(), Vec::new()));
                 }
                 cluster.run_to_completion()
             };

@@ -8,7 +8,7 @@ use ndsearch::anns::index::{GraphAnnsIndex, MutableIndex, SearchParams};
 use ndsearch::anns::togg::{Togg, ToggParams};
 use ndsearch::anns::trace::BatchTrace;
 use ndsearch::anns::vamana::{Vamana, VamanaParams};
-use ndsearch::core::cluster::{ClusterEngine, ClusterQueryRequest};
+use ndsearch::core::cluster::{ClusterEngine, ReplicationConfig};
 use ndsearch::core::config::NdsConfig;
 use ndsearch::core::engine::NdsEngine;
 use ndsearch::core::pipeline::Prepared;
@@ -319,9 +319,11 @@ fn cluster_pipeline(
         ..ServeConfig::default()
     };
     let plan = ShardPlan::partition(base.len(), 4, ShardPolicy::BalancedSize, 0x5A);
-    let mut cluster = ClusterEngine::stage(&config, serve, plan, &base, build);
+    let replication = ReplicationConfig::default();
+    let mut cluster =
+        ClusterEngine::stage_replicated(&config, serve, plan, replication, &base, build);
     for (_, q) in queries.iter() {
-        cluster.submit(ClusterQueryRequest::at(0, q.to_vec()));
+        cluster.submit(QueryRequest::at(0, q.to_vec(), Vec::new()));
     }
     let report = cluster.run_to_completion();
     assert_eq!(
@@ -404,11 +406,13 @@ fn cluster_churn_mixed_queries_and_updates() {
         ..ServeConfig::default()
     };
     let plan = ShardPlan::partition(N_BASE, 4, ShardPolicy::BalancedSize, 0x5A);
-    let mut cluster = ClusterEngine::stage(&config, serve, plan, &base, |ds| {
-        let index = Vamana::build(ds, VamanaParams::default());
-        let entry = index.medoid();
-        (Box::new(index) as Box<dyn MutableIndex>, entry)
-    });
+    let replication = ReplicationConfig::default();
+    let mut cluster =
+        ClusterEngine::stage_replicated(&config, serve, plan, replication, &base, |ds| {
+            let index = Vamana::build(ds, VamanaParams::default());
+            let entry = index.medoid();
+            (Box::new(index) as Box<dyn MutableIndex>, entry)
+        });
 
     // ---- Churn: ingest the tail, tombstone every 9th base vector,
     // queries interleaved throughout. ----
@@ -423,7 +427,7 @@ fn cluster_churn_mixed_queries_and_updates() {
         cluster.submit_update(UpdateRequest::delete_at(i as u64 * 1_500, d));
     }
     for (i, (_, q)) in queries.iter().enumerate() {
-        cluster.submit(ClusterQueryRequest::at(i as u64 * 2_000, q.to_vec()));
+        cluster.submit(QueryRequest::at(i as u64 * 2_000, q.to_vec(), Vec::new()));
     }
     let churn = cluster.run_to_completion();
     assert_eq!(
@@ -439,7 +443,7 @@ fn cluster_churn_mixed_queries_and_updates() {
 
     // ---- Post-churn wave: results must reflect the live set. ----
     for (_, q) in queries.iter() {
-        cluster.submit(ClusterQueryRequest::at(0, q.to_vec()));
+        cluster.submit(QueryRequest::at(0, q.to_vec(), Vec::new()));
     }
     let after = cluster.run_to_completion();
     let wave = &after.outcomes[queries.len()..];

@@ -19,11 +19,10 @@ use proptest::test_runner::{Config, TestRng};
 use ndsearch::anns::index::MutableIndex;
 use ndsearch::anns::vamana::{Vamana, VamanaParams};
 use ndsearch::core::cluster::{
-    ClusterEngine, ClusterQueryRequest, ClusterReport, FailureSchedule, ReplicaPolicy,
-    ReplicationConfig,
+    ClusterEngine, ClusterReport, FailureSchedule, ReplicaPolicy, ReplicationConfig,
 };
 use ndsearch::core::config::NdsConfig;
-use ndsearch::core::serve::{ServeConfig, ServeEngine, UpdateRequest};
+use ndsearch::core::serve::{QueryRequest, ServeConfig, ServeEngine, UpdateRequest};
 use ndsearch::flash::timing::Nanos;
 use ndsearch::vector::quant::QuantSpec;
 use ndsearch::vector::shard::{ShardPlan, ShardPolicy};
@@ -67,9 +66,10 @@ fn submit_stream(
     n_inserts: usize,
 ) {
     for (i, (_, qv)) in queries.iter().enumerate() {
-        cluster.submit(ClusterQueryRequest::at(
+        cluster.submit(QueryRequest::at(
             i as Nanos * interarrival,
             qv.to_vec(),
+            Vec::new(),
         ));
     }
     for i in 0..n_inserts {
@@ -350,7 +350,15 @@ fn scenario_traffic_with_tenant_fairness_bit_identical_across_thread_counts() {
         let mut c = config.clone();
         c.exec_threads = threads;
         let plan = ShardPlan::partition(300, SHARDS, ShardPolicy::BalancedSize, 0x5A);
-        let mut cluster = ClusterEngine::stage(&c, serve.clone(), plan, &base, vamana_builder);
+        let replication = ReplicationConfig::default();
+        let mut cluster = ClusterEngine::stage_replicated(
+            &c,
+            serve.clone(),
+            plan,
+            replication,
+            &base,
+            vamana_builder,
+        );
         trace.submit_cluster(&mut cluster, &queries, &queries);
         cluster.run_to_completion()
     };

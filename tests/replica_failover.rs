@@ -6,11 +6,9 @@
 
 use ndsearch::anns::index::MutableIndex;
 use ndsearch::anns::vamana::{Vamana, VamanaParams};
-use ndsearch::core::cluster::{
-    ClusterEngine, ClusterQueryRequest, FailureSchedule, ReplicaPolicy, ReplicationConfig,
-};
+use ndsearch::core::cluster::{ClusterEngine, FailureSchedule, ReplicaPolicy, ReplicationConfig};
 use ndsearch::core::config::NdsConfig;
-use ndsearch::core::serve::ServeConfig;
+use ndsearch::core::serve::{QueryRequest, ServeConfig};
 use ndsearch::flash::timing::Nanos;
 use ndsearch::vector::recall::{ground_truth, recall_at_k};
 use ndsearch::vector::shard::{ShardPlan, ShardPolicy};
@@ -72,7 +70,11 @@ fn replica_kill_mid_run_fails_over_without_losing_queries() {
             vamana_builder,
         );
         for (i, (_, q)) in queries.iter().enumerate() {
-            cluster.submit(ClusterQueryRequest::at(i as Nanos * 50_000, q.to_vec()));
+            cluster.submit(QueryRequest::at(
+                i as Nanos * 50_000,
+                q.to_vec(),
+                Vec::new(),
+            ));
         }
         cluster.run_to_completion()
     };
@@ -115,7 +117,11 @@ fn hedged_cluster_rides_out_an_ecc_storm() {
     let mut cluster =
         ClusterEngine::stage_replicated(&config, serve(), plan, replication, &base, vamana_builder);
     for (i, (_, q)) in queries.iter().enumerate() {
-        cluster.submit(ClusterQueryRequest::at(i as Nanos * 50_000, q.to_vec()));
+        cluster.submit(QueryRequest::at(
+            i as Nanos * 50_000,
+            q.to_vec(),
+            Vec::new(),
+        ));
     }
     let report = cluster.run_to_completion();
     assert_eq!(report.completed(), queries.len());
@@ -149,7 +155,11 @@ fn hedged_cluster_rides_out_an_ecc_storm() {
             vamana_builder,
         );
         for (i, (_, q)) in queries.iter().enumerate() {
-            cluster.submit(ClusterQueryRequest::at(i as Nanos * 1_000_000, q.to_vec()));
+            cluster.submit(QueryRequest::at(
+                i as Nanos * 1_000_000,
+                q.to_vec(),
+                Vec::new(),
+            ));
         }
         let report = cluster.run_to_completion();
         assert_eq!(report.completed(), queries.len());
@@ -193,7 +203,7 @@ fn an_ecc_storm_slows_a_quantized_replica() {
         for round in 0..4 {
             for (i, (_, q)) in queries.iter().enumerate() {
                 let at = (round * queries.len() + i) as Nanos * 20_000;
-                cluster.submit(ClusterQueryRequest::at(at, q.to_vec()));
+                cluster.submit(QueryRequest::at(at, q.to_vec(), Vec::new()));
             }
         }
         cluster.run_to_completion()

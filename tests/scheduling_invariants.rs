@@ -306,9 +306,9 @@ fn deadline_boundary_is_exact_at_completion_and_expiry() {
 fn malformed_queries_are_rejected_beside_valid_ones() {
     // Every kind of malformed request — a dimension one short or one
     // long, a NaN or infinite component, no entry vertex, an entry at or
-    // past the dataset's end — is `Rejected` at its arrival, the run
-    // drains, and the valid queries come back exactly as in a run
-    // without the bad requests.
+    // past the dataset's end, a top-k of 0 — is `Rejected` at its
+    // arrival, the run drains, and the valid queries come back exactly
+    // as in a run without the bad requests.
     let (fx, queries, medoid) = serve_setup();
     let prepared = Prepared::stage(
         &fx.config,
@@ -317,14 +317,16 @@ fn malformed_queries_are_rejected_beside_valid_ones() {
         &ndsearch::anns::trace::BatchTrace::default(),
     );
     let q = queries.vector(0);
+    let request = |query: Vec<f32>, entries| QueryRequest::at(0, query, entries);
     let bad = [
-        (q[1..].to_vec(), vec![medoid]),
-        ([q, &[0.5]].concat(), vec![medoid]),
-        ([&q[..3], &[f32::NAN], &q[4..]].concat(), vec![medoid]),
-        ([&q[1..], &[f32::INFINITY]].concat(), vec![medoid]),
-        (q.to_vec(), vec![]),
-        (q.to_vec(), vec![1_000_000]),
-        (q.to_vec(), vec![medoid, fx.base.len() as u32]),
+        request(q[1..].to_vec(), vec![medoid]),
+        request([q, &[0.5]].concat(), vec![medoid]),
+        request([&q[..3], &[f32::NAN], &q[4..]].concat(), vec![medoid]),
+        request([&q[1..], &[f32::INFINITY]].concat(), vec![medoid]),
+        request(q.to_vec(), vec![]),
+        request(q.to_vec(), vec![1_000_000]),
+        request(q.to_vec(), vec![medoid, fx.base.len() as u32]),
+        request(q.to_vec(), vec![medoid]).top_k(0),
     ];
     let run = |with_bad: bool| {
         let serve = ServeConfig {
@@ -335,8 +337,12 @@ fn malformed_queries_are_rejected_beside_valid_ones() {
         let (mut valid, mut rejected) = (Vec::new(), Vec::new());
         for (i, (_, v)) in queries.iter().enumerate() {
             let at = i as u64 * 2_000;
-            if let Some((query, entries)) = bad.get(i).filter(|_| with_bad) {
-                rejected.push(engine.submit(QueryRequest::at(at, query.clone(), entries.clone())));
+            if let Some(req) = bad.get(i).filter(|_| with_bad) {
+                let req = QueryRequest {
+                    arrival_ns: at,
+                    ..req.clone()
+                };
+                rejected.push(engine.submit(req));
             }
             valid.push(engine.submit(QueryRequest::at(at, v.to_vec(), vec![medoid])));
         }

@@ -10,9 +10,7 @@ use std::collections::BTreeMap;
 
 use ndsearch::anns::index::{GraphAnnsIndex, MutableIndex};
 use ndsearch::anns::vamana::{Vamana, VamanaParams};
-use ndsearch::core::cluster::{
-    ClusterEngine, ClusterQueryRequest, FailureSchedule, ReplicationConfig,
-};
+use ndsearch::core::cluster::{ClusterEngine, FailureSchedule, ReplicationConfig};
 use ndsearch::core::config::NdsConfig;
 use ndsearch::core::deploy::CompactionReport;
 use ndsearch::core::pipeline::Prepared;
@@ -134,9 +132,10 @@ fn run_day(exec_threads: usize) -> (ClusterReport, Vec<CompactionReport>, Vec<Tr
     // ---- Phase C: the closing audit — every benchmark query, no
     // deadline, after all churn has drained. ----
     for (i, (_, q)) in audit.iter().enumerate() {
-        cluster.submit(ClusterQueryRequest::at(
+        cluster.submit(QueryRequest::at(
             3 * HOUR + i as Nanos * 50_000,
             q.to_vec(),
+            Vec::new(),
         ));
     }
     let report = cluster.run_to_completion();
