@@ -75,8 +75,6 @@ pub enum AnnsAlgorithm {
     Hcnng,
     /// Two-stage routing on a proximity graph.
     Togg,
-    /// Exact brute force (baseline / ground truth).
-    BruteForce,
 }
 
 impl std::fmt::Display for AnnsAlgorithm {
@@ -86,7 +84,6 @@ impl std::fmt::Display for AnnsAlgorithm {
             AnnsAlgorithm::DiskAnn => "DiskANN",
             AnnsAlgorithm::Hcnng => "HCNNG",
             AnnsAlgorithm::Togg => "TOGG",
-            AnnsAlgorithm::BruteForce => "BruteForce",
         };
         f.write_str(s)
     }

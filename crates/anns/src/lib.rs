@@ -20,8 +20,10 @@
 //!   serving layer can interleave many in-flight queries;
 //! * [`trace`] — per-query, per-iteration visited-vertex traces;
 //! * [`bitonic`] — the bitonic sorting network offloaded to the FPGA in
-//!   NDSEARCH, with comparator/stage counts for the timing model;
-//! * [`bruteforce`] — exact search, used for ground truth and recall.
+//!   NDSEARCH, with comparator/stage counts for the timing model.
+//!
+//! Exact search for ground truth and recall lives in
+//! `ndsearch_vector::recall`, not here: it is a scan, not an index.
 //!
 //! # Example
 //!
@@ -40,7 +42,6 @@
 
 pub mod beam;
 pub mod bitonic;
-pub mod bruteforce;
 mod build;
 pub mod hcnng;
 pub mod hnsw;

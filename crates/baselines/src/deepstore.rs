@@ -23,7 +23,7 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use ndsearch_core::config::{NdsConfig, SchedulingConfig};
+use ndsearch_core::config::{NdsConfig, SchedulingConfig, HOST_LINK};
 use ndsearch_core::pipeline::Prepared;
 use ndsearch_flash::timing::Nanos;
 use ndsearch_graph::mapping::PlacementPolicy;
@@ -191,7 +191,7 @@ impl Platform for DeepStorePlatform {
         // Results return to the host for sorting.
         let nq = scenario.batch() as u64;
         let result_bytes = nq * 64 * 8;
-        let t_results = config.host_link.transfer_ns(result_bytes);
+        let t_results = HOST_LINK.transfer_ns(result_bytes);
         let sort_ns = nq * self.t_sort_per_query_ns + t_results;
         total += sort_ns;
 

@@ -519,8 +519,9 @@ fn fig17(ws: &mut Workloads, scale: Scale) -> Vec<Table> {
 }
 
 /// (a) raw-BER histogram of SearSSD's 512 planes; (b) HNSW latency with
-/// the hard-decision failure probability forced to 30 / 10 / 5 / 1 %,
-/// normalized to the 1 % default.
+/// the hard-decision failure probability forced to each point of
+/// [`EccConfig::failure_sweep`] (30 / 10 / 5 / 1 %), normalized to the
+/// 1 % default.
 fn fig18(ws: &mut Workloads, scale: Scale) -> Vec<Table> {
     let engine = EccEngine::new(&FlashGeometry::searssd_default(), EccConfig::default());
     let edges = [2.5e-7, 5e-7, 1e-6, 2e-6, 4e-6, 8e-6];
@@ -540,6 +541,7 @@ fn fig18(ws: &mut Workloads, scale: Scale) -> Vec<Table> {
         ],
     );
 
+    let sweep = EccConfig::failure_sweep();
     let row = |bench: BenchmarkId| {
         let w = ws.get(bench, AnnsAlgorithm::Hnsw, scale.batch);
         let total_ns = |hard_decision_failure_prob| {
@@ -553,15 +555,16 @@ fn fig18(ws: &mut Workloads, scale: Scale) -> Vec<Table> {
             };
             w.run_config(&config).total_ns as f64
         };
-        let base = total_ns(0.01);
-        let slowdowns = [0.30, 0.10, 0.05, 0.01].map(|p| f(total_ns(p) / base, 3));
+        let base = total_ns(EccConfig::default().hard_decision_failure_prob);
+        let slowdowns = sweep.map(|p| f(total_ns(p) / base, 3));
         std::iter::once(bench.to_string())
             .chain(slowdowns)
             .collect()
     };
+    let headers = sweep.map(|p| format!("{}%", (p * 100.0).round()));
     let latency = Table::new(
         "Fig. 18b: normalized HNSW latency vs hard-decision failure prob",
-        ["dataset", "30%", "10%", "5%", "1%"],
+        std::iter::once("dataset".to_string()).chain(headers),
         BenchmarkId::ALL.map(row).into(),
     );
     vec![bers, latency]

@@ -183,9 +183,6 @@ impl Workloads {
                 AnnsAlgorithm::DiskAnn => Box::new(Vamana::build(&base, VamanaParams::default())),
                 AnnsAlgorithm::Hcnng => Box::new(Hcnng::build(&base, HcnngParams::default())),
                 AnnsAlgorithm::Togg => Box::new(Togg::build(&base, ToggParams::default())),
-                AnnsAlgorithm::BruteForce => {
-                    Box::new(ndsearch_anns::bruteforce::BruteForce::new(base.len()))
-                }
             };
             Built {
                 base,

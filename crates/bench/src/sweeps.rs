@@ -360,9 +360,9 @@ pub(crate) fn cluster(_: &mut Workloads, scale: Scale) -> Vec<Table> {
     vec![sweep, churn]
 }
 
-/// Replication: round-robin, least-loaded and hedged routing with replica
-/// 0 of each of 2 shards under an ECC storm, against a healthy baseline;
-/// then a mid-run device loss on 4 shards × 2 replicas. A low-load open
+/// Replication: round-robin and hedged routing with replica 0 of each of
+/// 2 shards under an ECC storm, against a healthy baseline; then a
+/// mid-run device loss on 4 shards × 2 replicas. A low-load open
 /// wave (one query per millisecond), so the straggler's service time, not
 /// admission queueing, sets the tail: QPS is bounded by the arrival rate.
 pub(crate) fn replica(_: &mut Workloads, scale: Scale) -> Vec<Table> {
@@ -417,11 +417,6 @@ pub(crate) fn replica(_: &mut Workloads, scale: Scale) -> Vec<Table> {
             "round_robin",
             "storm",
             run(2, stormed(ReplicaPolicy::RoundRobin)),
-        ),
-        (
-            "least_loaded",
-            "storm",
-            run(2, stormed(ReplicaPolicy::LeastLoaded)),
         ),
         (
             "hedged",

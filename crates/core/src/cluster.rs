@@ -48,8 +48,6 @@
 //! shard by [`ReplicaPolicy`]:
 //!
 //! * `RoundRobin` — cycle through alive replicas per shard;
-//! * `LeastLoaded` — the alive replica with the fewest outstanding
-//!   sessions at submission time (ties → lowest index);
 //! * `Hedged { delay_ns }` — round-robin primary, plus a backup copy of
 //!   the session fired on the *next* alive replica once the primary has
 //!   been outstanding for `delay_ns` without finishing; the first
@@ -172,12 +170,6 @@ pub enum ReplicaPolicy {
     /// Cycle through alive replicas in index order, one per scattered
     /// session.
     RoundRobin,
-    /// The alive replica with the fewest outstanding (non-terminal)
-    /// sessions at submission time ([`ServeEngine::outstanding`]); ties
-    /// break to the lowest index. With submit-then-run usage this
-    /// balances outstanding counts; it diverges from round-robin once
-    /// failovers or interleaved submission skew the queues.
-    LeastLoaded,
     /// Round-robin primary plus a *hedge*: if the primary session is
     /// still unfinished `delay_ns` after its arrival, an identical
     /// backup session fires on the next alive replica and the first
@@ -382,8 +374,9 @@ pub struct ShardBreakdown {
     pub hedge_wins: usize,
     /// Fraction of the run's span (first arrival → last completion) the
     /// shard's replicas were up, averaged over replicas: 1.0 with no
-    /// kills, in `(0, 1]` otherwise (a replica killed at time `t`
-    /// contributes `t / span`).
+    /// kills, in `[0, 1]` otherwise (a replica killed at time `t`
+    /// contributes `(clamp(t, first, last) − first) / span`, so a kill
+    /// before the first arrival counts the replica as never up).
     pub availability: f64,
     /// Per-replica device reports.
     pub replicas: Vec<ReplicaBreakdown>,
@@ -552,23 +545,15 @@ impl Shard<'_> {
             .find(|&i| self.replicas[i].alive)
     }
 
-    /// Picks the replica a new primary session routes to, or `None` when
+    /// Picks the replica a new primary session routes to — the next alive
+    /// one in round-robin order, under either policy — or `None` when
     /// every replica is dead.
-    fn route_query(&mut self, policy: ReplicaPolicy) -> Option<usize> {
+    fn route_query(&mut self) -> Option<usize> {
         let replicas = &self.replicas;
         let mut alive = (0..replicas.len()).filter(|&r| replicas[r].alive);
-        match policy {
-            ReplicaPolicy::RoundRobin | ReplicaPolicy::Hedged { .. } => {
-                let turn = self.cursor.checked_rem(alive.clone().count())?;
-                self.cursor += 1;
-                alive.nth(turn)
-            }
-            // Every session on a replica engine was routed to it
-            // (primaries, hedges and failover re-seeds alike).
-            ReplicaPolicy::LeastLoaded => {
-                alive.min_by_key(|&r| (replicas[r].engine.outstanding(), r))
-            }
-        }
+        let turn = self.cursor.checked_rem(alive.clone().count())?;
+        self.cursor += 1;
+        alive.nth(turn)
     }
 }
 
@@ -795,11 +780,11 @@ impl<'a> ClusterEngine<'a> {
             .map(|r| &*r.engine)
     }
 
-    /// Scatters one query session to every staged shard — on the replica
-    /// the policy picks — and returns the cluster id. Each shard's copy
-    /// (and every hedge or failover copy) is seeded at that shard's own
-    /// entry vertex, overwriting `req.entries`, and keeps the request's
-    /// deadline and tenant; `req.k` bounds the merged list. Shards whose
+    /// Scatters one query session to every staged shard — on the next
+    /// alive replica in round-robin order — and returns the cluster id.
+    /// Each shard's copy (and every hedge or failover copy) is seeded at
+    /// that shard's own entry vertex, overwriting `req.entries`, and
+    /// keeps the request's deadline and tenant; `req.k` bounds the merged list. Shards whose
     /// replicas are all dead are skipped (the cluster outcome then never
     /// completes, mirroring a real partial outage).
     pub fn submit(&mut self, req: QueryRequest) -> ClusterQueryId {
@@ -810,7 +795,7 @@ impl<'a> ClusterEngine<'a> {
             .iter_mut()
             .map(|slot| {
                 let shard = slot.as_mut()?;
-                let replica = shard.route_query(policy)?;
+                let replica = shard.route_query()?;
                 let query = shard.replicas[replica].submit(&req, req.arrival_ns);
                 Some(ScatterShard {
                     primary: ShardSession { replica, query },
@@ -1436,6 +1421,8 @@ impl<'a> ClusterEngine<'a> {
             .chain(self.resolved.iter().map(|o| o.completed_ns))
             .max()
             .unwrap_or(0);
+        let first_arrival = first_arrival.unwrap_or(0);
+        let makespan_ns = last_completion.saturating_sub(first_arrival);
 
         let shards: Vec<ShardBreakdown> = reports
             .into_iter()
@@ -1454,14 +1441,17 @@ impl<'a> ClusterEngine<'a> {
                         report,
                     })
                     .collect();
-                let availability = if last_completion == 0 {
+                let availability = if makespan_ns == 0 {
                     1.0
                 } else {
                     replicas
                         .iter()
                         .map(|r| match r.killed_ns {
                             None => 1.0,
-                            Some(t) => t.min(last_completion) as f64 / last_completion as f64,
+                            Some(t) => {
+                                let up = t.clamp(first_arrival, last_completion) - first_arrival;
+                                up as f64 / makespan_ns as f64
+                            }
                         })
                         .sum::<f64>()
                         / replicas.len() as f64
@@ -1483,7 +1473,7 @@ impl<'a> ClusterEngine<'a> {
             outcomes,
             update_outcomes: self.resolved.clone(),
             shards,
-            makespan_ns: last_completion.saturating_sub(first_arrival.unwrap_or(0)),
+            makespan_ns,
             wall_s: self.wall.as_secs_f64(),
         }
     }
@@ -1866,7 +1856,6 @@ mod tests {
         };
         for policy in [
             ReplicaPolicy::RoundRobin,
-            ReplicaPolicy::LeastLoaded,
             ReplicaPolicy::Hedged { delay_ns: 50_000 },
         ] {
             let plan = ShardPlan::partition(base.len(), 2, ShardPolicy::BalancedSize, 0);
@@ -1908,26 +1897,6 @@ mod tests {
     }
 
     #[test]
-    fn least_loaded_balances_outstanding_sessions() {
-        let (config, base, queries) = fixture(250, 9);
-        let plan = ShardPlan::partition(base.len(), 1, ShardPolicy::BalancedSize, 0);
-        let replication = ReplicationConfig::replicated(3).with_policy(ReplicaPolicy::LeastLoaded);
-        let mut cluster = stage_vamana(&config, plan, replication, &base);
-        for (_, q) in queries.iter() {
-            cluster.submit(QueryRequest::at(0, q.to_vec(), Vec::new()));
-        }
-        let report = cluster.run_to_completion();
-        assert_eq!(report.completed(), 9);
-        for r in &report.shards[0].replicas {
-            assert_eq!(
-                r.report.outcomes.len(),
-                3,
-                "outstanding counts must balance"
-            );
-        }
-    }
-
-    #[test]
     fn kill_fails_over_inflight_sessions_to_survivor() {
         let (config, base, queries) = fixture(300, 10);
         let make = |base: &Dataset| {
@@ -1960,6 +1929,30 @@ mod tests {
             run(make(&base)),
             "failover run must be deterministic"
         );
+    }
+
+    #[test]
+    fn availability_spans_first_arrival_to_last_completion() {
+        // Traffic starts at 5 ms: the time before it is not uptime.
+        let (config, base, queries) = fixture(250, 10);
+        let first: Nanos = 5_000_000;
+        let kill_at = first + 900_000;
+        let plan = ShardPlan::partition(base.len(), 1, ShardPolicy::BalancedSize, 0);
+        let replication = ReplicationConfig::replicated(2)
+            .with_failures(FailureSchedule::new().kill(kill_at, 0, 0));
+        let mut cluster = stage_vamana(&config, plan, replication, &base);
+        for (i, (_, q)) in queries.iter().enumerate() {
+            let arrival = first + i as Nanos * 200_000;
+            cluster.submit(QueryRequest::at(arrival, q.to_vec(), Vec::new()));
+        }
+        let report = cluster.run_to_completion();
+        assert_eq!(report.completed(), 10);
+        assert_eq!(report.shards[0].replicas[0].killed_ns, Some(kill_at));
+        let span = report.makespan_ns;
+        assert!(kill_at - first < span, "the kill must land mid-span");
+        let expected = ((kill_at - first) as f64 / span as f64 + 1.0) / 2.0;
+        let got = report.shards[0].availability;
+        assert!((got - expected).abs() < 1e-12, "{got} vs {expected}");
     }
 
     #[test]

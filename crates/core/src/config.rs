@@ -1,8 +1,10 @@
 //! NDSEARCH configuration.
 //!
 //! [`NdsConfig`] configures the simulated *device* (geometry, timing,
-//! ECC, scheduling techniques, executor threads). Serving-layer policy —
-//! admission, deadlines and the SLO scheduling of
+//! ECC, scheduling techniques, executor threads). The device parameters
+//! no experiment varies — Table I's MAC lanes, the FPGA sorter, the
+//! result-list format and both PCIe links — are this module's constants.
+//! Serving-layer policy — admission, deadlines and the SLO scheduling of
 //! [`crate::serve::SloPolicy`] — lives on [`crate::serve::ServeConfig`],
 //! and workload shape (arrival models, tenant mixes) on
 //! [`crate::traffic::Scenario`].
@@ -85,6 +87,26 @@ impl Default for SchedulingConfig {
     }
 }
 
+/// MAC groups per LUN accelerator (Table I: 2).
+pub const MAC_GROUPS: u32 = 2;
+/// MACs per group (Table I: 2 MACs each).
+pub const MACS_PER_GROUP: u32 = 2;
+/// MAC lanes per LUN accelerator: elements scored per cycle.
+pub const MAC_LANES: u32 = MAC_GROUPS * MACS_PER_GROUP;
+/// Parallel bitonic sorter instances on the FPGA.
+pub const FPGA_SORTERS: u32 = 16;
+/// FPGA clock in Hz.
+pub const FPGA_CLOCK_HZ: f64 = 200e6;
+/// Bytes per result-list entry (id + distance): what a LUN unit sends over
+/// its channel per computed distance, and what crosses the FPGA link.
+pub const RESULT_ENTRY_BYTES: u32 = 8;
+/// Result-list entries per query shipped to the FPGA sorter.
+pub const RESULT_LIST_ENTRIES: usize = 64;
+/// Host PCIe link (queries in, top-k out): PCIe 3.0 ×16.
+pub const HOST_LINK: PcieLink = PcieLink::gen3_x16();
+/// Private SSD↔FPGA link for result lists: PCIe 3.0 ×4.
+pub const FPGA_LINK: PcieLink = PcieLink::gen3_x4();
+
 /// Full NDSEARCH system configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NdsConfig {
@@ -92,26 +114,10 @@ pub struct NdsConfig {
     pub geometry: FlashGeometry,
     /// NAND / internal timing parameters.
     pub timing: FlashTiming,
-    /// Host PCIe link (queries in, top-k out).
-    pub host_link: PcieLink,
-    /// Private SSD↔FPGA link for result lists (PCIe 3.0 ×4).
-    pub fpga_link: PcieLink,
     /// ECC model parameters.
     pub ecc: EccConfig,
     /// Scheduling toggles.
     pub scheduling: SchedulingConfig,
-    /// MAC groups per LUN accelerator (Table I: 2).
-    pub mac_groups: u32,
-    /// MACs per group (Table I: 2 MACs each).
-    pub macs_per_group: u32,
-    /// Parallel sorter instances on the FPGA.
-    pub fpga_sorters: u32,
-    /// FPGA clock in Hz.
-    pub fpga_clock_hz: f64,
-    /// Bytes per result-list entry crossing the FPGA link (id + distance).
-    pub result_entry_bytes: u32,
-    /// Result-list entries per query shipped to the FPGA sorter.
-    pub result_list_entries: usize,
     /// Batch capacity before a batch must be split into sub-batches
     /// (§VII-B "Batch size": resources bound ~4096 under the power budget).
     pub max_batch_inflight: usize,
@@ -148,16 +154,8 @@ impl Default for NdsConfig {
         Self {
             geometry: FlashGeometry::searssd_default(),
             timing: FlashTiming::default(),
-            host_link: PcieLink::gen3_x16(),
-            fpga_link: PcieLink::gen3_x4(),
             ecc: EccConfig::default(),
             scheduling: SchedulingConfig::full(),
-            mac_groups: 2,
-            macs_per_group: 2,
-            fpga_sorters: 16,
-            fpga_clock_hz: 200e6,
-            result_entry_bytes: 8,
-            result_list_entries: 64,
             max_batch_inflight: 4096,
             refresh_read_threshold: 0,
             spec_budget_factor: 1.0,
@@ -191,11 +189,6 @@ impl NdsConfig {
             ..base
         }
     }
-
-    /// MAC lanes per LUN accelerator (elements per cycle).
-    pub fn mac_lanes(&self) -> u32 {
-        self.mac_groups * self.macs_per_group
-    }
 }
 
 /// Scales page size and per-plane page count to the dataset (see
@@ -227,7 +220,7 @@ mod tests {
     fn default_matches_paper_searssd() {
         let c = NdsConfig::default();
         assert_eq!(c.geometry.total_luns(), 256);
-        assert_eq!(c.mac_lanes(), 4);
+        assert_eq!(MAC_LANES, 4);
         assert_eq!(c.max_batch_inflight, 4096);
     }
 

@@ -127,11 +127,6 @@ impl PowerModel {
     pub fn qps_per_watt(&self, report: &NdsReport) -> f64 {
         report.qps() / (self.ndsearch_total_w() + self.ssd_device_w)
     }
-
-    /// Energy consumed by a batch in joules (power × time).
-    pub fn batch_energy_j(&self, report: &NdsReport) -> f64 {
-        (self.ndsearch_total_w() + self.ssd_device_w) * report.total_ns as f64 / 1e9
-    }
 }
 
 #[cfg(test)]
@@ -167,6 +162,5 @@ mod tests {
             ..NdsReport::default()
         };
         assert!(p.qps_per_watt(&fast) > 9.0 * p.qps_per_watt(&slow));
-        assert!(p.batch_energy_j(&slow) > p.batch_energy_j(&fast));
     }
 }

@@ -33,7 +33,10 @@ use ndsearch_graph::luncsr::LunCsr;
 use ndsearch_vector::VectorId;
 
 use crate::alloc::{Allocator, RoundArena, VertexTask};
-use crate::config::NdsConfig;
+use crate::config::{
+    NdsConfig, FPGA_CLOCK_HZ, FPGA_LINK, FPGA_SORTERS, HOST_LINK, RESULT_ENTRY_BYTES,
+    RESULT_LIST_ENTRIES,
+};
 use crate::pipeline::Prepared;
 use crate::qpt::QueryPropertyTable;
 use crate::report::{LatencyBreakdown, NdsReport};
@@ -295,15 +298,15 @@ impl SortingTail {
 /// each: result lists cross the FPGA link, sort in
 /// `ceil(nq / sorters)` bitonic waves, and `k` (id, distance) pairs per
 /// query return over the host link.
-pub(crate) fn sorting_tail(config: &NdsConfig, nq: u64, k: usize) -> SortingTail {
-    let list_bytes = nq * config.result_list_entries as u64 * u64::from(config.result_entry_bytes);
-    let fpga_ns = config.fpga_link.transfer_ns(list_bytes);
-    let stages = BitonicStats::stages_for(config.result_list_entries.next_power_of_two());
-    let period_ns = (1e9 / config.fpga_clock_hz).ceil() as u64;
-    let waves = nq.div_ceil(u64::from(config.fpga_sorters.max(1)));
+pub(crate) fn sorting_tail(nq: u64, k: usize) -> SortingTail {
+    let list_bytes = nq * RESULT_LIST_ENTRIES as u64 * u64::from(RESULT_ENTRY_BYTES);
+    let fpga_ns = FPGA_LINK.transfer_ns(list_bytes);
+    let stages = BitonicStats::stages_for(RESULT_LIST_ENTRIES.next_power_of_two());
+    let period_ns = (1e9 / FPGA_CLOCK_HZ).ceil() as u64;
+    let waves = nq.div_ceil(u64::from(FPGA_SORTERS));
     let sort_ns = waves * u64::from(stages) * period_ns;
     let out_bytes = nq * k as u64 * 8;
-    let out_ns = config.host_link.transfer_ns(out_bytes);
+    let out_ns = HOST_LINK.transfer_ns(out_bytes);
     SortingTail {
         fpga_ns,
         sort_ns,
@@ -386,12 +389,12 @@ impl<'a> NdsEngine<'a> {
 
         // Host → SSD: query vectors + descriptors over PCIe.
         let in_bytes = nq as u64 * (prepared.vector_bytes as u64 + 16);
-        let t_in = config.host_link.transfer_ns(in_bytes);
+        let t_in = HOST_LINK.transfer_ns(in_bytes);
         stats.pcie_bytes += in_bytes;
         breakdown.pcie_ns += t_in;
         total += t_in;
 
-        let qpt = QueryPropertyTable::new(nq, prepared.vector_bytes, config.result_list_entries);
+        let qpt = QueryPropertyTable::new(nq, prepared.vector_bytes, RESULT_LIST_ENTRIES);
         // Per query: last round's prefetch picks. Membership tests go
         // through one dense stamped set shared by all queries.
         let speculative = config.scheduling.speculative;
@@ -513,7 +516,7 @@ impl<'a> NdsEngine<'a> {
         }
 
         // ---- Sorting stage: SSD → FPGA → host (top-10 returned). ----
-        let tail = sorting_tail(config, nq as u64, 10);
+        let tail = sorting_tail(nq as u64, 10);
         stats.pcie_bytes += tail.pcie_bytes;
         breakdown.bitonic_ns += tail.sort_ns;
         breakdown.pcie_ns += tail.fpga_ns + tail.out_ns;

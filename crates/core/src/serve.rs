@@ -116,7 +116,7 @@ use ndsearch_vector::dataset::Dataset;
 use ndsearch_vector::topk::Neighbor;
 use ndsearch_vector::{DistanceKind, VectorId};
 
-use crate::config::NdsConfig;
+use crate::config::{NdsConfig, HOST_LINK, MAC_LANES, RESULT_LIST_ENTRIES};
 use crate::deploy::{Deployment, UpdateTotals};
 use crate::engine::{
     execute_round, run_lun_units, sorting_tail, unit_channel_ns, LunCoverage, RoundScratch,
@@ -738,11 +738,8 @@ impl<'a> ServeEngine<'a> {
         let qpt_vector_bytes = deploy
             .codes()
             .map_or(deploy.prepared().vector_bytes, |c| c.code_bytes());
-        let qpt = QueryPropertyTable::new(
-            serve.max_inflight,
-            qpt_vector_bytes,
-            config.result_list_entries,
-        );
+        let qpt =
+            QueryPropertyTable::new(serve.max_inflight, qpt_vector_bytes, RESULT_LIST_ENTRIES);
         Self {
             config,
             serve,
@@ -872,18 +869,6 @@ impl<'a> ServeEngine<'a> {
     /// Current state of a session.
     pub fn poll(&self, id: QueryId) -> SessionState {
         self.sessions[id].outcome.state
-    }
-
-    /// Current state of an update session.
-    pub fn poll_update(&self, id: UpdateId) -> SessionState {
-        self.update_sessions[id].outcome.state
-    }
-
-    /// Final (or partial, if expired) results of a terminal session;
-    /// `None` while it is still pending/queued/running.
-    pub fn results(&self, id: QueryId) -> Option<&[Neighbor]> {
-        let o = &self.sessions[id].outcome;
-        o.state.is_terminal().then_some(&o.results[..])
     }
 
     /// Current simulated time.
@@ -1059,9 +1044,9 @@ impl<'a> ServeEngine<'a> {
         let dram_ns = timing
             .dram_transfer_ns(code_traffic + self.qpt.gather_traffic_bytes(active, new_distances));
         // Decode+MAC on the accelerator: dim elements per eval over the
-        // configured MAC lanes.
+        // MAC lanes.
         let dim = codes.quantizer().dim() as u64;
-        let lanes = u64::from(self.config.mac_lanes()).max(1);
+        let lanes = u64::from(MAC_LANES);
         let compute_ns = timing.accel_cycles_ns(new_distances * dim.div_ceil(lanes));
         let embedded_ns = active as u64 * timing.t_embedded_op_ns;
         self.breakdown.dram_ns += dram_ns;
@@ -1133,7 +1118,7 @@ impl<'a> ServeEngine<'a> {
     /// The tail overlaps subsequent search rounds (§V), so it extends the
     /// query's completion time but not the scheduler clock.
     fn completion_tail_ns(&mut self) -> Nanos {
-        let tail = sorting_tail(self.config, 1, self.serve.k);
+        let tail = sorting_tail(1, self.serve.k);
         self.stats.pcie_bytes += tail.pcie_bytes;
         self.breakdown.bitonic_ns += tail.sort_ns;
         self.breakdown.pcie_ns += tail.fpga_ns + tail.out_ns;
@@ -1231,7 +1216,7 @@ impl<'a> ServeEngine<'a> {
                 beam_width,
                 distance,
             ));
-            t_in += self.config.host_link.transfer_ns(admit_bytes);
+            t_in += HOST_LINK.transfer_ns(admit_bytes);
             self.stats.pcie_bytes += admit_bytes;
             self.inflight.push(id);
         }
@@ -1668,7 +1653,7 @@ mod tests {
             qpt_dram_budget_bytes: 2 * QueryPropertyTable::new(
                 64,
                 prepared.vector_bytes,
-                fx.config.result_list_entries,
+                RESULT_LIST_ENTRIES,
             )
             .record_bytes(),
             ..ServeConfig::default()
@@ -1698,13 +1683,12 @@ mod tests {
             vec![fx.medoid],
         ));
         assert_eq!(engine.poll(id), SessionState::Pending);
-        assert!(engine.results(id).is_none());
         assert!(engine.step_round()); // fast-forwards to the arrival
         assert_eq!(engine.poll(id), SessionState::Running);
         while engine.step_round() {}
         assert_eq!(engine.poll(id), SessionState::Completed);
-        assert_eq!(engine.results(id).unwrap().len(), 10);
         let report = engine.report();
+        assert_eq!(report.outcomes[id].results.len(), 10);
         // Makespan is measured from the first arrival, not from t=0: the
         // idle prefix before the query arrived must not dilute QPS.
         assert_eq!(report.makespan_ns, report.outcomes[0].completed_ns - 5_000);
@@ -1798,8 +1782,8 @@ mod tests {
             vec![fx.medoid],
         ));
         let report = engine.run_to_completion();
-        assert_eq!(engine.poll_update(del), SessionState::Completed);
-        assert_eq!(engine.poll(q), SessionState::Completed);
+        assert_eq!(report.update_outcomes[del].state, SessionState::Completed);
+        assert_eq!(report.outcomes[q].state, SessionState::Completed);
         assert!(
             !report.outcomes[q].results.iter().any(|n| n.id == top),
             "tombstoned vertex leaked into results"
@@ -1840,8 +1824,8 @@ mod tests {
             &fx.graph,
         );
         let id = engine.submit_update(UpdateRequest::delete_at(0, 3));
-        assert_eq!(engine.poll_update(id), SessionState::Rejected);
         let report = engine.run_to_completion();
+        assert_eq!(report.update_outcomes[id].state, SessionState::Rejected);
         assert_eq!(report.updates_rejected(), 1);
         assert_eq!(report.updates.deletes, 0);
     }

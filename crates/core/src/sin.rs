@@ -14,7 +14,7 @@
 //!   decided by the *placement* policy — the `mp` knob);
 //! * the MAC groups stream needed vectors out of the page buffer at the
 //!   internal bandwidth and compute `dim` MACs per vector across the
-//!   configured lanes.
+//!   [`MAC_LANES`].
 
 use std::cell::RefCell;
 
@@ -25,7 +25,7 @@ use ndsearch_flash::timing::Nanos;
 use ndsearch_graph::luncsr::LunCsr;
 
 use crate::alloc::{LunWork, VertexTask};
-use crate::config::NdsConfig;
+use crate::config::{NdsConfig, MAC_LANES, RESULT_ENTRY_BYTES};
 
 /// Result of one LUN accelerator processing one iteration's work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -257,7 +257,7 @@ fn process_with(
     //    its counter-indexed failure stream, so a plane's decodes draw the
     //    same decisions whichever order the planes are visited in.
     let sense_ns = sense_ops * timing.t_read_page_ns;
-    let lanes_per_plane = (u64::from(config.mac_lanes()) / u64::from(geom.planes_per_lun)).max(1);
+    let lanes_per_plane = (u64::from(MAC_LANES) / u64::from(geom.planes_per_lun)).max(1);
     let mut ecc_pass = ecc.begin_lun_pass();
     let (mut ecc_ns, mut compute_ns): (Nanos, Nanos) = (0, 0);
     for acc in planes.iter() {
@@ -275,7 +275,7 @@ fn process_with(
     let busy_ns = sense_ns + ecc_ns + compute_ns;
 
     // 4. Stats — accumulated into a fresh delta, not engine-wide state.
-    let result_bytes = non_speculative * u64::from(config.result_entry_bytes);
+    let result_bytes = non_speculative * u64::from(RESULT_ENTRY_BYTES);
     let stats_delta = FlashStats {
         page_reads: page_loads,
         search_ops: sense_ops,

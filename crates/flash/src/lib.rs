@@ -7,9 +7,6 @@
 //! * the physical hierarchy — channels → chips → LUNs → planes → blocks →
 //!   pages ([`geometry::FlashGeometry`]) with ONFI-style row/column
 //!   addressing ([`geometry::PhysAddr`]);
-//! * the command set, including the paper's modified `<SearchPage>`
-//!   instruction and the multi-LUN read/search workflows of Fig. 9
-//!   ([`command`]);
 //! * timing ([`timing::FlashTiming`]) — page sense time, channel bus
 //!   transfer, the ~30 µs page-buffer→external-accelerator penalty that
 //!   motivates in-LUN compute, and PCIe links;
@@ -19,6 +16,11 @@
 //! * LDPC error correction with per-plane raw-BER distribution, in-SiN
 //!   hard-decision decoding and FTL soft-decision fallback, plus fault
 //!   injection (Fig. 18; [`ecc`]).
+//!
+//! The paper's `<SearchPage>` command (Fig. 9) is not modelled command by
+//! command: `ndsearch_core`'s SiN stage charges each LUN unit one
+//! `t_command_ns` per page sense plus the channel transfer of its computed
+//! distances, so only results, never raw pages, cross the bus.
 //!
 //! Everything is deterministic given a seed.
 //!
@@ -36,7 +38,6 @@
 
 #![warn(missing_docs)]
 
-pub mod command;
 pub mod ecc;
 pub mod ftl;
 pub mod geometry;
@@ -44,7 +45,6 @@ pub mod stats;
 pub mod timing;
 pub mod wear;
 
-pub use command::{MultiLunOp, NandCommand, SearchPageInstr};
 pub use ecc::{EccConfig, EccDelta, EccEngine, EccLunPass};
 pub use ftl::{Ftl, RefreshEvent};
 pub use geometry::{FlashGeometry, LunId, PhysAddr, PlaneId};

@@ -112,7 +112,7 @@ pub struct PcieLink {
 
 impl PcieLink {
     /// PCIe 3.0 ×16 host link; the paper quotes 15.4 GB/s peak.
-    pub fn gen3_x16() -> Self {
+    pub const fn gen3_x16() -> Self {
         Self {
             bytes_per_s: 15.4e9,
             base_latency_ns: 1_000,
@@ -120,7 +120,7 @@ impl PcieLink {
     }
 
     /// PCIe 3.0 ×4 (the private SSD↔FPGA link of SmartSSD, §IV-A).
-    pub fn gen3_x4() -> Self {
+    pub const fn gen3_x4() -> Self {
         Self {
             bytes_per_s: 15.4e9 / 4.0,
             base_latency_ns: 1_000,

@@ -2,9 +2,7 @@
 //!
 //! The `<SearchPage>` instruction carries a 2-bit "Distance" field selecting
 //! Euclidean, angular or inner-product distance (Fig. 9b). [`DistanceKind`]
-//! is the software mirror of that field; [`DistanceKind::encode`] /
-//! [`DistanceKind::decode`] round-trip the 2-bit encoding used by the flash
-//! command model.
+//! is the software mirror of that field.
 //!
 //! # Kernel tiers
 //!
@@ -67,7 +65,7 @@ pub enum DistanceKind {
 }
 
 impl DistanceKind {
-    /// All supported kinds, in encoding order.
+    /// All supported kinds, in declaration order.
     pub const ALL: [DistanceKind; 3] = [
         DistanceKind::L2,
         DistanceKind::Angular,
@@ -200,36 +198,6 @@ impl DistanceKind {
                 }
                 DistanceKind::InnerProduct => -dot_affine(query, row),
             });
-        }
-    }
-
-    /// Encodes into the 2-bit "Distance" field of `<SearchPage>`.
-    pub fn encode(self) -> u8 {
-        match self {
-            DistanceKind::L2 => 0b00,
-            DistanceKind::Angular => 0b01,
-            DistanceKind::InnerProduct => 0b10,
-        }
-    }
-
-    /// Decodes the 2-bit "Distance" field. Returns `None` for the reserved
-    /// encoding `0b11`.
-    pub fn decode(bits: u8) -> Option<Self> {
-        match bits & 0b11 {
-            0b00 => Some(DistanceKind::L2),
-            0b01 => Some(DistanceKind::Angular),
-            0b10 => Some(DistanceKind::InnerProduct),
-            _ => None,
-        }
-    }
-
-    /// Number of multiply-accumulate operations one evaluation costs, used
-    /// by the MAC-group timing model (`dim` MACs for L2/IP, `3*dim` for
-    /// angular which needs dot, |a|² and |b|²).
-    pub fn mac_ops(self, dim: usize) -> usize {
-        match self {
-            DistanceKind::L2 | DistanceKind::InnerProduct => dim,
-            DistanceKind::Angular => 3 * dim,
         }
     }
 }
@@ -700,21 +668,6 @@ mod tests {
         let close = [2.0, 2.0];
         let far = [-1.0, 0.5];
         assert!(neg_inner_product(&q, &close) < neg_inner_product(&q, &far));
-    }
-
-    #[test]
-    fn encode_decode_round_trip() {
-        for kind in DistanceKind::ALL {
-            assert_eq!(DistanceKind::decode(kind.encode()), Some(kind));
-        }
-        assert_eq!(DistanceKind::decode(0b11), None);
-    }
-
-    #[test]
-    fn mac_ops_scale_with_dim() {
-        assert_eq!(DistanceKind::L2.mac_ops(128), 128);
-        assert_eq!(DistanceKind::Angular.mac_ops(128), 384);
-        assert_eq!(DistanceKind::InnerProduct.mac_ops(10), 10);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`vector`] | `ndsearch-vector` | vectors, distances, synthetic datasets, recall |
-//! | [`flash`] | `ndsearch-flash` | NAND flash simulator: geometry, commands, timing, FTL, ECC |
+//! | [`flash`] | `ndsearch-flash` | NAND flash simulator: geometry, timing, FTL, ECC |
 //! | [`graph`] | `ndsearch-graph` | CSR, LUNCSR, reordering, multi-plane placement |
 //! | [`anns`] | `ndsearch-anns` | HNSW, DiskANN/Vamana, HCNNG, TOGG, bitonic sort, traces |
 //! | [`core`] | `ndsearch-core` | SearSSD engine: Vgenerator, Allocator, SiN, scheduling, energy |
@@ -103,9 +103,9 @@
 //!
 //! A `core::cluster::ReplicationConfig` turns each shard into a replica
 //! set of deterministic device twins: queries route per shard by
-//! round-robin, least-loaded or hedged policy (backup session after a
-//! delay, earlier completion wins), a `FailureSchedule` kills, storms or
-//! wears out replicas mid-run from their *simulated* clocks, in-flight
+//! round-robin or hedged policy (backup session after a delay, earlier
+//! completion wins), a `FailureSchedule` kills, storms or wears out
+//! replicas mid-run from their *simulated* clocks, in-flight
 //! sessions fail over to the surviving twin, and updates fan out to all
 //! alive replicas. Degraded runs replay bit-identically. See the
 //! "Replication & failover" section of `docs/ARCHITECTURE.md` and

@@ -187,7 +187,6 @@ fn replicated_topk_is_element_identical_to_single_replica() {
             for replicas in [2usize, 3] {
                 for policy in [
                     ReplicaPolicy::RoundRobin,
-                    ReplicaPolicy::LeastLoaded,
                     ReplicaPolicy::Hedged { delay_ns: 25_000 },
                 ] {
                     let report = run(ReplicationConfig::replicated(replicas).with_policy(policy));

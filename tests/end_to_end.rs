@@ -9,7 +9,7 @@ use ndsearch::anns::togg::{Togg, ToggParams};
 use ndsearch::anns::trace::BatchTrace;
 use ndsearch::anns::vamana::{Vamana, VamanaParams};
 use ndsearch::core::cluster::{ClusterEngine, ReplicationConfig};
-use ndsearch::core::config::NdsConfig;
+use ndsearch::core::config::{NdsConfig, RESULT_LIST_ENTRIES};
 use ndsearch::core::engine::NdsEngine;
 use ndsearch::core::pipeline::Prepared;
 use ndsearch::core::serve::{QueryRequest, ServeConfig, ServeEngine, SessionState, UpdateRequest};
@@ -244,9 +244,8 @@ fn churned_quantized_deployment_keeps_code_byte_qpt_accounting() {
     // Budget sized in *code* records: a full-precision record is
     // 112 bytes larger, so the reverted accounting caps residency lower.
     let residents = 10usize;
-    let quant_record = QueryPropertyTable::new(1, code_bytes, config.result_list_entries);
-    let full_record =
-        QueryPropertyTable::new(1, base.stored_vector_bytes(), config.result_list_entries);
+    let quant_record = QueryPropertyTable::new(1, code_bytes, RESULT_LIST_ENTRIES);
+    let full_record = QueryPropertyTable::new(1, base.stored_vector_bytes(), RESULT_LIST_ENTRIES);
     let budget = quant_record.record_bytes() * residents as u64;
     assert!(
         full_record.max_resident(budget) < residents,

@@ -170,8 +170,8 @@ fn quantized_cluster_bit_identical_across_thread_counts_and_shard_order() {
 
 /// Sharded scatter–gather serving with online inserts and deletes fanned
 /// out to both replicas of the owning shard, under either shard policy
-/// and round-robin or least-loaded routing: replica devices share no
-/// state, so which thread steps which device cannot show in the report.
+/// and round-robin or hedged routing: replica devices share no state, so
+/// which thread steps which device cannot show in the report.
 #[test]
 fn cluster_report_bit_identical_across_thread_counts_and_shard_order() {
     proptest::test_runner::run(
@@ -196,7 +196,9 @@ fn cluster_report_bit_identical_across_thread_counts_and_shard_order() {
             let routing = if any::<bool>().generate(rng) {
                 ReplicaPolicy::RoundRobin
             } else {
-                ReplicaPolicy::LeastLoaded
+                ReplicaPolicy::Hedged {
+                    delay_ns: (10_000u64..200_000).generate(rng),
+                }
             };
             let plan_seed = (0u64..u64::MAX).generate(rng);
             let interarrival = (0u64..2_000).generate(rng);

@@ -143,29 +143,3 @@ fn table1_budget_and_density() {
     let a = AreaModel::searssd_default();
     assert!((a.effective_density() - 5.64).abs() < 0.05);
 }
-
-/// §II-B / Fig. 9: the modified multi-LUN search sequence moves orders of
-/// magnitude fewer bytes over the channel bus than a stock multi-LUN read.
-#[test]
-fn search_page_filters_the_bus() {
-    use ndsearch::flash::command::{multi_lun_sequence, MultiLunOp, NandCommand};
-    use ndsearch::flash::geometry::FlashGeometry;
-    let geom = FlashGeometry::searssd_default();
-    let luns = [0u32, 1, 2, 3];
-    let bus_bytes = |op, result_bytes| -> u64 {
-        multi_lun_sequence(op, &luns, &geom, result_bytes)
-            .iter()
-            .map(|c| match c {
-                NandCommand::DataOut { bytes, .. } => u64::from(*bytes),
-                _ => 0,
-            })
-            .sum()
-    };
-    let read = bus_bytes(MultiLunOp::Read, 0);
-    let search = bus_bytes(MultiLunOp::Search, 128);
-    // The paper quotes data filtered to as little as 1/32 of [47]'s PCIe
-    // traffic; with 16 KiB pages vs 128 B result lists the bus sees 128x
-    // less.
-    assert_eq!(read, 4 * 16 * 1024);
-    assert_eq!(search, 4 * 128);
-}

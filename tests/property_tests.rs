@@ -8,7 +8,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use ndsearch::anns::beam::{beam_search, Adjacency, BeamSearcher, VisitedSet};
 use ndsearch::anns::bitonic::bitonic_sort;
 use ndsearch::core::alloc::{LunWork, VertexTask};
-use ndsearch::core::config::NdsConfig;
+use ndsearch::core::config::{NdsConfig, MAC_LANES, RESULT_ENTRY_BYTES};
 use ndsearch::core::sin::{process_lun_work, LunOutcome, SinReport};
 use ndsearch::core::traffic::{
     ArrivalModel, EventKind, QueryMix, Scenario, TenantProfile, ZipfSampler,
@@ -128,7 +128,7 @@ fn process_lun_work_with_maps(
         plane_vertices.entry(plane).or_default().insert(t.vertex);
     }
     let distances = work.tasks.len() as u64;
-    let lanes_per_plane = (u64::from(config.mac_lanes()) / u64::from(geom.planes_per_lun)).max(1);
+    let lanes_per_plane = (u64::from(MAC_LANES) / u64::from(geom.planes_per_lun)).max(1);
     let compute_ns = plane_distances
         .iter()
         .map(|(plane, &d)| {
@@ -141,7 +141,7 @@ fn process_lun_work_with_maps(
         .unwrap_or(0);
 
     let non_spec = work.tasks.iter().filter(|t| !t.speculative).count() as u64;
-    let result_bytes = non_spec * u64::from(config.result_entry_bytes);
+    let result_bytes = non_spec * u64::from(RESULT_ENTRY_BYTES);
     LunOutcome {
         lun: work.lun,
         report: SinReport {
