@@ -18,9 +18,10 @@
 //!   run-to-completion [`beam::beam_search`] used by batch search, and the
 //!   resumable [`beam::BeamSearcher`] that yields one hop per step so the
 //!   serving layer can interleave many in-flight queries;
-//! * [`trace`] — per-query, per-iteration visited-vertex traces;
-//! * [`bitonic`] — the bitonic sorting network offloaded to the FPGA in
-//!   NDSEARCH, with comparator/stage counts for the timing model.
+//! * [`trace`] — per-query, per-iteration visited-vertex traces.
+//!
+//! The FPGA's bitonic top-k sort is not executed: `ndsearch_core` charges
+//! its Sorting stage as the network's stage count × the FPGA clock.
 //!
 //! Exact search for ground truth and recall lives in
 //! `ndsearch_vector::recall`, not here: it is a scan, not an index.
@@ -41,7 +42,6 @@
 #![warn(missing_docs)]
 
 pub mod beam;
-pub mod bitonic;
 mod build;
 pub mod hcnng;
 pub mod hnsw;

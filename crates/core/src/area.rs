@@ -41,21 +41,19 @@ impl AreaModel {
         ]
     }
 
-    /// Capacity in gigabits.
-    pub fn capacity_gbits(&self) -> f64 {
-        self.capacity_bytes as f64 * 8.0 / 1e9 * (1e9 / (1 << 30) as f64)
+    /// Capacity in gigabits (2^30 bits).
+    pub(crate) fn capacity_gbits(&self) -> f64 {
+        self.capacity_bytes as f64 * 8.0 / (1 << 30) as f64
     }
 
     /// Die area the raw NAND needs, mm².
-    pub fn nand_area_mm2(&self) -> f64 {
-        let gbits = self.capacity_bytes as f64 * 8.0 / (1 << 30) as f64;
-        gbits / self.base_density_gb_per_mm2
+    pub(crate) fn nand_area_mm2(&self) -> f64 {
+        self.capacity_gbits() / self.base_density_gb_per_mm2
     }
 
     /// Effective storage density after adding the logic, Gb/mm².
     pub fn effective_density(&self) -> f64 {
-        let gbits = self.capacity_bytes as f64 * 8.0 / (1 << 30) as f64;
-        gbits / (self.nand_area_mm2() + self.logic_mm2)
+        self.capacity_gbits() / (self.nand_area_mm2() + self.logic_mm2)
     }
 
     /// Relative density degradation (0..1).

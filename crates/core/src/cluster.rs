@@ -56,9 +56,7 @@
 //! A [`FailureSchedule`] degrades or kills replicas mid-run at simulated
 //! timestamps: [`FailureKind::EccStorm`] ramps the device's
 //! hard-decision LDPC failure probability (every read pays the
-//! soft-decode penalty), [`FailureKind::WearOut`] bulk-ages every block
-//! of the wear model and re-derives the failure probability from the
-//! worn raw BER, and [`FailureKind::Kill`] drops the device: its
+//! soft-decode penalty), and [`FailureKind::Kill`] drops the device: its
 //! in-flight and queued sessions are **re-seeded on a surviving
 //! replica** (counted in [`ShardBreakdown::failovers`]) and it receives
 //! no further traffic. A shard whose replicas have all been killed
@@ -197,15 +195,6 @@ pub enum FailureKind {
         /// New hard-decision failure probability, clamped to `[0, 1]`.
         failure_prob: f64,
     },
-    /// Every block of the device ages by `cycles` P/E cycles at once
-    /// ([`WearModel::age_uniform`](ndsearch_flash::wear::WearModel::age_uniform));
-    /// the hard-decision failure probability is re-derived from the
-    /// worn mean raw BER, so an end-of-life device degrades like a
-    /// physically aged one rather than by a hand-picked constant.
-    WearOut {
-        /// P/E cycles added to every block.
-        cycles: u32,
-    },
 }
 
 /// One scheduled degradation: at simulated time `at_ns`, `kind` happens
@@ -267,17 +256,6 @@ impl FailureSchedule {
             shard,
             replica,
             kind: FailureKind::EccStorm { failure_prob },
-        })
-    }
-
-    /// Adds a [`FailureKind::WearOut`] of `shard`/`replica` at `at_ns`.
-    #[must_use]
-    pub fn wear_out(self, at_ns: Nanos, shard: usize, replica: usize, cycles: u32) -> Self {
-        self.push(FailureEvent {
-            at_ns,
-            shard,
-            replica,
-            kind: FailureKind::WearOut { cycles },
         })
     }
 
@@ -773,7 +751,8 @@ impl<'a> ClusterEngine<'a> {
 
     /// A replica's serving engine; `None` for empty shards or
     /// out-of-range replica indices.
-    pub fn replica_engine(&self, shard: usize, replica: usize) -> Option<&ServeEngine<'a>> {
+    #[cfg(test)]
+    pub(crate) fn replica_engine(&self, shard: usize, replica: usize) -> Option<&ServeEngine<'a>> {
         self.shards[shard]
             .as_ref()
             .and_then(|s| s.replicas.get(replica))
@@ -1020,24 +999,13 @@ impl<'a> ClusterEngine<'a> {
 
     fn apply_failure(&mut self, ev: FailureEvent) -> bool {
         match ev.kind {
-            FailureKind::Kill => return self.kill_replica(ev.shard, ev.replica, ev.at_ns),
+            FailureKind::Kill => self.kill_replica(ev.shard, ev.replica, ev.at_ns),
             FailureKind::EccStorm { failure_prob } => {
                 let rep = self.replica_mut(ev.shard, ev.replica);
                 rep.engine.inject_ecc_failure_prob(failure_prob);
-            }
-            FailureKind::WearOut { cycles } => {
-                let rep = self.replica_mut(ev.shard, ev.replica);
-                rep.engine.age_wear(cycles);
-                // Couple the aged cells back into the ECC engine: scale
-                // the failure probability by the raw-BER growth factor
-                // (floor 1e-3 so a zero-fault baseline still degrades).
-                let wear = rep.engine.deployment().wear();
-                let factor = wear.mean_raw_ber() / wear.fresh_ber;
-                let prob = (rep.engine.ecc_failure_prob().max(1e-3) * factor).min(1.0);
-                rep.engine.inject_ecc_failure_prob(prob);
+                false
             }
         }
-        false
     }
 
     fn replica_mut(&mut self, shard: usize, replica: usize) -> &mut Replica<'a> {
@@ -2173,28 +2141,5 @@ mod tests {
                 assert_eq!(copies, vec![local], "insert {i} on replica {r}");
             }
         }
-    }
-
-    #[test]
-    fn wear_out_event_degrades_the_device() {
-        let (config, base, queries) = fixture(250, 6);
-        let plan = ShardPlan::partition(base.len(), 1, ShardPolicy::BalancedSize, 0);
-        let replication = ReplicationConfig::replicated(2)
-            .with_failures(FailureSchedule::new().wear_out(0, 0, 0, 20_000));
-        let mut cluster = stage_vamana(&config, plan, replication, &base);
-        for (i, (_, q)) in queries.iter().enumerate() {
-            cluster.submit(QueryRequest::at(i as Nanos * 1_000, q.to_vec(), Vec::new()));
-        }
-        let report = cluster.run_to_completion();
-        assert_eq!(report.completed(), 6);
-        let worn = cluster.replica_engine(0, 0).unwrap();
-        let fresh = cluster.replica_engine(0, 1).unwrap();
-        assert!(
-            worn.ecc_failure_prob() > fresh.ecc_failure_prob(),
-            "wear-out must raise the failure probability ({} vs {})",
-            worn.ecc_failure_prob(),
-            fresh.ecc_failure_prob()
-        );
-        assert!(worn.deployment().wear().max_wear_ratio() >= 2.0);
     }
 }

@@ -121,11 +121,6 @@ pub struct NdsConfig {
     /// Batch capacity before a batch must be split into sub-batches
     /// (§VII-B "Batch size": resources bound ~4096 under the power budget).
     pub max_batch_inflight: usize,
-    /// Read-disturb refresh threshold: after this many page reads a
-    /// block-level refresh fires (within a plane, §VI-A2) and the FTL
-    /// updates LUNCSR's BLK array mid-run. 0 disables online refresh
-    /// (the search phase is read-only and refresh is rare, §II-B2).
-    pub refresh_read_threshold: u64,
     /// Speculative-searching budget as a multiple of the entry vertex's
     /// degree (how many second-order neighbors the Pref Unit fetches per
     /// iteration). Larger budgets raise the hit rate *and* the wasted page
@@ -145,7 +140,8 @@ pub struct NdsConfig {
     /// Defaults to the host's available parallelism (overridable via the
     /// `NDSEARCH_EXEC_THREADS` environment variable).
     pub exec_threads: usize,
-    /// Seed for placement/refresh/ECC determinism.
+    /// Seed of the vertex reordering, the quantizer training and a
+    /// mutable deployment's FTL (ECC draws from [`EccConfig::seed`]).
     pub seed: u64,
 }
 
@@ -157,7 +153,6 @@ impl Default for NdsConfig {
             ecc: EccConfig::default(),
             scheduling: SchedulingConfig::full(),
             max_batch_inflight: 4096,
-            refresh_read_threshold: 0,
             spec_budget_factor: 1.0,
             quantization: QuantSpec::None,
             exec_threads: crate::exec::default_threads(),

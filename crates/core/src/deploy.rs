@@ -319,13 +319,6 @@ impl Deployment {
         &self.wear
     }
 
-    /// Bulk-ages every block of the wear model by `cycles` P/E cycles —
-    /// the wear-out degradation trigger a failure schedule fires on this
-    /// deployment's device (see [`WearModel::age_uniform`]).
-    pub fn age_wear(&mut self, cycles: u32) {
-        self.wear.age_uniform(cycles);
-    }
-
     /// Whether a construction-order vertex has been tombstoned.
     pub fn is_deleted(&self, id: VectorId) -> bool {
         self.index()
@@ -401,8 +394,7 @@ impl Deployment {
         // page; when it fills, a <ProgramPage> goes through the FTL. A
         // P/E *cycle* is charged once per block — when the program lands
         // on the block's first page (the append-only walk writes a fresh
-        // block front-to-back after one erase) — matching the refresh
-        // path's one-`note_program`-per-block-move convention. ----
+        // block front-to-back after one erase). ----
         let timing = &config.timing;
         let spp = prepared.luncsr.mapping().slots_per_page();
         self.open_slots += 1;

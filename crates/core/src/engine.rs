@@ -23,7 +23,6 @@
 //!    back to the host.
 
 use ndsearch_anns::beam::VisitedSet;
-use ndsearch_anns::bitonic::BitonicStats;
 use ndsearch_anns::trace::QueryTrace;
 use ndsearch_flash::ecc::EccEngine;
 use ndsearch_flash::geometry::LunId;
@@ -155,9 +154,6 @@ pub(crate) struct RoundOutcome {
     pub ecc_ns: Nanos,
     /// Slowest LUN: page-buffer streaming + MAC compute.
     pub compute_ns: Nanos,
-    /// Global plane of every dispatched task, concatenated in stable LUN
-    /// order (the engine's refresh path replays these through the FTL).
-    pub touched_planes: Vec<u32>,
 }
 
 impl RoundOutcome {
@@ -239,11 +235,9 @@ pub(crate) fn execute_round<'e>(
     channel_out.clear();
     channel_out.resize(config.geometry.channels as usize, 0);
     let mut max_busy_rep = SinReport::default();
-    let mut touched_planes = Vec::new();
     run_lun_units(config, luncsr, ecc, &scratch.arena, |out, _| {
         luns_touched.touch(out.lun);
         stats.merge(&out.stats);
-        touched_planes.extend_from_slice(&out.touched_planes);
         let rep = &out.report;
         let ch = config.geometry.lun_channel(out.lun) as usize;
         channel_out[ch] += unit_channel_ns(timing, rep);
@@ -268,7 +262,6 @@ pub(crate) fn execute_round<'e>(
         nand_read_ns: max_busy_rep.sense_ns,
         ecc_ns: max_busy_rep.ecc_ns,
         compute_ns: max_busy_rep.compute_ns,
-        touched_planes,
     }
 }
 
@@ -301,7 +294,7 @@ impl SortingTail {
 pub(crate) fn sorting_tail(nq: u64, k: usize) -> SortingTail {
     let list_bytes = nq * RESULT_LIST_ENTRIES as u64 * u64::from(RESULT_ENTRY_BYTES);
     let fpga_ns = FPGA_LINK.transfer_ns(list_bytes);
-    let stages = BitonicStats::stages_for(RESULT_LIST_ENTRIES.next_power_of_two());
+    let stages = bitonic_stages(RESULT_LIST_ENTRIES);
     let period_ns = (1e9 / FPGA_CLOCK_HZ).ceil() as u64;
     let waves = nq.div_ceil(u64::from(FPGA_SORTERS));
     let sort_ns = waves * u64::from(stages) * period_ns;
@@ -313,6 +306,14 @@ pub(crate) fn sorting_tail(nq: u64, k: usize) -> SortingTail {
         out_ns,
         pcie_bytes: list_bytes + out_bytes,
     }
+}
+
+/// Comparator stages of a bitonic network over `lanes` inputs, padded to
+/// n = 2^p lanes: p(p+1)/2 (§IV-A: the FPGA sorter's latency is stages ×
+/// clock, whatever the data).
+fn bitonic_stages(lanes: usize) -> u32 {
+    let p = lanes.next_power_of_two().trailing_zeros();
+    p * (p + 1) / 2
 }
 
 /// The NDSEARCH batch engine.
@@ -351,7 +352,6 @@ impl<'a> NdsEngine<'a> {
             merged.speculation.hits += sub.speculation.hits;
             merged.speculation.misses += sub.speculation.misses;
             merged.iterations += sub.iterations;
-            merged.refreshes += sub.refreshes;
         }
         if queries.is_empty() {
             sub_batches = 0;
@@ -368,16 +368,7 @@ impl<'a> NdsEngine<'a> {
         luns_touched: &mut LunCoverage,
     ) -> NdsReport {
         let config = self.config;
-        // Online block-level refresh needs a mutable LUNCSR (the FTL
-        // rewrites the BLK array mid-run, §II-B2 / Fig. 5b).
-        let refresh_on = config.refresh_read_threshold > 0;
-        let mut luncsr_owned = refresh_on.then(|| prepared.luncsr.clone());
-        let mut ftl = refresh_on.then(|| {
-            let mut f = ndsearch_flash::ftl::Ftl::new(config.geometry, config.seed ^ 0xF7);
-            f.refresh_read_threshold = config.refresh_read_threshold;
-            f
-        });
-        let timing = &config.timing;
+        let luncsr = &prepared.luncsr;
         let nq = traces.len();
         let max_iters = traces.iter().map(|t| t.iterations.len()).max().unwrap_or(0);
 
@@ -404,9 +395,7 @@ impl<'a> NdsEngine<'a> {
         let mut scratch = RoundScratch::default();
         let mut prev_shadow: Nanos = 0; // searching+gathering of previous round
 
-        let mut refreshes = 0u64;
         for r in 0..max_iters {
-            let luncsr = luncsr_owned.as_ref().unwrap_or(&prepared.luncsr);
             // ---- Collect this round's work from the traces. ----
             let mut filtered: Vec<(u32, Vec<VectorId>)> = Vec::new();
             for (qi, t) in traces.iter().enumerate() {
@@ -493,26 +482,6 @@ impl<'a> NdsEngine<'a> {
             // the breakdown buckets. ----
             let overlap = config.scheduling.dynamic_allocating && r > 0;
             total += round.apply(&mut breakdown, &mut prev_shadow, overlap);
-
-            // ---- Online block-level refresh (read disturb). ----
-            if let (Some(f), Some(owned)) = (ftl.as_mut(), luncsr_owned.as_mut()) {
-                let mut moves = 0u64;
-                for &plane in &round.touched_planes {
-                    for ev in f.note_read(plane) {
-                        owned.apply_refresh(&ev);
-                        moves += 1;
-                    }
-                }
-                if moves > 0 {
-                    refreshes += moves / 2; // two block moves per swap
-                                            // A block move rewrites every page (read + program).
-                    let t_move =
-                        u64::from(config.geometry.pages_per_block) * 4 * timing.t_read_page_ns;
-                    let t = moves * t_move;
-                    total += t;
-                    breakdown.embedded_ns += t;
-                }
-            }
         }
 
         // ---- Sorting stage: SSD → FPGA → host (top-10 returned). ----
@@ -532,7 +501,6 @@ impl<'a> NdsEngine<'a> {
             lun_coverage: 0.0, // filled by `run`
             iterations: max_iters,
             sub_batches: 1,
-            refreshes,
         }
     }
 }
@@ -695,28 +663,24 @@ mod tests {
     }
 
     #[test]
-    fn online_refresh_fires_and_stays_consistent() {
-        let (base, graph, trace) = fixture();
-        let mut config = NdsConfig::scaled_for(base.len(), base.stored_vector_bytes());
-        config.ecc.hard_decision_failure_prob = 0.0;
-        config.refresh_read_threshold = 200;
-        let prepared = Prepared::stage(&config, &graph, &base, &trace);
-        let with_refresh = NdsEngine::new(&config).run(&prepared);
-        assert!(
-            with_refresh.refreshes > 0,
-            "the threshold should trigger refreshes"
-        );
-        config.refresh_read_threshold = 0;
-        let without = NdsEngine::new(&config).run(&prepared);
-        assert_eq!(without.refreshes, 0);
-        assert!(
-            with_refresh.total_ns > without.total_ns,
-            "block moves must cost time"
-        );
-        // Deterministic under refresh too.
-        config.refresh_read_threshold = 200;
-        let again = NdsEngine::new(&config).run(&prepared);
-        assert_eq!(with_refresh, again);
+    fn sorting_tail_by_hand() {
+        // Each query ships 64 entries × 8 B = 512 B over the FPGA link
+        // (3.85 GB/s + 1 µs); the sorters take 16 queries a wave, each
+        // wave 21 stages (64 lanes: p = 6, 6·7/2) × 5 ns (200 MHz); top-10
+        // × 8 B = 80 B per query returns over the host link (15.4 GB/s
+        // + 1 µs). Link times round up to whole nanoseconds.
+        let one = sorting_tail(1, 10);
+        assert_eq!(one.fpga_ns, 1_000 + 133); // 512 B / 3.85 = 132.99 ns
+        assert_eq!(one.sort_ns, 21 * 5); // ⌈1/16⌉ = 1 wave
+        assert_eq!(one.out_ns, 1_000 + 6); // 80 B / 15.4 = 5.19 ns
+        assert_eq!(one.pcie_bytes, 512 + 80);
+        assert_eq!(one.total_ns(), 1_133 + 105 + 1_006);
+
+        let batch = sorting_tail(4_096, 10);
+        assert_eq!(batch.fpga_ns, 1_000 + 544_715); // 2 097 152 B / 3.85
+        assert_eq!(batch.sort_ns, 256 * 21 * 5); // ⌈4096/16⌉ = 256 waves
+        assert_eq!(batch.out_ns, 1_000 + 21_278); // 327 680 B / 15.4
+        assert_eq!(batch.pcie_bytes, 4_096 * 512 + 4_096 * 80);
     }
 
     #[test]

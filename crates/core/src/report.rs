@@ -53,7 +53,7 @@ impl LatencySummary {
     /// Summarizes `samples` (order irrelevant; an empty slice yields the
     /// all-zero summary). The wall-clock fields stay 0 — only a caller
     /// that actually timed the run can fill them.
-    pub fn from_samples(samples: &[Nanos]) -> Self {
+    pub(crate) fn from_samples(samples: &[Nanos]) -> Self {
         if samples.is_empty() {
             return Self::default();
         }
@@ -178,7 +178,7 @@ pub(crate) fn slo_attainment(outcomes: &[QueryOutcome]) -> f64 {
 
 /// Groups `outcomes` by tenant id (ascending) and rolls each group up
 /// into a [`TenantSummary`].
-pub fn summarize_tenants(outcomes: &[QueryOutcome]) -> Vec<TenantSummary> {
+pub(crate) fn summarize_tenants(outcomes: &[QueryOutcome]) -> Vec<TenantSummary> {
     let mut by_tenant: BTreeMap<u32, (TenantSummary, Vec<Nanos>)> = BTreeMap::new();
     for o in outcomes {
         let (summary, lats) = by_tenant.entry(o.tenant).or_insert_with(|| {
@@ -416,9 +416,6 @@ pub struct NdsReport {
     pub iterations: usize,
     /// Sub-batches the batch was split into (resource cap, Fig. 19).
     pub sub_batches: usize,
-    /// Online block-level refreshes performed by the FTL during the run
-    /// (0 unless `refresh_read_threshold` is enabled).
-    pub refreshes: u64,
 }
 
 impl NdsReport {

@@ -881,11 +881,6 @@ impl<'a> ServeEngine<'a> {
         self.arrivals.len() + self.queue.len() + self.inflight.len()
     }
 
-    /// The ECC hard-decision failure probability currently in force.
-    pub fn ecc_failure_prob(&self) -> f64 {
-        self.ecc.config().hard_decision_failure_prob
-    }
-
     /// Degradation trigger: changes the device's injected ECC
     /// hard-decision failure probability mid-run (an *ECC storm* — every
     /// failed hard decode falls back to a ~10 µs soft decode on the FTL,
@@ -894,14 +889,6 @@ impl<'a> ServeEngine<'a> {
     /// ramp depend only on the decode counters.
     pub fn inject_ecc_failure_prob(&mut self, p: f64) {
         self.ecc.set_hard_decision_failure_prob(p);
-    }
-
-    /// Degradation trigger: bulk-ages every block of the deployment's
-    /// wear model by `cycles` P/E cycles (a *wear-out* event). The caller
-    /// maps the aged device's raw BER to an ECC failure probability via
-    /// [`inject_ecc_failure_prob`](Self::inject_ecc_failure_prob).
-    pub fn age_wear(&mut self, cycles: u32) {
-        self.deploy.age_wear(cycles);
     }
 
     /// Moves sessions whose arrival time has passed into the admission

@@ -53,10 +53,9 @@ pub struct SinReport {
 }
 
 /// Everything one LUN accelerator's iteration produces, as a *delta*
-/// against engine-wide state: the timing report, flash-statistics and ECC
-/// increments, and the planes the work touched (for the FTL's read-disturb
-/// replay). Pure data — the caller merges outcomes in stable LUN order
-/// and commits the deltas.
+/// against engine-wide state: the timing report and the flash-statistics
+/// and ECC increments. Pure data — the caller merges outcomes in stable
+/// LUN order and commits the deltas.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LunOutcome {
     /// The LUN that executed the work.
@@ -68,11 +67,6 @@ pub struct LunOutcome {
     pub stats: FlashStats,
     /// ECC decode increments (apply to the engine-wide [`EccEngine`]).
     pub ecc: EccDelta,
-    /// Global plane of every task, in task order (the FTL replays these
-    /// for read-disturb accounting). Only collected when online refresh
-    /// is enabled (`refresh_read_threshold > 0`) — empty otherwise, so
-    /// the hot path never pays for it.
-    pub touched_planes: Vec<PlaneId>,
 }
 
 /// Executes one iteration's work on one LUN accelerator.
@@ -303,11 +297,6 @@ fn process_with(
         },
         stats: stats_delta,
         ecc: ecc_pass.into_delta(),
-        touched_planes: if config.refresh_read_threshold > 0 {
-            tasks.iter().map(|t| t.addr.global_plane(geom)).collect()
-        } else {
-            Vec::new()
-        },
     }
 }
 
@@ -469,9 +458,7 @@ mod tests {
 
     #[test]
     fn speculative_tasks_produce_no_result_bytes() {
-        let (lc, mut cfg) = setup(PlacementPolicy::MultiPlaneAware, true);
-        // Touched planes are only collected for the refresh path.
-        cfg.refresh_read_threshold = 1;
+        let (lc, cfg) = setup(PlacementPolicy::MultiPlaneAware, true);
         let work = LunWork {
             lun: lc.lun_of(0),
             tasks: vec![VertexTask {
@@ -488,7 +475,6 @@ mod tests {
             out.report.page_loads, 1,
             "speculative loads still cost pages"
         );
-        assert_eq!(out.touched_planes.len(), 1);
         assert_eq!(out.ecc.decodes, 1);
     }
 
@@ -496,8 +482,7 @@ mod tests {
     fn outcome_is_a_pure_delta() {
         // Processing the same work twice against the same engine snapshot
         // yields identical outcomes — nothing engine-wide was mutated.
-        let (lc, mut cfg) = setup(PlacementPolicy::MultiPlaneAware, true);
-        cfg.refresh_read_threshold = 1; // collect touched planes too
+        let (lc, cfg) = setup(PlacementPolicy::MultiPlaneAware, true);
         let tasks: Vec<(u32, VectorId)> = (0..32u32).map(|v| (v % 4, v)).collect();
         let work = work_for(&lc, &cfg, &tasks);
         let ecc = EccEngine::new(&cfg.geometry, cfg.ecc);
@@ -505,15 +490,8 @@ mod tests {
         let b = process_lun_work(&work[0], &lc, &cfg, &ecc);
         assert_eq!(a, b);
         assert_eq!(ecc.decode_count(), 0, "the engine snapshot is untouched");
-        // The delta accounts for exactly the work's tasks and pages.
-        assert_eq!(a.touched_planes.len(), work[0].tasks.len());
+        // The delta accounts for exactly the work's pages.
         assert_eq!(a.stats.page_reads, a.report.page_loads);
         assert_eq!(a.ecc.decodes, a.report.page_loads);
-
-        // With refresh disabled the plane list is skipped (hot path).
-        cfg.refresh_read_threshold = 0;
-        let hot = process_lun_work(&work[0], &lc, &cfg, &ecc);
-        assert!(hot.touched_planes.is_empty());
-        assert_eq!(hot.report, a.report);
     }
 }

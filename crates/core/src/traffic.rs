@@ -149,7 +149,7 @@ impl ArrivalModel {
     /// Open-loop models draw exponential gaps with the instantaneous rate
     /// evaluated at the current offset (a stepwise non-homogeneous Poisson
     /// process); closed-loop returns all zeros.
-    pub fn sample_arrivals(&self, count: usize, share: f64, rng: &mut Pcg32) -> Vec<Nanos> {
+    pub(crate) fn sample_arrivals(&self, count: usize, share: f64, rng: &mut Pcg32) -> Vec<Nanos> {
         if matches!(self, ArrivalModel::ClosedLoop) {
             return vec![0; count];
         }

@@ -123,9 +123,12 @@ impl Eq for PlaneCounts {}
 /// Mergeable result of a [decoding pass](EccLunPass): per-plane decode
 /// counts plus failure totals, produced *without* mutating the engine.
 ///
-/// Deltas merge associatively and commutatively (every field is a sum),
-/// so per-LUN passes computed on worker threads in any order fold into
-/// the same engine state. Apply them with [`EccEngine::apply`].
+/// A pass returns its effects instead of committing them so that
+/// `ndsearch_core::sin::process_lun_work` stays a pure stage view: the
+/// engines commit each unit's delta right after the unit, while
+/// `perf_ledger`'s `core.sin.*` rows replay units against one untouched
+/// engine. Deltas merge associatively and commutatively (every
+/// field is a sum). Apply them with [`EccEngine::apply`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EccDelta {
     /// `(plane, decode count)` pairs, sorted by plane id.
@@ -150,9 +153,9 @@ impl EccDelta {
 /// A pure per-LUN decoding pass over a read-only [`EccEngine`] snapshot.
 ///
 /// The pass indexes each plane's deterministic failure stream at
-/// `engine counter + local counter`, so concurrent passes over *disjoint*
-/// planes (each LUN owns its planes) draw exactly the decisions the
-/// serial path would, regardless of scheduling. Finish with
+/// `engine counter + local counter`, so passes over *disjoint* planes
+/// (each LUN owns its planes) draw the same decisions whichever order
+/// they are committed in. Finish with
 /// [`into_delta`](Self::into_delta) and fold the delta back via
 /// [`EccEngine::apply`] before the next pass touches the same planes.
 #[derive(Debug, Clone)]
@@ -202,16 +205,14 @@ impl EccLunPass<'_> {
 /// Per-plane BER state plus deterministic fault injection.
 ///
 /// Fault injection is *counter-indexed*: whether the `n`-th decode of a
-/// plane fails is a pure function of `(seed, plane, n)`, so the failure
-/// pattern is independent of the order in which LUNs are processed — the
-/// property the data-parallel round executor relies on for bit-identical
-/// reports at any thread count.
+/// plane fails is a pure function of `(seed, plane, n)`, so a plane's
+/// decisions do not depend on the order in which LUNs are processed, nor
+/// on what other planes decoded before it.
 #[derive(Debug, Clone)]
 pub struct EccEngine {
     config: EccConfig,
-    /// Per-plane raw BERs, behind an `Arc` so the per-round snapshot
-    /// clone the parallel executor takes copies only the cursors below.
-    plane_ber: std::sync::Arc<[f64]>,
+    /// Per-plane raw BERs (the Fig. 18a distribution).
+    plane_ber: Box<[f64]>,
     /// Decodes committed per plane (the failure-stream cursor).
     plane_decodes: Vec<u64>,
     hard_failures: u64,
@@ -224,7 +225,7 @@ impl EccEngine {
     pub fn new(geom: &FlashGeometry, config: EccConfig) -> Self {
         let mut rng = Pcg32::seed_from_u64(config.seed);
         let mu = config.mean_raw_ber.ln();
-        let plane_ber: std::sync::Arc<[f64]> = (0..geom.total_planes())
+        let plane_ber: Box<[f64]> = (0..geom.total_planes())
             .map(|_| (mu + rng.next_gaussian() * config.ber_sigma).exp())
             .collect();
         let planes = plane_ber.len();
@@ -243,11 +244,11 @@ impl EccEngine {
     }
 
     /// Changes the injected hard-decision failure probability mid-run
-    /// (clamped to `[0, 1]`) — the degradation trigger an ECC storm or a
-    /// wear-out event ramps. Determinism is preserved: fault injection is
-    /// counter-indexed, so whether the `n`-th decode of a plane fails is
-    /// still a pure function of `(seed, plane, n)` and the probability in
-    /// force when that decode happens, independent of thread scheduling.
+    /// (clamped to `[0, 1]`) — the degradation trigger an ECC storm ramps.
+    /// Determinism is preserved: fault injection is counter-indexed, so
+    /// whether the `n`-th decode of a plane fails is still a pure function
+    /// of `(seed, plane, n)` and the probability in force when that decode
+    /// happens.
     pub fn set_hard_decision_failure_prob(&mut self, p: f64) {
         self.config.hard_decision_failure_prob = p.clamp(0.0, 1.0);
     }

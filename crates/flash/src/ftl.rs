@@ -11,6 +11,8 @@
 //! The [`Ftl`] keeps a per-plane logical→physical block bijection. Each
 //! refresh emits a [`RefreshEvent`] which the LUNCSR consumer applies to its
 //! BLK array (the "bijection (update after refreshing)" arrow in Fig. 5b).
+//! Refresh is rare in the search phase, so no simulated run triggers one:
+//! the mechanism is the contract the LUNCSR tests pin.
 
 use crate::geometry::{FlashGeometry, PlaneId};
 use ndsearch_vector::rng::Pcg32;
@@ -34,17 +36,6 @@ pub struct Ftl {
     geom: FlashGeometry,
     /// `l2p[plane][logical] = physical`.
     l2p: Vec<Vec<u32>>,
-    /// Refresh operations performed so far.
-    refresh_count: u64,
-    /// Page programs routed through the FTL (online appends, rewrites).
-    program_count: u64,
-    /// Block erases routed through the FTL (compaction, refresh).
-    erase_count: u64,
-    /// Per-plane read counters driving read-disturb-triggered refresh.
-    plane_reads: Vec<u64>,
-    /// Reads per plane after which a refresh of one block is triggered
-    /// (0 disables automatic refresh).
-    pub refresh_read_threshold: u64,
     rng: Pcg32,
 }
 
@@ -56,11 +47,6 @@ impl Ftl {
         Self {
             geom,
             l2p: vec![ident; planes],
-            refresh_count: 0,
-            program_count: 0,
-            erase_count: 0,
-            plane_reads: vec![0; planes],
-            refresh_read_threshold: 0,
             rng: Pcg32::seed_from_u64(seed),
         }
     }
@@ -78,42 +64,24 @@ impl Ftl {
         self.l2p[plane as usize][logical_block as usize]
     }
 
-    /// Total refreshes performed.
-    pub fn refresh_count(&self) -> u64 {
-        self.refresh_count
-    }
-
-    /// Total page programs routed through [`program_page`](Self::program_page).
-    pub fn program_count(&self) -> u64 {
-        self.program_count
-    }
-
-    /// Total block erases routed through
-    /// [`erase_logical_block`](Self::erase_logical_block).
-    pub fn erase_count(&self) -> u64 {
-        self.erase_count
-    }
-
-    /// Routes a page program for a logical block through the FTL: counts
-    /// the `<ProgramPage>` command and returns the *physical* block the
-    /// data lands in, so the caller can charge wear to the right cells.
-    /// The online-update path appends every new vector's page this way.
+    /// Routes a page program for a logical block through the FTL: returns
+    /// the *physical* block the data lands in, so the caller can charge
+    /// wear to the right cells. The online-update path appends every new
+    /// vector's page this way.
     ///
     /// # Panics
     /// Panics if indices are out of range.
-    pub fn program_page(&mut self, plane: PlaneId, logical_block: u32) -> u32 {
-        self.program_count += 1;
+    pub fn program_page(&self, plane: PlaneId, logical_block: u32) -> u32 {
         self.physical_block(plane, logical_block)
     }
 
     /// Routes a block erase through the FTL (compaction rewrites a fresh
-    /// base, erasing the blocks the old one occupied): counts the erase
-    /// and returns the physical block erased.
+    /// base, erasing the blocks the old one occupied): returns the
+    /// physical block erased.
     ///
     /// # Panics
     /// Panics if indices are out of range.
-    pub fn erase_logical_block(&mut self, plane: PlaneId, logical_block: u32) -> u32 {
-        self.erase_count += 1;
+    pub fn erase_logical_block(&self, plane: PlaneId, logical_block: u32) -> u32 {
         self.physical_block(plane, logical_block)
     }
 
@@ -144,7 +112,6 @@ impl Ftl {
             .position(|&p| p == target)
             .expect("bijection invariant broken") as u32;
         map.swap(logical_block as usize, other_logical as usize);
-        self.refresh_count += 1;
         vec![
             RefreshEvent {
                 plane,
@@ -159,20 +126,6 @@ impl Ftl {
                 new_physical: old_physical,
             },
         ]
-    }
-
-    /// Records a page read in a plane; if the read-disturb threshold is
-    /// enabled and crossed, refreshes a deterministic pseudo-random block
-    /// and returns the relocation events (empty when no refresh fired).
-    pub fn note_read(&mut self, plane: PlaneId) -> Vec<RefreshEvent> {
-        let reads = &mut self.plane_reads[plane as usize];
-        *reads += 1;
-        if self.refresh_read_threshold > 0 && (*reads).is_multiple_of(self.refresh_read_threshold) {
-            let block = self.rng.next_below(u64::from(self.geom.blocks_per_plane)) as u32;
-            self.refresh_block(plane, block)
-        } else {
-            Vec::new()
-        }
     }
 
     /// Checks the bijection invariant (every physical block appears exactly
@@ -224,23 +177,8 @@ mod tests {
         for i in 0..500u32 {
             let plane = i % ftl.geometry().total_planes();
             let block = i % ftl.geometry().blocks_per_plane;
-            ftl.refresh_block(plane, block);
+            assert_eq!(ftl.refresh_block(plane, block).len(), 2);
         }
-        assert_eq!(ftl.refresh_count(), 500);
-        assert!(ftl.is_bijective());
-    }
-
-    #[test]
-    fn read_threshold_triggers_refresh() {
-        let mut ftl = Ftl::new(FlashGeometry::tiny(), 4);
-        ftl.refresh_read_threshold = 10;
-        let mut events = 0;
-        for _ in 0..100 {
-            if !ftl.note_read(2).is_empty() {
-                events += 1;
-            }
-        }
-        assert_eq!(events, 10);
         assert!(ftl.is_bijective());
     }
 
@@ -282,7 +220,7 @@ mod tests {
         geom.blocks_per_plane = 1;
         let mut ftl = Ftl::new(geom, 7);
         assert!(ftl.refresh_block(0, 0).is_empty());
-        assert_eq!(ftl.refresh_count(), 0);
+        assert_eq!(ftl.physical_block(0, 0), 0);
         assert!(ftl.is_bijective());
     }
 
@@ -290,20 +228,9 @@ mod tests {
     fn program_and_erase_route_through_the_mapping() {
         let mut ftl = Ftl::new(FlashGeometry::tiny(), 8);
         assert_eq!(ftl.program_page(2, 3), 3, "identity map at first");
-        assert_eq!(ftl.program_count(), 1);
         // After a refresh the program lands on the relocated physical block.
         let evs = ftl.refresh_block(2, 3);
         assert_eq!(ftl.program_page(2, 3), evs[0].new_physical);
         assert_eq!(ftl.erase_logical_block(2, 3), evs[0].new_physical);
-        assert_eq!(ftl.program_count(), 2);
-        assert_eq!(ftl.erase_count(), 1);
-    }
-
-    #[test]
-    fn zero_threshold_never_refreshes() {
-        let mut ftl = Ftl::new(FlashGeometry::tiny(), 5);
-        for _ in 0..1000 {
-            assert!(ftl.note_read(0).is_empty());
-        }
     }
 }

@@ -12,7 +12,10 @@
 //!   motivates in-LUN compute, and PCIe links;
 //! * the flash translation layer with *block-level refresh confined within
 //!   a plane* (§II-B2 / §VI-A2), emitting relocation events that the
-//!   LUNCSR format consumes ([`ftl::Ftl`]);
+//!   LUNCSR format consumes ([`ftl::Ftl`]) — the mechanism only: refresh
+//!   is rare in the read-only search phase, and no run triggers one;
+//! * per-block P/E accounting, charged by the online-update write path
+//!   ([`wear::WearModel`]);
 //! * LDPC error correction with per-plane raw-BER distribution, in-SiN
 //!   hard-decision decoding and FTL soft-decision fallback, plus fault
 //!   injection (Fig. 18; [`ecc`]).

@@ -23,9 +23,9 @@ pub struct FlashStats {
     /// Hard-decision LDPC failures that fell back to soft decision.
     pub ecc_soft_fallbacks: u64,
     /// Pages programmed into the NAND array (online inserts, compaction
-    /// rewrites, refresh relocations).
+    /// rewrites).
     pub page_programs: u64,
-    /// Blocks erased (compaction and refresh relocations).
+    /// Blocks erased (compaction).
     pub block_erases: u64,
 }
 

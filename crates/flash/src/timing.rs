@@ -18,10 +18,10 @@ pub struct FlashTiming {
     /// Page sense time tR: NAND array → plane page buffer.
     pub t_read_page_ns: Nanos,
     /// Page program time tPROG: page buffer → NAND array (online inserts
-    /// and refresh/compaction rewrites pay this).
+    /// and compaction rewrites pay this).
     pub t_program_page_ns: Nanos,
-    /// Block erase time tBERS (compaction and refresh relocations pay
-    /// this before rewriting a block).
+    /// Block erase time tBERS (compaction pays this before rewriting a
+    /// block).
     pub t_erase_block_ns: Nanos,
     /// Channel bus bandwidth in bytes/second (shared by the chips, thus the
     /// LUNs, of one channel).

@@ -6,9 +6,8 @@
 //! quotes the endurance study it cites as reference 83 for the
 //! observation that even at mid-late lifetime the failure
 //! probability stays around 1 %. This module tracks per-block P/E cycles
-//! (refresh is the only writer during the read-only search phase) and maps
-//! wear to a raw-BER growth factor, which feeds the ECC engine's failure
-//! sweep with physically-grounded inputs instead of hand-picked points.
+//! — the online-update write path (appends and compaction) charges them —
+//! and reports wear against the cell type's rated endurance.
 
 use crate::geometry::{FlashGeometry, PlaneId};
 
@@ -20,10 +19,6 @@ pub struct WearModel {
     pe: Vec<Vec<u32>>,
     /// Rated endurance (P/E cycles) of the cell type; V-NAND MLC ≈ 10k.
     pub rated_pe_cycles: u32,
-    /// Raw BER at zero wear.
-    pub fresh_ber: f64,
-    /// BER multiplier at rated endurance (end-of-life BER / fresh BER).
-    pub eol_ber_factor: f64,
 }
 
 impl WearModel {
@@ -35,30 +30,15 @@ impl WearModel {
             geom,
             pe: vec![vec![0; blocks]; planes],
             rated_pe_cycles: 10_000,
-            fresh_ber: 1e-6,
-            eol_ber_factor: 100.0,
         }
     }
 
-    /// Records one erase+program of a block (e.g. a refresh relocation).
+    /// Records one erase+program of a block.
     ///
     /// # Panics
     /// Panics if indices are out of range.
     pub fn note_program(&mut self, plane: PlaneId, block: u32) {
         self.pe[plane as usize][block as usize] += 1;
-    }
-
-    /// Adds `cycles` program/erase cycles to **every** block at once — the
-    /// bulk wear-out trigger a failure schedule fires to age a whole
-    /// device mid-run (e.g. to model a drive reaching end-of-life during a
-    /// serving window). Saturates instead of wrapping, so repeated events
-    /// cannot roll a block back to fresh.
-    pub fn age_uniform(&mut self, cycles: u32) {
-        for plane in &mut self.pe {
-            for block in plane {
-                *block = block.saturating_add(cycles);
-            }
-        }
     }
 
     /// P/E cycles a block has seen.
@@ -69,28 +49,6 @@ impl WearModel {
     /// Wear ratio of a block: cycles / rated (≥ 1 past rated life).
     pub fn wear_ratio(&self, plane: PlaneId, block: u32) -> f64 {
         f64::from(self.pe_cycles(plane, block)) / f64::from(self.rated_pe_cycles)
-    }
-
-    /// Raw BER of a block under its current wear: exponential interpolation
-    /// from `fresh_ber` to `fresh_ber × eol_ber_factor` at rated life (the
-    /// standard retention/endurance fit shape from the paper's endurance
-    /// reference).
-    pub fn block_raw_ber(&self, plane: PlaneId, block: u32) -> f64 {
-        let w = self.wear_ratio(plane, block);
-        self.fresh_ber * self.eol_ber_factor.powf(w.min(2.0))
-    }
-
-    /// Device-mean raw BER (averaged over blocks).
-    pub fn mean_raw_ber(&self) -> f64 {
-        let mut sum = 0.0;
-        let mut count = 0u64;
-        for plane in 0..self.geom.total_planes() {
-            for block in 0..self.geom.blocks_per_plane {
-                sum += self.block_raw_ber(plane, block);
-                count += 1;
-            }
-        }
-        sum / count as f64
     }
 
     /// Maximum wear ratio across the device — the wear-leveling quality
@@ -113,91 +71,28 @@ mod tests {
     use crate::ftl::Ftl;
 
     #[test]
-    fn fresh_device_has_fresh_ber() {
-        let w = WearModel::new(FlashGeometry::tiny());
-        assert_eq!(w.pe_cycles(0, 0), 0);
-        assert!((w.block_raw_ber(0, 0) - 1e-6).abs() < 1e-12);
-        assert!((w.mean_raw_ber() - 1e-6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ber_grows_with_wear() {
-        let mut w = WearModel::new(FlashGeometry::tiny());
-        for _ in 0..5_000 {
-            w.note_program(3, 1);
-        }
-        let half_life = w.block_raw_ber(3, 1);
-        assert!(half_life > 5.0 * w.fresh_ber, "half-life BER {half_life}");
-        for _ in 0..5_000 {
-            w.note_program(3, 1);
-        }
-        let eol = w.block_raw_ber(3, 1);
-        assert!((eol / w.fresh_ber - 100.0).abs() < 1.0, "EOL factor {eol}");
-        assert!(eol > half_life);
-    }
-
-    #[test]
-    fn ber_growth_saturates_past_rated_life() {
-        let mut w = WearModel::new(FlashGeometry::tiny());
-        for _ in 0..50_000 {
-            w.note_program(0, 0);
-        }
-        // Capped at wear ratio 2.0 → factor 100².
-        let ber = w.block_raw_ber(0, 0);
-        assert!(ber <= w.fresh_ber * 100.0f64.powf(2.0) * 1.001);
-    }
-
-    #[test]
     fn wear_accounting_is_monotone_and_isolated() {
         // Each note_program bumps exactly the targeted block by one cycle,
-        // and every derived statistic (wear ratio, block BER, mean BER,
-        // max ratio) is nondecreasing in the number of programs.
+        // and the max wear ratio is nondecreasing in the number of
+        // programs.
         let geom = FlashGeometry::tiny();
         let mut w = WearModel::new(geom);
         let mut prev_cycles = 0;
-        let mut prev_ber = w.block_raw_ber(1, 2);
-        let mut prev_mean = w.mean_raw_ber();
         let mut prev_max = w.max_wear_ratio();
         for step in 1..=200u32 {
             w.note_program(1, 2);
             let cycles = w.pe_cycles(1, 2);
             assert_eq!(cycles, prev_cycles + 1);
             assert_eq!(cycles, step);
-            let ber = w.block_raw_ber(1, 2);
-            let mean = w.mean_raw_ber();
             let max = w.max_wear_ratio();
-            assert!(ber >= prev_ber, "block BER decreased at step {step}");
-            assert!(mean >= prev_mean, "mean BER decreased at step {step}");
             assert!(max >= prev_max, "max wear decreased at step {step}");
             prev_cycles = cycles;
-            prev_ber = ber;
-            prev_mean = mean;
             prev_max = max;
         }
         // Untouched blocks stay fresh.
         assert_eq!(w.pe_cycles(0, 0), 0);
         assert_eq!(w.pe_cycles(1, 1), 0);
-        assert!((w.block_raw_ber(0, 0) - w.fresh_ber).abs() < 1e-15);
         assert!((w.wear_ratio(1, 2) - 200.0 / 10_000.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bulk_aging_raises_every_block_and_saturates() {
-        let geom = FlashGeometry::tiny();
-        let mut w = WearModel::new(geom);
-        w.note_program(1, 2); // pre-existing skew survives the bulk event
-        w.age_uniform(5_000);
-        for plane in 0..geom.total_planes() {
-            for block in 0..geom.blocks_per_plane {
-                assert!(w.pe_cycles(plane, block) >= 5_000);
-            }
-        }
-        assert_eq!(w.pe_cycles(1, 2), 5_001);
-        let mid_life = w.mean_raw_ber();
-        assert!(mid_life > 5.0 * w.fresh_ber, "aging did not raise BER");
-        w.age_uniform(u32::MAX);
-        assert_eq!(w.pe_cycles(0, 0), u32::MAX, "aging must saturate");
-        assert!(w.mean_raw_ber() >= mid_life);
     }
 
     #[test]

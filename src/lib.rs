@@ -7,7 +7,7 @@
 //! | [`vector`] | `ndsearch-vector` | vectors, distances, synthetic datasets, recall |
 //! | [`flash`] | `ndsearch-flash` | NAND flash simulator: geometry, timing, FTL, ECC |
 //! | [`graph`] | `ndsearch-graph` | CSR, LUNCSR, reordering, multi-plane placement |
-//! | [`anns`] | `ndsearch-anns` | HNSW, DiskANN/Vamana, HCNNG, TOGG, bitonic sort, traces |
+//! | [`anns`] | `ndsearch-anns` | HNSW, DiskANN/Vamana, HCNNG, TOGG, beam search, traces |
 //! | [`core`] | `ndsearch-core` | SearSSD engine: Vgenerator, Allocator, SiN, scheduling, energy |
 //! | [`baselines`] | `ndsearch-baselines` | CPU, CPU-T, GPU, SmartSSD, DeepStore models |
 //!

@@ -6,7 +6,6 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
 use ndsearch::anns::beam::{beam_search, Adjacency, BeamSearcher, VisitedSet};
-use ndsearch::anns::bitonic::bitonic_sort;
 use ndsearch::core::alloc::{LunWork, VertexTask};
 use ndsearch::core::config::{NdsConfig, MAC_LANES, RESULT_ENTRY_BYTES};
 use ndsearch::core::sin::{process_lun_work, LunOutcome, SinReport};
@@ -167,14 +166,6 @@ fn process_lun_work_with_maps(
             ..FlashStats::new()
         },
         ecc: ecc_pass.into_delta(),
-        touched_planes: if config.refresh_read_threshold > 0 {
-            work.tasks
-                .iter()
-                .map(|t| t.addr.global_plane(geom))
-                .collect()
-        } else {
-            Vec::new()
-        },
     }
 }
 
@@ -183,24 +174,22 @@ proptest! {
     // the interesting shapes common: several queries on one vertex, the
     // same (block, page) row on both planes (a multi-plane sense),
     // repeated loads of one plane, speculative tasks mixed in — under both
-    // page-buffer models, with and without the refresh plane list, and at
-    // ECC failure probabilities 0 / 0.3 / 1 over failure streams whose
-    // cursors a warm-up pass has already moved.
+    // page-buffer models, and at ECC failure probabilities 0 / 0.3 / 1
+    // over failure streams whose cursors a warm-up pass has already moved.
     #[test]
     fn flat_lun_unit_equals_the_map_based_oracle(
         raw in proptest::collection::vec((0u32..6, 0u32..2, 0u32..6, 0u32..2), 0..48),
         speculative in proptest::collection::vec(any::<bool>(), 48),
-        knobs in (any::<bool>(), any::<bool>(), 0u32..3, 0u32..8),
+        knobs in (any::<bool>(), 0u32..3, 0u32..8),
         warmup in proptest::collection::vec(0u32..16, 0..40),
     ) {
-        let (dynamic, refresh, prob, lun) = knobs;
+        let (dynamic, prob, lun) = knobs;
         let geom = FlashGeometry::tiny();
         let mut config = NdsConfig {
             geometry: geom,
             ..NdsConfig::default()
         };
         config.scheduling.dynamic_allocating = dynamic;
-        config.refresh_read_threshold = u64::from(refresh);
         config.ecc = EccConfig {
             hard_decision_failure_prob: [0.0, 0.3, 1.0][prob as usize],
             ..EccConfig::default()
@@ -236,14 +225,6 @@ proptest! {
         // A second evaluation on the same thread reuses the unit scratch:
         // nothing may carry over.
         prop_assert_eq!(process_lun_work(&work, &luncsr, &config, &ecc), oracle);
-    }
-
-    #[test]
-    fn bitonic_sorts_anything(mut v in proptest::collection::vec(any::<i32>(), 0..300)) {
-        let mut expected = v.clone();
-        expected.sort_unstable();
-        bitonic_sort(&mut v);
-        prop_assert_eq!(v, expected);
     }
 
     #[test]

@@ -113,7 +113,6 @@ fn lun_units_allocate_nothing_once_the_scratch_is_warm() {
             };
             config.scheduling.dynamic_allocating = dynamic;
             config.ecc.hard_decision_failure_prob = prob;
-            assert_eq!(config.refresh_read_threshold, 0);
             let ecc = EccEngine::new(&geom, config.ecc);
             let work = Allocator
                 .dispatch(&luncsr, &config.timing, &triples, false)
