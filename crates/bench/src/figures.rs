@@ -19,7 +19,7 @@ use ndsearch_core::energy::{searssd_components, PowerModel};
 use ndsearch_core::pipeline::Prepared;
 use ndsearch_core::report::LatencyBreakdown;
 use ndsearch_core::{NdsEngine, NdsReport};
-use ndsearch_flash::ecc::{EccConfig, EccEngine};
+use ndsearch_flash::ecc::{plane_raw_bers, EccConfig};
 use ndsearch_flash::{FlashGeometry, FlashTiming};
 use ndsearch_graph::legacy::LegacyLayout;
 use ndsearch_graph::mapping::PlacementPolicy;
@@ -523,13 +523,13 @@ fn fig17(ws: &mut Workloads, scale: Scale) -> Vec<Table> {
 /// [`EccConfig::failure_sweep`] (30 / 10 / 5 / 1 %), normalized to the
 /// 1 % default.
 fn fig18(ws: &mut Workloads, scale: Scale) -> Vec<Table> {
-    let engine = EccEngine::new(&FlashGeometry::searssd_default(), EccConfig::default());
+    let raw_bers = plane_raw_bers(&FlashGeometry::searssd_default(), EccConfig::default().seed);
     let edges = [2.5e-7, 5e-7, 1e-6, 2e-6, 4e-6, 8e-6];
     let mut buckets = [
         "<2.5e-7", "<5e-7", "<1e-6", "<2e-6", "<4e-6", "<8e-6", ">=8e-6",
     ]
     .map(|label| (label, 0u32));
-    for &ber in engine.plane_bers() {
+    for ber in raw_bers {
         buckets[edges.iter().take_while(|&&e| ber >= e).count()].1 += 1;
     }
     let bers = Table::of(

@@ -42,7 +42,7 @@ use ndsearch_vector::synthetic::{BenchmarkId, DatasetSpec};
 use ndsearch_vector::{DistanceKind, VectorId};
 
 /// Reads an env-var scale knob: `default` when unset; a value that is
-/// not a non-negative integer exits the process with status 2, naming the
+/// not a positive integer exits the process with status 2, naming the
 /// variable and the value. Call it from a `main` only.
 pub fn env_usize(name: &str, default: usize) -> usize {
     let value = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
@@ -59,7 +59,9 @@ fn parse_knob(name: &str, value: Option<&str>, default: usize) -> Result<usize, 
         None => Ok(default),
         Some(v) => v
             .parse()
-            .map_err(|_| format!("{name}={v:?} is not a non-negative integer")),
+            .ok()
+            .filter(|&n| n >= 1)
+            .ok_or_else(|| format!("{name}={v:?} is not a positive integer")),
     }
 }
 
@@ -462,9 +464,9 @@ mod tests {
     fn a_scale_knob_is_its_value_or_the_default_and_garbage_is_an_error() {
         assert_eq!(parse_knob("NDS_N", None, 6000), Ok(6000));
         assert_eq!(parse_knob("NDS_N", Some("1500"), 6000), Ok(1500));
-        for bad in ["6k", "-1", "", " 1500", "1e3"] {
+        for bad in ["6k", "-1", "", " 1500", "1e3", "0"] {
             let err = parse_knob("NDS_N", Some(bad), 6000).unwrap_err();
-            assert_eq!(err, format!("NDS_N={bad:?} is not a non-negative integer"));
+            assert_eq!(err, format!("NDS_N={bad:?} is not a positive integer"));
         }
     }
 

@@ -37,7 +37,9 @@
 //!   per-shard breakdowns ([`ShardBreakdown`]: per-replica device
 //!   reports, availability, failover and hedge counters) and the
 //!   cluster's load-imbalance factor. Its roll-ups are the
-//!   [`ServeReport`]'s, one body each in [`crate::report`].
+//!   [`ServeReport`]'s, one body each in [`crate::report`], and like it
+//!   the report holds simulated quantities only: the threads a run
+//!   steps its devices on leave no trace in it.
 //!
 //! # Replication & failover
 //!
@@ -326,12 +328,8 @@ pub struct ReplicaBreakdown {
     pub alive: bool,
     /// When the device was killed (`None` if it survived).
     pub killed_ns: Option<Nanos>,
-    /// Beam-search hops this device executed.
-    pub hops: usize,
-    /// The replica engine's full device report. Its `wall_s` is zeroed:
-    /// replicas step side by side on the run's threads, so per-device
-    /// host times do not add up to the run's — the cluster-level
-    /// measurement lives in [`ClusterReport::wall_s`].
+    /// The replica engine's full device report (the hops it executed are
+    /// its outcomes' `hops`).
     pub report: ServeReport,
 }
 
@@ -360,13 +358,11 @@ pub struct ShardBreakdown {
     pub replicas: Vec<ReplicaBreakdown>,
 }
 
-/// Result of serving a stream of sessions on the cluster.
-///
-/// Equality inherits [`ServeReport`]'s convention: host wall-clock
-/// fields are excluded, everything else — merged outcomes, update
-/// outcomes, every per-shard and per-replica breakdown — must match
-/// bit-for-bit for two reports to compare equal.
-#[derive(Debug, Clone)]
+/// Result of serving a stream of sessions on the cluster: simulated
+/// quantities only, so two runs compare equal exactly when their merged
+/// outcomes, update outcomes and every per-shard and per-replica
+/// breakdown match bit for bit.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterReport {
     /// One gathered record per submitted cluster query, in submission
     /// order (results in global ids).
@@ -378,23 +374,6 @@ pub struct ClusterReport {
     pub shards: Vec<ShardBreakdown>,
     /// Earliest arrival → latest completion across the whole cluster.
     pub makespan_ns: Nanos,
-    /// Host wall-clock seconds spent inside scheduling rounds, measured
-    /// **once across the whole cluster**: replica engines step side by
-    /// side on the run's threads, so per-shard wall-clock attribution
-    /// would be fiction (the per-replica `wall_s` fields are zeroed).
-    /// Excluded from equality.
-    pub wall_s: f64,
-}
-
-impl PartialEq for ClusterReport {
-    fn eq(&self, other: &Self) -> bool {
-        // `wall_s` is deliberately excluded (host timing, not simulation
-        // output).
-        self.outcomes == other.outcomes
-            && self.update_outcomes == other.update_outcomes
-            && self.shards == other.shards
-            && self.makespan_ns == other.makespan_ns
-    }
 }
 
 impl ClusterReport {
@@ -598,8 +577,6 @@ pub struct ClusterEngine<'a> {
     /// Every hedge decision pending, made and visited.
     #[cfg(test)]
     hedge_log: HedgeLog,
-    /// Host wall-clock spent inside `run_to_completion*`.
-    wall: std::time::Duration,
 }
 
 /// What the hedged routing did, for the tests to hold against the
@@ -734,7 +711,6 @@ impl<'a> ClusterEngine<'a> {
             fired,
             #[cfg(test)]
             hedge_log: HedgeLog::default(),
-            wall: std::time::Duration::ZERO,
         }
     }
 
@@ -900,7 +876,6 @@ impl<'a> ClusterEngine<'a> {
         }
         assert!(seen.iter().all(|&s| s), "order must cover every shard");
 
-        let wall_start = std::time::Instant::now();
         crate::exec::with_pool(
             self.config.exec_threads,
             |mut rep: Replica<'a>| {
@@ -937,7 +912,6 @@ impl<'a> ClusterEngine<'a> {
                 }
             },
         );
-        self.wall += wall_start.elapsed();
         self.report()
     }
 
@@ -1302,19 +1276,8 @@ impl<'a> ClusterEngine<'a> {
             .shards
             .iter()
             .map(|slot| {
-                slot.as_ref().map(|shard| {
-                    shard
-                        .replicas
-                        .iter()
-                        .map(|r| {
-                            let mut rep = r.engine.report();
-                            // Shared pool: per-device wall-clock is
-                            // fiction (see `ClusterReport::wall_s`).
-                            rep.wall_s = 0.0;
-                            rep
-                        })
-                        .collect()
-                })
+                slot.as_ref()
+                    .map(|shard| shard.replicas.iter().map(|r| r.engine.report()).collect())
             })
             .collect();
         self.resolve_updates(&reports);
@@ -1405,7 +1368,6 @@ impl<'a> ClusterEngine<'a> {
                         replica: ri,
                         alive: shard.replicas[ri].alive,
                         killed_ns: shard.replicas[ri].killed_ns,
-                        hops: report.outcomes.iter().map(|o| o.hops).sum(),
                         report,
                     })
                     .collect();
@@ -1427,7 +1389,11 @@ impl<'a> ClusterEngine<'a> {
                 Some(ShardBreakdown {
                     shard: s,
                     vertices: self.plan.shard_len(s),
-                    hops: replicas.iter().map(|r| r.hops).sum(),
+                    hops: replicas
+                        .iter()
+                        .flat_map(|r| &r.report.outcomes)
+                        .map(|o| o.hops)
+                        .sum(),
                     failovers: shard.failovers,
                     hedges: shard.hedges,
                     hedge_wins: hedge_wins[s],
@@ -1442,7 +1408,6 @@ impl<'a> ClusterEngine<'a> {
             update_outcomes: self.resolved.clone(),
             shards,
             makespan_ns,
-            wall_s: self.wall.as_secs_f64(),
         }
     }
 }
@@ -1551,11 +1516,8 @@ mod tests {
         assert_eq!(report.availability(), 1.0);
         assert_eq!(report.failovers(), 0);
         assert_eq!(report.hedges(), 0);
-        assert!(report.wall_s > 0.0, "cluster wall clock must be measured");
-        assert!(report.sim_ns_per_wall_s() > 0.0);
         for s in &report.shards {
             assert_eq!(s.replicas.len(), 1);
-            assert_eq!(s.replicas[0].report.wall_s, 0.0, "per-replica wall zeroed");
         }
     }
 
@@ -1860,7 +1822,7 @@ mod tests {
                 4,
                 "round robin must split 8 evenly"
             );
-            assert!(r.hops > 0);
+            assert!(r.report.outcomes.iter().any(|o| o.hops > 0));
         }
     }
 

@@ -68,8 +68,8 @@ impl LunCoverage {
     }
 }
 
-/// The engine-wide mutable accumulators one round commits into — per-LUN
-/// outcome deltas merge into these, in stable LUN order.
+/// The engine-wide mutable accumulators [`run_lun_units`] commits every
+/// LUN unit into, in stable LUN order.
 pub(crate) struct RoundSinks<'a> {
     /// Engine-wide ECC state (failure-stream cursors advance per round).
     pub ecc: &'a mut EccEngine,
@@ -101,25 +101,39 @@ impl RoundScratch {
     }
 }
 
-/// Evaluates every LUN unit of a sealed arena, committing each outcome's
-/// ECC delta and handing it to `merge` with the unit's task slice, in
-/// stable (ascending) LUN order. Every flash page an engine reads is
-/// issued here.
+/// Evaluates every LUN unit of a sealed arena in stable (ascending) LUN
+/// order. Each unit's ECC delta, flash-statistics counts and LUN are
+/// committed into `sinks`; then the outcome goes to `each` with the
+/// unit's task slice. Every flash page an engine reads is issued here.
 ///
 /// A LUN owns its planes and appears once per arena, so no unit reads a
 /// per-plane cursor an earlier unit of the round advanced.
 pub(crate) fn run_lun_units(
     config: &NdsConfig,
     luncsr: &LunCsr,
-    ecc: &mut EccEngine,
+    sinks: RoundSinks<'_>,
     arena: &RoundArena,
-    mut merge: impl FnMut(&LunOutcome, &[VertexTask]),
+    mut each: impl FnMut(&LunOutcome, &[VertexTask]),
 ) {
+    let RoundSinks {
+        ecc,
+        stats,
+        luns_touched,
+    } = sinks;
     for unit in 0..arena.units() {
         let (lun, tasks) = arena.unit(unit);
         let out = process_lun_tasks(lun, tasks, luncsr, config, ecc);
         ecc.apply(&out.ecc);
-        merge(&out, tasks);
+        let rep = &out.report;
+        stats.page_reads += rep.page_loads;
+        stats.search_ops += rep.sense_ops;
+        stats.page_buffer_hits += rep.page_hits;
+        stats.distance_evals += rep.distances;
+        stats.multi_plane_ops += rep.multi_plane_ops;
+        stats.ecc_soft_fallbacks += rep.soft_fallbacks;
+        stats.bus_bytes += rep.result_bytes;
+        luns_touched.touch(lun);
+        each(&out, tasks);
     }
 }
 
@@ -226,18 +240,11 @@ pub(crate) fn execute_round<'e>(
     // ---- Searching stage: all LUN accelerators in parallel on the
     // simulated clock (the round charges the slowest), merged in stable
     // LUN order. ----
-    let RoundSinks {
-        ecc,
-        stats,
-        luns_touched,
-    } = sinks;
     let channel_out = &mut scratch.channel_out;
     channel_out.clear();
     channel_out.resize(config.geometry.channels as usize, 0);
     let mut max_busy_rep = SinReport::default();
-    run_lun_units(config, luncsr, ecc, &scratch.arena, |out, _| {
-        luns_touched.touch(out.lun);
-        stats.merge(&out.stats);
+    run_lun_units(config, luncsr, sinks, &scratch.arena, |out, _| {
         let rep = &out.report;
         let ch = config.geometry.lun_channel(out.lun) as usize;
         channel_out[ch] += unit_channel_ns(timing, rep);
@@ -473,10 +480,12 @@ impl<'a> NdsEngine<'a> {
             // pages and MACs (visible in the statistics). Its deltas
             // commit after the main round's, so the per-plane ECC streams
             // stay in program order.
-            run_lun_units(config, luncsr, &mut ecc, &scratch.arena, |out, _| {
-                luns_touched.touch(out.lun);
-                stats.merge(&out.stats);
-            });
+            let sinks = RoundSinks {
+                ecc: &mut ecc,
+                stats: &mut stats,
+                luns_touched,
+            };
+            run_lun_units(config, luncsr, sinks, &scratch.arena, |_, _| {});
 
             // ---- Compose the round's critical path and attribute it to
             // the breakdown buckets. ----

@@ -7,6 +7,11 @@
 //! [`UpdateOutcome`] per update, and derive their roll-ups (counts, QPS,
 //! latency order statistics, SLO attainment, per-tenant summaries) from
 //! those records with the one set of bodies in this module.
+//!
+//! Every quantity here is on the simulated clock or counts simulated
+//! work; none is a host measurement, so equal configurations give `==`
+//! reports. How long the simulator takes on the host is the `perf_ledger`
+//! benchmark's business (`host_us_per_op`).
 
 use std::collections::BTreeMap;
 
@@ -33,26 +38,11 @@ pub struct LatencySummary {
     pub p99_ns: Nanos,
     /// Worst sample.
     pub max_ns: Nanos,
-    /// Host wall-clock seconds the simulator spent producing the run the
-    /// samples came from (0 when not measured; filled by
-    /// [`crate::serve::ServeReport::latency`] and
-    /// [`crate::cluster::ClusterReport::latency`]). Wall-clock time is a
-    /// host measurement, not a simulation result: it varies run to run,
-    /// so every report type excludes it from equality, and in a cluster
-    /// it is meaningful only at the *cluster* level — replica engines
-    /// step side by side on the run's threads, so per-replica wall times
-    /// do not add up to the run's and per-replica reports carry 0 here.
-    pub wall_s: f64,
-    /// Wall-clock simulation throughput: simulated nanoseconds advanced
-    /// per host second (0 when not measured; same host-measurement
-    /// caveats as `wall_s`).
-    pub sim_ns_per_wall_s: f64,
 }
 
 impl LatencySummary {
     /// Summarizes `samples` (order irrelevant; an empty slice yields the
-    /// all-zero summary). The wall-clock fields stay 0 — only a caller
-    /// that actually timed the run can fill them.
+    /// all-zero summary).
     pub(crate) fn from_samples(samples: &[Nanos]) -> Self {
         if samples.is_empty() {
             return Self::default();
@@ -70,8 +60,6 @@ impl LatencySummary {
             p95_ns: pct(95.0),
             p99_ns: pct(99.0),
             max_ns: *sorted.last().unwrap(),
-            wall_s: 0.0,
-            sim_ns_per_wall_s: 0.0,
         }
     }
 }
@@ -132,33 +120,14 @@ pub(crate) fn per_second(count: usize, makespan_ns: Nanos) -> f64 {
     }
 }
 
-/// Simulated nanoseconds advanced per host second spent simulating (0
-/// when nothing was measured).
-pub(crate) fn sim_ns_per_wall_s(makespan_ns: Nanos, wall_s: f64) -> f64 {
-    if wall_s > 0.0 {
-        makespan_ns as f64 / wall_s
-    } else {
-        0.0
-    }
-}
-
-/// Latency order statistics over the completed `outcomes` of a run that
-/// spanned `makespan_ns` and took `wall_s` host seconds to simulate.
-pub(crate) fn latency(
-    outcomes: &[QueryOutcome],
-    makespan_ns: Nanos,
-    wall_s: f64,
-) -> LatencySummary {
+/// Latency order statistics over the completed `outcomes`.
+pub(crate) fn latency(outcomes: &[QueryOutcome]) -> LatencySummary {
     let samples: Vec<Nanos> = outcomes
         .iter()
         .filter(|o| o.state == SessionState::Completed)
         .map(QueryOutcome::latency_ns)
         .collect();
-    LatencySummary {
-        wall_s,
-        sim_ns_per_wall_s: sim_ns_per_wall_s(makespan_ns, wall_s),
-        ..LatencySummary::from_samples(&samples)
-    }
+    LatencySummary::from_samples(&samples)
 }
 
 /// The fraction of the deadline-carrying `outcomes` that completed on
@@ -211,7 +180,7 @@ pub(crate) fn summarize_tenants(outcomes: &[QueryOutcome]) -> Vec<TenantSummary>
 }
 
 /// Expands, inside the `impl` of a report with `outcomes`,
-/// `update_outcomes`, `makespan_ns` and `wall_s` fields, to the roll-ups
+/// `update_outcomes` and `makespan_ns` fields, to the roll-ups
 /// over those records: inherent methods, so a caller needs no trait in
 /// scope, each a call to its one body in this module.
 macro_rules! rollups {
@@ -238,17 +207,9 @@ macro_rules! rollups {
             crate::report::per_second(self.completed(), self.makespan_ns)
         }
 
-        /// Wall-clock simulation throughput: simulated nanoseconds
-        /// advanced per host second spent simulating (0 when nothing was
-        /// measured).
-        pub fn sim_ns_per_wall_s(&self) -> f64 {
-            crate::report::sim_ns_per_wall_s(self.makespan_ns, self.wall_s)
-        }
-
-        /// Latency order statistics over completed queries, plus the
-        /// wall-clock simulation-throughput fields.
+        /// Latency order statistics over completed queries.
         pub fn latency(&self) -> crate::report::LatencySummary {
-            crate::report::latency(&self.outcomes, self.makespan_ns, self.wall_s)
+            crate::report::latency(&self.outcomes)
         }
 
         /// Updates applied to completion.
@@ -527,7 +488,7 @@ mod tests {
         assert_eq!(slo_attainment(&outcomes[4..]), 1.0);
         assert!((per_second(3, 2_000_000_000) - 1.5).abs() < 1e-12);
         assert_eq!(per_second(3, 0), 0.0);
-        assert_eq!(latency(&outcomes, 0, 0.0).p99_ns, 300);
+        assert_eq!(latency(&outcomes).p99_ns, 300);
         let ts = summarize_tenants(&outcomes);
         assert_eq!(ts.len(), 2);
         assert_eq!((ts[0].tenant, ts[1].tenant), (0, 1), "ascending tenant id");

@@ -48,12 +48,13 @@
 //!   the O(R) rows it rewrote, not O(V+E);
 //! * [`ServeReport`] — the outcome records, QPS over the makespan,
 //!   per-query latency order statistics
-//!   ([`LatencySummary`](crate::report::LatencySummary)), wall-clock
-//!   simulation throughput (`wall_s` / [`ServeReport::sim_ns_per_wall_s`]),
-//!   and the update stream's outcomes, throughput
-//!   ([`ServeReport::update_qps`]) and write amplification. The roll-ups
-//!   over the records have one body each, in [`crate::report`], shared
-//!   with [`crate::cluster::ClusterReport`].
+//!   ([`LatencySummary`](crate::report::LatencySummary)), and the update
+//!   stream's outcomes, throughput ([`ServeReport::update_qps`]) and
+//!   write amplification, all on the simulated clock: the engine never
+//!   reads the host's (what the simulator costs on the host is the
+//!   `perf_ledger` benchmark's `host_us_per_op`). The roll-ups over the
+//!   records have one body each, in [`crate::report`], shared with
+//!   [`crate::cluster::ClusterReport`].
 //!
 //! There is one round path, and it runs on the calling thread:
 //! [`ServeEngine::step_round`] steps every in-flight searcher where it
@@ -482,12 +483,10 @@ impl QueryOutcome {
     }
 }
 
-/// Result of serving a stream of query sessions.
-///
-/// Equality ignores the host-side `wall_s` measurement: two runs of the
-/// same simulation are equal even though host timing jitters (the
+/// Result of serving a stream of query sessions: simulated quantities
+/// only, so two runs of the same simulation compare equal (the
 /// determinism tests rely on this).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
     /// One record per submitted session, in submission order.
     pub outcomes: Vec<QueryOutcome>,
@@ -497,7 +496,8 @@ pub struct ServeReport {
     pub updates: UpdateTotals,
     /// First arrival → last completion.
     pub makespan_ns: Nanos,
-    /// Scheduling rounds executed.
+    /// Scheduling rounds that executed hops (a round that only admits,
+    /// expires or applies updates is not counted).
     pub rounds: u64,
     /// Most sessions concurrently in flight.
     pub peak_inflight: usize,
@@ -511,26 +511,6 @@ pub struct ServeReport {
     pub stats: FlashStats,
     /// Distinct LUNs touched / total LUNs.
     pub lun_coverage: f64,
-    /// Host wall-clock seconds spent inside scheduling rounds — how long
-    /// the *simulator* took, as opposed to the simulated `makespan_ns`.
-    pub wall_s: f64,
-}
-
-impl PartialEq for ServeReport {
-    fn eq(&self, other: &Self) -> bool {
-        // `wall_s` is deliberately excluded (host timing, not simulation
-        // output).
-        self.outcomes == other.outcomes
-            && self.update_outcomes == other.update_outcomes
-            && self.updates == other.updates
-            && self.makespan_ns == other.makespan_ns
-            && self.rounds == other.rounds
-            && self.peak_inflight == other.peak_inflight
-            && self.peak_tenant_inflight == other.peak_tenant_inflight
-            && self.breakdown == other.breakdown
-            && self.stats == other.stats
-            && self.lun_coverage == other.lun_coverage
-    }
 }
 
 impl ServeReport {
@@ -646,11 +626,9 @@ pub struct ServeEngine<'a> {
     /// In-flight sessions per tenant in the round being admitted,
     /// ascending by tenant; recounted in place every round.
     tenant_inflight: Vec<(u32, usize)>,
-    /// Simulated time spent in rounds that executed at least one hop
-    /// (numerator of the shed estimator's per-hop cost).
-    hop_round_ns_total: Nanos,
-    /// Number of rounds that executed at least one hop.
-    hop_rounds: u64,
+    /// Simulated time spent in the `rounds` (numerator of the shed
+    /// estimator's per-hop cost).
+    round_ns_total: Nanos,
     /// Total hops of sessions whose search ran to completion (numerator
     /// of the estimator's expected hop count).
     finished_hops_total: u64,
@@ -684,8 +662,6 @@ pub struct ServeEngine<'a> {
     /// Every rerank unit issued, as (LUN, issue time, start, busy time).
     #[cfg(test)]
     rerank_units: Vec<(u32, Nanos, Nanos, Nanos)>,
-    /// Host time spent inside [`step_round`](Self::step_round).
-    wall: std::time::Duration,
 }
 
 impl<'a> ServeEngine<'a> {
@@ -760,8 +736,7 @@ impl<'a> ServeEngine<'a> {
             peak_inflight: 0,
             peak_tenant_inflight: Vec::new(),
             tenant_inflight: Vec::new(),
-            hop_round_ns_total: 0,
-            hop_rounds: 0,
+            round_ns_total: 0,
             finished_hops_total: 0,
             finished_searches: 0,
             ecc: EccEngine::new(&config.geometry, config.ecc),
@@ -777,7 +752,6 @@ impl<'a> ServeEngine<'a> {
             rerank_ids: Vec::new(),
             #[cfg(test)]
             rerank_units: Vec::new(),
-            wall: std::time::Duration::ZERO,
         }
     }
 
@@ -948,10 +922,7 @@ impl<'a> ServeEngine<'a> {
     /// round has been observed — the engine starts optimistic and sheds
     /// nothing.
     fn finish_estimate(&self) -> impl Fn(usize) -> Nanos {
-        let per_hop_ns = self
-            .hop_round_ns_total
-            .checked_div(self.hop_rounds)
-            .unwrap_or(0);
+        let per_hop_ns = self.round_ns_total.checked_div(self.rounds).unwrap_or(0);
         let expected_hops = self
             .finished_hops_total
             .checked_div(self.finished_searches)
@@ -1078,14 +1049,16 @@ impl<'a> ServeEngine<'a> {
         arena.seal();
         let timing = &self.config.timing;
         let (sessions, finished) = (&mut self.sessions, &self.finished);
-        let (stats, luns_touched) = (&mut self.stats, &mut self.luns_touched);
         let free_at = &mut self.lun_free_at;
         #[cfg(test)]
         let log = &mut self.rerank_units;
+        let sinks = RoundSinks {
+            ecc: &mut self.ecc,
+            stats: &mut self.stats,
+            luns_touched: &mut self.luns_touched,
+        };
         let arena = self.round.arena();
-        run_lun_units(self.config, luncsr, &mut self.ecc, arena, |out, tasks| {
-            luns_touched.touch(out.lun);
-            stats.merge(&out.stats);
+        run_lun_units(self.config, luncsr, sinks, arena, |out, tasks| {
             let free = &mut free_at[out.lun as usize];
             let start = now.max(*free);
             *free = start + out.report.busy_ns;
@@ -1120,16 +1093,13 @@ impl<'a> ServeEngine<'a> {
     /// This is the only round path: everything runs on the calling
     /// thread.
     pub fn step_round(&mut self) -> bool {
-        let wall_start = std::time::Instant::now();
-        let more = match self.begin_round() {
+        match self.begin_round() {
             Some(t_in) => {
                 self.step_hops();
                 self.finish_round(t_in)
             }
             None => false,
-        };
-        self.wall += wall_start.elapsed();
-        more
+        }
     }
 
     /// First half of a scheduling round: arrivals, expiry, SLO shedding
@@ -1284,11 +1254,10 @@ impl<'a> ServeEngine<'a> {
         // DRAM-resident code table, so the round costs DRAM traffic and
         // embedded-core compute instead of NAND sensing — flash is paid
         // only by the exact rerank of the sessions that finish. ----
-        let mut round_exec: Nanos = 0;
+        let mut advance = t_in;
         if !hops.is_empty() {
-            if quantized {
-                round_exec = self.quantized_round_ns(hops);
-                self.rounds += 1;
+            let round_exec = if quantized {
+                self.quantized_round_ns(hops)
             } else {
                 let round = execute_round(
                     self.config,
@@ -1304,18 +1273,14 @@ impl<'a> ServeEngine<'a> {
                     &mut self.round,
                 );
                 let overlap = self.config.scheduling.dynamic_allocating && self.rounds > 0;
-                round_exec = round.apply(&mut self.breakdown, &mut self.prev_shadow, overlap);
-                self.rounds += 1;
-            }
+                round.apply(&mut self.breakdown, &mut self.prev_shadow, overlap)
+            };
+            advance = round_exec.max(t_in);
+            self.rounds += 1;
+            // Feed the shed estimator: mean duration of a round.
+            self.round_ns_total += advance;
         }
-        let advance = round_exec.max(t_in);
         self.now_ns += advance;
-        if !hops.is_empty() {
-            // Feed the shed estimator: mean duration of hop-executing
-            // rounds (simulated values only).
-            self.hop_round_ns_total += advance;
-            self.hop_rounds += 1;
-        }
         self.hops = hop_records;
 
         // ---- The exact rerank of the quantized sessions whose traversal
@@ -1459,7 +1424,6 @@ impl<'a> ServeEngine<'a> {
             breakdown: self.breakdown,
             stats: self.stats,
             lun_coverage: self.luns_touched.ratio(self.config.geometry.total_luns()),
-            wall_s: self.wall.as_secs_f64(),
         }
     }
 }
@@ -1552,11 +1516,10 @@ mod tests {
             submit_all(&mut engine, &fx, |i| i as Nanos * 1_000);
             engine.run_to_completion()
         };
-        let first = run();
-        assert!(first.wall_s > 0.0, "wall clock must be measured");
-        assert!(first.sim_ns_per_wall_s() > 0.0);
+        let (first, second) = (run(), run());
         assert!(first.stats.ecc_soft_fallbacks > 0);
-        assert_eq!(first, run());
+        assert_eq!(first, second);
+        assert_eq!(first.latency(), second.latency());
     }
 
     #[test]

@@ -20,20 +20,24 @@ use std::cell::RefCell;
 
 use ndsearch_flash::ecc::{EccDelta, EccEngine};
 use ndsearch_flash::geometry::{LunId, PlaneId};
-use ndsearch_flash::stats::FlashStats;
 use ndsearch_flash::timing::Nanos;
 use ndsearch_graph::luncsr::LunCsr;
 
 use crate::alloc::{LunWork, VertexTask};
 use crate::config::{NdsConfig, MAC_LANES, RESULT_ENTRY_BYTES};
 
-/// Result of one LUN accelerator processing one iteration's work.
+/// Result of one LUN accelerator processing one iteration's work. Its
+/// counts are the unit's flash-statistics increments: the engines fold
+/// them into their `FlashStats` as each unit completes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SinReport {
     /// NAND sense operations issued (multi-plane groups).
     pub sense_ops: u64,
     /// Pages loaded from the array (each sense op loads 1..planes pages).
     pub page_loads: u64,
+    /// Of the sense ops: multi-plane ones, merging one (block, page) row
+    /// across two or more planes.
+    pub multi_plane_ops: u64,
     /// Page loads avoided by sharing a resident page across tasks.
     pub page_hits: u64,
     /// Distance computations performed.
@@ -53,19 +57,17 @@ pub struct SinReport {
 }
 
 /// Everything one LUN accelerator's iteration produces, as a *delta*
-/// against engine-wide state: the timing report and the flash-statistics
-/// and ECC increments. Pure data — the caller merges outcomes in stable
-/// LUN order and commits the deltas.
+/// against engine-wide state: the timing report, whose counts are the
+/// unit's flash-statistics increments, and the ECC cursor advance. Pure
+/// data — the caller folds outcomes in stable LUN order and commits the
+/// deltas.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LunOutcome {
     /// The LUN that executed the work.
     pub lun: LunId,
     /// Timing/counters of the accelerator run.
     pub report: SinReport,
-    /// Flash-statistics increments (merge into the engine-wide
-    /// [`FlashStats`]).
-    pub stats: FlashStats,
-    /// ECC decode increments (apply to the engine-wide [`EccEngine`]).
+    /// ECC cursor advance (apply to the engine-wide [`EccEngine`]).
     pub ecc: EccDelta,
 }
 
@@ -268,24 +270,13 @@ fn process_with(
     let distances = accesses;
     let busy_ns = sense_ns + ecc_ns + compute_ns;
 
-    // 4. Stats — accumulated into a fresh delta, not engine-wide state.
     let result_bytes = non_speculative * u64::from(RESULT_ENTRY_BYTES);
-    let stats_delta = FlashStats {
-        page_reads: page_loads,
-        search_ops: sense_ops,
-        page_buffer_hits: page_hits,
-        distance_evals: distances,
-        multi_plane_ops: merged_multi_plane,
-        ecc_soft_fallbacks: soft_fallbacks,
-        bus_bytes: result_bytes,
-        ..FlashStats::new()
-    };
-
     LunOutcome {
         lun,
         report: SinReport {
             sense_ops,
             page_loads,
+            multi_plane_ops: merged_multi_plane,
             page_hits,
             distances,
             busy_ns,
@@ -295,7 +286,6 @@ fn process_with(
             result_bytes,
             soft_fallbacks,
         },
-        stats: stats_delta,
         ecc: ecc_pass.into_delta(),
     }
 }
@@ -407,7 +397,7 @@ mod tests {
         let out = process_lun_work(&work[0], &lc, &cfg, &ecc);
         assert_eq!(out.report.page_loads, 2);
         assert_eq!(out.report.sense_ops, 1, "two planes, one multi-plane op");
-        assert_eq!(out.stats.multi_plane_ops, 1);
+        assert_eq!(out.report.multi_plane_ops, 1);
     }
 
     #[test]
@@ -416,15 +406,13 @@ mod tests {
         let tasks: Vec<(u32, VectorId)> = (0..32u32).map(|v| (0, v)).collect();
         let work = work_for(&lc, &cfg, &tasks);
         let mut ecc = EccEngine::new(&cfg.geometry, cfg.ecc);
-        let mut stats = FlashStats::new();
-        let mut loads = 0;
-        let mut senses = 0;
+        let (mut loads, mut senses, mut multi_plane) = (0, 0, 0);
         for w in &work {
             let out = process_lun_work(w, &lc, &cfg, &ecc);
             ecc.apply(&out.ecc);
-            stats.merge(&out.stats);
             loads += out.report.page_loads;
             senses += out.report.sense_ops;
+            multi_plane += out.report.multi_plane_ops;
         }
         assert_eq!(loads, 2);
         assert_eq!(
@@ -432,7 +420,7 @@ mod tests {
             "linear placement stripes consecutive pages to different LUNs \
              with no multi-plane alignment"
         );
-        assert_eq!(stats.multi_plane_ops, 0);
+        assert_eq!(multi_plane, 0);
     }
 
     #[test]
@@ -475,7 +463,7 @@ mod tests {
             out.report.page_loads, 1,
             "speculative loads still cost pages"
         );
-        assert_eq!(out.ecc.decodes, 1);
+        assert_ne!(out.ecc, EccDelta::default(), "and are decoded");
     }
 
     #[test]
@@ -489,9 +477,5 @@ mod tests {
         let a = process_lun_work(&work[0], &lc, &cfg, &ecc);
         let b = process_lun_work(&work[0], &lc, &cfg, &ecc);
         assert_eq!(a, b);
-        assert_eq!(ecc.decode_count(), 0, "the engine snapshot is untouched");
-        // The delta accounts for exactly the work's pages.
-        assert_eq!(a.stats.page_reads, a.report.page_loads);
-        assert_eq!(a.ecc.decodes, a.report.page_loads);
     }
 }

@@ -9,19 +9,36 @@
 //! §VII-B ("ECC and endurance"): raw bit error rates are generated per
 //! plane following measured BER distributions with mean 1e-6, and
 //! hard-decision failure probabilities of {1, 5, 10, 30} % are injected to
-//! evaluate worst-case slowdown (1.23×–1.66× at 30 %).
+//! evaluate worst-case slowdown (1.23×–1.66× at 30 %). The two halves are
+//! separate here as in the paper: [`plane_raw_bers`] draws the descriptive
+//! Fig. 18(a) distribution, and the [`EccEngine`] injects failures from
+//! the hard-decision probability alone — no decode reads a BER.
 
 use crate::geometry::{FlashGeometry, PlaneId};
 use crate::timing::Nanos;
 use ndsearch_vector::rng::{Pcg32, SplitMix64};
 
+/// Mean raw bit error rate of the Fig. 18(a) plane distribution (§VII-B).
+const MEAN_RAW_BER: f64 = 1e-6;
+
+/// Spread of the Fig. 18(a) lognormal plane distribution (σ of ln BER).
+const BER_SIGMA: f64 = 0.6;
+
+/// One raw BER per plane of `geom` (the Fig. 18(a) distribution): a
+/// lognormal centred, in log space, on the paper's mean of 1e-6 with
+/// σ 0.6, drawn in plane order from a [`Pcg32`] seeded with `seed`.
+/// Descriptive only — fault injection never reads it.
+pub fn plane_raw_bers(geom: &FlashGeometry, seed: u64) -> Vec<f64> {
+    let mut rng = Pcg32::seed_from_u64(seed);
+    let mu = MEAN_RAW_BER.ln();
+    (0..geom.total_planes())
+        .map(|_| (mu + rng.next_gaussian() * BER_SIGMA).exp())
+        .collect()
+}
+
 /// ECC model parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EccConfig {
-    /// Mean raw bit error rate across planes (paper default 1e-6).
-    pub mean_raw_ber: f64,
-    /// Spread of the per-plane lognormal BER distribution (sigma of ln BER).
-    pub ber_sigma: f64,
     /// Probability that the in-SiN hard-decision decode of a page fails and
     /// must fall back to soft decision on the FTL (paper default 1 %).
     pub hard_decision_failure_prob: f64,
@@ -31,15 +48,14 @@ pub struct EccConfig {
     /// Extra latency of a soft-decision decode on the FTL (paper: ~10 µs),
     /// which also pauses the search iteration on that LUN.
     pub t_soft_decode_ns: Nanos,
-    /// RNG seed for plane BERs and failure injection.
+    /// Seed of the failure-injection streams (and of the Fig. 18(a)
+    /// BERs a caller draws with [`plane_raw_bers`]).
     pub seed: u64,
 }
 
 impl Default for EccConfig {
     fn default() -> Self {
         Self {
-            mean_raw_ber: 1e-6,
-            ber_sigma: 0.6,
             hard_decision_failure_prob: 0.01,
             t_hard_decode_ns: 500,
             t_soft_decode_ns: 10_000,
@@ -120,34 +136,20 @@ impl PartialEq for PlaneCounts {
 
 impl Eq for PlaneCounts {}
 
-/// Mergeable result of a [decoding pass](EccLunPass): per-plane decode
-/// counts plus failure totals, produced *without* mutating the engine.
+/// Result of a [decoding pass](EccLunPass): how far it advanced each
+/// plane's failure-stream cursor, produced *without* mutating the engine.
 ///
 /// A pass returns its effects instead of committing them so that
 /// `ndsearch_core::sin::process_lun_work` stays a pure stage view: the
 /// engines commit each unit's delta right after the unit, while
 /// `perf_ledger`'s `core.sin.*` rows replay units against one untouched
-/// engine. Deltas merge associatively and commutatively (every
-/// field is a sum). Apply them with [`EccEngine::apply`].
+/// engine. Apply it with [`EccEngine::apply`]; the pass's decode and
+/// failure counts are the caller's to keep (the engines count them in
+/// `FlashStats::{page_reads, ecc_soft_fallbacks}`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EccDelta {
     /// `(plane, decode count)` pairs, sorted by plane id.
     plane_decodes: PlaneCounts,
-    /// Total pages decoded in the pass.
-    pub decodes: u64,
-    /// Hard-decision failures (soft-decision fallbacks) in the pass.
-    pub hard_failures: u64,
-}
-
-impl EccDelta {
-    /// Folds `other` into `self` (associative, commutative).
-    pub fn merge(&mut self, other: &EccDelta) {
-        for &(plane, count) in other.plane_decodes.as_slice() {
-            *self.plane_decodes.slot(plane) += count;
-        }
-        self.decodes += other.decodes;
-        self.hard_failures += other.hard_failures;
-    }
 }
 
 /// A pure per-LUN decoding pass over a read-only [`EccEngine`] snapshot.
@@ -162,7 +164,6 @@ impl EccDelta {
 pub struct EccLunPass<'a> {
     engine: &'a EccEngine,
     counts: PlaneCounts,
-    decodes: u64,
     hard_failures: u64,
 }
 
@@ -178,7 +179,6 @@ impl EccLunPass<'_> {
         let local = self.counts.slot(plane);
         let index = base + *local;
         *local += 1;
-        self.decodes += 1;
         if self.engine.fault_fires(plane, index) {
             self.hard_failures += 1;
             self.engine.config.t_hard_decode_ns + self.engine.config.t_soft_decode_ns
@@ -196,13 +196,11 @@ impl EccLunPass<'_> {
     pub fn into_delta(self) -> EccDelta {
         EccDelta {
             plane_decodes: self.counts,
-            decodes: self.decodes,
-            hard_failures: self.hard_failures,
         }
     }
 }
 
-/// Per-plane BER state plus deterministic fault injection.
+/// Deterministic fault injection: one failure-stream cursor per plane.
 ///
 /// Fault injection is *counter-indexed*: whether the `n`-th decode of a
 /// plane fails is a pure function of `(seed, plane, n)`, so a plane's
@@ -211,30 +209,16 @@ impl EccLunPass<'_> {
 #[derive(Debug, Clone)]
 pub struct EccEngine {
     config: EccConfig,
-    /// Per-plane raw BERs (the Fig. 18a distribution).
-    plane_ber: Box<[f64]>,
     /// Decodes committed per plane (the failure-stream cursor).
     plane_decodes: Vec<u64>,
-    hard_failures: u64,
-    decodes: u64,
 }
 
 impl EccEngine {
-    /// Builds the engine, sampling one raw BER per plane from a lognormal
-    /// centred (in log space) on `mean_raw_ber`.
+    /// Builds the engine with every plane's cursor at its first decode.
     pub fn new(geom: &FlashGeometry, config: EccConfig) -> Self {
-        let mut rng = Pcg32::seed_from_u64(config.seed);
-        let mu = config.mean_raw_ber.ln();
-        let plane_ber: Box<[f64]> = (0..geom.total_planes())
-            .map(|_| (mu + rng.next_gaussian() * config.ber_sigma).exp())
-            .collect();
-        let planes = plane_ber.len();
         Self {
             config,
-            plane_ber,
-            plane_decodes: vec![0; planes],
-            hard_failures: 0,
-            decodes: 0,
+            plane_decodes: vec![0; geom.total_planes() as usize],
         }
     }
 
@@ -251,19 +235,6 @@ impl EccEngine {
     /// happens.
     pub fn set_hard_decision_failure_prob(&mut self, p: f64) {
         self.config.hard_decision_failure_prob = p.clamp(0.0, 1.0);
-    }
-
-    /// Raw BER of a plane.
-    ///
-    /// # Panics
-    /// Panics if the plane index is out of range.
-    pub fn plane_raw_ber(&self, plane: PlaneId) -> f64 {
-        self.plane_ber[plane as usize]
-    }
-
-    /// All plane BERs (for the Fig. 18(a) distribution plot).
-    pub fn plane_bers(&self) -> &[f64] {
-        &self.plane_ber
     }
 
     /// Whether the `index`-th decode on `plane` suffers a hard-decision
@@ -292,41 +263,19 @@ impl EccEngine {
         EccLunPass {
             engine: self,
             counts: PlaneCounts::default(),
-            decodes: 0,
             hard_failures: 0,
         }
     }
 
     /// Commits a pass's delta, advancing the per-plane failure-stream
-    /// cursors and the engine totals. Deltas over disjoint planes may be
-    /// applied in any order and yield the same state.
+    /// cursors. Deltas over disjoint planes may be applied in any order
+    /// and yield the same state.
     ///
     /// # Panics
     /// Panics if the delta names a plane outside the engine's geometry.
     pub fn apply(&mut self, delta: &EccDelta) {
         for &(plane, count) in delta.plane_decodes.as_slice() {
             self.plane_decodes[plane as usize] += count;
-        }
-        self.decodes += delta.decodes;
-        self.hard_failures += delta.hard_failures;
-    }
-
-    /// Number of pages decoded so far.
-    pub fn decode_count(&self) -> u64 {
-        self.decodes
-    }
-
-    /// Number of hard-decision failures injected so far.
-    pub fn hard_failure_count(&self) -> u64 {
-        self.hard_failures
-    }
-
-    /// Observed failure ratio.
-    pub fn observed_failure_ratio(&self) -> f64 {
-        if self.decodes == 0 {
-            0.0
-        } else {
-            self.hard_failures as f64 / self.decodes as f64
         }
     }
 }
@@ -339,8 +288,7 @@ mod tests {
     #[test]
     fn plane_bers_center_on_mean() {
         let geom = FlashGeometry::searssd_default();
-        let engine = EccEngine::new(&geom, EccConfig::default());
-        let bers = engine.plane_bers();
+        let bers = plane_raw_bers(&geom, EccConfig::default().seed);
         assert_eq!(bers.len(), 512);
         let log_mean = bers.iter().map(|b| b.ln()).sum::<f64>() / bers.len() as f64;
         let target = 1e-6f64.ln();
@@ -352,6 +300,19 @@ mod tests {
     }
 
     #[test]
+    fn fig18a_histogram_is_pinned() {
+        // The seven Fig. 18(a) buckets of the default seed over SearSSD's
+        // 512 planes, as `paper_figs fig18` prints them.
+        let bers = plane_raw_bers(&FlashGeometry::searssd_default(), EccConfig::default().seed);
+        let edges = [2.5e-7, 5e-7, 1e-6, 2e-6, 4e-6, 8e-6];
+        let mut buckets = [0u32; 7];
+        for ber in bers {
+            buckets[edges.iter().take_while(|&&e| ber >= e).count()] += 1;
+        }
+        assert_eq!(buckets, [4, 67, 198, 184, 57, 2, 0]);
+    }
+
+    #[test]
     fn failure_injection_tracks_probability() {
         let geom = FlashGeometry::tiny();
         let mut cfg = EccConfig {
@@ -359,15 +320,12 @@ mod tests {
             ..EccConfig::default()
         };
         cfg.seed = 7;
-        let mut engine = EccEngine::new(&geom, cfg);
+        let engine = EccEngine::new(&geom, cfg);
         let mut pass = engine.begin_lun_pass();
         for i in 0..20_000u32 {
             pass.decode_page(i % geom.total_planes());
         }
-        let delta = pass.into_delta();
-        engine.apply(&delta);
-        assert_eq!(engine.decode_count(), 20_000);
-        let p = engine.observed_failure_ratio();
+        let p = pass.hard_failures() as f64 / 20_000.0;
         assert!((p - 0.30).abs() < 0.02, "p = {p}");
     }
 
@@ -419,20 +377,22 @@ mod tests {
             let mut e = EccEngine::new(&geom, cfg);
             let mut pass = e.begin_lun_pass();
             let lat: Vec<Nanos> = (0..64).map(|_| pass.decode_page(3)).collect();
+            let failures = pass.hard_failures();
             e.apply(&pass.into_delta());
-            (lat, e.hard_failure_count())
+            (lat, failures)
         };
         let split = {
             let mut e = EccEngine::new(&geom, cfg);
-            let mut lat = Vec::new();
+            let (mut lat, mut failures) = (Vec::new(), 0);
             for chunk in [16usize, 1, 40, 7] {
                 let mut pass = e.begin_lun_pass();
                 for _ in 0..chunk {
                     lat.push(pass.decode_page(3));
                 }
+                failures += pass.hard_failures();
                 e.apply(&pass.into_delta());
             }
-            (lat, e.hard_failure_count())
+            (lat, failures)
         };
         assert_eq!(one, split);
     }
@@ -440,15 +400,15 @@ mod tests {
     #[test]
     fn disjoint_plane_deltas_merge_in_any_order() {
         // Two passes over disjoint planes taken from the same snapshot —
-        // the data-parallel round shape — commit to identical engine state
-        // regardless of apply order, and merging the deltas first is
-        // equivalent too.
+        // the data-parallel round shape — commit to the same cursors
+        // whichever delta is applied first: the next pass over all three
+        // planes draws the same decisions.
         let geom = FlashGeometry::tiny();
         let cfg = EccConfig {
             hard_decision_failure_prob: 0.5,
             ..EccConfig::default()
         };
-        let run = |order_ab: bool, premerge: bool| {
+        let run = |order_ab: bool| {
             let mut e = EccEngine::new(&geom, cfg);
             let (da, db) = {
                 let mut a = e.begin_lun_pass();
@@ -460,21 +420,25 @@ mod tests {
                 }
                 (a.into_delta(), b.into_delta())
             };
-            if premerge {
-                let mut d = da.clone();
-                d.merge(&db);
-                e.apply(&d);
-            } else if order_ab {
+            if order_ab {
                 e.apply(&da);
                 e.apply(&db);
             } else {
                 e.apply(&db);
                 e.apply(&da);
             }
-            (e.decode_count(), e.hard_failure_count())
+            let mut next = e.begin_lun_pass();
+            let lat: Vec<Nanos> = (0..60).map(|i| next.decode_page(i % 3)).collect();
+            (lat, next.hard_failures())
         };
-        assert_eq!(run(true, false), run(false, false));
-        assert_eq!(run(true, false), run(true, true));
+        let (lat, failures) = run(true);
+        assert_eq!((lat.clone(), failures), run(false));
+        // Both orders moved the cursors: the next pass does not replay the
+        // first pass's draws from the start of the streams.
+        let fresh_engine = EccEngine::new(&geom, cfg);
+        let mut fresh = fresh_engine.begin_lun_pass();
+        let replay: Vec<Nanos> = (0..60).map(|i| fresh.decode_page(i % 3)).collect();
+        assert_ne!(lat, replay);
     }
 
     #[test]
@@ -509,12 +473,6 @@ mod tests {
                 let delta = pass.into_delta();
                 let want: Vec<(PlaneId, u64)> = model.into_iter().collect();
                 assert_eq!(delta.plane_decodes.as_slice(), want.as_slice());
-                assert_eq!(delta.decodes, want.iter().map(|e| e.1).sum::<u64>());
-                // Merging into an empty delta reproduces it, whichever
-                // representation either side is in.
-                let mut merged = EccDelta::default();
-                merged.merge(&delta);
-                assert_eq!(merged, delta);
                 engine.apply(&delta);
             }
         }
@@ -541,24 +499,23 @@ mod tests {
                 },
             );
             let mut latencies = Vec::new();
-            let mut fail_before = 0;
-            for phase in 0..2 {
+            let mut failures = [0; 2];
+            for (phase, failed) in failures.iter_mut().enumerate() {
                 if phase == 1 {
-                    fail_before = e.hard_failure_count();
                     e.set_hard_decision_failure_prob(0.9);
                 }
                 let mut pass = e.begin_lun_pass();
                 for i in 0..2_000u32 {
                     latencies.push(pass.decode_page(i % geom.total_planes()));
                 }
+                *failed = pass.hard_failures();
                 e.apply(&pass.into_delta());
             }
-            (latencies, fail_before, e.hard_failure_count())
+            (latencies, failures)
         };
-        let (lat_a, before, after) = run();
-        let (lat_b, ..) = run();
+        let (lat_a, [before, storm_failures]) = run();
+        let (lat_b, _) = run();
         assert_eq!(lat_a, lat_b, "storm replay diverged");
-        let storm_failures = after - before;
         assert!(
             storm_failures > 10 * before.max(1),
             "storm did not bite: {before} failures before, {storm_failures} during"

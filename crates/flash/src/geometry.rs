@@ -139,13 +139,6 @@ impl FlashGeometry {
         self.total_pages() * u64::from(self.page_bytes)
     }
 
-    /// Pages per LUN.
-    pub fn pages_per_lun(&self) -> u64 {
-        u64::from(self.planes_per_lun)
-            * u64::from(self.blocks_per_plane)
-            * u64::from(self.pages_per_block)
-    }
-
     /// The channel a global LUN id lives on.
     pub fn lun_channel(&self, lun: LunId) -> u32 {
         lun / (self.chips_per_channel * self.luns_per_chip())
@@ -265,11 +258,6 @@ impl PhysAddr {
         row = row * u64::from(geom.planes_per_lun) + u64::from(self.plane_in_lun);
         row = row * u64::from(geom.blocks_per_plane) + u64::from(self.block);
         row * u64::from(geom.pages_per_block) + u64::from(self.page)
-    }
-
-    /// The column address (byte within the page).
-    pub fn column_address(&self) -> u32 {
-        self.byte
     }
 }
 

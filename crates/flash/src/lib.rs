@@ -16,16 +16,19 @@
 //!   is rare in the read-only search phase, and no run triggers one;
 //! * per-block P/E accounting, charged by the online-update write path
 //!   ([`wear::WearModel`]);
-//! * LDPC error correction with per-plane raw-BER distribution, in-SiN
-//!   hard-decision decoding and FTL soft-decision fallback, plus fault
-//!   injection (Fig. 18; [`ecc`]).
+//! * LDPC error correction: in-SiN hard-decision decoding and FTL
+//!   soft-decision fallback, with failures injected from the
+//!   hard-decision probability alone (Fig. 18b), beside the descriptive
+//!   per-plane raw-BER distribution of Fig. 18(a)
+//!   ([`ecc::plane_raw_bers`]).
 //!
 //! The paper's `<SearchPage>` command (Fig. 9) is not modelled command by
 //! command: `ndsearch_core`'s SiN stage charges each LUN unit one
 //! `t_command_ns` per page sense plus the channel transfer of its computed
 //! distances, so only results, never raw pages, cross the bus.
 //!
-//! Everything is deterministic given a seed.
+//! Everything is deterministic given a seed, and every time is simulated:
+//! the crate never reads the host clock.
 //!
 //! # Example
 //!

@@ -16,8 +16,6 @@ pub struct FlashStats {
     pub pcie_bytes: u64,
     /// Multi-plane command sequences issued.
     pub multi_plane_ops: u64,
-    /// Multi-LUN command sequences issued.
-    pub multi_lun_ops: u64,
     /// Distance evaluations performed.
     pub distance_evals: u64,
     /// Hard-decision LDPC failures that fell back to soft decision.
@@ -43,7 +41,6 @@ impl FlashStats {
         self.bus_bytes += other.bus_bytes;
         self.pcie_bytes += other.pcie_bytes;
         self.multi_plane_ops += other.multi_plane_ops;
-        self.multi_lun_ops += other.multi_lun_ops;
         self.distance_evals += other.distance_evals;
         self.ecc_soft_fallbacks += other.ecc_soft_fallbacks;
         self.page_programs += other.page_programs;

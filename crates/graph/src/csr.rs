@@ -149,11 +149,6 @@ impl Csr {
         &self.offsets
     }
 
-    /// The raw neighbor array.
-    pub fn neighbor_array(&self) -> &[VectorId] {
-        &self.neighbors
-    }
-
     /// Maximum out-degree.
     pub fn max_degree(&self) -> usize {
         (0..self.num_vertices())

@@ -78,12 +78,6 @@ impl Permutation {
         self.old_of_new[new as usize]
     }
 
-    /// The `old_of_new` array — exactly the gather order used to physically
-    /// rearrange vectors ([`ndsearch_vector::Dataset::permute_gather`]).
-    pub fn gather_order(&self) -> &[VectorId] {
-        &self.old_of_new
-    }
-
     /// Extends the permutation with `count` identity-mapped tail ids.
     /// Online inserts append to the construction-order and physical id
     /// spaces in the same order, so a vertex appended after staging maps

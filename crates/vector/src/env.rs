@@ -20,10 +20,7 @@
 /// Returns `true` iff the variable exists and its trimmed value is
 /// non-empty and not `"0"`.
 pub fn env_flag(name: &str) -> bool {
-    matches!(std::env::var(name), Ok(v) if {
-        let v = v.trim();
-        !v.is_empty() && v != "0"
-    })
+    parse_flag(std::env::var(name).ok().as_deref())
 }
 
 /// The numeric override `name`, if it parses to a trimmed base-10

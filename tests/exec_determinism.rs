@@ -89,12 +89,15 @@ fn same_at_every_thread_count_and_shard_order(
     let identity: Vec<usize> = (0..SHARDS).collect();
     let reference = run(1, &identity);
     for threads in [2usize, 3, 8] {
+        let report = run(threads, &identity);
         prop_assert_eq!(
             &reference,
-            &run(threads, &identity),
+            &report,
             "cluster diverged between 1 and {} threads",
             threads
         );
+        // The latency roll-up is simulated too: no host timing in it.
+        prop_assert_eq!(reference.latency(), report.latency());
     }
     for (threads, order) in [
         (1usize, [3usize, 1, 0, 2]),

@@ -15,7 +15,6 @@ use ndsearch::core::traffic::{
 use ndsearch::flash::ecc::{EccConfig, EccEngine};
 use ndsearch::flash::ftl::Ftl;
 use ndsearch::flash::geometry::{FlashGeometry, PhysAddr};
-use ndsearch::flash::stats::FlashStats;
 use ndsearch::graph::csr::Csr;
 use ndsearch::graph::luncsr::LunCsr;
 use ndsearch::graph::mapping::{PlacementPolicy, VertexMapping};
@@ -146,6 +145,7 @@ fn process_lun_work_with_maps(
         report: SinReport {
             sense_ops,
             page_loads,
+            multi_plane_ops: merged_multi_plane,
             page_hits,
             distances,
             busy_ns: sense_ns + ecc_ns + compute_ns,
@@ -154,16 +154,6 @@ fn process_lun_work_with_maps(
             compute_ns,
             result_bytes,
             soft_fallbacks,
-        },
-        stats: FlashStats {
-            page_reads: page_loads,
-            search_ops: sense_ops,
-            page_buffer_hits: page_hits,
-            distance_evals: distances,
-            multi_plane_ops: merged_multi_plane,
-            ecc_soft_fallbacks: soft_fallbacks,
-            bus_bytes: result_bytes,
-            ..FlashStats::new()
         },
         ecc: ecc_pass.into_delta(),
     }
