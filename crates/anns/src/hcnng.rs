@@ -29,8 +29,6 @@ pub struct HcnngParams {
     pub max_cluster: usize,
     /// Overall degree cap after unioning rounds.
     pub max_degree: usize,
-    /// Distance function.
-    pub distance: DistanceKind,
     /// RNG seed.
     pub seed: u64,
 }
@@ -41,7 +39,6 @@ impl Default for HcnngParams {
             rounds: 12,
             max_cluster: 48,
             max_degree: 32,
-            distance: DistanceKind::L2,
             seed: 0x4C9,
         }
     }
@@ -63,7 +60,7 @@ impl Hcnng {
     pub fn build(base: &Dataset, params: HcnngParams) -> Self {
         assert!(!base.is_empty(), "dataset must not be empty");
         let n = base.len();
-        let dist = params.distance;
+        let dist = DistanceKind::L2;
         let mut adj: Vec<Vec<VectorId>> = vec![Vec::new(); n];
         let mut rng = Pcg32::seed_from_u64(params.seed);
 

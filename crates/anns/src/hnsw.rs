@@ -30,8 +30,6 @@ pub struct HnswParams {
     pub m: usize,
     /// Beam width used during construction (efConstruction).
     pub ef_construction: usize,
-    /// Distance function.
-    pub distance: DistanceKind,
     /// RNG seed for level sampling.
     pub seed: u64,
 }
@@ -41,7 +39,6 @@ impl Default for HnswParams {
         Self {
             m: 16,
             ef_construction: 100,
-            distance: DistanceKind::L2,
             seed: 0x45_57,
         }
     }
@@ -157,7 +154,7 @@ impl Hnsw {
         }
 
         let params = self.params;
-        let (dist, ef) = (params.distance, params.ef_construction);
+        let (dist, ef) = (DistanceKind::L2, params.ef_construction);
         let q = base.vector(v).to_vec();
         let mut cur = self.entry;
         let mut repaired = Vec::new();
@@ -267,7 +264,7 @@ impl Hnsw {
                 &self.upper[layer],
                 query,
                 cur,
-                self.params.distance,
+                DistanceKind::L2,
                 &mut trace,
             );
         }

@@ -15,7 +15,10 @@ pub struct SearchParams {
     pub k: usize,
     /// Beam width `ef` — the size of the result list kept during traversal.
     pub beam_width: usize,
-    /// Distance function (must match the one used at construction).
+    /// Distance function. Squared L2 is the only kind, and every index is
+    /// built with it; the field stays because the frozen benchmark harness
+    /// passes it to [`SearchParams::new`], and a change that revises the
+    /// harness can drop it.
     pub distance: DistanceKind,
 }
 

@@ -31,8 +31,6 @@ pub struct ToggParams {
     pub pilots: usize,
     /// How many pilot entries seed the greedy stage.
     pub entry_fanout: usize,
-    /// Distance function.
-    pub distance: DistanceKind,
     /// RNG seed.
     pub seed: u64,
 }
@@ -43,7 +41,6 @@ impl Default for ToggParams {
             r: 24,
             pilots: 0,
             entry_fanout: 2,
-            distance: DistanceKind::L2,
             seed: 0x7066,
         }
     }
@@ -73,7 +70,6 @@ impl Togg {
                 r: params.r,
                 l_build: (params.r * 2).max(50),
                 alpha: 1.15,
-                distance: params.distance,
                 seed: params.seed,
             },
         );
@@ -110,9 +106,7 @@ impl Togg {
     pub fn guided_entries(&self, base: &Dataset, query: &[f32]) -> Vec<VectorId> {
         // One batched kernel call over the whole pilot table.
         let mut dists: Vec<f32> = Vec::new();
-        self.params
-            .distance
-            .eval_batch_ids(query, base, &self.pilots, &mut dists);
+        DistanceKind::L2.eval_batch_ids(query, base, &self.pilots, &mut dists);
         let mut scored: Vec<Neighbor> = self
             .pilots
             .iter()
@@ -228,7 +222,6 @@ mod tests {
                 r: 24,
                 l_build: 50,
                 alpha: 1.15,
-                distance: DistanceKind::L2,
                 seed: ToggParams::default().seed,
             },
         );

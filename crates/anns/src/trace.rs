@@ -110,14 +110,6 @@ impl BatchTrace {
                 .collect(),
         }
     }
-
-    /// Distinct vertices visited by the whole batch.
-    pub fn distinct_visited(&self) -> std::collections::HashSet<VectorId> {
-        self.queries
-            .iter()
-            .flat_map(|q| q.visited_sequence())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -169,13 +161,6 @@ mod tests {
         assert_eq!(r.queries[1].iterations[0].visited, vec![3]);
         // Structure preserved.
         assert_eq!(r.total_visited(), t.total_visited());
-    }
-
-    #[test]
-    fn distinct_visited_dedups() {
-        let t = sample();
-        let d = t.distinct_visited();
-        assert_eq!(d.len(), 4); // {0,1,2,3}
     }
 
     #[test]

@@ -36,8 +36,6 @@ pub struct VamanaParams {
     pub l_build: usize,
     /// Pruning slack α for the second pass.
     pub alpha: f32,
-    /// Distance function.
-    pub distance: DistanceKind,
     /// RNG seed (random init graph + iteration order).
     pub seed: u64,
 }
@@ -48,7 +46,6 @@ impl Default for VamanaParams {
             r: 32,
             l_build: 75,
             alpha: 1.2,
-            distance: DistanceKind::L2,
             seed: 0xD15C,
         }
     }
@@ -171,7 +168,7 @@ impl Vamana {
     pub fn build(base: &Dataset, params: VamanaParams) -> Self {
         assert!(!base.is_empty(), "dataset must not be empty");
         let n = base.len();
-        let dist = params.distance;
+        let dist = DistanceKind::L2;
         let mut rng = Pcg32::seed_from_u64(params.seed);
 
         // Random R-regular initial graph.
@@ -259,7 +256,7 @@ impl MutableIndex for Vamana {
             base.vector(id),
             self.medoid,
             params.l_build,
-            params.distance,
+            DistanceKind::L2,
         );
         search
             .pool
@@ -408,7 +405,7 @@ fn link(
         if rows.row(nb).len() > params.r {
             let row = rows.row(nb);
             let from = base.vector(nb);
-            params.distance.eval_batch_ids(from, base, row, dists);
+            DistanceKind::L2.eval_batch_ids(from, base, row, dists);
             pool.clear();
             pool.extend(row.iter().zip(&*dists).map(|(&u, &d)| Scored::new(d, u)));
             let settled = rows.clean_prefix(nb);
@@ -458,7 +455,7 @@ fn robust_prune(
         let dominated = rivals
             .iter()
             .rev()
-            .any(|&s| alpha * params.distance.eval(base.vector(s), cv) <= from_v);
+            .any(|&s| alpha * DistanceKind::L2.eval(base.vector(s), cv) <= from_v);
         if !dominated {
             kept.push(c.id());
             if !is_settled {
@@ -604,7 +601,7 @@ mod tests {
                     .rows
                     .clean_prefix(u)
                     .iter()
-                    .map(|&e| Neighbor::new(params.distance.eval_ids(&ds, u, e), e))
+                    .map(|&e| Neighbor::new(DistanceKind::L2.eval_ids(&ds, u, e), e))
                     .collect();
                 assert!(
                     prefix.windows(2).all(|w| w[0] < w[1]),

@@ -1522,6 +1522,46 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_inserts_are_rejected_and_change_no_shard() {
+        let (config, base, extra) = fixture(300, 3);
+        let plan = ShardPlan::partition(base.len(), 3, ShardPolicy::BalancedSize, 0);
+        let mut cluster = stage_vamana(&config, plan, ReplicationConfig::default(), &base);
+        let shards = |c: &ClusterEngine<'_>| -> Vec<_> {
+            (0..3)
+                .map(|s| {
+                    let d = c.replica_engine(s, 0).unwrap().deployment();
+                    let index = d.index().expect("a mutable deployment");
+                    let rows: Vec<Vec<VectorId>> = (0..index.num_vertices() as VectorId)
+                        .map(|v| index.live_neighbors(v).to_vec())
+                        .collect();
+                    let overlay = d.prepared().luncsr.num_vertices();
+                    (d.dataset().clone(), rows, overlay, d.live_count())
+                })
+                .collect()
+        };
+        let before = shards(&cluster);
+        let v = extra.vector(0);
+        let bad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY]
+            .map(|x| [&v[..3], &[x], &v[4..]].concat())
+            .map(|row| cluster.submit_update(UpdateRequest::insert_at(0, row)));
+        let report = cluster.run_to_completion();
+        for u in bad {
+            let o = &report.update_outcomes[u];
+            assert_eq!((o.state, o.assigned), (SessionState::Rejected, None));
+        }
+        assert_eq!(report.updates_rejected(), 3);
+        assert_eq!(cluster.plan().len(), 300);
+        assert!(
+            shards(&cluster) == before,
+            "a rejected insert changed a shard"
+        );
+        // The next insert gets the next global id.
+        let ok = cluster.submit_update(UpdateRequest::insert_at(10, v.to_vec()));
+        let report = cluster.run_to_completion();
+        assert_eq!(report.update_outcomes[ok].assigned, Some(300));
+    }
+
+    #[test]
     fn updates_route_to_owning_shards() {
         let (config, base, extra) = fixture(300, 30);
         let plan = ShardPlan::partition(base.len(), 3, ShardPolicy::BalancedSize, 0);

@@ -109,6 +109,9 @@ impl UpdateTotals {
 pub enum InsertError {
     /// The vector's dimensionality mismatches the dataset's.
     Shape(ShapeError),
+    /// A component is NaN or infinite: no distance to the row would be a
+    /// number, so it could be neither linked into the graph nor encoded.
+    NonFinite,
     /// The configured flash geometry has no free slot left; the
     /// deployment needs a larger geometry or an offline rebuild.
     DeviceFull,
@@ -118,6 +121,7 @@ impl std::fmt::Display for InsertError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             InsertError::Shape(e) => e.fmt(f),
+            InsertError::NonFinite => f.write_str("vector has a non-finite component"),
             InsertError::DeviceFull => f.write_str("device full: no free flash slot"),
         }
     }
@@ -342,9 +346,11 @@ impl Deployment {
     /// repaired rows as soon as this returns; nothing is re-snapshotted.
     ///
     /// # Errors
-    /// Returns [`InsertError::Shape`] on a dimensionality mismatch and
+    /// Returns [`InsertError::Shape`] on a dimensionality mismatch,
+    /// [`InsertError::NonFinite`] on a NaN or infinite component and
     /// [`InsertError::DeviceFull`] when the geometry has no free slot —
-    /// both surface as rejected update sessions, not panics.
+    /// each surfaces as a rejected update session, not a panic, and
+    /// leaves the deployment unchanged.
     ///
     /// # Panics
     /// Panics on a query-only deployment.
@@ -361,6 +367,9 @@ impl Deployment {
             if mapping.len() as u64 >= mapping.capacity_slots() {
                 return Err(InsertError::DeviceFull);
             }
+        }
+        if vector.iter().any(|x| !x.is_finite()) {
+            return Err(InsertError::NonFinite);
         }
         let id = Arc::make_mut(&mut self.dataset).try_push(vector)?;
         if let Some(codes) = self.codes.as_mut() {
@@ -656,6 +665,46 @@ mod tests {
         let err = deploy.insert(&config, &[1.0, 2.0]).unwrap_err();
         assert!(err.to_string().contains("dimension"));
         assert_eq!(deploy.dataset().len(), 200, "rejected insert is a no-op");
+    }
+
+    #[test]
+    fn non_finite_insert_is_rejected_and_changes_nothing() {
+        let (base, extra) = DatasetSpec::sift_scaled(200, 1).build_pair();
+        let index = Vamana::build(&base, VamanaParams::default());
+        let mut config = NdsConfig::scaled_for(base.len() * 2, base.stored_vector_bytes());
+        config.quantization = ndsearch_vector::quant::QuantSpec::Int8;
+        let mut deploy = Deployment::stage(&config, Box::new(index), base);
+        // Dataset, live index rows, int8 table, flash overlay, live count.
+        let snapshot = |d: &Deployment| {
+            let index = d.index().expect("a mutable deployment");
+            let luncsr = &d.prepared().luncsr;
+            let rows: Vec<Vec<VectorId>> = (0..index.num_vertices() as VectorId)
+                .map(|v| index.live_neighbors(v).to_vec())
+                .collect();
+            let overlay: Vec<Vec<VectorId>> = (0..luncsr.num_vertices() as VectorId)
+                .map(|v| luncsr.neighbors(v).to_vec())
+                .collect();
+            let codes = d.codes().cloned();
+            (
+                d.dataset().clone(),
+                rows,
+                codes,
+                overlay,
+                d.live_count(),
+                d.totals(),
+            )
+        };
+        let before = snapshot(&deploy);
+        let v = extra.vector(0);
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let row = [&v[..3], &[bad], &v[4..]].concat();
+            assert_eq!(deploy.insert(&config, &row), Err(InsertError::NonFinite));
+            assert!(
+                snapshot(&deploy) == before,
+                "a rejected {bad} insert changed the deployment"
+            );
+        }
+        assert_eq!(deploy.insert(&config, v).unwrap().id, 200);
     }
 
     #[test]

@@ -219,7 +219,8 @@ macro_rules! rollups {
         }
 
         /// Updates rejected (routing, backpressure, shape mismatch, a
-        /// missing vertex or an immutable deployment).
+        /// non-finite insert, a missing vertex or an immutable
+        /// deployment).
         pub fn updates_rejected(&self) -> usize {
             let rejected = crate::serve::SessionState::Rejected;
             crate::report::updates_in(&self.update_outcomes, rejected)

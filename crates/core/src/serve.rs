@@ -144,8 +144,6 @@ pub struct ServeConfig {
     pub beam_width: usize,
     /// Top-k entries returned per query.
     pub k: usize,
-    /// Distance function (must match graph construction).
-    pub distance: DistanceKind,
     /// Internal-DRAM budget for the query property table; divides by the
     /// per-session record size to bound residency.
     pub qpt_dram_budget_bytes: u64,
@@ -175,7 +173,6 @@ impl Default for ServeConfig {
             queue_capacity: 4096,
             beam_width: 64,
             k: 10,
-            distance: DistanceKind::L2,
             qpt_dram_budget_bytes: 64 << 20,
             max_updates_per_round: 4,
             update_queue_capacity: 4096,
@@ -343,8 +340,8 @@ pub struct UpdateOutcome {
     /// Update id (submission order).
     pub id: UpdateId,
     /// Terminal state: `Completed`, or `Rejected` (queue overflow, shape
-    /// mismatch, delete of a missing/tombstoned vertex, or an immutable
-    /// deployment).
+    /// mismatch, a non-finite insert, delete of a missing/tombstoned
+    /// vertex, or an immutable deployment).
     pub state: SessionState,
     /// When the update arrived.
     pub arrival_ns: Nanos,
@@ -971,7 +968,7 @@ impl<'a> ServeEngine<'a> {
             !ends
         });
         for id in inflight {
-            let tail = self.completion_tail_ns();
+            let tail = self.completion_tail_ns(self.sessions[id].k);
             self.finish_session(id, SessionState::Expired, now + tail);
             self.sessions[id].outcome.shed = shed;
         }
@@ -1073,12 +1070,12 @@ impl<'a> ServeEngine<'a> {
     }
 
     /// Per-query Sorting-stage tail: result list over the private FPGA
-    /// link, one bitonic sort wave, top-k back over the host link (the
-    /// same [`sorting_tail`] model the batch engine uses, for one query).
-    /// The tail overlaps subsequent search rounds (§V), so it extends the
-    /// query's completion time but not the scheduler clock.
-    fn completion_tail_ns(&mut self) -> Nanos {
-        let tail = sorting_tail(1, self.serve.k);
+    /// link, one bitonic sort wave, the query's top-`k` back over the host
+    /// link (the same [`sorting_tail`] model the batch engine uses, for one
+    /// query). The tail overlaps subsequent search rounds (§V), so it
+    /// extends the query's completion time but not the scheduler clock.
+    fn completion_tail_ns(&mut self, k: usize) -> Nanos {
+        let tail = sorting_tail(1, k);
         self.stats.pcie_bytes += tail.pcie_bytes;
         self.breakdown.bitonic_ns += tail.sort_ns;
         self.breakdown.pcie_ns += tail.fpga_ns + tail.out_ns;
@@ -1128,11 +1125,7 @@ impl<'a> ServeEngine<'a> {
         // recycled from a finished session when one is spare, so resident
         // memory tracks the in-flight cap. ----
         let mut t_in: Nanos = 0;
-        let (num_vertices, beam_width, distance) = (
-            self.deploy.dataset().len(),
-            self.serve.beam_width,
-            self.serve.distance,
-        );
+        let (num_vertices, beam_width) = (self.deploy.dataset().len(), self.serve.beam_width);
         let admit_bytes = self.deploy.prepared().vector_bytes as u64 + 16;
         // Per-tenant cap: unbounded unless `TenantFair` is in force, so
         // every other policy admits exactly as the legacy FIFO loop did.
@@ -1171,7 +1164,7 @@ impl<'a> ServeEngine<'a> {
                 std::mem::take(&mut s.query),
                 std::mem::take(&mut s.entries),
                 beam_width,
-                distance,
+                DistanceKind::L2,
             ));
             t_in += HOST_LINK.transfer_ns(admit_bytes);
             self.stats.pcie_bytes += admit_bytes;
@@ -1311,7 +1304,7 @@ impl<'a> ServeEngine<'a> {
                 self.now_ns
             };
             self.breakdown.rerank_ns += ready_ns - self.now_ns;
-            let done_ns = ready_ns + self.completion_tail_ns();
+            let done_ns = ready_ns + self.completion_tail_ns(self.sessions[id].k);
             let state = match self.sessions[id].outcome.deadline_ns {
                 Some(d) if done_ns > d => SessionState::Expired,
                 _ => SessionState::Completed,
@@ -1491,12 +1484,53 @@ mod tests {
                 q,
                 &[fx.medoid],
                 serve.beam_width,
-                serve.distance,
+                DistanceKind::L2,
                 &mut vs,
             );
             let mut want = seq.found;
             want.truncate(serve.k);
             assert_eq!(report.outcomes[i].results, want, "query {i} diverged");
+        }
+    }
+
+    #[test]
+    fn the_completion_tail_ships_the_query_s_own_top_k() {
+        // The host link returns 8 B per top-k entry: a query asking for 4
+        // of the engine's 10 ships 6 × 8 B less and lands 3 ns sooner
+        // (80 B take ⌈5.2⌉ ns, 32 B ⌈2.1⌉), whether it completes or its
+        // deadline cuts it off in flight.
+        let fx = fixture(300, 1);
+        let prepared = stage(&fx);
+        for (deadline, state) in [
+            (None, SessionState::Completed),
+            (Some(1), SessionState::Expired),
+        ] {
+            let run = |k: Option<usize>| {
+                let mut engine = ServeEngine::new(
+                    &fx.config,
+                    ServeConfig::default(),
+                    &prepared,
+                    &fx.base,
+                    &fx.graph,
+                );
+                let mut req = QueryRequest::at(0, fx.queries.vector(0).to_vec(), vec![fx.medoid]);
+                req.deadline_ns = deadline;
+                if let Some(k) = k {
+                    req = req.top_k(k);
+                }
+                engine.submit(req);
+                engine.run_to_completion()
+            };
+            let (ten, four) = (run(None), run(Some(4)));
+            assert_eq!(four.outcomes[0].state, state);
+            assert_eq!(ten.outcomes[0].state, state);
+            let (ten_k, four_k) = (&ten.outcomes[0].results, &four.outcomes[0].results);
+            assert!(four_k.len() <= 4 && ten_k.starts_with(four_k));
+            assert_eq!(ten.stats.pcie_bytes - four.stats.pcie_bytes, 6 * 8);
+            assert_eq!(
+                ten.outcomes[0].completed_ns - four.outcomes[0].completed_ns,
+                3
+            );
         }
     }
 
@@ -1843,7 +1877,7 @@ mod tests {
             query.to_vec(),
             vec![fx.medoid],
             engine.serve.beam_width,
-            engine.serve.distance,
+            DistanceKind::L2,
         );
         while searcher.step(codes, &fx.graph).is_some() {}
         let mut ids = Vec::new();

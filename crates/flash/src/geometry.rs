@@ -49,21 +49,6 @@ impl FlashGeometry {
         }
     }
 
-    /// A proportionally scaled-down geometry for simulator-tractable
-    /// datasets. Keeps the same channel/chip/plane/LUN *shape* (so
-    /// parallelism ratios match the paper) while shrinking blocks per plane.
-    ///
-    /// # Panics
-    /// Panics if `scale == 0`.
-    pub fn searssd_scaled(scale: u32) -> Self {
-        assert!(scale > 0, "scale must be positive");
-        let base = Self::searssd_default();
-        Self {
-            blocks_per_plane: (base.blocks_per_plane / scale).max(2),
-            ..base
-        }
-    }
-
     /// A tiny geometry for unit tests: 2 channels × 2 chips × 4 planes
     /// (2 planes/LUN), 4 blocks, 8 pages, 2 KiB pages.
     pub fn tiny() -> Self {
@@ -282,14 +267,6 @@ mod tests {
         g.validate().unwrap();
         assert_eq!(g.total_luns(), 8);
         assert_eq!(g.total_planes(), 16);
-    }
-
-    #[test]
-    fn scaled_keeps_shape() {
-        let g = FlashGeometry::searssd_scaled(64);
-        g.validate().unwrap();
-        assert_eq!(g.total_luns(), 256);
-        assert_eq!(g.blocks_per_plane, 8);
     }
 
     #[test]

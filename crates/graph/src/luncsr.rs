@@ -293,14 +293,6 @@ impl LunCsr {
         self.mapping.addr_with_block(v, self.blk_of(v))
     }
 
-    /// Neighbors of `v` together with their LUNs — what the Vgenerator's
-    /// OFS/NBR/LUN fetch pipeline produces.
-    pub fn neighbor_luns(&self, v: VectorId) -> impl Iterator<Item = (VectorId, LunId)> + '_ {
-        self.neighbors(v)
-            .iter()
-            .map(move |&nb| (nb, self.lun_of(nb)))
-    }
-
     /// Applies a block-level refresh event: every vertex whose data lived
     /// in the relocated (plane, logical block) gets its BLK entry updated —
     /// the "bijection (update after refreshing)" arrow in Fig. 5(b).
@@ -368,15 +360,6 @@ mod tests {
             let a = lc.physical_addr(v);
             assert_eq!(a, lc.mapping().addr_identity(v));
         }
-    }
-
-    #[test]
-    fn neighbor_luns_pairs_up() {
-        let lc = build(50);
-        let pairs: Vec<_> = lc.neighbor_luns(0).collect();
-        assert_eq!(pairs.len(), 2);
-        assert_eq!(pairs[0].0, 1);
-        assert_eq!(pairs[0].1, lc.lun_of(1));
     }
 
     #[test]

@@ -172,10 +172,6 @@ impl Dataset {
     /// Gathers borrows of the listed vectors into `out` (cleared first),
     /// preserving order and duplicates.
     ///
-    /// This is the batch-scoring accessor: beam expansion gathers a
-    /// vertex's neighbor list once and hands the slices to
-    /// `DistanceKind::eval_batch` instead of calling `vector` per edge.
-    ///
     /// # Panics
     /// Panics if any id is out of bounds.
     pub fn gather<'a>(&'a self, ids: &[VectorId], out: &mut Vec<&'a [f32]>) {

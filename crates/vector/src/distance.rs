@@ -1,77 +1,74 @@
 //! Distance kernels.
 //!
-//! The `<SearchPage>` instruction carries a 2-bit "Distance" field selecting
-//! Euclidean, angular or inner-product distance (Fig. 9b). [`DistanceKind`]
-//! is the software mirror of that field.
+//! The `<SearchPage>` instruction carries a 2-bit "Distance" field
+//! (Fig. 9b) whose encodings select Euclidean, angular or inner-product
+//! distance. This model computes the Euclidean encoding only: squared L2.
+//! The SiN cost model charges the same `dim` MACs per vector whichever
+//! encoding the field holds, so no simulated number depends on it, and
+//! every graph here is built with DiskANN's Euclidean Vamana/RobustPrune
+//! recipe. [`DistanceKind`] is the software mirror of that field.
 //!
 //! # Kernel tiers
 //!
-//! Three implementations of each reduction coexist:
+//! Three implementations of the reduction coexist:
 //!
-//! - **scalar** ([`l2_squared_scalar`], [`dot_scalar`]): the original
-//!   single-accumulator loops. Kept as the reference semantics for
-//!   equivalence proptests and as the benchmark baseline.
-//! - **unrolled** ([`l2_squared_unrolled`], [`dot_unrolled`]): portable
-//!   8-lane kernels with four independent accumulator groups (32 floats per
-//!   iteration). The layout breaks the sequential float dependency chain so
-//!   stable rustc auto-vectorizes it; no `unsafe`, no target features.
+//! - **scalar** ([`l2_squared_scalar`]): the original single-accumulator
+//!   loop. Kept as the reference semantics for equivalence proptests and
+//!   as the benchmark baseline.
+//! - **unrolled** ([`l2_squared_unrolled`]): a portable 8-lane kernel with
+//!   four independent accumulator groups (32 floats per iteration). The
+//!   layout breaks the sequential float dependency chain so stable rustc
+//!   auto-vectorizes it; no `unsafe`, no target features.
 //! - **avx2** (`x86_64` only): explicit AVX2/FMA intrinsics behind
 //!   `is_x86_feature_detected!`, same four-accumulator shape with
 //!   `_mm256_fmadd_ps`.
 //!
 //! The unrolled and the avx2 tier are each *one* reduction (a private
-//! `reduce_unrolled` / `x86::reduce`) instantiated per kernel and per
-//! operand: a plain f32 row, or an [`AffineRow`] — an int8 code decoded
-//! lane by lane as it is loaded. The `*_affine` kernels therefore share
-//! every accumulator and every rounding with the plain ones and return
-//! the bits of decode-then-score without the decoded row ever existing.
+//! `reduce_unrolled` / `x86::reduce`) instantiated per operand: a plain
+//! f32 row, or an [`AffineRow`] — an int8 code decoded lane by lane as it
+//! is loaded. Scoring a code therefore shares every accumulator and every
+//! rounding with scoring a plain row and returns the bits of
+//! decode-then-score without the decoded row ever existing.
 //!
-//! The public entry points ([`l2_squared`], [`dot`], [`angular`],
-//! [`neg_inner_product`], [`DistanceKind::eval`], the batched variants)
-//! dispatch **once per process**: the first call probes the CPU and the
-//! `NDSEARCH_NO_SIMD` environment variable and caches the decision, so
-//! every thread in a run uses the *same* kernel. That is what keeps reports
-//! bit-identical across `exec_threads` settings — thread count never
-//! changes which kernel scores a vector, only where it runs. Setting
-//! `NDSEARCH_NO_SIMD=1` pins the portable unrolled kernel, which is
+//! The public entry points ([`l2_squared`], [`DistanceKind::eval`], the
+//! batched variants) dispatch **once per process**: the first call probes
+//! the CPU and the `NDSEARCH_NO_SIMD` environment variable and caches the
+//! decision, so every thread in a run uses the *same* kernel. That is what
+//! keeps reports bit-identical across `exec_threads` settings — thread
+//! count never changes which kernel scores a vector, only where it runs.
+//! Setting `NDSEARCH_NO_SIMD=1` pins the portable unrolled kernel, which is
 //! deterministic across x86-64 hosts (no FMA contraction); results differ
 //! from the AVX2 path only by summation-order ulps, never structurally.
 //!
 //! # Length contract
 //!
-//! Batch entry points ([`DistanceKind::eval_batch`],
-//! [`DistanceKind::eval_batch_ids`]) and [`DistanceKind::eval`] validate
-//! slice lengths once up front. The raw kernels below them only
-//! `debug_assert!` equal lengths: in release builds a mismatch yields an
-//! unspecified (but memory-safe) value computed over the common prefix —
-//! they never read out of bounds.
+//! The batch entry points ([`DistanceKind::eval_batch_ids`],
+//! [`DistanceKind::eval_batch_affine`]) and [`DistanceKind::eval`] validate
+//! slice lengths. The raw kernels below them only `debug_assert!` equal
+//! lengths: in release builds a mismatch yields an unspecified (but
+//! memory-safe) value computed over the common prefix — they never read
+//! out of bounds.
 
 use crate::dataset::Dataset;
 use crate::VectorId;
 use std::sync::OnceLock;
 
-/// The distance family computed by a MAC group.
+/// The distance a MAC group computes: the Euclidean encoding of the
+/// `<SearchPage>` Distance field, the only one modelled.
+///
+/// It stays a parameter type of the search and scoring entry points
+/// (`SearchParams::distance`, `beam_search`, `ScoreSource::score_batch`,
+/// `ground_truth`) because the frozen benchmark harness names it there; a
+/// change that revises the harness can drop those parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DistanceKind {
     /// Squared Euclidean distance (monotone in L2; the sqrt is never needed
     /// for ranking so hardware skips it).
     #[default]
     L2,
-    /// Angular (cosine) distance: `1 - cos(a, b)`.
-    Angular,
-    /// Negative inner product (so that *smaller is closer*, like the other
-    /// two kinds).
-    InnerProduct,
 }
 
 impl DistanceKind {
-    /// All supported kinds, in declaration order.
-    pub const ALL: [DistanceKind; 3] = [
-        DistanceKind::L2,
-        DistanceKind::Angular,
-        DistanceKind::InnerProduct,
-    ];
-
     /// Evaluates the distance between two equal-length vectors.
     ///
     /// # Panics
@@ -79,11 +76,7 @@ impl DistanceKind {
     #[inline]
     pub fn eval(self, a: &[f32], b: &[f32]) -> f32 {
         assert_eq!(a.len(), b.len(), "dimension mismatch");
-        match self {
-            DistanceKind::L2 => l2_squared(a, b),
-            DistanceKind::Angular => angular(a, b),
-            DistanceKind::InnerProduct => neg_inner_product(a, b),
-        }
+        l2_squared(a, b)
     }
 
     /// Convenience: distance between two dataset vectors.
@@ -94,79 +87,20 @@ impl DistanceKind {
         self.eval(ds.vector(a), ds.vector(b))
     }
 
-    /// Evaluates the distance from `query` to every slice in `points`,
-    /// writing results into `out` element-wise.
-    ///
-    /// Results are **bit-identical** to calling [`DistanceKind::eval`] on
-    /// each pair: the batch runs the same dispatched per-pair kernel, it
-    /// only hoists the length validation (and, for [`DistanceKind::Angular`],
-    /// the query-norm computation — which is itself bit-identical because it
-    /// reruns the same reduction on the same data) out of the loop.
-    ///
-    /// # Panics
-    /// Panics if `points.len() != out.len()` or any point's length differs
-    /// from `query.len()`.
-    pub fn eval_batch(self, query: &[f32], points: &[&[f32]], out: &mut [f32]) {
-        assert_eq!(
-            points.len(),
-            out.len(),
-            "eval_batch: output length mismatch"
-        );
-        for p in points {
-            assert_eq!(p.len(), query.len(), "dimension mismatch");
-        }
-        match self {
-            DistanceKind::L2 => {
-                for (o, p) in out.iter_mut().zip(points) {
-                    *o = l2_squared(query, p);
-                }
-            }
-            DistanceKind::Angular => {
-                let nq = dot(query, query).sqrt();
-                for (o, p) in out.iter_mut().zip(points) {
-                    *o = angular_prenormed(nq, query, p);
-                }
-            }
-            DistanceKind::InnerProduct => {
-                for (o, p) in out.iter_mut().zip(points) {
-                    *o = neg_inner_product(query, p);
-                }
-            }
-        }
-    }
-
     /// Batched scoring of dataset rows: clears `out` and appends the
     /// distance from `query` to `ds.vector(id)` for each id, in order.
     ///
     /// This is the beam-expansion hot path: a vertex's whole neighbor list
     /// is scored in one call, with the dimension check done once instead of
-    /// per edge. Results match per-pair [`DistanceKind::eval`] bit-for-bit
-    /// (see [`DistanceKind::eval_batch`]).
+    /// per edge. Results match per-pair [`DistanceKind::eval`] bit-for-bit:
+    /// the batch runs the same dispatched per-pair kernel.
     ///
     /// # Panics
     /// Panics if `query.len() != ds.dim()` or any id is out of bounds.
     pub fn eval_batch_ids(self, query: &[f32], ds: &Dataset, ids: &[VectorId], out: &mut Vec<f32>) {
         assert_eq!(query.len(), ds.dim(), "dimension mismatch");
         out.clear();
-        out.reserve(ids.len());
-        match self {
-            DistanceKind::L2 => {
-                for &id in ids {
-                    out.push(l2_squared(query, ds.vector(id)));
-                }
-            }
-            DistanceKind::Angular => {
-                let nq = dot(query, query).sqrt();
-                for &id in ids {
-                    out.push(angular_prenormed(nq, query, ds.vector(id)));
-                }
-            }
-            DistanceKind::InnerProduct => {
-                for &id in ids {
-                    out.push(neg_inner_product(query, ds.vector(id)));
-                }
-            }
-        }
+        out.extend(ids.iter().map(|&id| l2_squared(query, ds.vector(id))));
     }
 
     /// [`eval_batch_ids`](Self::eval_batch_ids) against rows held as affine
@@ -184,32 +118,10 @@ impl DistanceKind {
     ) {
         out.clear();
         out.reserve(rows.len());
-        let nq = match self {
-            DistanceKind::Angular => dot(query, query).sqrt(),
-            _ => 0.0,
-        };
         for row in rows {
             assert_eq!(row.len(), query.len(), "dimension mismatch");
-            out.push(match self {
-                DistanceKind::L2 => l2_squared_affine(query, row),
-                DistanceKind::Angular => {
-                    let d = dot_affine(query, row);
-                    angular_from_parts(nq, d, norm_squared_affine(row).sqrt())
-                }
-                DistanceKind::InnerProduct => -dot_affine(query, row),
-            });
+            out.push(l2_squared_affine(query, row));
         }
-    }
-}
-
-impl std::fmt::Display for DistanceKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            DistanceKind::L2 => "l2",
-            DistanceKind::Angular => "angular",
-            DistanceKind::InnerProduct => "inner-product",
-        };
-        f.write_str(s)
     }
 }
 
@@ -244,51 +156,9 @@ pub fn l2_squared(a: &[f32], b: &[f32]) -> f32 {
     #[cfg(target_arch = "x86_64")]
     if simd_enabled() {
         // SAFETY: simd_enabled() verified avx2+fma via is_x86_feature_detected!.
-        return unsafe { x86::l2_squared_avx2(a, b) };
+        return unsafe { x86::reduce(a, b) };
     }
     l2_squared_unrolled(a, b)
-}
-
-/// Dot product (dispatched kernel).
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if simd_enabled() {
-        // SAFETY: simd_enabled() verified avx2+fma via is_x86_feature_detected!.
-        return unsafe { x86::dot_avx2(a, b) };
-    }
-    dot_unrolled(a, b)
-}
-
-/// Angular distance `1 - cos(a,b)`; zero vectors are treated as maximally
-/// distant (distance 1).
-#[inline]
-pub fn angular(a: &[f32], b: &[f32]) -> f32 {
-    angular_prenormed(dot(a, a).sqrt(), a, b)
-}
-
-/// Angular distance with `|a|` already computed (batch path hoists the
-/// query norm; bit-identical to [`angular`] because the norm is the same
-/// reduction on the same data).
-#[inline]
-fn angular_prenormed(na: f32, a: &[f32], b: &[f32]) -> f32 {
-    angular_from_parts(na, dot(a, b), dot(b, b).sqrt())
-}
-
-/// Angular distance from `|a|`, `a·b` and `|b|`.
-#[inline]
-fn angular_from_parts(na: f32, d: f32, nb: f32) -> f32 {
-    if na == 0.0 || nb == 0.0 {
-        return 1.0;
-    }
-    1.0 - (d / (na * nb)).clamp(-1.0, 1.0)
-}
-
-/// Negative inner product (smaller = more similar).
-#[inline]
-pub fn neg_inner_product(a: &[f32], b: &[f32]) -> f32 {
-    -dot(a, b)
 }
 
 /// Reference scalar squared-L2: the original single-accumulator loop.
@@ -307,19 +177,12 @@ pub fn l2_squared_scalar(a: &[f32], b: &[f32]) -> f32 {
     acc
 }
 
-/// Reference scalar dot product (see [`l2_squared_scalar`]).
-#[inline]
-pub fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
-    a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
-}
-
 /// A row held as per-dimension affine int8 codes (`quant::Int8Quantizer`):
 /// lane `i` decodes to `min[i] + scale[i] * code[i]` — a multiply, then an
 /// add, each rounded, exactly what `Int8Quantizer::decode_into` stores.
-/// The `*_affine` kernels decode in registers and feed the lanes into the
-/// *same* reductions as the plain kernels, so scoring a code returns the
-/// bits decode-then-score would, without the decoded row ever existing.
+/// Scoring one decodes in registers and feeds the lanes into the *same*
+/// reduction as a plain row, so it returns the bits decode-then-score
+/// would, without the decoded row ever existing.
 #[derive(Debug, Clone, Copy)]
 pub struct AffineRow<'a> {
     min: &'a [f32],
@@ -396,12 +259,6 @@ fn squared_difference(x: f32, y: f32) -> f32 {
     d * d
 }
 
-/// One MAC of a dot product.
-#[inline]
-fn product(x: f32, y: f32) -> f32 {
-    x * y
-}
-
 /// Folds the four 8-lane accumulator groups down to one f32 with a fixed
 /// pairwise tree, so the reduction order is identical on every host.
 #[inline]
@@ -415,12 +272,12 @@ fn reduce_groups(g0: [f32; 8], g1: [f32; 8], g2: [f32; 8], g3: [f32; 8]) -> f32 
     lo + hi
 }
 
-/// The portable reduction every unrolled kernel is an instance of: the sum
-/// of `mac(a[i], b[i])` over the common prefix, 8 lanes × 4 independent
+/// The portable squared-L2 reduction, against a plain row or a code: the
+/// sum of `(a[i] - b[i])²` over the common prefix, 8 lanes × 4 independent
 /// accumulator groups; no `unsafe`, no target features, no fused
 /// multiply-add.
 #[inline]
-fn reduce_unrolled<A: Lanes, B: Lanes>(a: A, b: B, mac: impl Fn(f32, f32) -> f32) -> f32 {
+fn reduce_unrolled<B: Lanes>(a: &[f32], b: B) -> f32 {
     let n = a.len().min(b.len());
     let mut groups = [[0.0f32; 8]; 4];
     let mut i = 0;
@@ -428,7 +285,7 @@ fn reduce_unrolled<A: Lanes, B: Lanes>(a: A, b: B, mac: impl Fn(f32, f32) -> f32
         for (k, group) in groups.iter_mut().enumerate() {
             let (x, y) = (a.lanes(i + 8 * k), b.lanes(i + 8 * k));
             for l in 0..8 {
-                group[l] += mac(x[l], y[l]);
+                group[l] += squared_difference(x[l], y[l]);
             }
         }
         i += 32;
@@ -436,13 +293,13 @@ fn reduce_unrolled<A: Lanes, B: Lanes>(a: A, b: B, mac: impl Fn(f32, f32) -> f32
     while i + 8 <= n {
         let (x, y) = (a.lanes(i), b.lanes(i));
         for l in 0..8 {
-            groups[0][l] += mac(x[l], y[l]);
+            groups[0][l] += squared_difference(x[l], y[l]);
         }
         i += 8;
     }
     let mut tail = 0.0f32;
     while i < n {
-        tail += mac(a.lane(i), b.lane(i));
+        tail += squared_difference(a.lane(i), b.lane(i));
         i += 1;
     }
     let [g0, g1, g2, g3] = groups;
@@ -457,14 +314,7 @@ fn reduce_unrolled<A: Lanes, B: Lanes>(a: A, b: B, mac: impl Fn(f32, f32) -> f32
 #[inline]
 pub fn l2_squared_unrolled(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
-    reduce_unrolled(a, b, squared_difference)
-}
-
-/// Portable unrolled dot product (see [`l2_squared_unrolled`]).
-#[inline]
-pub fn dot_unrolled(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
-    reduce_unrolled(a, b, product)
+    reduce_unrolled(a, b)
 }
 
 /// Squared Euclidean distance to a row held as codes (dispatched kernel):
@@ -475,48 +325,23 @@ fn l2_squared_affine(a: &[f32], b: AffineRow<'_>) -> f32 {
     #[cfg(target_arch = "x86_64")]
     if simd_enabled() {
         // SAFETY: simd_enabled() verified avx2+fma via is_x86_feature_detected!.
-        return unsafe { x86::l2_squared_avx2(a, b) };
+        return unsafe { x86::reduce(a, b) };
     }
-    reduce_unrolled(a, b, squared_difference)
-}
-
-/// Dot product with a row held as codes (dispatched kernel): the bits of
-/// [`dot`] against the decoded row.
-#[inline]
-fn dot_affine(a: &[f32], b: AffineRow<'_>) -> f32 {
-    debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if simd_enabled() {
-        // SAFETY: simd_enabled() verified avx2+fma via is_x86_feature_detected!.
-        return unsafe { x86::dot_avx2(a, b) };
-    }
-    reduce_unrolled(a, b, product)
-}
-
-/// Squared norm of a row held as codes (dispatched kernel): the bits of
-/// [`dot`] of the decoded row with itself.
-#[inline]
-fn norm_squared_affine(b: AffineRow<'_>) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if simd_enabled() {
-        // SAFETY: simd_enabled() verified avx2+fma via is_x86_feature_detected!.
-        return unsafe { x86::dot_avx2(b, b) };
-    }
-    reduce_unrolled(b, b, product)
+    reduce_unrolled(a, b)
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! AVX2/FMA kernels, same 8-lane × 4-group shape as the portable
-    //! unrolled variants but with fused multiply-add (one rounding per MAC
+    //! The AVX2/FMA kernel, same 8-lane × 4-group shape as the portable
+    //! unrolled reduction but with fused multiply-add (one rounding per MAC
     //! instead of two — this is the source of the ulp-level difference vs
     //! the portable path).
     #![deny(unsafe_op_in_unsafe_fn)]
 
-    use super::{product, squared_difference, AffineRow, Lanes};
+    use super::{squared_difference, AffineRow, Lanes};
     use std::arch::x86_64::*;
 
-    /// An operand the AVX2 reductions can load eight lanes of.
+    /// An operand the AVX2 reduction can load eight lanes of.
     pub trait Load8: Lanes {
         /// Lanes `i..i + 8`.
         ///
@@ -565,21 +390,19 @@ mod x86 {
         _mm_cvtss_f32(r)
     }
 
-    /// The reduction every AVX2 kernel is an instance of: `mac8` folds
-    /// eight lanes of each operand into an accumulator (four accumulators
+    /// The squared-L2 reduction, against a plain row or a code: `(x - y)²`
+    /// fused into an accumulator eight lanes at a time (four accumulators
     /// over 32-lane blocks, the first alone over the 8-lane remainder),
-    /// `mac` adds the scalar tail onto the reduced sum.
+    /// then the scalar tail added onto the reduced sum.
     ///
     /// # Safety
-    /// The CPU must support AVX2 and FMA.
-    #[inline]
+    /// The CPU must support AVX2 and FMA (checked by `simd_enabled`).
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn reduce<A: Load8, B: Load8>(
-        a: A,
-        b: B,
-        mac8: impl Fn(__m256, __m256, __m256) -> __m256,
-        mac: impl Fn(f32, f32) -> f32,
-    ) -> f32 {
+    pub unsafe fn reduce<B: Load8>(a: &[f32], b: B) -> f32 {
+        let mac8 = |acc, x, y| {
+            let d = _mm256_sub_ps(x, y);
+            _mm256_fmadd_ps(d, d, acc)
+        };
         let n = a.len().min(b.len());
         let mut acc = [_mm256_setzero_ps(); 4];
         let mut i = 0usize;
@@ -600,31 +423,10 @@ mod x86 {
         }
         let mut sum = reduce4(acc[0], acc[1], acc[2], acc[3]);
         while i < n {
-            sum += mac(a.lane(i), b.lane(i));
+            sum += squared_difference(a.lane(i), b.lane(i));
             i += 1;
         }
         sum
-    }
-
-    /// # Safety
-    /// The CPU must support AVX2 and FMA (checked by `simd_enabled`).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn l2_squared_avx2<B: Load8>(a: &[f32], b: B) -> f32 {
-        let mac8 = |acc, x, y| {
-            let d = _mm256_sub_ps(x, y);
-            _mm256_fmadd_ps(d, d, acc)
-        };
-        // SAFETY: the caller checked the CPU.
-        unsafe { reduce(a, b, mac8, squared_difference) }
-    }
-
-    /// # Safety
-    /// The CPU must support AVX2 and FMA (checked by `simd_enabled`).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dot_avx2<A: Load8, B: Load8>(a: A, b: B) -> f32 {
-        let mac8 = |acc, x, y| _mm256_fmadd_ps(x, y, acc);
-        // SAFETY: the caller checked the CPU.
-        unsafe { reduce(a, b, mac8, product) }
     }
 }
 
@@ -636,38 +438,6 @@ mod tests {
     fn l2_matches_hand_math() {
         assert_eq!(l2_squared(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
         assert_eq!(DistanceKind::L2.eval(&[1.0], &[1.0]), 0.0);
-    }
-
-    #[test]
-    fn angular_of_parallel_vectors_is_zero() {
-        let d = angular(&[1.0, 2.0], &[2.0, 4.0]);
-        assert!(d.abs() < 1e-6, "d = {d}");
-    }
-
-    #[test]
-    fn angular_of_orthogonal_vectors_is_one() {
-        let d = angular(&[1.0, 0.0], &[0.0, 5.0]);
-        assert!((d - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn angular_of_opposite_vectors_is_two() {
-        let d = angular(&[1.0, 0.0], &[-3.0, 0.0]);
-        assert!((d - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn angular_handles_zero_vector() {
-        assert_eq!(angular(&[0.0, 0.0], &[1.0, 1.0]), 1.0);
-        assert_eq!(angular(&[1.0, 1.0], &[0.0, 0.0]), 1.0);
-    }
-
-    #[test]
-    fn inner_product_prefers_aligned() {
-        let q = [1.0, 1.0];
-        let close = [2.0, 2.0];
-        let far = [-1.0, 0.5];
-        assert!(neg_inner_product(&q, &close) < neg_inner_product(&q, &far));
     }
 
     #[test]
@@ -685,8 +455,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn eval_batch_rejects_mismatched_points() {
-        let mut out = [0.0f32; 1];
-        DistanceKind::L2.eval_batch(&[1.0, 2.0], &[&[1.0][..]], &mut out);
+        let (min, scale, code) = ([0.0f32], [1.0f32], [1u8]);
+        let row = AffineRow::new(&min, &scale, &code);
+        DistanceKind::L2.eval_batch_affine(&[1.0, 2.0], [row].into_iter(), &mut Vec::new());
     }
 
     fn sample(dim: usize, seed: u32) -> Vec<f32> {
@@ -725,29 +496,6 @@ mod tests {
                 ulp_diff(l2_squared_scalar(&a, &b), l2_squared(&a, &b)) <= 16,
                 "l2 dispatch dim {dim}"
             );
-            assert!(
-                ulp_diff(dot_scalar(&a, &a), dot_unrolled(&a, &a)) <= 16,
-                "dot dim {dim}"
-            );
-            assert!(
-                ulp_diff(dot_scalar(&a, &a), dot(&a, &a)) <= 16,
-                "dot dispatch dim {dim}"
-            );
-        }
-    }
-
-    #[test]
-    fn eval_batch_matches_eval_bitwise() {
-        let dim = 67;
-        let q = sample(dim, 9);
-        let rows: Vec<Vec<f32>> = (0..13).map(|i| sample(dim, 100 + i)).collect();
-        let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
-        for kind in DistanceKind::ALL {
-            let mut out = vec![0.0f32; refs.len()];
-            kind.eval_batch(&q, &refs, &mut out);
-            for (p, got) in refs.iter().zip(&out) {
-                assert_eq!(got.to_bits(), kind.eval(&q, p).to_bits(), "{kind}");
-            }
         }
     }
 
@@ -765,29 +513,23 @@ mod tests {
                 assert_eq!(got.to_bits(), want.to_bits(), "{what}, dim {dim}");
             };
             same(
-                reduce_unrolled(&q[..], row, squared_difference),
+                reduce_unrolled(&q, row),
                 l2_squared_unrolled(&q, &decoded),
-                "unrolled l2",
+                "unrolled",
             );
             same(
-                reduce_unrolled(&q[..], row, product),
-                dot_unrolled(&q, &decoded),
-                "unrolled dot",
+                l2_squared_affine(&q, row),
+                l2_squared(&q, &decoded),
+                "dispatched",
             );
+            let mut out = Vec::new();
+            DistanceKind::L2.eval_batch_affine(&q, [row, row].into_iter(), &mut out);
+            assert_eq!(out.len(), 2);
             same(
-                reduce_unrolled(row, row, product),
-                dot_unrolled(&decoded, &decoded),
-                "unrolled norm",
+                out[1],
+                DistanceKind::L2.eval(&q, &decoded),
+                "eval_batch_affine",
             );
-            same(l2_squared_affine(&q, row), l2_squared(&q, &decoded), "l2");
-            same(dot_affine(&q, row), dot(&q, &decoded), "dot");
-            same(norm_squared_affine(row), dot(&decoded, &decoded), "norm");
-            for kind in DistanceKind::ALL {
-                let mut out = Vec::new();
-                kind.eval_batch_affine(&q, [row, row].into_iter(), &mut out);
-                assert_eq!(out.len(), 2);
-                same(out[1], kind.eval(&q, &decoded), "eval_batch_affine");
-            }
         }
     }
 
@@ -798,13 +540,14 @@ mod tests {
         let ds = Dataset::from_rows(dim, rows).unwrap();
         let q = sample(dim, 77);
         let ids: Vec<VectorId> = vec![3, 0, 9, 3, 5];
-        for kind in DistanceKind::ALL {
-            let mut out = Vec::new();
-            kind.eval_batch_ids(&q, &ds, &ids, &mut out);
-            assert_eq!(out.len(), ids.len());
-            for (&id, got) in ids.iter().zip(&out) {
-                assert_eq!(got.to_bits(), kind.eval(&q, ds.vector(id)).to_bits());
-            }
+        let mut out = Vec::new();
+        DistanceKind::L2.eval_batch_ids(&q, &ds, &ids, &mut out);
+        assert_eq!(out.len(), ids.len());
+        for (&id, got) in ids.iter().zip(&out) {
+            assert_eq!(
+                got.to_bits(),
+                DistanceKind::L2.eval(&q, ds.vector(id)).to_bits()
+            );
         }
     }
 }

@@ -82,8 +82,8 @@ pub trait ScoreSource {
         self.len() == 0
     }
 
-    /// `eval_batch`-shaped scoring: clears `out` and pushes one distance
-    /// per id, in id order.
+    /// `eval_batch_ids`-shaped scoring: clears `out` and pushes one
+    /// distance per id, in id order.
     fn score_batch(
         &self,
         distance: DistanceKind,
@@ -471,7 +471,7 @@ impl QuantCodes {
         self.quantizer.decode_into(self.code(id), out);
     }
 
-    /// `eval_batch`-shaped scoring against codes: clears `out` and pushes
+    /// `eval_batch_ids`-shaped scoring against codes: clears `out` and pushes
     /// one distance per id, each the bits of [`DistanceKind::eval`] against
     /// the code's reconstruction. Int8 codes are decoded in registers
     /// inside the distance kernel (no buffer, no allocation); PQ codes are
@@ -617,28 +617,25 @@ mod tests {
         let codes = QuantCodes::train(QuantSpec::Int8, &ds, 1).unwrap();
         let ids: Vec<VectorId> = vec![3, 0, 79, 41];
         let q = ds.vector(7);
-        for kind in DistanceKind::ALL {
-            let mut exact = Vec::new();
-            ScoreSource::score_batch(&ds, kind, q, &ids, &mut exact);
-            let mut approx = Vec::new();
-            codes.score_batch(kind, q, &ids, &mut approx);
-            assert_eq!(exact.len(), approx.len());
-            for (i, (&e, &a)) in exact.iter().zip(&approx).enumerate() {
-                // Approximate but close on int8 codes.
-                assert!(
-                    (e - a).abs() <= e.abs().max(1.0) * 0.05,
-                    "{kind:?} id {}: exact {e} vs code {a}",
-                    ids[i]
-                );
-            }
+        let mut exact = Vec::new();
+        ScoreSource::score_batch(&ds, DistanceKind::L2, q, &ids, &mut exact);
+        let mut approx = Vec::new();
+        codes.score_batch(DistanceKind::L2, q, &ids, &mut approx);
+        assert_eq!(exact.len(), approx.len());
+        for (i, (&e, &a)) in exact.iter().zip(&approx).enumerate() {
+            // Approximate but close on int8 codes.
+            assert!(
+                (e - a).abs() <= e.abs().max(1.0) * 0.05,
+                "id {}: exact {e} vs code {a}",
+                ids[i]
+            );
         }
     }
 
     #[test]
     fn fused_scoring_has_the_bits_of_decode_then_eval() {
         // Every dimension class of the kernels (32-lane blocks, the 8-lane
-        // remainder, the scalar tail), both code families, every kind —
-        // on whichever kernel tier this process dispatched to (CI runs the
+        // remainder, the scalar tail), both code families — on whichever kernel tier this process dispatched to (CI runs the
         // suite under NDSEARCH_NO_SIMD=1 too).
         for dim in [1usize, 7, 8, 31, 32, 33, 64, 96, 128, 257] {
             let spec = DatasetSpec {
@@ -651,18 +648,16 @@ mod tests {
             let mut scores = Vec::new();
             for spec in [QuantSpec::Int8, QuantSpec::Pq { m: 4, bits: 4 }] {
                 let codes = QuantCodes::train(spec, &ds, dim as u64).unwrap();
-                for kind in DistanceKind::ALL {
-                    let q = ds.vector(5);
-                    codes.score_batch(kind, q, &ids, &mut scores);
-                    assert_eq!(scores.len(), ids.len());
-                    for (&id, &got) in ids.iter().zip(&scores) {
-                        codes.decode_into(id, &mut rec);
-                        assert_eq!(
-                            got.to_bits(),
-                            kind.eval(q, &rec).to_bits(),
-                            "{spec:?}, {kind}, dim {dim}, id {id}"
-                        );
-                    }
+                let q = ds.vector(5);
+                codes.score_batch(DistanceKind::L2, q, &ids, &mut scores);
+                assert_eq!(scores.len(), ids.len());
+                for (&id, &got) in ids.iter().zip(&scores) {
+                    codes.decode_into(id, &mut rec);
+                    assert_eq!(
+                        got.to_bits(),
+                        DistanceKind::L2.eval(q, &rec).to_bits(),
+                        "{spec:?}, dim {dim}, id {id}"
+                    );
                 }
             }
         }

@@ -14,13 +14,15 @@ use crate::rng::Pcg32;
 /// Which paper benchmark a spec models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BenchmarkId {
-    /// glove-100: 100-d word embeddings, angular distance.
+    /// glove-100: 100-d word embeddings (angular in the benchmark suite;
+    /// scored by squared L2 here, like every corpus).
     Glove100,
     /// fashion-mnist: 784-d image pixels, Euclidean.
     FashionMnist,
     /// sift-1b: 128-d SIFT descriptors stored as u8, Euclidean.
     Sift1B,
-    /// deep-1b: 96-d CNN descriptors, Euclidean (angular in some setups).
+    /// deep-1b: 96-d CNN descriptors, Euclidean (angular in some setups;
+    /// scored by squared L2 here).
     Deep1B,
     /// spacev-1b: 100-d text descriptors stored as i8, Euclidean.
     SpaceV1B,
@@ -116,7 +118,8 @@ pub struct DatasetSpec {
 }
 
 impl DatasetSpec {
-    /// Preset modelling glove-100 (angular 100-d embeddings).
+    /// Preset modelling glove-100 (100-d embeddings, angular in the
+    /// benchmark suite; scored by squared L2 here).
     pub fn glove_scaled(n_base: usize, n_query: usize) -> Self {
         Self {
             benchmark: BenchmarkId::Glove100,

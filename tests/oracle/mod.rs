@@ -117,7 +117,7 @@ pub struct OracleVamana {
 impl OracleVamana {
     pub fn build(base: &Dataset, params: VamanaParams) -> Self {
         let n = base.len();
-        let dist = params.distance;
+        let dist = DistanceKind::L2;
         let mut rng = Pcg32::seed_from_u64(params.seed);
         let mut adj: Vec<Vec<VectorId>> = (0..n)
             .map(|v| {
@@ -176,7 +176,7 @@ impl OracleVamana {
         alpha: f32,
         params: &VamanaParams,
     ) -> bool {
-        let dist = params.distance;
+        let dist = DistanceKind::L2;
         if adj[nb as usize].contains(&v) {
             return false;
         }
@@ -205,13 +205,13 @@ impl Oracle for OracleVamana {
             base.vector(id),
             self.medoid,
             params.l_build,
-            params.distance,
+            DistanceKind::L2,
         );
         let pool: Vec<Neighbor> = visited
             .into_iter()
             .filter(|nb| nb.id != id && !self.deleted[nb.id as usize])
             .collect();
-        let pruned = robust_prune(base, id, pool, params.alpha, params.r, params.distance);
+        let pruned = robust_prune(base, id, pool, params.alpha, params.r, DistanceKind::L2);
         self.adj[id as usize] = pruned.clone();
         pruned
             .into_iter()
@@ -288,7 +288,7 @@ impl Oracle for OracleHnsw {
             return Vec::new();
         }
         let params = self.params;
-        let dist = params.distance;
+        let dist = DistanceKind::L2;
         let q = base.vector(v);
         let mut cur = self.entry;
         let mut repaired = Vec::new();

@@ -20,8 +20,7 @@ use ndsearch::graph::luncsr::LunCsr;
 use ndsearch::graph::mapping::{PlacementPolicy, VertexMapping};
 use ndsearch::graph::reorder::{bandwidth, Permutation, ReorderMethod};
 use ndsearch::vector::distance::{
-    angular, dot, dot_scalar, dot_unrolled, l2_squared, l2_squared_scalar, l2_squared_unrolled,
-    DistanceKind,
+    l2_squared, l2_squared_scalar, l2_squared_unrolled, DistanceKind,
 };
 use ndsearch::vector::quant::{Int8Quantizer, QuantCodes, QuantSpec, ScoreSource};
 use ndsearch::vector::topk::{Neighbor, TopK};
@@ -245,15 +244,6 @@ proptest! {
         prop_assert_eq!(l2_squared(&a, &a), 0.0);
     }
 
-    #[test]
-    fn angular_is_bounded(
-        a in proptest::collection::vec(-100.0f32..100.0, 8),
-        b in proptest::collection::vec(-100.0f32..100.0, 8),
-    ) {
-        let d = angular(&a, &b);
-        prop_assert!((0.0..=2.0 + 1e-6).contains(&d), "d = {}", d);
-    }
-
     // ---- Kernel-tier equivalence: scalar vs unrolled vs dispatched
     // (AVX2/FMA when available) must agree within 16 ulp on every dim
     // shape, including odd tails. L2 terms are squares (always positive),
@@ -273,40 +263,8 @@ proptest! {
         prop_assert_eq!(DistanceKind::L2.eval(a, b).to_bits(), l2_squared(a, b).to_bits());
     }
 
-    // Dot-family tiers (inner product and the three reductions inside
-    // angular) are compared on positive components: with mixed signs the
-    // result can be arbitrarily close to zero while the partial sums are
-    // huge, so "N ulp of the result" is unbounded for *any* reordering —
-    // cancellation, not kernel error. Positive operands make the sum
-    // well-conditioned and the 16-ulp bound meaningful.
-    #[test]
-    fn dot_and_angular_kernel_tiers_agree_within_16_ulp(
-        raw_a in proptest::collection::vec(0.01f32..1.0, 257),
-        raw_b in proptest::collection::vec(0.01f32..1.0, 257),
-        di in 0usize..11,
-    ) {
-        let dim = KERNEL_DIMS[di];
-        let (a, b) = (&raw_a[..dim], &raw_b[..dim]);
-        let scalar = dot_scalar(a, b);
-        prop_assert!(ulp_diff(scalar, dot_unrolled(a, b)) <= 16, "unrolled, dim {}", dim);
-        prop_assert!(ulp_diff(scalar, dot(a, b)) <= 16, "dispatched, dim {}", dim);
-        // Angular is three dispatched dots plus well-conditioned scalar
-        // arithmetic; compare against a scalar-kernel reconstruction.
-        let ang_scalar = {
-            let d = dot_scalar(a, b);
-            let na = dot_scalar(a, a).sqrt();
-            let nb = dot_scalar(b, b).sqrt();
-            1.0 - (d / (na * nb)).clamp(-1.0, 1.0)
-        };
-        let ang = angular(a, b);
-        prop_assert!(
-            (ang - ang_scalar).abs() <= 1e-5,
-            "angular dim {}: {} vs {}", dim, ang, ang_scalar
-        );
-    }
-
-    // `eval_batch` / `eval_batch_ids` must match per-pair `eval`
-    // element-wise, bit for bit, for every DistanceKind.
+    // `eval_batch_ids` must match per-pair `eval` element-wise, bit for
+    // bit.
     #[test]
     fn eval_batch_matches_eval_elementwise(
         flat in proptest::collection::vec(0.01f32..1.0, 257 * 5),
@@ -321,38 +279,12 @@ proptest! {
             rows.iter().map(|r| r.to_vec()).collect(),
         ).unwrap();
         let ids: Vec<u32> = vec![4, 0, 2, 2, 1, 3];
-        for kind in DistanceKind::ALL {
-            let mut out = vec![0.0f32; rows.len()];
-            kind.eval_batch(q, &rows, &mut out);
-            for (p, got) in rows.iter().zip(&out) {
-                prop_assert_eq!(got.to_bits(), kind.eval(q, p).to_bits());
-            }
-            let mut by_id = Vec::new();
-            kind.eval_batch_ids(q, &ds, &ids, &mut by_id);
-            for (&id, got) in ids.iter().zip(&by_id) {
-                prop_assert_eq!(got.to_bits(), kind.eval(q, ds.vector(id)).to_bits());
-            }
+        let mut by_id = Vec::new();
+        DistanceKind::L2.eval_batch_ids(q, &ds, &ids, &mut by_id);
+        prop_assert_eq!(by_id.len(), ids.len());
+        for (&id, got) in ids.iter().zip(&by_id) {
+            prop_assert_eq!(got.to_bits(), DistanceKind::L2.eval(q, ds.vector(id)).to_bits());
         }
-    }
-
-    // Zero vectors are maximally distant under angular in every tier and
-    // both batch entry points (exactly 1.0, no ulp slack).
-    #[test]
-    fn angular_zero_vector_is_exactly_one_in_every_tier(
-        b_raw in proptest::collection::vec(0.01f32..1.0, 257),
-        di in 0usize..11,
-    ) {
-        let dim = KERNEL_DIMS[di];
-        let zeros = vec![0.0f32; dim];
-        let b = &b_raw[..dim];
-        prop_assert_eq!(angular(&zeros, b), 1.0);
-        prop_assert_eq!(angular(b, &zeros), 1.0);
-        prop_assert_eq!(DistanceKind::Angular.eval(&zeros, b), 1.0);
-        let mut out = vec![f32::NAN; 2];
-        DistanceKind::Angular.eval_batch(&zeros, &[b, &zeros], &mut out);
-        prop_assert_eq!(out.clone(), vec![1.0, 1.0]);
-        DistanceKind::Angular.eval_batch(b, &[&zeros], &mut out[..1]);
-        prop_assert_eq!(out[0], 1.0);
     }
 
     #[test]
@@ -821,15 +753,15 @@ fn tie_heavy_dataset(rng: &mut Pcg32, n: usize, dim: usize, grid: bool) -> Datas
     ds
 }
 
-/// One (R-or-M, n, distance) cell of the oracle grids; `salt` rotates the
-/// remaining knobs so every (distance, α) pair and both coordinate styles
-/// occur.
-fn oracle_grid(sizes: [usize; 2]) -> Vec<(usize, usize, DistanceKind, usize)> {
+/// The oracle grids: three cells per (R-or-M, n) pair, whose `salt`
+/// rotates the remaining knobs so each pair meets all three α and both
+/// coordinate styles.
+fn oracle_grid(sizes: [usize; 2]) -> Vec<(usize, usize, usize)> {
     let mut cells = Vec::new();
     for r in sizes {
         for n in [1, 2, r, r + 1, 300, 1000] {
-            for (k, kind) in DistanceKind::ALL.into_iter().enumerate() {
-                cells.push((r, n, kind, cells.len() / 3 + k));
+            for k in 0..3 {
+                cells.push((r, n, cells.len() / 3 + k));
             }
         }
     }
@@ -846,13 +778,12 @@ fn live_view_searches_as_the_synced_csr<S: ScoreSource + ?Sized>(
     query: &[f32],
     entries: &[u32],
     beam: usize,
-    kind: DistanceKind,
     label: &str,
 ) {
     let csr = index.base_graph();
     let n = csr.num_vertices();
     assert_eq!(Adjacency::num_vertices(index), n, "{label}");
-    let mut live = BeamSearcher::new(n, query.to_vec(), entries.to_vec(), beam, kind);
+    let mut live = BeamSearcher::new(n, query.to_vec(), entries.to_vec(), beam, DistanceKind::L2);
     let mut synced = live.clone();
     loop {
         let (got, want) = (live.step(source, index), synced.step(source, csr));
@@ -884,7 +815,6 @@ fn churn_both(
     rng: &mut Pcg32,
     base: &mut Dataset,
     grid: bool,
-    kind: DistanceKind,
     fast: &mut impl MutableIndex,
     oracle: &mut impl Oracle,
     label: &str,
@@ -914,7 +844,7 @@ fn churn_both(
             for (name, source) in sources {
                 let label = format!("{label}: {name}, beam {beam}, after {step} updates");
                 live_view_searches_as_the_synced_csr(
-                    source, &*fast, &query, &entries, beam, kind, &label,
+                    source, &*fast, &query, &entries, beam, &label,
                 );
             }
         }
@@ -938,44 +868,34 @@ fn churn_both(
 #[test]
 fn vamana_build_and_updates_equal_the_oracle() {
     let mut rng = Pcg32::seed_from_u64(0x5EED_0014);
-    for (r, n, distance, salt) in oracle_grid([4, 32]) {
+    for (r, n, salt) in oracle_grid([4, 32]) {
         let alpha = [1.0f32, 1.2, 2.0][salt % 3];
         let grid = salt % 2 == 0;
-        let label = format!("R {r}, n {n}, {distance}, alpha {alpha}, grid {grid}");
+        let label = format!("R {r}, n {n}, alpha {alpha}, grid {grid}");
         let mut base = tie_heavy_dataset(&mut rng, n, 6, grid);
         let params = VamanaParams {
             r,
             l_build: if n > 300 { 40 } else { 75 },
             alpha,
-            distance,
             seed: rng.next_u64(),
         };
         let mut fast = Vamana::build(&base, params);
         let mut oracle = OracleVamana::build(&base, params);
         assert_eq!(fast.medoid(), oracle.medoid, "{label}: medoid");
-        churn_both(
-            &mut rng,
-            &mut base,
-            grid,
-            distance,
-            &mut fast,
-            &mut oracle,
-            &label,
-        );
+        churn_both(&mut rng, &mut base, grid, &mut fast, &mut oracle, &label);
     }
 }
 
 #[test]
 fn hnsw_build_and_updates_equal_the_oracle() {
     let mut rng = Pcg32::seed_from_u64(0x5EED_0015);
-    for (m, n, distance, salt) in oracle_grid([2, 16]) {
+    for (m, n, salt) in oracle_grid([2, 16]) {
         let grid = salt % 2 == 0;
-        let label = format!("M {m}, n {n}, {distance}, grid {grid}");
+        let label = format!("M {m}, n {n}, grid {grid}, salt {salt}");
         let mut base = tie_heavy_dataset(&mut rng, n, 6, grid);
         let params = HnswParams {
             m,
             ef_construction: if n > 300 { 40 } else { 100 },
-            distance,
             seed: rng.next_u64(),
         };
         let mut fast = Hnsw::build(&base, params);
@@ -985,15 +905,7 @@ fn hnsw_build_and_updates_equal_the_oracle() {
                 == (oracle.entry, oracle.num_upper_layers())
         };
         assert!(same_hierarchy(&fast, &oracle), "{label}: built hierarchy");
-        churn_both(
-            &mut rng,
-            &mut base,
-            grid,
-            distance,
-            &mut fast,
-            &mut oracle,
-            &label,
-        );
+        churn_both(&mut rng, &mut base, grid, &mut fast, &mut oracle, &label);
         assert!(
             same_hierarchy(&fast, &oracle),
             "{label}: hierarchy after churn"
@@ -1006,7 +918,7 @@ fn hnsw_build_and_updates_equal_the_oracle() {
 // `anns::beam`'s sorted frontier must equal the two-heap formulation kept
 // in `tests/oracle/beam.rs` hop for hop: same trace iterations, same
 // `is_finished()` after every hop, same best-so-far list bit for bit —
-// over random digraphs, every distance kind, rows and codes, beam widths
+// over random digraphs, rows and codes, beam widths
 // 1..=80 and entry lists longer than the beam. Half the datasets repeat
 // each row six times, so the full list's worst distance is shared by
 // vertices inside and outside it: the case the frontier's tie stash
@@ -1036,9 +948,9 @@ fn kernels_agree<S: ScoreSource + ?Sized>(
     query: &[f32],
     entries: &[u32],
     beam: usize,
-    kind: DistanceKind,
     label: &str,
 ) -> usize {
+    let kind = DistanceKind::L2;
     let n = graph.num_vertices();
     let mut new = BeamSearcher::new(n, query.to_vec(), entries.to_vec(), beam, kind);
     let mut old = oracle::beam::BeamSearcher::new(n, query.to_vec(), entries.to_vec(), beam, kind);
@@ -1090,7 +1002,6 @@ fn search_kernel_equals_the_two_heap_oracle_hop_by_hop() {
     let mut rng = Pcg32::seed_from_u64(0x5EED_0016);
     let mut hops = 0;
     for case in 0..240 {
-        let kind = DistanceKind::ALL[case % 3];
         let grid = case % 2 == 0;
         let sixfold = case % 4 < 2;
         let n: usize = [1, 2, 7, 60, 400][case % 5];
@@ -1127,9 +1038,9 @@ fn search_kernel_equals_the_two_heap_oracle_hop_by_hop() {
             }
             let query = tie_heavy_row(&mut rng, &base, grid);
             let label = format!(
-                "case {case}: n {n}, {kind}, grid {grid}, sixfold {sixfold}, beam {beam}, entries {entries:?}"
+                "case {case}: n {n}, grid {grid}, sixfold {sixfold}, beam {beam}, entries {entries:?}"
             );
-            hops += kernels_agree(&base, &graph, &query, &entries, beam, kind, &label);
+            hops += kernels_agree(&base, &graph, &query, &entries, beam, &label);
             if nan_row.is_none() {
                 kernels_agree(
                     &int8,
@@ -1137,18 +1048,9 @@ fn search_kernel_equals_the_two_heap_oracle_hop_by_hop() {
                     &query,
                     &entries,
                     beam,
-                    kind,
                     &format!("{label}, int8"),
                 );
-                kernels_agree(
-                    &pq,
-                    &graph,
-                    &query,
-                    &entries,
-                    beam,
-                    kind,
-                    &format!("{label}, pq"),
-                );
+                kernels_agree(&pq, &graph, &query, &entries, beam, &format!("{label}, pq"));
             }
         }
     }

@@ -189,7 +189,7 @@ fn batch_scheduler_preserves_per_query_recall() {
             q,
             &[medoid],
             serve.beam_width,
-            serve.distance,
+            DistanceKind::L2,
             &mut vs,
         )
         .found;
