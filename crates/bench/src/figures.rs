@@ -89,7 +89,7 @@ pub const FIGURES: [Figure; 21] = [
     figure("cluster", "beyond the paper", "1 to 8 shards under both partition policies; churn on 4 shards", sweeps::cluster),
     figure("replica", "beyond the paper", "routing under an ECC-storm straggler; a mid-run device loss", sweeps::replica),
     figure("scenarios", "beyond the paper", "ShedDoomed under overload; TenantFair against a hog; bursty and diurnal days", sweeps::scenarios),
-    figure("quant", "beyond the paper", "int8 and PQ codes x rerank depth against full precision", sweeps::quant),
+    figure("quant", "beyond the paper", "int8 codes x rerank depth against full precision", sweeps::quant),
     figure("kernels", "beyond the paper", "L2 kernel tiers x dims, host ns per scored point", sweeps::kernels),
 ];
 

@@ -649,11 +649,11 @@ pub(crate) fn scenarios(_: &mut Workloads, scale: Scale) -> Vec<Table> {
 /// The recall every quantized configuration is judged at.
 const RECALL_GATE: f64 = 0.85;
 
-/// The DiskANN recipe on the SearSSD model: beam traversal scores int8 or
-/// PQ codes in SSD-internal DRAM and only the final `rerank_depth`
-/// candidates pay flash reads for exact distances. Spec × rerank depth
-/// against the full-precision engine on a deep-1b-like corpus (f32
-/// components, so int8 is a 4× DRAM saving and PQ far more).
+/// The DiskANN recipe on the SearSSD model: beam traversal scores int8
+/// codes in SSD-internal DRAM and only the final `rerank_depth`
+/// candidates pay flash reads for exact distances. Rerank depth against
+/// the full-precision engine on a deep-1b-like corpus (f32 components, so
+/// int8 is a 4× DRAM saving).
 pub(crate) fn quant(_: &mut Workloads, scale: Scale) -> Vec<Table> {
     const QUERIES: usize = 32;
     let (n, k) = (scale.n, scale.k);
@@ -691,35 +691,27 @@ pub(crate) fn quant(_: &mut Workloads, scale: Scale) -> Vec<Table> {
     };
 
     let (full, full_recall, ..) = run(QuantSpec::None, ServeConfig::default().rerank_depth);
-    let specs = [
-        ("int8", QuantSpec::Int8),
-        ("pq-m24-b8", QuantSpec::Pq { m: 24, bits: 8 }),
-        ("pq-m24-b4", QuantSpec::Pq { m: 24, bits: 4 }),
-        ("pq-m12-b8", QuantSpec::Pq { m: 12, bits: 8 }),
-    ];
     let mut rows = Vec::new();
-    let mut best: Option<(f64, &str, usize)> = None;
-    for (label, spec) in specs {
-        for depth in [k, 32, 64] {
-            let (report, recall, code_bytes, dram) = run(spec, depth);
-            let qps = report.qps();
-            if recall >= RECALL_GATE && best.is_none_or(|(b, ..)| qps > b) {
-                best = Some((qps, label, depth));
-            }
-            rows.push(vec![
-                label.to_string(),
-                depth.to_string(),
-                f(recall, 3),
-                f(qps / 1e3, 1),
-                code_bytes.to_string(),
-                f(dram, 2),
-                f(report.breakdown.rerank_ns as f64 / 1e6, 2),
-            ]);
+    let mut best: Option<(f64, usize)> = None;
+    for depth in [k, 32, 64] {
+        let (report, recall, code_bytes, dram) = run(QuantSpec::Int8, depth);
+        let qps = report.qps();
+        if recall >= RECALL_GATE && best.is_none_or(|(b, _)| qps > b) {
+            best = Some((qps, depth));
         }
+        rows.push(vec![
+            "int8".to_string(),
+            depth.to_string(),
+            f(recall, 3),
+            f(qps / 1e3, 1),
+            code_bytes.to_string(),
+            f(dram, 2),
+            f(report.breakdown.rerank_ns as f64 / 1e6, 2),
+        ]);
     }
     let best = match best {
-        Some((qps, label, depth)) => format!(
-            "best gated config: {label} @ depth {depth} — {:.1} kQPS vs full-precision {:.1} kQPS",
+        Some((qps, depth)) => format!(
+            "best gated config: int8 @ depth {depth} — {:.1} kQPS vs full-precision {:.1} kQPS",
             qps / 1e3,
             full.qps() / 1e3
         ),

@@ -11,7 +11,7 @@
 //!   balanced-size policy) splits the dataset into per-shard
 //!   sub-datasets, each staged as one or more replica [`Deployment`]s —
 //!   each replica its own copy of the shard's one index build, its own
-//!   LUNCSR staging, FTL, ECC engine and wear model, i.e. its own
+//!   LUNCSR staging, ECC engine and write-path totals, i.e. its own
 //!   simulated device, reading the shard's rows from one shared copy;
 //! * [`ClusterEngine`] **scatters** every [`QueryRequest`] to all shards
 //!   (one [`ServeEngine`] session on one replica per shard, seeded at
@@ -62,7 +62,8 @@
 //! in-flight and queued sessions are **re-seeded on a surviving
 //! replica** (counted in [`ShardBreakdown::failovers`]) and it receives
 //! no further traffic. A shard whose replicas have all been killed
-//! freezes its sessions (the cluster outcome stays non-terminal); events
+//! freezes its sessions (the cluster outcome stays non-terminal), and a
+//! query submitted after that is rejected at the router; events
 //! scheduled after the last completion never fire.
 //!
 //! # Determinism and parity
@@ -414,7 +415,7 @@ impl ClusterReport {
     }
 
     /// Write-path totals summed across **every replica device** of every
-    /// shard — fleet-level flash wear, not logical update volume:
+    /// shard — fleet-level flash writes, not logical update volume:
     /// updates fan out to all replicas, so R replicas program ~R× the
     /// pages of the unreplicated cluster for the same update stream.
     pub fn update_totals(&self) -> UpdateTotals {
@@ -739,17 +740,20 @@ impl<'a> ClusterEngine<'a> {
     /// alive replica in round-robin order — and returns the cluster id.
     /// Each shard's copy (and every hedge or failover copy) is seeded at
     /// that shard's own entry vertex, overwriting `req.entries`, and
-    /// keeps the request's deadline and tenant; `req.k` bounds the merged list. Shards whose
-    /// replicas are all dead are skipped (the cluster outcome then never
-    /// completes, mirroring a real partial outage).
+    /// keeps the request's deadline and tenant; `req.k` bounds the
+    /// merged list. A query that cannot reach every staged shard — one
+    /// has no alive replica left — is rejected at the cluster router:
+    /// no shard gets a session, and its outcome is `Rejected`, stamped at
+    /// its arrival, with no results.
     pub fn submit(&mut self, req: QueryRequest) -> ClusterQueryId {
         let id = self.queries.len();
         let policy = self.replication.policy;
+        let routable = self.shards.iter().flatten().all(Shard::has_alive);
         let sessions: Vec<Option<ScatterShard>> = self
             .shards
             .iter_mut()
             .map(|slot| {
-                let shard = slot.as_mut()?;
+                let shard = slot.as_mut().filter(|_| routable)?;
                 let replica = shard.route_query()?;
                 let query = shard.replicas[replica].submit(&req, req.arrival_ns);
                 Some(ScatterShard {
@@ -1333,6 +1337,11 @@ impl<'a> ClusterEngine<'a> {
                     );
                 }
                 gathered.state = merge_states(&states);
+                if states.is_empty() {
+                    // Rejected at the router: no shard ever saw it.
+                    gathered.admitted_ns = req.arrival_ns;
+                    gathered.completed_ns = req.arrival_ns;
+                }
                 // The gather: a deterministic stable merge — Neighbor's
                 // total order is (distance, id), ties broken by global id.
                 gathered.results.sort_unstable();
@@ -1943,10 +1952,28 @@ mod tests {
             assert!(!o.state.is_terminal(), "outage must leave queries pending");
         }
         assert!(report.shards[0].availability < 1.0);
-        // New submissions skip the dead shard entirely (and keep the
-        // cluster outcome non-terminal rather than panicking).
-        let id = cluster.submit(QueryRequest::at(0, queries.vector(0).to_vec(), Vec::new()));
-        assert!(!cluster.report().outcomes[id].state.is_terminal());
+        // A query submitted after the outage cannot reach shard 0: the
+        // router rejects it at its arrival, and no shard gets a session.
+        let sessions = |report: &ClusterReport| -> usize {
+            report
+                .shards
+                .iter()
+                .flat_map(|s| &s.replicas)
+                .map(|r| r.report.outcomes.len())
+                .sum()
+        };
+        let before = sessions(&cluster.report());
+        let id = cluster.submit(QueryRequest::at(
+            5_000,
+            queries.vector(0).to_vec(),
+            Vec::new(),
+        ));
+        let report = cluster.run_to_completion();
+        let late = &report.outcomes[id];
+        assert_eq!(late.state, SessionState::Rejected);
+        assert_eq!((late.admitted_ns, late.completed_ns), (5_000, 5_000));
+        assert!(late.results.is_empty());
+        assert_eq!(sessions(&report), before, "a rejected query ran somewhere");
     }
 
     #[test]

@@ -127,7 +127,7 @@ pub struct NdsConfig {
     /// accesses of Fig. 15.
     pub spec_budget_factor: f64,
     /// Compressed-vector codes kept in SSD DRAM for graph traversal
-    /// (int8 or product quantization); `QuantSpec::None` (the default)
+    /// (per-dimension int8); `QuantSpec::None` (the default)
     /// scores full-precision rows from flash as before. When enabled,
     /// beam traversal scores DRAM-resident codes and only the final
     /// rerank candidates pay flash page reads (see
@@ -140,8 +140,8 @@ pub struct NdsConfig {
     /// Defaults to the host's available parallelism (overridable via the
     /// `NDSEARCH_EXEC_THREADS` environment variable).
     pub exec_threads: usize,
-    /// Seed of the vertex reordering, the quantizer training and a
-    /// mutable deployment's FTL (ECC draws from [`EccConfig::seed`]).
+    /// Seed of the vertex reordering and the quantizer training (ECC
+    /// draws from [`EccConfig::seed`]).
     pub seed: u64,
 }
 

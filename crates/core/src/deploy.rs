@@ -19,11 +19,10 @@
 //!   base plus append-only delta ([`ndsearch_graph::luncsr::LunCsr`]),
 //!   kept in lock-step with the index through adjacency patches and an
 //!   identity-extended permutation;
-//! * the **flash write path** — every insert appends its vector through
-//!   the FTL as a page program, charging tPROG latency
-//!   ([`ndsearch_flash::timing::FlashTiming::t_program_page_ns`]) and wear
-//!   ([`ndsearch_flash::wear::WearModel`]); compaction erases the old
-//!   blocks and rewrites a fresh base.
+//! * the **flash write path** — every insert appends its vector as a page
+//!   program, charging tPROG latency
+//!   ([`ndsearch_flash::timing::FlashTiming::t_program_page_ns`]);
+//!   compaction erases the old blocks and rewrites a fresh base.
 //!
 //! An update costs what it touches — one dataset row, one code, the O(R)
 //! adjacency rows RobustPrune rewrote and their overlay entries — never
@@ -39,9 +38,7 @@ use std::sync::Arc;
 use ndsearch_anns::beam::Adjacency;
 use ndsearch_anns::index::MutableIndex;
 use ndsearch_anns::trace::BatchTrace;
-use ndsearch_flash::ftl::Ftl;
 use ndsearch_flash::timing::Nanos;
-use ndsearch_flash::wear::WearModel;
 use ndsearch_graph::csr::Csr;
 use ndsearch_vector::dataset::{Dataset, ShapeError};
 use ndsearch_vector::quant::QuantCodes;
@@ -200,8 +197,6 @@ pub struct Deployment {
     /// Inserts encode through the same trained quantizer; compaction
     /// re-packs the table.
     codes: Option<QuantCodes>,
-    ftl: Ftl,
-    wear: WearModel,
     totals: UpdateTotals,
     /// Vector slots accumulated in the controller's open append page; the
     /// page program fires when it fills.
@@ -268,8 +263,6 @@ impl Deployment {
             prepared,
             dataset,
             codes,
-            ftl: Ftl::new(config.geometry, config.seed ^ 0x5EED),
-            wear: WearModel::new(config.geometry),
             totals: UpdateTotals::default(),
             open_slots,
         }
@@ -318,11 +311,6 @@ impl Deployment {
         self.totals
     }
 
-    /// The wear model charged by the update write path.
-    pub fn wear(&self) -> &WearModel {
-        &self.wear
-    }
-
     /// Whether a construction-order vertex has been tombstoned.
     pub fn is_deleted(&self, id: VectorId) -> bool {
         self.index()
@@ -337,10 +325,8 @@ impl Deployment {
 
     /// Applies one online insert: appends the vector, links it through the
     /// index's incremental-construction kernel, extends the flash overlay
-    /// (delta append + backlink patches), and routes the page program
-    /// through the FTL — charging tPROG latency when the open append page
-    /// fills, and one block P/E cycle when the append opens a fresh
-    /// (erased) block.
+    /// (delta append + backlink patches), and programs the open append
+    /// page — charging tPROG latency when it fills.
     ///
     /// Searches over [`graph`](Self::graph) see the new vertex and the
     /// repaired rows as soon as this returns; nothing is re-snapshotted.
@@ -400,10 +386,7 @@ impl Deployment {
         }
 
         // ---- Flash write path: the append lands in the controller's open
-        // page; when it fills, a <ProgramPage> goes through the FTL. A
-        // P/E *cycle* is charged once per block — when the program lands
-        // on the block's first page (the append-only walk writes a fresh
-        // block front-to-back after one erase). ----
+        // page; when it fills, a <ProgramPage> writes it out. ----
         let timing = &config.timing;
         let spp = prepared.luncsr.mapping().slots_per_page();
         self.open_slots += 1;
@@ -412,14 +395,6 @@ impl Deployment {
         if self.open_slots >= spp {
             self.open_slots = 0;
             pages_programmed = 1;
-            let mapping = prepared.luncsr.mapping();
-            let plane = mapping.global_plane_of(v_phys);
-            let physical = self
-                .ftl
-                .program_page(plane, mapping.logical_block_of(v_phys));
-            if mapping.page_of(v_phys) == 0 {
-                self.wear.note_program(plane, physical);
-            }
             program_ns = timing.t_program_page_ns
                 + timing.channel_transfer_ns(u64::from(config.geometry.page_bytes));
             self.totals.flash_bytes += u64::from(config.geometry.page_bytes);
@@ -468,17 +443,15 @@ impl Deployment {
     /// Compacts the deployment: re-runs reorder + placement over the live
     /// graph (folding the delta into a fresh read-mostly base), erases the
     /// blocks the old overlay occupied, and rewrites every page — charging
-    /// erase/program latency and wear. Tombstones stay marked on the fresh
+    /// erase/program latency. Tombstones stay marked on the fresh
     /// base (they are dropped from the id space only by a full offline
     /// rebuild), so query results over the compacted deployment match the
     /// overlay's exactly.
     pub fn compact(&mut self, config: &NdsConfig) -> CompactionReport {
         let timing = &config.timing;
         // Erase the old footprint: every distinct (plane, logical block)
-        // the overlay occupies goes through the FTL as an erase; wear is
-        // charged on the physical block it resolves to. One erase +
-        // rewrite is one P/E cycle, charged here only — the rewrite loop
-        // below must not charge the (largely identical) blocks again.
+        // the overlay occupies is erased once; the planes erase in
+        // parallel.
         let occupied: std::collections::BTreeSet<(u32, u32)> = {
             let lc = &self.prepared.luncsr;
             (0..lc.num_vertices() as u32)
@@ -491,9 +464,7 @@ impl Deployment {
                 .collect()
         };
         let mut per_plane = std::collections::BTreeMap::<u32, u64>::new();
-        for &(plane, lblock) in &occupied {
-            let physical = self.ftl.erase_logical_block(plane, lblock);
-            self.wear.note_program(plane, physical);
+        for &(plane, _) in &occupied {
             *per_plane.entry(plane).or_default() += 1;
         }
         let erase_rounds = per_plane.values().copied().max().unwrap_or(0);
@@ -518,11 +489,7 @@ impl Deployment {
         }
         let prepared = &self.prepared;
 
-        // Program the fresh base: every page rewritten. Wear for the
-        // rewrite was already charged with the erases above (erase +
-        // program = one P/E cycle); blocks the new base newly occupies
-        // beyond the old footprint get their cycle charged when their
-        // first page programs on the append path.
+        // Program the fresh base: every page rewritten.
         let pages = prepared.luncsr.mapping().pages_used();
         let planes = u64::from(config.geometry.total_planes()).max(1);
         let program_rounds = pages.div_ceil(planes);
@@ -595,8 +562,8 @@ mod tests {
             totals.write_amplification() > 0.0,
             "amplification must be measured"
         );
-        // Wear: some block saw a P/E cycle.
-        assert!(deploy.wear().max_wear_ratio() > 0.0);
+        // Some page program reached the flash.
+        assert!(totals.pages_programmed > 0);
         // Overlay adjacency mirrors the index, relabeled.
         let prepared = deploy.prepared();
         let graph = deploy.graph();

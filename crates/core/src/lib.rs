@@ -38,7 +38,7 @@
 //! * [`deploy::Deployment`] — versioned mutable deployments: online
 //!   insert/delete as update sessions served alongside queries, the
 //!   LUNCSR base+delta overlay kept in lock-step with the live index,
-//!   the flash program/erase write path (tPROG, wear, amplification),
+//!   the flash program/erase write path (tPROG, amplification),
 //!   and deterministic compaction;
 //! * [`cluster::ClusterEngine`] — the scale-out tier: a
 //!   [`ShardPlan`](ndsearch_vector::shard::ShardPlan)-partitioned

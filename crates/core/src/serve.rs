@@ -299,7 +299,7 @@ pub type UpdateId = usize;
 #[derive(Debug, Clone, PartialEq)]
 pub enum UpdateOp {
     /// Ingest one vector: append it to the dataset, link it into the live
-    /// graph, and program its page through the FTL.
+    /// graph, and program its page.
     Insert(Vec<f32>),
     /// Tombstone a construction-order vertex.
     Delete(VectorId),
@@ -409,7 +409,8 @@ impl SessionState {
 /// A gathered query's record is built from the copy of its session that
 /// answered for each shard (the primary, or a hedge that beat it): its
 /// state is `Completed` only if every shard completed, otherwise
-/// `Rejected` if any shard rejected and else `Expired` if any expired.
+/// `Rejected` if any shard (or the cluster router) rejected and else
+/// `Expired` if any expired.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryOutcome {
     /// Query id (submission order).
@@ -752,7 +753,7 @@ impl<'a> ServeEngine<'a> {
         }
     }
 
-    /// The deployment being served (live overlay state, wear, totals).
+    /// The deployment being served (live overlay state, totals).
     pub fn deployment(&self) -> &Deployment {
         &self.deploy
     }
@@ -1339,7 +1340,7 @@ impl<'a> ServeEngine<'a> {
     }
 
     /// Applies one update session: mutates the deployment, charges the
-    /// flash write path (program latency, wear, stats) and advances the
+    /// flash write path (program latency, stats) and advances the
     /// clock by the update's device occupancy.
     fn apply_update(&mut self, uid: UpdateId) {
         let s = &mut self.update_sessions[uid];
@@ -1724,14 +1725,13 @@ mod tests {
         assert_eq!(report.updates_completed(), 20);
         assert_eq!(report.updates_rejected(), 0);
         assert!(report.update_qps() > 0.0);
-        // The write path demonstrably charged flash program latency, wear
-        // and stats.
+        // The write path demonstrably charged flash program latency and
+        // stats.
         assert!(report.updates.inserts == 16 && report.updates.deletes == 4);
         assert!(report.updates.pages_programmed > 0, "no page programmed");
         assert!(report.stats.page_programs > 0);
         assert!(report.breakdown.program_ns > 0, "tPROG not charged");
         assert!(report.write_amplification() > 0.0);
-        assert!(engine.deployment().wear().max_wear_ratio() > 0.0);
         // The deployment grew and the deletes tombstoned.
         assert_eq!(engine.deployment().dataset().len(), 416);
         assert_eq!(engine.deployment().live_count(), 412);

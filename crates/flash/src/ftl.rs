@@ -65,9 +65,7 @@ impl Ftl {
     }
 
     /// Routes a page program for a logical block through the FTL: returns
-    /// the *physical* block the data lands in, so the caller can charge
-    /// wear to the right cells. The online-update path appends every new
-    /// vector's page this way.
+    /// the *physical* block the data lands in.
     ///
     /// # Panics
     /// Panics if indices are out of range.
@@ -75,9 +73,8 @@ impl Ftl {
         self.physical_block(plane, logical_block)
     }
 
-    /// Routes a block erase through the FTL (compaction rewrites a fresh
-    /// base, erasing the blocks the old one occupied): returns the
-    /// physical block erased.
+    /// Routes a block erase through the FTL: returns the physical block
+    /// erased.
     ///
     /// # Panics
     /// Panics if indices are out of range.

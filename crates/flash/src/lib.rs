@@ -14,8 +14,6 @@
 //!   a plane* (§II-B2 / §VI-A2), emitting relocation events that the
 //!   LUNCSR format consumes ([`ftl::Ftl`]) — the mechanism only: refresh
 //!   is rare in the read-only search phase, and no run triggers one;
-//! * per-block P/E accounting, charged by the online-update write path
-//!   ([`wear::WearModel`]);
 //! * LDPC error correction: in-SiN hard-decision decoding and FTL
 //!   soft-decision fallback, with failures injected from the
 //!   hard-decision probability alone (Fig. 18b), beside the descriptive
@@ -49,11 +47,9 @@ pub mod ftl;
 pub mod geometry;
 pub mod stats;
 pub mod timing;
-pub mod wear;
 
 pub use ecc::{EccConfig, EccDelta, EccEngine, EccLunPass};
 pub use ftl::{Ftl, RefreshEvent};
 pub use geometry::{FlashGeometry, LunId, PhysAddr, PlaneId};
 pub use stats::FlashStats;
 pub use timing::{FlashTiming, PcieLink};
-pub use wear::WearModel;

@@ -169,19 +169,6 @@ impl Dataset {
         &self.data
     }
 
-    /// Gathers borrows of the listed vectors into `out` (cleared first),
-    /// preserving order and duplicates.
-    ///
-    /// # Panics
-    /// Panics if any id is out of bounds.
-    pub fn gather<'a>(&'a self, ids: &[VectorId], out: &mut Vec<&'a [f32]>) {
-        out.clear();
-        out.reserve(ids.len());
-        for &id in ids {
-            out.push(self.vector(id));
-        }
-    }
-
     /// Overrides the on-flash byte footprint of one vector (used by presets
     /// whose source datasets store narrower element types, e.g. `u8` sift
     /// components or `i8` spacev components).
@@ -299,17 +286,6 @@ mod tests {
         assert_eq!(ds.stored_vector_bytes(), 16);
         ds.set_stored_vector_bytes(4); // e.g. u8 elements
         assert_eq!(ds.stored_vector_bytes(), 4);
-    }
-
-    #[test]
-    fn gather_preserves_order_and_duplicates() {
-        let ds = Dataset::from_rows(1, vec![vec![10.0], vec![11.0], vec![12.0]]).unwrap();
-        let mut out = Vec::new();
-        ds.gather(&[2, 0, 2], &mut out);
-        assert_eq!(out, vec![&[12.0][..], &[10.0][..], &[12.0][..]]);
-        // Reuse clears the previous contents.
-        ds.gather(&[1], &mut out);
-        assert_eq!(out, vec![&[11.0][..]]);
     }
 
     #[test]

@@ -3,20 +3,16 @@
 //! The DiskANN recipe (Subramanya et al., NeurIPS'19): graph traversal
 //! scores *compressed* codes held in SSD-internal DRAM, and only the
 //! final candidates pay a flash read for exact full-precision distances.
-//! This module supplies the two code families and the trained code table
-//! the deployment tier keeps alongside the dataset:
+//! This module supplies one code family, [`Int8Quantizer`] (per-dimension
+//! min/max affine scalar quantization, 1 byte per dimension: 4x smaller
+//! than f32 rows), and the trained code table the deployment tier keeps
+//! alongside the dataset.
 //!
-//! - [`Int8Quantizer`] — per-dimension min/max affine scalar
-//!   quantization, 1 byte per dimension (4x smaller than f32 rows).
-//! - [`PqQuantizer`] — product quantization, `m` subspaces with
-//!   `2^bits`-entry codebooks trained by seeded k-means, 1 byte per
-//!   subspace (up to `dim`x smaller).
-//!
-//! Both score a code as the f32 reconstruction it decodes to, through the
+//! A code scores as the f32 reconstruction it decodes to, through the
 //! *same* dispatched distance kernels as full-precision rows, so quantized
 //! traversal is bit-identical across thread counts, shard step orders
-//! and regeneration for free. Int8 codes never materialize that
-//! reconstruction: the kernels decode them lane by lane in registers
+//! and regeneration for free. The reconstruction is never materialized:
+//! the kernels decode a code lane by lane in registers
 //! ([`crate::distance::AffineRow`]) and return the bits decode-then-score
 //! would, at about the cost of scoring a full-precision row. The
 //! [`ScoreSource`] trait is the seam the beam searcher is generic over:
@@ -33,10 +29,7 @@ use crate::rng::Pcg32;
 /// global); larger ones train on a seeded uniform sample.
 const TRAIN_SAMPLE_CAP: usize = 65_536;
 
-/// K-means refinement passes for PQ codebooks.
-const PQ_KMEANS_ITERS: usize = 8;
-
-/// Which compressed-code family traversal scores in DRAM.
+/// Whether traversal scores compressed codes in DRAM, and which.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum QuantSpec {
     /// No code table: traversal reads full-precision rows from flash.
@@ -44,14 +37,6 @@ pub enum QuantSpec {
     None,
     /// Per-dimension min/max affine int8 codes (1 byte per dimension).
     Int8,
-    /// Product quantization: `m` subspaces x `bits`-bit codebooks
-    /// (1 byte per subspace).
-    Pq {
-        /// Number of subspaces the dimensions are split into.
-        m: usize,
-        /// Codebook index width; `2^bits` centroids per subspace (1..=8).
-        bits: u8,
-    },
 }
 
 impl QuantSpec {
@@ -65,7 +50,6 @@ impl QuantSpec {
         match *self {
             QuantSpec::None => 0,
             QuantSpec::Int8 => dim,
-            QuantSpec::Pq { m, .. } => m.min(dim),
         }
     }
 }
@@ -190,132 +174,9 @@ impl Int8Quantizer {
     }
 }
 
-/// Product quantizer: `m` subspaces, each with a `2^bits`-entry codebook
-/// trained by seeded k-means (stable init, lowest-index tie-breaking), so
-/// training and encoding are pure functions of `(dataset, spec, seed)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PqQuantizer {
-    dim: usize,
-    /// Subspace boundaries: subspace `s` covers dims `bounds[s]..bounds[s+1]`.
-    bounds: Vec<usize>,
-    /// Per-subspace codebooks, each flat `k * sub_dim`.
-    centroids: Vec<Vec<f32>>,
-    k: usize,
-}
-
-impl PqQuantizer {
-    /// Trains `m` codebooks of `2^bits` centroids each.
-    ///
-    /// # Panics
-    /// Panics if `m == 0`, `m > dim`, or `bits` is outside `1..=8`.
-    pub fn train(dataset: &Dataset, m: usize, bits: u8, seed: u64) -> Self {
-        let dim = dataset.dim();
-        assert!(m >= 1 && m <= dim, "m must be in 1..=dim");
-        assert!((1..=8).contains(&bits), "bits must be in 1..=8");
-        let k = 1usize << bits;
-        let bounds: Vec<usize> = (0..=m).map(|s| s * dim / m).collect();
-        let rows = train_rows(dataset.len(), seed);
-        let mut centroids = Vec::with_capacity(m);
-        let mut rng = Pcg32::seed_from_u64(seed ^ 0x9E37_79B9);
-        for s in 0..m {
-            let (lo, hi) = (bounds[s], bounds[s + 1]);
-            let sub_dim = hi - lo;
-            // Init: k seeded draws from the training rows (duplicates are
-            // harmless; empty clusters keep their centroid).
-            let mut cb = vec![0.0f32; k * sub_dim];
-            if !rows.is_empty() {
-                for c in 0..k {
-                    let pick = rows[rng.index(rows.len())];
-                    cb[c * sub_dim..(c + 1) * sub_dim]
-                        .copy_from_slice(&dataset.vector(pick)[lo..hi]);
-                }
-                for _ in 0..PQ_KMEANS_ITERS {
-                    let mut sums = vec![0.0f64; k * sub_dim];
-                    let mut counts = vec![0u64; k];
-                    for &id in &rows {
-                        let sub = &dataset.vector(id)[lo..hi];
-                        let c = nearest_centroid(&cb, sub);
-                        counts[c] += 1;
-                        for (acc, &x) in sums[c * sub_dim..(c + 1) * sub_dim].iter_mut().zip(sub) {
-                            *acc += f64::from(x);
-                        }
-                    }
-                    for c in 0..k {
-                        if counts[c] == 0 {
-                            continue; // keep the previous centroid
-                        }
-                        for d in 0..sub_dim {
-                            cb[c * sub_dim + d] = (sums[c * sub_dim + d] / counts[c] as f64) as f32;
-                        }
-                    }
-                }
-            }
-            centroids.push(cb);
-        }
-        Self {
-            dim,
-            bounds,
-            centroids,
-            k,
-        }
-    }
-
-    /// Dimensionality the quantizer was trained for.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of subspaces (= code bytes per vector).
-    pub fn m(&self) -> usize {
-        self.bounds.len() - 1
-    }
-
-    /// Appends the code of `row` (one byte per subspace) to `out`.
-    pub fn encode_into(&self, row: &[f32], out: &mut Vec<u8>) {
-        assert_eq!(row.len(), self.dim, "row dim mismatch");
-        for s in 0..self.m() {
-            let sub = &row[self.bounds[s]..self.bounds[s + 1]];
-            out.push(nearest_centroid(&self.centroids[s], sub) as u8);
-        }
-    }
-
-    /// Decodes `code` into `out` (len `dim`).
-    pub fn decode_into(&self, code: &[u8], out: &mut [f32]) {
-        for (s, &c) in code.iter().enumerate() {
-            let (lo, hi) = (self.bounds[s], self.bounds[s + 1]);
-            let sub_dim = hi - lo;
-            let c = (c as usize).min(self.k - 1);
-            out[lo..hi].copy_from_slice(&self.centroids[s][c * sub_dim..(c + 1) * sub_dim]);
-        }
-    }
-}
-
-/// Nearest centroid of a flat `k * sub_dim` codebook by squared L2, ties
-/// broken toward the lowest index (strict `<` on a left-to-right scan).
-fn nearest_centroid(codebook: &[f32], sub: &[f32]) -> usize {
-    let sub_dim = sub.len();
-    let k = codebook.len() / sub_dim.max(1);
-    let mut best = 0usize;
-    let mut best_d = f32::INFINITY;
-    for c in 0..k {
-        let cent = &codebook[c * sub_dim..(c + 1) * sub_dim];
-        let mut d = 0.0f32;
-        for (x, y) in sub.iter().zip(cent) {
-            let t = x - y;
-            d += t * t;
-        }
-        if d < best_d {
-            best_d = d;
-            best = c;
-        }
-    }
-    best
-}
-
 /// Training row ids: all of `0..n` when within [`TRAIN_SAMPLE_CAP`], else
-/// a seeded uniform sample of the cap size (ascending, deduplicated by
-/// construction order of the draw — duplicates are harmless for both
-/// min/max scans and k-means).
+/// a seeded uniform sample of the cap size (duplicates are harmless for
+/// the min/max scan).
 fn train_rows(n: usize, seed: u64) -> Vec<VectorId> {
     if n <= TRAIN_SAMPLE_CAP {
         (0..n as VectorId).collect()
@@ -327,69 +188,12 @@ fn train_rows(n: usize, seed: u64) -> Vec<VectorId> {
     }
 }
 
-/// A trained quantizer of either family.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Quantizer {
-    /// Scalar int8 codes.
-    Int8(Int8Quantizer),
-    /// Product-quantized codes.
-    Pq(PqQuantizer),
-}
-
-impl Quantizer {
-    /// Trains the family `spec` selects; `None` for [`QuantSpec::None`].
-    pub fn train(spec: QuantSpec, dataset: &Dataset, seed: u64) -> Option<Self> {
-        match spec {
-            QuantSpec::None => None,
-            QuantSpec::Int8 => Some(Quantizer::Int8(Int8Quantizer::train(dataset, seed))),
-            QuantSpec::Pq { m, bits } => Some(Quantizer::Pq(PqQuantizer::train(
-                dataset,
-                m.min(dataset.dim().max(1)),
-                bits,
-                seed,
-            ))),
-        }
-    }
-
-    /// Bytes of one vector's code.
-    pub fn code_bytes(&self) -> usize {
-        match self {
-            Quantizer::Int8(q) => q.dim(),
-            Quantizer::Pq(q) => q.m(),
-        }
-    }
-
-    /// Dimensionality of decoded vectors.
-    pub fn dim(&self) -> usize {
-        match self {
-            Quantizer::Int8(q) => q.dim(),
-            Quantizer::Pq(q) => q.dim(),
-        }
-    }
-
-    /// Appends the code of `row` to `out`.
-    pub fn encode_into(&self, row: &[f32], out: &mut Vec<u8>) {
-        match self {
-            Quantizer::Int8(q) => q.encode_into(row, out),
-            Quantizer::Pq(q) => q.encode_into(row, out),
-        }
-    }
-
-    /// Decodes `code` into `out` (len `dim`).
-    pub fn decode_into(&self, code: &[u8], out: &mut [f32]) {
-        match self {
-            Quantizer::Int8(q) => q.decode_into(code, out),
-            Quantizer::Pq(q) => q.decode_into(code, out),
-        }
-    }
-}
-
 /// The DRAM-resident code table a quantized deployment holds alongside
 /// its dataset: one fixed-width code per vector plus the trained
 /// quantizer, appended through on inserts and re-packed on compaction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantCodes {
-    quantizer: Quantizer,
+    quantizer: Int8Quantizer,
     codes: Vec<u8>,
     len: usize,
 }
@@ -398,16 +202,24 @@ impl QuantCodes {
     /// Trains a quantizer per `spec` and encodes every row of `dataset`.
     /// Returns `None` for [`QuantSpec::None`].
     pub fn train(spec: QuantSpec, dataset: &Dataset, seed: u64) -> Option<Self> {
-        let quantizer = Quantizer::train(spec, dataset, seed)?;
-        let mut codes = Vec::with_capacity(dataset.len() * quantizer.code_bytes());
+        if !spec.enabled() {
+            return None;
+        }
+        let quantizer = Int8Quantizer::train(dataset, seed);
+        Some(Self::encode(quantizer, dataset))
+    }
+
+    /// Encodes every row of `dataset` through `quantizer`.
+    fn encode(quantizer: Int8Quantizer, dataset: &Dataset) -> Self {
+        let mut codes = Vec::with_capacity(dataset.len() * quantizer.dim());
         for (_, row) in dataset.iter() {
             quantizer.encode_into(row, &mut codes);
         }
-        Some(Self {
+        Self {
             quantizer,
             codes,
             len: dataset.len(),
-        })
+        }
     }
 
     /// Number of encoded vectors.
@@ -423,7 +235,7 @@ impl QuantCodes {
     /// Bytes of one vector's code — the per-record DRAM footprint the
     /// query property table switches to under quantization.
     pub fn code_bytes(&self) -> usize {
-        self.quantizer.code_bytes()
+        self.quantizer.dim()
     }
 
     /// Total DRAM bytes the code table occupies.
@@ -432,7 +244,7 @@ impl QuantCodes {
     }
 
     /// The trained quantizer.
-    pub fn quantizer(&self) -> &Quantizer {
+    pub fn quantizer(&self) -> &Int8Quantizer {
         &self.quantizer
     }
 
@@ -455,15 +267,7 @@ impl QuantCodes {
     /// quantizer (the compaction path). Re-encoding is a pure function of
     /// the rows, so a re-pack over unchanged rows is bit-identical.
     pub fn repack(&self, dataset: &Dataset) -> Self {
-        let mut codes = Vec::with_capacity(dataset.len() * self.code_bytes());
-        for (_, row) in dataset.iter() {
-            self.quantizer.encode_into(row, &mut codes);
-        }
-        Self {
-            quantizer: self.quantizer.clone(),
-            codes,
-            len: dataset.len(),
-        }
+        Self::encode(self.quantizer.clone(), dataset)
     }
 
     /// Decodes vector `id` into `out` (len `dim`).
@@ -473,9 +277,8 @@ impl QuantCodes {
 
     /// `eval_batch_ids`-shaped scoring against codes: clears `out` and pushes
     /// one distance per id, each the bits of [`DistanceKind::eval`] against
-    /// the code's reconstruction. Int8 codes are decoded in registers
-    /// inside the distance kernel (no buffer, no allocation); PQ codes are
-    /// decoded to a scratch row first.
+    /// the code's reconstruction. Codes are decoded in registers inside
+    /// the distance kernel (no buffer, no allocation).
     pub fn eval_batch_ids(
         &self,
         distance: DistanceKind,
@@ -483,21 +286,8 @@ impl QuantCodes {
         ids: &[VectorId],
         out: &mut Vec<f32>,
     ) {
-        match &self.quantizer {
-            Quantizer::Int8(q) => {
-                let rows = ids.iter().map(|&id| q.row(self.code(id)));
-                distance.eval_batch_affine(query, rows, out);
-            }
-            Quantizer::Pq(q) => {
-                out.clear();
-                out.reserve(ids.len());
-                let mut scratch = vec![0.0f32; q.dim()];
-                for &id in ids {
-                    q.decode_into(self.code(id), &mut scratch);
-                    out.push(distance.eval(query, &scratch));
-                }
-            }
-        }
+        let rows = ids.iter().map(|&id| self.quantizer.row(self.code(id)));
+        distance.eval_batch_affine(query, rows, out);
     }
 }
 
@@ -531,7 +321,6 @@ mod tests {
         assert_eq!(QuantSpec::None.code_bytes(128), 0);
         assert!(!QuantSpec::None.enabled());
         assert_eq!(QuantSpec::Int8.code_bytes(128), 128);
-        assert_eq!(QuantSpec::Pq { m: 16, bits: 8 }.code_bytes(128), 16);
         assert!(QuantSpec::Int8.enabled());
     }
 
@@ -556,42 +345,6 @@ mod tests {
     fn int8_training_is_deterministic() {
         let ds = fixture(200);
         assert_eq!(Int8Quantizer::train(&ds, 3), Int8Quantizer::train(&ds, 3));
-    }
-
-    #[test]
-    fn pq_trains_and_reconstructs_reasonably() {
-        let ds = fixture(400);
-        let pq = PqQuantizer::train(&ds, 16, 6, 11);
-        assert_eq!(pq.m(), 16);
-        let mut code = Vec::new();
-        let mut rec = vec![0.0f32; ds.dim()];
-        // PQ reconstruction must beat the trivial all-zeros baseline by a
-        // wide margin on clustered data.
-        let mut err = 0.0f64;
-        let mut base = 0.0f64;
-        for (_, row) in ds.iter() {
-            code.clear();
-            pq.encode_into(row, &mut code);
-            assert_eq!(code.len(), 16);
-            pq.decode_into(&code, &mut rec);
-            for (&x, &r) in row.iter().zip(&rec) {
-                err += f64::from((x - r) * (x - r));
-                base += f64::from(x * x);
-            }
-        }
-        assert!(err < base * 0.5, "PQ error {err} vs baseline {base}");
-    }
-
-    #[test]
-    fn pq_uneven_subspaces_cover_every_dim() {
-        // dim = 128 not divisible by m = 10: bounds must tile exactly.
-        let ds = fixture(50);
-        let pq = PqQuantizer::train(&ds, 10, 4, 0);
-        let mut code = Vec::new();
-        pq.encode_into(ds.vector(0), &mut code);
-        let mut rec = vec![f32::NAN; ds.dim()];
-        pq.decode_into(&code, &mut rec);
-        assert!(rec.iter().all(|x| x.is_finite()), "uncovered dimension");
     }
 
     #[test]
@@ -635,8 +388,9 @@ mod tests {
     #[test]
     fn fused_scoring_has_the_bits_of_decode_then_eval() {
         // Every dimension class of the kernels (32-lane blocks, the 8-lane
-        // remainder, the scalar tail), both code families — on whichever kernel tier this process dispatched to (CI runs the
-        // suite under NDSEARCH_NO_SIMD=1 too).
+        // remainder, the scalar tail), on whichever kernel tier this
+        // process dispatched to (CI runs the suite under NDSEARCH_NO_SIMD=1
+        // too).
         for dim in [1usize, 7, 8, 31, 32, 33, 64, 96, 128, 257] {
             let spec = DatasetSpec {
                 dim,
@@ -646,19 +400,17 @@ mod tests {
             let ids: Vec<VectorId> = (0..ds.len() as VectorId).rev().collect();
             let mut rec = vec![0.0f32; dim];
             let mut scores = Vec::new();
-            for spec in [QuantSpec::Int8, QuantSpec::Pq { m: 4, bits: 4 }] {
-                let codes = QuantCodes::train(spec, &ds, dim as u64).unwrap();
-                let q = ds.vector(5);
-                codes.score_batch(DistanceKind::L2, q, &ids, &mut scores);
-                assert_eq!(scores.len(), ids.len());
-                for (&id, &got) in ids.iter().zip(&scores) {
-                    codes.decode_into(id, &mut rec);
-                    assert_eq!(
-                        got.to_bits(),
-                        DistanceKind::L2.eval(q, &rec).to_bits(),
-                        "{spec:?}, dim {dim}, id {id}"
-                    );
-                }
+            let codes = QuantCodes::train(QuantSpec::Int8, &ds, dim as u64).unwrap();
+            let q = ds.vector(5);
+            codes.score_batch(DistanceKind::L2, q, &ids, &mut scores);
+            assert_eq!(scores.len(), ids.len());
+            for (&id, &got) in ids.iter().zip(&scores) {
+                codes.decode_into(id, &mut rec);
+                assert_eq!(
+                    got.to_bits(),
+                    DistanceKind::L2.eval(q, &rec).to_bits(),
+                    "dim {dim}, id {id}"
+                );
             }
         }
     }
@@ -666,14 +418,15 @@ mod tests {
     #[test]
     fn quantized_footprint_is_fraction_of_full_precision() {
         // deep-1b stores f32 components (96-d x 4 B), so int8 codes are a
-        // 4x saving; sift-like u8 corpora need PQ for a DRAM win.
+        // 4x saving.
         let ds = DatasetSpec::deep_scaled(100, 1).build();
         let int8 = QuantCodes::train(QuantSpec::Int8, &ds, 0).unwrap();
         assert_eq!(int8.code_bytes() * 4, ds.stored_vector_bytes());
-        let pq = QuantCodes::train(QuantSpec::Pq { m: 16, bits: 8 }, &ds, 0).unwrap();
-        assert_eq!(pq.code_bytes(), 16);
-        assert_eq!(pq.total_bytes(), 16 * 100);
-        assert!(pq.total_bytes() * 2 < (ds.stored_vector_bytes() * ds.len()) as u64);
+        assert_eq!(int8.total_bytes(), 96 * 100);
+        assert_eq!(
+            int8.total_bytes() * 4,
+            (ds.stored_vector_bytes() * ds.len()) as u64
+        );
     }
 
     #[test]

@@ -45,7 +45,7 @@
 //! ## Compressed-vector search (codes in DRAM + exact flash rerank)
 //!
 //! Setting [`core::config::NdsConfig::quantization`] to a
-//! [`vector::quant::QuantSpec`] (`Int8` or `Pq { m, bits }`) switches
+//! [`vector::quant::QuantSpec::Int8`] (1 byte per dimension) switches
 //! serving to the DiskANN recipe: the deployment trains a
 //! [`vector::quant::QuantCodes`] table at staging, beam traversal
 //! scores the DRAM-resident codes through the [`vector::quant::ScoreSource`]

@@ -155,9 +155,8 @@ fn vamana_quantized_end_to_end() {
 }
 
 /// The `quant` sweep's gate at its CI smoke scale, on a deep-1b-like
-/// corpus (f32 rows, so int8 is a 4× DRAM saving and PQ far more): every
-/// spec × rerank depth keeps its codes under half the full-precision
-/// bytes, and the fastest configuration clearing recall 0.85 out-serves
+/// corpus (f32 rows, so int8 is a 4× DRAM saving): every rerank depth
+/// keeps its codes under half the full-precision bytes, and the fastest configuration clearing recall 0.85 out-serves
 /// the full-precision engine.
 fn quantized_beats_full_precision(corpus: DatasetSpec) {
     let (base, queries) = corpus.build_pair();
@@ -200,18 +199,11 @@ fn quantized_beats_full_precision(corpus: DatasetSpec) {
     };
     let (full_qps, ..) = run(QuantSpec::None, 32);
     let mut best_gated_qps = 0.0f64;
-    for spec in [
-        QuantSpec::Int8,
-        QuantSpec::Pq { m: 24, bits: 8 },
-        QuantSpec::Pq { m: 24, bits: 4 },
-        QuantSpec::Pq { m: 12, bits: 8 },
-    ] {
-        for depth in [10, 32, 64] {
-            let (qps, recall, dram) = run(spec, depth);
-            assert!(dram < 0.5, "{spec:?} @ {depth}: code DRAM {dram:.2}x");
-            if recall >= 0.85 {
-                best_gated_qps = best_gated_qps.max(qps);
-            }
+    for depth in [10, 32, 64] {
+        let (qps, recall, dram) = run(QuantSpec::Int8, depth);
+        assert!(dram < 0.5, "int8 @ {depth}: code DRAM {dram:.2}x");
+        if recall >= 0.85 {
+            best_gated_qps = best_gated_qps.max(qps);
         }
     }
     assert!(
@@ -222,27 +214,27 @@ fn quantized_beats_full_precision(corpus: DatasetSpec) {
 
 /// Regression: QPT DRAM accounting must not silently revert to
 /// full-precision record sizes after a deployment churns (inserts,
-/// deletes, compaction) and a successor engine is staged from it. PQ on
-/// sift makes the gap unmistakable: 16-byte codes vs 128-byte stored
-/// rows, so a reverted table admits strictly fewer residents under the
-/// same DRAM budget.
+/// deletes, compaction) and a successor engine is staged from it. Int8
+/// on deep-1b makes the gap unmistakable: 96-byte codes vs 384-byte
+/// stored f32 rows, so a reverted table admits strictly fewer residents
+/// under the same DRAM budget.
 #[test]
 fn churned_quantized_deployment_keeps_code_byte_qpt_accounting() {
     use ndsearch::core::deploy::Deployment;
     use ndsearch::core::qpt::QueryPropertyTable;
 
-    let (base, extra) = DatasetSpec::sift_scaled(400, 24).build_pair();
+    let (base, extra) = DatasetSpec::deep_scaled(400, 24).build_pair();
     let index = Vamana::build(&base, VamanaParams::default());
     let medoid = index.medoid();
     let mut config = NdsConfig::scaled_for(800, base.stored_vector_bytes());
     config.ecc.hard_decision_failure_prob = 0.0;
-    config.quantization = QuantSpec::Pq { m: 16, bits: 8 };
+    config.quantization = QuantSpec::Int8;
     let deploy = Deployment::stage(&config, Box::new(index), base.clone());
     let code_bytes = deploy.codes().expect("codes staged").code_bytes();
-    assert_eq!(code_bytes, 16);
+    assert_eq!(code_bytes, 96);
 
     // Budget sized in *code* records: a full-precision record is
-    // 112 bytes larger, so the reverted accounting caps residency lower.
+    // 288 bytes larger, so the reverted accounting caps residency lower.
     let residents = 10usize;
     let quant_record = QueryPropertyTable::new(1, code_bytes, RESULT_LIST_ENTRIES);
     let full_record = QueryPropertyTable::new(1, base.stored_vector_bytes(), RESULT_LIST_ENTRIES);

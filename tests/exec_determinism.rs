@@ -134,11 +134,7 @@ fn quantized_cluster_bit_identical_across_thread_counts_and_shard_order() {
             let q = (4usize..9).generate(rng);
             let (base, queries) = DatasetSpec::sift_scaled(n, q).build_pair();
             let mut config = random_config(rng, n * 2, base.stored_vector_bytes());
-            config.quantization = if any::<bool>().generate(rng) {
-                QuantSpec::Int8
-            } else {
-                QuantSpec::Pq { m: 12, bits: 6 }
-            };
+            config.quantization = QuantSpec::Int8;
             let serve = ServeConfig {
                 max_inflight: (2usize..8).generate(rng),
                 beam_width: (16usize..48).generate(rng),

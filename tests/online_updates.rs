@@ -67,8 +67,8 @@ fn insert_heavy_churn_keeps_recall_near_rebuild() {
         "inserts must charge flash program latency"
     );
     assert!(
-        engine.deployment().wear().max_wear_ratio() > 0.0,
-        "inserts must charge wear"
+        ingest.stats.page_programs > 0,
+        "inserts must reach the flash stats"
     );
     assert_eq!(engine.deployment().dataset().len(), N_FULL);
     assert_eq!(

@@ -588,20 +588,14 @@ proptest! {
     fn quant_codes_bit_identical_across_regeneration_and_row_order(
         flat in proptest::collection::vec(-50.0f32..50.0, 12 * 40),
         seed in any::<u64>(),
-        use_pq in any::<bool>(),
         rot in 1usize..39,
     ) {
         let dim = 12;
         let rows: Vec<Vec<f32>> = flat.chunks(dim).map(|c| c.to_vec()).collect();
         let n = rows.len();
         let ds = Dataset::from_rows(dim, rows.clone()).unwrap();
-        let spec = if use_pq {
-            QuantSpec::Pq { m: 4, bits: 4 }
-        } else {
-            QuantSpec::Int8
-        };
-        let full = QuantCodes::train(spec, &ds, seed).unwrap();
-        prop_assert_eq!(&full, &QuantCodes::train(spec, &ds, seed).unwrap());
+        let full = QuantCodes::train(QuantSpec::Int8, &ds, seed).unwrap();
+        prop_assert_eq!(&full, &QuantCodes::train(QuantSpec::Int8, &ds, seed).unwrap());
         prop_assert_eq!(&full.repack(&ds), &full);
         // Encode a rotated copy through the same trained quantizer: each
         // row's code must match its code in the original table.
@@ -649,24 +643,18 @@ proptest! {
     // Exhaustive regime: complete graph, beam width n, rerank depth n —
     // traversal over codes visits every vertex and the exact rerank
     // rescores all of them, so the reranked result list must equal the
-    // full-precision brute-force ranking bit for bit, whatever the code
-    // family got wrong during traversal.
+    // full-precision brute-force ranking bit for bit, whatever the codes
+    // got wrong during traversal.
     #[test]
     fn rerank_recovers_exact_topk_in_exhaustive_regime(
         flat in proptest::collection::vec(-10.0f32..10.0, 8 * 24),
         qv in proptest::collection::vec(-10.0f32..10.0, 8),
         seed in any::<u64>(),
-        use_pq in any::<bool>(),
     ) {
         let (dim, n) = (8usize, 24usize);
         let rows: Vec<Vec<f32>> = flat.chunks(dim).map(|c| c.to_vec()).collect();
         let ds = Dataset::from_rows(dim, rows).unwrap();
-        let spec = if use_pq {
-            QuantSpec::Pq { m: 4, bits: 3 }
-        } else {
-            QuantSpec::Int8
-        };
-        let codes = QuantCodes::train(spec, &ds, seed).unwrap();
+        let codes = QuantCodes::train(QuantSpec::Int8, &ds, seed).unwrap();
         let lists: Vec<Vec<u32>> = (0..n as u32)
             .map(|v| (0..n as u32).filter(|&u| u != v).collect())
             .collect();
@@ -1027,7 +1015,6 @@ fn search_kernel_equals_the_two_heap_oracle_hop_by_hop() {
         });
         let graph = random_digraph(&mut rng, n, 9);
         let int8 = QuantCodes::train(QuantSpec::Int8, &base, case as u64).unwrap();
-        let pq = QuantCodes::train(QuantSpec::Pq { m: 3, bits: 4 }, &base, case as u64).unwrap();
         for _ in 0..6 {
             let widest = if rng.chance(0.5) { 6 } else { 80 };
             let beam = 1 + rng.index(widest);
@@ -1050,7 +1037,6 @@ fn search_kernel_equals_the_two_heap_oracle_hop_by_hop() {
                     beam,
                     &format!("{label}, int8"),
                 );
-                kernels_agree(&pq, &graph, &query, &entries, beam, &format!("{label}, pq"));
             }
         }
     }
