@@ -397,19 +397,24 @@ impl<'a> NdsEngine<'a> {
         // through one dense stamped set shared by all queries.
         let speculative = config.scheduling.speculative;
         let mut prefetched: Vec<Vec<VectorId>> = vec![Vec::new(); nq];
-        let mut prefetch_marks = VisitedSet::new(0);
+        let mut prefetch_marks = VisitedSet::new(luncsr.num_vertices());
         let mut prefetch_scratch = PrefetchScratch::default();
         let mut scratch = RoundScratch::default();
+        // This round's work: every active query's unprefetched visits in
+        // one flat buffer, cut by `(query, start, end)` spans.
+        let mut kept: Vec<VectorId> = Vec::new();
+        let mut spans: Vec<(u32, usize, usize)> = Vec::with_capacity(nq);
         let mut prev_shadow: Nanos = 0; // searching+gathering of previous round
 
         for r in 0..max_iters {
             // ---- Collect this round's work from the traces. ----
-            let mut filtered: Vec<(u32, Vec<VectorId>)> = Vec::new();
+            kept.clear();
+            spans.clear();
             for (qi, t) in traces.iter().enumerate() {
                 let Some(it) = t.iterations.get(r) else {
                     continue;
                 };
-                let mut visited = Vec::with_capacity(it.visited.len());
+                let start = kept.len();
                 if speculative {
                     prefetch_marks.clear();
                     for &v in &prefetched[qi] {
@@ -420,18 +425,18 @@ impl<'a> NdsEngine<'a> {
                     if speculative && prefetch_marks.remove(v) {
                         speculation.hits += 1; // distance already computed
                     } else {
-                        visited.push(v);
+                        kept.push(v);
                     }
                 }
                 // Anything left prefetched from last round was wasted.
                 if speculative {
-                    let hits = (it.visited.len() - visited.len()) as u64;
+                    let hits = (it.visited.len() - (kept.len() - start)) as u64;
                     speculation.misses += prefetched[qi].len() as u64 - hits;
                     prefetched[qi].clear();
                 }
-                filtered.push((qi as u32, visited));
+                spans.push((qi as u32, start, kept.len()));
             }
-            if filtered.is_empty() {
+            if spans.is_empty() {
                 continue;
             }
 
@@ -441,7 +446,7 @@ impl<'a> NdsEngine<'a> {
                 config,
                 luncsr,
                 &qpt,
-                filtered.iter().map(|(q, v)| (*q, v.as_slice())),
+                spans.iter().map(|&(q, start, end)| (q, &kept[start..end])),
                 RoundSinks {
                     ecc: &mut ecc,
                     stats: &mut stats,
@@ -458,15 +463,13 @@ impl<'a> NdsEngine<'a> {
             let spec_arena = scratch.begin(luncsr);
             if speculative && r + 1 < max_iters {
                 for (qi, t) in traces.iter().enumerate() {
-                    if t.iterations.get(r).is_none() || t.iterations.get(r + 1).is_none() {
+                    if t.iterations.len() <= r + 1 {
                         continue;
                     }
                     let entry = t.iterations[r].entry;
                     let budget = (luncsr.neighbors(entry).len() as f64 * config.spec_budget_factor)
                         .round() as usize;
-                    let seen = t.iterations[..=r]
-                        .iter()
-                        .flat_map(|it| std::iter::once(it.entry).chain(it.visited.iter().copied()));
+                    let seen = &t.iterations[..=r];
                     let picks = select_prefetch(luncsr, entry, budget, seen, &mut prefetch_scratch);
                     for &v in picks {
                         spec_arena.push(luncsr, qi as u32, v, true);
@@ -556,6 +559,34 @@ mod tests {
         assert!(r.lun_coverage > 0.0 && r.lun_coverage <= 1.0);
         // Breakdown accounts for the whole critical path exactly.
         assert_eq!(r.breakdown.total_ns(), r.total_ns);
+    }
+
+    #[test]
+    fn simulated_report_is_pinned_across_the_ladder() {
+        // Speculation hits / misses, the critical path and the page reads
+        // of every rung: a change to the prefetch pick or the round loop
+        // that moves any simulated number fails here.
+        let (base, graph, trace) = fixture();
+        let mut rungs = vec![("full", SchedulingConfig::full())];
+        rungs.extend(SchedulingConfig::ablation_ladder());
+        let pinned: [(u64, u64, Nanos, u64); 6] = [
+            (2_221, 40_861, 2_843_504, 5_802),
+            (0, 0, 2_965_660, 3_153),
+            (0, 0, 2_987_210, 2_573),
+            (0, 0, 2_980_470, 2_573),
+            (0, 0, 2_859_282, 2_573),
+            (2_221, 40_861, 2_843_504, 5_802),
+        ];
+        for ((name, sched), want) in rungs.into_iter().zip(pinned) {
+            let r = run_with(sched, &base, &graph, &trace);
+            let got = (
+                r.speculation.hits,
+                r.speculation.misses,
+                r.total_ns,
+                r.stats.page_reads,
+            );
+            assert_eq!(got, want, "{name}: (hits, misses, total_ns, page_reads)");
+        }
     }
 
     #[test]

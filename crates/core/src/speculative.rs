@@ -11,97 +11,108 @@
 //! Searching stage shrinks. Mispredicted prefetches cost extra page
 //! accesses (visible in Fig. 15) but their latency is fully overlapped.
 
+use ndsearch_anns::trace::IterationTrace;
 use ndsearch_graph::luncsr::LunCsr;
 use ndsearch_vector::VectorId;
 
-/// Counter value marking a vertex that can never be picked (the entry, a
-/// first-order neighbor, an already-visited vertex).
-const EXCLUDED: u32 = u32::MAX;
-
-/// Reusable working memory of [`select_prefetch`]: a dense, epoch-stamped
-/// connection counter per vertex (an entry counts only while its stamp
-/// equals the current epoch, so starting a new selection is O(1)) plus the
-/// list of vertices counted this epoch. One per batch run, sized to the
-/// graph on first use.
+/// Reusable working memory of [`select_prefetch`]. One per batch run,
+/// sized to the graph on first use.
 #[derive(Debug, Clone, Default)]
 pub struct PrefetchScratch {
-    epoch: u32,
-    /// `(stamp, connections or EXCLUDED)` per vertex.
-    counters: Vec<(u32, u32)>,
-    /// Second-order candidates of the current selection, in scan order.
-    touched: Vec<VectorId>,
-}
-
-impl PrefetchScratch {
-    /// Starts a selection over a graph of `n` vertices.
-    fn begin(&mut self, n: usize) {
-        if self.counters.len() < n {
-            self.counters.resize(n, (0, 0));
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.counters.fill((0, 0));
-            self.epoch = 1;
-        }
-        self.touched.clear();
-    }
-
-    fn exclude(&mut self, v: VectorId) {
-        self.counters[v as usize] = (self.epoch, EXCLUDED);
-    }
-
-    /// Counts one connection to `v` unless it is excluded.
-    fn connect(&mut self, v: VectorId) {
-        let slot = &mut self.counters[v as usize];
-        if slot.0 != self.epoch {
-            *slot = (self.epoch, 1);
-            self.touched.push(v);
-        } else if slot.1 != EXCLUDED {
-            slot.1 += 1;
-        }
-    }
+    /// Connections to the first-order set per vertex; all zero between
+    /// selections.
+    counts: Vec<u16>,
+    /// Distinct second-order vertices of the current selection, in scan
+    /// order (a slot is written for every edge and kept on a first visit).
+    distinct: Vec<VectorId>,
+    /// Rank keys `(u16::MAX - connections) << 32 | id` of the candidates
+    /// left after exclusion: ascending key is connections descending, ties
+    /// by id.
+    keys: Vec<u64>,
+    /// The picks, best first.
+    picks: Vec<VectorId>,
 }
 
 /// Selects up to `budget` second-order neighbors of `entry` (the returned
 /// slice lives in `scratch`), ranked by how many connections they have to
 /// the first-order neighbor set (ties by id for determinism). First-order
-/// neighbors, `entry` itself, and vertices the query has already visited
-/// (`seen`, tracked in the query property table; repeats allowed) are
+/// neighbors, `entry` itself, and every entry and visited vertex of `seen`
+/// (the query's trace so far, as the query property table records it) are
 /// excluded — an already-computed vertex is never a next-round candidate,
 /// so prefetching it would be a guaranteed miss.
+///
+/// # Panics
+/// Panics if `entry` has more than `u16::MAX` neighbors (neighbor lists
+/// are duplicate-free, so no count can exceed the first-order degree).
 pub fn select_prefetch<'s>(
     luncsr: &LunCsr,
     entry: VectorId,
     budget: usize,
-    seen: impl IntoIterator<Item = VectorId>,
+    seen: &[IterationTrace],
     scratch: &'s mut PrefetchScratch,
 ) -> &'s [VectorId] {
+    let PrefetchScratch {
+        counts,
+        distinct,
+        keys,
+        picks,
+    } = scratch;
+    picks.clear();
     if budget == 0 {
-        return &[];
+        return picks;
     }
-    scratch.begin(luncsr.num_vertices());
     let first = luncsr.neighbors(entry);
-    scratch.exclude(entry);
-    for v in first.iter().copied().chain(seen) {
-        scratch.exclude(v);
+    assert!(
+        first.len() <= usize::from(u16::MAX),
+        "entry degree overflows u16"
+    );
+    if counts.len() < luncsr.num_vertices() {
+        counts.resize(luncsr.num_vertices(), 0);
+        // One slot past the last vertex: every edge writes a slot.
+        distinct.resize(luncsr.num_vertices() + 1, 0);
     }
+    // One pass over the two-hop edges: count every target, and keep it in
+    // `distinct` when its count leaves zero.
+    let mut len = 0;
     for &n in first {
         for &m in luncsr.neighbors(n) {
-            scratch.connect(m);
+            let count = &mut counts[m as usize];
+            distinct[len] = m;
+            len += usize::from(*count == 0);
+            *count += 1;
         }
     }
-    // Rank by (connections descending, id ascending): cut the best
-    // `budget` out first, then order only those.
-    let PrefetchScratch {
-        counters, touched, ..
-    } = scratch;
-    let rank = |v: &VectorId| (std::cmp::Reverse(counters[*v as usize].1), *v);
-    if touched.len() > budget {
-        touched.select_nth_unstable_by_key(budget, rank);
-        touched.truncate(budget);
+    // Zeroed counts drop out of the ranking.
+    counts[entry as usize] = 0;
+    for &v in first {
+        counts[v as usize] = 0;
     }
-    touched.sort_unstable_by_key(rank);
-    touched
+    for it in seen {
+        counts[it.entry as usize] = 0;
+        for &v in &it.visited {
+            counts[v as usize] = 0;
+        }
+    }
+    // Key the survivors (a slot written per candidate, kept when its count
+    // is non-zero) and reset every count on the same walk; then cut the
+    // best `budget` out first and order only those.
+    if keys.len() < len {
+        keys.resize(len, 0);
+    }
+    let mut kept = 0;
+    for &v in &distinct[..len] {
+        let count = std::mem::take(&mut counts[v as usize]);
+        keys[kept] = u64::from(u16::MAX - count) << 32 | u64::from(v);
+        kept += usize::from(count != 0);
+    }
+    let mut ranked = &mut keys[..kept];
+    if kept > budget {
+        ranked.select_nth_unstable(budget);
+        ranked = &mut ranked[..budget];
+    }
+    ranked.sort_unstable();
+    picks.extend(ranked.iter().map(|&k| k as VectorId));
+    picks
 }
 
 /// Accounting for speculative searching across a batch.
@@ -133,11 +144,13 @@ mod tests {
     use ndsearch_graph::mapping::{PlacementPolicy, VertexMapping};
 
     fn luncsr_from(lists: Vec<Vec<VectorId>>) -> LunCsr {
-        let n = lists.len();
-        let csr = Csr::from_adjacency(&lists).unwrap();
+        luncsr_of(Csr::from_adjacency(&lists).unwrap())
+    }
+
+    fn luncsr_of(csr: Csr) -> LunCsr {
         let mapping = VertexMapping::place(
             FlashGeometry::tiny(),
-            n,
+            csr.num_vertices(),
             128,
             PlacementPolicy::MultiPlaneAware,
         );
@@ -147,8 +160,8 @@ mod tests {
     use std::collections::{HashMap, HashSet};
 
     /// The selection as it was first written — hash maps over the
-    /// second-order scan, a full sort — kept as the oracle the stamped
-    /// version must agree with, pick for pick.
+    /// second-order scan, a full sort — kept as the oracle the dense-count
+    /// kernel must agree with, pick for pick.
     fn select_prefetch_oracle(
         luncsr: &LunCsr,
         entry: VectorId,
@@ -174,10 +187,19 @@ mod tests {
         ranked.into_iter().map(|(v, _)| v).collect()
     }
 
+    /// `seen` as a one-iteration trace prefix that entered at `entry`.
+    fn seen_trace(entry: VectorId, seen: &[VectorId]) -> [IterationTrace; 1] {
+        [IterationTrace {
+            entry,
+            visited: seen.to_vec(),
+        }]
+    }
+
     /// One-shot wrapper: fresh scratch, owned result.
     fn select(luncsr: &LunCsr, entry: VectorId, budget: usize, seen: &[VectorId]) -> Vec<VectorId> {
         let mut scratch = PrefetchScratch::default();
-        select_prefetch(luncsr, entry, budget, seen.iter().copied(), &mut scratch).to_vec()
+        let seen = seen_trace(entry, seen);
+        select_prefetch(luncsr, entry, budget, &seen, &mut scratch).to_vec()
     }
 
     #[test]
@@ -263,7 +285,7 @@ mod tests {
     }
 
     #[test]
-    fn stamped_selection_equals_the_hash_map_oracle() {
+    fn dense_selection_equals_the_hash_map_oracle() {
         // Random graphs (dense enough for many equal connection counts, so
         // the id tie-break is exercised on both sides of the budget cut),
         // random `seen` lists with duplicates, and one scratch reused
@@ -290,15 +312,92 @@ mod tests {
                     .map(|_| rng.next_u32() % n)
                     .collect();
                 let seen_set: HashSet<VectorId> = seen.iter().copied().collect();
+                let seen = seen_trace(entry, &seen);
                 for budget in [0usize, 1, 7, 32, 10_000] {
-                    let seen = seen.iter().copied();
                     assert_eq!(
-                        select_prefetch(&lc, entry, budget, seen, &mut scratch),
+                        select_prefetch(&lc, entry, budget, &seen, &mut scratch),
                         select_prefetch_oracle(&lc, entry, budget, &seen_set),
                         "n {n}, entry {entry}, budget {budget}"
                     );
                 }
             }
+        }
+    }
+
+    /// The kernel against the oracle, reusing one scratch, with `seen` a
+    /// trace prefix: at budgets 0, 1, the entry's degree and past every
+    /// candidate.
+    fn assert_equals_oracle(
+        lc: &LunCsr,
+        seen: &[IterationTrace],
+        scratch: &mut PrefetchScratch,
+        context: &str,
+    ) {
+        let entry = seen.last().unwrap().entry;
+        let seen_set: HashSet<VectorId> = seen
+            .iter()
+            .flat_map(|it| std::iter::once(it.entry).chain(it.visited.iter().copied()))
+            .collect();
+        let degree = lc.neighbors(entry).len();
+        for budget in [0, 1, degree, lc.num_vertices() + 1] {
+            assert_eq!(
+                select_prefetch(lc, entry, budget, seen, scratch),
+                select_prefetch_oracle(lc, entry, budget, &seen_set),
+                "{context}, entry {entry}, budget {budget}"
+            );
+        }
+    }
+
+    #[test]
+    fn selection_equals_the_oracle_on_every_round_of_a_recorded_batch() {
+        // What `NdsEngine::run_sub` asks for: each round's entry, with the
+        // query's trace up to and including that round as `seen`.
+        use ndsearch_anns::index::{GraphAnnsIndex, SearchParams};
+        use ndsearch_anns::vamana::{Vamana, VamanaParams};
+        use ndsearch_vector::synthetic::DatasetSpec;
+        let (base, queries) = DatasetSpec::sift_scaled(600, 16).build_pair();
+        let index = Vamana::build(&base, VamanaParams::default());
+        let trace = index
+            .search_batch(&base, &queries, &SearchParams::default())
+            .trace;
+        let lc = luncsr_of(index.base_graph().clone());
+        let mut scratch = PrefetchScratch::default();
+        let mut selections = 0;
+        for (qi, t) in trace.queries.iter().enumerate() {
+            for r in 0..t.iterations.len() {
+                let context = format!("query {qi}, round {r}");
+                assert_equals_oracle(&lc, &t.iterations[..=r], &mut scratch, &context);
+                selections += 1;
+            }
+        }
+        assert!(selections >= 100, "only {selections} selections");
+    }
+
+    #[test]
+    fn selection_equals_the_oracle_past_a_byte_of_connections() {
+        // Entry 0 has 300 first-order neighbors (1..=300). Every one links
+        // to 301 (300 connections), the even ones to 302 (150), every
+        // third to 303 (100) and each to one of 304..=313 (30 each), so
+        // counts pass 255 and tie in tens.
+        let mut lists: Vec<Vec<VectorId>> = vec![(1..=300).collect()];
+        for v in 1..=300u32 {
+            let mut row = vec![301, 304 + v % 10];
+            if v % 2 == 0 {
+                row.push(302);
+            }
+            if v % 3 == 0 {
+                row.push(303);
+            }
+            lists.push(row);
+        }
+        lists.resize(314, Vec::new());
+        let lc = luncsr_from(lists);
+        let mut scratch = PrefetchScratch::default();
+        let picks = select(&lc, 0, 3, &[]);
+        assert_eq!(picks, vec![301, 302, 303]);
+        for seen in [vec![], vec![301], vec![302, 305, 305, 0]] {
+            let prefix = seen_trace(0, &seen);
+            assert_equals_oracle(&lc, &prefix, &mut scratch, &format!("seen {seen:?}"));
         }
     }
 

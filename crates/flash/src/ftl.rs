@@ -64,24 +64,6 @@ impl Ftl {
         self.l2p[plane as usize][logical_block as usize]
     }
 
-    /// Routes a page program for a logical block through the FTL: returns
-    /// the *physical* block the data lands in.
-    ///
-    /// # Panics
-    /// Panics if indices are out of range.
-    pub fn program_page(&self, plane: PlaneId, logical_block: u32) -> u32 {
-        self.physical_block(plane, logical_block)
-    }
-
-    /// Routes a block erase through the FTL: returns the physical block
-    /// erased.
-    ///
-    /// # Panics
-    /// Panics if indices are out of range.
-    pub fn erase_logical_block(&self, plane: PlaneId, logical_block: u32) -> u32 {
-        self.physical_block(plane, logical_block)
-    }
-
     /// Refreshes one logical block: its data moves to a different physical
     /// block *within the same plane*. The physical slot it moves into is
     /// vacated by swapping with whichever logical block held it, so one
@@ -219,15 +201,5 @@ mod tests {
         assert!(ftl.refresh_block(0, 0).is_empty());
         assert_eq!(ftl.physical_block(0, 0), 0);
         assert!(ftl.is_bijective());
-    }
-
-    #[test]
-    fn program_and_erase_route_through_the_mapping() {
-        let mut ftl = Ftl::new(FlashGeometry::tiny(), 8);
-        assert_eq!(ftl.program_page(2, 3), 3, "identity map at first");
-        // After a refresh the program lands on the relocated physical block.
-        let evs = ftl.refresh_block(2, 3);
-        assert_eq!(ftl.program_page(2, 3), evs[0].new_physical);
-        assert_eq!(ftl.erase_logical_block(2, 3), evs[0].new_physical);
     }
 }

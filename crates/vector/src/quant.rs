@@ -44,14 +44,6 @@ impl QuantSpec {
     pub fn enabled(&self) -> bool {
         !matches!(self, QuantSpec::None)
     }
-
-    /// Bytes of one vector's code under this spec (0 for `None`).
-    pub fn code_bytes(&self, dim: usize) -> usize {
-        match *self {
-            QuantSpec::None => 0,
-            QuantSpec::Int8 => dim,
-        }
-    }
 }
 
 /// Anything the beam searcher can score candidates against: the
@@ -314,14 +306,6 @@ mod tests {
 
     fn fixture(n: usize) -> Dataset {
         DatasetSpec::sift_scaled(n, 1).build()
-    }
-
-    #[test]
-    fn spec_code_bytes() {
-        assert_eq!(QuantSpec::None.code_bytes(128), 0);
-        assert!(!QuantSpec::None.enabled());
-        assert_eq!(QuantSpec::Int8.code_bytes(128), 128);
-        assert!(QuantSpec::Int8.enabled());
     }
 
     #[test]

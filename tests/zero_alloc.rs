@@ -5,7 +5,8 @@
 //! (nothing), one that completes sessions — the exact rerank of the int8
 //! ones included — (their result lists), a serving round after an online
 //! insert (bytes that do not grow with the dataset — the graph is not
-//! re-snapshotted) and Vamana construction (a count that does not grow
+//! re-snapshotted), the batch engine's round loop (a count that does not
+//! grow with the rounds replayed) and Vamana construction (a count that does not grow
 //! with the dataset; O(1) per online insert).
 //!
 //! A counting global allocator (per-thread counters of calls and of bytes
@@ -20,12 +21,14 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use ndsearch::anns::beam::BeamSearcher;
-use ndsearch::anns::index::{GraphAnnsIndex, MutableIndex};
+use ndsearch::anns::index::{GraphAnnsIndex, MutableIndex, SearchParams};
 use ndsearch::anns::trace::IterationTrace;
 use ndsearch::anns::vamana::{Vamana, VamanaParams};
 use ndsearch::core::alloc::Allocator;
 use ndsearch::core::config::NdsConfig;
 use ndsearch::core::deploy::Deployment;
+use ndsearch::core::engine::NdsEngine;
+use ndsearch::core::pipeline::Prepared;
 use ndsearch::core::serve::{QueryRequest, ServeConfig, ServeEngine, UpdateRequest};
 use ndsearch::core::sin::process_lun_work;
 use ndsearch::flash::ecc::EccEngine;
@@ -237,6 +240,49 @@ fn a_warm_serving_round_allocates_nothing() {
             "{quantization:?}: {finishing_rounds}"
         );
     }
+}
+
+#[test]
+fn the_batch_round_loop_allocates_nothing_per_round() {
+    // The batch engine under the full scheduling stack (speculative
+    // prefetch on), replaying one batch cut to R and to 2R iterations per
+    // query: what a run allocates is its engine-wide buffers (each grown
+    // to the batch's widest round), never something per round, so the
+    // longer replay asks the allocator no more often.
+    let (base, queries) = DatasetSpec::sift_scaled(1_500, 32).build_pair();
+    let index = Vamana::build(&base, VamanaParams::default());
+    let trace = index
+        .search_batch(&base, &queries, &SearchParams::default())
+        .trace;
+    let shortest = trace.queries.iter().map(|q| q.iterations.len()).min();
+    let r = 8;
+    assert!(shortest >= Some(2 * r), "traces too short: {shortest:?}");
+    let mut config = NdsConfig::scaled_for(base.len(), base.stored_vector_bytes());
+    config.ecc.hard_decision_failure_prob = 0.0;
+    assert!(config.scheduling.speculative);
+    let run_allocations = |rounds: usize| {
+        let mut cut = trace.clone();
+        for q in &mut cut.queries {
+            q.iterations.truncate(rounds);
+        }
+        let prepared = Prepared::stage(&config, index.base_graph(), &base, &cut);
+        let engine = NdsEngine::new(&config);
+        let (report, allocations) = allocations_in(|| engine.run(&prepared));
+        assert_eq!(report.iterations, rounds);
+        assert!(
+            report.speculation.hits > 0,
+            "{rounds} rounds: no prefetch hit"
+        );
+        allocations
+    };
+    // Warm-up: the per-thread LUN-unit scratch grows to the widest unit.
+    run_allocations(2 * r);
+    let (short, long) = (run_allocations(r), run_allocations(2 * r));
+    assert!(
+        long <= short + 8,
+        "allocations grew with rounds: {short} over {r}, {long} over {}",
+        2 * r
+    );
 }
 
 #[test]
