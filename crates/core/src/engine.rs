@@ -39,7 +39,7 @@ use crate::config::{
 use crate::pipeline::Prepared;
 use crate::qpt::QueryPropertyTable;
 use crate::report::{LatencyBreakdown, NdsReport};
-use crate::sin::{process_lun_tasks, LunOutcome, SinReport};
+use crate::sin::{self, LunOutcome, SinReport};
 use crate::speculative::{select_prefetch, PrefetchScratch, SpeculationStats};
 use crate::vgen::Vgenerator;
 
@@ -104,7 +104,8 @@ impl RoundScratch {
 /// Evaluates every LUN unit of a sealed arena in stable (ascending) LUN
 /// order. Each unit's ECC delta, flash-statistics counts and LUN are
 /// committed into `sinks`; then the outcome goes to `each` with the
-/// unit's task slice. Every flash page an engine reads is issued here.
+/// unit's task slice. Every flash page an engine reads is issued here,
+/// on the thread's SiN scratch, borrowed and sized once for the round.
 ///
 /// A LUN owns its planes and appears once per arena, so no unit reads a
 /// per-plane cursor an earlier unit of the round advanced.
@@ -120,21 +121,23 @@ pub(crate) fn run_lun_units(
         stats,
         luns_touched,
     } = sinks;
-    for unit in 0..arena.units() {
-        let (lun, tasks) = arena.unit(unit);
-        let out = process_lun_tasks(lun, tasks, luncsr, config, ecc);
-        ecc.apply(&out.ecc);
-        let rep = &out.report;
-        stats.page_reads += rep.page_loads;
-        stats.search_ops += rep.sense_ops;
-        stats.page_buffer_hits += rep.page_hits;
-        stats.distance_evals += rep.distances;
-        stats.multi_plane_ops += rep.multi_plane_ops;
-        stats.ecc_soft_fallbacks += rep.soft_fallbacks;
-        stats.bus_bytes += rep.result_bytes;
-        luns_touched.touch(lun);
-        each(&out, tasks);
-    }
+    sin::with_scratch(luncsr, config, |scratch| {
+        for unit in 0..arena.units() {
+            let (lun, tasks) = arena.unit(unit);
+            let out = sin::process_lun_tasks(scratch, lun, tasks, luncsr, config, ecc);
+            ecc.apply(&out.ecc);
+            let rep = &out.report;
+            stats.page_reads += rep.page_loads;
+            stats.search_ops += rep.sense_ops;
+            stats.page_buffer_hits += rep.page_hits;
+            stats.distance_evals += rep.distances;
+            stats.multi_plane_ops += rep.multi_plane_ops;
+            stats.ecc_soft_fallbacks += rep.soft_fallbacks;
+            stats.bus_bytes += rep.result_bytes;
+            luns_touched.touch(lun);
+            each(&out, tasks);
+        }
+    });
 }
 
 /// Channel time of one LUN unit: its sense commands in, its results out.

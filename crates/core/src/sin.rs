@@ -19,7 +19,7 @@
 use std::cell::RefCell;
 
 use ndsearch_flash::ecc::{EccDelta, EccEngine};
-use ndsearch_flash::geometry::{LunId, PlaneId};
+use ndsearch_flash::geometry::LunId;
 use ndsearch_flash::timing::Nanos;
 use ndsearch_graph::luncsr::LunCsr;
 
@@ -85,34 +85,41 @@ pub fn process_lun_work(
     config: &NdsConfig,
     ecc: &EccEngine,
 ) -> LunOutcome {
-    process_lun_tasks(work.lun, &work.tasks, luncsr, config, ecc)
+    with_scratch(luncsr, config, |scratch| {
+        process_lun_tasks(scratch, work.lun, &work.tasks, luncsr, config, ecc)
+    })
 }
 
-/// Per-plane accumulator of one unit (a LUN has `planes_per_lun` of them,
-/// so the list is scanned linearly).
-#[derive(Debug, Clone, Copy)]
+/// Per-plane accumulator of one unit, indexed by plane within the LUN.
+#[derive(Debug, Clone, Copy, Default)]
 struct PlaneAcc {
-    plane: PlaneId,
     /// The row (block, page) the plane's buffer holds in task order (only
     /// tracked without dynamic allocating).
-    buffered: u64,
+    buffered: Option<usize>,
     loads: u64,
     distances: u64,
     unique_vertices: u64,
 }
 
-/// Reused working memory of [`process_lun_tasks`]. A unit is typically
-/// two tasks, so fresh vectors per unit would cost more than the model
-/// itself; one set per thread makes the steady state allocation-free
-/// wherever an engine is stepped (a cluster run steps replica engines on
-/// several threads) and through [`process_lun_work`] alike. Every call
-/// clears it first: nothing carries over between units.
+/// Reused working memory of [`process_lun_tasks`]: counters that one pass
+/// over a unit's tasks fills, so no unit sorts or allocates. A unit is
+/// 1.5–2.6 tasks on the serving workloads and 57 on `paper_batch` (mostly
+/// speculative), so [`with_scratch`] sizes it once per round, not per unit.
+/// One per thread keeps the steady state allocation-free wherever an engine
+/// is stepped (a cluster run steps replica engines on several threads);
+/// nothing carries over between units.
 #[derive(Debug, Default)]
-struct SinScratch {
-    /// One `(row within the plane, plane)` key per page load.
-    loads: Vec<(u64, PlaneId)>,
-    /// `(plane, vertex)` of every task, deduplicated after sorting.
-    vertices: Vec<(PlaneId, u32)>,
+pub(crate) struct SinScratch {
+    /// Per vertex, the last unit that streamed it. Each unit takes a fresh
+    /// `epoch`, so a stamp left by any earlier unit — of this engine or of
+    /// another engine's LUNCSR on the same thread — never reads as seen.
+    seen: Vec<u32>,
+    epoch: u32,
+    /// Loads per page of one LUN at `row × planes_per_lun + plane in LUN`;
+    /// every count is zero again when a unit ends.
+    loads: Vec<u32>,
+    /// The rows holding a non-zero count in `loads`.
+    rows: Vec<usize>,
     planes: Vec<PlaneAcc>,
 }
 
@@ -120,20 +127,35 @@ thread_local! {
     static SCRATCH: RefCell<SinScratch> = RefCell::new(SinScratch::default());
 }
 
-/// The SiN model over one LUN's task slice — linear scans over small
-/// sorted scratch vectors. `tasks` must be in dispatch order: without
-/// dynamic allocating the page-buffer model depends on it.
-pub(crate) fn process_lun_tasks(
-    lun: LunId,
-    tasks: &[VertexTask],
+/// Runs `f` on this thread's SiN scratch, sized for units of `luncsr`:
+/// a stamp per vertex (grown geometrically, so an insert per round rarely
+/// reallocates) and a counter per page of one LUN.
+pub(crate) fn with_scratch<R>(
     luncsr: &LunCsr,
     config: &NdsConfig,
-    ecc: &EccEngine,
-) -> LunOutcome {
-    SCRATCH.with_borrow_mut(|scratch| process_with(scratch, lun, tasks, luncsr, config, ecc))
+    f: impl FnOnce(&mut SinScratch) -> R,
+) -> R {
+    let geom = &config.geometry;
+    let vertices = luncsr.num_vertices();
+    let lun_pages = (geom.total_pages() / u64::from(geom.total_luns())) as usize;
+    SCRATCH.with_borrow_mut(|s| {
+        if s.seen.len() < vertices {
+            s.seen = vec![0; vertices.max(2 * s.seen.len())];
+        }
+        if s.loads.len() < lun_pages {
+            s.loads = vec![0; lun_pages];
+        }
+        s.planes
+            .resize(geom.planes_per_lun as usize, PlaneAcc::default());
+        f(s)
+    })
 }
 
-fn process_with(
+/// The SiN model over one LUN's task slice — one pass over the tasks into
+/// stamped counters. `tasks` must be in dispatch order: without dynamic
+/// allocating the page-buffer model depends on it. Every task of a vertex
+/// carries the vertex's one address.
+pub(crate) fn process_lun_tasks(
     scratch: &mut SinScratch,
     lun: LunId,
     tasks: &[VertexTask],
@@ -145,14 +167,20 @@ fn process_with(
     let timing = &config.timing;
     let dim_bytes = u64::from(luncsr.mapping().slot_bytes());
     let dynamic = config.scheduling.dynamic_allocating;
+    let per_row = geom.planes_per_lun as usize;
     let SinScratch {
+        seen,
+        epoch,
         loads,
-        vertices,
+        rows,
         planes,
     } = scratch;
-    loads.clear();
-    vertices.clear();
-    planes.clear();
+    *epoch = epoch.checked_add(1).unwrap_or_else(|| {
+        seen.fill(0);
+        1
+    });
+    let epoch = *epoch;
+    planes.fill(PlaneAcc::default());
 
     // 1. Page-load accounting, one pass over the tasks.
     //    With dynamic allocating the Dispatcher groups all tasks of a page
@@ -162,88 +190,60 @@ fn process_with(
     //    flushes the buffer, and a later query needing the old page pays a
     //    fresh sense (§VI-B1's "may be flushed and need to be read from the
     //    NAND arrays again by another query later").
+    //    Per plane, the same pass counts *unique* vectors streamed out of
+    //    the page buffer — a vector crosses the buffer once and the switch
+    //    feeds it to the MAC groups serving all queued queries (Fig. 8).
     let mut non_speculative = 0u64;
     for t in tasks {
-        let plane = t.addr.global_plane(geom);
-        let row =
-            u64::from(t.addr.block) * u64::from(geom.pages_per_block) + u64::from(t.addr.page);
-        debug_assert!(plane < geom.total_planes());
+        debug_assert_eq!(t.addr.lun, lun);
         debug_assert!(t.addr.block < geom.blocks_per_plane && t.addr.page < geom.pages_per_block);
-        let at = planes
-            .iter()
-            .position(|p| p.plane == plane)
-            .unwrap_or_else(|| {
-                planes.push(PlaneAcc {
-                    plane,
-                    buffered: u64::MAX,
-                    loads: 0,
-                    distances: 0,
-                    unique_vertices: 0,
-                });
-                planes.len() - 1
-            });
-        let acc = &mut planes[at];
+        let plane = t.addr.plane_in_lun as usize;
+        let row = t.addr.block as usize * geom.pages_per_block as usize + t.addr.page as usize;
+        let acc = &mut planes[plane];
         acc.distances += 1;
-        if dynamic {
-            loads.push((row, plane));
-        } else if acc.buffered != row {
-            acc.buffered = row;
-            loads.push((row, plane));
+        let stamp = &mut seen[t.vertex as usize];
+        acc.unique_vertices += u64::from(*stamp != epoch);
+        *stamp = epoch;
+        let row_loads = &mut loads[row * per_row..][..per_row];
+        let load = if dynamic {
+            row_loads[plane] == 0
+        } else {
+            acc.buffered.replace(row) != Some(row)
+        };
+        if load {
+            if row_loads.iter().all(|&c| c == 0) {
+                rows.push(row);
+            }
+            row_loads[plane] += 1;
         }
-        vertices.push((plane, t.vertex));
         non_speculative += u64::from(!t.speculative);
     }
-    loads.sort_unstable();
-    if dynamic {
-        loads.dedup();
-    }
-    let accesses = tasks.len() as u64;
-    let page_loads = loads.len() as u64;
-    let page_hits = accesses.saturating_sub(page_loads);
 
     // 2. Multi-plane sense merging: load events whose (block, page) row
     //    addresses coincide across distinct planes of this LUN fire as one
     //    multi-plane sequence — a hardware capability independent of the
     //    scheduling. Repeated loads of the same plane serialize, so the
     //    sense rounds for one (block, page) address equal the busiest
-    //    plane's load count. `loads` is sorted by (row, plane): each row is
-    //    a run, each plane a sub-run of it.
-    let mut sense_ops = 0u64;
-    let mut merged_multi_plane = 0u64;
-    let mut rest = loads.as_slice();
-    while let Some(&(row, _)) = rest.first() {
-        let row_len = rest.iter().take_while(|l| l.0 == row).count();
-        let (mut run, tail) = rest.split_at(row_len);
-        rest = tail;
-        let (mut busiest, mut row_planes) = (0u64, 0u32);
-        while let Some(&(_, plane)) = run.first() {
-            let count = run.iter().take_while(|l| l.1 == plane).count();
-            run = &run[count..];
-            busiest = busiest.max(count as u64);
-            row_planes += 1;
-            planes
-                .iter_mut()
-                .find(|p| p.plane == plane)
-                .expect("every load came from a task of the plane")
-                .loads += count as u64;
-        }
-        sense_ops += busiest;
-        merged_multi_plane += u64::from(row_planes > 1);
-        debug_assert!(row_planes <= geom.planes_per_lun);
-    }
-
-    // Per plane: *unique* vectors streamed out of the page buffer — a
-    // vector crosses the buffer once and the switch feeds it to the MAC
-    // groups serving all queued queries (Fig. 8).
-    vertices.sort_unstable();
-    vertices.dedup();
-    for &(plane, _) in vertices.iter() {
-        planes
+    //    plane's load count. Reading a row's counts zeroes them for the
+    //    next unit.
+    let (mut sense_ops, mut merged_multi_plane) = (0u64, 0u64);
+    for row in rows.drain(..) {
+        let (mut busiest, mut row_planes) = (0u32, 0u32);
+        for (acc, count) in planes
             .iter_mut()
-            .find(|p| p.plane == plane)
-            .expect("every vertex came from a task of the plane")
-            .unique_vertices += 1;
+            .zip(&mut loads[row * per_row..][..per_row])
+        {
+            let count = std::mem::take(count);
+            busiest = busiest.max(count);
+            row_planes += u32::from(count > 0);
+            acc.loads += u64::from(count);
+        }
+        sense_ops += u64::from(busiest);
+        merged_multi_plane += u64::from(row_planes > 1);
     }
+    let accesses = tasks.len() as u64;
+    let page_loads: u64 = planes.iter().map(|acc| acc.loads).sum();
+    let page_hits = accesses.saturating_sub(page_loads);
 
     // 3. Timing. The per-plane LDPC decoders, page-buffer read paths and
     //    MAC groups operate in parallel (Fig. 8: one hard-decision decoder
@@ -251,15 +251,20 @@ fn process_with(
     //    time is the *busiest plane's*, while array senses serialize at the
     //    die (one multi-plane command sequence at a time). Each plane owns
     //    its counter-indexed failure stream, so a plane's decodes draw the
-    //    same decisions whichever order the planes are visited in.
+    //    same decisions whichever order the planes are visited in. An idle
+    //    plane would add nothing and is skipped.
     let sense_ns = sense_ops * timing.t_read_page_ns;
     let lanes_per_plane = (u64::from(MAC_LANES) / u64::from(geom.planes_per_lun)).max(1);
     let mut ecc_pass = ecc.begin_lun_pass();
     let (mut ecc_ns, mut compute_ns): (Nanos, Nanos) = (0, 0);
-    for acc in planes.iter() {
+    let busy = (0..)
+        .zip(planes.iter())
+        .filter(|(_, acc)| acc.distances > 0);
+    for (plane_in_lun, acc) in busy {
+        let plane = geom.plane_of(lun, plane_in_lun);
         let mut plane_ecc: Nanos = 0;
         for _ in 0..acc.loads {
-            plane_ecc += ecc_pass.decode_page(acc.plane);
+            plane_ecc += ecc_pass.decode_page(plane);
         }
         ecc_ns = ecc_ns.max(plane_ecc);
         let stream = timing.page_buffer_stream_ns(acc.unique_vertices * dim_bytes);
@@ -295,11 +300,229 @@ mod tests {
     use super::*;
     use crate::alloc::{Allocator, VertexTask};
     use ndsearch_flash::ecc::EccConfig;
-    use ndsearch_flash::geometry::FlashGeometry;
+    use ndsearch_flash::geometry::{FlashGeometry, PlaneId};
     use ndsearch_flash::timing::FlashTiming;
     use ndsearch_graph::csr::Csr;
     use ndsearch_graph::mapping::{PlacementPolicy, VertexMapping};
     use ndsearch_vector::VectorId;
+
+    /// The sort-based body the stamped one replaced: page loads sorted by
+    /// (row, plane) and walked run by run, `(plane, vertex)` pairs sorted
+    /// and deduplicated. Kept as the oracle the stamped body must equal.
+    fn sorted_oracle(
+        work: &LunWork,
+        luncsr: &LunCsr,
+        config: &NdsConfig,
+        ecc: &EccEngine,
+    ) -> LunOutcome {
+        let geom = &config.geometry;
+        let timing = &config.timing;
+        let dim_bytes = u64::from(luncsr.mapping().slot_bytes());
+        let dynamic = config.scheduling.dynamic_allocating;
+        // (plane, buffered row, loads, distances, unique vertices)
+        let mut planes: Vec<(PlaneId, u64, u64, u64, u64)> = Vec::new();
+        let mut loads: Vec<(u64, PlaneId)> = Vec::new();
+        let mut vertices: Vec<(PlaneId, u32)> = Vec::new();
+        let mut non_speculative = 0u64;
+        for t in &work.tasks {
+            let plane = t.addr.global_plane(geom);
+            let row =
+                u64::from(t.addr.block) * u64::from(geom.pages_per_block) + u64::from(t.addr.page);
+            let at = planes.iter().position(|p| p.0 == plane).unwrap_or_else(|| {
+                planes.push((plane, u64::MAX, 0, 0, 0));
+                planes.len() - 1
+            });
+            let acc = &mut planes[at];
+            acc.3 += 1;
+            if dynamic {
+                loads.push((row, plane));
+            } else if acc.1 != row {
+                acc.1 = row;
+                loads.push((row, plane));
+            }
+            vertices.push((plane, t.vertex));
+            non_speculative += u64::from(!t.speculative);
+        }
+        loads.sort_unstable();
+        if dynamic {
+            loads.dedup();
+        }
+        let accesses = work.tasks.len() as u64;
+        let page_loads = loads.len() as u64;
+        let (mut sense_ops, mut multi_plane_ops) = (0u64, 0u64);
+        let mut rest = loads.as_slice();
+        while let Some(&(row, _)) = rest.first() {
+            let row_len = rest.iter().take_while(|l| l.0 == row).count();
+            let (mut run, tail) = rest.split_at(row_len);
+            rest = tail;
+            let (mut busiest, mut row_planes) = (0u64, 0u32);
+            while let Some(&(_, plane)) = run.first() {
+                let count = run.iter().take_while(|l| l.1 == plane).count();
+                run = &run[count..];
+                busiest = busiest.max(count as u64);
+                row_planes += 1;
+                planes.iter_mut().find(|p| p.0 == plane).unwrap().2 += count as u64;
+            }
+            sense_ops += busiest;
+            multi_plane_ops += u64::from(row_planes > 1);
+        }
+        vertices.sort_unstable();
+        vertices.dedup();
+        for &(plane, _) in &vertices {
+            planes.iter_mut().find(|p| p.0 == plane).unwrap().4 += 1;
+        }
+        let sense_ns = sense_ops * timing.t_read_page_ns;
+        let lanes_per_plane = (u64::from(MAC_LANES) / u64::from(geom.planes_per_lun)).max(1);
+        let mut ecc_pass = ecc.begin_lun_pass();
+        let (mut ecc_ns, mut compute_ns): (Nanos, Nanos) = (0, 0);
+        for &(plane, _, plane_loads, distances, unique) in &planes {
+            let mut plane_ecc: Nanos = 0;
+            for _ in 0..plane_loads {
+                plane_ecc += ecc_pass.decode_page(plane);
+            }
+            ecc_ns = ecc_ns.max(plane_ecc);
+            let stream = timing.page_buffer_stream_ns(unique * dim_bytes);
+            let mac = timing.accel_cycles_ns(distances * dim_bytes.max(1) / lanes_per_plane);
+            compute_ns = compute_ns.max(stream.max(mac));
+        }
+        LunOutcome {
+            lun: work.lun,
+            report: SinReport {
+                sense_ops,
+                page_loads,
+                multi_plane_ops,
+                page_hits: accesses.saturating_sub(page_loads),
+                distances: accesses,
+                busy_ns: sense_ns + ecc_ns + compute_ns,
+                sense_ns,
+                ecc_ns,
+                compute_ns,
+                result_bytes: non_speculative * u64::from(RESULT_ENTRY_BYTES),
+                soft_fallbacks: ecc_pass.hard_failures(),
+            },
+            ecc: ecc_pass.into_delta(),
+        }
+    }
+
+    #[test]
+    fn stamped_unit_equals_the_sorted_oracle() {
+        // Two LUNCSRs of different vertex counts per (geometry, placement),
+        // so one thread's scratch serves units of both, interleaved.
+        let four_planes = FlashGeometry {
+            planes_per_lun: 4,
+            ..FlashGeometry::tiny()
+        };
+        let fixtures: Vec<[LunCsr; 2]> = [FlashGeometry::tiny(), four_planes]
+            .into_iter()
+            .flat_map(|geom| {
+                [PlacementPolicy::Linear, PlacementPolicy::MultiPlaneAware].map(|policy| {
+                    [1024, 3000].map(|n| {
+                        let csr = Csr::from_adjacency(&vec![Vec::new(); n]).unwrap();
+                        LunCsr::new(csr, VertexMapping::place(geom, n, 128, policy))
+                    })
+                })
+            })
+            .collect();
+        let mut shapes = [0usize; 3];
+        proptest::test_runner::run(
+            proptest::test_runner::Config { cases: 256 },
+            "stamped_unit_equals_the_sorted_oracle",
+            |rng| {
+                use proptest::prelude::*;
+                let pair = &fixtures[(0..fixtures.len()).generate(rng)];
+                let geom = *pair[0].mapping().geometry();
+                let mut config = NdsConfig {
+                    geometry: geom,
+                    ecc: EccConfig {
+                        hard_decision_failure_prob: [0.0, 0.3][(0usize..2).generate(rng)],
+                        ..EccConfig::default()
+                    },
+                    ..NdsConfig::default()
+                };
+                config.scheduling.dynamic_allocating = any::<bool>().generate(rng);
+                let mut ecc = EccEngine::new(&geom, config.ecc);
+                for unit in 0..(2usize..6).generate(rng) {
+                    let lc = &pair[unit % 2];
+                    let lun = (0..geom.total_luns()).generate(rng);
+                    let on_lun: Vec<VectorId> = (0..lc.num_vertices() as VectorId)
+                        .filter(|&v| lc.lun_of(v) == lun)
+                        .collect();
+                    // A few vertices, each read by several queries.
+                    let pool: Vec<VectorId> = (0..(1usize..12).generate(rng))
+                        .map(|_| on_lun[(0..on_lun.len()).generate(rng)])
+                        .collect();
+                    let tasks = (0..(0usize..48).generate(rng))
+                        .map(|_| {
+                            let vertex = pool[(0..pool.len()).generate(rng)];
+                            VertexTask {
+                                query: (0u32..6).generate(rng),
+                                vertex,
+                                addr: lc.physical_addr(vertex),
+                                speculative: any::<bool>().generate(rng),
+                            }
+                        })
+                        .collect();
+                    let work = LunWork { lun, tasks };
+                    let oracle = sorted_oracle(&work, lc, &config, &ecc);
+                    prop_assert_eq!(process_lun_work(&work, lc, &config, &ecc), oracle.clone());
+                    ecc.apply(&oracle.ecc);
+                    let rep = &oracle.report;
+                    shapes[0] += usize::from(rep.multi_plane_ops > 0);
+                    let mut pages: Vec<u64> =
+                        work.tasks.iter().map(|t| t.addr.page_key(&geom)).collect();
+                    pages.sort_unstable();
+                    pages.dedup();
+                    shapes[1] += usize::from(rep.page_loads > pages.len() as u64);
+                    shapes[2] += usize::from(rep.soft_fallbacks > 0);
+                }
+                Ok(())
+            },
+        );
+        // Multi-plane merges, pages re-sensed, soft fallbacks: all occur.
+        assert!(shapes.iter().all(|&k| k > 0), "{shapes:?}");
+    }
+
+    #[test]
+    fn a_plane_that_returns_to_a_row_senses_it_again() {
+        // Without dynamic allocating, plane 0 loads row r, switches to r'
+        // and returns to r; plane 1 loads r once. Row r senses at its
+        // busiest plane's 2 loads, r' once: 4 loads, 3 senses, 1 of them
+        // multi-plane, no page shared.
+        let (lc, cfg) = setup(PlacementPolicy::MultiPlaneAware, false);
+        let m = lc.mapping();
+        assert_eq!((m.plane_of(0), m.plane_of(256), m.plane_of(16)), (0, 0, 1));
+        assert!([1, 16, 256].iter().all(|&v| lc.lun_of(v) == lc.lun_of(0)));
+        assert_eq!((m.page_of(1), m.page_of(16)), (m.page_of(0), m.page_of(0)));
+        assert_ne!(
+            lc.physical_addr(0).page_key(&cfg.geometry),
+            lc.physical_addr(256).page_key(&cfg.geometry)
+        );
+        let tasks = [0, 256, 1, 16]
+            .into_iter()
+            .zip(0..)
+            .map(|(vertex, query)| VertexTask {
+                query,
+                vertex,
+                addr: lc.physical_addr(vertex),
+                speculative: false,
+            })
+            .collect();
+        let work = LunWork {
+            lun: lc.lun_of(0),
+            tasks,
+        };
+        let ecc = EccEngine::new(&cfg.geometry, cfg.ecc);
+        let rep = process_lun_work(&work, &lc, &cfg, &ecc).report;
+        assert_eq!(
+            (
+                rep.page_loads,
+                rep.sense_ops,
+                rep.multi_plane_ops,
+                rep.page_hits
+            ),
+            (4, 3, 1, 0)
+        );
+    }
 
     fn setup(policy: PlacementPolicy, dynamic: bool) -> (LunCsr, NdsConfig) {
         let n = 1024;
