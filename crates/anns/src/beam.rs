@@ -115,6 +115,31 @@ impl VisitedSet {
         }
     }
 
+    /// Marks every id of `ids`, appending to `fresh` those not marked
+    /// before, in order — `fresh.extend(ids.filter(|v| self.insert(v)))`
+    /// without a branch per id. Whether a neighbor was visited is a coin
+    /// flip to the branch predictor, so every id is written and the
+    /// output end advances by "was fresh"; the marks grow once, to the
+    /// largest id. A repeated id reads the mark its first copy wrote.
+    pub fn insert_all(&mut self, ids: &[VectorId], fresh: &mut Vec<VectorId>) {
+        let Some(largest) = ids.iter().copied().max() else {
+            return;
+        };
+        self.reserve(largest as usize + 1);
+        let start = fresh.len();
+        fresh.resize(start + ids.len(), 0);
+        let out = &mut fresh[start..];
+        let mut kept = 0;
+        for &v in ids {
+            let slot = &mut self.marks[v as usize];
+            let new = *slot != self.epoch;
+            *slot = self.epoch;
+            out[kept] = v;
+            kept += usize::from(new);
+        }
+        fresh.truncate(start + kept);
+    }
+
     /// Unmarks a vertex; returns `true` if it was marked.
     pub fn remove(&mut self, v: VectorId) -> bool {
         match self.marks.get_mut(v as usize) {
@@ -325,7 +350,7 @@ impl Frontier {
         // call. Marking never depends on distances, so this is
         // bit-identical to a per-entry eval loop.
         fetched.clear();
-        fetched.extend(entries.iter().filter(|&&e| visited.insert(e)));
+        visited.insert_all(entries, fetched);
         source.score_batch(distance, query, fetched, &mut self.scores);
         // Every entry is a candidate; the `cap` closest are retained.
         for (&e, &d) in fetched.iter().zip(&self.scores) {
@@ -371,11 +396,7 @@ impl Frontier {
         // edge order. Visited-marking and scoring don't interact, and the
         // batch reuses the per-pair kernel, so results are bit-identical
         // to an interleaved per-edge loop.
-        fetched.extend(
-            neighbors_of(current)
-                .iter()
-                .filter(|&&nb| visited.insert(nb)),
-        );
+        visited.insert_all(neighbors_of(current), fetched);
         source.score_batch(distance, query, fetched, &mut self.scores);
         for (i, &nb) in fetched.iter().enumerate() {
             self.offer(self.scores[i], nb);
@@ -438,24 +459,25 @@ pub fn beam_search<S: ScoreSource + ?Sized, G: Adjacency + ?Sized>(
 
     // The initial entry vertices count as visited/computed: record them as
     // iteration 0 with a synthetic entry (the first entry vertex).
-    let mut fetched = Vec::with_capacity(entries.len());
+    // The trace keeps every hop's list, each copied at its length out of
+    // one buffer the filter writes a whole neighbor row into.
+    let mut fetched = Vec::new();
     if frontier.seed(visited, source, query, entries, distance, &mut fetched) {
         trace.iterations.push(IterationTrace {
             entry: fetched[0],
-            visited: std::mem::take(&mut fetched),
+            visited: fetched.clone(),
         });
     }
 
     // With no entry seeded there is no candidate and this ends at once.
     loop {
-        // The trace keeps every hop's list, so each hop fills a fresh one.
         let neighbors_of = |v| graph.neighbors(v);
         match frontier.expand_next(visited, source, neighbors_of, query, distance, &mut fetched) {
             Expansion::Finished => break,
             Expansion::Empty => {}
             Expansion::Hop(entry) => trace.iterations.push(IterationTrace {
                 entry,
-                visited: std::mem::take(&mut fetched),
+                visited: fetched.clone(),
             }),
         }
     }

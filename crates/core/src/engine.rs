@@ -27,7 +27,7 @@ use ndsearch_anns::trace::QueryTrace;
 use ndsearch_flash::ecc::EccEngine;
 use ndsearch_flash::geometry::LunId;
 use ndsearch_flash::stats::FlashStats;
-use ndsearch_flash::timing::{FlashTiming, Nanos};
+use ndsearch_flash::timing::{ceil_ns, FlashTiming, Nanos};
 use ndsearch_graph::luncsr::LunCsr;
 use ndsearch_vector::VectorId;
 
@@ -305,7 +305,7 @@ pub(crate) fn sorting_tail(nq: u64, k: usize) -> SortingTail {
     let list_bytes = nq * RESULT_LIST_ENTRIES as u64 * u64::from(RESULT_ENTRY_BYTES);
     let fpga_ns = FPGA_LINK.transfer_ns(list_bytes);
     let stages = bitonic_stages(RESULT_LIST_ENTRIES);
-    let period_ns = (1e9 / FPGA_CLOCK_HZ).ceil() as u64;
+    let period_ns = ceil_ns(1e9 / FPGA_CLOCK_HZ);
     let waves = nq.div_ceil(u64::from(FPGA_SORTERS));
     let sort_ns = waves * u64::from(stages) * period_ns;
     let out_bytes = nq * k as u64 * 8;

@@ -616,6 +616,9 @@ pub struct ServeEngine<'a> {
     now_ns: Nanos,
     first_arrival_ns: Option<Nanos>,
     last_completion_ns: Nanos,
+    /// Submitted sessions that carried a deadline. While none has, no
+    /// cut-off can end a session and the rounds skip walking the backlog.
+    deadlines_submitted: u64,
     prev_shadow: Nanos,
     rounds: u64,
     peak_inflight: usize,
@@ -729,6 +732,7 @@ impl<'a> ServeEngine<'a> {
             now_ns: 0,
             first_arrival_ns: None,
             last_completion_ns: 0,
+            deadlines_submitted: 0,
             prev_shadow: 0,
             rounds: 0,
             peak_inflight: 0,
@@ -790,6 +794,7 @@ impl<'a> ServeEngine<'a> {
             || req.entries.is_empty()
             || req.entries.iter().any(|&v| v as usize >= dataset.len())
             || k == 0;
+        self.deadlines_submitted += u64::from(req.deadline_ns.is_some());
         let mut outcome = QueryOutcome {
             id,
             state: SessionState::Pending,
@@ -952,7 +957,13 @@ impl<'a> ServeEngine<'a> {
     /// holds. An in-flight one is `Expired` with its best-so-far top-k,
     /// which still travels the Sorting-stage tail; a queued one ends at
     /// `now` without running — `Rejected` when `shed`, else `Expired`.
+    /// Until some session carries a deadline there is nothing to cut and
+    /// the backlog is not walked; the completion clock this pass would
+    /// raise to `now` changes no report, which reads `now` beside it.
     fn cut_off(&mut self, shed: bool, misses: impl Fn(Nanos, usize) -> bool) {
+        if self.deadlines_submitted == 0 {
+            return;
+        }
         let now = self.now_ns;
         let sessions = &self.sessions;
         let cut = |id: QueryId| {
@@ -1555,6 +1566,66 @@ mod tests {
         assert!(first.stats.ecc_soft_fallbacks > 0);
         assert_eq!(first, second);
         assert_eq!(first.latency(), second.latency());
+    }
+
+    /// A 4-slot engine with every query of `fx` queued at time 0.
+    fn backlogged<'a>(
+        fx: &'a Fixture,
+        prepared: &Prepared,
+        deadline: Option<Nanos>,
+    ) -> ServeEngine<'a> {
+        let serve = ServeConfig {
+            max_inflight: 4,
+            ..ServeConfig::default()
+        };
+        let mut engine = ServeEngine::new(&fx.config, serve, prepared, &fx.base, &fx.graph);
+        for (_, q) in fx.queries.iter() {
+            let mut req = QueryRequest::at(0, q.to_vec(), vec![fx.medoid]);
+            req.deadline_ns = deadline;
+            engine.submit(req);
+        }
+        engine
+    }
+
+    #[test]
+    fn a_backlog_without_deadlines_reports_as_one_walked_every_round() {
+        // With no deadline submitted the rounds skip the cut-off pass; a
+        // deadline no clock reaches makes every round walk the backlog and
+        // cut nothing, as the pass always did. The reports must agree.
+        let fx = fixture(400, 32);
+        let prepared = stage(&fx);
+        let skipped = backlogged(&fx, &prepared, None).run_to_completion();
+        let mut walked = backlogged(&fx, &prepared, Some(Nanos::MAX)).run_to_completion();
+        for o in &mut walked.outcomes {
+            assert_eq!(o.state, SessionState::Completed);
+            o.deadline_ns = None;
+        }
+        assert!(skipped.rounds > 50);
+        assert_eq!(skipped, walked);
+    }
+
+    #[test]
+    fn a_late_deadline_request_still_expires_in_its_round() {
+        // 50 rounds into a backlog that carried no deadline, a request
+        // whose deadline is already due arrives; the next round cuts it
+        // off queued, at the round's clock, while the backlog still waits.
+        let fx = fixture(400, 32);
+        let prepared = stage(&fx);
+        let mut engine = backlogged(&fx, &prepared, None);
+        for _ in 0..50 {
+            assert!(engine.step_round());
+        }
+        let now = engine.now_ns();
+        let q = fx.queries.vector(0).to_vec();
+        let late = engine.submit(QueryRequest::at(now, q, vec![fx.medoid]).deadline(now));
+        assert!(engine.step_round());
+        assert!(engine.outstanding() > 4, "the backlog is not drained");
+        let report = engine.report();
+        let o = &report.outcomes[late];
+        assert_eq!(
+            (o.state, o.completed_ns, o.hops),
+            (SessionState::Expired, now, 0)
+        );
     }
 
     #[test]

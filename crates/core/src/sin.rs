@@ -107,7 +107,7 @@ struct PlaneAcc {
 /// speculative), so [`with_scratch`] sizes it once per round, not per unit.
 /// One per thread keeps the steady state allocation-free wherever an engine
 /// is stepped (a cluster run steps replica engines on several threads);
-/// nothing carries over between units.
+/// no count carries over between units, only the keyed plane-time tables.
 #[derive(Debug, Default)]
 pub(crate) struct SinScratch {
     /// Per vertex, the last unit that streamed it. Each unit takes a fresh
@@ -121,15 +121,87 @@ pub(crate) struct SinScratch {
     /// The rows holding a non-zero count in `loads`.
     rows: Vec<usize>,
     planes: Vec<PlaneAcc>,
+    times: PlaneTimes,
+}
+
+/// One plane's compute times by count, filled lazily from the same
+/// [`FlashTiming`](ndsearch_flash::timing::FlashTiming) functions a unit
+/// would call, so a unit looks its times up instead of dividing. The
+/// tables hold for one key — the page-buffer read rate, the accelerator
+/// clock, the slot bytes and the planes per LUN (which fix the MAC lanes
+/// per plane, [`MAC_LANES`] being a constant) — which [`with_scratch`]
+/// sets, emptying the tables when it changes.
+#[derive(Debug, Default)]
+struct PlaneTimes {
+    /// `[read rate bits, clock bits, slot bytes, planes per LUN]`; all
+    /// zero until first keyed, which no geometry (≥ 1 plane per LUN) is.
+    key: [u64; 4],
+    lanes_per_plane: u64,
+    /// `stream[u]`: streaming `u` vectors out of the page buffer.
+    stream: Vec<Nanos>,
+    /// `mac[d]`: `d` distances on one plane's MAC lanes.
+    mac: Vec<Nanos>,
+}
+
+impl PlaneTimes {
+    fn key(luncsr: &LunCsr, config: &NdsConfig) -> [u64; 4] {
+        let timing = &config.timing;
+        [
+            timing.page_buffer_read_ns_per_byte.to_bits(),
+            timing.accel_clock_hz.to_bits(),
+            u64::from(luncsr.mapping().slot_bytes()),
+            u64::from(config.geometry.planes_per_lun),
+        ]
+    }
+
+    /// Keys the tables to units of `luncsr` under `config`, emptying them
+    /// if the key changed.
+    fn rekey(&mut self, luncsr: &LunCsr, config: &NdsConfig) {
+        let key = Self::key(luncsr, config);
+        // Word by word in registers: an array comparison spills the new
+        // key and reloads it wider, which stalls a per-unit caller.
+        let changed = (key.iter().zip(&self.key)).fold(0, |bits, (a, b)| bits | (a ^ b));
+        if changed != 0 {
+            self.key = key;
+            self.lanes_per_plane = (u64::from(MAC_LANES) / key[3]).max(1);
+            self.stream.clear();
+            self.mac.clear();
+        }
+    }
+
+    /// The plane's streaming and MAC times for `unique` vectors and
+    /// `distances` distances, growing either table to the count it lacks.
+    fn lookup(&mut self, config: &NdsConfig, unique: u64, distances: u64) -> (Nanos, Nanos) {
+        let timing = &config.timing;
+        let (slot_bytes, lanes) = (self.key[2], self.lanes_per_plane);
+        let stream = grow_to(&mut self.stream, unique, |u| {
+            timing.page_buffer_stream_ns(u * slot_bytes)
+        });
+        let mac = grow_to(&mut self.mac, distances, |d| {
+            timing.accel_cycles_ns(d * slot_bytes.max(1) / lanes)
+        });
+        (stream, mac)
+    }
+}
+
+/// `table[count]`, first filling the table up to `count` with `time`.
+fn grow_to(table: &mut Vec<Nanos>, count: u64, time: impl Fn(u64) -> Nanos) -> Nanos {
+    let at = count as usize;
+    if at >= table.len() {
+        let from = table.len() as u64;
+        table.extend((from..=count).map(time));
+    }
+    table[at]
 }
 
 thread_local! {
     static SCRATCH: RefCell<SinScratch> = RefCell::new(SinScratch::default());
 }
 
-/// Runs `f` on this thread's SiN scratch, sized for units of `luncsr`:
-/// a stamp per vertex (grown geometrically, so an insert per round rarely
-/// reallocates) and a counter per page of one LUN.
+/// Runs `f` on this thread's SiN scratch, sized for units of `luncsr`
+/// under `config` — a stamp per vertex (grown geometrically, so an insert
+/// per round rarely reallocates) and a counter per page of one LUN — and
+/// with its plane-time tables keyed to them.
 pub(crate) fn with_scratch<R>(
     luncsr: &LunCsr,
     config: &NdsConfig,
@@ -137,7 +209,9 @@ pub(crate) fn with_scratch<R>(
 ) -> R {
     let geom = &config.geometry;
     let vertices = luncsr.num_vertices();
-    let lun_pages = (geom.total_pages() / u64::from(geom.total_luns())) as usize;
+    let lun_pages = geom.planes_per_lun as usize
+        * geom.blocks_per_plane as usize
+        * geom.pages_per_block as usize;
     SCRATCH.with_borrow_mut(|s| {
         if s.seen.len() < vertices {
             s.seen = vec![0; vertices.max(2 * s.seen.len())];
@@ -147,6 +221,7 @@ pub(crate) fn with_scratch<R>(
         }
         s.planes
             .resize(geom.planes_per_lun as usize, PlaneAcc::default());
+        s.times.rekey(luncsr, config);
         f(s)
     })
 }
@@ -164,8 +239,6 @@ pub(crate) fn process_lun_tasks(
     ecc: &EccEngine,
 ) -> LunOutcome {
     let geom = &config.geometry;
-    let timing = &config.timing;
-    let dim_bytes = u64::from(luncsr.mapping().slot_bytes());
     let dynamic = config.scheduling.dynamic_allocating;
     let per_row = geom.planes_per_lun as usize;
     let SinScratch {
@@ -174,7 +247,9 @@ pub(crate) fn process_lun_tasks(
         loads,
         rows,
         planes,
+        times,
     } = scratch;
+    debug_assert_eq!(times.key, PlaneTimes::key(luncsr, config));
     *epoch = epoch.checked_add(1).unwrap_or_else(|| {
         seen.fill(0);
         1
@@ -252,9 +327,9 @@ pub(crate) fn process_lun_tasks(
     //    die (one multi-plane command sequence at a time). Each plane owns
     //    its counter-indexed failure stream, so a plane's decodes draw the
     //    same decisions whichever order the planes are visited in. An idle
-    //    plane would add nothing and is skipped.
-    let sense_ns = sense_ops * timing.t_read_page_ns;
-    let lanes_per_plane = (u64::from(MAC_LANES) / u64::from(geom.planes_per_lun)).max(1);
+    //    plane would add nothing and is skipped. A plane's streaming and
+    //    MAC times are looked up by its counts.
+    let sense_ns = sense_ops * config.timing.t_read_page_ns;
     let mut ecc_pass = ecc.begin_lun_pass();
     let (mut ecc_ns, mut compute_ns): (Nanos, Nanos) = (0, 0);
     let busy = (0..)
@@ -267,8 +342,7 @@ pub(crate) fn process_lun_tasks(
             plane_ecc += ecc_pass.decode_page(plane);
         }
         ecc_ns = ecc_ns.max(plane_ecc);
-        let stream = timing.page_buffer_stream_ns(acc.unique_vertices * dim_bytes);
-        let mac = timing.accel_cycles_ns(acc.distances * dim_bytes.max(1) / lanes_per_plane);
+        let (stream, mac) = times.lookup(config, acc.unique_vertices, acc.distances);
         compute_ns = compute_ns.max(stream.max(mac));
     }
     let soft_fallbacks = ecc_pass.hard_failures();
@@ -480,6 +554,65 @@ mod tests {
         );
         // Multi-plane merges, pages re-sensed, soft fallbacks: all occur.
         assert!(shapes.iter().all(|&k| k > 0), "{shapes:?}");
+    }
+
+    #[test]
+    fn plane_time_tables_follow_the_config_and_grow() {
+        // Two setups that differ in every input of the tables — the
+        // page-buffer read rate, the accelerator clock and the slot bytes
+        // — alternate on one thread's scratch (a fresh thread, so the
+        // tables start empty). Every unit is `len` tasks on one plane over
+        // the same number of vertices in both setups, so the two read the
+        // same table indices; lengths grow, and each setup also follows
+        // itself with a longer unit, past what its table holds so far.
+        std::thread::spawn(|| {
+            let geom = FlashGeometry::tiny();
+            let setups = [(128, 0.625, 800e6), (256, 0.9, 700e6)].map(|(slot, rate, clock)| {
+                let n = 1024;
+                let csr = Csr::from_adjacency(&vec![Vec::new(); n]).unwrap();
+                let mapping = VertexMapping::place(geom, n, slot, PlacementPolicy::Linear);
+                let config = NdsConfig {
+                    geometry: geom,
+                    timing: FlashTiming {
+                        page_buffer_read_ns_per_byte: rate,
+                        accel_clock_hz: clock,
+                        ..FlashTiming::default()
+                    },
+                    ..NdsConfig::default()
+                };
+                (LunCsr::new(csr, mapping), config)
+            });
+            let unit = |(lc, _): &(LunCsr, NdsConfig), len: usize| {
+                let pool: Vec<VectorId> = (0..lc.num_vertices() as VectorId)
+                    .filter(|&v| lc.lun_of(v) == 0 && lc.mapping().plane_of(v) == 0)
+                    .take(len.div_ceil(2).min(40))
+                    .collect();
+                let tasks = (0..len)
+                    .map(|i| VertexTask {
+                        query: i as u32,
+                        vertex: pool[i % pool.len()],
+                        addr: lc.physical_addr(pool[i % pool.len()]),
+                        speculative: false,
+                    })
+                    .collect();
+                LunWork { lun: 0, tasks }
+            };
+            let ecc = EccEngine::new(&geom, setups[0].1.ecc);
+            for len in [1, 3, 9, 40, 150, 300] {
+                let mut compute = [0; 2];
+                for (which, len) in [(0, len), (1, len), (1, len + 7), (0, len + 7)] {
+                    let setup = &setups[which];
+                    let work = unit(setup, len);
+                    let oracle = sorted_oracle(&work, &setup.0, &setup.1, &ecc);
+                    assert_eq!(process_lun_work(&work, &setup.0, &setup.1, &ecc), oracle);
+                    compute[which] = oracle.report.compute_ns;
+                }
+                // A table left from the other setup would answer wrong.
+                assert_ne!(compute[0], compute[1], "len {len}");
+            }
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -12,6 +12,23 @@ use crate::geometry::FlashGeometry;
 /// Nanoseconds, the engine-wide time unit.
 pub type Nanos = u64;
 
+/// The ceiling of `x` in whole nanoseconds — bit for bit [`f64::ceil`]
+/// then the saturating cast — without the `ceil` call: the baseline x86-64
+/// target has no rounding instruction, so `f64::ceil` is a libm call, and
+/// the device model converts a time on every busy plane.
+///
+/// Exact because the truncating cast is: for `0 <= x < 2^64` it yields
+/// `⌊x⌋`, which converts back to `f64` without rounding (a value with a
+/// fraction is below 2^52; at or above 2^53 every `f64` is an integer), so
+/// `(⌊x⌋ as f64) < x` holds iff `x` has a fraction. The cast sends NaN and
+/// every negative to 0 — as `ceil` then the cast do, `-0.5` ceiling to
+/// `-0.0` — and saturates from 2^64 up, where adding one must saturate
+/// too (`+∞` and values above 2^64 compare above `Nanos::MAX as f64`).
+pub fn ceil_ns(x: f64) -> Nanos {
+    let floor = x as Nanos;
+    floor.saturating_add(Nanos::from((floor as f64) < x))
+}
+
 /// NAND / SSD timing parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlashTiming {
@@ -56,22 +73,22 @@ impl FlashTiming {
     /// Time to stream `bytes` from a page buffer into the in-LUN
     /// accelerator.
     pub fn page_buffer_stream_ns(&self, bytes: u64) -> Nanos {
-        (bytes as f64 * self.page_buffer_read_ns_per_byte).ceil() as Nanos
+        ceil_ns(bytes as f64 * self.page_buffer_read_ns_per_byte)
     }
 
     /// Time to move `bytes` over one channel bus.
     pub fn channel_transfer_ns(&self, bytes: u64) -> Nanos {
-        (bytes as f64 / self.channel_bus_bytes_per_s * 1e9).ceil() as Nanos
+        ceil_ns(bytes as f64 / self.channel_bus_bytes_per_s * 1e9)
     }
 
     /// Cycles → nanoseconds at the accelerator clock.
     pub fn accel_cycles_ns(&self, cycles: u64) -> Nanos {
-        (cycles as f64 / self.accel_clock_hz * 1e9).ceil() as Nanos
+        ceil_ns(cycles as f64 / self.accel_clock_hz * 1e9)
     }
 
     /// Time to move `bytes` through internal DRAM.
     pub fn dram_transfer_ns(&self, bytes: u64) -> Nanos {
-        (bytes as f64 / self.dram_bytes_per_s * 1e9).ceil() as Nanos
+        ceil_ns(bytes as f64 / self.dram_bytes_per_s * 1e9)
     }
 }
 
@@ -129,7 +146,7 @@ impl PcieLink {
 
     /// Time to move `bytes` across the link.
     pub fn transfer_ns(&self, bytes: u64) -> Nanos {
-        self.base_latency_ns + (bytes as f64 / self.bytes_per_s * 1e9).ceil() as Nanos
+        self.base_latency_ns + ceil_ns(bytes as f64 / self.bytes_per_s * 1e9)
     }
 
     /// Effective achieved bandwidth for a transfer of `bytes`
@@ -145,6 +162,66 @@ impl PcieLink {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ceil_ns_equals_ceil_then_cast() {
+        let p52 = 2f64.powi(52);
+        let p53 = 2f64.powi(53);
+        let p63 = 2f64.powi(63);
+        let p64 = 2f64.powi(64);
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            0.1,
+            0.5,
+            0.999_999,
+            1.0,
+            1.5,
+            2.0,
+            1e9 / 800e6,
+            132.99,
+            -0.5,
+            -1.0,
+            -3.75,
+            -p64,
+            f64::MIN,
+            f64::MAX,
+            p64,
+            p64 * 2.0,
+            1e30,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        // The neighbours of 2^52 (where fractions end), 2^53
+        // (the first without odd integers) and 2^63 / 2^64 (the top of
+        // `Nanos`, where the cast saturates).
+        for p in [p52, p53, p63, p64] {
+            let mut below = p;
+            let mut above = p;
+            for _ in 0..4 {
+                below = f64::from_bits(below.to_bits() - 1);
+                above = f64::from_bits(above.to_bits() + 1);
+                xs.extend([below, above, below - 0.5, below + 0.5]);
+            }
+        }
+        let mut rng = ndsearch_vector::rng::Pcg32::seed_from_u64(5);
+        for _ in 0..100_000 {
+            // Every bit pattern (NaN payloads, subnormals, huge and
+            // negative values) and, as often, the small times a device
+            // model converts.
+            let any = f64::from_bits(rng.next_u64());
+            let time = rng.next_f64() * 2f64.powi(rng.index(70) as i32);
+            xs.extend([any, time]);
+        }
+        for x in xs {
+            let (ceiling, bits) = (x.ceil(), x.to_bits());
+            assert_eq!(ceil_ns(x), ceiling as Nanos, "x = {x:e} ({bits:#x})");
+        }
+    }
 
     #[test]
     fn default_internal_bandwidth_matches_paper() {

@@ -232,6 +232,46 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
+    // The branch-free visited filter against the per-id `insert` loop it
+    // replaced, and both against a plain set: random rows with repeated
+    // ids, ids past the marks (the sets start short and grow on demand),
+    // output appended after what the buffer holds, and runs of up to 299
+    // clears between rows, so the 255-epoch wrap that zeroes every mark
+    // falls between rows too.
+    #[test]
+    fn visited_filter_equals_the_per_id_insert_loop(
+        len in 0usize..48,
+        held in proptest::collection::vec(0u32..8, 0..3),
+        steps in proptest::collection::vec(
+            (proptest::collection::vec(0u32..96, 0..24), any::<bool>(), 0usize..300),
+            1..24,
+        ),
+    ) {
+        let (mut filtered, mut looped) = (VisitedSet::new(len), VisitedSet::new(len));
+        let mut model = BTreeSet::new();
+        let mut fresh = Vec::new();
+        for (row, clear, clears) in steps {
+            if clear {
+                for _ in 0..clears {
+                    filtered.clear();
+                    looped.clear();
+                    model.clear();
+                }
+            }
+            fresh.clone_from(&held);
+            filtered.insert_all(&row, &mut fresh);
+            let mut by_loop = held.clone();
+            by_loop.extend(row.iter().filter(|&&v| looped.insert(v)));
+            let mut want = held.clone();
+            want.extend(row.iter().filter(|&&v| model.insert(v)));
+            prop_assert_eq!(&by_loop, &want);
+            prop_assert_eq!(&fresh, &want);
+            for v in 0..100 {
+                prop_assert_eq!(filtered.contains(v), model.contains(&v));
+            }
+        }
+    }
+
     #[test]
     fn l2_is_symmetric_and_nonnegative(
         a in proptest::collection::vec(-100.0f32..100.0, 8),
