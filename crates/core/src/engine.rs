@@ -10,7 +10,7 @@
 //!    previous round's Searching + Gathering (Fig. 12), so only its
 //!    *overhang* lands on the critical path.
 //! 2. **Searching** — every LUN accelerator processes its work in parallel
-//!    ([`crate::sin::process_lun_work`]); the round's searching latency is
+//!    (`sin::SinRound`); the round's searching latency is
 //!    the slowest LUN plus the busiest channel's data-out serialization.
 //!    With speculative searching on, the prefetched second-order neighbors
 //!    of the previous round have already been computed off the critical
@@ -27,11 +27,11 @@ use ndsearch_anns::trace::QueryTrace;
 use ndsearch_flash::ecc::EccEngine;
 use ndsearch_flash::geometry::LunId;
 use ndsearch_flash::stats::FlashStats;
-use ndsearch_flash::timing::{ceil_ns, FlashTiming, Nanos};
+use ndsearch_flash::timing::{ceil_ns, Nanos};
 use ndsearch_graph::luncsr::LunCsr;
 use ndsearch_vector::VectorId;
 
-use crate::alloc::{Allocator, RoundArena, VertexTask};
+use crate::alloc::Allocator;
 use crate::config::{
     NdsConfig, FPGA_CLOCK_HZ, FPGA_LINK, FPGA_SORTERS, HOST_LINK, RESULT_ENTRY_BYTES,
     RESULT_LIST_ENTRIES,
@@ -39,37 +39,38 @@ use crate::config::{
 use crate::pipeline::Prepared;
 use crate::qpt::QueryPropertyTable;
 use crate::report::{LatencyBreakdown, NdsReport};
-use crate::sin::{self, LunOutcome, SinReport};
+use crate::sin::{self, RoundFlash, SinReport, SinRound};
 use crate::speculative::{select_prefetch, PrefetchScratch, SpeculationStats};
 use crate::vgen::Vgenerator;
 
-/// Distinct LUNs touched so far (LUN-coverage reporting): a flag per LUN
+/// Distinct LUNs touched so far (LUN-coverage reporting): a bit per LUN
 /// and a running count.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct LunCoverage {
-    touched: Vec<bool>,
-    count: usize,
+    touched: Vec<u64>,
+    count: u32,
 }
 
 impl LunCoverage {
-    pub fn touch(&mut self, lun: LunId) {
-        let lun = lun as usize;
-        if lun >= self.touched.len() {
-            self.touched.resize(lun + 1, false);
+    /// Adds the LUNs whose bits are set in `luns`, one bit per LUN.
+    pub fn cover(&mut self, luns: &[u64]) {
+        if self.touched.len() < luns.len() {
+            self.touched.resize(luns.len(), 0);
         }
-        if !std::mem::replace(&mut self.touched[lun], true) {
-            self.count += 1;
+        for (seen, &new) in self.touched.iter_mut().zip(luns) {
+            self.count += (new & !*seen).count_ones();
+            *seen |= new;
         }
     }
 
     /// The touched share of a device with `total_luns` LUNs.
     pub fn ratio(&self, total_luns: u32) -> f64 {
-        self.count as f64 / f64::from(total_luns)
+        f64::from(self.count) / f64::from(total_luns)
     }
 }
 
-/// The engine-wide mutable accumulators [`run_lun_units`] commits every
-/// LUN unit into, in stable LUN order.
+/// The engine-wide mutable accumulators a round's flash work commits
+/// into.
 pub(crate) struct RoundSinks<'a> {
     /// Engine-wide ECC state (failure-stream cursors advance per round).
     pub ecc: &'a mut EccEngine,
@@ -79,70 +80,27 @@ pub(crate) struct RoundSinks<'a> {
     pub luns_touched: &'a mut LunCoverage,
 }
 
-/// Buffers an engine keeps across rounds so the round data path
-/// allocates nothing in steady state: the task arena and the per-channel
-/// data-out accumulator.
-#[derive(Debug, Default)]
-pub(crate) struct RoundScratch {
-    arena: RoundArena,
-    channel_out: Vec<Nanos>,
-}
-
-impl RoundScratch {
-    /// The arena, emptied for a new round over `luncsr`'s device.
-    pub fn begin(&mut self, luncsr: &LunCsr) -> &mut RoundArena {
-        self.arena.begin(luncsr.mapping().geometry().total_luns());
-        &mut self.arena
+impl RoundSinks<'_> {
+    /// Finishes `round` into the sinks: each plane's decodes drawn from
+    /// and committed to the engine's ECC cursors, the statistics and the
+    /// LUN coverage folded in; `each` sees every LUN's report and channel
+    /// time in ascending LUN order.
+    pub fn finish(
+        self,
+        round: &mut SinRound,
+        config: &NdsConfig,
+        each: impl FnMut(LunId, &SinReport, Nanos),
+    ) -> RoundFlash {
+        let Self {
+            ecc,
+            stats,
+            luns_touched,
+        } = self;
+        luns_touched.cover(round.touched());
+        let flash = round.finish(config, |plane, pages| ecc.decode_pages(plane, pages), each);
+        stats.merge(&flash.stats);
+        flash
     }
-
-    /// The arena as last filled and sealed.
-    pub fn arena(&self) -> &RoundArena {
-        &self.arena
-    }
-}
-
-/// Evaluates every LUN unit of a sealed arena in stable (ascending) LUN
-/// order. Each unit's ECC delta, flash-statistics counts and LUN are
-/// committed into `sinks`; then the outcome goes to `each` with the
-/// unit's task slice. Every flash page an engine reads is issued here,
-/// on the thread's SiN scratch, borrowed and sized once for the round.
-///
-/// A LUN owns its planes and appears once per arena, so no unit reads a
-/// per-plane cursor an earlier unit of the round advanced.
-pub(crate) fn run_lun_units(
-    config: &NdsConfig,
-    luncsr: &LunCsr,
-    sinks: RoundSinks<'_>,
-    arena: &RoundArena,
-    mut each: impl FnMut(&LunOutcome, &[VertexTask]),
-) {
-    let RoundSinks {
-        ecc,
-        stats,
-        luns_touched,
-    } = sinks;
-    sin::with_scratch(luncsr, config, |scratch| {
-        for unit in 0..arena.units() {
-            let (lun, tasks) = arena.unit(unit);
-            let out = sin::process_lun_tasks(scratch, lun, tasks, luncsr, config, ecc);
-            ecc.apply(&out.ecc);
-            let rep = &out.report;
-            stats.page_reads += rep.page_loads;
-            stats.search_ops += rep.sense_ops;
-            stats.page_buffer_hits += rep.page_hits;
-            stats.distance_evals += rep.distances;
-            stats.multi_plane_ops += rep.multi_plane_ops;
-            stats.ecc_soft_fallbacks += rep.soft_fallbacks;
-            stats.bus_bytes += rep.result_bytes;
-            luns_touched.touch(lun);
-            each(&out, tasks);
-        }
-    });
-}
-
-/// Channel time of one LUN unit: its sense commands in, its results out.
-pub(crate) fn unit_channel_ns(timing: &FlashTiming, report: &SinReport) -> Nanos {
-    timing.channel_transfer_ns(report.result_bytes) + report.sense_ops * timing.t_command_ns
 }
 
 /// Latency contributions of one Allocating → Searching → Gathering round.
@@ -151,7 +109,7 @@ pub(crate) fn unit_channel_ns(timing: &FlashTiming, report: &SinReport) -> Nanos
 /// critical path (or is hidden behind the previous round's shadow under
 /// dynamic allocating) is the caller's decision, because the batch engine
 /// and the serving scheduler overlap rounds differently.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct RoundOutcome {
     /// Vgenerator + Allocator latency (pre-overlap).
     pub allocating_ns: Nanos,
@@ -205,74 +163,58 @@ impl RoundOutcome {
 }
 
 /// Executes one engine round — the Allocating, Searching and Gathering
-/// stages of Algorithm 1 — for `entries` = (query slot, unvisited
-/// neighbors of the slot's entry vertex), against the staged LUNCSR.
+/// stages of Algorithm 1 — for `entries` = the unvisited neighbors of
+/// each active query's entry vertex, against the staged LUNCSR.
 ///
 /// This is the hot path shared by the run-to-completion batch engine
 /// ([`NdsEngine`]) and the interleaved multi-query scheduler
 /// ([`crate::serve::ServeEngine`]). The Vgenerator and Allocator passes
-/// fuse into one fill of the engine-owned task arena; the Searching stage
-/// evaluates its per-LUN slices in place and folds the outcomes in stable
-/// LUN order.
+/// fuse into one stream of tasks into the thread's [`SinRound`]; the
+/// Searching stage settles it LUN by LUN in ascending order.
 pub(crate) fn execute_round<'e>(
     config: &NdsConfig,
     luncsr: &LunCsr,
     qpt: &QueryPropertyTable,
-    entries: impl Iterator<Item = (u32, &'e [VectorId])>,
+    entries: impl Iterator<Item = &'e [VectorId]>,
     sinks: RoundSinks<'_>,
-    scratch: &mut RoundScratch,
 ) -> RoundOutcome {
     let timing = &config.timing;
-
-    // ---- Allocating stage: the Vgenerator's (query, neighbor) stream
-    // goes straight into the arena, each task resolved to its physical
-    // address; sealing orders it by LUN, dispatch order kept inside a LUN.
-    let arena = scratch.begin(luncsr);
-    let mut active = 0usize;
-    for (query, neighbors) in entries {
-        active += 1;
-        for &nb in neighbors {
-            arena.push(luncsr, query, nb, false);
+    sin::with_round(luncsr, config, |round| {
+        // ---- Allocating stage: the Vgenerator's (query, neighbor)
+        // stream, each task resolved to its physical address. ----
+        let (mut active, mut tasks) = (0usize, 0usize);
+        for neighbors in entries {
+            active += 1;
+            tasks += neighbors.len();
+            for &nb in neighbors {
+                round.push(luncsr, nb, false);
+            }
         }
-    }
-    arena.seal();
-    let new_distances = arena.len() as u64;
-    let allocating_ns = Vgenerator::latency_ns(timing, active, new_distances)
-        + Allocator::latency_ns(timing, arena.len());
+        let allocating_ns = Vgenerator::latency_ns(timing, active, tasks as u64)
+            + Allocator::latency_ns(timing, tasks);
 
-    // ---- Searching stage: all LUN accelerators in parallel on the
-    // simulated clock (the round charges the slowest), merged in stable
-    // LUN order. ----
-    let channel_out = &mut scratch.channel_out;
-    channel_out.clear();
-    channel_out.resize(config.geometry.channels as usize, 0);
-    let mut max_busy_rep = SinReport::default();
-    run_lun_units(config, luncsr, sinks, &scratch.arena, |out, _| {
-        let rep = &out.report;
-        let ch = config.geometry.lun_channel(out.lun) as usize;
-        channel_out[ch] += unit_channel_ns(timing, rep);
-        if rep.busy_ns > max_busy_rep.busy_ns {
-            max_busy_rep = *rep;
+        // ---- Searching stage: all LUN accelerators in parallel on the
+        // simulated clock (the round charges the slowest LUN plus the
+        // busiest channel's data-out). ----
+        let flash = sinks.finish(round, config, |_, _, _| {});
+        let slowest = &flash.slowest;
+
+        // ---- Gathering stage. ----
+        let g_dram = timing.dram_transfer_ns(qpt.gather_traffic_bytes(active, tasks as u64));
+        let g_emb = active as u64 * timing.t_embedded_op_ns;
+
+        RoundOutcome {
+            allocating_ns,
+            searching_ns: slowest.busy_ns + flash.bus_ns,
+            gathering_ns: g_dram + g_emb,
+            bus_ns: flash.bus_ns,
+            dram_ns: g_dram,
+            embedded_ns: g_emb,
+            nand_read_ns: slowest.sense_ns,
+            ecc_ns: slowest.ecc_ns,
+            compute_ns: slowest.compute_ns,
         }
-    });
-    let max_channel = channel_out.iter().copied().max().unwrap_or(0);
-    let searching_ns = max_busy_rep.busy_ns + max_channel;
-
-    // ---- Gathering stage. ----
-    let g_dram = timing.dram_transfer_ns(qpt.gather_traffic_bytes(active, new_distances));
-    let g_emb = active as u64 * timing.t_embedded_op_ns;
-
-    RoundOutcome {
-        allocating_ns,
-        searching_ns,
-        gathering_ns: g_dram + g_emb,
-        bus_ns: max_channel,
-        dram_ns: g_dram,
-        embedded_ns: g_emb,
-        nand_read_ns: max_busy_rep.sense_ns,
-        ecc_ns: max_busy_rep.ecc_ns,
-        compute_ns: max_busy_rep.compute_ns,
-    }
+    })
 }
 
 /// Sorting-stage cost for shipping `nq` result lists to the FPGA sorter
@@ -402,11 +344,10 @@ impl<'a> NdsEngine<'a> {
         let mut prefetched: Vec<Vec<VectorId>> = vec![Vec::new(); nq];
         let mut prefetch_marks = VisitedSet::new(luncsr.num_vertices());
         let mut prefetch_scratch = PrefetchScratch::default();
-        let mut scratch = RoundScratch::default();
         // This round's work: every active query's unprefetched visits in
-        // one flat buffer, cut by `(query, start, end)` spans.
+        // one flat buffer, cut by `(start, end)` spans.
         let mut kept: Vec<VectorId> = Vec::new();
-        let mut spans: Vec<(u32, usize, usize)> = Vec::with_capacity(nq);
+        let mut spans: Vec<(usize, usize)> = Vec::with_capacity(nq);
         let mut prev_shadow: Nanos = 0; // searching+gathering of previous round
 
         for r in 0..max_iters {
@@ -437,7 +378,7 @@ impl<'a> NdsEngine<'a> {
                     speculation.misses += prefetched[qi].len() as u64 - hits;
                     prefetched[qi].clear();
                 }
-                spans.push((qi as u32, start, kept.len()));
+                spans.push((start, kept.len()));
             }
             if spans.is_empty() {
                 continue;
@@ -449,49 +390,48 @@ impl<'a> NdsEngine<'a> {
                 config,
                 luncsr,
                 &qpt,
-                spans.iter().map(|&(q, start, end)| (q, &kept[start..end])),
+                spans.iter().map(|&(start, end)| &kept[start..end]),
                 RoundSinks {
                     ecc: &mut ecc,
                     stats: &mut stats,
                     luns_touched,
                 },
-                &mut scratch,
             );
 
-            // ---- Speculative prefetch for the next round. The picks go
-            // straight into the task arena the main round is done with.
-            // What a query has visited so far — which the Pref Unit reads
-            // from the query property table to avoid guaranteed-miss
-            // prefetches — is its trace up to this round. ----
-            let spec_arena = scratch.begin(luncsr);
+            // ---- Speculative prefetch for the next round, streamed into
+            // a round of its own. What a query has visited so far — which
+            // the Pref Unit reads from the query property table to avoid
+            // guaranteed-miss prefetches — is its trace up to this round.
+            // The work executes off the critical path but consumes pages
+            // and MACs (visible in the statistics); it commits after the
+            // main round, so the per-plane ECC streams stay in program
+            // order. ----
             if speculative && r + 1 < max_iters {
-                for (qi, t) in traces.iter().enumerate() {
-                    if t.iterations.len() <= r + 1 {
-                        continue;
+                sin::with_round(luncsr, config, |round| {
+                    for (qi, t) in traces.iter().enumerate() {
+                        if t.iterations.len() <= r + 1 {
+                            continue;
+                        }
+                        let entry = t.iterations[r].entry;
+                        let budget = (luncsr.neighbors(entry).len() as f64
+                            * config.spec_budget_factor)
+                            .round() as usize;
+                        let seen = &t.iterations[..=r];
+                        let picks =
+                            select_prefetch(luncsr, entry, budget, seen, &mut prefetch_scratch);
+                        for &v in picks {
+                            round.push(luncsr, v, true);
+                        }
+                        prefetched[qi].extend_from_slice(picks);
                     }
-                    let entry = t.iterations[r].entry;
-                    let budget = (luncsr.neighbors(entry).len() as f64 * config.spec_budget_factor)
-                        .round() as usize;
-                    let seen = &t.iterations[..=r];
-                    let picks = select_prefetch(luncsr, entry, budget, seen, &mut prefetch_scratch);
-                    for &v in picks {
-                        spec_arena.push(luncsr, qi as u32, v, true);
-                    }
-                    prefetched[qi].extend_from_slice(picks);
-                }
+                    let sinks = RoundSinks {
+                        ecc: &mut ecc,
+                        stats: &mut stats,
+                        luns_touched,
+                    };
+                    sinks.finish(round, config, |_, _, _| {});
+                });
             }
-            spec_arena.seal();
-
-            // Speculative work executes off the critical path but consumes
-            // pages and MACs (visible in the statistics). Its deltas
-            // commit after the main round's, so the per-plane ECC streams
-            // stay in program order.
-            let sinks = RoundSinks {
-                ecc: &mut ecc,
-                stats: &mut stats,
-                luns_touched,
-            };
-            run_lun_units(config, luncsr, sinks, &scratch.arena, |_, _| {});
 
             // ---- Compose the round's critical path and attribute it to
             // the breakdown buckets. ----
@@ -673,7 +613,15 @@ mod tests {
         };
         let a = faulty();
         assert_eq!(a, faulty());
-        assert!(a.stats.ecc_soft_fallbacks > 0);
+        // Pinned: the speculative round's decodes follow the main
+        // round's on each plane's stream, so committing them first moves
+        // these figures.
+        let got = (a.stats.ecc_soft_fallbacks, a.total_ns, a.stats.page_reads);
+        assert_eq!(
+            got,
+            (317, 3_295_264, 5_802),
+            "(soft fallbacks, total_ns, page_reads)"
+        );
     }
 
     #[test]

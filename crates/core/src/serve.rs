@@ -110,6 +110,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use ndsearch_anns::beam::{Adjacency, BeamSearcher, VisitedSet};
 use ndsearch_anns::trace::IterationTrace;
 use ndsearch_flash::ecc::EccEngine;
+use ndsearch_flash::geometry::LunId;
 use ndsearch_flash::stats::FlashStats;
 use ndsearch_flash::timing::Nanos;
 use ndsearch_graph::csr::Csr;
@@ -119,13 +120,11 @@ use ndsearch_vector::{DistanceKind, VectorId};
 
 use crate::config::{NdsConfig, HOST_LINK, MAC_LANES, RESULT_LIST_ENTRIES};
 use crate::deploy::{Deployment, UpdateTotals};
-use crate::engine::{
-    execute_round, run_lun_units, sorting_tail, unit_channel_ns, LunCoverage, RoundScratch,
-    RoundSinks,
-};
+use crate::engine::{execute_round, sorting_tail, LunCoverage, RoundSinks};
 use crate::pipeline::Prepared;
 use crate::qpt::QueryPropertyTable;
 use crate::report::LatencyBreakdown;
+use crate::sin;
 
 /// Identifier of a submitted query session (dense, in submission order).
 pub type QueryId = usize;
@@ -652,14 +651,16 @@ pub struct ServeEngine<'a> {
     live_hops: usize,
     /// Sessions whose search terminated in the current round, slot order.
     finished: Vec<QueryId>,
-    /// Task arena and merge buffers of the round data path.
-    round: RoundScratch,
     /// Per LUN: when its accelerator is done with the rerank units issued
     /// to it so far. The rerank stage overlaps the following rounds, so
     /// it occupies LUNs on these clocks instead of advancing `now_ns`.
     lun_free_at: Vec<Nanos>,
+    /// Per LUN: when the latest rerank unit issued to it shipped.
+    lun_shipped: Vec<Nanos>,
     /// The rerank candidates of the session being staged.
     rerank_ids: Vec<VectorId>,
+    /// The rerank's tasks as (session, LUN).
+    rerank_tasks: Vec<(QueryId, LunId)>,
     /// Every rerank unit issued, as (LUN, issue time, start, busy time).
     #[cfg(test)]
     rerank_units: Vec<(u32, Nanos, Nanos, Nanos)>,
@@ -749,9 +750,10 @@ impl<'a> ServeEngine<'a> {
             hops: Vec::new(),
             live_hops: 0,
             finished: Vec::new(),
-            round: RoundScratch::default(),
             lun_free_at: vec![0; config.geometry.total_luns() as usize],
+            lun_shipped: vec![0; config.geometry.total_luns() as usize],
             rerank_ids: Vec::new(),
+            rerank_tasks: Vec::new(),
             #[cfg(test)]
             rerank_units: Vec::new(),
         }
@@ -1029,7 +1031,7 @@ impl<'a> ServeEngine<'a> {
     /// its best [`ServeConfig::rerank_depth`] approximate candidates
     /// against the full-precision rows, and the reads those imply are
     /// issued as one batch through the device path of a traversal round —
-    /// the task arena, a SiN unit per LUN, an LDPC decode per page load —
+    /// the SiN round, a LUN unit per LUN, an LDPC decode per page load —
     /// so sessions finishing together share sensed pages, multi-plane
     /// senses merge and an ECC storm slows the rerank.
     ///
@@ -1044,41 +1046,41 @@ impl<'a> ServeEngine<'a> {
         let prepared = self.deploy.prepared();
         let luncsr = &prepared.luncsr;
         let now = self.now_ns;
-        let arena = self.round.begin(luncsr);
-        for (slot, &id) in self.finished.iter().enumerate() {
-            let s = &mut self.sessions[id];
-            s.outcome.completed_ns = now;
-            let depth = self.serve.rerank_depth.max(s.k);
-            let searcher = s.searcher.as_mut().expect("running session has a searcher");
-            searcher.rerank(self.deploy.dataset(), depth, &mut self.rerank_ids);
-            for &v in &self.rerank_ids {
-                arena.push(luncsr, slot as u32, prepared.perm.new_of(v), false);
-            }
-        }
-        arena.seal();
-        let timing = &self.config.timing;
-        let (sessions, finished) = (&mut self.sessions, &self.finished);
-        let free_at = &mut self.lun_free_at;
+        let (free_at, shipped) = (&mut self.lun_free_at, &mut self.lun_shipped);
         #[cfg(test)]
         let log = &mut self.rerank_units;
-        let sinks = RoundSinks {
-            ecc: &mut self.ecc,
-            stats: &mut self.stats,
-            luns_touched: &mut self.luns_touched,
-        };
-        let arena = self.round.arena();
-        run_lun_units(self.config, luncsr, sinks, arena, |out, tasks| {
-            let free = &mut free_at[out.lun as usize];
-            let start = now.max(*free);
-            *free = start + out.report.busy_ns;
-            #[cfg(test)]
-            log.push((out.lun, now, start, out.report.busy_ns));
-            let shipped = *free + unit_channel_ns(timing, &out.report);
-            for task in tasks {
-                let o = &mut sessions[finished[task.query as usize]].outcome;
-                o.completed_ns = o.completed_ns.max(shipped);
+        self.rerank_tasks.clear();
+        sin::with_round(luncsr, self.config, |round| {
+            for &id in &self.finished {
+                let s = &mut self.sessions[id];
+                s.outcome.completed_ns = now;
+                let depth = self.serve.rerank_depth.max(s.k);
+                let searcher = s.searcher.as_mut().expect("running session has a searcher");
+                searcher.rerank(self.deploy.dataset(), depth, &mut self.rerank_ids);
+                for &v in &self.rerank_ids {
+                    let lun = round.push(luncsr, prepared.perm.new_of(v), false);
+                    self.rerank_tasks.push((id, lun));
+                }
             }
+            let sinks = RoundSinks {
+                ecc: &mut self.ecc,
+                stats: &mut self.stats,
+                luns_touched: &mut self.luns_touched,
+            };
+            sinks.finish(round, self.config, |lun, report, ship_ns| {
+                let free = &mut free_at[lun as usize];
+                let start = now.max(*free);
+                *free = start + report.busy_ns;
+                #[cfg(test)]
+                log.push((lun, now, start, report.busy_ns));
+                shipped[lun as usize] = *free + ship_ns;
+            });
         });
+        // Order-free: each candidate's session waits for its LUN's ship.
+        for &(id, lun) in &self.rerank_tasks {
+            let o = &mut self.sessions[id].outcome;
+            o.completed_ns = o.completed_ns.max(shipped[lun as usize]);
+        }
     }
 
     /// Per-query Sorting-stage tail: result list over the private FPGA
@@ -1268,14 +1270,12 @@ impl<'a> ServeEngine<'a> {
                     self.config,
                     &self.deploy.prepared().luncsr,
                     &self.qpt,
-                    hops.iter()
-                        .map(|(slot, hop)| (*slot, hop.visited.as_slice())),
+                    hops.iter().map(|(_, hop)| hop.visited.as_slice()),
                     RoundSinks {
                         ecc: &mut self.ecc,
                         stats: &mut self.stats,
                         luns_touched: &mut self.luns_touched,
                     },
-                    &mut self.round,
                 );
                 let overlap = self.config.scheduling.dynamic_allocating && self.rounds > 0;
                 round.apply(&mut self.breakdown, &mut self.prev_shadow, overlap)

@@ -15,7 +15,7 @@
 //! the hard-decision probability alone — no decode reads a BER.
 
 use crate::geometry::{FlashGeometry, PlaneId};
-use crate::timing::Nanos;
+use crate::timing::{ceil_ns, Nanos};
 use ndsearch_vector::rng::{Pcg32, SplitMix64};
 
 /// Mean raw bit error rate of the Fig. 18(a) plane distribution (§VII-B).
@@ -140,12 +140,11 @@ impl Eq for PlaneCounts {}
 /// plane's failure-stream cursor, produced *without* mutating the engine.
 ///
 /// A pass returns its effects instead of committing them so that
-/// `ndsearch_core::sin::process_lun_work` stays a pure stage view: the
-/// engines commit each unit's delta right after the unit, while
+/// `ndsearch_core::sin::process_lun_work` stays a pure stage view:
 /// `perf_ledger`'s `core.sin.*` rows replay units against one untouched
-/// engine. Apply it with [`EccEngine::apply`]; the pass's decode and
-/// failure counts are the caller's to keep (the engines count them in
-/// `FlashStats::{page_reads, ecc_soft_fallbacks}`).
+/// engine, while the engines decode and commit in one step
+/// ([`EccEngine::decode_pages`]). Apply it with [`EccEngine::apply`]; the
+/// pass's decode and failure counts are the caller's to keep.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EccDelta {
     /// `(plane, decode count)` pairs, sorted by plane id.
@@ -209,6 +208,9 @@ impl EccLunPass<'_> {
 #[derive(Debug, Clone)]
 pub struct EccEngine {
     config: EccConfig,
+    /// `⌈p · 2^53⌉` for the failure probability `p` in force: a decode
+    /// fails when its hash's top 53 bits fall below it.
+    fire_below: u64,
     /// Decodes committed per plane (the failure-stream cursor).
     plane_decodes: Vec<u64>,
 }
@@ -218,6 +220,7 @@ impl EccEngine {
     pub fn new(geom: &FlashGeometry, config: EccConfig) -> Self {
         Self {
             config,
+            fire_below: fire_below(config.hard_decision_failure_prob),
             plane_decodes: vec![0; geom.total_planes() as usize],
         }
     }
@@ -235,10 +238,12 @@ impl EccEngine {
     /// happens.
     pub fn set_hard_decision_failure_prob(&mut self, p: f64) {
         self.config.hard_decision_failure_prob = p.clamp(0.0, 1.0);
+        self.fire_below = fire_below(self.config.hard_decision_failure_prob);
     }
 
     /// Whether the `index`-th decode on `plane` suffers a hard-decision
-    /// failure — a pure hash of `(seed, plane, index)`.
+    /// failure — a pure hash of `(seed, plane, index)`: its top 53 bits `k`
+    /// fire when `k · 2^-53 < p`, compared as `k < ⌈p · 2^53⌉`.
     fn fault_fires(&self, plane: PlaneId, index: u64) -> bool {
         let p = self.config.hard_decision_failure_prob;
         if p <= 0.0 {
@@ -247,14 +252,39 @@ impl EccEngine {
         if p >= 1.0 {
             return true;
         }
+        self.draw(plane, index) < self.fire_below
+    }
+
+    /// The top 53 bits of the `(seed, plane, index)` hash.
+    fn draw(&self, plane: PlaneId, index: u64) -> u64 {
         let mut mix = SplitMix64::new(
             self.config
                 .seed
                 .wrapping_add(u64::from(plane).wrapping_mul(0x9E37_79B9_7F4A_7C15))
                 .wrapping_add(index.wrapping_mul(0xD1B5_4A32_D192_ED03)),
         );
-        let u = (mix.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        u < p
+        mix.next_u64() >> 11
+    }
+
+    /// Decodes `pages` page reads on `plane` from its failure-stream
+    /// cursor and commits them: the added ECC latency and the
+    /// hard-decision failures among them. The same decisions an
+    /// [`EccLunPass`] draws at that cursor.
+    ///
+    /// # Panics
+    /// Panics if the plane index is out of range for the engine's geometry.
+    #[inline]
+    pub fn decode_pages(&mut self, plane: PlaneId, pages: u64) -> (Nanos, u64) {
+        let cursor = self.plane_decodes[plane as usize];
+        let failures = (cursor..cursor + pages)
+            .map(|index| u64::from(self.fault_fires(plane, index)))
+            .sum::<u64>();
+        self.plane_decodes[plane as usize] = cursor + pages;
+        let config = &self.config;
+        (
+            pages * config.t_hard_decode_ns + failures * config.t_soft_decode_ns,
+            failures,
+        )
     }
 
     /// Starts a pure decoding pass against the current counters (see
@@ -278,6 +308,12 @@ impl EccEngine {
             self.plane_decodes[plane as usize] += count;
         }
     }
+}
+
+/// `⌈p · 2^53⌉`: scaling by a power of two is exact, and for an integer
+/// `k`, `k · 2^-53 < p` exactly when `k < ⌈p · 2^53⌉`.
+fn fire_below(p: f64) -> u64 {
+    ceil_ns(p * (1u64 << 53) as f64)
 }
 
 #[cfg(test)]
@@ -476,6 +512,80 @@ mod tests {
                 engine.apply(&delta);
             }
         }
+    }
+
+    #[test]
+    fn integer_fault_rule_equals_the_float_rule() {
+        // The rule as it was written: the draw scaled into [0, 1) and
+        // compared with p in floating point. At random p, at p = k·2^-53
+        // exactly and its two neighbours, at a subnormal p and at 0.9, the
+        // integer threshold must decide every draw near it, and random
+        // draws, as the float rule does — directly and through an engine's
+        // decodes.
+        use proptest::prelude::*;
+        let float_rule = |k: u64, p: f64| (k as f64 * (1.0 / (1u64 << 53) as f64)) < p;
+        let top = 1u64 << 53;
+        let geom = FlashGeometry::tiny();
+        proptest::test_runner::run(
+            proptest::test_runner::Config { cases: 256 },
+            "integer_fault_rule_equals_the_float_rule",
+            |rng| {
+                let k0 = (1u64..top - 1).generate(rng);
+                let exact = k0 as f64 / top as f64;
+                let subnormal = f64::from_bits((1u64..1 << 52).generate(rng));
+                let ps = [
+                    (0.0f64..1.0).generate(rng),
+                    exact,
+                    f64::from_bits(exact.to_bits() - 1),
+                    f64::from_bits(exact.to_bits() + 1),
+                    subnormal,
+                    0.9,
+                ];
+                for p in ps {
+                    let below = fire_below(p);
+                    let near = [k0 - 1, k0, k0 + 1, below.saturating_sub(1), below];
+                    let random = (0..8).map(|_| (0..top).generate(rng));
+                    for k in near.into_iter().filter(|&k| k < top).chain(random) {
+                        prop_assert_eq!(k < below, float_rule(k, p), "k {}, p {:e}", k, p);
+                    }
+                    let cfg = EccConfig {
+                        hard_decision_failure_prob: p,
+                        seed: any::<u64>().generate(rng),
+                        ..EccConfig::default()
+                    };
+                    let engine = EccEngine::new(&geom, cfg);
+                    for _ in 0..16 {
+                        let plane = (0..geom.total_planes()).generate(rng);
+                        let index = any::<u64>().generate(rng);
+                        let want = float_rule(engine.draw(plane, index), p);
+                        prop_assert_eq!(engine.fault_fires(plane, index), want);
+                    }
+                }
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn committed_decodes_equal_a_pass_and_its_delta() {
+        // `decode_pages` against `begin_lun_pass` + `decode_page` +
+        // `apply`: the same latency, failures and cursors, run after run.
+        let geom = FlashGeometry::tiny();
+        let cfg = EccConfig {
+            hard_decision_failure_prob: 0.3,
+            ..EccConfig::default()
+        };
+        let (mut committed, mut passed) = (EccEngine::new(&geom, cfg), EccEngine::new(&geom, cfg));
+        let mut rng = Pcg32::seed_from_u64(3);
+        for _ in 0..64 {
+            let (plane, pages) = (rng.next_u32() % 4, u64::from(rng.next_u32() % 9));
+            let mut pass = passed.begin_lun_pass();
+            let ns: Nanos = (0..pages).map(|_| pass.decode_page(plane)).sum();
+            let failures = pass.hard_failures();
+            passed.apply(&pass.into_delta());
+            assert_eq!(committed.decode_pages(plane, pages), (ns, failures));
+        }
+        assert_eq!(committed.plane_decodes, passed.plane_decodes);
     }
 
     #[test]

@@ -289,6 +289,7 @@ impl LunCsr {
     /// Direct physical-address inference (§IV-B): page/column from the
     /// static placement, block from the BLK array, LUN from the LUN array —
     /// no FTL translation.
+    #[inline]
     pub fn physical_addr(&self, v: VectorId) -> PhysAddr {
         self.mapping.addr_with_block(v, self.blk_of(v))
     }

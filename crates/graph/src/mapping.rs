@@ -196,6 +196,7 @@ impl VertexMapping {
 
     /// Physical address of a vertex, given the *current physical block* the
     /// logical block maps to (LUNCSR's BLK array provides this).
+    #[inline]
     pub fn addr_with_block(&self, v: VectorId, physical_block: u32) -> PhysAddr {
         PhysAddr {
             lun: self.lun_of(v),

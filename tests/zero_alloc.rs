@@ -182,15 +182,18 @@ fn a_warm_serving_round_allocates_nothing() {
     // A round that only hops — nothing admitted, completed or updated —
     // and one in which sessions finish (an int8 one reranks first), over a
     // mutable deployment (live index rows, flash rounds) and over
-    // one searching int8 codes. The same batch is served twice: the first
-    // pass grows every engine buffer to what these queries need, the
-    // second repeats its rounds exactly.
+    // one searching int8 codes, with clean reads and under an ECC storm
+    // (p = 0.9, as `cluster_4x2` storms a replica: soft-decode fallbacks
+    // on nearly every page load). The same batch is served twice: the
+    // first pass grows every engine buffer to what these queries need,
+    // the second repeats its rounds exactly.
     let (base, queries) = DatasetSpec::sift_scaled(1_500, 16).build_pair();
     let index = Vamana::build(&base, VamanaParams::default());
     let entry = index.medoid();
-    for quantization in [QuantSpec::None, QuantSpec::Int8] {
+    let runs = [QuantSpec::None, QuantSpec::Int8].map(|q| [(q, 0.0), (q, 0.9)]);
+    for (quantization, prob) in runs.into_iter().flatten() {
         let mut config = NdsConfig::scaled_for(base.len(), base.stored_vector_bytes());
-        config.ecc.hard_decision_failure_prob = 0.0;
+        config.ecc.hard_decision_failure_prob = prob;
         config.quantization = quantization;
         let deploy = Deployment::stage(&config, Box::new(index.clone()), base.clone());
         let mut engine = ServeEngine::with_deployment(&config, ServeConfig::default(), deploy);
@@ -214,7 +217,7 @@ fn a_warm_serving_round_allocates_nothing() {
                     quiet_rounds += 1;
                     assert_eq!(
                         allocations, 0,
-                        "{quantization:?}: a hop-only round allocated"
+                        "{quantization:?} at ECC p {prob}: a hop-only round allocated"
                     );
                 } else if pass == 1 {
                     // A finishing session takes its result list with it and
@@ -223,7 +226,7 @@ fn a_warm_serving_round_allocates_nothing() {
                     finishing_rounds += 1;
                     assert_eq!(
                         allocations, finished,
-                        "{quantization:?}: a round finishing {finished} sessions"
+                        "{quantization:?} at ECC p {prob}: a round finishing {finished} sessions"
                     );
                 }
                 if !more {
@@ -233,12 +236,14 @@ fn a_warm_serving_round_allocates_nothing() {
         }
         assert!(
             quiet_rounds >= 10,
-            "{quantization:?}: only {quiet_rounds} hop-only rounds"
+            "{quantization:?} at ECC p {prob}: only {quiet_rounds} hop-only rounds"
         );
         assert!(
             finishing_rounds >= 2,
-            "{quantization:?}: {finishing_rounds}"
+            "{quantization:?} at ECC p {prob}: {finishing_rounds}"
         );
+        let fallbacks = engine.report().stats.ecc_soft_fallbacks;
+        assert_eq!(fallbacks > 0, prob > 0.0, "{quantization:?}: {fallbacks}");
     }
 }
 
