@@ -2141,6 +2141,17 @@ mod tests {
             assert_eq!(rows(&cluster, s, 0), rows(&cluster, s, 1));
         }
 
+        // A wrong-dimension insert is rejected before it copies anything:
+        // the twins of its shard still read one allocation.
+        let mut cluster = stage();
+        let bad = vec![1.0; base.dim() + 1];
+        cluster.submit_update(UpdateRequest::insert_at(0, bad));
+        let report = cluster.run_to_completion();
+        assert_eq!(report.updates_rejected(), 1);
+        for s in 0..2 {
+            assert_eq!(rows(&cluster, s, 0), rows(&cluster, s, 1));
+        }
+
         // Inserts: a write to shared rows copies them first, so each twin
         // ends with every insert exactly once and the twins stay equal.
         let mut cluster = stage();

@@ -198,7 +198,8 @@ fn scale_geometry(mut geom: FlashGeometry, n: usize, vector_bytes: usize) -> Fla
     let slots_per_page = (geom.page_bytes as usize / vector_bytes.max(1)).max(1);
     let pages_needed = n.div_ceil(slots_per_page) as u64;
     // Target ~2× headroom spread over all planes; at least 4 pages/plane so
-    // block-level refresh and page addressing stay meaningful.
+    // each plane's two blocks hold two pages or more and both the block and
+    // the page address take more than one value.
     let per_plane = (2 * pages_needed).div_ceil(u64::from(geom.total_planes()));
     let per_plane = (per_plane.max(4).next_power_of_two() as u32)
         .min(geom.blocks_per_plane * geom.pages_per_block);

@@ -209,7 +209,7 @@ impl std::fmt::Debug for Deployment {
             .field("mutable", &self.is_mutable())
             .field("vertices", &self.dataset.len())
             .field("delta", &self.prepared.luncsr.delta_vertices())
-            .field("tombstones", &self.prepared.luncsr.tombstone_count())
+            .field("deletes", &self.totals.deletes)
             .field("totals", &self.totals)
             .finish()
     }
@@ -357,6 +357,8 @@ impl Deployment {
         if vector.iter().any(|x| !x.is_finite()) {
             return Err(InsertError::NonFinite);
         }
+        // Reject a wrong-dimension row before copying rows a twin shares.
+        self.dataset.check_row(vector)?;
         let id = Arc::make_mut(&mut self.dataset).try_push(vector)?;
         if let Some(codes) = self.codes.as_mut() {
             // Same trained quantizer as staging: the new row's code is
@@ -428,8 +430,6 @@ impl Deployment {
         if (id as usize) >= self.dataset.len() || !index.delete(id) {
             return None;
         }
-        let prepared = &mut self.prepared;
-        prepared.luncsr.tombstone(prepared.perm.new_of(id));
         self.totals.deletes += 1;
         Some(AppliedUpdate {
             id,
@@ -443,10 +443,9 @@ impl Deployment {
     /// Compacts the deployment: re-runs reorder + placement over the live
     /// graph (folding the delta into a fresh read-mostly base), erases the
     /// blocks the old overlay occupied, and rewrites every page — charging
-    /// erase/program latency. Tombstones stay marked on the fresh
-    /// base (they are dropped from the id space only by a full offline
-    /// rebuild), so query results over the compacted deployment match the
-    /// overlay's exactly.
+    /// erase/program latency. Tombstones stay in the index (they are
+    /// dropped from the id space only by a full offline rebuild), so query
+    /// results over the compacted deployment match the overlay's exactly.
     pub fn compact(&mut self, config: &NdsConfig) -> CompactionReport {
         let timing = &config.timing;
         // Erase the old footprint: every distinct (plane, logical block)
@@ -481,12 +480,6 @@ impl Deployment {
             }
         };
         self.prepared = Prepared::stage(config, csr, &self.dataset, &BatchTrace::default());
-        for v in 0..self.dataset.len() as VectorId {
-            if self.is_deleted(v) {
-                let phys = self.prepared.perm.new_of(v);
-                self.prepared.luncsr.tombstone(phys);
-            }
-        }
         let prepared = &self.prepared;
 
         // Program the fresh base: every page rewritten.
@@ -585,8 +578,7 @@ mod tests {
         assert!(deploy.delete(&config, 9999).is_none(), "out of range");
         assert!(deploy.is_deleted(5));
         assert_eq!(deploy.live_count(), 299);
-        let prepared = deploy.prepared();
-        assert!(prepared.luncsr.is_tombstoned(prepared.perm.new_of(5)));
+        assert_eq!(deploy.totals().deletes, 1);
     }
 
     #[test]
@@ -599,18 +591,22 @@ mod tests {
         assert!(deploy.prepared().luncsr.delta_vertices() > 0);
         let before = deploy.totals();
         let report = deploy.compact(&config);
-        assert!(report.blocks_erased > 0);
-        assert!(report.pages_programmed > 0);
-        assert!(report.duration_ns > 0);
+        assert_eq!(
+            report,
+            CompactionReport {
+                blocks_erased: 58,
+                pages_programmed: 58,
+                duration_ns: 4_101_280,
+            }
+        );
         let after = deploy.totals();
         assert_eq!(
             after.blocks_erased,
             before.blocks_erased + report.blocks_erased
         );
-        // The delta is folded into a fresh base; tombstones survive.
-        let prepared = deploy.prepared();
-        assert_eq!(prepared.luncsr.delta_vertices(), 0);
-        assert!(prepared.luncsr.is_tombstoned(prepared.perm.new_of(17)));
+        // The delta is folded into a fresh base; the delete survives.
+        assert_eq!(deploy.prepared().luncsr.delta_vertices(), 0);
+        assert!(deploy.is_deleted(17));
         // The search graph is untouched by compaction.
         assert_eq!(deploy.graph().num_vertices(), 464);
     }

@@ -1907,7 +1907,9 @@ mod tests {
             let _ = i;
         }
         let report = engine.run_to_completion();
-        assert!(report.stats.block_erases > 0);
+        assert_eq!(report.stats.page_reads, 1103);
+        assert_eq!(report.stats.block_erases, 51);
+        assert_eq!(report.makespan_ns, 7_494_148);
         let mut vs = VisitedSet::new(engine.deployment().dataset().len());
         for (i, (_, q)) in fx.queries.iter().enumerate() {
             let mut want = beam_search(

@@ -10,10 +10,9 @@
 //! * timing ([`timing::FlashTiming`]) — page sense time, channel bus
 //!   transfer, the ~30 µs page-buffer→external-accelerator penalty that
 //!   motivates in-LUN compute, and PCIe links;
-//! * the flash translation layer with *block-level refresh confined within
-//!   a plane* (§II-B2 / §VI-A2), emitting relocation events that the
-//!   LUNCSR format consumes ([`ftl::Ftl`]) — the mechanism only: refresh
-//!   is rare in the read-only search phase, and no run triggers one;
+//! * no flash translation layer: the §II-B2 block-level refresh is rare
+//!   in the read-only search phase, so the model keeps the identity block
+//!   map and LUNCSR's addresses come straight from the static placement;
 //! * LDPC error correction: in-SiN hard-decision decoding and FTL
 //!   soft-decision fallback, with failures injected from the
 //!   hard-decision probability alone (Fig. 18b), beside the descriptive
@@ -43,13 +42,11 @@
 #![warn(missing_docs)]
 
 pub mod ecc;
-pub mod ftl;
 pub mod geometry;
 pub mod stats;
 pub mod timing;
 
 pub use ecc::{EccConfig, EccDelta, EccEngine, EccLunPass};
-pub use ftl::{Ftl, RefreshEvent};
 pub use geometry::{FlashGeometry, LunId, PhysAddr, PlaneId};
 pub use stats::FlashStats;
 pub use timing::{FlashTiming, PcieLink};

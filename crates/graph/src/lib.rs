@@ -14,8 +14,8 @@
 //!   naive linear placement used as the `mp` ablation baseline;
 //! * [`luncsr::LunCsr`] — the paper's new graph format: CSR extended with
 //!   LUN and BLK arrays so the Allocator can infer physical addresses
-//!   without invoking FTL translation (§IV-B / Fig. 5b), including the
-//!   update path driven by block-level refresh events;
+//!   without invoking FTL translation (§IV-B / Fig. 5b), as a staged base
+//!   plus an append-only delta for online inserts;
 //! * [`legacy`] — the baseline interleaved vector+neighbor layout of Fig. 6
 //!   and its storage-overhead arithmetic.
 //!

@@ -26,8 +26,7 @@ pub enum PlacementPolicy {
     MultiPlaneAware,
 }
 
-/// A computed placement: every vertex's (LUN, plane, logical block, page,
-/// slot), plus reverse indices the FTL/LUNCSR update path needs.
+/// A computed placement: every vertex's (LUN, plane, block, page, slot).
 #[derive(Debug, Clone)]
 pub struct VertexMapping {
     geom: FlashGeometry,
@@ -184,7 +183,8 @@ impl VertexMapping {
         u32::from(self.plane_in_lun[v as usize])
     }
 
-    /// Logical (pre-FTL) block holding a vertex.
+    /// Block (within the plane) holding a vertex. The model keeps the
+    /// identity block map, so this is also the physical block.
     pub fn logical_block_of(&self, v: VectorId) -> u32 {
         self.logical_block[v as usize]
     }
@@ -194,22 +194,16 @@ impl VertexMapping {
         self.page[v as usize]
     }
 
-    /// Physical address of a vertex, given the *current physical block* the
-    /// logical block maps to (LUNCSR's BLK array provides this).
+    /// Physical address of a vertex, straight from the static placement.
     #[inline]
-    pub fn addr_with_block(&self, v: VectorId, physical_block: u32) -> PhysAddr {
+    pub fn addr(&self, v: VectorId) -> PhysAddr {
         PhysAddr {
             lun: self.lun_of(v),
             plane_in_lun: self.plane_of(v),
-            block: physical_block,
+            block: self.logical_block_of(v),
             page: self.page_of(v),
             byte: self.slot[v as usize] * self.slot_bytes,
         }
-    }
-
-    /// Physical address assuming identity FTL mapping (fresh device).
-    pub fn addr_identity(&self, v: VectorId) -> PhysAddr {
-        self.addr_with_block(v, self.logical_block_of(v))
     }
 
     /// Global plane id of a vertex.
@@ -335,7 +329,7 @@ mod tests {
             let m = VertexMapping::place(g, 2000, 100, policy);
             let mut seen = std::collections::HashSet::new();
             for v in 0..m.len() as u32 {
-                let a = m.addr_identity(v);
+                let a = m.addr(v);
                 PhysAddr::checked(&g, a.lun, a.plane_in_lun, a.block, a.page, a.byte)
                     .unwrap_or_else(|e| panic!("{policy:?}: invalid addr for {v}: {e}"));
                 assert!(seen.insert((a.lun, a.plane_in_lun, a.block, a.page, a.byte)));
@@ -405,11 +399,16 @@ mod tests {
     }
 
     #[test]
-    fn addr_with_block_uses_physical_block() {
+    fn addr_reads_every_placement_field() {
         let g = tiny();
-        let m = VertexMapping::place(g, 10, 128, PlacementPolicy::MultiPlaneAware);
-        let a = m.addr_with_block(0, 3);
-        assert_eq!(a.block, 3);
-        assert_eq!(a.page, m.page_of(0));
+        let m = VertexMapping::place(g, 40, 128, PlacementPolicy::MultiPlaneAware);
+        for v in 0..m.len() as u32 {
+            let a = m.addr(v);
+            assert_eq!(a.lun, m.lun_of(v));
+            assert_eq!(a.plane_in_lun, m.plane_of(v));
+            assert_eq!(a.block, m.logical_block_of(v));
+            assert_eq!(a.page, m.page_of(v));
+            assert_eq!(a.byte, (v % m.slots_per_page()) * 128);
+        }
     }
 }

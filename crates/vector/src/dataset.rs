@@ -111,6 +111,16 @@ impl Dataset {
     /// # Errors
     /// Returns [`ShapeError`] if `v.len() != self.dim()`.
     pub fn try_push(&mut self, v: &[f32]) -> Result<VectorId, ShapeError> {
+        self.check_row(v)?;
+        self.data.extend_from_slice(v);
+        Ok((self.len() - 1) as VectorId)
+    }
+
+    /// The check [`try_push`](Self::try_push) makes, without the push.
+    ///
+    /// # Errors
+    /// Returns [`ShapeError`] if `v.len() != self.dim()`.
+    pub fn check_row(&self, v: &[f32]) -> Result<(), ShapeError> {
         if v.len() != self.dim {
             return Err(ShapeError {
                 expected_dim: self.dim,
@@ -118,8 +128,7 @@ impl Dataset {
                 got_dim: v.len(),
             });
         }
-        self.data.extend_from_slice(v);
-        Ok((self.len() - 1) as VectorId)
+        Ok(())
     }
 
     /// Number of vectors stored.

@@ -140,14 +140,15 @@ fn delete_heavy_churn_filters_results_and_compacts() {
             );
         }
     }
-    // Compaction erases the old footprint and drops tombstone edges from
-    // the staged overlay.
+    // Compaction erases the old footprint and rewrites the base; the
+    // deletes stay in the index.
     let compaction = engine.compact().expect("mutable deployment");
     assert!(compaction.blocks_erased > 0);
     assert!(compaction.pages_programmed > 0);
     assert!(compaction.duration_ns > 0);
-    let lc = &engine.deployment().prepared().luncsr;
-    assert_eq!(lc.tombstone_count(), deleted.len());
+    let deploy = engine.deployment();
+    assert!(deleted.iter().all(|&id| deploy.is_deleted(id)));
+    assert_eq!(deploy.totals().deletes, deleted.len() as u64);
 }
 
 #[test]

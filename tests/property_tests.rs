@@ -13,7 +13,6 @@ use ndsearch::core::traffic::{
     ArrivalModel, EventKind, QueryMix, Scenario, TenantProfile, ZipfSampler,
 };
 use ndsearch::flash::ecc::{EccConfig, EccEngine};
-use ndsearch::flash::ftl::Ftl;
 use ndsearch::flash::geometry::{FlashGeometry, PhysAddr};
 use ndsearch::graph::csr::Csr;
 use ndsearch::graph::luncsr::LunCsr;
@@ -390,84 +389,50 @@ proptest! {
         let m = VertexMapping::place(geom, n, bytes, policy);
         let mut seen = std::collections::HashSet::new();
         for v in 0..n as u32 {
-            let a = m.addr_identity(v);
+            let a = m.addr(v);
             prop_assert!(seen.insert((a.lun, a.plane_in_lun, a.block, a.page, a.byte)));
         }
     }
 
     #[test]
-    fn luncsr_survives_random_refreshes(
-        ops in proptest::collection::vec((0u32..16, 0u32..4), 0..100),
+    fn luncsr_overlay_matches_a_plain_adjacency_model(
+        ops in proptest::collection::vec(
+            (any::<bool>(), 0u32..10_000, proptest::collection::vec(0u32..10_000, 0..6)),
+            1..60,
+        ),
     ) {
-        let geom = FlashGeometry::tiny();
-        let n = 300usize;
-        let lists: Vec<Vec<u32>> = (0..n as u32).map(|v| vec![(v + 1) % n as u32]).collect();
-        let csr = Csr::from_adjacency(&lists).unwrap();
-        let mapping = VertexMapping::place(geom, n, 128, PlacementPolicy::MultiPlaneAware);
-        let mut luncsr = LunCsr::new(csr, mapping);
-        let mut ftl = Ftl::new(geom, 5);
-        for (plane, block) in ops {
-            for ev in ftl.refresh_block(plane, block) {
-                luncsr.apply_refresh(&ev);
-            }
-        }
-        prop_assert!(ftl.is_bijective());
-        prop_assert!(luncsr.consistent_with_ftl(&ftl));
-    }
-
-    #[test]
-    fn delta_overlay_compact_preserves_live_reachability(
-        appends in proptest::collection::vec(proptest::collection::vec(0u32..10_000, 0..6), 1..40),
-        patches in proptest::collection::vec((0u32..10_000, proptest::collection::vec(0u32..10_000, 0..6)), 0..20),
-        tombstones in proptest::collection::vec(0u32..10_000, 0..25),
-    ) {
-        // Base: a 100-vertex ring staged as LUNCSR; then a random overlay
-        // of appends, backlink patches and tombstones.
+        // Base: a 100-vertex ring staged as LUNCSR; a random sequence of
+        // appends and neighbor rewrites applies to it and, in step, to a
+        // plain adjacency model.
         let geom = FlashGeometry::tiny();
         let n0 = 100usize;
-        let lists: Vec<Vec<u32>> = (0..n0 as u32).map(|v| vec![(v + 1) % n0 as u32]).collect();
-        let csr = Csr::from_adjacency(&lists).unwrap();
+        let mut model: Vec<Vec<u32>> =
+            (0..n0 as u32).map(|v| vec![(v + 1) % n0 as u32]).collect();
+        let csr = Csr::from_adjacency(&model).unwrap();
         let mapping = VertexMapping::place(geom, n0, 128, PlacementPolicy::MultiPlaneAware);
         let mut lc = LunCsr::new(csr, mapping);
-        for adj in appends {
+        for (append, v, adj) in ops {
             let n = lc.num_vertices() as u32;
-            lc.append_vertex(adj.into_iter().map(|x| x % n).collect());
-        }
-        let n = lc.num_vertices() as u32;
-        for (v, adj) in patches {
-            lc.set_neighbors(v % n, adj.into_iter().map(|x| x % n).collect());
-        }
-        for t in tombstones {
-            lc.tombstone(t % n);
-        }
-        let compacted = lc.compact();
-        prop_assert_eq!(compacted.num_vertices(), lc.num_vertices());
-        prop_assert_eq!(compacted.delta_vertices(), 0);
-        // Every edge reachable through base+delta between live vertices is
-        // identically reachable after compact(), and nothing else is.
-        for v in 0..n {
-            prop_assert_eq!(compacted.is_tombstoned(v), lc.is_tombstoned(v));
-            if lc.is_tombstoned(v) {
-                prop_assert!(compacted.neighbors(v).is_empty());
-                continue;
+            let adj: Vec<u32> = adj.into_iter().map(|x| x % n).collect();
+            if append {
+                prop_assert_eq!(lc.append_vertex(adj.clone()), n);
+                model.push(adj);
+            } else {
+                lc.set_neighbors(v % n, adj.clone());
+                model[(v % n) as usize] = adj;
             }
-            let live: Vec<u32> = lc
-                .neighbors(v)
-                .iter()
-                .copied()
-                .filter(|&nb| !lc.is_tombstoned(nb))
-                .collect();
-            prop_assert_eq!(compacted.neighbors(v), live.as_slice());
         }
-        // Compaction is deterministic and idempotent on the live edge set.
-        let twice = compacted.compact();
-        for v in 0..n {
-            prop_assert_eq!(twice.neighbors(v), compacted.neighbors(v));
-        }
-        // Fresh placement: addresses valid and unique.
+        prop_assert_eq!(lc.num_vertices(), model.len());
+        prop_assert_eq!(lc.base_vertices() + lc.delta_vertices(), model.len());
+        // Base, patched and delta vertices all read the model's rows, and
+        // every address is valid and unique across base and delta.
         let mut seen = std::collections::HashSet::new();
-        for v in 0..n {
-            let a = compacted.physical_addr(v);
+        for v in 0..model.len() as u32 {
+            prop_assert_eq!(lc.neighbors(v), model[v as usize].as_slice());
+            let a = lc.physical_addr(v);
+            prop_assert!(
+                PhysAddr::checked(&geom, a.lun, a.plane_in_lun, a.block, a.page, a.byte).is_ok()
+            );
             prop_assert!(seen.insert((a.lun, a.plane_in_lun, a.block, a.page, a.byte)));
         }
     }

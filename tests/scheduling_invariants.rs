@@ -517,27 +517,3 @@ fn tenant_fair_cap_is_never_exceeded_and_everyone_completes() {
         "TenantFair must lower the max/mean tenant p99: {fair} vs {unfair}"
     );
 }
-
-#[test]
-fn luncsr_stays_consistent_under_refresh_storm() {
-    use ndsearch::flash::ftl::Ftl;
-    use ndsearch::vector::rng::Pcg32;
-    let fx = fixture();
-    let prepared = Prepared::stage(&fx.config, &fx.graph, &fx.base, &fx.trace);
-    let mut luncsr = prepared.luncsr.clone();
-    let geom = *luncsr.mapping().geometry();
-    let mut ftl = Ftl::new(geom, 99);
-    let mut rng = Pcg32::seed_from_u64(17);
-    for _ in 0..500 {
-        let plane = rng.index(geom.total_planes() as usize) as u32;
-        let block = rng.index(geom.blocks_per_plane as usize) as u32;
-        for ev in ftl.refresh_block(plane, block) {
-            luncsr.apply_refresh(&ev);
-        }
-    }
-    assert!(luncsr.consistent_with_ftl(&ftl));
-    // The engine can still replay traces against the refreshed layout.
-    let refreshed = Prepared { luncsr, ..prepared };
-    let r = NdsEngine::new(&fx.config).run(&refreshed);
-    assert!(r.total_ns > 0);
-}
