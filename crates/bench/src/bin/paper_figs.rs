@@ -1,14 +1,13 @@
 //! Renders the paper's figures and tables, each followed by the paper's
-//! own numbers against ours, and the beyond-the-paper sweeps.
+//! own numbers against ours.
 //!
-//! `paper_figs fig16`, `paper_figs fig13 quant`, `paper_figs --all`,
+//! `paper_figs fig16`, `paper_figs fig13 table1`, `paper_figs --all`,
 //! `paper_figs --list`. Scale: `NDS_N` (base vectors, default 6000),
 //! `NDS_BATCH` (queries per batch, 2048), `NDS_K` (top-k, 10); a value
 //! that is not a positive integer exits with status 2. Every
-//! (benchmark, algorithm) graph is built once however many figures use it;
-//! each sweep builds its own `NDS_N`-vector corpus. Panics (so exits
-//! non-zero) on a ragged table, a non-finite cell or a paper reference the
-//! figure's tables do not resolve.
+//! (benchmark, algorithm) graph is built once however many figures use it.
+//! Panics (so exits non-zero) on a ragged table, a non-finite cell or a
+//! paper reference the figure's tables do not resolve.
 
 use std::process::ExitCode;
 

@@ -1,10 +1,9 @@
-//! The paper's evaluation (Figs. 1–2, 4, 6, 13–21, Table I) and what this
-//! repository measures beyond it (the speculation-budget ablation and the
-//! six [`sweeps`] of the serving stack) as one registry: each entry is an
-//! id, a title, the one-line description README prints, and a body that
-//! returns tables — a paper figure draws its workloads from the shared
-//! [`Workloads`] cache. What the paper itself reports for a figure lives
-//! in [`PAPER_REFS`](crate::refs::PAPER_REFS), not here.
+//! The paper's evaluation (Figs. 1–2, 4, 6, 13–21, Table I) and the one
+//! ablation this repository adds to it (the speculation budget, extending
+//! Fig. 15) as one registry: each entry is an id, a title, the one-line
+//! description README prints, and a body that returns tables drawn from
+//! the shared [`Workloads`] cache. What the paper itself reports for a
+//! figure lives in [`PAPER_REFS`](crate::refs::PAPER_REFS), not here.
 
 use std::collections::HashSet;
 
@@ -27,7 +26,7 @@ use ndsearch_graph::reorder::{Permutation, ReorderMethod};
 use ndsearch_vector::synthetic::BenchmarkId;
 
 use crate::refs::scoreboard;
-use crate::{f, sweeps, Col, Scale, Table, Workload, Workloads};
+use crate::{f, Col, Scale, Table, Workload, Workloads};
 
 /// One figure or table of the evaluation.
 pub struct Figure {
@@ -67,9 +66,9 @@ const fn figure(
 }
 
 /// Every entry `paper_figs` can render: the paper's, in its order, then
-/// ours.
+/// the speculation ablation.
 #[rustfmt::skip]
-pub const FIGURES: [Figure; 21] = [
+pub const FIGURES: [Figure; 15] = [
     figure("fig01", "Fig. 1", "SSD I/O read share of CPU time on the billion-scale sets", fig01),
     figure("fig02", "Fig. 2", "PCIe utilization against batch; the bandwidth roofline", fig02),
     figure("fig04", "Fig. 4", "page and LUN access pattern before any scheduling", fig04),
@@ -85,12 +84,6 @@ pub const FIGURES: [Figure; 21] = [
     figure("fig21", "Fig. 21", "HCNNG and TOGG on sift-1b, with the terabyte-DRAM CPU-T", fig21),
     figure("table1", "Table I", "SearSSD logic power and area; budget; storage density", table1),
     figure("ablation_speculation", "beyond the paper", "speculation budget: hits against wasted page reads", ablation_speculation),
-    figure("serving", "beyond the paper", "concurrent queries against sequential search; offered load; mixed updates", sweeps::serving),
-    figure("cluster", "beyond the paper", "1 to 8 shards under both partition policies; churn on 4 shards", sweeps::cluster),
-    figure("replica", "beyond the paper", "routing under an ECC-storm straggler; a mid-run device loss", sweeps::replica),
-    figure("scenarios", "beyond the paper", "ShedDoomed under overload; TenantFair against a hog; bursty and diurnal days", sweeps::scenarios),
-    figure("quant", "beyond the paper", "int8 codes x rerank depth against full precision", sweeps::quant),
-    figure("kernels", "beyond the paper", "L2 kernel tiers x dims, host ns per scored point", sweeps::kernels),
 ];
 
 /// The two algorithms every headline figure runs.
@@ -796,7 +789,8 @@ mod tests {
 
     /// `render` already refused ragged tables, non-finite cells and
     /// unresolved references; what is left is that every figure printed
-    /// something and the registry is what README says it is.
+    /// something and the registry is what README says it is, both ways:
+    /// a row for every entry, and no row for an entry that is gone.
     #[test]
     fn every_registry_entry_renders() {
         let readme = include_str!("../../../README.md");
@@ -807,6 +801,16 @@ mod tests {
             let line = format!("| `{}` | {} | {} |", fig.id, fig.title, fig.about);
             assert!(readme.contains(&line), "README lacks: {line}");
         }
+        let rows: Vec<&str> = (readme.lines())
+            .skip_while(|l| *l != "| id | paper artifact | what it shows |")
+            .skip(2)
+            .take_while(|l| l.starts_with('|'))
+            .collect();
+        for row in &rows {
+            let id = row.split('`').nth(1).unwrap_or(row);
+            assert!(ids.contains(id), "README lists `{id}`, which FIGURES lacks");
+        }
+        assert_eq!(rows.len(), FIGURES.len(), "one README row per entry");
     }
 
     /// `render` resolved every reference or failed; this reads the verdicts

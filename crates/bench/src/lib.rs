@@ -5,11 +5,9 @@
 //! search to record memory traces, then replay the traces on each platform
 //! model. [`Workloads`] is that pipeline, run once per (benchmark,
 //! algorithm) and process; [`figures::FIGURES`] is the one registry of
-//! bodies — the paper's figures drawing from that cache, and the
-//! beyond-the-paper [`sweeps`] of the serving stack building their own
-//! corpora; [`refs::PAPER_REFS`] holds the paper's own numbers as data
-//! each figure is scored against; [`Table`] is what a body returns and
-//! what gets printed.
+//! bodies, each drawing from that cache; [`refs::PAPER_REFS`] holds the
+//! paper's own numbers as data each figure is scored against; [`Table`]
+//! is what a body returns and what gets printed.
 //!
 //! [`Scale`] is the only knob. The library never reads the environment:
 //! `paper_figs`'s `main` fills a `Scale` from `NDS_N` / `NDS_BATCH` /
@@ -17,7 +15,6 @@
 
 pub mod figures;
 pub mod refs;
-pub mod sweeps;
 
 use std::collections::HashMap;
 

@@ -58,8 +58,9 @@
 //!
 //! There is one round path, and it runs on the calling thread:
 //! [`ServeEngine::step_round`] steps every in-flight searcher where it
-//! lives, walks the merged round's task arena through the same round
-//! executor as the batch engine, and completes what finished;
+//! lives, streams the merged round's fetches into this thread's
+//! `sin::SinRound` through the same round executor as the batch engine,
+//! and completes what finished;
 //! [`ServeEngine::run_to_completion`] is that in a loop. The engine never
 //! reads [`NdsConfig::exec_threads`] — the host-side fan-out is one level
 //! up, where [`crate::cluster`] steps whole replica engines on threads
@@ -1478,30 +1479,36 @@ mod tests {
     fn concurrent_results_match_sequential_beam_search() {
         let fx = fixture(500, 24);
         let prepared = stage(&fx);
-        let serve = ServeConfig {
-            max_inflight: 8,
-            ..ServeConfig::default()
-        };
-        let mut engine =
-            ServeEngine::new(&fx.config, serve.clone(), &prepared, &fx.base, &fx.graph);
-        submit_all(&mut engine, &fx, |_| 0);
-        let report = engine.run_to_completion();
-        assert_eq!(report.completed(), fx.queries.len());
-
+        let serve = ServeConfig::default();
         let mut vs = VisitedSet::new(fx.base.len());
-        for (i, (_, q)) in fx.queries.iter().enumerate() {
-            let seq = beam_search(
-                &fx.base,
-                &fx.graph,
-                q,
-                &[fx.medoid],
-                serve.beam_width,
-                DistanceKind::L2,
-                &mut vs,
-            );
-            let mut want = seq.found;
-            want.truncate(serve.k);
-            assert_eq!(report.outcomes[i].results, want, "query {i} diverged");
+        let want: Vec<Vec<Neighbor>> = (fx.queries.iter())
+            .map(|(_, q)| {
+                let seq = beam_search(
+                    &fx.base,
+                    &fx.graph,
+                    q,
+                    &[fx.medoid],
+                    serve.beam_width,
+                    DistanceKind::L2,
+                    &mut vs,
+                );
+                seq.found.into_iter().take(serve.k).collect()
+            })
+            .collect();
+        // One query at a time, eight sharing each round, and all 24 at once.
+        for max_inflight in [1, 8, 64] {
+            let serve = ServeConfig {
+                max_inflight,
+                ..serve.clone()
+            };
+            let mut engine = ServeEngine::new(&fx.config, serve, &prepared, &fx.base, &fx.graph);
+            submit_all(&mut engine, &fx, |_| 0);
+            let report = engine.run_to_completion();
+            assert_eq!(report.completed(), fx.queries.len());
+            for (i, want) in want.iter().enumerate() {
+                let got = &report.outcomes[i].results;
+                assert_eq!(got, want, "query {i} diverged at {max_inflight} in flight");
+            }
         }
     }
 

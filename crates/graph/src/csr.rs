@@ -186,12 +186,6 @@ impl Csr {
         }
         Csr::from_adjacency(&lists).expect("relabel preserves validity")
     }
-
-    /// Bytes the offset + neighbor arrays occupy (4 B entries), i.e. the
-    /// metadata footprint buffered in SSD DRAM (§IV-C).
-    pub fn metadata_bytes(&self) -> u64 {
-        4 * (self.offsets.len() as u64 + self.neighbors.len() as u64)
-    }
 }
 
 #[cfg(test)]
@@ -248,11 +242,5 @@ mod tests {
         assert_eq!(r.neighbors(2), &[1]);
         // Old 2 (neighbors [0]) is now vertex 0 and points at new id 2.
         assert_eq!(r.neighbors(0), &[2]);
-    }
-
-    #[test]
-    fn metadata_bytes_counts_arrays() {
-        let g = sample();
-        assert_eq!(g.metadata_bytes(), 4 * (5 + 5));
     }
 }

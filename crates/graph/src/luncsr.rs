@@ -89,19 +89,9 @@ impl LunCsr {
         self.base.num_vertices() + self.delta_adj.len()
     }
 
-    /// Vertices in the base segment.
-    pub fn base_vertices(&self) -> usize {
-        self.base.num_vertices()
-    }
-
     /// Vertices appended to the delta segment since staging.
     pub fn delta_vertices(&self) -> usize {
         self.delta_adj.len()
-    }
-
-    /// Base vertices whose adjacency has been patched since staging.
-    pub fn patched_vertices(&self) -> usize {
-        self.patches.len()
     }
 
     /// Neighbor list of a vertex (the CSR indexing trace of Fig. 5b:
@@ -174,17 +164,6 @@ impl LunCsr {
     pub fn physical_addr(&self, v: VectorId) -> PhysAddr {
         self.mapping.addr(v)
     }
-
-    /// DRAM footprint of the metadata arrays (offset + neighbor + LUN +
-    /// BLK, plus the delta segment's adjacency and overlay patches), which
-    /// the paper buffers in the SSD's internal DRAM.
-    pub fn dram_bytes(&self) -> u64 {
-        let delta_edges: u64 = self.delta_adj.iter().map(|l| l.len() as u64).sum();
-        let patch_edges: u64 = self.patches.values().map(|l| l.len() as u64 + 1).sum();
-        self.base.metadata_bytes()
-            + 4 * (delta_edges + self.delta_adj.len() as u64 + patch_edges)
-            + 4 * 2 * self.num_vertices() as u64
-    }
 }
 
 #[cfg(test)]
@@ -218,20 +197,12 @@ mod tests {
     }
 
     #[test]
-    fn dram_bytes_counts_four_arrays() {
-        let lc = build(10);
-        // offsets 11 + neighbors 20 + lun 10 + blk 10 = 51 entries × 4 B.
-        assert_eq!(lc.dram_bytes(), 4 * (11 + 20 + 10 + 10));
-    }
-
-    #[test]
     fn append_extends_overlay_with_consistent_addresses() {
         let mut lc = build(100);
         let before = lc.num_vertices();
         let v = lc.append_vertex(vec![0, 5, 99]);
         assert_eq!(v as usize, before);
         assert_eq!(lc.num_vertices(), before + 1);
-        assert_eq!(lc.base_vertices(), before);
         assert_eq!(lc.delta_vertices(), 1);
         assert_eq!(lc.neighbors(v), &[0, 5, 99]);
         // The appended vertex's address continues the placement walk and
@@ -250,12 +221,9 @@ mod tests {
         assert_eq!(lc.neighbors(3), &[4, 5]);
         lc.set_neighbors(3, vec![7]);
         assert_eq!(lc.neighbors(3), &[7]);
-        assert_eq!(lc.patched_vertices(), 1);
         let v = lc.append_vertex(vec![3]);
         lc.set_neighbors(v, vec![3, 7]);
         assert_eq!(lc.neighbors(v), &[3, 7]);
-        // Delta vertices are patched in place, not via the patch map.
-        assert_eq!(lc.patched_vertices(), 1);
     }
 
     #[test]

@@ -193,27 +193,6 @@ impl Dataset {
     pub fn stored_vector_bytes(&self) -> usize {
         self.stored_vector_bytes
     }
-
-    /// Reorders the dataset in place so that new id `i` holds the vector
-    /// formerly at `perm[i]` ("gather" semantics). Used after static
-    /// scheduling reorders the graph.
-    ///
-    /// # Panics
-    /// Panics if `perm` is not a permutation of `0..len`.
-    pub fn permute_gather(&mut self, perm: &[VectorId]) {
-        assert_eq!(perm.len(), self.len(), "permutation length mismatch");
-        let mut seen = vec![false; self.len()];
-        for &p in perm {
-            let idx = p as usize;
-            assert!(idx < self.len() && !seen[idx], "perm is not a permutation");
-            seen[idx] = true;
-        }
-        let mut out = Vec::with_capacity(self.data.len());
-        for &src in perm {
-            out.extend_from_slice(self.vector(src));
-        }
-        self.data = out;
-    }
 }
 
 impl fmt::Debug for Dataset {
@@ -259,22 +238,6 @@ mod tests {
         assert_eq!(collected.len(), 2);
         assert_eq!(collected[1].0, 1);
         assert_eq!(collected[1].1, &[2.0, 3.0]);
-    }
-
-    #[test]
-    fn permute_gather_moves_vectors() {
-        let mut ds = Dataset::from_rows(1, vec![vec![10.0], vec![11.0], vec![12.0]]).unwrap();
-        ds.permute_gather(&[2, 0, 1]);
-        assert_eq!(ds.vector(0), &[12.0]);
-        assert_eq!(ds.vector(1), &[10.0]);
-        assert_eq!(ds.vector(2), &[11.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "perm is not a permutation")]
-    fn permute_gather_rejects_duplicates() {
-        let mut ds = Dataset::from_rows(1, vec![vec![0.0], vec![1.0]]).unwrap();
-        ds.permute_gather(&[0, 0]);
     }
 
     #[test]

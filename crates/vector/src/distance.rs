@@ -130,8 +130,7 @@ impl DistanceKind {
 /// Decided once on first use and cached: true iff the CPU reports AVX2+FMA
 /// and `NDSEARCH_NO_SIMD` is unset/empty/`0` under the workspace-wide
 /// [`crate::env::env_flag`] rule (trimmed, `"0"` means unset). Exposed so
-/// benches and the `kernels` entry of `paper_figs` can record which
-/// kernel produced a measurement.
+/// a host-time measurement can record which kernel produced it.
 pub fn simd_enabled() -> bool {
     static ENABLED: OnceLock<bool> = OnceLock::new();
     *ENABLED.get_or_init(|| {
@@ -163,9 +162,8 @@ pub fn l2_squared(a: &[f32], b: &[f32]) -> f32 {
 
 /// Reference scalar squared-L2: the original single-accumulator loop.
 ///
-/// Kept as the semantic baseline for the equivalence proptests and the
-/// speedup denominator of `paper_figs kernels`; hot paths use
-/// [`l2_squared`].
+/// Kept as the semantic baseline for the equivalence proptests; hot
+/// paths use [`l2_squared`].
 #[inline]
 pub fn l2_squared_scalar(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len(), "dimension mismatch");

@@ -268,17 +268,6 @@ impl ShardPlan {
             })
             .collect()
     }
-
-    /// Load-imbalance factor of the partition: largest shard size over
-    /// the mean shard size (1.0 = perfectly balanced; 0 when empty).
-    pub fn size_imbalance(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        let max = self.members.iter().map(Vec::len).max().unwrap_or(0) as f64;
-        let mean = self.len() as f64 / self.num_shards() as f64;
-        max / mean
-    }
 }
 
 #[cfg(test)]
@@ -406,14 +395,6 @@ mod tests {
         let mut plan = ShardPlan::partition(4, 2, ShardPolicy::BalancedSize, 0);
         plan.push_at(1, 3); // leaves local 2 unresolved
         plan.global_of(1, 2);
-    }
-
-    #[test]
-    fn size_imbalance_is_one_when_balanced() {
-        let plan = ShardPlan::partition(64, 4, ShardPolicy::BalancedSize, 0);
-        assert!((plan.size_imbalance() - 1.0).abs() < 1e-12);
-        let hashed = ShardPlan::partition(64, 4, ShardPolicy::Hash, 3);
-        assert!(hashed.size_imbalance() >= 1.0);
     }
 
     #[test]

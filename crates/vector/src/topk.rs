@@ -124,12 +124,6 @@ impl TopK {
         self.heap.peek().map(|n| n.distance)
     }
 
-    /// Whether a candidate with distance `d` would be kept if pushed now.
-    /// NaN is never kept, mirroring [`TopK::push`].
-    pub fn would_keep(&self, d: f32) -> bool {
-        !d.is_nan() && (self.heap.len() < self.k || self.worst_distance().is_some_and(|w| d < w))
-    }
-
     /// Consumes the collector, returning neighbors sorted ascending by
     /// distance.
     pub fn into_sorted_vec(self) -> Vec<Neighbor> {
@@ -180,15 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn would_keep_matches_push() {
-        let mut top = TopK::new(2);
-        top.push(Neighbor::new(1.0, 0));
-        top.push(Neighbor::new(2.0, 1));
-        assert!(top.would_keep(1.5));
-        assert!(!top.would_keep(2.5));
-    }
-
-    #[test]
     fn extend_works() {
         let mut top = TopK::new(2);
         top.extend((0..5).map(|i| Neighbor::new(i as f32, i)));
@@ -207,13 +192,11 @@ mod tests {
         // Regression: NaN used to compare Equal to everything (breaking
         // transitivity and heap order) and was admitted below capacity.
         let mut top = TopK::new(2);
-        assert!(!top.would_keep(f32::NAN));
         assert!(!top.push(Neighbor::new(f32::NAN, 0)));
         assert!(top.is_empty(), "NaN must not occupy a slot below capacity");
         top.push(Neighbor::new(2.0, 1));
         top.push(Neighbor::new(1.0, 2));
         assert!(!top.push(Neighbor::new(f32::NAN, 3)));
-        assert!(!top.would_keep(f32::NAN));
         let ids: Vec<_> = top.into_sorted_vec().iter().map(|n| n.id).collect();
         assert_eq!(ids, vec![2, 1]);
         // The Ord impl itself totally orders NaN last, ties by id.

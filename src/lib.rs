@@ -40,7 +40,8 @@
 //! per-query deadlines, admission and backpressure — and interleaves one
 //! beam-search hop from every in-flight query across the flash channels
 //! each scheduling round, reporting QPS and p50/p99 latency. See
-//! `examples/serving_concurrent.rs` and `paper_figs serving`.
+//! `examples/serving_concurrent.rs`; `perf_ledger`'s `closed_fp32`,
+//! `open_zipf` and `mixed_rw` workloads measure it.
 //!
 //! ## Compressed-vector search (codes in DRAM + exact flash rerank)
 //!
@@ -59,7 +60,8 @@
 //! more residents (records shrink to code bytes), and quantized runs
 //! stay bit-identical across `exec_threads` and shard orders. See the
 //! "Compressed-vector search & exact rerank" section of
-//! `docs/ARCHITECTURE.md` and `paper_figs quant`.
+//! `docs/ARCHITECTURE.md`; `perf_ledger`'s `closed_int8` workload
+//! measures it.
 //!
 //! ```
 //! use ndsearch::anns::index::GraphAnnsIndex;
@@ -97,7 +99,7 @@
 //! it at its own entry vertex), per-shard top-k gathered by a deterministic
 //! `(distance, global id)` merge, and updates routed to their owning
 //! shard. See the "Sharded serving" section of `docs/ARCHITECTURE.md`
-//! and `paper_figs cluster`.
+//! and `tests/cluster_parity.rs`.
 //!
 //! ## Replication & failover
 //!
@@ -109,7 +111,7 @@
 //! sessions fail over to the surviving twin, and updates fan out to all
 //! alive replicas. Degraded runs replay bit-identically. See the
 //! "Replication & failover" section of `docs/ARCHITECTURE.md` and
-//! `paper_figs replica`.
+//! `tests/replica_failover.rs`.
 //!
 //! ## Traffic scenarios & SLO scheduling
 //!
@@ -127,7 +129,7 @@
 //! seed replays a whole day — churn, compaction, a load spike, a replica
 //! kill — bit-identically at any `exec_threads`. See the "Traffic
 //! scenarios & SLO scheduling" section of `docs/ARCHITECTURE.md` and
-//! `paper_figs scenarios`.
+//! `tests/traffic_scenarios.rs`.
 //!
 //! ```
 //! use ndsearch::core::traffic::{ArrivalModel, QueryMix, Scenario, TenantProfile};

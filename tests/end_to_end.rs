@@ -154,10 +154,10 @@ fn vamana_quantized_end_to_end() {
     quantized_beats_full_precision(DatasetSpec::deep_scaled(700, 32));
 }
 
-/// The `quant` sweep's gate at its CI smoke scale, on a deep-1b-like
-/// corpus (f32 rows, so int8 is a 4× DRAM saving): every rerank depth
-/// keeps its codes under half the full-precision bytes, and the fastest configuration clearing recall 0.85 out-serves
-/// the full-precision engine.
+/// The int8 rerank-depth gate on a deep-1b-like corpus (f32 rows, so
+/// int8 is a 4× DRAM saving): every rerank depth keeps its codes under
+/// half the full-precision bytes, and the fastest configuration clearing
+/// recall 0.85 out-serves the full-precision engine.
 fn quantized_beats_full_precision(corpus: DatasetSpec) {
     let (base, queries) = corpus.build_pair();
     let index = Vamana::build(&base, VamanaParams::default());

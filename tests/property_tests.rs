@@ -423,7 +423,7 @@ proptest! {
             }
         }
         prop_assert_eq!(lc.num_vertices(), model.len());
-        prop_assert_eq!(lc.base_vertices() + lc.delta_vertices(), model.len());
+        prop_assert_eq!(n0 + lc.delta_vertices(), model.len());
         // Base, patched and delta vertices all read the model's rows, and
         // every address is valid and unique across base and delta.
         let mut seen = std::collections::HashSet::new();

@@ -135,10 +135,10 @@ fn hedged_cluster_rides_out_an_ecc_storm() {
     assert_eq!(report.availability(), 1.0, "a storm degrades, not kills");
     assert_recall(&base, &queries, &report);
 
-    // The `replica` sweep's storm at its CI smoke scale: 32 queries a
-    // millisecond apart on 2 shards × 2 replicas, replica 0 of each walking
-    // a 40 µs read-retry ladder on 90 % of its reads. Hedging at half the
-    // healthy median must cut the tail its round-robin twin leaves.
+    // Hedged against round-robin routing: 32 queries a millisecond apart
+    // on 2 shards × 2 replicas, replica 0 of each walking a 40 µs
+    // read-retry ladder on 90 % of its reads. Hedging at half the healthy median must
+    // cut the tail its round-robin twin leaves.
     let (base, queries) = DatasetSpec::sift_scaled(600, 32).build_pair();
     let mut config = NdsConfig::scaled_for(2 * base.len(), base.stored_vector_bytes());
     config.ecc.hard_decision_failure_prob = 0.0;

@@ -475,9 +475,9 @@ fn tenant_fair_cap_is_never_exceeded_and_everyone_completes() {
         assert_eq!(o.state, SessionState::Completed, "query {} starved", o.id);
     }
 
-    // The `scenarios` sweep's hog layout at its CI smoke scale: 3 tenants
-    // each submit all 24 queries, tenant 0 first, so FIFO admission drains
-    // the hog before the others; the cap must even out the tenants' p99s.
+    // A hog layout: 3 tenants each submit all 24 queries, tenant 0 first,
+    // so FIFO admission drains the hog before the others; the cap must
+    // even out the tenants' p99s.
     let (base, queries) = DatasetSpec::sift_scaled(600, 24).build_pair();
     let mut config = NdsConfig::scaled_for(base.len(), base.stored_vector_bytes());
     config.ecc.hard_decision_failure_prob = 0.0;

@@ -371,8 +371,8 @@ fn overload_run(
 #[test]
 fn shed_doomed_saves_survivors_under_overload() {
     // (base vectors, distinct queries, arrivals, shed slack in unloaded
-    // latencies): a slack-free burst, then the `scenarios` sweep's own
-    // overload at its CI smoke scale.
+    // latencies): a slack-free burst, then a longer overload with one
+    // unloaded latency of slack.
     for (n, distinct, arrivals, slack) in [(500, 16, 60, 0), (600, 24, 80, 1)] {
         let fx = overload_fixture(n, distinct);
         // Calibrate: one query alone, no deadline.
