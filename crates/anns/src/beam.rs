@@ -333,6 +333,22 @@ impl Frontier {
         (reachable && !farther).then_some(Next::Stash(at))
     }
 
+    /// The id [`expand_next`](Self::expand_next) would expand, without
+    /// expanding it.
+    fn next_id(&mut self) -> Option<VectorId> {
+        Some(match self.next()? {
+            Next::Slot(at) => self.slots[at].key.id(),
+            Next::Stash(at) => self.stash[at].key.id(),
+        })
+    }
+
+    /// The second unexpanded retained vertex: the closest candidate but
+    /// one (an evictee waiting in the stash does not count).
+    fn runner_up(&self) -> Option<VectorId> {
+        let mut unexpanded = self.slots.iter().skip(self.cursor).filter(|s| !s.expanded);
+        unexpanded.nth(1).map(|s| s.key.id())
+    }
+
     /// Seeds the lists with the entry vertices, leaving the newly visited
     /// ones in `fetched` (cleared first): iteration 0 of the trace, whose
     /// synthetic entry is `fetched[0]` (the entries count as
@@ -645,6 +661,47 @@ impl BeamSearcher {
     /// Hops (productive trace iterations) executed so far.
     pub fn hops(&self) -> usize {
         self.hops
+    }
+
+    /// The vertex the next [`step`](Self::step) expands first, or `None`
+    /// if the search has terminated. A peek: nothing is expanded.
+    pub fn next_candidate(&mut self) -> Option<VectorId> {
+        if self.finished {
+            return None;
+        }
+        self.frontier.next_id()
+    }
+
+    /// The closest unexpanded candidate but one — the expansion after
+    /// [`next_candidate`](Self::next_candidate)'s if that one finds
+    /// nothing closer. `None` before the entries are seeded, once the
+    /// search has terminated, or while fewer than two candidates remain.
+    pub fn runner_up(&self) -> Option<VectorId> {
+        if self.finished || self.hops == 0 {
+            return None;
+        }
+        self.frontier.runner_up()
+    }
+
+    /// Writes into `out` (cleared first), in edge order, the neighbors of
+    /// `v` this search has not visited: what expanding `v` now would
+    /// fetch. Branch-free, as [`VisitedSet::insert_all`]: every id is
+    /// written and the end advances by "was unvisited".
+    pub fn unvisited_neighbors<G: Adjacency + ?Sized>(
+        &self,
+        graph: &G,
+        v: VectorId,
+        out: &mut Vec<VectorId>,
+    ) {
+        let row = graph.neighbors(v);
+        out.clear();
+        out.resize(row.len(), 0);
+        let mut kept = 0;
+        for &n in row {
+            out[kept] = n;
+            kept += usize::from(!self.visited.contains(n));
+        }
+        out.truncate(kept);
     }
 
     /// Consumes the searcher, handing its visited set back for

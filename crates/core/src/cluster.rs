@@ -157,6 +157,7 @@ use crate::serve::{
     QueryId, QueryOutcome, QueryRequest, ServeConfig, ServeEngine, ServeReport, SessionState,
     UpdateId, UpdateOp, UpdateOutcome, UpdateRequest,
 };
+use crate::speculative::SpeculationStats;
 
 /// Identifier of a cluster query session (dense, submission order).
 pub type ClusterQueryId = usize;
@@ -426,6 +427,25 @@ impl ClusterReport {
             }
         }
         total
+    }
+
+    /// Session-path speculation summed across every replica device (see
+    /// [`ServeReport::speculation`](crate::serve::ServeReport::speculation)).
+    pub fn speculation(&self) -> SpeculationStats {
+        let mut total = SpeculationStats::default();
+        for r in self.shards.iter().flat_map(|s| &s.replicas) {
+            total.hits += r.report.speculation.hits;
+            total.misses += r.report.speculation.misses;
+        }
+        total
+    }
+
+    /// Free hops (see
+    /// [`ServeReport::free_hops`](crate::serve::ServeReport::free_hops))
+    /// summed across every replica device.
+    pub fn free_hops(&self) -> u64 {
+        let replicas = self.shards.iter().flat_map(|s| &s.replicas);
+        replicas.map(|r| r.report.free_hops).sum()
     }
 
     /// Load-imbalance factor: the busiest shard's beam-search hop count

@@ -164,7 +164,9 @@ impl RoundOutcome {
 
 /// Executes one engine round — the Allocating, Searching and Gathering
 /// stages of Algorithm 1 — for `entries` = the unvisited neighbors of
-/// each active query's entry vertex, against the staged LUNCSR.
+/// each active query's entry vertex, against the staged LUNCSR, plus
+/// `free_gathers` Gathering-only entries (hops whose distances an entry
+/// of this round already computed).
 ///
 /// This is the hot path shared by the run-to-completion batch engine
 /// ([`NdsEngine`]) and the interleaved multi-query scheduler
@@ -176,6 +178,7 @@ pub(crate) fn execute_round<'e>(
     luncsr: &LunCsr,
     qpt: &QueryPropertyTable,
     entries: impl Iterator<Item = &'e [VectorId]>,
+    free_gathers: usize,
     sinks: RoundSinks<'_>,
 ) -> RoundOutcome {
     let timing = &config.timing;
@@ -200,8 +203,9 @@ pub(crate) fn execute_round<'e>(
         let slowest = &flash.slowest;
 
         // ---- Gathering stage. ----
-        let g_dram = timing.dram_transfer_ns(qpt.gather_traffic_bytes(active, tasks as u64));
-        let g_emb = active as u64 * timing.t_embedded_op_ns;
+        let gathered = active + free_gathers;
+        let g_dram = timing.dram_transfer_ns(qpt.gather_traffic_bytes(gathered, tasks as u64));
+        let g_emb = gathered as u64 * timing.t_embedded_op_ns;
 
         RoundOutcome {
             allocating_ns,
@@ -391,6 +395,7 @@ impl<'a> NdsEngine<'a> {
                 luncsr,
                 &qpt,
                 spans.iter().map(|&(start, end)| &kept[start..end]),
+                0,
                 RoundSinks {
                     ecc: &mut ecc,
                     stats: &mut stats,

@@ -70,10 +70,38 @@
 //! [`beam_search`](ndsearch_anns::beam::beam_search), a query served
 //! concurrently returns exactly the result list it would get from a
 //! sequential run — concurrency changes *when* work happens, never *what*
-//! is computed. Speculative searching is not modeled here. Nothing in it
-//! needs a recorded trace — [`crate::speculative::select_prefetch`] reads
-//! only the current entry's two-hop neighbourhood and the query's visited
-//! set — this scheduler just does not run the prefetch pass.
+//! is computed.
+//!
+//! # Speculative searching on the session path
+//!
+//! With [`SchedulingConfig::speculative`](crate::config::SchedulingConfig::speculative)
+//! on (§VI-B2; on in the full design), a lock-step round is set by its
+//! slowest LUN, and most LUNs idle part of it. Each full-precision session
+//! spends that idle capacity on its **runner-up** — the second unexpanded
+//! vertex of its result list, read before the round's hop. Beside the
+//! hop's entry the session issues a second entry: the runner-up's
+//! neighbors that it has neither visited (the hop's own fetches included)
+//! nor prefetched before. The entry is charged in the same round as
+//! ordinary SiN tasks — senses, LDPC decodes, MACs, data-out, the
+//! Vgenerator / Allocator and a gathering entry — with no discount. After
+//! the hop, if the session's next expansion is exactly the runner-up and
+//! it has an unvisited neighbor, the session takes that hop at once: its
+//! fetch set is the runner-up's unvisited neighbors, all prefetched (the
+//! visited set only grew since), so this **free hop** issues no task and
+//! costs one more gathering entry. A later hop's fetch of an id a
+//! prefetch computed issues no task either. The host still performs
+//! exactly the sequential expansions, so results are unchanged; a round
+//! advances a session by one hop or two. [`ServeReport::speculation`]
+//! counts prefetched ids consumed (`hits`) and never consumed (`misses`),
+//! [`ServeReport::free_hops`] the free hops.
+//!
+//! Quantized sessions do not speculate: their hops score DRAM-resident
+//! codes on one accelerator, so a prefetch only adds code fetches and
+//! MACs to the same serial resource. The batch engine's two-hop pick
+//! ([`crate::speculative::select_prefetch`]) is not used here either: it
+//! prefetches a degree's worth of second-order neighbors per hop, about
+//! four times the device tasks, and its selection is the host kernel
+//! that dominates `paper_batch`'s host time.
 //!
 //! # Example
 //!
@@ -126,6 +154,7 @@ use crate::pipeline::Prepared;
 use crate::qpt::QueryPropertyTable;
 use crate::report::LatencyBreakdown;
 use crate::sin;
+use crate::speculative::SpeculationStats;
 
 /// Identifier of a submitted query session (dense, in submission order).
 pub type QueryId = usize;
@@ -196,7 +225,9 @@ pub enum SloPolicy {
     ///
     /// The estimator (documented, pinned by `tests/scheduling_invariants.rs`):
     /// the per-hop cost is the observed mean duration of rounds that
-    /// executed at least one hop (`0` until the first such round — the
+    /// executed at least one hop over the observed hops a session takes
+    /// per round it hops — one without speculative searching, up to two
+    /// with it (`0` until the first such round — the
     /// engine starts optimistic and sheds nothing); the expected hop count
     /// is the mean hops of sessions that finished their search (prior:
     /// [`ServeConfig::beam_width`] before any finish). A session with
@@ -433,11 +464,12 @@ pub struct QueryOutcome {
     /// every shard, hedges and copies abandoned by a failover included.
     pub hops: usize,
     /// Scheduling rounds it spent in flight. Fairness: the round-robin
-    /// scheduler advances every in-flight session once per round, so for a
-    /// session that ran to completion this exceeds `hops` by at most one
-    /// (a final drain round, when the remaining candidates turn out to be
-    /// fully visited) — a session never starves in flight. Gathered: the
-    /// most among the answering copies.
+    /// scheduler advances every in-flight session by one hop per round —
+    /// two when its speculative runner-up prefetch comes true — so for a
+    /// session that ran to completion `rounds_inflight ≤ hops + 1` (a
+    /// final drain round, when the remaining candidates turn out to be
+    /// fully visited) and `hops ≤ 2 × rounds_inflight` — a session never
+    /// starves in flight. Gathered: the most among the answering copies.
     pub rounds_inflight: usize,
     /// Top-k neighbors, ascending by distance (partial if `Expired`,
     /// empty if `Rejected`). Gathered: the merged top-k in global ids,
@@ -509,6 +541,17 @@ pub struct ServeReport {
     pub stats: FlashStats,
     /// Distinct LUNs touched / total LUNs.
     pub lun_coverage: f64,
+    /// Speculative searching on the session path: `hits` are prefetched
+    /// ids a later hop of the same session fetched (their distances were
+    /// already computed, so the hop issued no task for them), `misses`
+    /// prefetched ids a session ended without fetching — counted when it
+    /// ends, so `hits + misses` is every id prefetched by an ended
+    /// session. All zero without [`SchedulingConfig::speculative`](crate::config::SchedulingConfig::speculative)
+    /// and on a quantized deployment.
+    pub speculation: SpeculationStats,
+    /// Hops taken in the round that prefetched their fetch set, with no
+    /// device task of their own (a subset of the outcomes' `hops`).
+    pub free_hops: u64,
 }
 
 impl ServeReport {
@@ -555,8 +598,112 @@ struct Session {
     /// Entry vertices; moved into the searcher at admission.
     entries: Vec<VectorId>,
     searcher: Option<BeamSearcher>,
+    /// What a speculating session has prefetched; present while it runs
+    /// on a full-precision deployment with speculation on.
+    prefetches: Option<Prefetches>,
     /// Resolved top-k (the per-query override or the engine default).
     k: usize,
+}
+
+/// The ids whose distances a session's runner-up prefetches computed.
+#[derive(Debug, Clone)]
+struct Prefetches {
+    /// Membership: every id prefetched so far (recycled across sessions,
+    /// as a searcher's visited set is).
+    ids: IdBits,
+    /// Prefetched ids no hop has fetched yet. A fetched id is never
+    /// fetched again, so while this is zero no fetch can hit.
+    pending: u64,
+}
+
+impl Prefetches {
+    /// Drops from a hop's fetched ids those a prefetch already computed
+    /// (they issue no task) and returns how many it dropped.
+    fn consume(&mut self, fetched: &mut Vec<VectorId>) -> u64 {
+        if self.pending == 0 {
+            return 0;
+        }
+        let before = fetched.len();
+        self.ids.keep(fetched, |ids, v| !ids.contains(v));
+        let hits = (before - fetched.len()) as u64;
+        self.pending -= hits;
+        hits
+    }
+
+    /// Writes into `fresh` (cleared first) the ids of `unvisited` — a
+    /// runner-up's unvisited neighbors — that no earlier prefetch
+    /// computed, and records them as prefetched.
+    fn issue(&mut self, unvisited: &[VectorId], fresh: &mut Vec<VectorId>) {
+        fresh.clear();
+        fresh.extend_from_slice(unvisited);
+        self.ids.keep(fresh, IdBits::insert);
+        self.pending += fresh.len() as u64;
+    }
+}
+
+/// A set of vertex ids at one bit each, cleared in O(1): a word holds 32
+/// marks in its low half and the epoch they were written in in its high
+/// half, and a word of an older epoch reads as empty. A session prefetches
+/// a few dozen ids scattered over the dataset: at a byte per vertex, as
+/// [`VisitedSet`] marks them, 64 sessions' sets would add as many bytes
+/// again as their visited sets to what the hops keep in cache.
+#[derive(Debug, Clone, Default)]
+struct IdBits {
+    epoch: u32,
+    words: Vec<u64>,
+}
+
+impl IdBits {
+    /// Empties the set and sizes it for ids below `n`, so inserting them
+    /// allocates nothing.
+    fn reset(&mut self, n: usize) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.words.fill(0);
+            self.epoch = 1;
+        }
+        if self.words.len() < n.div_ceil(32) {
+            self.words.resize(n.div_ceil(32), 0);
+        }
+    }
+
+    /// The marks `word` holds in the current epoch.
+    fn marks(&self, word: u64) -> u32 {
+        if (word >> 32) as u32 == self.epoch {
+            word as u32
+        } else {
+            0
+        }
+    }
+
+    fn contains(&self, v: VectorId) -> bool {
+        let word = self.words.get(v as usize / 32).copied().unwrap_or(0);
+        self.marks(word) & (1 << (v % 32)) != 0
+    }
+
+    /// Adds `v`; returns whether it was not in the set.
+    fn insert(&mut self, v: VectorId) -> bool {
+        let at = v as usize / 32;
+        if at >= self.words.len() {
+            self.words.resize(at + 1, 0);
+        }
+        let (marks, bit) = (self.marks(self.words[at]), 1 << (v % 32));
+        self.words[at] = u64::from(self.epoch) << 32 | u64::from(marks | bit);
+        marks & bit == 0
+    }
+
+    /// Keeps the ids for which `pred` holds, in order, without a branch
+    /// per id (as `VisitedSet::insert_all`: every id is written and the
+    /// end advances by the answer).
+    fn keep(&mut self, ids: &mut Vec<VectorId>, mut pred: impl FnMut(&mut Self, VectorId) -> bool) {
+        let mut kept = 0;
+        for i in 0..ids.len() {
+            let v = ids[i];
+            ids[kept] = v;
+            kept += usize::from(pred(self, v));
+        }
+        ids.truncate(kept);
+    }
 }
 
 impl Session {
@@ -630,6 +777,11 @@ pub struct ServeEngine<'a> {
     /// Simulated time spent in the `rounds` (numerator of the shed
     /// estimator's per-hop cost).
     round_ns_total: Nanos,
+    /// Sessions that hopped, summed over the `rounds`.
+    hopping_sessions: u64,
+    /// Hops those sessions took, free hops included: over
+    /// `hopping_sessions`, the hops a session takes per round it hops.
+    round_hops: u64,
     /// Total hops of sessions whose search ran to completion (numerator
     /// of the estimator's expected hop count).
     finished_hops_total: u64,
@@ -645,11 +797,23 @@ pub struct ServeEngine<'a> {
     /// the in-flight cap — and each round trims this list to the number
     /// of sessions still in flight.
     spare_visited: Vec<VisitedSet>,
-    /// The current round's executed hops as (slot, hop relabeled into the
-    /// physical id space): the first `live_hops` records. The rest are
+    /// Prefetched-id sets of finished sessions, recycled as
+    /// `spare_visited` is.
+    spare_prefetched: Vec<IdBits>,
+    /// The current round's device entries, relabeled into the physical id
+    /// space: each hop's fetches not already prefetched, and each
+    /// runner-up prefetch. The first `live_entries` records; the rest are
     /// spare records whose buffers the next rounds refill.
-    hops: Vec<(u32, IterationTrace)>,
-    live_hops: usize,
+    entries: Vec<IterationTrace>,
+    live_entries: usize,
+    /// Free hops of the current round: each adds a gathering entry.
+    round_free_hops: usize,
+    /// The record a free hop is stepped into.
+    free_hop: IterationTrace,
+    /// The unvisited neighbors of the runner-up being prefetched.
+    runner_row: Vec<VectorId>,
+    speculation: SpeculationStats,
+    free_hops: u64,
     /// Sessions whose search terminated in the current round, slot order.
     finished: Vec<QueryId>,
     /// Per LUN: when its accelerator is done with the rerank units issued
@@ -741,6 +905,8 @@ impl<'a> ServeEngine<'a> {
             peak_tenant_inflight: Vec::new(),
             tenant_inflight: Vec::new(),
             round_ns_total: 0,
+            hopping_sessions: 0,
+            round_hops: 0,
             finished_hops_total: 0,
             finished_searches: 0,
             ecc: EccEngine::new(&config.geometry, config.ecc),
@@ -748,8 +914,14 @@ impl<'a> ServeEngine<'a> {
             breakdown: LatencyBreakdown::default(),
             luns_touched: LunCoverage::default(),
             spare_visited: Vec::new(),
-            hops: Vec::new(),
-            live_hops: 0,
+            spare_prefetched: Vec::new(),
+            entries: Vec::new(),
+            live_entries: 0,
+            round_free_hops: 0,
+            free_hop: IterationTrace::default(),
+            runner_row: Vec::new(),
+            speculation: SpeculationStats::default(),
+            free_hops: 0,
             finished: Vec::new(),
             lun_free_at: vec![0; config.geometry.total_luns() as usize],
             lun_shipped: vec![0; config.geometry.total_luns() as usize],
@@ -822,6 +994,7 @@ impl<'a> ServeEngine<'a> {
             query: req.query,
             entries: req.entries,
             searcher: None,
+            prefetches: None,
             k,
         });
         id
@@ -907,8 +1080,13 @@ impl<'a> ServeEngine<'a> {
     /// results snapshotted (tombstones filtered), visited set recycled.
     fn finish_session(&mut self, id: QueryId, state: SessionState, completed_ns: Nanos) {
         let deploy = &self.deploy;
-        let visited = self.sessions[id].finish(state, completed_ns, &|v| deploy.is_deleted(v));
+        let session = &mut self.sessions[id];
+        let visited = session.finish(state, completed_ns, &|v| deploy.is_deleted(v));
         self.spare_visited.extend(visited);
+        if let Some(p) = session.prefetches.take() {
+            self.speculation.misses += p.pending;
+            self.spare_prefetched.push(p.ids);
+        }
         self.last_completion_ns = self.last_completion_ns.max(completed_ns);
     }
 
@@ -922,13 +1100,18 @@ impl<'a> ServeEngine<'a> {
 
     /// The [`SloPolicy::ShedDoomed`] estimator: when a session with a
     /// given number of hops behind it is expected to finish, from the
-    /// observed mean duration of hop-executing rounds and the observed
-    /// mean hop count of finished searches ([`ServeConfig::beam_width`]
-    /// before any search finishes). It answers `now` until the first hop
-    /// round has been observed — the engine starts optimistic and sheds
-    /// nothing.
+    /// observed mean duration of hop-executing rounds over the observed
+    /// hops a session takes per round it hops (one without speculation,
+    /// up to two with it), and the observed mean hop count of finished
+    /// searches ([`ServeConfig::beam_width`] before any search finishes).
+    /// It answers `now` until the first hop round has been observed — the
+    /// engine starts optimistic and sheds nothing.
     fn finish_estimate(&self) -> impl Fn(usize) -> Nanos {
-        let per_hop_ns = self.round_ns_total.checked_div(self.rounds).unwrap_or(0);
+        // round_ns_total / rounds / (round_hops / hopping_sessions), in
+        // one division, so one hop per session-round reads the mean round.
+        let per_hop_ns = (u128::from(self.round_ns_total) * u128::from(self.hopping_sessions))
+            .checked_div(u128::from(self.rounds) * u128::from(self.round_hops))
+            .map_or(0, |ns| ns as Nanos);
         let expected_hops = self
             .finished_hops_total
             .checked_div(self.finished_searches)
@@ -1004,11 +1187,11 @@ impl<'a> ServeEngine<'a> {
     /// distance evaluations read codes from internal DRAM and run on the
     /// embedded cores/accelerator — no NAND access. Derived from the
     /// hop traces alone (slot order).
-    fn quantized_round_ns(&mut self, hops: &[(u32, IterationTrace)]) -> Nanos {
+    fn quantized_round_ns(&mut self, hops: &[IterationTrace]) -> Nanos {
         let codes = self.deploy.codes().expect("a quantized deployment");
         let timing = &self.config.timing;
         let active = hops.len();
-        let new_distances: u64 = hops.iter().map(|(_, it)| it.visited.len() as u64).sum();
+        let new_distances: u64 = hops.iter().map(|it| it.visited.len() as u64).sum();
         // Code fetches for scoring + the usual QPT gathering traffic.
         let code_traffic = new_distances * codes.code_bytes() as u64;
         let dram_ns = timing
@@ -1141,6 +1324,7 @@ impl<'a> ServeEngine<'a> {
         // memory tracks the in-flight cap. ----
         let mut t_in: Nanos = 0;
         let (num_vertices, beam_width) = (self.deploy.dataset().len(), self.serve.beam_width);
+        let speculating = self.speculating();
         let admit_bytes = self.deploy.prepared().vector_bytes as u64 + 16;
         // Per-tenant cap: unbounded unless `TenantFair` is in force, so
         // every other policy admits exactly as the legacy FIFO loop did.
@@ -1171,7 +1355,13 @@ impl<'a> ServeEngine<'a> {
                 .spare_visited
                 .pop()
                 .unwrap_or_else(|| VisitedSet::new(num_vertices));
+            let prefetches = speculating.then(|| {
+                let mut ids = self.spare_prefetched.pop().unwrap_or_default();
+                ids.reset(num_vertices);
+                Prefetches { ids, pending: 0 }
+            });
             let s = &mut self.sessions[id];
+            s.prefetches = prefetches;
             s.outcome.state = SessionState::Running;
             s.outcome.admitted_ns = self.now_ns;
             s.searcher = Some(BeamSearcher::with_visited(
@@ -1197,13 +1387,23 @@ impl<'a> ServeEngine<'a> {
         }
         self.breakdown.pcie_ns += t_in;
 
-        // Every in-flight session takes one hop this round.
+        // Every in-flight session takes one hop this round (two, when its
+        // runner-up prefetch comes true).
         for &id in &self.inflight {
             self.sessions[id].outcome.rounds_inflight += 1;
         }
-        self.live_hops = 0;
+        self.live_entries = 0;
+        self.round_free_hops = 0;
         self.finished.clear();
         Some(t_in)
+    }
+
+    /// Whether sessions admitted now speculate: speculative searching is
+    /// on and the hops read full-precision rows from flash (a quantized
+    /// hop scores DRAM codes on one accelerator, where a prefetch only
+    /// adds work).
+    fn speculating(&self) -> bool {
+        self.config.scheduling.speculative && self.deploy.codes().is_none()
     }
 
     /// Hop stage: one hop per in-flight session in admission (slot)
@@ -1214,19 +1414,28 @@ impl<'a> ServeEngine<'a> {
     /// applied only at the end of [`finish_round`](Self::finish_round),
     /// so every hop of a round sees the deployment exactly as the round
     /// boundary left it.
+    ///
+    /// A speculating session (see [`speculating`](Self::speculating))
+    /// reads its runner-up before the hop and, beside the hop's entry,
+    /// issues a second entry: the runner-up's neighbors that neither the
+    /// search has visited (the hop's own fetches included) nor an earlier
+    /// prefetch computed. A hop's fetches that a prefetch computed issue
+    /// no task. If the hop leaves the runner-up as the next expansion and
+    /// it has an unvisited neighbor, the session expands it at once: its
+    /// fetch set is those neighbors, all prefetched, so this free hop
+    /// issues no task and costs one gathering entry.
     fn step_hops(&mut self) {
         let deploy = &self.deploy;
-        let graph = deploy.graph();
-        for (slot, &id) in self.inflight.iter().enumerate() {
+        let (graph, prepared) = (deploy.graph(), deploy.prepared());
+        for &id in &self.inflight {
             let session = &mut self.sessions[id];
             let searcher = session
                 .searcher
                 .as_mut()
                 .expect("running session has a searcher");
-            if self.hops.len() == self.live_hops {
-                self.hops.push((0, IterationTrace::default()));
-            }
-            let (hop_slot, hop) = &mut self.hops[self.live_hops];
+            // Read before the hop: the prefetch is issued beside it.
+            let runner_up = (session.prefetches.as_ref()).and_then(|_| searcher.runner_up());
+            let hop = next_entry(&mut self.entries, self.live_entries);
             // Quantized deployments score DRAM-resident codes instead of
             // full-precision rows.
             let stepped = match deploy.codes() {
@@ -1235,9 +1444,42 @@ impl<'a> ServeEngine<'a> {
             };
             if stepped {
                 session.outcome.hops += 1;
-                *hop_slot = slot as u32;
-                deploy.prepared().relabel_hop_in_place(hop);
-                self.live_hops += 1;
+                self.hopping_sessions += 1;
+                self.round_hops += 1;
+                if let Some(p) = &mut session.prefetches {
+                    self.speculation.hits += p.consume(&mut hop.visited);
+                }
+                prepared.relabel_hop_in_place(hop);
+                self.live_entries += 1;
+            }
+            if let (true, Some(r), Some(p)) = (stepped, runner_up, &mut session.prefetches) {
+                let prefetch = next_entry(&mut self.entries, self.live_entries);
+                let row = &mut self.runner_row;
+                searcher.unvisited_neighbors(graph, r, row);
+                p.issue(row, &mut prefetch.visited);
+                if !prefetch.visited.is_empty() {
+                    prefetch.entry = r;
+                    prepared.relabel_hop_in_place(prefetch);
+                    self.live_entries += 1;
+                }
+                if !row.is_empty() && searcher.next_candidate() == Some(r) {
+                    let free = &mut self.free_hop;
+                    let graph = &PrunedRow {
+                        graph,
+                        vertex: r,
+                        row,
+                    };
+                    let stepped = searcher.step_into(deploy.dataset(), graph, free);
+                    debug_assert!(stepped && free.entry == r);
+                    debug_assert!(free.visited.iter().all(|&v| p.ids.contains(v)));
+                    let hits = free.visited.len() as u64;
+                    p.pending -= hits;
+                    self.speculation.hits += hits;
+                    session.outcome.hops += 1;
+                    self.round_hops += 1;
+                    self.free_hops += 1;
+                    self.round_free_hops += 1;
+                }
             }
             if !stepped || searcher.is_finished() {
                 self.finished.push(id);
@@ -1253,8 +1495,8 @@ impl<'a> ServeEngine<'a> {
     fn finish_round(&mut self, t_in: Nanos) -> bool {
         // Borrowed out of `self` for the round; handed back below so the
         // records' buffers serve the next round.
-        let hop_records = std::mem::take(&mut self.hops);
-        let hops = &hop_records[..self.live_hops];
+        let entry_records = std::mem::take(&mut self.entries);
+        let entries = &entry_records[..self.live_entries];
         let quantized = self.deploy.codes().is_some();
 
         // ---- Execute the merged round on the hardware model. Quantized
@@ -1263,15 +1505,16 @@ impl<'a> ServeEngine<'a> {
         // embedded-core compute instead of NAND sensing — flash is paid
         // only by the exact rerank of the sessions that finish. ----
         let mut advance = t_in;
-        if !hops.is_empty() {
+        if !entries.is_empty() {
             let round_exec = if quantized {
-                self.quantized_round_ns(hops)
+                self.quantized_round_ns(entries)
             } else {
                 let round = execute_round(
                     self.config,
                     &self.deploy.prepared().luncsr,
                     &self.qpt,
-                    hops.iter().map(|(_, hop)| hop.visited.as_slice()),
+                    entries.iter().map(|entry| entry.visited.as_slice()),
+                    self.round_free_hops,
                     RoundSinks {
                         ecc: &mut self.ecc,
                         stats: &mut self.stats,
@@ -1287,7 +1530,7 @@ impl<'a> ServeEngine<'a> {
             self.round_ns_total += advance;
         }
         self.now_ns += advance;
-        self.hops = hop_records;
+        self.entries = entry_records;
 
         // ---- The exact rerank of the quantized sessions whose traversal
         // ended: the round's only flash work, off the scheduler clock. ----
@@ -1333,6 +1576,7 @@ impl<'a> ServeEngine<'a> {
         // list follows the current load down, and a drained engine (a
         // maintenance window, a compaction) holds none.
         self.spare_visited.truncate(self.inflight.len());
+        self.spare_prefetched.truncate(self.inflight.len());
 
         // ---- Apply admitted updates, in admission order — last, so no
         // hop of this round saw any of them and the next round's hops see
@@ -1430,8 +1674,43 @@ impl<'a> ServeEngine<'a> {
             breakdown: self.breakdown,
             stats: self.stats,
             lun_coverage: self.luns_touched.ratio(self.config.geometry.total_luns()),
+            speculation: self.speculation,
+            free_hops: self.free_hops,
         }
     }
+}
+
+/// The graph as a free hop reads it: the runner-up's row cut to the
+/// neighbors the prefetch read found unvisited. Those are all its
+/// expansion keeps, in the same order, so the hop does not scan the row a
+/// second time.
+struct PrunedRow<'g, G: ?Sized> {
+    graph: &'g G,
+    vertex: VectorId,
+    row: &'g [VectorId],
+}
+
+impl<G: Adjacency + ?Sized> Adjacency for PrunedRow<'_, G> {
+    fn num_vertices(&self) -> usize {
+        self.graph.num_vertices()
+    }
+
+    fn neighbors(&self, v: VectorId) -> &[VectorId] {
+        if v == self.vertex {
+            self.row
+        } else {
+            self.graph.neighbors(v)
+        }
+    }
+}
+
+/// The next unused record of the round's device entries, grown by one
+/// when every record is live.
+fn next_entry(entries: &mut Vec<IterationTrace>, live: usize) -> &mut IterationTrace {
+    if entries.len() == live {
+        entries.push(IterationTrace::default());
+    }
+    &mut entries[live]
 }
 
 #[cfg(test)]
@@ -1510,6 +1789,95 @@ mod tests {
                 assert_eq!(got, want, "query {i} diverged at {max_inflight} in flight");
             }
         }
+    }
+
+    #[test]
+    fn speculation_counters_balance_and_vanish_when_off() {
+        // The same backlog with and without speculation: the same hops and
+        // answers, and every distance evaluation the speculative run adds
+        // is a prefetch no hop consumed.
+        let run = |fx: &Fixture, speculative: bool| {
+            let mut config = fx.config.clone();
+            config.scheduling.speculative = speculative;
+            let prepared = Prepared::stage(&config, &fx.graph, &fx.base, &BatchTrace::default());
+            // A narrow beam leaves runner-ups unexpanded, so some
+            // prefetches miss.
+            let serve = ServeConfig {
+                max_inflight: 8,
+                beam_width: 16,
+                ..ServeConfig::default()
+            };
+            let mut engine = ServeEngine::new(&config, serve, &prepared, &fx.base, &fx.graph);
+            submit_all(&mut engine, fx, |i| i as Nanos * 2_000);
+            engine.run_to_completion()
+        };
+        let fx = fixture(500, 24);
+        let (off, on) = (run(&fx, false), run(&fx, true));
+        assert_eq!(
+            (off.speculation, off.free_hops),
+            (SpeculationStats::default(), 0)
+        );
+        let hops = |r: &ServeReport| r.outcomes.iter().map(|o| o.hops).sum::<usize>();
+        assert_eq!(hops(&on), hops(&off));
+        for (a, b) in on.outcomes.iter().zip(&off.outcomes) {
+            assert_eq!(a.results, b.results);
+        }
+        // Each id the run without speculation evaluated was either
+        // evaluated again or consumed from a prefetch; the rest of the
+        // speculative run's evaluations were prefetches.
+        let SpeculationStats { hits, misses } = on.speculation;
+        let prefetched = on.stats.distance_evals - (off.stats.distance_evals - hits);
+        assert_eq!(hits + misses, prefetched);
+        assert!(on.free_hops > 0 && hits > 0 && misses > 0);
+        assert!(on.rounds < off.rounds && on.makespan_ns < off.makespan_ns);
+
+        // Quantized hops never speculate.
+        let fx = quantized_fixture(500, 24);
+        let int8 = run(&fx, true);
+        assert_eq!(int8.completed(), 24);
+        assert_eq!(
+            (int8.speculation, int8.free_hops),
+            (SpeculationStats::default(), 0)
+        );
+    }
+
+    #[test]
+    fn the_shed_estimate_follows_hops_per_session_round() {
+        // A speculative backlog advances a session by up to two hops a
+        // round. Over a finished run the estimator's cost of a fresh
+        // session must match what sessions took in flight; one hop per
+        // round (the mean round per hop) would overshoot by the free hops.
+        let fx = fixture(400, 32);
+        let prepared = stage(&fx);
+        let serve = ServeConfig {
+            max_inflight: 4,
+            slo: SloPolicy::ShedDoomed { min_slack_ns: 0 },
+            ..ServeConfig::default()
+        };
+        let mut engine = ServeEngine::new(&fx.config, serve, &prepared, &fx.base, &fx.graph);
+        for (_, q) in fx.queries.iter() {
+            let req = QueryRequest::at(0, q.to_vec(), vec![fx.medoid]);
+            engine.submit(req.deadline(Nanos::MAX));
+        }
+        let report = engine.run_to_completion();
+        assert_eq!(report.completed(), 32);
+        assert!(report.free_hops > 0);
+        let in_flight: Vec<f64> = (report.outcomes.iter())
+            .map(|o| (o.completed_ns - o.admitted_ns) as f64)
+            .collect();
+        let observed = in_flight.iter().sum::<f64>() / in_flight.len() as f64;
+        let estimate = (engine.finish_estimate()(0) - engine.now_ns()) as f64;
+        assert!(
+            (estimate / observed - 1.0).abs() < 0.1,
+            "estimate {estimate} ns against {observed} ns observed"
+        );
+        let mean_round = engine.round_ns_total as f64 / engine.rounds as f64;
+        let expected_hops = engine.finished_hops_total as f64 / engine.finished_searches as f64;
+        assert!(
+            expected_hops * mean_round > 1.15 * observed,
+            "one hop per round reads {} ns",
+            expected_hops * mean_round
+        );
     }
 
     #[test]
@@ -1649,9 +2017,10 @@ mod tests {
         for o in &report.outcomes {
             assert_eq!(o.state, SessionState::Completed);
             // Every round a session spends in flight advances it one hop,
-            // except at most one final drain round.
+            // plus at most one speculative hop, except at most one final
+            // drain round.
             assert!(
-                o.rounds_inflight >= o.hops && o.rounds_inflight <= o.hops + 1,
+                o.rounds_inflight <= o.hops + 1 && o.hops <= 2 * o.rounds_inflight,
                 "session {} stalled: {} rounds for {} hops",
                 o.id,
                 o.rounds_inflight,
@@ -1894,43 +2263,50 @@ mod tests {
 
     #[test]
     fn serving_compaction_charges_erases_and_keeps_results() {
-        let mut fx = fixture(400, 8);
-        fx.config = NdsConfig::scaled_for(800, fx.base.stored_vector_bytes());
-        fx.config.ecc.hard_decision_failure_prob = 0.0;
-        let (mut engine, extra) = mutable_engine(&fx, ServeConfig::default());
-        for (_, v) in extra.iter().take(8) {
-            engine.submit_update(UpdateRequest::insert_at(0, v.to_vec()));
-        }
-        engine.run_to_completion();
-        let before = engine.deployment().prepared().luncsr.delta_vertices();
-        assert!(before > 0);
-        let compaction = engine.compact().expect("mutable deployment compacts");
-        assert!(compaction.blocks_erased > 0);
-        assert_eq!(engine.deployment().prepared().luncsr.delta_vertices(), 0);
+        // Pinned without speculation (the numbers the engine read before
+        // the session path speculated) and with it: the same results
+        // either way, from fewer page reads in less time.
+        for (speculative, page_reads, makespan_ns) in
+            [(false, 1103, 7_494_148), (true, 912, 6_536_001)]
+        {
+            let mut fx = fixture(400, 8);
+            fx.config = NdsConfig::scaled_for(800, fx.base.stored_vector_bytes());
+            fx.config.ecc.hard_decision_failure_prob = 0.0;
+            fx.config.scheduling.speculative = speculative;
+            let (mut engine, extra) = mutable_engine(&fx, ServeConfig::default());
+            for (_, v) in extra.iter().take(8) {
+                engine.submit_update(UpdateRequest::insert_at(0, v.to_vec()));
+            }
+            engine.run_to_completion();
+            let before = engine.deployment().prepared().luncsr.delta_vertices();
+            assert!(before > 0);
+            let compaction = engine.compact().expect("mutable deployment compacts");
+            assert!(compaction.blocks_erased > 0);
+            assert_eq!(engine.deployment().prepared().luncsr.delta_vertices(), 0);
 
-        // Query results over the compacted deployment match the overlay.
-        for (i, (_, q)) in fx.queries.iter().enumerate() {
-            engine.submit(QueryRequest::at(0, q.to_vec(), vec![fx.medoid]));
-            let _ = i;
-        }
-        let report = engine.run_to_completion();
-        assert_eq!(report.stats.page_reads, 1103);
-        assert_eq!(report.stats.block_erases, 51);
-        assert_eq!(report.makespan_ns, 7_494_148);
-        let mut vs = VisitedSet::new(engine.deployment().dataset().len());
-        for (i, (_, q)) in fx.queries.iter().enumerate() {
-            let mut want = beam_search(
-                engine.deployment().dataset(),
-                engine.deployment().graph(),
-                q,
-                &[fx.medoid],
-                ServeConfig::default().beam_width,
-                DistanceKind::L2,
-                &mut vs,
-            )
-            .found;
-            want.truncate(ServeConfig::default().k);
-            assert_eq!(report.outcomes[i].results, want, "query {i} diverged");
+            // Query results over the compacted deployment match the overlay.
+            for (_, q) in fx.queries.iter() {
+                engine.submit(QueryRequest::at(0, q.to_vec(), vec![fx.medoid]));
+            }
+            let report = engine.run_to_completion();
+            assert_eq!(report.stats.page_reads, page_reads);
+            assert_eq!(report.stats.block_erases, 51);
+            assert_eq!(report.makespan_ns, makespan_ns);
+            let mut vs = VisitedSet::new(engine.deployment().dataset().len());
+            for (i, (_, q)) in fx.queries.iter().enumerate() {
+                let mut want = beam_search(
+                    engine.deployment().dataset(),
+                    engine.deployment().graph(),
+                    q,
+                    &[fx.medoid],
+                    ServeConfig::default().beam_width,
+                    DistanceKind::L2,
+                    &mut vs,
+                )
+                .found;
+                want.truncate(ServeConfig::default().k);
+                assert_eq!(report.outcomes[i].results, want, "query {i} diverged");
+            }
         }
     }
 

@@ -816,7 +816,7 @@ mod tests {
                         luns_touched,
                     };
                     let lists = main.iter().map(Vec::as_slice);
-                    prop_assert_eq!(execute_round(&config, lc, &qpt, lists, sinks), outcome);
+                    prop_assert_eq!(execute_round(&config, lc, &qpt, lists, 0, sinks), outcome);
                     with_round(lc, &config, |round| {
                         spec[0].iter().for_each(|&v| _ = round.push(lc, v, true));
                         let (ecc, stats, luns_touched) = (&mut a.0, &mut a.1, &mut a.2);

@@ -1047,3 +1047,159 @@ fn search_kernel_equals_the_two_heap_oracle_hop_by_hop() {
     }
     assert!(hops > 10_000, "only {hops} hops compared");
 }
+
+// ---- Speculative searching on the serving path: it changes when a
+// session's hops run (a prefetched runner-up is expanded in the round that
+// prefetched it), never which hops run, so every result list must be the
+// sequential one.
+
+use ndsearch::anns::index::GraphAnnsIndex;
+use ndsearch::anns::trace::BatchTrace;
+use ndsearch::core::cluster::{ClusterEngine, ReplicaPolicy, ReplicationConfig};
+use ndsearch::core::pipeline::Prepared;
+use ndsearch::core::serve::{QueryRequest, ServeConfig, ServeEngine, SessionState};
+use ndsearch::core::speculative::SpeculationStats;
+use ndsearch::vector::shard::{ShardPlan, ShardPolicy};
+use ndsearch::vector::synthetic::DatasetSpec;
+
+#[test]
+fn speculation_keeps_every_result_list_exact() {
+    // What the cases compared, so a run that compared nothing fails.
+    let (mut compared, mut free_hops) = (0, 0);
+    proptest::test_runner::run(
+        proptest::test_runner::Config { cases: 12 },
+        "speculation_keeps_every_result_list_exact",
+        |rng| {
+            let n = (120usize..360).generate(rng);
+            let q = (4usize..20).generate(rng);
+            let seed = (0u64..u64::MAX).generate(rng);
+            let (base, queries) = DatasetSpec {
+                seed,
+                ..DatasetSpec::sift_scaled(n, q)
+            }
+            .build_pair();
+            let params = VamanaParams {
+                r: (4usize..24).generate(rng),
+                seed,
+                ..VamanaParams::default()
+            };
+            let index = Vamana::build(&base, params);
+            let (graph, medoid) = (index.base_graph(), index.medoid());
+            let serve = ServeConfig {
+                beam_width: (2usize..48).generate(rng),
+                k: (1usize..12).generate(rng),
+                ..ServeConfig::default()
+            };
+            let mut visited = VisitedSet::new(n);
+            let want: Vec<Vec<Neighbor>> = (queries.iter())
+                .map(|(_, qv)| {
+                    let mut found = beam_search(
+                        &base,
+                        graph,
+                        qv,
+                        &[medoid],
+                        serve.beam_width,
+                        DistanceKind::L2,
+                        &mut visited,
+                    )
+                    .found;
+                    found.truncate(serve.k);
+                    found
+                })
+                .collect();
+            // Arrivals spread from "all at once" to "one at a time"; some
+            // sessions carry a deadline that may cut them off.
+            let gap = (0u64..60_000).generate(rng);
+            let requests: Vec<QueryRequest> = (queries.iter().enumerate())
+                .map(|(i, (_, qv))| {
+                    let at = i as u64 * gap;
+                    let req = QueryRequest::at(at, qv.to_vec(), vec![medoid]);
+                    match (0u64..4).generate(rng) {
+                        0 => req.deadline(at + (20_000u64..400_000).generate(rng)),
+                        _ => req,
+                    }
+                })
+                .collect();
+            let mut config = NdsConfig::scaled_for(n, base.stored_vector_bytes());
+            for speculative in [false, true] {
+                config.scheduling.speculative = speculative;
+                let prepared = Prepared::stage(&config, graph, &base, &BatchTrace::default());
+                for max_inflight in [1, 8, 64] {
+                    let serve = ServeConfig {
+                        max_inflight,
+                        ..serve.clone()
+                    };
+                    let mut engine = ServeEngine::new(&config, serve, &prepared, &base, graph);
+                    for req in &requests {
+                        engine.submit(req.clone());
+                    }
+                    let report = engine.run_to_completion();
+                    prop_assert!(speculative || report.free_hops == 0);
+                    free_hops += report.free_hops;
+                    for (i, o) in report.outcomes.iter().enumerate() {
+                        prop_assert!(o.hops <= 2 * o.rounds_inflight);
+                        if o.state == SessionState::Completed {
+                            compared += 1;
+                            prop_assert_eq!(
+                                &o.results,
+                                &want[i],
+                                "query {} diverged (speculative {}, {} in flight)",
+                                i,
+                                speculative,
+                                max_inflight
+                            );
+                        }
+                    }
+                }
+            }
+
+            // A 2 × 2 hedged cluster answers alike with speculation on and
+            // off.
+            let plan_seed = (0u64..u64::MAX).generate(rng);
+            let cluster = |speculative: bool| {
+                let mut config = config.clone();
+                config.scheduling.speculative = speculative;
+                let plan = ShardPlan::partition(n, 2, ShardPolicy::BalancedSize, plan_seed);
+                let replication = ReplicationConfig::replicated(2)
+                    .with_policy(ReplicaPolicy::Hedged { delay_ns: 25_000 });
+                let mut cluster = ClusterEngine::stage_replicated(
+                    &config,
+                    serve.clone(),
+                    plan,
+                    replication,
+                    &base,
+                    |ds: &Dataset| {
+                        let index = Vamana::build(ds, params);
+                        let entry = index.medoid();
+                        (Box::new(index) as Box<dyn MutableIndex>, entry)
+                    },
+                );
+                for (_, qv) in queries.iter() {
+                    cluster.submit(QueryRequest::at(0, qv.to_vec(), Vec::new()));
+                }
+                cluster.run_to_completion()
+            };
+            let (off, on) = (cluster(false), cluster(true));
+            prop_assert_eq!(on.completed(), q);
+            prop_assert_eq!(
+                (off.free_hops(), off.speculation()),
+                (0, SpeculationStats::default())
+            );
+            prop_assert!(on.speculation().hits >= on.free_hops());
+            for (i, o) in on.outcomes.iter().enumerate() {
+                prop_assert_eq!(
+                    &o.results,
+                    &off.outcomes[i].results,
+                    "cluster query {} diverged",
+                    i
+                );
+            }
+            free_hops += on.free_hops();
+            Ok(())
+        },
+    );
+    assert!(
+        compared > 400 && free_hops > 200,
+        "{compared} lists, {free_hops} free hops"
+    );
+}
