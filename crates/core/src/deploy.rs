@@ -77,28 +77,6 @@ impl UpdateTotals {
             self.flash_bytes as f64 / self.user_bytes as f64
         }
     }
-
-    /// Element-wise accumulation (e.g. cluster-wide totals across
-    /// per-shard deployments). Destructures so a future field cannot be
-    /// silently dropped from aggregates.
-    pub fn merge(&mut self, other: &UpdateTotals) {
-        let UpdateTotals {
-            inserts,
-            deletes,
-            pages_programmed,
-            blocks_erased,
-            program_ns,
-            user_bytes,
-            flash_bytes,
-        } = *other;
-        self.inserts += inserts;
-        self.deletes += deletes;
-        self.pages_programmed += pages_programmed;
-        self.blocks_erased += blocks_erased;
-        self.program_ns += program_ns;
-        self.user_bytes += user_bytes;
-        self.flash_bytes += flash_bytes;
-    }
 }
 
 /// Why an online insert was rejected.

@@ -48,11 +48,11 @@
 //!   updates routed to their owning shard, per-shard breakdowns and
 //!   load-imbalance reporting;
 //! * [`traffic::Scenario`] — deterministic production-traffic generation:
-//!   Poisson/bursty/diurnal arrival models, Zipfian query hotspots,
+//!   closed-loop or Poisson arrivals, Zipfian query hotspots,
 //!   multi-tenant streams with per-tenant rate/deadline/top-k profiles
 //!   and an update fraction, replayable into any engine tier; paired
-//!   with [`serve::SloPolicy`] (deadline-aware shedding and per-tenant
-//!   in-flight fairness) and per-tenant SLO reporting on
+//!   with [`serve::SloPolicy`] (deadline-aware shedding) and per-tenant
+//!   SLO reporting on
 //!   [`serve::ServeReport`] / [`cluster::ClusterReport`].
 //!
 //! # Example

@@ -30,9 +30,8 @@
 //!   ([`QueryPropertyTable::max_resident`]); arrivals beyond the wait-queue
 //!   capacity are rejected. [`SloPolicy`] layers deadline-aware
 //!   scheduling on top: shedding work that cannot meet its deadline
-//!   (`ShedDoomed`) and per-tenant in-flight fairness (`TenantFair`),
-//!   with per-tenant roll-ups, [`ServeReport::slo_attainment`] and shed
-//!   counts on the report;
+//!   (`ShedDoomed`), with per-tenant roll-ups,
+//!   [`ServeReport::slo_attainment`] and shed counts on the report;
 //! * [`UpdateRequest`] / [`UpdateOutcome`] — online inserts and
 //!   tombstone deletes as *update sessions* over a mutable
 //!   [`Deployment`]: they arrive, wait in a bounded write queue
@@ -217,8 +216,7 @@ impl Default for ServeConfig {
 /// the simulation alone — host time never enters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SloPolicy {
-    /// Pure FIFO admission (the legacy behavior): nothing is shed, no
-    /// per-tenant caps.
+    /// Pure FIFO admission (the legacy behavior): nothing is shed.
     None,
     /// Shed work that cannot meet its deadline, instead of letting it
     /// burn device time and slow everyone else down.
@@ -244,15 +242,6 @@ pub enum SloPolicy {
         /// Safety margin added to the estimated finish before comparing
         /// against the deadline.
         min_slack_ns: Nanos,
-    },
-    /// Per-tenant in-flight fairness: no tenant may hold more than this
-    /// many of the in-flight slots, so an aggressive tenant queues behind
-    /// its own cap instead of starving everyone else. Admission stays
-    /// FIFO *within* each tenant; capped-out requests are skipped, not
-    /// rejected, and admitted once their tenant drains.
-    TenantFair {
-        /// Maximum concurrently executing sessions per tenant.
-        max_inflight_per_tenant: usize,
     },
 }
 
@@ -280,8 +269,7 @@ pub struct QueryRequest {
     /// because its completion necessarily lands after the deadline.
     pub deadline_ns: Option<Nanos>,
     /// Tenant the query belongs to (0 = the default tenant). Carried onto
-    /// the outcome, rolled up by [`ServeReport::tenant_summaries`] and
-    /// enforced by [`SloPolicy::TenantFair`].
+    /// the outcome and rolled up by [`ServeReport::tenant_summaries`].
     pub tenant: u32,
     /// Per-query top-k override; `None` uses [`ServeConfig::k`]. A
     /// resolved k of 0 is malformed. In a cluster every shard returns its
@@ -531,10 +519,6 @@ pub struct ServeReport {
     pub rounds: u64,
     /// Most sessions concurrently in flight.
     pub peak_inflight: usize,
-    /// Most sessions concurrently in flight *per tenant*, ascending by
-    /// tenant id. Under [`SloPolicy::TenantFair`] no entry ever exceeds
-    /// the configured cap (pinned by `tests/scheduling_invariants.rs`).
-    pub peak_tenant_inflight: Vec<(u32, usize)>,
     /// Where the device time went (accumulated across rounds).
     pub breakdown: LatencyBreakdown,
     /// Flash access statistics (accumulated across rounds).
@@ -567,18 +551,6 @@ impl ServeReport {
     pub fn write_amplification(&self) -> f64 {
         self.updates.write_amplification()
     }
-}
-
-/// The count kept for `tenant` in a list ascending by tenant, entered at
-/// zero on first sight (a handful of tenants; no map node per round).
-fn tenant_slot(counts: &mut Vec<(u32, usize)>, tenant: u32) -> &mut usize {
-    let at = counts
-        .binary_search_by_key(&tenant, |&(t, _)| t)
-        .unwrap_or_else(|at| {
-            counts.insert(at, (tenant, 0));
-            at
-        });
-    &mut counts[at].1
 }
 
 /// Internal per-session state: the outcome the report will carry, and
@@ -769,11 +741,6 @@ pub struct ServeEngine<'a> {
     prev_shadow: Nanos,
     rounds: u64,
     peak_inflight: usize,
-    /// Peak concurrent in-flight sessions per tenant, ascending by tenant.
-    peak_tenant_inflight: Vec<(u32, usize)>,
-    /// In-flight sessions per tenant in the round being admitted,
-    /// ascending by tenant; recounted in place every round.
-    tenant_inflight: Vec<(u32, usize)>,
     /// Simulated time spent in the `rounds` (numerator of the shed
     /// estimator's per-hop cost).
     round_ns_total: Nanos,
@@ -902,8 +869,6 @@ impl<'a> ServeEngine<'a> {
             prev_shadow: 0,
             rounds: 0,
             peak_inflight: 0,
-            peak_tenant_inflight: Vec::new(),
-            tenant_inflight: Vec::new(),
             round_ns_total: 0,
             hopping_sessions: 0,
             round_hops: 0,
@@ -1326,31 +1291,10 @@ impl<'a> ServeEngine<'a> {
         let (num_vertices, beam_width) = (self.deploy.dataset().len(), self.serve.beam_width);
         let speculating = self.speculating();
         let admit_bytes = self.deploy.prepared().vector_bytes as u64 + 16;
-        // Per-tenant cap: unbounded unless `TenantFair` is in force, so
-        // every other policy admits exactly as the legacy FIFO loop did.
-        let tenant_cap = match self.serve.slo {
-            SloPolicy::TenantFair {
-                max_inflight_per_tenant,
-            } => max_inflight_per_tenant.max(1),
-            _ => usize::MAX,
-        };
-        self.tenant_inflight.clear();
-        for &id in &self.inflight {
-            *tenant_slot(&mut self.tenant_inflight, self.sessions[id].outcome.tenant) += 1;
-        }
-        // Capped-out requests are skipped, not rejected: they go back to
-        // the queue front afterwards, preserving FIFO within each tenant.
-        let mut skipped: Vec<QueryId> = Vec::new();
         while self.inflight.len() < self.max_inflight() {
             let Some(id) = self.queue.pop_front() else {
                 break;
             };
-            let held = tenant_slot(&mut self.tenant_inflight, self.sessions[id].outcome.tenant);
-            if *held >= tenant_cap {
-                skipped.push(id);
-                continue;
-            }
-            *held += 1;
             let visited = self
                 .spare_visited
                 .pop()
@@ -1375,16 +1319,7 @@ impl<'a> ServeEngine<'a> {
             self.stats.pcie_bytes += admit_bytes;
             self.inflight.push(id);
         }
-        for id in skipped.into_iter().rev() {
-            self.queue.push_front(id);
-        }
         self.peak_inflight = self.peak_inflight.max(self.inflight.len());
-        for &(tenant, held) in &self.tenant_inflight {
-            if held > 0 {
-                let peak = tenant_slot(&mut self.peak_tenant_inflight, tenant);
-                *peak = (*peak).max(held);
-            }
-        }
         self.breakdown.pcie_ns += t_in;
 
         // Every in-flight session takes one hop this round (two, when its
@@ -1670,7 +1605,6 @@ impl<'a> ServeEngine<'a> {
                 .saturating_sub(self.first_arrival_ns.unwrap_or(0)),
             rounds: self.rounds,
             peak_inflight: self.peak_inflight,
-            peak_tenant_inflight: self.peak_tenant_inflight.clone(),
             breakdown: self.breakdown,
             stats: self.stats,
             lun_coverage: self.luns_touched.ratio(self.config.geometry.total_luns()),

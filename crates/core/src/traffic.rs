@@ -1,18 +1,16 @@
 //! Deterministic production-traffic scenarios for the serving stack.
 //!
 //! Every workload the earlier layers run is either closed-loop or uniform:
-//! submit N queries, wait. A production day looks nothing like that —
-//! arrivals are bursty or diurnal, queries concentrate on Zipfian hotspots,
+//! submit N queries, wait. Production traffic looks nothing like that —
+//! arrivals are an open stream, queries concentrate on Zipfian hotspots,
 //! several tenants with different rate/deadline/top-k profiles share the
 //! device, and a fraction of the stream is writes. This module generates
-//! such workloads *deterministically* from a seed, so a "production day"
-//! can gate CI bit-identically:
+//! such workloads *deterministically* from a seed, so a scenario can gate
+//! CI bit-identically:
 //!
-//! * [`ArrivalModel`] — when events happen: closed-loop (all at once),
-//!   Poisson, bursty (base rate with spike windows), or diurnal (a
-//!   periodic rate profile). All open-loop models draw exponential
-//!   inter-arrival gaps from a per-tenant [`Pcg32`] stream, with the
-//!   instantaneous rate evaluated at the current simulated time.
+//! * [`ArrivalModel`] — when events happen: closed-loop (all at once) or
+//!   Poisson, which draws exponential inter-arrival gaps at a constant
+//!   rate from a per-tenant [`Pcg32`] stream.
 //! * [`QueryMix`] — what the events are: a [`ZipfSampler`] picks query
 //!   hotspots over a query pool, each [`TenantProfile`] contributes a
 //!   weighted sub-stream with its own deadline/top-k profile, and an
@@ -41,11 +39,7 @@
 //! use ndsearch_core::traffic::{ArrivalModel, QueryMix, Scenario, TenantProfile};
 //!
 //! let scenario = Scenario {
-//!     arrivals: ArrivalModel::Bursty {
-//!         base_rate_qps: 2_000.0,
-//!         spike_rate_qps: 20_000.0,
-//!         spike_windows: vec![(1_000_000, 2_000_000)],
-//!     },
+//!     arrivals: ArrivalModel::Poisson { rate_qps: 20_000.0 },
 //!     mix: QueryMix {
 //!         zipf_theta: 0.99,
 //!         delete_fraction: 0.3,
@@ -87,76 +81,22 @@ pub enum ArrivalModel {
         /// Mean total arrival rate, queries per simulated second.
         rate_qps: f64,
     },
-    /// A base Poisson rate with load-spike windows at a higher rate.
-    Bursty {
-        /// Rate outside every spike window (must be positive).
-        base_rate_qps: f64,
-        /// Rate inside a spike window.
-        spike_rate_qps: f64,
-        /// Half-open `[start, end)` windows, in simulated ns relative to
-        /// the scenario's `start_ns`.
-        spike_windows: Vec<(Nanos, Nanos)>,
-    },
-    /// A periodic rate profile — the compressed "day".
-    ///
-    /// The instantaneous rate at offset `t` is
-    /// `peak_rate_qps * profile[(t / (period_ns / len)) % len]`, with
-    /// multipliers clamped to at least `1e-3` so the stream never stalls
-    /// on a zero bucket.
-    Diurnal {
-        /// Rate multipliers per equal time bucket (typically 24 "hours").
-        profile: Vec<f64>,
-        /// Length of one full cycle in simulated ns.
-        period_ns: Nanos,
-        /// Rate corresponding to a multiplier of `1.0`.
-        peak_rate_qps: f64,
-    },
 }
 
 impl ArrivalModel {
-    /// Instantaneous rate in events per simulated second at offset `t`
-    /// (ns since scenario start). Closed-loop has no rate.
-    fn rate_at(&self, t: Nanos) -> f64 {
-        match self {
-            ArrivalModel::ClosedLoop => 0.0,
-            ArrivalModel::Poisson { rate_qps } => *rate_qps,
-            ArrivalModel::Bursty {
-                base_rate_qps,
-                spike_rate_qps,
-                spike_windows,
-            } => {
-                if spike_windows.iter().any(|&(s, e)| t >= s && t < e) {
-                    *spike_rate_qps
-                } else {
-                    *base_rate_qps
-                }
-            }
-            ArrivalModel::Diurnal {
-                profile,
-                period_ns,
-                peak_rate_qps,
-            } => {
-                let bucket_ns = (*period_ns / profile.len() as Nanos).max(1);
-                let bucket = ((t % (*period_ns).max(1)) / bucket_ns) as usize % profile.len();
-                peak_rate_qps * profile[bucket].max(1e-3)
-            }
-        }
-    }
-
     /// `count` monotone arrival offsets (ns since scenario start) for a
     /// sub-stream carrying `share` of the model's total rate.
     ///
-    /// Open-loop models draw exponential gaps with the instantaneous rate
-    /// evaluated at the current offset (a stepwise non-homogeneous Poisson
-    /// process); closed-loop returns all zeros.
+    /// Poisson draws exponential gaps at the constant rate; closed-loop
+    /// returns all zeros.
     pub(crate) fn sample_arrivals(&self, count: usize, share: f64, rng: &mut Pcg32) -> Vec<Nanos> {
-        if matches!(self, ArrivalModel::ClosedLoop) {
+        let ArrivalModel::Poisson { rate_qps } = self else {
             return vec![0; count];
-        }
+        };
+        let rate_per_ns = (rate_qps * share).max(1e-12) * 1e-9;
         let mut out = Vec::with_capacity(count);
         let mut t: Nanos = 0;
         for _ in 0..count {
-            let rate_per_ns = (self.rate_at(t) * share).max(1e-12) * 1e-9;
             let u = rng.next_f64();
             let gap = (-(1.0 - u).ln() / rate_per_ns).min(1e18);
             t = t.saturating_add((gap as Nanos).max(1));
@@ -695,44 +635,5 @@ mod tests {
         deleted.dedup();
         assert_eq!(deleted.len(), n, "an id was deleted twice");
         assert!(deleted.iter().all(|&id| (100..140).contains(&id)));
-    }
-
-    #[test]
-    fn bursty_spike_compresses_gaps() {
-        let s = Scenario {
-            arrivals: ArrivalModel::Bursty {
-                base_rate_qps: 1_000.0,
-                spike_rate_qps: 100_000.0,
-                spike_windows: vec![(0, 2_000_000)],
-            },
-            ..poisson(400, 3)
-        };
-        let t = s.generate(8, 0, 0..0);
-        let in_spike = t.events.iter().filter(|e| e.arrival_ns < 2_000_000).count();
-        // 2 ms at 100k qps yields ~200 arrivals before the window closes;
-        // at the base rate the same span would hold ~2.
-        assert!(in_spike > 50, "spike produced only {in_spike} arrivals");
-    }
-
-    #[test]
-    fn diurnal_trough_slows_the_stream() {
-        let s = Scenario {
-            arrivals: ArrivalModel::Diurnal {
-                profile: vec![1.0, 0.01],
-                period_ns: 2_000_000,
-                peak_rate_qps: 50_000.0,
-            },
-            ..poisson(300, 8)
-        };
-        let t = s.generate(8, 0, 0..0);
-        let peak = t
-            .events
-            .iter()
-            .filter(|e| e.arrival_ns % 2_000_000 < 1_000_000);
-        let trough = t
-            .events
-            .iter()
-            .filter(|e| e.arrival_ns % 2_000_000 >= 1_000_000);
-        assert!(peak.count() > trough.count() * 3);
     }
 }

@@ -14,40 +14,21 @@
 //! plan is extended as online inserts land ([`ShardPlan::push_at`]), so
 //! the mapping stays total over the deployment's whole life.
 //!
-//! Two partition policies are provided:
-//!
-//! * [`ShardPolicy::Hash`] — each vector hashes (seeded SplitMix64 of its
-//!   global id) to a shard. Placement is oblivious to insertion order,
-//!   which is what a distributed deployment with independent ingest
-//!   routers would use; shard sizes fluctuate around `n / shards`.
-//! * [`ShardPolicy::BalancedSize`] — contiguous ranges of near-equal size
-//!   (difference at most one vector); online inserts go to the currently
-//!   least-loaded shard. Deterministic, and optimal for the
-//!   load-imbalance factor the cluster report tracks.
+//! The one partition policy, [`ShardPolicy::BalancedSize`], cuts the
+//! base set into contiguous ranges of near-equal size (difference at most
+//! one vector); online inserts go to the currently least-loaded shard.
+//! Deterministic, and optimal for the load-imbalance factor the cluster
+//! report tracks.
 
 use crate::dataset::Dataset;
-use crate::rng::SplitMix64;
 use crate::VectorId;
 
 /// How a [`ShardPlan`] assigns vectors to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardPolicy {
-    /// Seeded hash of the global id. Oblivious placement; sizes are
-    /// near-uniform for large `n` but not exactly balanced.
-    Hash,
     /// Contiguous near-equal ranges (sizes differ by at most one);
     /// inserts route to the least-loaded shard.
     BalancedSize,
-}
-
-impl ShardPolicy {
-    /// Display name (used by benches and reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            ShardPolicy::Hash => "hash",
-            ShardPolicy::BalancedSize => "balanced",
-        }
-    }
 }
 
 /// The global ↔ (shard, local) id mapping of a sharded deployment.
@@ -66,8 +47,6 @@ impl ShardPolicy {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
-    policy: ShardPolicy,
-    seed: u64,
     /// Global id → owning shard.
     assignments: Vec<u32>,
     /// Global id → local id within the owning shard.
@@ -80,44 +59,30 @@ pub struct ShardPlan {
 /// [`ShardPlan::push_at`]); never a valid global id in a resolved plan.
 const UNRESOLVED: VectorId = VectorId::MAX;
 
-/// Seeded SplitMix64 of a global id (stateless, so routing a given id is
-/// independent of how many ids were routed before it).
-fn hash_shard(seed: u64, g: VectorId, shards: usize) -> u32 {
-    let mut rng = SplitMix64::new(seed ^ (u64::from(g) << 1 | 1));
-    (rng.next_u64() % shards as u64) as u32
-}
-
 impl ShardPlan {
-    /// Partitions `n` vectors over `shards` shards.
+    /// Partitions `n` vectors over `shards` shards in contiguous
+    /// near-equal ranges: the first `n % shards` shards get one extra
+    /// vector. `policy` has the one variant and `seed` is ignored; both
+    /// stay so existing four-argument callers keep compiling.
     ///
     /// # Panics
     /// Panics if `shards == 0`.
-    pub fn partition(n: usize, shards: usize, policy: ShardPolicy, seed: u64) -> Self {
+    pub fn partition(n: usize, shards: usize, _policy: ShardPolicy, _seed: u64) -> Self {
         assert!(shards > 0, "shard count must be positive");
         let mut plan = Self {
-            policy,
-            seed,
             assignments: Vec::with_capacity(n),
             locals: Vec::with_capacity(n),
             members: vec![Vec::new(); shards],
         };
-        for g in 0..n as VectorId {
-            let s = match policy {
-                ShardPolicy::Hash => hash_shard(seed, g, shards),
-                // Contiguous near-equal ranges: the first `n % shards`
-                // shards get one extra vector.
-                ShardPolicy::BalancedSize => {
-                    let (q, r) = (n / shards, n % shards);
-                    let g = g as usize;
-                    let cut = r * (q + 1);
-                    if g < cut {
-                        (g / (q + 1)) as u32
-                    } else {
-                        (r + (g - cut) / q.max(1)) as u32
-                    }
-                }
+        let (q, r) = (n / shards, n % shards);
+        let cut = r * (q + 1);
+        for g in 0..n {
+            let s = if g < cut {
+                g / (q + 1)
+            } else {
+                r + (g - cut) / q.max(1)
             };
-            plan.record(s);
+            plan.record(s as u32);
         }
         plan
     }
@@ -130,11 +95,6 @@ impl ShardPlan {
             .push(self.members[shard as usize].len() as VectorId);
         self.members[shard as usize].push(g);
         g
-    }
-
-    /// The partition policy this plan was built (and routes inserts) with.
-    pub fn policy(&self) -> ShardPolicy {
-        self.policy
     }
 
     /// Number of shards.
@@ -192,11 +152,9 @@ impl ShardPlan {
     /// Which shard the next online insert should land on, given how many
     /// inserts are already routed-but-unresolved per shard (`pending`)
     /// and which shards can accept traffic (`live` — e.g. shards the
-    /// cluster actually staged; a plan can leave a shard empty). Hash
-    /// policy hashes the tentative next global id and probes linearly to
-    /// the next live shard; balanced-size picks the least-loaded live
-    /// shard counting pending routes, ties to the lowest shard index.
-    /// Deterministic either way. Returns `None` when no shard is live.
+    /// cluster actually staged; a plan can leave a shard empty): the
+    /// least-loaded live shard counting pending routes, ties to the
+    /// lowest shard index. Returns `None` when no shard is live.
     ///
     /// # Panics
     /// Panics if `pending` or `live` differ in length from the shard
@@ -204,18 +162,9 @@ impl ShardPlan {
     pub fn route_insert(&self, pending: &[usize], live: &[bool]) -> Option<usize> {
         assert_eq!(pending.len(), self.num_shards(), "pending counts per shard");
         assert_eq!(live.len(), self.num_shards(), "live flags per shard");
-        match self.policy {
-            ShardPolicy::Hash => {
-                let tentative = (self.len() + pending.iter().sum::<usize>()) as VectorId;
-                let start = hash_shard(self.seed, tentative, self.num_shards()) as usize;
-                (0..self.num_shards())
-                    .map(|i| (start + i) % self.num_shards())
-                    .find(|&s| live[s])
-            }
-            ShardPolicy::BalancedSize => (0..self.num_shards())
-                .filter(|&s| live[s])
-                .min_by_key(|&s| self.shard_len(s) + pending[s]),
-        }
+        (0..self.num_shards())
+            .filter(|&s| live[s])
+            .min_by_key(|&s| self.shard_len(s) + pending[s])
     }
 
     /// Records one completed online insert, assigning the next global id
@@ -291,31 +240,11 @@ mod tests {
     }
 
     #[test]
-    fn hash_partition_covers_and_round_trips() {
-        let plan = ShardPlan::partition(500, 8, ShardPolicy::Hash, 0xC0FFEE);
-        assert_eq!(plan.len(), 500);
-        let total: usize = (0..8).map(|s| plan.shard_len(s)).sum();
-        assert_eq!(total, 500);
-        for g in 0..500u32 {
-            assert_eq!(plan.global_of(plan.shard_of(g), plan.local_of(g)), g);
-        }
-        // Every shard gets a reasonable share at this size.
-        for s in 0..8 {
-            assert!(plan.shard_len(s) > 0, "shard {s} empty");
-        }
-        // Deterministic in the seed; different seeds move vectors.
-        let same = ShardPlan::partition(500, 8, ShardPolicy::Hash, 0xC0FFEE);
-        assert_eq!(plan, same);
-        let other = ShardPlan::partition(500, 8, ShardPolicy::Hash, 0xBEEF);
-        assert_ne!(plan.assignments, other.assignments);
-    }
-
-    #[test]
     fn extract_preserves_vectors_and_footprint() {
         let mut ds =
             Dataset::from_rows(2, (0..10).map(|i| vec![i as f32, -(i as f32)]).collect()).unwrap();
         ds.set_stored_vector_bytes(2);
-        let plan = ShardPlan::partition(10, 3, ShardPolicy::Hash, 1);
+        let plan = ShardPlan::partition(10, 3, ShardPolicy::BalancedSize, 1);
         let shards = plan.extract(&ds);
         assert_eq!(shards.len(), 3);
         for (s, shard) in shards.iter().enumerate() {
@@ -341,12 +270,6 @@ mod tests {
         assert_eq!(plan.local_of(9), 3);
         assert_eq!(plan.global_of(1, 3), 9);
         assert_eq!(plan.len(), 10);
-        // Hash routing is a pure function of the tentative id.
-        let hashed = ShardPlan::partition(9, 3, ShardPolicy::Hash, 5);
-        assert_eq!(
-            hashed.route_insert(&[0, 0, 0], &live),
-            hashed.route_insert(&[0, 0, 0], &live)
-        );
     }
 
     #[test]
@@ -355,17 +278,6 @@ mod tests {
         // must be skipped, not selected-and-rejected forever.
         let plan = ShardPlan::partition(9, 3, ShardPolicy::BalancedSize, 0);
         assert_eq!(plan.route_insert(&[0, 0, 0], &[false, true, true]), Some(1));
-        // Hash: every tentative id probes to a live shard.
-        let hashed = ShardPlan::partition(40, 4, ShardPolicy::Hash, 7);
-        for pending in 0..16usize {
-            let mut p = [0usize; 4];
-            p[0] = pending;
-            let s = hashed.route_insert(&p, &[true, false, true, false]);
-            assert!(
-                matches!(s, Some(0) | Some(2)),
-                "routed to dead shard: {s:?}"
-            );
-        }
         // No live shard at all.
         assert_eq!(plan.route_insert(&[0, 0, 0], &[false, false, false]), None);
     }
@@ -400,6 +312,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "shard count must be positive")]
     fn zero_shards_panics() {
-        ShardPlan::partition(4, 0, ShardPolicy::Hash, 0);
+        ShardPlan::partition(4, 0, ShardPolicy::BalancedSize, 0);
     }
 }

@@ -117,17 +117,16 @@
 //!
 //! `core::traffic` generates deterministic production-day workloads: a
 //! seeded [`core::traffic::Scenario`] composes an arrival model
-//! (closed-loop, Poisson, bursty spike windows or a diurnal profile)
-//! with a query mix (Zipfian hotspots, multi-tenant streams carrying
-//! per-tenant rate/deadline/top-k profiles and an update fraction) into
-//! a replayable trace for any engine tier. On the serving side,
-//! [`serve::SloPolicy`] makes the scheduler deadline-aware: `ShedDoomed`
-//! evicts sessions whose estimated finish misses their deadline instead
-//! of letting them burn capacity, and `TenantFair` bounds each tenant's
-//! in-flight share; reports roll up per-tenant latency summaries, SLO
-//! attainment, shed counts and a max/mean p99 fairness ratio. The same
-//! seed replays a whole day — churn, compaction, a load spike, a replica
-//! kill — bit-identically at any `exec_threads`. See the "Traffic
+//! (closed-loop or Poisson) with a query mix (Zipfian hotspots,
+//! multi-tenant streams carrying per-tenant rate/deadline/top-k profiles
+//! and an update fraction) into a replayable trace for any engine tier.
+//! On the serving side, [`serve::SloPolicy`] makes the scheduler
+//! deadline-aware: `ShedDoomed` evicts sessions whose estimated finish
+//! misses their deadline instead of letting them burn capacity; reports
+//! roll up per-tenant latency summaries, SLO attainment, shed counts and
+//! a max/mean p99 fairness ratio. The same seed replays a whole day —
+//! churn, compaction, an evening rush, a replica kill — bit-identically
+//! at any `exec_threads`. See the "Traffic
 //! scenarios & SLO scheduling" section of `docs/ARCHITECTURE.md` and
 //! `tests/traffic_scenarios.rs`.
 //!

@@ -8,10 +8,9 @@
 //! over their (connected) graphs — then asserts, over randomized
 //! datasets, tombstone sets and seeds, that the cluster's merged top-k
 //! equals the unsharded [`ServeEngine`]'s top-k *element-wise* (distances
-//! and global ids) for every shard count in {1, 2, 4, 8} and both
-//! partition policies. Tombstones are applied through each engine's own
-//! update path, so delete routing and result filtering are under test
-//! too.
+//! and global ids) for every shard count in {1, 2, 4, 8}. Tombstones
+//! are applied through each engine's own update path, so delete routing
+//! and result filtering are under test too.
 
 use proptest::prelude::*;
 use proptest::test_runner::{Config, TestRng};
@@ -27,7 +26,6 @@ use ndsearch::vector::synthetic::DatasetSpec;
 use ndsearch::vector::{Dataset, VectorId};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-const POLICIES: [ShardPolicy; 2] = [ShardPolicy::Hash, ShardPolicy::BalancedSize];
 
 fn vamana_builder(ds: &Dataset) -> (Box<dyn MutableIndex>, VectorId) {
     let index = Vamana::build(ds, VamanaParams::default());
@@ -82,43 +80,40 @@ fn sharded_topk_is_element_identical_to_unsharded() {
             prop_assert_eq!(flat_report.completed(), q);
 
             for shards in SHARD_COUNTS {
-                for policy in POLICIES {
-                    let plan = ShardPlan::partition(n, shards, policy, plan_seed);
-                    let mut cluster = ClusterEngine::stage_replicated(
-                        &config,
-                        serve.clone(),
-                        plan,
-                        ReplicationConfig::default(),
-                        &base,
-                        vamana_builder,
+                let plan = ShardPlan::partition(n, shards, ShardPolicy::BalancedSize, plan_seed);
+                let mut cluster = ClusterEngine::stage_replicated(
+                    &config,
+                    serve.clone(),
+                    plan,
+                    ReplicationConfig::default(),
+                    &base,
+                    vamana_builder,
+                );
+                for &t in &tombstones {
+                    cluster.submit_update(UpdateRequest::delete_at(0, t));
+                }
+                cluster.run_to_completion();
+                for (_, qv) in queries.iter() {
+                    cluster.submit(QueryRequest::at(0, qv.to_vec(), Vec::new()));
+                }
+                let report = cluster.run_to_completion();
+                prop_assert_eq!(report.updates_completed(), tombstones.len());
+                for (i, outcome) in report.outcomes.iter().enumerate() {
+                    let want = &flat_report.outcomes[i].results;
+                    prop_assert_eq!(
+                        &outcome.results,
+                        want,
+                        "query {} diverged at {} shards \
+                         (n = {}, k = {}, {} tombstones)",
+                        i,
+                        shards,
+                        n,
+                        serve.k,
+                        tombstones.len()
                     );
-                    for &t in &tombstones {
-                        cluster.submit_update(UpdateRequest::delete_at(0, t));
-                    }
-                    cluster.run_to_completion();
-                    for (_, qv) in queries.iter() {
-                        cluster.submit(QueryRequest::at(0, qv.to_vec(), Vec::new()));
-                    }
-                    let report = cluster.run_to_completion();
-                    prop_assert_eq!(report.updates_completed(), tombstones.len());
-                    for (i, outcome) in report.outcomes.iter().enumerate() {
-                        let want = &flat_report.outcomes[i].results;
-                        prop_assert_eq!(
-                            &outcome.results,
-                            want,
-                            "query {} diverged at {} shards / {} policy \
-                             (n = {}, k = {}, {} tombstones)",
-                            i,
-                            shards,
-                            policy.name(),
-                            n,
-                            serve.k,
-                            tombstones.len()
-                        );
-                        // No tombstone may surface from any shard.
-                        for t in &tombstones {
-                            prop_assert!(!outcome.results.iter().any(|nb| nb.id == *t));
-                        }
+                    // No tombstone may surface from any shard.
+                    for t in &tombstones {
+                        prop_assert!(!outcome.results.iter().any(|nb| nb.id == *t));
                     }
                 }
             }

@@ -427,8 +427,20 @@ fn cluster_churn_mixed_queries_and_updates() {
         "updates dropped"
     );
     assert_eq!(churn.completed(), queries.len());
-    assert!(churn.update_totals().pages_programmed > 0);
-    assert!(churn.update_totals().write_amplification() > 0.0);
+    // Flash writes charged, summed over every replica device.
+    let updates: Vec<_> = churn
+        .shards
+        .iter()
+        .flat_map(|s| &s.replicas)
+        .map(|r| r.report.updates)
+        .collect();
+    assert!(updates.iter().map(|u| u.pages_programmed).sum::<u64>() > 0);
+    let user: u64 = updates.iter().map(|u| u.user_bytes).sum();
+    let flash: u64 = updates.iter().map(|u| u.flash_bytes).sum();
+    assert!(
+        user > 0 && flash > 0,
+        "write amplification must be positive"
+    );
     // Inserted ids extend the global space in submission order.
     assert_eq!(cluster.plan().len(), N_FULL);
 

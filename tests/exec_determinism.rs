@@ -168,8 +168,8 @@ fn quantized_cluster_bit_identical_across_thread_counts_and_shard_order() {
 }
 
 /// Sharded scatter–gather serving with online inserts and deletes fanned
-/// out to both replicas of the owning shard, under either shard policy
-/// and round-robin or hedged routing: replica devices share no state, so
+/// out to both replicas of the owning shard, under round-robin or hedged
+/// routing: replica devices share no state, so
 /// which thread steps which device cannot show in the report.
 #[test]
 fn cluster_report_bit_identical_across_thread_counts_and_shard_order() {
@@ -187,11 +187,6 @@ fn cluster_report_bit_identical_across_thread_counts_and_shard_order() {
                 max_updates_per_round: (1usize..4).generate(rng),
                 ..ServeConfig::default()
             };
-            let policy = if any::<bool>().generate(rng) {
-                ShardPolicy::Hash
-            } else {
-                ShardPolicy::BalancedSize
-            };
             let routing = if any::<bool>().generate(rng) {
                 ReplicaPolicy::RoundRobin
             } else {
@@ -207,7 +202,7 @@ fn cluster_report_bit_identical_across_thread_counts_and_shard_order() {
             let reference = same_at_every_thread_count_and_shard_order(|threads, order| {
                 let mut c = config.clone();
                 c.exec_threads = threads;
-                let plan = ShardPlan::partition(n, SHARDS, policy, plan_seed);
+                let plan = ShardPlan::partition(n, SHARDS, ShardPolicy::BalancedSize, plan_seed);
                 let mut cluster = ClusterEngine::stage_replicated(
                     &c,
                     serve.clone(),
@@ -304,13 +299,13 @@ fn replicated_failover_bit_identical_across_thread_counts_and_shard_order() {
     );
 }
 
-/// Scenario-engine traffic over the cluster tier: a multi-tenant bursty
+/// Scenario-engine traffic over the cluster tier: a multi-tenant Poisson
 /// trace (Zipfian hotspots, deadlines, inserts and deletes) served under
-/// `SloPolicy::TenantFair`. SLO admission skips and per-tenant in-flight
-/// accounting run on each device's simulated counters only, so thread
-/// count must not leak into shedding, fairness or the merged outcomes.
+/// `SloPolicy::ShedDoomed`. The shed estimator runs on each device's
+/// simulated counters only, so thread count must not leak into shedding
+/// or the merged outcomes.
 #[test]
-fn scenario_traffic_with_tenant_fairness_bit_identical_across_thread_counts() {
+fn scenario_traffic_with_shedding_bit_identical_across_thread_counts() {
     use ndsearch::core::serve::SloPolicy;
     use ndsearch::core::traffic::{ArrivalModel, QueryMix, Scenario, TenantProfile};
 
@@ -320,16 +315,12 @@ fn scenario_traffic_with_tenant_fairness_bit_identical_across_thread_counts() {
     let serve = ServeConfig {
         max_inflight: 4,
         beam_width: 32,
-        slo: SloPolicy::TenantFair {
-            max_inflight_per_tenant: 2,
-        },
+        slo: SloPolicy::ShedDoomed { min_slack_ns: 0 },
         ..ServeConfig::default()
     };
     let scenario = Scenario {
-        arrivals: ArrivalModel::Bursty {
-            base_rate_qps: 20_000.0,
-            spike_rate_qps: 400_000.0,
-            spike_windows: vec![(0, 200_000)],
+        arrivals: ArrivalModel::Poisson {
+            rate_qps: 400_000.0,
         },
         mix: QueryMix {
             zipf_theta: 1.1,

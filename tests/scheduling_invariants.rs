@@ -425,95 +425,3 @@ fn shed_doomed_never_sheds_a_meetable_query() {
     assert_eq!(shed.completed(), queries.len());
     assert_eq!(shed.slo_attainment(), 1.0);
 }
-
-#[test]
-fn tenant_fair_cap_is_never_exceeded_and_everyone_completes() {
-    // 24 same-instant queries submitted grouped by tenant (tenant 0
-    // first): FIFO admission hands the head tenant every slot, TenantFair
-    // must bound each tenant's in-flight share in every round while
-    // keeping the global slots fully used and completing everything.
-    let (fx, queries, medoid) = serve_setup();
-    let run_with = |slo: SloPolicy| {
-        serve_slo_run(
-            &fx,
-            &queries,
-            medoid,
-            ServeConfig {
-                max_inflight: 6,
-                slo,
-                ..ServeConfig::default()
-            },
-            |i| (i as u32 / 8, None),
-        )
-    };
-    let peak = |r: &ServeReport, t: u32| {
-        r.peak_tenant_inflight
-            .iter()
-            .find(|&&(id, _)| id == t)
-            .map_or(0, |&(_, p)| p)
-    };
-    let unfair = run_with(SloPolicy::None);
-    assert!(
-        peak(&unfair, 0) > 2,
-        "FIFO admission should let the head tenant hog slots (peak {})",
-        peak(&unfair, 0)
-    );
-    let fair = run_with(SloPolicy::TenantFair {
-        max_inflight_per_tenant: 2,
-    });
-    for t in 0..3u32 {
-        let p = peak(&fair, t);
-        assert!(p <= 2, "tenant {t} exceeded the cap: peak {p}");
-        assert!(p > 0, "tenant {t} starved");
-    }
-    assert_eq!(
-        fair.peak_inflight, 6,
-        "the cap must not strand global slots"
-    );
-    assert_eq!(fair.completed(), queries.len());
-    for o in &fair.outcomes {
-        assert_eq!(o.state, SessionState::Completed, "query {} starved", o.id);
-    }
-
-    // A hog layout: 3 tenants each submit all 24 queries, tenant 0 first,
-    // so FIFO admission drains the hog before the others; the cap must
-    // even out the tenants' p99s.
-    let (base, queries) = DatasetSpec::sift_scaled(600, 24).build_pair();
-    let mut config = NdsConfig::scaled_for(base.len(), base.stored_vector_bytes());
-    config.ecc.hard_decision_failure_prob = 0.0;
-    let index = Vamana::build(&base, VamanaParams::default());
-    let graph = index.base_graph();
-    let prepared = Prepared::stage(
-        &config,
-        graph,
-        &base,
-        &ndsearch::anns::trace::BatchTrace::default(),
-    );
-    let hog = |slo: SloPolicy| {
-        let serve = ServeConfig {
-            max_inflight: 6,
-            slo,
-            ..ServeConfig::default()
-        };
-        let mut engine = ServeEngine::new(&config, serve, &prepared, &base, graph);
-        for tenant in 0..3u32 {
-            for (_, q) in queries.iter() {
-                let req = QueryRequest::at(tenant as u64, q.to_vec(), vec![index.medoid()]);
-                engine.submit(req.tenant(tenant));
-            }
-        }
-        let report = engine.run_to_completion();
-        assert_eq!(report.completed(), 3 * queries.len());
-        report.tenant_p99_fairness()
-    };
-    let (unfair, fair) = (
-        hog(SloPolicy::None),
-        hog(SloPolicy::TenantFair {
-            max_inflight_per_tenant: 2,
-        }),
-    );
-    assert!(
-        fair < unfair,
-        "TenantFair must lower the max/mean tenant p99: {fair} vs {unfair}"
-    );
-}

@@ -1,6 +1,6 @@
 //! The production-day battery: hours of simulated mixed traffic —
 //! Zipfian multi-tenant queries, online inserts/deletes, a compaction,
-//! an evening load spike and a replica kill — over a sharded replicated
+//! an evening rush and a replica kill — over a sharded replicated
 //! cluster, gated on recall, SLO attainment, zero lost queries, write
 //! amplification and bit-identical replay across thread counts; plus a
 //! single-engine overload burst showing `ShedDoomed` improves the
@@ -76,7 +76,7 @@ fn run_day(exec_threads: usize) -> (ClusterReport, Vec<CompactionReport>, Vec<Tr
     config.exec_threads = exec_threads;
 
     let plan = ShardPlan::partition(base.len(), 2, ShardPolicy::BalancedSize, 0x5A);
-    // Shard 0's replica 0 dies 1 ms into the evening spike, with sessions
+    // Shard 0's replica 0 dies 1 ms into the evening rush, with sessions
     // in flight on it.
     let kill_at = HOUR + 1_000_000;
     let replication =
@@ -109,13 +109,9 @@ fn run_day(exec_threads: usize) -> (ClusterReport, Vec<CompactionReport>, Vec<Tr
     // ---- Midday maintenance: compact every live replica. ----
     let compactions = cluster.compact_all();
 
-    // ---- Phase B: the evening — a 2 ms spike at hour 1, then tail. ----
+    // ---- Phase B: the evening — a rush at 50 000 q/s from hour 1. ----
     let evening = Scenario {
-        arrivals: ArrivalModel::Bursty {
-            base_rate_qps: 0.05,
-            spike_rate_qps: 50_000.0,
-            spike_windows: vec![(0, 2_000_000)],
-        },
+        arrivals: ArrivalModel::Poisson { rate_qps: 50_000.0 },
         mix: QueryMix {
             zipf_theta: 0.9,
             delete_fraction: 0.4,
@@ -236,15 +232,26 @@ fn production_day_survives_churn_spike_and_replica_loss() {
     assert!(report.tenant_p99_fairness() >= 1.0);
 
     // -- Writes were charged and compaction really ran on all 4 devices. --
-    let totals = report.update_totals();
-    assert!(totals.pages_programmed > 0, "no pages programmed");
-    assert!(totals.write_amplification() > 0.0);
+    let updates: Vec<_> = report
+        .shards
+        .iter()
+        .flat_map(|s| &s.replicas)
+        .map(|r| r.report.updates)
+        .collect();
+    let pages: u64 = updates.iter().map(|u| u.pages_programmed).sum();
+    assert!(pages > 0, "no pages programmed");
+    let user: u64 = updates.iter().map(|u| u.user_bytes).sum();
+    let flash: u64 = updates.iter().map(|u| u.flash_bytes).sum();
+    assert!(
+        user > 0 && flash > 0,
+        "write amplification must be positive"
+    );
     assert_eq!(compactions.len(), 4, "one compaction per live replica");
     for c in &compactions {
         assert!(c.pages_programmed > 0 && c.duration_ns > 0);
     }
 
-    // -- The kill landed: shard 0 lost replica 0 mid-spike and failed
+    // -- The kill landed: shard 0 lost replica 0 mid-rush and failed
     //    over; every other shard stayed whole. --
     let s0 = &report.shards[0];
     assert!(!s0.replicas[0].alive);
@@ -253,7 +260,7 @@ fn production_day_survives_churn_spike_and_replica_loss() {
     assert!(s0.availability < 1.0 && s0.availability > 0.0);
     assert!(
         report.failovers() > 0,
-        "mid-spike kill must re-seed sessions"
+        "mid-rush kill must re-seed sessions"
     );
     assert_eq!(report.shards[1].availability, 1.0);
 
