@@ -95,8 +95,9 @@
 //! [`ServeReport::free_hops`] the free hops.
 //!
 //! Quantized sessions do not speculate: their hops score DRAM-resident
-//! codes on one accelerator, so a prefetch only adds code fetches and
-//! MACs to the same serial resource. The batch engine's two-hop pick
+//! codes, and a quantized round is a pipeline whose bottleneck stage is
+//! the MAC lanes, so a prefetch only adds code fetches and MACs to that
+//! stage and frees no idle LUN. The batch engine's two-hop pick
 //! ([`crate::speculative::select_prefetch`]) is not used here either: it
 //! prefetches a degree's worth of second-order neighbors per hop, about
 //! four times the device tasks, and its selection is the host kernel
@@ -1149,30 +1150,36 @@ impl<'a> ServeEngine<'a> {
     }
 
     /// Simulated duration of one quantized scheduling round: the hops'
-    /// distance evaluations read codes from internal DRAM and run on the
-    /// embedded cores/accelerator — no NAND access. Derived from the
-    /// hop traces alone (slot order).
+    /// distance evaluations score codes from internal DRAM on the MAC
+    /// lanes — no NAND access — and the round runs them as the
+    /// [`pipeline_round`] over its hops in slot order. A hop fetches its
+    /// fresh neighbors' codes (DRAM), scores them (`⌈dim / MAC_LANES⌉`
+    /// accelerator cycles each) and gathers the results into its QPT
+    /// record (DRAM traffic and one embedded-core operation); while one
+    /// hop's codes are scored, the next hop's are fetched and the one
+    /// before is gathered. Derived from the hop traces alone.
     fn quantized_round_ns(&mut self, hops: &[IterationTrace]) -> Nanos {
         let codes = self.deploy.codes().expect("a quantized deployment");
-        let timing = &self.config.timing;
-        let active = hops.len();
-        let new_distances: u64 = hops.iter().map(|it| it.visited.len() as u64).sum();
-        // Code fetches for scoring + the usual QPT gathering traffic.
-        let code_traffic = new_distances * codes.code_bytes() as u64;
-        let dram_ns = timing
-            .dram_transfer_ns(code_traffic + self.qpt.gather_traffic_bytes(active, new_distances));
-        // Decode+MAC on the accelerator: dim elements per eval over the
-        // MAC lanes.
-        let dim = codes.quantizer().dim() as u64;
-        let lanes = u64::from(MAC_LANES);
-        let compute_ns = timing.accel_cycles_ns(new_distances * dim.div_ceil(lanes));
-        let embedded_ns = active as u64 * timing.t_embedded_op_ns;
-        self.breakdown.dram_ns += dram_ns;
-        self.breakdown.compute_ns += compute_ns;
-        self.breakdown.embedded_ns += embedded_ns;
-        self.stats.distance_evals += new_distances;
-        self.stats.search_ops += active as u64;
-        dram_ns + compute_ns + embedded_ns
+        let (timing, qpt) = (&self.config.timing, &self.qpt);
+        let code_bytes = codes.code_bytes() as u64;
+        let mac_cycles = (codes.quantizer().dim() as u64).div_ceil(u64::from(MAC_LANES));
+        let mut evals = 0;
+        let round = pipeline_round(hops.iter().map(|it| {
+            let fetched = it.visited.len() as u64;
+            evals += fetched;
+            HopStages {
+                fetch_ns: timing.dram_transfer_ns(fetched * code_bytes),
+                mac_ns: timing.accel_cycles_ns(fetched * mac_cycles),
+                gather_dram_ns: timing.dram_transfer_ns(qpt.gather_traffic_bytes(1, fetched)),
+                gather_op_ns: timing.t_embedded_op_ns,
+            }
+        }));
+        self.breakdown.dram_ns += round.dram_ns;
+        self.breakdown.compute_ns += round.compute_ns;
+        self.breakdown.embedded_ns += round.embedded_ns;
+        self.stats.distance_evals += evals;
+        self.stats.search_ops += hops.len() as u64;
+        round.round_ns
     }
 
     /// Exact-rerank stage of the quantized sessions that ended their
@@ -1334,9 +1341,9 @@ impl<'a> ServeEngine<'a> {
     }
 
     /// Whether sessions admitted now speculate: speculative searching is
-    /// on and the hops read full-precision rows from flash (a quantized
-    /// hop scores DRAM codes on one accelerator, where a prefetch only
-    /// adds work).
+    /// on and the hops read full-precision rows from flash. A quantized
+    /// round is the [`pipeline_round`] over DRAM codes, bound by its MAC
+    /// lanes; a prefetch there only lengthens that stage.
     fn speculating(&self) -> bool {
         self.config.scheduling.speculative && self.deploy.codes().is_none()
     }
@@ -1436,9 +1443,10 @@ impl<'a> ServeEngine<'a> {
 
         // ---- Execute the merged round on the hardware model. Quantized
         // rounds never touch flash: every distance comes from the
-        // DRAM-resident code table, so the round costs DRAM traffic and
-        // embedded-core compute instead of NAND sensing — flash is paid
-        // only by the exact rerank of the sessions that finish. ----
+        // DRAM-resident code table, so the round is a pipeline of code
+        // fetches, MAC lanes and Gathering instead of NAND sensing —
+        // flash is paid only by the exact rerank of the sessions that
+        // finish. ----
         let mut advance = t_in;
         if !entries.is_empty() {
             let round_exec = if quantized {
@@ -1611,6 +1619,95 @@ impl<'a> ServeEngine<'a> {
             speculation: self.speculation,
             free_hops: self.free_hops,
         }
+    }
+}
+
+/// One quantized hop's stage times in the round's pipeline: the DRAM
+/// code fetch, the MAC lanes, and Gathering (its DRAM traffic, then one
+/// embedded-core operation).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct HopStages {
+    fetch_ns: Nanos,
+    mac_ns: Nanos,
+    gather_dram_ns: Nanos,
+    gather_op_ns: Nanos,
+}
+
+/// A quantized round's duration and its split over the breakdown
+/// buckets, which sum to `round_ns`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct PipelinedRound {
+    round_ns: Nanos,
+    dram_ns: Nanos,
+    compute_ns: Nanos,
+    embedded_ns: Nanos,
+}
+
+/// A quantized round as an in-order three-stage pipeline over its hops.
+/// Hop `i`'s fetch follows hop `i−1`'s fetch, its MACs wait for its fetch
+/// and for hop `i−1`'s MACs, its Gathering for its MACs and for hop
+/// `i−1`'s Gathering:
+///
+/// `F_i = F_{i−1} + f_i`, `C_i = max(C_{i−1}, F_i) + c_i`,
+/// `G_i = max(G_{i−1}, C_i) + g_i`.
+///
+/// The fetch and Gathering's traffic share one internal DRAM, so the round
+/// takes `max(G_N, Σf + Σg_dram)`: the pipeline never over-subscribes it.
+/// A lone hop costs `f + c + g`. Nothing is kept from one round to the
+/// next.
+///
+/// `G_N` is the flow shop's critical path, `max over a ≤ b of
+/// Σf[..=a] + Σc[a..=b] + Σg[b..]`. The same pass finds it with a running
+/// argmax of `Σf[..=a] − Σc[..a]`, and the buckets are charged that
+/// path's stage times: fetches and Gathering traffic to DRAM, MACs to
+/// compute, Gathering operations to the embedded cores. When the shared
+/// DRAM is the longer bound, the whole round is DRAM time.
+fn pipeline_round(hops: impl IntoIterator<Item = HopStages>) -> PipelinedRound {
+    // Stage completion times of the latest hop.
+    let (mut f_done, mut c_done, mut g_done) = (0, 0, 0);
+    // Sums over the hops before the current one.
+    let (mut sum_c, mut sum_g_dram, mut sum_g_op) = (0, 0, 0);
+    // The best MAC-segment start so far, `Σf[..=a] − Σc[..a]`, with its
+    // `Σf[..=a]` and `Σc[..a]`.
+    let mut best_start = (i128::MIN, 0, 0);
+    // The critical path so far, less the `Σg` every path shares: its
+    // value, fetch time, MAC time, and the Gathering traffic and
+    // operations of the hops before its last MAC hop.
+    let mut path = (i128::MIN, 0, 0, 0, 0);
+    for h in hops {
+        f_done += h.fetch_ns;
+        c_done = c_done.max(f_done) + h.mac_ns;
+        g_done = g_done.max(c_done) + h.gather_dram_ns + h.gather_op_ns;
+
+        let start = i128::from(f_done) - i128::from(sum_c);
+        if start > best_start.0 {
+            best_start = (start, f_done, sum_c);
+        }
+        let (start, path_f, c_before_a) = best_start;
+        sum_c += h.mac_ns;
+        let value = start + i128::from(sum_c) - i128::from(sum_g_dram + sum_g_op);
+        if value > path.0 {
+            path = (value, path_f, sum_c - c_before_a, sum_g_dram, sum_g_op);
+        }
+        sum_g_dram += h.gather_dram_ns;
+        sum_g_op += h.gather_op_ns;
+    }
+    let (_, path_f, path_c, g_dram_before_b, g_op_before_b) = path;
+    let (path_g_dram, path_g_op) = (sum_g_dram - g_dram_before_b, sum_g_op - g_op_before_b);
+    debug_assert_eq!(path_f + path_c + path_g_dram + path_g_op, g_done);
+    let dram_bound = f_done + sum_g_dram;
+    if dram_bound > g_done {
+        return PipelinedRound {
+            round_ns: dram_bound,
+            dram_ns: dram_bound,
+            ..PipelinedRound::default()
+        };
+    }
+    PipelinedRound {
+        round_ns: g_done,
+        dram_ns: path_f + path_g_dram,
+        compute_ns: path_c,
+        embedded_ns: path_g_op,
     }
 }
 
@@ -2439,6 +2536,168 @@ mod tests {
         let o = &report.outcomes[0];
         assert!(o.shed && o.state == SessionState::Expired && o.hops > 0);
         untouched(&engine, &report);
+    }
+
+    // ---- The quantized round's pipeline.
+
+    fn hop(
+        fetch_ns: Nanos,
+        mac_ns: Nanos,
+        gather_dram_ns: Nanos,
+        gather_op_ns: Nanos,
+    ) -> HopStages {
+        HopStages {
+            fetch_ns,
+            mac_ns,
+            gather_dram_ns,
+            gather_op_ns,
+        }
+    }
+
+    #[test]
+    fn a_lone_hop_costs_its_three_stages() {
+        let round = pipeline_round([hop(3, 7, 2, 5)]);
+        assert_eq!(
+            round,
+            PipelinedRound {
+                round_ns: 3 + 7 + 2 + 5,
+                dram_ns: 3 + 2,
+                compute_ns: 7,
+                embedded_ns: 5,
+            }
+        );
+        assert_eq!(pipeline_round([]), PipelinedRound::default());
+    }
+
+    #[test]
+    fn a_mac_bound_round_costs_the_first_fetch_every_mac_and_the_last_gather() {
+        let round = pipeline_round([hop(2, 10, 1, 1); 4]);
+        assert_eq!(
+            round,
+            PipelinedRound {
+                round_ns: 2 + 4 * 10 + (1 + 1),
+                dram_ns: 2 + 1,
+                compute_ns: 4 * 10,
+                embedded_ns: 1,
+            }
+        );
+    }
+
+    #[test]
+    fn a_dram_bound_round_is_held_at_its_dram_traffic() {
+        // The stages alone would end at 47 ns; fetches and Gathering
+        // traffic share the DRAM for 4 × (10 + 5) ns.
+        let round = pipeline_round([hop(10, 1, 5, 1); 4]);
+        assert_eq!(
+            round,
+            PipelinedRound {
+                round_ns: 4 * (10 + 5),
+                dram_ns: 4 * (10 + 5),
+                compute_ns: 0,
+                embedded_ns: 0,
+            }
+        );
+    }
+
+    #[test]
+    fn the_pipeline_equals_the_critical_path_oracle() {
+        proptest::test_runner::run(
+            proptest::test_runner::Config { cases: 512 },
+            "the_pipeline_equals_the_critical_path_oracle",
+            |rng| {
+                use proptest::prelude::*;
+                // Stage times from "idle" to "the bottleneck", so every
+                // stage and the shared DRAM each bind in some cases.
+                let n = (1usize..12).generate(rng);
+                let scale =
+                    [(40u64, 5u64, 10u64), (5, 40, 5), (10, 10, 40)][(0usize..3).generate(rng)];
+                let hops: Vec<HopStages> = (0..n)
+                    .map(|_| {
+                        hop(
+                            (0..=scale.0).generate(rng),
+                            (0..=scale.1).generate(rng),
+                            (0..=scale.2).generate(rng),
+                            (0..=scale.2).generate(rng),
+                        )
+                    })
+                    .collect();
+                let round = pipeline_round(hops.iter().copied());
+
+                // O(N²) oracle: the longest path of the flow shop.
+                let g = |h: &HopStages| h.gather_dram_ns + h.gather_op_ns;
+                let mut critical = 0;
+                for b in 0..n {
+                    for a in 0..=b {
+                        let f: Nanos = hops[..=a].iter().map(|h| h.fetch_ns).sum();
+                        let c: Nanos = hops[a..=b].iter().map(|h| h.mac_ns).sum();
+                        let gathered: Nanos = hops[b..].iter().map(g).sum();
+                        critical = critical.max(f + c + gathered);
+                    }
+                }
+                let sum_f: Nanos = hops.iter().map(|h| h.fetch_ns).sum();
+                let sum_c: Nanos = hops.iter().map(|h| h.mac_ns).sum();
+                let sum_g: Nanos = hops.iter().map(g).sum();
+                let sum_g_dram: Nanos = hops.iter().map(|h| h.gather_dram_ns).sum();
+                let dram = sum_f + sum_g_dram;
+                prop_assert_eq!(round.round_ns, critical.max(dram));
+                prop_assert!(dram.max(sum_c).max(sum_g) <= round.round_ns);
+                prop_assert!(round.round_ns <= sum_f + sum_c + sum_g);
+                let charged = round.dram_ns + round.compute_ns + round.embedded_ns;
+                prop_assert_eq!(charged, round.round_ns);
+                prop_assert!(round.compute_ns <= sum_c && round.dram_ns <= round.round_ns);
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn a_quantized_serving_report_is_pinned() {
+        let fx = quantized_fixture(500, 24);
+        let prepared = stage(&fx);
+        let mut engine = ServeEngine::new(
+            &fx.config,
+            ServeConfig::default(),
+            &prepared,
+            &fx.base,
+            &fx.graph,
+        );
+        submit_all(&mut engine, &fx, |_| 0);
+        let report = engine.run_to_completion();
+        assert_eq!(report.completed(), fx.queries.len());
+        // The round count follows the hops alone; the makespan and p50
+        // follow the pipelined round's clock.
+        let pinned = (report.makespan_ns, report.rounds, report.latency().p50_ns);
+        assert_eq!(pinned, (746_047, 59, 563_117));
+    }
+
+    #[test]
+    fn quantized_engines_stepped_back_to_back_leave_no_state_on_the_thread() {
+        let fx = quantized_fixture(400, 16);
+        let prepared = stage(&fx);
+        let run = |fx: &Fixture, prepared: &Prepared, serve: ServeConfig| {
+            let mut engine = ServeEngine::new(&fx.config, serve, prepared, &fx.base, &fx.graph);
+            submit_all(&mut engine, fx, |i| i as Nanos * 2_000);
+            engine.run_to_completion()
+        };
+        let first = run(&fx, &prepared, ServeConfig::default());
+
+        // A second quantized engine with another corpus, device config and
+        // serving config, stepped to completion on the same thread.
+        let mut other = quantized_fixture(300, 12);
+        other.config.ecc.hard_decision_failure_prob = 0.3;
+        let other_prepared = stage(&other);
+        let serve = ServeConfig {
+            max_inflight: 5,
+            beam_width: 40,
+            rerank_depth: 12,
+            ..ServeConfig::default()
+        };
+        let second = run(&other, &other_prepared, serve);
+        assert!(second.stats.ecc_soft_fallbacks > 0);
+        assert_ne!(first, second);
+
+        // A fresh copy of the first engine reports what the first did.
+        assert_eq!(run(&fx, &stage(&fx), ServeConfig::default()), first);
     }
 
     #[test]

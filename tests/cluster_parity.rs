@@ -61,7 +61,6 @@ fn sharded_topk_is_element_identical_to_unsharded() {
                 ids.dedup();
                 ids
             };
-            let plan_seed = (0u64..u64::MAX).generate(rng);
 
             // ---- Unsharded reference: mutable deployment, deletes
             // through the update path, then the queries. ----
@@ -80,7 +79,8 @@ fn sharded_topk_is_element_identical_to_unsharded() {
             prop_assert_eq!(flat_report.completed(), q);
 
             for shards in SHARD_COUNTS {
-                let plan = ShardPlan::partition(n, shards, ShardPolicy::BalancedSize, plan_seed);
+                // `partition` ignores its seed: every plan is contiguous.
+                let plan = ShardPlan::partition(n, shards, ShardPolicy::BalancedSize, 0);
                 let mut cluster = ClusterEngine::stage_replicated(
                     &config,
                     serve.clone(),
@@ -153,11 +153,11 @@ fn replicated_topk_is_element_identical_to_single_replica() {
                 ids.dedup();
                 ids
             };
-            let plan_seed = (0u64..u64::MAX).generate(rng);
             let shards = 2usize;
 
             let run = |replication: ReplicationConfig| {
-                let plan = ShardPlan::partition(n, shards, ShardPolicy::BalancedSize, plan_seed);
+                // `partition` ignores its seed: every plan is contiguous.
+                let plan = ShardPlan::partition(n, shards, ShardPolicy::BalancedSize, 0);
                 let mut cluster = ClusterEngine::stage_replicated(
                     &config,
                     serve.clone(),

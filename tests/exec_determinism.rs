@@ -142,14 +142,14 @@ fn quantized_cluster_bit_identical_across_thread_counts_and_shard_order() {
                 max_updates_per_round: (1usize..4).generate(rng),
                 ..ServeConfig::default()
             };
-            let plan_seed = (0u64..u64::MAX).generate(rng);
             let interarrival = (0u64..2_000).generate(rng);
             let n_inserts = (3usize..8).generate(rng);
 
             let reference = same_at_every_thread_count_and_shard_order(|threads, order| {
                 let mut c = config.clone();
                 c.exec_threads = threads;
-                let plan = ShardPlan::partition(n, SHARDS, ShardPolicy::BalancedSize, plan_seed);
+                // `partition` ignores its seed: every plan is contiguous.
+                let plan = ShardPlan::partition(n, SHARDS, ShardPolicy::BalancedSize, 0);
                 let mut cluster = ClusterEngine::stage_replicated(
                     &c,
                     serve.clone(),
@@ -194,7 +194,6 @@ fn cluster_report_bit_identical_across_thread_counts_and_shard_order() {
                     delay_ns: (10_000u64..200_000).generate(rng),
                 }
             };
-            let plan_seed = (0u64..u64::MAX).generate(rng);
             let interarrival = (0u64..2_000).generate(rng);
             let n_inserts = (3usize..10).generate(rng);
             let n_deletes = (1usize..6).generate(rng);
@@ -202,7 +201,8 @@ fn cluster_report_bit_identical_across_thread_counts_and_shard_order() {
             let reference = same_at_every_thread_count_and_shard_order(|threads, order| {
                 let mut c = config.clone();
                 c.exec_threads = threads;
-                let plan = ShardPlan::partition(n, SHARDS, ShardPolicy::BalancedSize, plan_seed);
+                // `partition` ignores its seed: every plan is contiguous.
+                let plan = ShardPlan::partition(n, SHARDS, ShardPolicy::BalancedSize, 0);
                 let mut cluster = ClusterEngine::stage_replicated(
                     &c,
                     serve.clone(),
@@ -249,7 +249,6 @@ fn replicated_failover_bit_identical_across_thread_counts_and_shard_order() {
                 beam_width: (16usize..48).generate(rng),
                 ..ServeConfig::default()
             };
-            let plan_seed = (0u64..u64::MAX).generate(rng);
             let interarrival = (100u64..2_000).generate(rng);
             let n_inserts = (2usize..6).generate(rng);
             let policy = if (0usize..3).generate(rng) == 0 {
@@ -278,7 +277,8 @@ fn replicated_failover_bit_identical_across_thread_counts_and_shard_order() {
                 c.exec_threads = threads;
                 // BalancedSize never leaves a shard empty, so the killed
                 // replica always had sessions to fail over.
-                let plan = ShardPlan::partition(n, SHARDS, ShardPolicy::BalancedSize, plan_seed);
+                // `partition` ignores its seed: every plan is contiguous.
+                let plan = ShardPlan::partition(n, SHARDS, ShardPolicy::BalancedSize, 0);
                 let mut cluster = ClusterEngine::stage_replicated(
                     &c,
                     serve.clone(),
